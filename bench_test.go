@@ -474,7 +474,7 @@ func BenchmarkBatchSweepSpGEMM(b *testing.B) {
 	}
 }
 
-// ---- Stage 4: defensive Build vs the parallel BuildSorted fast path ----
+// ---- Stage 4: defensive Build vs the chunked BuildSorted fast path ----
 
 var stage4Once sync.Once
 var stage4Edges []graph.Edge
@@ -497,11 +497,23 @@ func BenchmarkStage4Build(b *testing.B) {
 	}
 }
 
+// BenchmarkStage4BuildSorted shows both ends of the chunked build: one
+// chunk (workers=1) and as many as GOMAXPROCS allows. Run with
+// -cpu 1,2,...: the multi-chunk line must never be slower than the
+// one-chunk line on the box at hand.
 func BenchmarkStage4BuildSorted(b *testing.B) {
 	edges, nodes := stage4Input()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.BuildSorted(nodes, edges, true, par.Options{})
+	for _, workers := range []int{1, 0} {
+		name := "workers=1"
+		if workers == 0 {
+			name = "workers=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				graph.BuildSorted(nodes, edges, true, par.Options{Workers: workers})
+			}
+			b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
+		})
 	}
 }
 

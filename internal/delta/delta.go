@@ -190,23 +190,8 @@ func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
 		}
 	}
 
-	// Vertex orientation by counting sort: scanning edges in ascending
-	// ID order emits each vertex row already sorted.
-	vOff := make([]int64, numVertices+2)
-	for _, v := range eAdj {
-		vOff[v+2]++
-	}
-	for v := 2; v < len(vOff); v++ {
-		vOff[v] += vOff[v-1]
-	}
-	vAdj := make([]uint32, len(eAdj))
-	for e := 0; e < newEdges; e++ {
-		for _, v := range eAdj[eOff[e]:eOff[e+1]] {
-			vAdj[vOff[v+1]] = uint32(e)
-			vOff[v+1]++
-		}
-	}
-	return hg.FromCSR(newEdges, int(numVertices), eOff, eAdj, vOff[:numVertices+1], vAdj)
+	vOff, vAdj := hg.Transpose(eOff, eAdj, int(numVertices))
+	return hg.FromCSR(newEdges, int(numVertices), eOff, eAdj, vOff, vAdj)
 }
 
 // Invert returns the delta that undoes d, phrased against the

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"hyperline/internal/core"
+	"hyperline/internal/graph"
 	"hyperline/internal/hg"
+	"hyperline/internal/par"
 )
 
 // Patcher incrementally maintains cached s-line projections across one
@@ -233,8 +235,13 @@ func (p *Patcher) Migratable(a KeyAttrs) bool {
 	if a.Toplex || !a.Squeeze {
 		return false
 	}
-	orderStable := !a.Dual || a.Relabel == hg.RelabelNone
-	return orderStable && a.S > p.AffectedS(a.Dual)
+	return orderStable(a) && a.S > p.AffectedS(a.Dual)
+}
+
+// orderStable reports whether hyperedges surviving a delta keep their
+// relative order in the working ID space (see Plan).
+func orderStable(a KeyAttrs) bool {
+	return !a.Dual || a.Relabel == hg.RelabelNone
 }
 
 // patchUnits estimates the patch work for one orientation in the same
@@ -382,12 +389,12 @@ func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepare
 // have gotten ActionPatch from Plan for this key.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	t0 := time.Now()
-	var orig []core.Edge
+	var kept, added []core.Edge
 	var err error
 	if a.Dual {
-		orig, err = p.patchCliquePairs(old, a.S)
+		kept, added, err = p.patchCliquePairs(old, a.S)
 	} else {
-		orig, err = p.patchLinePairs(old, a.S)
+		kept, added = p.patchLinePairs(old, a.S)
 	}
 	if err != nil {
 		return nil, err
@@ -401,19 +408,30 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 		origSpace = p.newH.NumVertices()
 	}
 	toWork := pp.OrigToWork(origSpace)
-	work := make([]core.Edge, 0, len(orig))
-	for _, e := range orig {
-		wu, wv := toWork[e.U], toWork[e.V]
-		if wu < 0 || wv < 0 {
-			return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
+	for _, list := range [][]core.Edge{kept, added} {
+		for i, e := range list {
+			wu, wv := toWork[e.U], toWork[e.V]
+			if wu < 0 || wv < 0 {
+				return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
+			}
+			u, v := uint32(wu), uint32(wv)
+			if u > v {
+				u, v = v, u
+			}
+			list[i].U, list[i].V = u, v
 		}
-		u, v := uint32(wu), uint32(wv)
-		if u > v {
-			u, v = v, u
-		}
-		work = append(work, core.Edge{U: u, V: v, W: e.W})
 	}
-	core.SortEdges(work)
+	var work []core.Edge
+	if orderStable(a) {
+		// kept left the cached graph (U, V)-sorted and the survivors'
+		// old node → new working ID map is monotone, so it still is:
+		// only the handful of added pairs needs a sort.
+		core.SortEdges(added)
+		work = par.MergeSorted([][]core.Edge{kept, added}, graph.EdgeLess, par.Options{Workers: 1})
+	} else {
+		work = append(kept, added...)
+		core.SortEdges(work)
+	}
 	plan := core.PlanInfo{
 		Strategy: "patch",
 		Reason:   fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(p.d.Inserts), len(p.d.Deletes)),
@@ -423,50 +441,52 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 	return pp.Assemble(a.S, work, time.Since(t0), stats, plan), nil
 }
 
-// patchLinePairs lifts the cached line projection to original IDs,
-// drops pairs touching deleted hyperedges, and appends the inserted
-// hyperedges' pairs at or above s.
-func (p *Patcher) patchLinePairs(old *core.PipelineResult, s int) ([]core.Edge, error) {
-	inserts := p.insertPairs()
-	out := make([]core.Edge, 0, old.Graph.NumEdges()+len(inserts))
-	for _, e := range old.Graph.Edges() {
+// patchLinePairs lifts the cached line projection to original IDs
+// without the pairs touching deleted hyperedges (kept, in the cached
+// graph's edge order), and selects the inserted hyperedges' pairs at or
+// above s (added).
+func (p *Patcher) patchLinePairs(old *core.PipelineResult, s int) (kept, added []core.Edge) {
+	edges := old.Graph.Edges() // a fresh list, filtered and lifted in place
+	kept = edges[:0]
+	for _, e := range edges {
 		u, v := old.HyperedgeIDs[e.U], old.HyperedgeIDs[e.V]
 		if p.deleted[u] || p.deleted[v] {
 			continue
 		}
-		out = append(out, core.Edge{U: u, V: v, W: e.W})
+		kept = append(kept, core.Edge{U: u, V: v, W: e.W})
 	}
-	for _, e := range inserts {
+	for _, e := range p.insertPairs() {
 		if int(e.W) >= s {
-			out = append(out, e)
+			added = append(added, e)
 		}
 	}
-	return out, nil
+	return kept, added
 }
 
 // patchCliquePairs lifts the cached clique projection to original
-// vertex IDs and replaces every affected pair with its recounted adj
-// value (removed when below s).
-func (p *Patcher) patchCliquePairs(old *core.PipelineResult, s int) ([]core.Edge, error) {
+// vertex IDs without the affected pairs (kept, in the cached graph's
+// edge order) and lists every affected pair whose recounted adj value
+// is at or above s (added).
+func (p *Patcher) patchCliquePairs(old *core.PipelineResult, s int) (kept, added []core.Edge, err error) {
 	updates, ok := p.cliqueUpdates()
 	if !ok {
-		return nil, fmt.Errorf("delta: clique pair enumeration over budget")
+		return nil, nil, fmt.Errorf("delta: clique pair enumeration over budget")
 	}
-	out := make([]core.Edge, 0, old.Graph.NumEdges()+len(updates))
-	for _, e := range old.Graph.Edges() {
+	edges := old.Graph.Edges() // a fresh list, filtered and lifted in place
+	kept = edges[:0]
+	for _, e := range edges {
 		u, v := old.HyperedgeIDs[e.U], old.HyperedgeIDs[e.V]
 		if _, affected := updates[pairKey(u, v)]; affected {
 			continue
 		}
-		out = append(out, core.Edge{U: u, V: v, W: e.W})
+		kept = append(kept, core.Edge{U: u, V: v, W: e.W})
 	}
 	for k, w := range updates {
 		if int(w) >= s {
-			u, v := uint32(k>>32), uint32(k)
-			out = append(out, core.Edge{U: u, V: v, W: w})
+			added = append(added, core.Edge{U: uint32(k >> 32), V: uint32(k), W: w})
 		}
 	}
-	return out, nil
+	return kept, added, nil
 }
 
 // GlobalAffected is the AffectedS value meaning "assume every s is

@@ -1,216 +1,125 @@
 package graph
 
-import (
-	"runtime"
-	"sort"
-	"sync/atomic"
+import "hyperline/internal/par"
 
-	"hyperline/internal/par"
-)
-
-// BuildSorted is the parallel zero-copy fast path of Build for callers
-// that guarantee the s-overlap stage's output invariants:
+// BuildSorted is the zero-copy fast path of Build for callers that
+// guarantee the s-overlap stage's output invariants:
 //
 //   - every edge has U < V (no self-loops),
 //   - edges are sorted by (U, V),
 //   - (U, V) keys are unique (no duplicates to coalesce),
 //   - all IDs are < numNodes.
 //
-// Under that contract no defensive copy, sort, or coalescing pass is
-// needed, and every remaining stage — degree counting, the squeeze
-// bitmap and prefix sum, CSR scatter, and per-row ordering — runs in
-// parallel under opt. The input slice is read but never modified, and
-// the result is identical to Build(numNodes, edges, squeeze).
+// Under that contract list order is sorted-row order: row x receives
+// its backward neighbors first — edges (u, x) precede edges (x, v) in
+// the input because u < x — in ascending u, then its forward neighbors
+// in ascending v, and u < x < v splices the two runs in order. A stable
+// scatter therefore needs no atomics and no per-row sort. The list is
+// split into contiguous chunks; each chunk counts a private per-node
+// histogram, one prefix pass over (node, chunk) turns the histograms
+// into per-chunk row cursors, and each chunk scatters sequentially
+// through its own cursors. The squeeze remap preserves the order (new
+// IDs are monotone in the old ones).
+//
+// The chunk count is derived from opt's effective workers and the input
+// shape (see chunkCount); the output does not depend on it. The input
+// slice is read but never modified, and the result is identical to
+// Build(numNodes, edges, squeeze).
 //
 // Callers that cannot vouch for the invariants must use Build, which
 // keeps the defensive path.
 func BuildSorted(numNodes int, edges []Edge, squeeze bool, opt par.Options) *Graph {
-	// The parallel path is atomics-heavy; without real hardware
-	// parallelism those atomics serialize into pure overhead, so clamp
-	// by GOMAXPROCS and take the tight serial loops when only one
-	// worker can actually run (still far cheaper than Build — no copy,
-	// no sortedness check, no coalescing pass).
-	if opt.EffectiveWorkers() == 1 || runtime.GOMAXPROCS(0) == 1 {
-		return buildSortedSerial(numNodes, edges, squeeze)
-	}
-	g := &Graph{numEdges: len(edges)}
-	chunks := par.Options{Workers: opt.Workers, Grain: chunkGrain(len(edges), opt)}
-
-	// Degree count over the original ID space. Endpoints scatter
-	// across nodes, so both sides use atomic adds; per-node degrees
-	// fit int32 comfortably (they are bounded by numNodes).
-	deg := make([]int32, numNodes)
-	par.ForChunks(len(edges), chunks, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			atomic.AddInt32(&deg[e.U], 1)
-			atomic.AddInt32(&deg[e.V], 1)
-		}
-	})
-
-	// Squeeze: the presence bitmap is exactly deg > 0, and new IDs are
-	// its parallel exclusive prefix sum.
-	var newID []int64
-	nodeOpt := par.Options{Workers: opt.Workers, Grain: chunkGrain(numNodes, opt)}
-	if squeeze {
-		newID = make([]int64, numNodes)
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					newID[v] = 1
-				}
-			}
-		})
-		present := par.PrefixSum(newID, opt)
-		g.numNodes = int(present)
-		g.orig = make([]uint32, present)
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					g.orig[newID[v]] = uint32(v)
-				}
-			}
-		})
-	} else {
-		g.numNodes = numNodes
-	}
-
-	// CSR offsets: scatter (squeezed) degrees, then parallel prefix
-	// sum.
-	off := make([]int64, g.numNodes+1)
-	if squeeze {
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if deg[v] > 0 {
-					off[newID[v]] = int64(deg[v])
-				}
-			}
-		})
-	} else {
-		par.ForChunks(numNodes, nodeOpt, func(_, lo, hi int) {
-			for v := lo; v < hi; v++ {
-				off[v] = int64(deg[v])
-			}
-		})
-	}
-	total := par.PrefixSum(off[:g.numNodes], opt)
-	off[g.numNodes] = total
-	g.off = off
-
-	// Scatter both directions of every edge. Write positions are
-	// claimed with per-node atomic cursors; the resulting intra-row
-	// order is scheduling-dependent, but rows are re-sorted below and
-	// neighbor IDs within a row are unique, so the final CSR is
-	// deterministic.
-	g.adj = make([]uint32, 2*len(edges))
-	g.wgt = make([]uint32, 2*len(edges))
-	cursor := make([]int64, g.numNodes)
-	par.ForChunks(g.numNodes, nodeOpt, func(_, lo, hi int) {
-		copy(cursor[lo:hi], g.off[lo:hi])
-	})
-	par.ForChunks(len(edges), chunks, func(_, lo, hi int) {
-		for _, e := range edges[lo:hi] {
-			u, v := int64(e.U), int64(e.V)
-			if squeeze {
-				u, v = newID[e.U], newID[e.V]
-			}
-			pu := atomic.AddInt64(&cursor[u], 1) - 1
-			g.adj[pu], g.wgt[pu] = uint32(v), e.W
-			pv := atomic.AddInt64(&cursor[v], 1) - 1
-			g.adj[pv], g.wgt[pv] = uint32(u), e.W
-		}
-	})
-
-	// Order each adjacency row (ids with parallel weights), one node
-	// per task.
-	par.For(g.numNodes, nodeOpt, func(_, u int) {
-		lo, hi := g.off[u], g.off[u+1]
-		row := rowSorter{ids: g.adj[lo:hi], ws: g.wgt[lo:hi]}
-		if !sort.IsSorted(row) {
-			sort.Sort(row)
-		}
-	})
-	return g
+	return buildChunked(numNodes, edges, squeeze, chunkCount(numNodes, len(edges), opt.EffectiveWorkers()))
 }
 
-// chunkGrain sizes blocked chunks so each worker sees a handful of
-// claims over n items — coarse enough to amortize the claim, fine
-// enough to balance.
-func chunkGrain(n int, opt par.Options) int {
-	w := opt.EffectiveWorkers()
-	grain := n / (w * 8)
-	if grain < 256 {
-		grain = 256
-	}
-	return grain
+// minChunkEdges is the fewest edges worth a goroutine of their own.
+const minChunkEdges = 1 << 12
+
+// chunkCount is at most the workers, at most what gives every chunk
+// minChunkEdges edges, and at most what keeps the chunks × numNodes
+// cursor table (8 bytes a cell) no larger than the adjacency and weight
+// arrays (16 bytes an edge), so the prefix pass over the table stays
+// below the scatter it serves and sparse or tiny lists run as one
+// chunk.
+func chunkCount(numNodes, numEdges, workers int) int {
+	return min(workers, numEdges/minChunkEdges, 2*numEdges/max(numNodes, 1))
 }
 
-// buildSortedSerial is BuildSorted's single-worker specialization.
-func buildSortedSerial(numNodes int, edges []Edge, squeeze bool) *Graph {
-	g := &Graph{numEdges: len(edges)}
-	deg := make([]int32, numNodes)
-	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
+// buildChunked is the one CSR build behind BuildSorted and Build; see
+// BuildSorted for the contract. chunks < 1 is taken as 1, and chunks
+// may exceed len(edges) (the surplus chunks are empty).
+func buildChunked(numNodes int, edges []Edge, squeeze bool, chunks int) *Graph {
+	chunks = max(chunks, 1)
+	g := &Graph{numNodes: numNodes, numEdges: len(edges)}
+
+	// cur[c*numNodes+x] first counts node x's endpoints in chunk c, then
+	// holds chunk c's write position in row x. Chunk c always owns the
+	// same edges, so the count and the scatter agree.
+	cur := make([]int64, chunks*numNodes)
+	forChunks := func(fn func(cur []int64, part []Edge)) {
+		par.For(chunks, par.Options{Workers: chunks, Grain: 1}, func(_, c int) {
+			lo, hi := c*len(edges)/chunks, (c+1)*len(edges)/chunks
+			fn(cur[c*numNodes:(c+1)*numNodes], edges[lo:hi])
+		})
 	}
-	var newID []int64
+	forChunks(func(cur []int64, part []Edge) {
+		for _, e := range part {
+			cur[e.U]++
+			cur[e.V]++
+		}
+	})
+
+	// Squeeze keeps the nodes some chunk saw; size the kept arrays
+	// exactly, numNodes can dwarf the survivors.
+	var newID []uint32
 	if squeeze {
-		newID = make([]int64, numNodes)
-		var next int64
-		for v := 0; v < numNodes; v++ {
-			if deg[v] > 0 {
-				newID[v] = next
-				next++
+		g.numNodes = 0
+		for x := 0; x < numNodes; x++ {
+			for i := x; i < len(cur); i += numNodes {
+				if cur[i] > 0 {
+					g.numNodes++
+					break
+				}
 			}
 		}
-		g.orig = make([]uint32, next)
-		g.numNodes = int(next)
-		for v := 0; v < numNodes; v++ {
-			if deg[v] > 0 {
-				g.orig[newID[v]] = uint32(v)
-			}
-		}
-	} else {
-		g.numNodes = numNodes
+		newID = make([]uint32, numNodes)
+		g.orig = make([]uint32, g.numNodes)
 	}
 
-	off := make([]int64, g.numNodes+1)
-	if squeeze {
-		for v := 0; v < numNodes; v++ {
-			if deg[v] > 0 {
-				off[newID[v]+1] = int64(deg[v])
-			}
+	// The prefix pass: rows in node order, chunks in list order within a
+	// row.
+	g.off = make([]int64, g.numNodes+1)
+	var pos int64
+	node := 0
+	for x := 0; x < numNodes; x++ {
+		start := pos
+		for i := x; i < len(cur); i += numNodes {
+			cur[i], pos = pos, pos+cur[i]
 		}
-	} else {
-		for v := 0; v < numNodes; v++ {
-			off[v+1] = int64(deg[v])
-		}
-	}
-	for i := 0; i < g.numNodes; i++ {
-		off[i+1] += off[i]
-	}
-	g.off = off
-
-	g.adj = make([]uint32, 2*len(edges))
-	g.wgt = make([]uint32, 2*len(edges))
-	cursor := make([]int64, g.numNodes)
-	copy(cursor, off[:g.numNodes])
-	for _, e := range edges {
-		u, v := int64(e.U), int64(e.V)
 		if squeeze {
-			u, v = newID[e.U], newID[e.V]
+			if pos == start {
+				continue
+			}
+			newID[x], g.orig[node] = uint32(node), uint32(x)
 		}
-		g.adj[cursor[u]], g.wgt[cursor[u]] = uint32(v), e.W
-		cursor[u]++
-		g.adj[cursor[v]], g.wgt[cursor[v]] = uint32(u), e.W
-		cursor[v]++
+		g.off[node] = start
+		node++
 	}
-	// No row-sort pass: the sequential scatter leaves every row sorted
-	// by construction. Row x receives its backward neighbors first —
-	// edges (u, x) precede edges (x, v) in the (U, V)-sorted input
-	// because u < x — in ascending u, then its forward neighbors in
-	// ascending v, and u < x < v splices the two runs in order. The
-	// squeeze remap preserves this (newID is monotone). The parallel
-	// path cannot rely on it: its atomic cursors scatter rows in
-	// scheduling order.
+	g.off[g.numNodes] = pos
+
+	g.adj = make([]uint32, 2*len(edges))
+	g.wgt = make([]uint32, 2*len(edges))
+	forChunks(func(cur []int64, part []Edge) {
+		for _, e := range part {
+			u, v := e.U, e.V
+			if squeeze {
+				u, v = newID[u], newID[v]
+			}
+			pu, pv := cur[e.U], cur[e.V]
+			cur[e.U], cur[e.V] = pu+1, pv+1
+			g.adj[pu], g.wgt[pu] = v, e.W
+			g.adj[pv], g.wgt[pv] = u, e.W
+		}
+	})
 	return g
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -30,13 +31,17 @@ func randomSortedEdges(rng *rand.Rand, numNodes, want int) []Edge {
 		seen[[2]uint32{u, v}] = true
 		edges = append(edges, Edge{U: u, V: v, W: uint32(rng.Intn(50) + 1)})
 	}
+	sortByUV(edges)
+	return edges
+}
+
+func sortByUV(edges []Edge) {
 	slices.SortFunc(edges, func(a, b Edge) int {
 		if a.U != b.U {
 			return int(a.U) - int(b.U)
 		}
 		return int(a.V) - int(b.V)
 	})
-	return edges
 }
 
 func graphsEqual(t *testing.T, a, b *Graph) {
@@ -58,9 +63,8 @@ func graphsEqual(t *testing.T, a, b *Graph) {
 }
 
 func TestBuildSortedMatchesBuild(t *testing.T) {
-	// Force real scheduler parallelism so the Workers > 1 cases take
-	// the atomic parallel path even on single-CPU test machines
-	// (BuildSorted clamps to the serial path when GOMAXPROCS is 1).
+	// Give the Workers > 1 cases real scheduler parallelism even on
+	// single-CPU test machines, so -race sees the chunks overlap.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
@@ -69,11 +73,76 @@ func TestBuildSortedMatchesBuild(t *testing.T) {
 		count := rng.Intn(maxEdges/2 + 1)
 		edges := randomSortedEdges(rng, numNodes, count)
 		for _, squeeze := range []bool{false, true} {
+			safe := Build(numNodes, edges, squeeze)
 			for _, workers := range []int{1, 4} {
-				safe := Build(numNodes, edges, squeeze)
 				fast := BuildSorted(numNodes, edges, squeeze, par.Options{Workers: workers})
 				graphsEqual(t, safe, fast)
 			}
+			// Graphs this small derive at most two chunks.
+			for _, chunks := range []int{3, 7} {
+				graphsEqual(t, safe, buildChunked(numNodes, edges, squeeze, chunks))
+			}
+		}
+	}
+}
+
+// TestBuildChunkedMatchesBuild forces chunk counts BuildSorted would
+// not derive for inputs this small, on shapes that stress the per-chunk
+// cursors: rows straddling chunk boundaries, a hub present in every
+// chunk, chunks left empty, nodes no edge touches.
+func TestBuildChunkedMatchesBuild(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(7))
+	// hub: node 5 of 40 is adjacent to every other node, so it takes
+	// backward and forward neighbors from every chunk; the odd nodes
+	// above 20 only ever meet the hub.
+	var hub []Edge
+	for x := uint32(0); x < 40; x++ {
+		if x != 5 {
+			hub = append(hub, Edge{U: min(x, 5), V: max(x, 5), W: x + 1})
+		}
+		if x%2 == 0 && x+2 < 20 {
+			hub = append(hub, Edge{U: x, V: x + 2, W: 3})
+		}
+	}
+	sortByUV(hub)
+	inputs := []struct {
+		name     string
+		numNodes int
+		edges    []Edge
+	}{
+		{"empty", 6, nil},
+		{"single", 6, []Edge{{U: 1, V: 4, W: 2}}},
+		{"hub", 40, hub},
+		{"hub-sparse-ids", 4000, hub},
+		{"dense", 30, randomSortedEdges(rng, 30, 300)},
+		{"sparse", 500, randomSortedEdges(rng, 500, 60)},
+	}
+	for _, in := range inputs {
+		for _, squeeze := range []bool{false, true} {
+			safe := Build(in.numNodes, in.edges, squeeze)
+			for _, chunks := range []int{1, 2, 3, 7, len(in.edges), len(in.edges) + 3} {
+				t.Run(fmt.Sprintf("%s/squeeze=%v/chunks=%d", in.name, squeeze, chunks), func(t *testing.T) {
+					graphsEqual(t, safe, buildChunked(in.numNodes, in.edges, squeeze, chunks))
+				})
+			}
+		}
+	}
+}
+
+func TestChunkCount(t *testing.T) {
+	for _, c := range []struct{ numNodes, numEdges, workers, want int }{
+		{5400, 390000, 2, 2},           // dense: the workers decide
+		{5400, 390000, 1, 1},           // one worker, one chunk
+		{100, 3 * minChunkEdges, 8, 3}, // every chunk gets minChunkEdges
+		{100, 200, 8, 0},               // tiny list: one chunk (buildChunked clamps)
+		{1 << 20, 1 << 20, 8, 2},       // sparse: the cursor table is bounded by the output
+		{1 << 20, 1 << 18, 8, 0},
+		{0, 0, 4, 0},
+	} {
+		if got := chunkCount(c.numNodes, c.numEdges, c.workers); got != c.want {
+			t.Errorf("chunkCount(%d nodes, %d edges, %d workers) = %d, want %d",
+				c.numNodes, c.numEdges, c.workers, got, c.want)
 		}
 	}
 }

@@ -80,75 +80,8 @@ func Build(numNodes int, edges []Edge, squeeze bool) *Graph {
 		undirected = append(undirected, e)
 	}
 
-	g := &Graph{numEdges: len(undirected)}
-	var newID []int64
-	if squeeze {
-		present := make([]bool, numNodes)
-		for _, e := range undirected {
-			present[e.U] = true
-			present[e.V] = true
-		}
-		newID = make([]int64, numNodes)
-		for v := range newID {
-			newID[v] = -1
-		}
-		for v := 0; v < numNodes; v++ {
-			if present[v] {
-				newID[v] = int64(len(g.orig))
-				g.orig = append(g.orig, uint32(v))
-			}
-		}
-		g.numNodes = len(g.orig)
-		for i := range undirected {
-			undirected[i].U = uint32(newID[undirected[i].U])
-			undirected[i].V = uint32(newID[undirected[i].V])
-		}
-	} else {
-		g.numNodes = numNodes
-	}
-
-	deg := make([]int64, g.numNodes+1)
-	for _, e := range undirected {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
-	g.off = deg
-	for i := 0; i < g.numNodes; i++ {
-		g.off[i+1] += g.off[i]
-	}
-	g.adj = make([]uint32, 2*len(undirected))
-	g.wgt = make([]uint32, 2*len(undirected))
-	cursor := make([]int64, g.numNodes)
-	copy(cursor, g.off[:g.numNodes])
-	for _, e := range undirected {
-		g.adj[cursor[e.U]], g.wgt[cursor[e.U]] = e.V, e.W
-		cursor[e.U]++
-		g.adj[cursor[e.V]], g.wgt[cursor[e.V]] = e.U, e.W
-		cursor[e.V]++
-	}
-	// Sort each adjacency row (ids with parallel weights). Squeezing
-	// preserves relative order, so rows are already sorted on the
-	// U side; the V side needs it.
-	for u := 0; u < g.numNodes; u++ {
-		lo, hi := g.off[u], g.off[u+1]
-		row := rowSorter{ids: g.adj[lo:hi], ws: g.wgt[lo:hi]}
-		if !sort.IsSorted(row) {
-			sort.Sort(row)
-		}
-	}
-	return g
-}
-
-type rowSorter struct {
-	ids []uint32
-	ws  []uint32
-}
-
-func (r rowSorter) Len() int           { return len(r.ids) }
-func (r rowSorter) Less(i, j int) bool { return r.ids[i] < r.ids[j] }
-func (r rowSorter) Swap(i, j int) {
-	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
-	r.ws[i], r.ws[j] = r.ws[j], r.ws[i]
+	// What is left meets BuildSorted's contract.
+	return buildChunked(numNodes, undirected, squeeze, 1)
 }
 
 // NumNodes returns the number of nodes (post-squeeze if squeezed).

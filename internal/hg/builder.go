@@ -106,41 +106,57 @@ func buildCSR(pairs []incidence, numEdges, numVertices int) *Hypergraph {
 	}
 	pairs = dedup
 
-	h := &Hypergraph{
-		numVertices: numVertices,
-		numEdges:    numEdges,
-		eOff:        make([]int64, numEdges+1),
-		eAdj:        make([]uint32, len(pairs)),
-		vOff:        make([]int64, numVertices+1),
-		vAdj:        make([]uint32, len(pairs)),
-	}
-	// Edge orientation: pairs are already grouped by e with sorted v.
-	for _, p := range pairs {
-		h.eOff[p.e+1]++
+	// Pairs are grouped by e with sorted v: that is the edge orientation.
+	eOff := make([]int64, numEdges+1)
+	eAdj := make([]uint32, len(pairs))
+	for i, p := range pairs {
+		eOff[p.e+1]++
+		eAdj[i] = p.v
 	}
 	for e := 0; e < numEdges; e++ {
-		h.eOff[e+1] += h.eOff[e]
+		eOff[e+1] += eOff[e]
 	}
-	for i, p := range pairs {
-		h.eAdj[i] = p.v
-		_ = i
+	return fromEdgeCSR(numVertices, eOff, eAdj)
+}
+
+// fromEdgeCSR completes a hypergraph from its edge orientation (rows
+// strictly sorted, IDs < numVertices), which it takes ownership of.
+func fromEdgeCSR(numVertices int, eOff []int64, eAdj []uint32) *Hypergraph {
+	vOff, vAdj := Transpose(eOff, eAdj, numVertices)
+	return &Hypergraph{
+		numVertices: numVertices,
+		numEdges:    len(eOff) - 1,
+		eOff:        eOff,
+		eAdj:        eAdj,
+		vOff:        vOff,
+		vAdj:        vAdj,
 	}
-	// Vertex orientation via counting sort on v; edge IDs arrive in
-	// ascending order because pairs are sorted by (e, v) and we scan
-	// in order, so rows come out sorted.
-	for _, p := range pairs {
-		h.vOff[p.v+1]++
+}
+
+// Transpose derives the other orientation of a CSR incidence structure
+// by counting sort: the rows off/adj over cols column IDs become cols
+// rows, each listing the input rows that contain the column. Input rows
+// are scanned in ascending order, so the output rows come out sorted.
+// Shared by every producer that builds one orientation directly
+// (Builder, Preprocess, delta.Apply, the hgio binary readers).
+func Transpose(off []int64, adj []uint32, cols int) ([]int64, []uint32) {
+	// Built one slot to the right: tOff[c+1] is column c's write cursor
+	// during the scatter and has advanced to row c+1's start after it.
+	tOff := make([]int64, cols+2)
+	for _, c := range adj {
+		tOff[c+2]++
 	}
-	for v := 0; v < numVertices; v++ {
-		h.vOff[v+1] += h.vOff[v]
+	for c := 2; c < len(tOff); c++ {
+		tOff[c] += tOff[c-1]
 	}
-	cursor := make([]int64, numVertices)
-	copy(cursor, h.vOff[:numVertices])
-	for _, p := range pairs {
-		h.vAdj[cursor[p.v]] = p.e
-		cursor[p.v]++
+	tAdj := make([]uint32, len(adj))
+	for r := 0; r+1 < len(off); r++ {
+		for _, c := range adj[off[r]:off[r+1]] {
+			tAdj[tOff[c+1]] = uint32(r)
+			tOff[c+1]++
+		}
 	}
-	return h
+	return tOff[:cols+1], tAdj
 }
 
 // EdgeSlices returns the hypergraph as a slice of vertex lists, one per

@@ -297,6 +297,81 @@ func TestPreprocessProperty(t *testing.T) {
 	}
 }
 
+// TestPreprocessMatchesReference pins Preprocess to an independently
+// built reference — bucket the non-empty edges by size (stable within a
+// size), compact the non-isolated vertices, rebuild through
+// FromEdgeSlices — on inputs with empty hyperedges, isolated vertices
+// and many equal-size edges (where only a stable relabel is
+// deterministic). All four CSR arrays and both ID maps must be equal.
+func TestPreprocessMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 60; trial++ {
+		n, m := 1+rng.Intn(50), rng.Intn(40)
+		edges := make([][]uint32, m)
+		for e := range edges {
+			if rng.Intn(4) == 0 {
+				continue // empty hyperedge
+			}
+			for v := 0; v < n; v++ {
+				// Roughly a third of the vertices end up isolated.
+				if v%3 != trial%3 && rng.Intn(n) < 3 {
+					edges[e] = append(edges[e], uint32(v))
+				}
+			}
+		}
+		h := FromEdgeSlices(edges, n)
+		for _, order := range []RelabelOrder{RelabelNone, RelabelAscending, RelabelDescending} {
+			wantEdgeOrig := []uint32{}
+			for k := 0; k <= n; k++ {
+				size := k // ascending; RelabelNone takes every size at once
+				if order == RelabelDescending {
+					size = n - k
+				}
+				for e := range edges {
+					if len(edges[e]) > 0 && (len(edges[e]) == size || order == RelabelNone) {
+						wantEdgeOrig = append(wantEdgeOrig, uint32(e))
+					}
+				}
+				if order == RelabelNone {
+					break
+				}
+			}
+			vertexNew := map[uint32]uint32{}
+			wantVertexOrig := []uint32{}
+			for v := 0; v < n; v++ {
+				if h.VertexDegree(uint32(v)) > 0 {
+					vertexNew[uint32(v)] = uint32(len(wantVertexOrig))
+					wantVertexOrig = append(wantVertexOrig, uint32(v))
+				}
+			}
+			relabeled := make([][]uint32, len(wantEdgeOrig))
+			for newE, origE := range wantEdgeOrig {
+				for _, v := range edges[origE] {
+					relabeled[newE] = append(relabeled[newE], vertexNew[v])
+				}
+			}
+			want := FromEdgeSlices(relabeled, len(wantVertexOrig))
+
+			got := Preprocess(h, order)
+			if !reflect.DeepEqual(got.EdgeOrig, wantEdgeOrig) {
+				t.Fatalf("trial %d order %v: EdgeOrig = %v, want %v", trial, order, got.EdgeOrig, wantEdgeOrig)
+			}
+			if !reflect.DeepEqual(got.VertexOrig, wantVertexOrig) {
+				t.Fatalf("trial %d order %v: VertexOrig = %v, want %v", trial, order, got.VertexOrig, wantVertexOrig)
+			}
+			if got.H.NumEdges() != want.NumEdges() || got.H.NumVertices() != want.NumVertices() {
+				t.Fatalf("trial %d order %v: shape (%d, %d), want (%d, %d)", trial, order,
+					got.H.NumEdges(), got.H.NumVertices(), want.NumEdges(), want.NumVertices())
+			}
+			gE, gA, gV, gB := got.H.CSR()
+			wE, wA, wV, wB := want.CSR()
+			if !reflect.DeepEqual(gE, wE) || !reflect.DeepEqual(gA, wA) || !reflect.DeepEqual(gV, wV) || !reflect.DeepEqual(gB, wB) {
+				t.Fatalf("trial %d order %v: CSR arrays differ from the reference", trial, order)
+			}
+		}
+	}
+}
+
 func randomHypergraph(r *rand.Rand, n, m int) *Hypergraph {
 	edges := make([][]uint32, m)
 	for e := range edges {

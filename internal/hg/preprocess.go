@@ -80,31 +80,29 @@ func Preprocess(h *Hypergraph, order RelabelOrder) *PreprocessResult {
 
 	// Surviving vertices keep their relative order (vertex IDs are
 	// never relabeled by degree in the paper's edge-centric setting;
-	// they are only compacted).
-	vertexNew := make([]int64, h.numVertices)
-	for v := range vertexNew {
-		vertexNew[v] = -1
-	}
+	// they are only compacted). Isolated vertices keep a stale
+	// vertexNew slot that no edge row reads.
+	vertexNew := make([]uint32, h.numVertices)
 	vertexOrig := make([]uint32, 0, h.numVertices)
 	for v := 0; v < h.numVertices; v++ {
 		if h.VertexDegree(uint32(v)) > 0 {
-			vertexNew[v] = int64(len(vertexOrig))
+			vertexNew[v] = uint32(len(vertexOrig))
 			vertexOrig = append(vertexOrig, uint32(v))
 		}
 	}
 
-	b := NewBuilder(int(h.Incidences()))
+	// Edge rows are sorted and vertexNew is monotone, so walking the
+	// survivors in their final order writes the edge orientation
+	// directly — every incidence survives, no pair sort needed.
+	eOff := make([]int64, len(edges)+1)
+	eAdj := make([]uint32, 0, h.Incidences())
 	for newE, origE := range edges {
 		for _, v := range h.EdgeVertices(origE) {
-			b.AddPair(uint32(newE), uint32(vertexNew[v]))
+			eAdj = append(eAdj, vertexNew[v])
 		}
+		eOff[newE+1] = int64(len(eAdj))
 	}
-	nh, err := b.BuildWithSize(len(edges), len(vertexOrig))
-	if err != nil {
-		// Unreachable: sizes are derived from the pairs above.
-		panic(err)
-	}
-	return &PreprocessResult{H: nh, EdgeOrig: edges, VertexOrig: vertexOrig}
+	return &PreprocessResult{H: fromEdgeCSR(len(vertexOrig), eOff, eAdj), EdgeOrig: edges, VertexOrig: vertexOrig}
 }
 
 // InducedByEdges returns the sub-hypergraph containing only the given

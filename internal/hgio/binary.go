@@ -213,7 +213,7 @@ func readBodyV2(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
 			return nil, fmt.Errorf("hgio: reading padding: %w", err)
 		}
 	}
-	vOff, vAdj := deriveVertexCSR(eOff, eAdj, n)
+	vOff, vAdj := hg.Transpose(eOff, eAdj, int(n))
 	storedVOff, err := readInt64s(r, n+1)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: reading vertex offsets: %w", err)
@@ -260,30 +260,6 @@ func validateEdgeCSR(off []int64, adj []uint32, n, nnz uint64) error {
 		}
 	}
 	return nil
-}
-
-// deriveVertexCSR builds the vertex orientation from the edge
-// orientation by counting sort. Scanning edges in ascending order
-// yields sorted rows, exactly as hg.Builder produces them.
-func deriveVertexCSR(eOff []int64, eAdj []uint32, n uint64) ([]int64, []uint32) {
-	m := len(eOff) - 1
-	vOff := make([]int64, n+1)
-	for _, v := range eAdj {
-		vOff[v+1]++
-	}
-	for v := uint64(0); v < n; v++ {
-		vOff[v+1] += vOff[v]
-	}
-	vAdj := make([]uint32, len(eAdj))
-	cursor := make([]int64, n)
-	copy(cursor, vOff[:n])
-	for e := 0; e < m; e++ {
-		for _, v := range eAdj[eOff[e]:eOff[e+1]] {
-			vAdj[cursor[v]] = uint32(e)
-			cursor[v]++
-		}
-	}
-	return vOff, vAdj
 }
 
 func int64sEqual(a, b []int64) bool {

@@ -87,7 +87,7 @@ func mapBinaryData(path string, data []byte, size int64) (*hg.Hypergraph, error)
 	var vOff []int64
 	var vAdj []uint32
 	if hdr.version == 1 {
-		vOff, vAdj = deriveVertexCSR(eOff, eAdj, hdr.n)
+		vOff, vAdj = hg.Transpose(eOff, eAdj, int(n))
 	} else {
 		pos += pad4(hdr.nnz)
 		vOff = asInt64s(data, pos, n+1)
