@@ -107,11 +107,31 @@ func BenchmarkFig4SCliqueEnsemble(b *testing.B) {
 	}
 }
 
+// runAt runs the pipeline for one s straight through core.RunBatch.
+func runAt(b *testing.B, h *hg.Hypergraph, s int, cfg core.PipelineConfig) *core.PipelineResult {
+	b.Helper()
+	out, err := core.RunBatch(context.Background(), h, []int{s}, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out[s]
+}
+
+// executeAt runs a one-s line query through the public Execute entry.
+func executeAt(b *testing.B, h *hyperline.Hypergraph, s int, opt hyperline.Options) *hyperline.Result {
+	b.Helper()
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{Hypergraph: h, S: []int{s}, Options: opt})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return qr.Entries[0].Result
+}
+
 // ---- Table II: PageRank over s-clique graphs ----
 
 func BenchmarkTable2PageRank(b *testing.B) {
 	h := experiments.DisGeNetAnalog(1)
-	res, _ := core.Run(context.Background(), h, 10, core.PipelineConfig{})
+	res := runAt(b, h, 10, core.PipelineConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algo.PageRank(res.Graph, algo.PageRankOptions{})
@@ -121,7 +141,7 @@ func BenchmarkTable2PageRank(b *testing.B) {
 // ---- Figure 5: betweenness on the virology 5-line graph ----
 
 func BenchmarkFig5Betweenness(b *testing.B) {
-	res, _ := core.Run(context.Background(), experiments.VirologyAnalog(1), 5, core.PipelineConfig{})
+	res := runAt(b, experiments.VirologyAnalog(1), 5, core.PipelineConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algo.Betweenness(res.Graph, par.Options{})
@@ -140,7 +160,7 @@ func BenchmarkFig6Ensemble(b *testing.B) {
 }
 
 func BenchmarkFig6Connectivity(b *testing.B) {
-	res, _ := core.Run(context.Background(), cond(), 8, core.PipelineConfig{})
+	res := runAt(b, cond(), 8, core.PipelineConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spectral.NormalizedAlgebraicConnectivity(res.Graph, spectral.Options{})
@@ -153,7 +173,7 @@ func BenchmarkIMDBPipeline(b *testing.B) {
 	h := experiments.IMDBAnalog(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := hyperline.SLineGraph(h, 101, hyperline.Options{TLSDenseCounters: true})
+		res := executeAt(b, h, 101, hyperline.Options{Counters: hyperline.StoreDense})
 		algo.ConnectedComponents(res.Graph)
 		algo.Betweenness(res.Graph, par.Options{})
 	}
@@ -166,7 +186,7 @@ func benchmarkFig7(b *testing.B, notation string) {
 	cfg := cfgFor(b, notation)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(context.Background(), h, 8, core.PipelineConfig{Core: cfg})
+		runAt(b, h, 8, core.PipelineConfig{Core: cfg})
 	}
 }
 
@@ -272,7 +292,7 @@ func BenchmarkFig11Algo1CA(b *testing.B) {
 	cfg := cfgFor(b, "1CA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(context.Background(), h, 8, core.PipelineConfig{Core: cfg})
+		runAt(b, h, 8, core.PipelineConfig{Core: cfg})
 	}
 }
 
@@ -281,7 +301,7 @@ func BenchmarkFig11Algo2BA(b *testing.B) {
 	cfg := cfgFor(b, "2BA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(context.Background(), h, 8, core.PipelineConfig{Core: cfg})
+		runAt(b, h, 8, core.PipelineConfig{Core: cfg})
 	}
 }
 
@@ -292,7 +312,7 @@ func benchmarkTable5(b *testing.B, s int) {
 	cfg := cfgFor(b, "2CA")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := core.Run(context.Background(), h, s, core.PipelineConfig{Core: cfg})
+		res := runAt(b, h, s, core.PipelineConfig{Core: cfg})
 		algo.LabelPropagationCC(res.Graph, par.Options{})
 	}
 }
@@ -392,7 +412,7 @@ func BenchmarkAblationToplexOff(b *testing.B) {
 	h := nestedHypergraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(context.Background(), h, 2, core.PipelineConfig{})
+		runAt(b, h, 2, core.PipelineConfig{})
 	}
 }
 
@@ -400,7 +420,7 @@ func BenchmarkAblationToplexOn(b *testing.B) {
 	h := nestedHypergraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Run(context.Background(), h, 2, core.PipelineConfig{Toplex: core.ToplexOn})
+		runAt(b, h, 2, core.PipelineConfig{Toplex: core.ToplexOn})
 	}
 }
 
@@ -458,7 +478,7 @@ func BenchmarkBatchSweepPinnedPerS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range batchSweep {
-			core.Run(context.Background(), h, s, cfg)
+			runAt(b, h, s, cfg)
 		}
 	}
 }
@@ -535,13 +555,11 @@ func BenchmarkFig8CoreRun(b *testing.B) {
 	pc := fig8Pipeline(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(context.Background(), h, 8, pc); err != nil {
-			b.Fatal(err)
-		}
+		runAt(b, h, 8, pc)
 	}
 }
 
-// BenchmarkFig8Execute drives the identical query through the v2
+// BenchmarkFig8Execute drives the identical query through the
 // Execute surface (validation, context plumbing, QueryResult
 // assembly). The wrapper overhead over BenchmarkFig8CoreRun is the
 // price of the unified API and must stay under 2%.
@@ -572,7 +590,7 @@ func BenchmarkQuickstartPipeline(b *testing.B) {
 	h := experiments.CompBoardAnalog(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := hyperline.SLineGraph(h, 2, hyperline.Options{})
+		res := executeAt(b, h, 2, hyperline.Options{})
 		hyperline.SConnectedComponents(res)
 	}
 }

@@ -18,8 +18,9 @@
 // ".pairs", ".bin", or adjacency lines — ".bin" files are mmap'd, so
 // registration touches pages, not bytes, and datasets may exceed RAM);
 // -warmup precomputes the given s-sweep (a value, comma list, or lo:hi
-// range, e.g. "1,4:8") for every loaded dataset as one batched
-// planner-driven pass.
+// range, e.g. "1,4:8") for every loaded dataset as one
+// background-priority query — the same request a client sends as
+// POST /v2/query with "priority":"background".
 //
 // -spill-dir attaches a disk tier under the LRU caches: evicted
 // projections and measure values serialize there (bounded to
@@ -38,10 +39,10 @@
 // planner-estimated cost (~ms units — see /v1/datasets/{name}/costs).
 // When saturated, interactive requests wait in a bounded FIFO queue
 // (-max-queue) and overflow is shed with 429 + Retry-After; background
-// work (warmup sweeps, "priority":"background" v2 queries) never
-// queues. GET /metrics exposes the Prometheus text exposition: cache
-// hit rates, compute counters, singleflight dedups, admission
-// occupancy, per-stage latency histograms, and response codes.
+// work (-warmup, "priority":"background" queries) never queues. GET
+// /metrics exposes the Prometheus text exposition: cache hit rates,
+// compute counters, singleflight dedups, admission occupancy,
+// per-stage latency histograms, and response codes.
 //
 // -register/-advertise join a scatter-gather tier: the replica
 // heartbeats its advertised base URL to a hyperrouter every
@@ -58,10 +59,9 @@
 // Endpoints (see internal/serve.NewHandler):
 //
 //	curl -X PUT --data-binary @data.hgr 'localhost:8080/v1/datasets/web'
-//	curl 'localhost:8080/v1/datasets/web/slinegraph?s=4'
-//	curl 'localhost:8080/v1/datasets/web/components?s=4'
-//	curl 'localhost:8080/v1/datasets/web/measures?s=1:4&measure=diameter'
+//	curl -X POST -d '{"dataset":"web","s":[4],"edges":true}' 'localhost:8080/v2/query'
 //	curl -X POST -d '{"dataset":"web","s":"1:4","measure":"diameter","timeout_ms":500}' 'localhost:8080/v2/query'
+//	curl -X POST -d '{"dataset":"web","s":"1:8","priority":"background"}' 'localhost:8080/v2/query'
 //	curl -X POST -d '{"dataset":"web","inserts":[[0,3,7]],"deletes":[12]}' 'localhost:8080/v2/ingest'
 //	curl 'localhost:8080/v2/datasets/web/changes?since=1&timeout_ms=5000'
 //	curl 'localhost:8080/v1/measures'
@@ -247,9 +247,17 @@ func main() {
 			os.Exit(2)
 		}
 		for _, d := range svc.Datasets() {
-			n, _, err := svc.Warmup(context.Background(), d.Name, false, sweep, core.PipelineConfig{})
+			qr, err := svc.Query(context.Background(), serve.QueryRequest{
+				Dataset: d.Name, S: sweep, Priority: serve.PriorityBackground,
+			})
 			if err != nil {
 				log.Fatalf("hyperlined: warmup %s: %v", d.Name, err)
+			}
+			n := 0
+			for _, e := range qr.Entries {
+				if !e.Cached {
+					n++
+				}
 			}
 			log.Printf("warmed %s: %d projections (s in %v)", d.Name, n, sweep)
 		}

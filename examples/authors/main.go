@@ -12,8 +12,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 
 	"hyperline"
 	"hyperline/internal/experiments"
@@ -32,11 +34,19 @@ func main() {
 	for s := 1; s <= *maxS; s++ {
 		sValues = append(sValues, s)
 	}
-	ens := hyperline.SLineGraphEnsemble(h, sValues, hyperline.Options{})
+	// One query for the whole sweep, pinned to the ensemble algorithm
+	// (Algorithm 3): a single counting pass serves every s.
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: h, S: sValues,
+		Options: hyperline.Options{Algorithm: hyperline.AlgoEnsemble},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("\n  s   nodes   edges   components   norm. algebraic connectivity")
-	for _, s := range sValues {
-		res := ens[s]
+	for _, e := range qr.Entries {
+		s, res := e.S, e.Result
 		if res.Graph.NumEdges() == 0 {
 			fmt.Printf("  %-3d %7d %7d   (empty: no two papers share %d authors)\n",
 				s, res.Graph.NumNodes(), res.Graph.NumEdges(), s)

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log"
 	"sort"
 
 	"hyperline"
@@ -27,17 +29,23 @@ func main() {
 	fmt.Printf("gene-condition hypergraph: %d genes (hyperedges), %d conditions (vertices)\n",
 		h.NumEdges(), h.NumVertices())
 
-	ens := hyperline.SLineGraphEnsemble(h, []int{1, 3, 5}, hyperline.Options{})
-	for _, s := range []int{1, 3, 5} {
-		res := ens[s]
-		cc := hyperline.SConnectedComponents(res)
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: h, S: []int{1, 3, 5},
+		Options: hyperline.Options{Algorithm: hyperline.AlgoEnsemble},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range qr.Entries {
+		cc := hyperline.SConnectedComponents(e.Result)
 		fmt.Printf("\ns=%d line graph: %d genes, %d edges, %d components\n",
-			s, res.Graph.NumNodes(), res.Graph.NumEdges(), cc.Count)
+			e.S, e.Result.Graph.NumNodes(), e.Result.Graph.NumEdges(), cc.Count)
 	}
 
-	// Rank genes in the 5-line graph by s-betweenness centrality
-	// (degree as tiebreak): the planted hubs emerge.
-	res := ens[5]
+	// Rank genes in the 5-line graph (the sweep's last entry) by
+	// s-betweenness centrality (degree as tiebreak): the planted hubs
+	// emerge.
+	res := qr.Entries[len(qr.Entries)-1].Result
 	bc := hyperline.SBetweenness(res, 0)
 	type ranked struct {
 		gene  uint32

@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"hyperline"
 )
@@ -22,8 +24,15 @@ func main() {
 	fmt.Printf("hypergraph: %d vertices, %d hyperedges, %d incidences\n",
 		h.NumVertices(), h.NumEdges(), h.Incidences())
 
-	for s := 1; s <= 4; s++ {
-		res := hyperline.SLineGraph(h, s, hyperline.Options{})
+	// One query serves the whole s-sweep: preprocessing runs once and
+	// the planner picks the counting strategy.
+	ctx := context.Background()
+	qr, err := hyperline.Execute(ctx, hyperline.Query{Hypergraph: h, S: []int{1, 2, 3, 4}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range qr.Entries {
+		s, res := e.S, e.Result
 		fmt.Printf("\ns=%d line graph: %d nodes, %d edges\n",
 			s, res.Graph.NumNodes(), res.Graph.NumEdges())
 		for _, e := range res.Graph.Edges() {
@@ -36,7 +45,14 @@ func main() {
 
 	// The dual view: the 1-clique graph is the clique expansion H₂
 	// (Fig. 3), linking vertices that share a hyperedge.
-	clique := hyperline.SCliqueGraph(h, 1, hyperline.Options{NoSqueeze: true})
+	cq, err := hyperline.Execute(ctx, hyperline.Query{
+		Hypergraph: h, Kind: hyperline.KindClique, S: []int{1},
+		Options: hyperline.Options{NoSqueeze: true},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	clique := cq.Entries[0].Result
 	fmt.Printf("\nclique expansion: %d nodes, %d edges\n",
 		clique.Graph.NumNodes(), clique.Graph.NumEdges())
 	fmt.Printf("vertices b,c co-occur in %d hyperedges (adj(b,c))\n",

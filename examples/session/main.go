@@ -1,13 +1,15 @@
 // Session demonstrates the multi-resolution query workflow the serving
-// layer is built for: register a dataset once, warm an s-sweep with a
-// single Algorithm 3 ensemble pass, then answer repeated s-line-graph
-// and s-measure queries from the shared result cache.
+// layer is built for: register a dataset once, warm an s-sweep with one
+// background-priority query, then answer repeated s-line-graph and
+// s-measure queries from the shared result cache.
 //
 // Run with: go run ./examples/session
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"hyperline"
 )
@@ -24,24 +26,34 @@ func main() {
 	sess := hyperline.NewSession(hyperline.SessionOptions{})
 	sess.Add("communities", hyperline.FromEdgeSlices(edges, 24))
 
-	// One counting pass precomputes every projection of the sweep.
+	// One batched pass precomputes every projection of the sweep; at
+	// background priority it would be shed, not queued, if the session
+	// had admission limits and was saturated.
+	ctx := context.Background()
 	sweep := []int{1, 2, 3}
-	if _, err := sess.Warmup("communities", sweep, hyperline.Options{}); err != nil {
-		panic(err)
+	if _, err := sess.Execute(ctx, hyperline.Query{
+		Dataset: "communities", S: sweep, Priority: hyperline.PriorityBackground,
+	}); err != nil {
+		log.Fatal(err)
 	}
 
+	// Repeats are free: each of these hits the cache, no pipeline run.
 	for _, s := range sweep {
-		res, err := sess.SLineGraph("communities", s, hyperline.Options{})
+		qr, err := sess.Execute(ctx, hyperline.Query{Dataset: "communities", S: []int{s}})
 		if err != nil {
-			panic(err)
+			log.Fatal(err)
 		}
+		res := qr.Entries[0].Result
 		cc := hyperline.SConnectedComponents(res)
 		fmt.Printf("s=%d: %d nodes, %d edges, %d components\n",
 			s, res.Graph.NumNodes(), res.Graph.NumEdges(), cc.Count)
 	}
 
-	// Repeats are free: this hits the cache, no pipeline run.
-	res, _ := sess.SLineGraph("communities", 2, hyperline.Options{})
+	qr, err := sess.Execute(ctx, hyperline.Query{Dataset: "communities", S: []int{2}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := qr.Entries[0].Result
 	bc := hyperline.SBetweenness(res, 0)
 	best, bestScore := uint32(0), -1.0
 	for u, score := range bc {

@@ -2,6 +2,7 @@ package hyperline_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,12 +46,16 @@ func TestGoldenSweepTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, err := sess.SMeasureSweep("d", sweep, tc.measure, nil, hyperline.Options{})
+			qr, err := sess.Execute(context.Background(), hyperline.Query{Dataset: "d", S: sweep, Measure: tc.measure})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := make([]measure.SweepRow, len(results))
-			for i, r := range results {
+			rows := make([]measure.SweepRow, len(qr.Entries))
+			for i, e := range qr.Entries {
+				if e.Err != nil {
+					t.Fatalf("s=%d: %v", e.S, e.Err)
+				}
+				r := e.Measure
 				rows[i] = measure.SweepRow{
 					S: r.S, Nodes: r.Nodes, Edges: r.Edges,
 					HyperedgeIDs: r.HyperedgeIDs, Value: r.Value,

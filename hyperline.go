@@ -14,8 +14,8 @@
 // # Quick start
 //
 //	h := hyperline.FromEdgeSlices([][]uint32{{0,1,2},{1,2,3},{0,1,2,3,4},{4,5}}, 6)
-//	res := hyperline.SLineGraph(h, 2, hyperline.Options{})
-//	cc := hyperline.SConnectedComponents(res)
+//	qr, err := hyperline.Execute(ctx, hyperline.Query{Hypergraph: h, S: []int{2}})
+//	cc := hyperline.SConnectedComponents(qr.Entries[0].Result)
 //
 // The package is a facade over the internal implementation packages:
 // hg (hypergraph CSR substrate), core (the s-overlap algorithms),
@@ -53,8 +53,9 @@ type Graph = graph.Graph
 // Edge is one weighted s-line graph edge {U, V} with overlap weight W.
 type Edge = graph.Edge
 
-// Result is the output of SLineGraph: the graph plus the mapping from
-// graph nodes back to input hyperedge IDs and per-stage timings.
+// Result is one materialized projection of an executed Query: the graph
+// plus the mapping from graph nodes back to input hyperedge IDs and
+// per-stage timings.
 type Result = core.PipelineResult
 
 // Components is a connected-component labeling.
@@ -177,11 +178,6 @@ type Options struct {
 	// is StoreAuto: dense or open-addressing thread-local counters
 	// picked adaptively per run.
 	Counters CounterStore
-	// TLSDenseCounters forces the dense thread-local counters,
-	// overriding Counters.
-	//
-	// Deprecated: set Counters to StoreDense instead.
-	TLSDenseCounters bool
 	// ExactWeights makes Algorithm 1 compute exact overlap counts
 	// instead of short-circuiting at s (Algorithm 2 is always exact).
 	ExactWeights bool
@@ -197,10 +193,6 @@ type Options struct {
 }
 
 func (o Options) pipeline() core.PipelineConfig {
-	store := o.Counters
-	if o.TLSDenseCounters {
-		store = core.TLSDense
-	}
 	toplex := core.ToplexFromBool(o.Toplex)
 	if o.ToplexAuto {
 		toplex = core.ToplexAuto
@@ -212,7 +204,7 @@ func (o Options) pipeline() core.PipelineConfig {
 			Relabel:             o.Relabel,
 			Workers:             o.Workers,
 			Grain:               o.Grain,
-			Store:               store,
+			Store:               o.Counters,
 			DisableShortCircuit: o.ExactWeights,
 		},
 		Toplex:    toplex,
@@ -222,71 +214,6 @@ func (o Options) pipeline() core.PipelineConfig {
 
 func (o Options) par() par.Options {
 	return par.Options{Workers: o.Workers, Grain: o.Grain, Strategy: o.Partition}
-}
-
-// SLineGraph computes the s-line graph Ls(H) through the full pipeline:
-// preprocessing (with optional relabel-by-degree), optional toplex
-// simplification, the s-overlap computation, and ID squeezing. Node u
-// of the result graph represents input hyperedge res.HyperedgeID(u).
-//
-// Deprecated: use Execute with a Query — it adds cancellation,
-// deadlines, batching, measures, and per-s errors. SLineGraph remains
-// as a thin wrapper and produces identical output.
-func SLineGraph(h *Hypergraph, s int, opt Options) *Result {
-	return legacyBatch(h, KindLine, []int{s}, opt)[clampS(s)]
-}
-
-// SLineGraphs computes the s-line graphs for every distinct s in
-// sValues as one batched, planner-driven query: preprocessing runs
-// once, and the planner decides whether a single ensemble counting pass
-// (Algorithm 3) or per-s passes serve the batch. The result maps each
-// distinct s (clamped to ≥ 1) to its projection; res.Plan records the
-// decision.
-//
-// Deprecated: use Execute with a Query, whose QueryResult keeps the
-// sweep ordered and carries per-s errors and cache flags.
-func SLineGraphs(h *Hypergraph, sValues []int, opt Options) map[int]*Result {
-	return legacyBatch(h, KindLine, sValues, opt)
-}
-
-// SCliqueGraphs computes the s-clique graphs (s-line graphs of the dual
-// hypergraph) for every distinct s in sValues, batched like
-// SLineGraphs.
-//
-// Deprecated: use Execute with a Query{Kind: KindClique}.
-func SCliqueGraphs(h *Hypergraph, sValues []int, opt Options) map[int]*Result {
-	return legacyBatch(h, KindClique, sValues, opt)
-}
-
-// SLineGraphEnsemble computes an ensemble of s-line graphs for every
-// distinct s in sValues with a single counting pass (Algorithm 3
-// pinned). Prefer SLineGraphs, which lets the planner fall back to
-// per-s passes when the ensemble's counter memory is unaffordable.
-//
-// Deprecated: use Execute with Query.Options.Algorithm = AlgoEnsemble.
-func SLineGraphEnsemble(h *Hypergraph, sValues []int, opt Options) map[int]*Result {
-	opt.Algorithm = AlgoEnsemble
-	return legacyBatch(h, KindLine, sValues, opt)
-}
-
-// SCliqueGraph computes the s-clique graph: the s-line graph of the
-// dual hypergraph, linking vertices of H that share at least s
-// hyperedges. The 1-clique graph is the clique expansion (§III-H).
-// Node u of the result graph represents input vertex res.HyperedgeID(u)
-// (hyperedges of the dual are vertices of H).
-//
-// Deprecated: use Execute with a Query{Kind: KindClique}.
-func SCliqueGraph(h *Hypergraph, s int, opt Options) *Result {
-	return legacyBatch(h, KindClique, []int{s}, opt)[clampS(s)]
-}
-
-// clampS mirrors the historical v1 leniency: s values below 1 are
-// treated as 1.
-func clampS(s int) int {
-	if s < 1 {
-		return 1
-	}
-	return s
 }
 
 // SConnectedComponents computes the s-connected components of an
@@ -373,8 +300,8 @@ func GlobalClusteringCoefficient(g *Graph, workers int) float64 {
 
 // ParseSValues parses an s-value specification: a single value ("8"),
 // a comma-separated list ("1,2,5"), an inclusive range ("2:6"), or any
-// mix ("1,4:6,12") — the format the batched query and measure-sweep
-// APIs take on the command line and over HTTP.
+// mix ("1,4:6,12") — the format s-sweeps take on the command line and
+// over HTTP.
 func ParseSValues(spec string) ([]int, error) { return core.ParseSValues(spec) }
 
 // MaxOverlap returns the maximum pairwise hyperedge overlap of h — the

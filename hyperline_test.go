@@ -1,6 +1,7 @@
 package hyperline
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -16,8 +17,29 @@ func example() *Hypergraph {
 	}, 6)
 }
 
-func TestSLineGraphQuickstart(t *testing.T) {
-	res := SLineGraph(example(), 2, Options{})
+// sweepOf executes a query on h and returns the per-s projections in
+// ascending s order.
+func sweepOf(t testing.TB, h *Hypergraph, kind Kind, sValues []int, opt Options) []*Result {
+	t.Helper()
+	qr, err := Execute(context.Background(), Query{Hypergraph: h, Kind: kind, S: sValues, Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]*Result, len(qr.Entries))
+	for i, e := range qr.Entries {
+		out[i] = e.Result
+	}
+	return out
+}
+
+// projectAt is sweepOf for a single s.
+func projectAt(t testing.TB, h *Hypergraph, kind Kind, s int, opt Options) *Result {
+	t.Helper()
+	return sweepOf(t, h, kind, []int{s}, opt)[0]
+}
+
+func TestExecuteQuickstart(t *testing.T) {
+	res := projectAt(t, example(), KindLine, 2, Options{})
 	if res.Graph.NumEdges() != 3 {
 		t.Fatalf("2-line graph edges = %d, want 3", res.Graph.NumEdges())
 	}
@@ -37,7 +59,7 @@ func TestSLineGraphQuickstart(t *testing.T) {
 func TestSCliqueGraphIsCliqueExpansionAtS1(t *testing.T) {
 	// The 1-clique graph is the clique expansion H₂ (Figure 3): edges
 	// between every vertex pair co-occurring in some hyperedge.
-	res := SCliqueGraph(example(), 1, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindClique, 1, Options{NoSqueeze: true})
 	want := [][2]uint32{
 		{0, 1}, {0, 2}, {0, 3}, {0, 4},
 		{1, 2}, {1, 3}, {1, 4},
@@ -56,19 +78,19 @@ func TestSCliqueGraphIsCliqueExpansionAtS1(t *testing.T) {
 
 func TestSCliqueWeightsAreSharedEdgeCounts(t *testing.T) {
 	// adj(b,c) = 3: vertices b and c share three hyperedges.
-	res := SCliqueGraph(example(), 1, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindClique, 1, Options{NoSqueeze: true})
 	if w := res.Graph.Weight(1, 2); w != 3 {
 		t.Fatalf("weight(b,c) = %d, want 3", w)
 	}
 }
 
 func TestSConnectedComponentsOnExample(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindLine, 1, Options{NoSqueeze: true})
 	cc := SConnectedComponents(res)
 	if cc.Count != 1 {
 		t.Fatalf("1-line graph components = %d, want 1", cc.Count)
 	}
-	res3 := SLineGraph(example(), 3, Options{NoSqueeze: true})
+	res3 := projectAt(t, example(), KindLine, 3, Options{NoSqueeze: true})
 	cc3 := SConnectedComponents(res3)
 	// s=3: {0,1,2} connected; 3 isolated → 2 components.
 	if cc3.Count != 2 {
@@ -78,24 +100,25 @@ func TestSConnectedComponentsOnExample(t *testing.T) {
 
 func TestEnsembleMatchesSingleRuns(t *testing.T) {
 	h := example()
-	ens := SLineGraphEnsemble(h, []int{1, 2, 3}, Options{})
-	for s := 1; s <= 3; s++ {
-		single := SLineGraph(h, s, Options{})
-		if ens[s].Graph.NumEdges() != single.Graph.NumEdges() {
+	ens := sweepOf(t, h, KindLine, []int{1, 2, 3}, Options{Algorithm: AlgoEnsemble})
+	for i, got := range ens {
+		s := i + 1
+		single := projectAt(t, h, KindLine, s, Options{})
+		if got.Graph.NumEdges() != single.Graph.NumEdges() {
 			t.Fatalf("s=%d: ensemble %d edges, single %d", s,
-				ens[s].Graph.NumEdges(), single.Graph.NumEdges())
+				got.Graph.NumEdges(), single.Graph.NumEdges())
 		}
 	}
 }
 
 func TestAlgorithmsAgreeViaFacade(t *testing.T) {
 	h := example()
-	a1 := SLineGraph(h, 2, Options{Algorithm: AlgoSetIntersection, ExactWeights: true})
-	a2 := SLineGraph(h, 2, Options{Algorithm: AlgoHashmap})
-	a2t := SLineGraph(h, 2, Options{Algorithm: AlgoHashmap, TLSDenseCounters: true})
-	a3 := SLineGraph(h, 2, Options{Algorithm: AlgoEnsemble})
-	sp := SLineGraph(h, 2, Options{Algorithm: AlgoSpGEMM})
-	auto := SLineGraph(h, 2, Options{Algorithm: AlgoAuto})
+	a1 := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoSetIntersection, ExactWeights: true})
+	a2 := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoHashmap})
+	a2t := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoHashmap, Counters: StoreDense})
+	a3 := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoEnsemble})
+	sp := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoSpGEMM})
+	auto := projectAt(t, h, KindLine, 2, Options{Algorithm: AlgoAuto})
 	if !reflect.DeepEqual(a1.Graph.Edges(), a2.Graph.Edges()) {
 		t.Fatal("algorithm 1 and 2 disagree")
 	}
@@ -112,27 +135,27 @@ func TestAlgorithmsAgreeViaFacade(t *testing.T) {
 	}
 }
 
-func TestSLineGraphsBatchMatchesSingles(t *testing.T) {
+func TestExecuteBatchMatchesSingles(t *testing.T) {
 	h := example()
-	batch := SLineGraphs(h, []int{1, 2, 3, 4}, Options{})
+	batch := sweepOf(t, h, KindLine, []int{1, 2, 3, 4}, Options{})
 	if len(batch) != 4 {
 		t.Fatalf("batch returned %d results, want 4", len(batch))
 	}
-	for s := 1; s <= 4; s++ {
-		single := SLineGraph(h, s, Options{})
-		if !reflect.DeepEqual(batch[s].Graph.Edges(), single.Graph.Edges()) {
-			t.Fatalf("s=%d: batch differs from single run", s)
+	for i, got := range batch {
+		single := projectAt(t, h, KindLine, i+1, Options{})
+		if !reflect.DeepEqual(got.Graph.Edges(), single.Graph.Edges()) {
+			t.Fatalf("s=%d: batch differs from single run", i+1)
 		}
 	}
-	cliques := SCliqueGraphs(h, []int{1, 2}, Options{NoSqueeze: true})
-	want := SCliqueGraph(h, 1, Options{NoSqueeze: true})
-	if !reflect.DeepEqual(cliques[1].Graph.Edges(), want.Graph.Edges()) {
+	cliques := sweepOf(t, h, KindClique, []int{1, 2}, Options{NoSqueeze: true})
+	want := projectAt(t, h, KindClique, 1, Options{NoSqueeze: true})
+	if !reflect.DeepEqual(cliques[0].Graph.Edges(), want.Graph.Edges()) {
 		t.Fatal("batched clique graphs differ from single run")
 	}
 }
 
 func TestBetweennessAndPageRankOnLineGraph(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindLine, 1, Options{NoSqueeze: true})
 	b := SBetweenness(res, 2)
 	if len(b) != 4 {
 		t.Fatalf("betweenness len = %d, want 4", len(b))
@@ -157,7 +180,7 @@ func TestBetweennessAndPageRankOnLineGraph(t *testing.T) {
 }
 
 func TestSDistances(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindLine, 1, Options{NoSqueeze: true})
 	d := SDistances(res.Graph, 0)
 	// 0-1 adjacent, 0-2 adjacent, 0-3 via 2.
 	want := []int32{0, 1, 1, 2}
@@ -167,7 +190,7 @@ func TestSDistances(t *testing.T) {
 }
 
 func TestLabelPropagationCCFacade(t *testing.T) {
-	res := SLineGraph(example(), 3, Options{NoSqueeze: true})
+	res := projectAt(t, example(), KindLine, 3, Options{NoSqueeze: true})
 	lp := LabelPropagationCC(res.Graph, 4)
 	uf := SConnectedComponents(res)
 	if lp.Count != uf.Count || !reflect.DeepEqual(lp.Label, uf.Label) {
@@ -177,20 +200,20 @@ func TestLabelPropagationCCFacade(t *testing.T) {
 
 func TestNormalizedAlgebraicConnectivityFacade(t *testing.T) {
 	// 1-line graph of the example: triangle (0,1,2) + pendant 3 on 2.
-	res := SLineGraph(example(), 1, Options{})
+	res := projectAt(t, example(), KindLine, 1, Options{})
 	lam := NormalizedAlgebraicConnectivity(res.Graph)
 	if lam <= 0 || lam >= 2 {
 		t.Fatalf("λ₂ = %f out of (0,2)", lam)
 	}
 	// The triangle-only s=2 graph is better connected.
-	res2 := SLineGraph(example(), 2, Options{})
+	res2 := projectAt(t, example(), KindLine, 2, Options{})
 	if l2 := NormalizedAlgebraicConnectivity(res2.Graph); l2 <= lam {
 		t.Fatalf("λ₂(s=2)=%f should exceed λ₂(s=1)=%f", l2, lam)
 	}
 }
 
 func TestToplexOption(t *testing.T) {
-	res := SLineGraph(example(), 1, Options{Toplex: true})
+	res := projectAt(t, example(), KindLine, 1, Options{Toplex: true})
 	// Only toplexes {3, 4} (ids 2, 3) survive → a single edge.
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("toplex 1-line edges = %d, want 1", res.Graph.NumEdges())
@@ -225,7 +248,7 @@ func TestBuilderFacade(t *testing.T) {
 	b.AddEdge(0, 1, 2)
 	b.AddEdge(1, 2, 3)
 	h := b.Build()
-	res := SLineGraph(h, 1, Options{})
+	res := projectAt(t, h, KindLine, 1, Options{})
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1", res.Graph.NumEdges())
 	}

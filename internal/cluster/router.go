@@ -556,6 +556,10 @@ type replicaHeader struct {
 	Plan    json.RawMessage `json:"plan,omitempty"`
 }
 
+// maxQueryBytes caps POST /v2/query bodies, which the router buffers
+// whole to re-shard; it matches the cap the replicas apply.
+const maxQueryBytes = 1 << 20
+
 // handleQuery is the scatter-gather core: decode just enough of the
 // body to shard it (everything else passes through verbatim), fan the
 // distinct s values across the dataset's healthy owners, and merge the
@@ -564,7 +568,7 @@ type replicaHeader struct {
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var base map[string]json.RawMessage
-	if err := json.NewDecoder(r.Body).Decode(&base); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&base); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad /v2/query body: %w", err))
 		return
 	}

@@ -565,6 +565,38 @@ func TestRouterSelfRegistration(t *testing.T) {
 	}
 }
 
+// TestRouterQueryDecodeErrors: bodies the router cannot shard — and
+// bodies over maxQueryBytes, which it would otherwise buffer whole —
+// answer 400 before any replica is contacted.
+func TestRouterQueryDecodeErrors(t *testing.T) {
+	svc := serve.New(serve.Config{})
+	svc.Add("paper", paperHG())
+	rep := realReplica(t, svc)
+	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+
+	for _, tc := range []struct{ name, body string }{
+		{"truncated JSON", `{"dataset":"paper","s":[1]`},
+		{"not an object", `[1]`},
+		{"missing dataset", `{"s":[1]}`},
+		{"missing s", `{"dataset":"paper"}`},
+		{"bad s", `{"dataset":"paper","s":"5:2"}`},
+		// Well-formed and answerable but for its size: whitespace padding.
+		{"body over maxQueryBytes", `{"dataset":"paper","s":[1]` + strings.Repeat(" ", maxQueryBytes) + `}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if status, _, data := postQuery(t, router.URL, tc.body); status != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400: %s", status, data)
+			}
+		})
+	}
+	if status, _, data := postQuery(t, router.URL, `{"dataset":"paper","s":[1]}`); status != http.StatusOK {
+		t.Fatalf("well-formed query: status %d: %s", status, data)
+	}
+	if m := routerMetrics(t, router.URL); m[`hyperrouter_queries_total`] != 1 {
+		t.Fatalf("rejected bodies must not count as fanned-out queries: %v", m[`hyperrouter_queries_total`])
+	}
+}
+
 // routerMetrics scrapes and parses the router's /metrics.
 func routerMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()

@@ -13,18 +13,6 @@ import (
 	"hyperline/internal/par"
 )
 
-// cancelLatencyBound is the maximum time a cancelled pipeline may take
-// to return after the cancellation lands. The real latency is one
-// neighbor-list scan plus (at worst) one Stage-4 build — microseconds
-// to low milliseconds — so even the strict bound has two orders of
-// magnitude of slack; the race detector's instrumentation gets more.
-func cancelLatencyBound() time.Duration {
-	if raceEnabled {
-		return 1 * time.Second
-	}
-	return 100 * time.Millisecond
-}
-
 var cancelGraphOnce sync.Once
 var cancelGraphH *hg.Hypergraph
 
@@ -59,8 +47,12 @@ func runCancelled(t *testing.T, delay time.Duration, cfg PipelineConfig, sValues
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		_, err := RunBatch(ctx, h, sValues, cfg)
-		done <- outcome{err: err, at: time.Now()}
+		res, err := RunBatch(ctx, h, sValues, cfg)
+		at := time.Now()
+		if err != nil && res != nil {
+			t.Errorf("RunBatch returned a partial result alongside %v", err)
+		}
+		done <- outcome{err: err, at: at}
 	}()
 	select {
 	case o := <-done:
@@ -74,20 +66,25 @@ func runCancelled(t *testing.T, delay time.Duration, cfg PipelineConfig, sValues
 	return o.err, o.at.Sub(cancelled), true
 }
 
+// cancelConfigs are the planner-driven and pinned configurations the
+// cancellation contract is checked under.
+var cancelConfigs = []struct {
+	name string
+	cfg  PipelineConfig
+	s    []int
+}{
+	{"auto-batch", PipelineConfig{}, []int{2, 3, 4, 6, 8}},
+	{"hashmap-single", PipelineConfig{Core: Config{Algorithm: AlgoHashmap}}, []int{2}},
+	{"algo1-exact", PipelineConfig{Core: Config{Algorithm: AlgoSetIntersection, DisableShortCircuit: true}}, []int{2}},
+}
+
 // TestRunBatchCancelLatency is the core acceptance property: a cancel
-// landing mid-pipeline returns context.Canceled within the bounded
-// latency, for both planner-driven and pinned configurations.
+// landing mid-pipeline returns context.Canceled and no partial result,
+// for both planner-driven and pinned configurations. How fast it
+// returns is wall-clock, asserted by TestRunBatchCancelLatencyBound
+// under the timing build tag.
 func TestRunBatchCancelLatency(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  PipelineConfig
-		s    []int
-	}{
-		{"auto-batch", PipelineConfig{}, []int{2, 3, 4, 6, 8}},
-		{"hashmap-single", PipelineConfig{Core: Config{Algorithm: AlgoHashmap}}, []int{2}},
-		{"algo1-exact", PipelineConfig{Core: Config{Algorithm: AlgoSetIntersection, DisableShortCircuit: true}}, []int{2}},
-	}
-	for _, tc := range configs {
+	for _, tc := range cancelConfigs {
 		t.Run(tc.name, func(t *testing.T) {
 			err, latency, ok := runCancelled(t, 20*time.Millisecond, tc.cfg, tc.s)
 			if !ok {
@@ -95,9 +92,6 @@ func TestRunBatchCancelLatency(t *testing.T) {
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled RunBatch returned %v, want context.Canceled", err)
-			}
-			if bound := cancelLatencyBound(); latency > bound {
-				t.Fatalf("cancel latency %v exceeds %v", latency, bound)
 			}
 			t.Logf("cancel latency: %v", latency)
 		})
@@ -108,13 +102,9 @@ func TestRunBatchCancelLatency(t *testing.T) {
 func TestRunCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	res, err := Run(ctx, cancelGraph(), 2, PipelineConfig{})
+	res, err := RunBatch(ctx, cancelGraph(), []int{2}, PipelineConfig{})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
-	}
-	if d := time.Since(start); d > cancelLatencyBound() {
-		t.Fatalf("pre-cancelled Run took %v", d)
 	}
 }
 

@@ -272,30 +272,3 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	}
 	return out, nil
 }
-
-// Run executes Stages 1-4 of the framework on h for a single s:
-// preprocessing (with relabel-by-degree), optional toplex
-// simplification, the planned s-overlap computation, and ID squeezing /
-// graph construction. Stage 5 (s-measure computation) is performed by
-// the caller on the returned graph — any standard graph algorithm
-// applies. Cancellation follows the RunBatch contract: a cancelled ctx
-// aborts cooperatively and returns ctx.Err().
-func Run(ctx context.Context, h *hg.Hypergraph, s int, cfg PipelineConfig) (*PipelineResult, error) {
-	if s < 1 {
-		s = 1
-	}
-	out, err := RunBatch(ctx, h, []int{s}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return out[s], nil
-}
-
-// RunEnsemble executes the pipeline with Algorithm 3 pinned, producing
-// one result per distinct s value from a single counting pass. Use
-// RunBatch for the planner-driven default, which picks the ensemble
-// only when its counter memory is affordable.
-func RunEnsemble(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg PipelineConfig) (map[int]*PipelineResult, error) {
-	cfg.Core.Algorithm = AlgoEnsemble
-	return RunBatch(ctx, h, sValues, cfg)
-}

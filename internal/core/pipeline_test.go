@@ -25,6 +25,16 @@ func pipelinePairs(res *PipelineResult) map[[2]uint32]bool {
 	return out
 }
 
+// pipelineAt runs the pipeline for one s, failing the test on error.
+func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg PipelineConfig) *PipelineResult {
+	t.Helper()
+	out, err := RunBatch(context.Background(), h, []int{s}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[s]
+}
+
 func naivePairs(h *hg.Hypergraph, s int) map[[2]uint32]bool {
 	out := map[[2]uint32]bool{}
 	for _, e := range NaiveAllPairs(h, s) {
@@ -47,7 +57,7 @@ func TestPipelineRelabelInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.DisableShortCircuit = true
-		res, _ := Run(context.Background(), h, s, PipelineConfig{Core: cfg})
+		res := pipelineAt(t, h, s, PipelineConfig{Core: cfg})
 		if got := pipelinePairs(res); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: pipeline result differs from oracle (got %d pairs, want %d)",
 				notation, len(got), len(want))
@@ -57,7 +67,7 @@ func TestPipelineRelabelInvariance(t *testing.T) {
 
 func TestPipelineSqueeze(t *testing.T) {
 	h := paperExample()
-	res, _ := Run(context.Background(), h, 3, PipelineConfig{})
+	res := pipelineAt(t, h, 3, PipelineConfig{})
 	// s=3 line graph has edges {1,3} and {2,3} → 3 non-isolated nodes.
 	if res.Graph.NumNodes() != 3 {
 		t.Fatalf("squeezed nodes = %d, want 3", res.Graph.NumNodes())
@@ -76,7 +86,7 @@ func TestPipelineSqueeze(t *testing.T) {
 
 func TestPipelineNoSqueeze(t *testing.T) {
 	h := paperExample()
-	res, _ := Run(context.Background(), h, 3, PipelineConfig{NoSqueeze: true})
+	res := pipelineAt(t, h, 3, PipelineConfig{NoSqueeze: true})
 	if res.Graph.NumNodes() != 4 {
 		t.Fatalf("nodes = %d, want 4 (unsqueezed)", res.Graph.NumNodes())
 	}
@@ -90,7 +100,7 @@ func TestPipelineToplexStage(t *testing.T) {
 	// {a,b,c,d,e}; only toplexes {3, 4} survive simplification, so the
 	// 1-line graph of the simplified hypergraph has one edge (3-4).
 	h := paperExample()
-	res, _ := Run(context.Background(), h, 1, PipelineConfig{Toplex: ToplexOn})
+	res := pipelineAt(t, h, 1, PipelineConfig{Toplex: ToplexOn})
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("toplex 1-line graph edges = %d, want 1", res.Graph.NumEdges())
 	}
@@ -105,7 +115,7 @@ func TestPipelineToplexStage(t *testing.T) {
 
 func TestPipelineTimingsPopulated(t *testing.T) {
 	h := paperExample()
-	res, _ := Run(context.Background(), h, 2, PipelineConfig{})
+	res := pipelineAt(t, h, 2, PipelineConfig{})
 	if res.Timings.Total() <= 0 {
 		t.Fatal("timings not recorded")
 	}
@@ -114,27 +124,27 @@ func TestPipelineTimingsPopulated(t *testing.T) {
 	}
 }
 
-func TestRunEnsembleMatchesRun(t *testing.T) {
+func TestEnsembleBatchMatchesSingle(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	h := randomHypergraph(r, 40, 50, 7)
 	sValues := []int{1, 2, 3}
-	ens, _ := RunEnsemble(context.Background(), h, sValues, PipelineConfig{})
+	ens, _ := RunBatch(context.Background(), h, sValues, PipelineConfig{Core: Config{Algorithm: AlgoEnsemble}})
 	if len(ens) != 3 {
 		t.Fatalf("ensemble results = %d, want 3", len(ens))
 	}
 	for _, s := range sValues {
-		single, _ := Run(context.Background(), h, s, PipelineConfig{})
+		single := pipelineAt(t, h, s, PipelineConfig{})
 		if !reflect.DeepEqual(pipelinePairs(ens[s]), pipelinePairs(single)) {
 			t.Fatalf("s=%d: ensemble pipeline differs from single pipeline", s)
 		}
 	}
 }
 
-func TestRunEnsembleWithRelabel(t *testing.T) {
+func TestEnsembleBatchWithRelabel(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	h := randomHypergraph(r, 40, 50, 7)
-	cfg := PipelineConfig{Core: Config{Relabel: hg.RelabelAscending}}
-	ens, _ := RunEnsemble(context.Background(), h, []int{2}, cfg)
+	cfg := PipelineConfig{Core: Config{Algorithm: AlgoEnsemble, Relabel: hg.RelabelAscending}}
+	ens, _ := RunBatch(context.Background(), h, []int{2}, cfg)
 	want := naivePairs(h, 2)
 	if got := pipelinePairs(ens[2]); !reflect.DeepEqual(got, want) {
 		t.Fatal("relabeled ensemble pipeline differs from oracle")
@@ -155,7 +165,7 @@ func TestPipelineProperty(t *testing.T) {
 		case 2:
 			cfg.Core.Relabel = hg.RelabelDescending
 		}
-		res, _ := Run(context.Background(), h, s, cfg)
+		res := pipelineAt(t, h, s, cfg)
 		return reflect.DeepEqual(pipelinePairs(res), naivePairs(h, s))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -168,7 +178,7 @@ func TestPipelineProperty(t *testing.T) {
 func TestPipelineWeightsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	h := randomHypergraph(r, 30, 40, 8)
-	res, _ := Run(context.Background(), h, 2, PipelineConfig{Core: Config{Relabel: hg.RelabelDescending}})
+	res := pipelineAt(t, h, 2, PipelineConfig{Core: Config{Relabel: hg.RelabelDescending}})
 	for _, e := range res.Graph.Edges() {
 		u, v := res.HyperedgeID(e.U), res.HyperedgeID(e.V)
 		if want := h.Inc(u, v); int(e.W) != want {

@@ -286,11 +286,7 @@ func TestKnobEquivalenceMatrix(t *testing.T) {
 		// Single-s runs of the same matrix agree with the batch.
 		for _, algo := range algos {
 			cfg := PipelineConfig{Core: Config{Algorithm: algo}, Toplex: mode}
-			res, err := Run(context.Background(), h, 2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if weightedEdges(res) != want[2] {
+			if weightedEdges(pipelineAt(t, h, 2, cfg)) != want[2] {
 				t.Fatalf("toplex=%v algo=%v single-s: output differs from batch", mode, algo)
 			}
 		}

@@ -97,9 +97,9 @@ func TestPlannerPathsByteIdentical(t *testing.T) {
 	}
 	// And each batch result equals its single-s pipeline run.
 	for _, s := range sweep {
-		single, _ := Run(context.Background(), h, s, PipelineConfig{})
+		single := pipelineAt(t, h, s, PipelineConfig{})
 		if !reflect.DeepEqual(ref[s].Graph.Edges(), single.Graph.Edges()) {
-			t.Fatalf("s=%d: batch result differs from single-s Run", s)
+			t.Fatalf("s=%d: batch result differs from its single-s run", s)
 		}
 	}
 }

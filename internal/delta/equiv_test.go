@@ -28,6 +28,16 @@ func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
 	return h
 }
 
+// pipelineAt runs the pipeline for one s, failing the test on error.
+func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg core.PipelineConfig) *core.PipelineResult {
+	t.Helper()
+	out, err := core.RunBatch(context.Background(), h, []int{s}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[s]
+}
+
 // exactCfg is the pipeline configuration of patchable cache keys:
 // exact weights, squeeze on, toplex off, pinned relabel.
 func exactCfg(relabel hg.RelabelOrder) core.PipelineConfig {
@@ -129,7 +139,6 @@ func testBases(t *testing.T) map[string]*hg.Hypergraph {
 // TestPatchEquivalence is the headline property: patch == recompute,
 // byte for byte, across bases × deltas × orientations × s × relabel.
 func TestPatchEquivalence(t *testing.T) {
-	ctx := context.Background()
 	relabels := []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
 	for name, base := range testBases(t) {
 		for deltaSeed := int64(0); deltaSeed < 3; deltaSeed++ {
@@ -144,14 +153,8 @@ func TestPatchEquivalence(t *testing.T) {
 					cfg := exactCfg(relabel)
 					for s := 1; s <= 5; s++ {
 						label := fmt.Sprintf("%s/seed%d/dual=%v/relabel=%s/s=%d", name, deltaSeed, dual, relabel, s)
-						old, err := core.Run(ctx, orient(base, dual), s, cfg)
-						if err != nil {
-							t.Fatal(label, err)
-						}
-						fresh, err := core.Run(ctx, orient(newH, dual), s, cfg)
-						if err != nil {
-							t.Fatal(label, err)
-						}
+						old := pipelineAt(t, orient(base, dual), s, cfg)
+						fresh := pipelineAt(t, orient(newH, dual), s, cfg)
 						a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
 						patched, err := p.Patch(old, a)
 						if err != nil {
@@ -175,7 +178,6 @@ func TestPatchEquivalence(t *testing.T) {
 // and checks the end state still matches a from-scratch recompute, so
 // patching does not accumulate drift across versions.
 func TestPatchEquivalenceChained(t *testing.T) {
-	ctx := context.Background()
 	base := gen.Zipf(gen.ZipfConfig{
 		Seed: 3, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 4, MaxEdgeSize: 8,
 	})
@@ -184,10 +186,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 		cfg := exactCfg(hg.RelabelNone)
 		for s := 1; s <= 3; s++ {
 			h := base
-			cur, err := core.Run(ctx, orient(h, dual), s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cur := pipelineAt(t, orient(h, dual), s, cfg)
 			for step := 0; step < 4; step++ {
 				d := randomDelta(rng, h)
 				newH, err := Apply(h, d)
@@ -202,10 +201,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 				}
 				h = newH
 			}
-			fresh, err := core.Run(ctx, orient(h, dual), s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh := pipelineAt(t, orient(h, dual), s, cfg)
 			sameResult(t, fmt.Sprintf("chained/dual=%v/s=%d", dual, s), cur, fresh)
 		}
 	}

@@ -66,8 +66,8 @@ func Fig4(w io.Writer, scale Scale, workers int) Fig4Data {
 	}
 	for _, ds := range sets {
 		dual := ds.h.Dual()
-		cfg := core.PipelineConfig{Core: core.Config{Workers: workers}}
-		results, _ := core.RunEnsemble(context.Background(), dual, Fig4SValues, cfg)
+		cfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoEnsemble, Workers: workers}}
+		results, _ := core.RunBatch(context.Background(), dual, Fig4SValues, cfg)
 		data.Edges[ds.name] = map[int]int{}
 		fmt.Fprintf(w, "Figure 4 analog — %s: #edges in s-clique graph\n", ds.name)
 		for _, s := range Fig4SValues {
@@ -114,8 +114,8 @@ func Table2(w io.Writer, scale Scale, workers int) Table2Data {
 		EdgeCounts:      map[int]int{},
 		Top400Retention: map[int]float64{},
 	}
-	opt := core.PipelineConfig{Core: core.Config{Workers: workers}}
-	results, _ := core.RunEnsemble(context.Background(), h, data.SValues, opt)
+	opt := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoEnsemble, Workers: workers}}
+	results, _ := core.RunBatch(context.Background(), h, data.SValues, opt)
 
 	topSets := map[int][]uint32{}
 	for _, s := range data.SValues {
@@ -232,8 +232,8 @@ func Fig5(w io.Writer, scale Scale, workers int) Fig5Data {
 		Edges:      map[int]int{},
 		Components: map[int]int{},
 	}
-	opt := core.PipelineConfig{Core: core.Config{Workers: workers}}
-	results, _ := core.RunEnsemble(context.Background(), h, data.SValues, opt)
+	opt := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoEnsemble, Workers: workers}}
+	results, _ := core.RunBatch(context.Background(), h, data.SValues, opt)
 	for _, s := range data.SValues {
 		res := results[s]
 		data.Nodes[s] = res.Graph.NumNodes()
@@ -300,8 +300,8 @@ func Fig6(w io.Writer, scale Scale, workers int) Fig6Data {
 	for s := 1; s <= 16; s++ {
 		data.SValues = append(data.SValues, s)
 	}
-	opt := core.PipelineConfig{Core: core.Config{Workers: workers}}
-	results, _ := core.RunEnsemble(context.Background(), h, data.SValues, opt)
+	opt := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoEnsemble, Workers: workers}}
+	results, _ := core.RunBatch(context.Background(), h, data.SValues, opt)
 	fmt.Fprintln(w, "Figure 6 analog — normalized algebraic connectivity, author-paper network")
 	for _, s := range data.SValues {
 		res := results[s]
@@ -338,7 +338,8 @@ func IMDB(w io.Writer, scale Scale, workers int) IMDBData {
 	const s = 101
 	data := IMDBData{S: s, Centrality: map[string]float64{}}
 	cfg := core.PipelineConfig{Core: core.Config{Workers: workers}}
-	res, _ := core.Run(context.Background(), h, s, cfg)
+	out, _ := core.RunBatch(context.Background(), h, []int{s}, cfg)
+	res := out[s]
 
 	t0 := time.Now()
 	cc := algo.ConnectedComponents(res.Graph)

@@ -41,7 +41,8 @@ func Table1(w io.Writer, scale Scale, workers int) Table1Data {
 	var ccCounts [2]int
 	for i, cfg := range configs {
 		cfg.Workers = workers
-		res, _ := core.Run(context.Background(), h, s, core.PipelineConfig{Core: cfg})
+		out, _ := core.RunBatch(context.Background(), h, []int{s}, core.PipelineConfig{Core: cfg})
+		res := out[s]
 		t0 := time.Now()
 		cc := algo.LabelPropagationCC(res.Graph, par.Options{Workers: workers})
 		data.CC[i] = time.Since(t0)
@@ -105,9 +106,8 @@ func Fig7(w io.Writer, scale Scale, workers int) Fig7Data {
 			cfg := mustNotation(notation)
 			cfg.Workers = workers
 			t0 := time.Now()
-			res, _ := core.Run(context.Background(), h, s, core.PipelineConfig{Core: cfg})
+			core.RunBatch(context.Background(), h, []int{s}, core.PipelineConfig{Core: cfg})
 			times[notation] = time.Since(t0)
-			_ = res
 		}
 		base := times["1CN"]
 		data.Speedup[name] = map[string]float64{}
@@ -153,7 +153,8 @@ func Fig8(w io.Writer, scale Scale, maxThreads int) Fig8Data {
 			for threads := 1; threads <= maxThreads; threads *= 2 {
 				cfg := mustNotation(notation)
 				cfg.Workers = threads
-				res, _ := core.Run(context.Background(), ds.h, s, core.PipelineConfig{Core: cfg})
+				out, _ := core.RunBatch(context.Background(), ds.h, []int{s}, core.PipelineConfig{Core: cfg})
+				res := out[s]
 				data.Runtime[ds.name][notation][threads] = res.Timings.SOverlap
 				fmt.Fprintf(w, "  %-4s threads=%-3d s-overlap=%v\n", notation, threads, res.Timings.SOverlap)
 			}
@@ -181,7 +182,8 @@ func Fig9(w io.Writer, scale Scale, maxFiles int) Fig9Data {
 		for files := 1; files <= maxFiles; files *= 2 {
 			h := DNSAnalog(scale, files)
 			cfg := core.Config{Algorithm: core.AlgoHashmap, Partition: par.Blocked, Workers: files}
-			res, _ := core.Run(context.Background(), h, s, core.PipelineConfig{Core: cfg})
+			out, _ := core.RunBatch(context.Background(), h, []int{s}, core.PipelineConfig{Core: cfg})
+			res := out[s]
 			data.Runtime[s][files] = res.Timings.SOverlap
 			fmt.Fprintf(w, "  files=%-4d threads=%-4d s-overlap=%v\n", files, files, res.Timings.SOverlap)
 		}
@@ -356,7 +358,8 @@ func Table5(w io.Writer, scale Scale, workers int) Table5Data {
 			cfg := mustNotation("2CA")
 			cfg.Workers = workers
 			t0 := time.Now()
-			res, _ := core.Run(context.Background(), ds.h, s, core.PipelineConfig{Core: cfg})
+			out, _ := core.RunBatch(context.Background(), ds.h, []int{s}, core.PipelineConfig{Core: cfg})
+			res := out[s]
 			algo.LabelPropagationCC(res.Graph, par.Options{Workers: workers})
 			data.Time[ds.name][s] = time.Since(t0)
 			data.Edges[ds.name][s] = res.Graph.NumEdges()

@@ -74,7 +74,7 @@ func TestMeasureDeterminismAcrossWorkers(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for gname, h := range determinismGraphs() {
 		for _, s := range []int{1, 2, 3} {
-			res, _ := core.Run(context.Background(), h, s, core.PipelineConfig{})
+			res := pipelineAt(t, h, s, core.PipelineConfig{})
 			if res.Graph.NumNodes() == 0 {
 				continue
 			}
@@ -118,7 +118,7 @@ func TestMeasureDeterminismAcrossStrategies(t *testing.T) {
 	}
 	for gname, h := range determinismGraphs() {
 		for _, s := range []int{1, 2, 3} {
-			baseRes, _ := core.Run(context.Background(), h, s, core.PipelineConfig{})
+			baseRes := pipelineAt(t, h, s, core.PipelineConfig{})
 			if baseRes.Graph.NumNodes() == 0 {
 				continue
 			}
@@ -134,7 +134,7 @@ func TestMeasureDeterminismAcrossStrategies(t *testing.T) {
 						t.Fatal(err)
 					}
 					for stName, cfg := range cfgs {
-						res, _ := core.Run(context.Background(), h, s, cfg)
+						res := pipelineAt(t, h, s, cfg)
 						got, err := m.Compute(context.Background(), res, p, parOpt(2))
 						if err != nil {
 							t.Fatal(err)

@@ -114,8 +114,18 @@ func TestCanonicalize(t *testing.T) {
 	}
 }
 
+// pipelineAt runs the pipeline for one s, failing the test on error.
+func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg core.PipelineConfig) *core.PipelineResult {
+	t.Helper()
+	out, err := core.RunBatch(context.Background(), h, []int{s}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[s]
+}
+
 func TestComponentsOnPaperExample(t *testing.T) {
-	res, _ := core.Run(context.Background(), paperExample(), 2, core.PipelineConfig{})
+	res := pipelineAt(t, paperExample(), 2, core.PipelineConfig{})
 	m, _ := Get("components")
 	v, err := m.Compute(context.Background(), res, nil, parOpt(1))
 	if err != nil {
@@ -132,7 +142,7 @@ func TestComponentsOnPaperExample(t *testing.T) {
 }
 
 func TestDistancesSourceValidation(t *testing.T) {
-	res, _ := core.Run(context.Background(), paperExample(), 2, core.PipelineConfig{})
+	res := pipelineAt(t, paperExample(), 2, core.PipelineConfig{})
 	m, _ := Get("distances")
 	p, err := Canonicalize(m, map[string]string{"source": "3"})
 	if err != nil {

@@ -19,75 +19,51 @@ func TestBatchFillsPerSCache(t *testing.T) {
 	cfg := core.PipelineConfig{}
 	sweep := []int{1, 2, 3, 4}
 
-	results, cached, err := svc.SLineGraphs(context.Background(), "rand", sweep, cfg)
-	if err != nil {
-		t.Fatal(err)
+	batch := mustQuery(t, svc, lineQ("rand", cfg, sweep...))
+	if len(batch.Entries) != len(sweep) {
+		t.Fatalf("batch returned %d entries, want %d", len(batch.Entries), len(sweep))
 	}
-	if len(results) != len(sweep) {
-		t.Fatalf("batch returned %d results, want %d", len(results), len(sweep))
-	}
-	for _, sVal := range sweep {
-		if cached[sVal] {
-			t.Fatalf("s=%d: cold batch must not report cached", sVal)
+	for i, sVal := range sweep {
+		e := batch.Entries[i]
+		if e.S != sVal || e.Cached {
+			t.Fatalf("entry %d: s=%d cached=%v, want a cold s=%d", i, e.S, e.Cached, sVal)
 		}
-		direct, _ := core.Run(context.Background(), h, sVal, cfg)
-		if !reflect.DeepEqual(results[sVal].Graph.Edges(), direct.Graph.Edges()) {
+		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h, sVal, cfg).Graph.Edges()) {
 			t.Fatalf("s=%d: batch edges differ from direct run", sVal)
 		}
 		// Single-s queries must hit the entries the batch seeded.
-		res, hit, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
-		if err != nil || !hit {
-			t.Fatalf("s=%d: single query after batch: hit=%v err=%v", sVal, hit, err)
+		single := mustQuery(t, svc, lineQ("rand", cfg, sVal)).Entries[0]
+		if !single.Cached {
+			t.Fatalf("s=%d: single query after batch must hit", sVal)
 		}
-		if res != results[sVal] {
+		if single.Res != e.Res {
 			t.Fatalf("s=%d: single query returned a different pointer than the batch", sVal)
 		}
 	}
 
 	// A partially-overlapping batch only computes the new s values.
-	results2, cached2, err := svc.SLineGraphs(context.Background(), "rand", []int{2, 3, 5}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	overlap := mustQuery(t, svc, lineQ("rand", cfg, 2, 3, 5)).Entries
+	if !overlap[0].Cached || !overlap[1].Cached || overlap[2].Cached {
+		t.Fatalf("overlap batch cached flags: %v %v %v", overlap[0].Cached, overlap[1].Cached, overlap[2].Cached)
 	}
-	if !cached2[2] || !cached2[3] || cached2[5] {
-		t.Fatalf("overlap batch cached flags: %v", cached2)
-	}
-	if results2[2] != results[2] {
+	if overlap[0].Res != batch.Entries[1].Res {
 		t.Fatal("overlapping batch must reuse the cached pointer")
+	}
+	if got := svc.projectionComputes.Load(); got != 5 {
+		t.Fatalf("projection computes = %d, want 5 (s=1..4, then s=5 alone)", got)
 	}
 }
 
-// TestBatchDualOrientation: SCliqueGraphs batches against the dual and
-// matches direct dual runs.
+// TestBatchDualOrientation: a dual batch runs against the dual
+// hypergraph and matches direct dual runs.
 func TestBatchDualOrientation(t *testing.T) {
 	h := randomHypergraph(23, 150, 120, 5)
 	svc := New(Config{})
 	svc.Add("rand", h)
-	sweep := []int{1, 2}
-	results, _, err := svc.SCliqueGraphs(context.Background(), "rand", sweep, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sVal := range sweep {
-		direct, _ := core.Run(context.Background(), h.Dual(), sVal, core.PipelineConfig{})
-		if !reflect.DeepEqual(results[sVal].Graph.Edges(), direct.Graph.Edges()) {
-			t.Fatalf("s=%d: batched clique graph differs from direct dual run", sVal)
+	for _, e := range mustQuery(t, svc, cliqueQ("rand", core.PipelineConfig{}, 1, 2)).Entries {
+		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h.Dual(), e.S, core.PipelineConfig{}).Graph.Edges()) {
+			t.Fatalf("s=%d: batched clique graph differs from direct dual run", e.S)
 		}
-	}
-}
-
-// TestBatchRejectsBadInput covers the validation surface.
-func TestBatchRejectsBadInput(t *testing.T) {
-	svc := New(Config{})
-	svc.Add("h", paperExample())
-	if _, _, err := svc.SLineGraphs(context.Background(), "h", nil, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for empty batch")
-	}
-	if _, _, err := svc.SLineGraphs(context.Background(), "h", []int{2, 0}, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for s=0 in batch")
-	}
-	if _, _, err := svc.SLineGraphs(context.Background(), "nope", []int{2}, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for unknown dataset")
 	}
 }
 
@@ -100,10 +76,7 @@ func TestBatchRejectsBadInput(t *testing.T) {
 func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	base, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0].Res
 	equivalent := []core.PipelineConfig{
 		{Core: core.Config{Algorithm: core.AlgoHashmap}},
 		{Core: core.Config{Algorithm: core.AlgoEnsemble}},
@@ -111,24 +84,18 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 		{Core: core.Config{Algorithm: core.AlgoSetIntersection, DisableShortCircuit: true}},
 	}
 	for _, cfg := range equivalent {
-		res, hit, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hit || res != base {
+		e := mustQuery(t, svc, lineQ("h", cfg, 2)).Entries[0]
+		if !e.Cached || e.Res != base {
 			t.Fatalf("algorithm %s: output-equivalent request must share the cache entry (hit=%v)",
-				cfg.Core.Algorithm, hit)
+				cfg.Core.Algorithm, e.Cached)
 		}
 	}
 	// Short-circuited Algorithm 1 is a different output class and must
 	// not be served the exact-class entry.
-	sc, hit, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{
+	sc := mustQuery(t, svc, lineQ("h", core.PipelineConfig{
 		Core: core.Config{Algorithm: core.AlgoSetIntersection},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit || sc == base {
+	}, 2)).Entries[0]
+	if sc.Cached || sc.Res == base {
 		t.Fatal("short-circuit Algorithm 1 must compute its own entry")
 	}
 	if st := svc.CacheStats(); st.Entries != 2 {
@@ -136,24 +103,21 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	}
 }
 
-// TestSpGEMMWarmupSeedsDefaultQueries: a warmup pinned to SpGEMM fills
+// TestSpGEMMSweepSeedsDefaultQueries: a sweep pinned to SpGEMM fills
 // the exact-class keys, so default (planner) queries hit it.
-func TestSpGEMMWarmupSeedsDefaultQueries(t *testing.T) {
+func TestSpGEMMSweepSeedsDefaultQueries(t *testing.T) {
 	h := randomHypergraph(29, 120, 100, 5)
 	svc := New(Config{})
 	svc.Add("rand", h)
 	spgemmCfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSpGEMM}}
-	if _, _, err := svc.Warmup(context.Background(), "rand", false, []int{1, 2, 3}, spgemmCfg); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, lineQ("rand", spgemmCfg, 1, 2, 3))
 	for _, sVal := range []int{1, 2, 3} {
-		res, hit, err := svc.SLineGraph(context.Background(), "rand", sVal, core.PipelineConfig{})
-		if err != nil || !hit {
-			t.Fatalf("s=%d: default query after SpGEMM warmup: hit=%v err=%v", sVal, hit, err)
+		e := mustQuery(t, svc, lineQ("rand", core.PipelineConfig{}, sVal)).Entries[0]
+		if !e.Cached {
+			t.Fatalf("s=%d: default query after the SpGEMM sweep must hit", sVal)
 		}
-		direct, _ := core.Run(context.Background(), h, sVal, core.PipelineConfig{})
-		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
-			t.Fatalf("s=%d: SpGEMM-warmed edges differ from direct run", sVal)
+		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h, sVal, core.PipelineConfig{}).Graph.Edges()) {
+			t.Fatalf("s=%d: SpGEMM-computed edges differ from direct run", sVal)
 		}
 	}
 }
@@ -168,7 +132,7 @@ func TestConcurrentIdenticalBatches(t *testing.T) {
 	sweep := []int{1, 2, 3}
 
 	const n = 16
-	out := make([]map[int]*core.PipelineResult, n)
+	out := make([][]QueryEntry, n)
 	var start, done sync.WaitGroup
 	start.Add(1)
 	done.Add(n)
@@ -176,25 +140,31 @@ func TestConcurrentIdenticalBatches(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			results, _, err := svc.SLineGraphs(context.Background(), "rand", sweep, core.PipelineConfig{})
+			qr, err := svc.Query(context.Background(), lineQ("rand", core.PipelineConfig{}, sweep...))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			out[i] = results
+			out[i] = qr.Entries
 		}(i)
 	}
 	start.Done()
 	done.Wait()
+	if t.Failed() {
+		return
+	}
 
 	for i := 1; i < n; i++ {
-		for _, sVal := range sweep {
-			if out[i][sVal] != out[0][sVal] {
-				t.Fatalf("goroutine %d s=%d: different result pointer", i, sVal)
+		for j := range sweep {
+			if out[i][j].Res != out[0][j].Res {
+				t.Fatalf("goroutine %d s=%d: different result pointer", i, sweep[j])
 			}
 		}
 	}
 	if st := svc.CacheStats(); st.Entries != len(sweep) {
 		t.Fatalf("want %d cache entries, got %d", len(sweep), st.Entries)
+	}
+	if got := svc.projectionComputes.Load(); got != int64(len(sweep)) {
+		t.Fatalf("projection computes = %d, want %d: identical batches must share one pass", got, len(sweep))
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -146,7 +145,7 @@ func TestSingleflightLastWaiterCancelAborts(t *testing.T) {
 	}
 }
 
-// TestProjectionCancelReturnsCtxErr: a service-level projection call
+// TestProjectionCancelReturnsCtxErr: a service-level projection query
 // whose context expires mid-pipeline surfaces the context error, and
 // repeated cancelled calls leak no goroutines.
 func TestProjectionCancelReturnsCtxErr(t *testing.T) {
@@ -154,11 +153,14 @@ func TestProjectionCancelReturnsCtxErr(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-		_, _, err := svc.SLineGraph(ctx, "slow", 2, core.PipelineConfig{})
+		_, err := svc.Query(ctx, lineQ("slow", core.PipelineConfig{}, 2))
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("run %d: got %v, want context.DeadlineExceeded", i, err)
 		}
+	}
+	if st := svc.CacheStats(); st.Entries != 0 {
+		t.Fatalf("cancelled runs cached %d partial results", st.Entries)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
@@ -175,18 +177,20 @@ func TestProjectionCancelReturnsCtxErr(t *testing.T) {
 // would make cancelled load look like served load.
 func TestCancelledMeasureDoesNotCount(t *testing.T) {
 	svc := slowGraph()
+	q := lineQ("slow", core.PipelineConfig{}, 2)
+	q.Measure = "components"
 
 	// Dead on arrival: no flight, no projection, no compute.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.Measure(dead, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.Canceled) {
+	if _, err := svc.Query(dead, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	// Cancelled during the projection batch: the measure stage is
 	// never reached.
 	ctx, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel2()
-	if _, err := svc.Measure(ctx, "slow", false, 2, core.PipelineConfig{}, "components", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := svc.Query(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
 	if got := svc.MeasureCacheStats().Computes; got != 0 {
@@ -194,9 +198,7 @@ func TestCancelledMeasureDoesNotCount(t *testing.T) {
 	}
 
 	// Sanity: a live request does count.
-	if _, err := svc.Measure(context.Background(), "slow", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, q)
 	if got := svc.MeasureCacheStats().Computes; got != 1 {
 		t.Fatalf("live request computes = %d, want 1", got)
 	}
@@ -318,61 +320,5 @@ func TestQueryPerSErrors(t *testing.T) {
 	}
 	if out.Results[1].Error == "" {
 		t.Fatalf("v2 s=2 entry must carry the error, got %+v", out.Results[1])
-	}
-}
-
-// TestQueryV2MatchesV1 pins the v2 surface to the v1 projection
-// output: same nodes, edges, and cached flags through both routes.
-func TestQueryV2MatchesV1(t *testing.T) {
-	svc := New(Config{})
-	svc.Add("p", paperExample())
-	srv := httptest.NewServer(NewHandler(svc))
-	defer srv.Close()
-
-	v1, err := http.Get(srv.URL + "/v1/datasets/p/slinegraph?s=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Body.Close()
-	var v1out struct {
-		Nodes    int         `json:"nodes"`
-		Edges    int         `json:"edges"`
-		EdgeList [][3]uint32 `json:"edge_list"`
-	}
-	if err := json.NewDecoder(v1.Body).Decode(&v1out); err != nil {
-		t.Fatal(err)
-	}
-
-	body, _ := json.Marshal(map[string]any{"dataset": "p", "s": []int{2}, "edges": true})
-	v2, err := http.Post(srv.URL+"/v2/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Body.Close()
-	var v2out struct {
-		Plan    *planJSON `json:"plan"`
-		Results []struct {
-			S        int         `json:"s"`
-			Cached   bool        `json:"cached"`
-			Nodes    int         `json:"nodes"`
-			Edges    int         `json:"edges"`
-			EdgeList [][3]uint32 `json:"edge_list"`
-		} `json:"results"`
-	}
-	if err := json.NewDecoder(v2.Body).Decode(&v2out); err != nil {
-		t.Fatal(err)
-	}
-	if len(v2out.Results) != 1 {
-		t.Fatalf("want 1 result, got %d", len(v2out.Results))
-	}
-	r := v2out.Results[0]
-	if r.Nodes != v1out.Nodes || r.Edges != v1out.Edges || fmt.Sprint(r.EdgeList) != fmt.Sprint(v1out.EdgeList) {
-		t.Fatalf("v2 projection diverged from v1: v1=%+v v2=%+v", v1out, r)
-	}
-	if !r.Cached {
-		t.Fatal("second query over the same key must report cached=true")
-	}
-	if v2out.Plan == nil || v2out.Plan.Strategy == "" {
-		t.Fatal("v2 response must carry the executed plan")
 	}
 }

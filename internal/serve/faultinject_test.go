@@ -60,10 +60,7 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 	ref := func(h *hg.Hypergraph) (nodes, edges int) {
 		s := New(Config{})
 		s.Add("ref", h)
-		res, _, err := s.SLineGraph(context.Background(), "ref", 2, core.PipelineConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustQuery(t, s, lineQ("ref", core.PipelineConfig{}, 2)).Entries[0].Res
 		return res.Graph.NumNodes(), res.Graph.NumEdges()
 	}
 	oldNodes, oldEdges := ref(old)
@@ -78,11 +75,12 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 	}
 	res := make(chan outcome, 1)
 	go func() {
-		r, _, err := svc.SLineGraph(context.Background(), "d", 2, core.PipelineConfig{})
+		qr, err := svc.Query(context.Background(), lineQ("d", core.PipelineConfig{}, 2))
 		if err != nil {
 			res <- outcome{err: err}
 			return
 		}
+		r := qr.Entries[0].Res
 		res <- outcome{nodes: r.Graph.NumNodes(), edges: r.Graph.NumEdges()}
 	}()
 	time.Sleep(10 * time.Millisecond) // land the replacement mid-flight
@@ -99,10 +97,7 @@ func TestFaultReplaceDatasetMidFlight(t *testing.T) {
 
 	// Post-replacement queries must see only the new version — a cache
 	// or flight keyed without the version would serve the stale graph.
-	r, _, err := svc.SLineGraph(context.Background(), "d", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustQuery(t, svc, lineQ("d", core.PipelineConfig{}, 2)).Entries[0].Res
 	if r.Graph.NumNodes() != newNodes || r.Graph.NumEdges() != newEdges {
 		t.Fatalf("post-replacement query answered (%d,%d), want the new version's (%d,%d)",
 			r.Graph.NumNodes(), r.Graph.NumEdges(), newNodes, newEdges)
@@ -126,7 +121,7 @@ func TestFaultCancelStorm(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(10+i)*time.Millisecond)
 			defer cancel()
-			_, _, errs[i] = svc.SLineGraph(ctx, "slow", 2, core.PipelineConfig{})
+			_, errs[i] = svc.Query(ctx, lineQ("slow", core.PipelineConfig{}, 2))
 		}(i)
 	}
 	wg.Wait()
@@ -142,14 +137,11 @@ func TestFaultCancelStorm(t *testing.T) {
 
 	// The flight key must be free: a live caller gets a fresh, correct
 	// run (bounded only by the test timeout).
-	r, cached, err := svc.SLineGraph(context.Background(), "slow", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatalf("fresh query after the storm: %v", err)
-	}
-	if cached {
+	fresh := mustQuery(t, svc, lineQ("slow", core.PipelineConfig{}, 2)).Entries[0]
+	if fresh.Cached {
 		t.Fatal("fresh query claimed a cache hit after every earlier run aborted")
 	}
-	if r.Graph.NumNodes() == 0 {
+	if fresh.Res.Graph.NumNodes() == 0 {
 		t.Fatal("fresh query returned an empty projection")
 	}
 	if got := svc.projectionComputes.Load(); got != computes0+1 {
@@ -170,10 +162,7 @@ func TestFaultTinyLRUChurn(t *testing.T) {
 	refSvc := New(Config{})
 	refSvc.Add("p", paperExample())
 	for s := 1; s <= 4; s++ {
-		r, _, err := refSvc.SLineGraph(context.Background(), "p", s, core.PipelineConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustQuery(t, refSvc, lineQ("p", core.PipelineConfig{}, s)).Entries[0].Res
 		want[s] = shape{r.Graph.NumNodes(), r.Graph.NumEdges()}
 	}
 
@@ -186,11 +175,12 @@ func TestFaultTinyLRUChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				s := 1 + (w+i)%4
-				r, _, err := svc.SLineGraph(context.Background(), "p", s, core.PipelineConfig{})
+				qr, err := svc.Query(context.Background(), lineQ("p", core.PipelineConfig{}, s))
 				if err != nil {
 					t.Errorf("churn query s=%d: %v", s, err)
 					return
 				}
+				r := qr.Entries[0].Res
 				if got := (shape{r.Graph.NumNodes(), r.Graph.NumEdges()}); got != want[s] {
 					t.Errorf("churn query s=%d answered %+v, want %+v", s, got, want[s])
 					return

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"hyperline/internal/core"
@@ -28,43 +26,19 @@ import (
 //	POST   /v1/datasets/{name}/load                   {"path": "..."}
 //	GET    /v1/datasets/{name}
 //	DELETE /v1/datasets/{name}
-//	POST   /v1/datasets/{name}/warmup                 {"s": [..] | "lo:hi,..", "dual": bool, ...}
 //	GET    /v1/datasets/{name}/costs
-//	GET    /v1/datasets/{name}/slinegraph?s=N
-//	GET    /v1/datasets/{name}/scliquegraph?s=N
-//	GET    /v1/datasets/{name}/slinegraphs?s=LIST
-//	GET    /v1/datasets/{name}/scliquegraphs?s=LIST
-//	GET    /v1/datasets/{name}/measures?s=LIST&measure=NAME[&source=H ...]
-//	GET    /v1/datasets/{name}/components?s=N
-//	GET    /v1/datasets/{name}/distances?s=N&source=H
-//	GET    /v1/datasets/{name}/centrality?s=N&kind=betweenness|closeness|harmonic|pagerank|eccentricity
-//	GET    /v1/datasets/{name}/connectivity?s=N
 //	POST   /v2/query                                  (unified JSON query, see handleQueryV2)
 //	POST   /v2/ingest                                 (streaming delta, see handleIngest)
 //	GET    /v2/datasets/{name}/changes                (long-poll change feed, see handleChanges)
+//	GET    /metrics
 //
-// Every endpoint threads the request's context through the pipeline:
+// The /v1 routes are dataset administration and introspection
+// (/v1/measures lists the Stage-5 measure registry: name, doc, cost,
+// params); every projection, sweep and measure is a POST /v2/query.
+// Its handler threads the request's context through the pipeline:
 // client disconnects and per-request timeouts cancel the computation
 // cooperatively (unless concurrent identical requests still wait on
 // it), and an expired context answers 504.
-//
-// The plural projection endpoints, the measures endpoint, and the
-// warmup body's "s" field accept an s-list: a comma-separated mix of
-// values and inclusive lo:hi ranges, e.g. "1,4:6,12". The whole list
-// is served as one batched planner-driven pass; uncached members share
-// a single counting pass when the planner picks the ensemble.
-//
-// /v1/measures lists the Stage-5 measure registry (name, doc, cost,
-// params); /v1/datasets/{name}/measures evaluates one measure across
-// the s-list, serving repeats from the measure cache. The four legacy
-// measure endpoints (components, distances, centrality, connectivity)
-// are thin views over the same engine and share its cache.
-//
-// Query/projection endpoints share the option parameters config (Table
-// III notation — extended with "3", "A"/"auto", "S"/"spgemm"), toplex,
-// nosqueeze, exact, and workers; measure endpoints additionally accept
-// dual=true to run against the s-clique graph, plus the parameters the
-// measure's schema declares (e.g. source for distances).
 func NewHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -103,38 +77,8 @@ func NewHandler(svc *Service) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"removed": true})
 	})
-	mux.HandleFunc("POST /v1/datasets/{name}/warmup", func(w http.ResponseWriter, r *http.Request) {
-		handleWarmup(svc, w, r)
-	})
 	mux.HandleFunc("GET /v1/datasets/{name}/costs", func(w http.ResponseWriter, r *http.Request) {
 		handleCosts(svc, w, r)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/slinegraph", func(w http.ResponseWriter, r *http.Request) {
-		handleProjection(svc, w, r, false)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/scliquegraph", func(w http.ResponseWriter, r *http.Request) {
-		handleProjection(svc, w, r, true)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/slinegraphs", func(w http.ResponseWriter, r *http.Request) {
-		handleProjectionBatch(svc, w, r, false)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/scliquegraphs", func(w http.ResponseWriter, r *http.Request) {
-		handleProjectionBatch(svc, w, r, true)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/measures", func(w http.ResponseWriter, r *http.Request) {
-		handleMeasureSweep(svc, w, r)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/components", func(w http.ResponseWriter, r *http.Request) {
-		handleMeasure(svc, w, r, measureComponents)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/distances", func(w http.ResponseWriter, r *http.Request) {
-		handleMeasure(svc, w, r, measureDistances)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/centrality", func(w http.ResponseWriter, r *http.Request) {
-		handleMeasure(svc, w, r, measureCentrality)
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/connectivity", func(w http.ResponseWriter, r *http.Request) {
-		handleMeasure(svc, w, r, measureConnectivity)
 	})
 	mux.HandleFunc("POST /v2/query", func(w http.ResponseWriter, r *http.Request) {
 		handleQueryV2(svc, w, r)
@@ -190,38 +134,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// parseOptions builds a pipeline configuration from the shared query
-// parameters.
-func parseOptions(r *http.Request) (core.PipelineConfig, error) {
-	var cfg core.PipelineConfig
-	q := r.URL.Query()
-	if n := q.Get("config"); n != "" {
-		c, err := core.ParseNotation(n)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Core = c
-	}
-	if ws := q.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
-			return cfg, fmt.Errorf("serve: bad workers %q", ws)
-		}
-		cfg.Core.Workers = clampWorkers(n)
-	}
-	var err error
-	if cfg.Toplex, err = toplexParam(q.Get("toplex")); err != nil {
-		return cfg, err
-	}
-	if cfg.NoSqueeze, err = boolParam(q.Get("nosqueeze")); err != nil {
-		return cfg, err
-	}
-	if cfg.Core.DisableShortCircuit, err = boolParam(q.Get("exact")); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
 // clampWorkers bounds a client-supplied worker count: values beyond
 // the machine's parallelism only cost memory (per-worker state is
 // allocated eagerly), and the output is identical for any count, so
@@ -231,27 +143,6 @@ func clampWorkers(n int) int {
 		return max
 	}
 	return n
-}
-
-// toplexParam parses the toplex query parameter: a boolean, or "auto"
-// for the planner-resolved mode.
-func toplexParam(v string) (core.ToplexMode, error) {
-	if v == "auto" {
-		return core.ToplexAuto, nil
-	}
-	b, err := boolParam(v)
-	return core.ToplexFromBool(b), err
-}
-
-func boolParam(v string) (bool, error) {
-	if v == "" {
-		return false, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("serve: bad boolean %q", v)
-	}
-	return b, nil
 }
 
 func intParam(r *http.Request, name string, def int) (int, error) {
@@ -313,56 +204,6 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
-func handleWarmup(svc *Service, w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	// The body accepts the same option set as the query endpoints, so a
-	// warmup can pre-seed exactly the keys those queries will look up.
-	// "s" is either a JSON array of integers or an s-list string such
-	// as "1,4:8".
-	var req struct {
-		S         json.RawMessage `json:"s"`
-		Dual      bool            `json:"dual"`
-		Config    string          `json:"config"`
-		Toplex    toplexJSON      `json:"toplex"`
-		NoSqueeze bool            `json:"nosqueeze"`
-		Exact     bool            `json:"exact"`
-		Workers   int             `json:"workers"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.S) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: body must be {\"s\": [..] or \"lo:hi\", ...}"))
-		return
-	}
-	sweep, err := decodeSValues(req.S)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var cfg core.PipelineConfig
-	if req.Config != "" {
-		c, err := core.ParseNotation(req.Config)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		cfg.Core = c
-	}
-	cfg.Toplex = req.Toplex.mode
-	cfg.NoSqueeze = req.NoSqueeze
-	cfg.Core.DisableShortCircuit = req.Exact
-	cfg.Core.Workers = clampWorkers(req.Workers)
-	start := time.Now()
-	computed, hot, err := svc.Warmup(r.Context(), name, req.Dual, sweep, cfg)
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"computed":    computed,
-		"already_hot": hot,
-		"elapsed_ms":  float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
 // costCellJSON renders one calibration cell with human-readable knob
 // names (the library form, core.CostObservation, carries typed enums).
 type costCellJSON struct {
@@ -414,7 +255,7 @@ func handleCosts(svc *Service, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeSValues accepts the two warmup body forms for "s": a JSON
+// decodeSValues accepts the two /v2/query body forms for "s": a JSON
 // array of integers, or an s-list string ("1,4:8").
 func decodeSValues(raw json.RawMessage) ([]int, error) {
 	var list []int
@@ -429,20 +270,6 @@ func decodeSValues(raw json.RawMessage) ([]int, error) {
 		return core.ParseSValues(spec)
 	}
 	return nil, fmt.Errorf("serve: \"s\" must be an integer array or an s-list string such as \"1,4:8\"")
-}
-
-// graphResponse serializes one projection.
-type graphResponse struct {
-	Dataset      string      `json:"dataset"`
-	S            int         `json:"s"`
-	Dual         bool        `json:"dual"`
-	Cached       bool        `json:"cached"`
-	Nodes        int         `json:"nodes"`
-	Edges        int         `json:"edges"`
-	HyperedgeIDs []uint32    `json:"hyperedge_ids,omitempty"`
-	EdgeList     [][3]uint32 `json:"edge_list,omitempty"`
-	TimingsMS    timingsJSON `json:"timings_ms"`
-	Plan         planJSON    `json:"plan"`
 }
 
 // planJSON surfaces the executed plan — the Stage-3 strategy, the
@@ -487,331 +314,4 @@ func toTimings(t core.StageTimings) timingsJSON {
 		Squeeze:    ms(t.Squeeze),
 		Total:      ms(t.Total()),
 	}
-}
-
-func handleProjection(svc *Service, w http.ResponseWriter, r *http.Request, dual bool) {
-	name := r.PathValue("name")
-	sVal, err := intParam(r, "s", 0)
-	if err != nil || sVal < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: s must be a positive integer"))
-		return
-	}
-	cfg, err := parseOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	includeEdges, err := boolParamDefault(r, "edges", true)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var res *core.PipelineResult
-	var cached bool
-	if dual {
-		res, cached, err = svc.SCliqueGraph(r.Context(), name, sVal, cfg)
-	} else {
-		res, cached, err = svc.SLineGraph(r.Context(), name, sVal, cfg)
-	}
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toGraphResponse(name, sVal, dual, cached, includeEdges, res))
-}
-
-func toGraphResponse(name string, sVal int, dual, cached, includeEdges bool, res *core.PipelineResult) graphResponse {
-	resp := graphResponse{
-		Dataset:      name,
-		S:            sVal,
-		Dual:         dual,
-		Cached:       cached,
-		Nodes:        res.Graph.NumNodes(),
-		Edges:        res.Graph.NumEdges(),
-		HyperedgeIDs: res.HyperedgeIDs,
-		TimingsMS:    toTimings(res.Timings),
-		Plan:         toPlan(res.Plan),
-	}
-	if includeEdges {
-		edges := res.Graph.Edges()
-		resp.EdgeList = make([][3]uint32, len(edges))
-		for i, e := range edges {
-			resp.EdgeList[i] = [3]uint32{e.U, e.V, e.W}
-		}
-	}
-	return resp
-}
-
-// handleProjectionBatch serves the s-list (plural) projection
-// endpoints: the whole list runs as one batched planner-driven pass and
-// the response carries one entry per distinct s, ascending.
-func handleProjectionBatch(svc *Service, w http.ResponseWriter, r *http.Request, dual bool) {
-	name := r.PathValue("name")
-	spec := r.URL.Query().Get("s")
-	if spec == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: s is required (a value, list, or lo:hi range)"))
-		return
-	}
-	sweep, err := core.ParseSValues(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, err := parseOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	includeEdges, err := boolParamDefault(r, "edges", true)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var results map[int]*core.PipelineResult
-	var cached map[int]bool
-	if dual {
-		results, cached, err = svc.SCliqueGraphs(r.Context(), name, sweep, cfg)
-	} else {
-		results, cached, err = svc.SLineGraphs(r.Context(), name, sweep, cfg)
-	}
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	distinct := core.DistinctS(sweep)
-	out := make([]graphResponse, 0, len(distinct))
-	for _, sVal := range distinct {
-		out = append(out, toGraphResponse(name, sVal, dual, cached[sVal], includeEdges, results[sVal]))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name,
-		"dual":    dual,
-		"results": out,
-	})
-}
-
-func boolParamDefault(r *http.Request, name string, def bool) (bool, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("serve: bad boolean %s=%q", name, v)
-	}
-	return b, nil
-}
-
-// measureParams extracts the query parameters a measure's schema
-// declares. Only declared names are read, so measure parameters can
-// never collide with the shared option parameters (s, config, workers,
-// ...).
-func measureParams(r *http.Request, m measure.Measure) map[string]string {
-	params := map[string]string{}
-	q := r.URL.Query()
-	for _, spec := range m.Params() {
-		if v := q.Get(spec.Name); v != "" {
-			params[spec.Name] = v
-		}
-	}
-	return params
-}
-
-// measureResponse serializes one measure evaluation of a sweep.
-type measureResponse struct {
-	S                int            `json:"s"`
-	Cached           bool           `json:"cached"`
-	ProjectionCached bool           `json:"projection_cached"`
-	Nodes            int            `json:"nodes"`
-	Edges            int            `json:"edges"`
-	HyperedgeIDs     []uint32       `json:"hyperedge_ids,omitempty"`
-	Value            *measure.Value `json:"value"`
-}
-
-// handleMeasureSweep serves GET .../measures?s=LIST&measure=NAME: one
-// measure evaluated across a whole s-list as a single batched request,
-// with per-s measure caching.
-func handleMeasureSweep(svc *Service, w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	q := r.URL.Query()
-	measureName := q.Get("measure")
-	if measureName == "" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: measure is required (registered: %s)", strings.Join(measure.Names(), ", ")))
-		return
-	}
-	m, err := measure.Get(measureName)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := q.Get("s")
-	if spec == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: s is required (a value, list, or lo:hi range)"))
-		return
-	}
-	sweep, err := core.ParseSValues(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	cfg, err := parseOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	dual, err := boolParam(q.Get("dual"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	results, err := svc.MeasureSweep(r.Context(), name, dual, sweep, cfg, measureName, measureParams(r, m))
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	out := make([]measureResponse, len(results))
-	for i, res := range results {
-		out[i] = measureResponse{
-			S:                res.S,
-			Cached:           res.Cached,
-			ProjectionCached: res.ProjectionCached,
-			Nodes:            res.Nodes,
-			Edges:            res.Edges,
-			HyperedgeIDs:     res.HyperedgeIDs,
-			Value:            res.Value,
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name,
-		"dual":    dual,
-		"measure": measureName,
-		"results": out,
-	})
-}
-
-// legacyMeasure resolves one of the fixed measure endpoints to a
-// registry measure plus a payload shaper that preserves the endpoint's
-// historical response schema.
-type legacyMeasure func(r *http.Request) (measureName string, params map[string]string, shape func(*MeasureResult) any, err error)
-
-// handleMeasure serves the four legacy single-measure endpoints
-// through the measures engine, so they share its cache: the "cached"
-// flag now reports whether the measure value itself was reused.
-func handleMeasure(svc *Service, w http.ResponseWriter, r *http.Request, fn legacyMeasure) {
-	name := r.PathValue("name")
-	sVal, err := intParam(r, "s", 0)
-	if err != nil || sVal < 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: s must be a positive integer"))
-		return
-	}
-	cfg, err := parseOptions(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	dual, err := boolParam(r.URL.Query().Get("dual"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	measureName, params, shape, err := fn(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := svc.Measure(r.Context(), name, dual, sVal, cfg, measureName, params)
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset": name,
-		"s":       sVal,
-		"dual":    dual,
-		"cached":  res.Cached,
-		"result":  shape(res),
-	})
-}
-
-func measureComponents(_ *http.Request) (string, map[string]string, func(*MeasureResult) any, error) {
-	return "components", nil, func(res *MeasureResult) any {
-		count := 0
-		if res.Value.Scalar != nil {
-			count = int(*res.Value.Scalar)
-		}
-		return map[string]any{"count": count, "members": res.Value.Groups}
-	}, nil
-}
-
-func measureDistances(r *http.Request) (string, map[string]string, func(*MeasureResult) any, error) {
-	raw := r.URL.Query().Get("source")
-	// Parsed here (not just passed through) to keep the endpoint's
-	// historical response schema: "source" is a JSON number.
-	src, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil {
-		return "", nil, nil, fmt.Errorf("serve: source must be a hyperedge ID")
-	}
-	return "distances", map[string]string{"source": raw}, func(res *MeasureResult) any {
-		return map[string]any{
-			"source":        src,
-			"hyperedge_ids": res.HyperedgeIDs,
-			"distances":     res.Value.Ints,
-		}
-	}, nil
-}
-
-// centralityKinds maps the centrality endpoint's kind parameter to
-// registry measures. The default kind is betweenness.
-var centralityKinds = map[string]string{
-	"betweenness":  "betweenness",
-	"closeness":    "closeness",
-	"harmonic":     "harmonic",
-	"pagerank":     "pagerank",
-	"eccentricity": "eccentricity",
-}
-
-func measureCentrality(r *http.Request) (string, map[string]string, func(*MeasureResult) any, error) {
-	kind := r.URL.Query().Get("kind")
-	if kind == "" {
-		kind = "betweenness"
-	}
-	measureName, ok := centralityKinds[kind]
-	if !ok {
-		// An unknown kind is a hard 400 with the menu — never a
-		// silent fallback to some default centrality.
-		kinds := make([]string, 0, len(centralityKinds))
-		for k := range centralityKinds {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		return "", nil, nil, fmt.Errorf("serve: unknown centrality kind %q (want %s; see /v1/measures for the full registry)",
-			kind, strings.Join(kinds, ", "))
-	}
-	return measureName, nil, func(res *MeasureResult) any {
-		scores := res.Value.Scores
-		if scores == nil && res.Value.Ints != nil {
-			// Eccentricity is integer-valued; the endpoint's schema
-			// reports float scores.
-			scores = make([]float64, len(res.Value.Ints))
-			for i, v := range res.Value.Ints {
-				scores[i] = float64(v)
-			}
-		}
-		return map[string]any{
-			"kind":          kind,
-			"hyperedge_ids": res.HyperedgeIDs,
-			"scores":        scores,
-		}
-	}, nil
-}
-
-func measureConnectivity(_ *http.Request) (string, map[string]string, func(*MeasureResult) any, error) {
-	return "connectivity", nil, func(res *MeasureResult) any {
-		v := 0.0
-		if res.Value.Scalar != nil {
-			v = *res.Value.Scalar
-		}
-		return map[string]any{"normalized_algebraic_connectivity": v}
-	}, nil
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -126,107 +125,134 @@ func TestHTTPServerSideLoad(t *testing.T) {
 		strings.NewReader(`{"path": "/no/such/file.hgr"}`), http.StatusBadRequest, nil)
 }
 
-type graphJSON struct {
-	Cached       bool        `json:"cached"`
-	Nodes        int         `json:"nodes"`
-	Edges        int         `json:"edges"`
-	HyperedgeIDs []uint32    `json:"hyperedge_ids"`
-	EdgeList     [][3]uint32 `json:"edge_list"`
+// postQuery sends one /v2/query body, asserting the status code, and
+// decodes the answer into out (when non-nil).
+func postQuery(t *testing.T, ts *httptest.Server, body string, wantStatus int, out *queryResponseJSON) {
+	t.Helper()
+	var dst any
+	if out != nil {
+		*out = queryResponseJSON{}
+		dst = out
+	}
+	do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(body), wantStatus, dst)
 }
 
-func TestHTTPSLineGraphCachesAndMatchesLibrary(t *testing.T) {
+func TestHTTPQueryCachesAndMatchesLibrary(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var first, second graphJSON
-	url := ts.URL + "/v1/datasets/paper/slinegraph?s=2"
-	do(t, http.MethodGet, url, nil, http.StatusOK, &first)
-	do(t, http.MethodGet, url, nil, http.StatusOK, &second)
-	if first.Cached || !second.Cached {
-		t.Fatalf("cached flags: first=%v second=%v, want false,true", first.Cached, second.Cached)
+	var first, second queryResponseJSON
+	body := `{"dataset":"paper","s":[2],"edges":true}`
+	postQuery(t, ts, body, http.StatusOK, &first)
+	postQuery(t, ts, body, http.StatusOK, &second)
+	if len(first.Results) != 1 || len(second.Results) != 1 {
+		t.Fatalf("want one entry each, got %d and %d", len(first.Results), len(second.Results))
+	}
+	if first.Results[0].Cached || !second.Results[0].Cached {
+		t.Fatalf("cached flags: first=%v second=%v, want false,true", first.Results[0].Cached, second.Results[0].Cached)
+	}
+	if first.Dataset != "paper" || first.Kind != "line" || first.Version == 0 {
+		t.Fatalf("response header: %+v", first)
 	}
 
-	direct, _ := core.Run(context.Background(), paperExample(), 2, core.PipelineConfig{})
-	wantEdges := make([][3]uint32, 0, direct.Graph.NumEdges())
-	for _, e := range direct.Graph.Edges() {
+	want := direct(t, paperExample(), 2, core.PipelineConfig{})
+	wantEdges := make([][3]uint32, 0, want.Graph.NumEdges())
+	for _, e := range want.Graph.Edges() {
 		wantEdges = append(wantEdges, [3]uint32{e.U, e.V, e.W})
 	}
-	for _, got := range []graphJSON{first, second} {
+	for _, resp := range []queryResponseJSON{first, second} {
+		got := resp.Results[0]
 		if !reflect.DeepEqual(got.EdgeList, wantEdges) {
 			t.Fatalf("served edge list %v differs from library call %v", got.EdgeList, wantEdges)
 		}
-		if !reflect.DeepEqual(got.HyperedgeIDs, direct.HyperedgeIDs) {
-			t.Fatalf("served hyperedge IDs %v differ from library call %v", got.HyperedgeIDs, direct.HyperedgeIDs)
+		if !reflect.DeepEqual(got.HyperedgeIDs, want.HyperedgeIDs) {
+			t.Fatalf("served hyperedge IDs %v differ from library call %v", got.HyperedgeIDs, want.HyperedgeIDs)
+		}
+		if got.Nodes != want.Graph.NumNodes() || got.TimingsMS == nil {
+			t.Fatalf("entry shape: %+v", got)
+		}
+		if resp.Plan == nil || resp.Plan.Strategy == "" {
+			t.Fatal("response must carry the executed plan")
 		}
 	}
 
-	// edges=false omits the edge list but keeps the counts.
-	var lean graphJSON
-	do(t, http.MethodGet, url+"&edges=false", nil, http.StatusOK, &lean)
-	if lean.EdgeList != nil || lean.Edges != len(wantEdges) {
-		t.Fatalf("edges=false: got %+v", lean)
+	// Edge lists are opt-in: without "edges" the counts stay.
+	var lean queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK, &lean)
+	if lean.Results[0].EdgeList != nil || lean.Results[0].Edges != len(wantEdges) {
+		t.Fatalf("without edges: got %+v", lean.Results[0])
 	}
 
 	// Bad requests.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=0", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2&config=9ZZ", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/nope/slinegraph?s=2", nil, http.StatusNotFound, nil)
+	for body, status := range map[string]int{
+		`{"dataset":"paper"}`:                          http.StatusBadRequest,
+		`{"s":[2]}`:                                    http.StatusBadRequest,
+		`{"dataset":"paper","s":[0]}`:                  http.StatusBadRequest,
+		`{"dataset":"paper","s":[2],"config":"9ZZ"}`:   http.StatusBadRequest,
+		`{"dataset":"paper","s":[2],"kind":"star"}`:    http.StatusBadRequest,
+		`{"dataset":"paper","s":[2],"workers":-1}`:     http.StatusBadRequest,
+		`{"dataset":"paper","s":[2],"toplex":"maybe"}`: http.StatusBadRequest,
+		`{"dataset":"paper","s":[2],"priority":"vip"}`: http.StatusBadRequest,
+		`{"dataset":"nope","s":[2]}`:                   http.StatusNotFound,
+	} {
+		postQuery(t, ts, body, status, nil)
+	}
 }
 
-func TestHTTPSCliqueGraph(t *testing.T) {
+func TestHTTPQueryClique(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
-	var got graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/scliquegraph?s=1&nosqueeze=true",
-		nil, http.StatusOK, &got)
-	direct, _ := core.Run(context.Background(), paperExample().Dual(), 1, core.PipelineConfig{NoSqueeze: true})
-	if got.Edges != direct.Graph.NumEdges() || got.Nodes != direct.Graph.NumNodes() {
+	var got queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1],"nosqueeze":true}`, http.StatusOK, &got)
+	want := direct(t, paperExample().Dual(), 1, core.PipelineConfig{NoSqueeze: true})
+	if e := got.Results[0]; got.Kind != "clique" || e.Edges != want.Graph.NumEdges() || e.Nodes != want.Graph.NumNodes() {
 		t.Fatalf("clique graph %+v differs from direct dual run (%d nodes %d edges)",
-			got, direct.Graph.NumNodes(), direct.Graph.NumEdges())
+			e, want.Graph.NumNodes(), want.Graph.NumEdges())
 	}
 }
 
-func TestHTTPWarmupThenHit(t *testing.T) {
+// computedOf counts the entries of a response that ran Stages 1-4.
+func computedOf(resp queryResponseJSON) (n int) {
+	for _, e := range resp.Results {
+		if !e.Cached {
+			n++
+		}
+	}
+	return n
+}
+
+// TestHTTPBackgroundQueryThenHit: the warmup recipe over HTTP — a
+// "priority":"background" sweep computes every projection, after which
+// interactive queries for any swept s are hits.
+func TestHTTPBackgroundQueryThenHit(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
-	var warm struct {
-		Computed   int `json:"computed"`
-		AlreadyHot int `json:"already_hot"`
+	var warm, got queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[1,2,3],"priority":"background"}`, http.StatusOK, &warm)
+	if len(warm.Results) != 3 || computedOf(warm) != 3 {
+		t.Fatalf("warming sweep: %+v", warm.Results)
 	}
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": [1, 2, 3]}`), http.StatusOK, &warm)
-	if warm.Computed != 3 || warm.AlreadyHot != 0 {
-		t.Fatalf("warmup: %+v", warm)
+	postQuery(t, ts, `{"dataset":"paper","s":[3]}`, http.StatusOK, &got)
+	if !got.Results[0].Cached {
+		t.Fatal("query after the warming sweep must be served from cache")
 	}
-	var got graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=3", nil, http.StatusOK, &got)
-	if !got.Cached {
-		t.Fatal("query after warmup must be served from cache")
-	}
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{}`), http.StatusBadRequest, nil)
 
-	// A warmup with nosqueeze must pre-seed the nosqueeze query keys.
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": [2], "nosqueeze": true}`), http.StatusOK, &warm)
-	if warm.Computed != 1 {
-		t.Fatalf("nosqueeze warmup: %+v", warm)
+	// A nosqueeze sweep seeds the nosqueeze keys, not the default ones.
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"nosqueeze":true,"priority":"background"}`, http.StatusOK, &warm)
+	if computedOf(warm) != 1 {
+		t.Fatalf("nosqueeze sweep: %+v", warm.Results)
 	}
-	var ns graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2&nosqueeze=true",
-		nil, http.StatusOK, &ns)
-	if !ns.Cached {
-		t.Fatal("nosqueeze query after nosqueeze warmup must hit the cache")
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"nosqueeze":true}`, http.StatusOK, &got)
+	if !got.Results[0].Cached {
+		t.Fatal("nosqueeze query after the nosqueeze sweep must hit the cache")
 	}
 
 	// Duplicate s values are deduped, not misreported as hits.
 	ts2, _ := newTestServer(t)
 	uploadPaper(t, ts2)
-	do(t, http.MethodPost, ts2.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": [2, 2, 2]}`), http.StatusOK, &warm)
-	if warm.Computed != 1 || warm.AlreadyHot != 0 {
-		t.Fatalf("duplicate-s warmup on a cold cache: %+v", warm)
+	postQuery(t, ts2, `{"dataset":"paper","s":[2,2,2],"priority":"background"}`, http.StatusOK, &warm)
+	if len(warm.Results) != 1 || computedOf(warm) != 1 {
+		t.Fatalf("duplicate-s sweep on a cold cache: %+v", warm.Results)
 	}
 }
 
@@ -234,155 +260,154 @@ func TestHTTPBatchProjections(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var batch struct {
-		Dataset string `json:"dataset"`
-		Dual    bool   `json:"dual"`
-		Results []struct {
-			graphJSON
-			S    int `json:"s"`
-			Plan struct {
-				Strategy string `json:"strategy"`
-				Reason   string `json:"reason"`
-			} `json:"plan"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1:3", nil, http.StatusOK, &batch)
+	var batch queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":"1:3"}`, http.StatusOK, &batch)
 	if len(batch.Results) != 3 {
 		t.Fatalf("want 3 results for s=1:3, got %d", len(batch.Results))
+	}
+	if batch.Plan == nil || batch.Plan.Strategy == "" {
+		t.Fatal("missing plan info")
 	}
 	for i, got := range batch.Results {
 		if got.S != i+1 {
 			t.Fatalf("results out of order: %+v", batch.Results)
 		}
-		direct, _ := core.Run(context.Background(), paperExample(), got.S, core.PipelineConfig{})
-		if got.Edges != direct.Graph.NumEdges() {
-			t.Fatalf("s=%d: %d edges, want %d", got.S, got.Edges, direct.Graph.NumEdges())
-		}
-		if got.Plan.Strategy == "" {
-			t.Fatalf("s=%d: missing plan info", got.S)
+		if want := direct(t, paperExample(), got.S, core.PipelineConfig{}); got.Edges != want.Graph.NumEdges() {
+			t.Fatalf("s=%d: %d edges, want %d", got.S, got.Edges, want.Graph.NumEdges())
 		}
 	}
 
 	// The batch seeded the per-s cache: single queries hit.
-	var single graphJSON
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s=2", nil, http.StatusOK, &single)
-	if !single.Cached {
+	var single queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK, &single)
+	if !single.Results[0].Cached {
 		t.Fatal("single query after batch must be served from cache")
 	}
 
 	// Mixed list + range forms, and the dual orientation.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1,2:3", nil, http.StatusOK, &batch)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/scliquegraphs?s=1,2", nil, http.StatusOK, &batch)
-	if !batch.Dual || len(batch.Results) != 2 {
-		t.Fatalf("scliquegraphs: %+v", batch)
+	postQuery(t, ts, `{"dataset":"paper","s":"1,2:3"}`, http.StatusOK, &batch)
+	if len(batch.Results) != 3 || computedOf(batch) != 0 {
+		t.Fatalf("s=1,2:3 after s=1:3: %+v", batch.Results)
+	}
+	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":"1,2"}`, http.StatusOK, &batch)
+	if batch.Kind != "clique" || len(batch.Results) != 2 {
+		t.Fatalf("clique sweep: %+v", batch)
 	}
 
-	// Bad requests.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=0", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=5:2", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/nope/slinegraphs?s=1", nil, http.StatusNotFound, nil)
-}
-
-func TestHTTPWarmupSListString(t *testing.T) {
-	ts, _ := newTestServer(t)
-	uploadPaper(t, ts)
-	var warm struct {
-		Computed   int `json:"computed"`
-		AlreadyHot int `json:"already_hot"`
+	// Bad s-lists.
+	for _, sSpec := range []string{`"0"`, `"5:2"`, `"nope"`, `true`, `[]`, `"1:1000,2000:3000"`} {
+		postQuery(t, ts, `{"dataset":"paper","s":`+sSpec+`}`, http.StatusBadRequest, nil)
 	}
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": "1,3:4"}`), http.StatusOK, &warm)
-	if warm.Computed != 3 || warm.AlreadyHot != 0 {
-		t.Fatalf("s-list warmup: %+v", warm)
-	}
-	for _, sVal := range []string{"1", "3", "4"} {
-		var got graphJSON
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraph?s="+sVal, nil, http.StatusOK, &got)
-		if !got.Cached {
-			t.Fatalf("s=%s: query after s-list warmup must hit", sVal)
-		}
-	}
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": "nope"}`), http.StatusBadRequest, nil)
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": true}`), http.StatusBadRequest, nil)
-
-	// Oversized requests are rejected in both body forms and on the
-	// batch endpoints.
-	big := make([]byte, 0, 1<<16)
-	big = append(big, `{"s": [`...)
+	// One value past core.MaxSValues in the array form.
+	big := make([]byte, 0, 1<<13)
 	for i := 1; i <= core.MaxSValues+1; i++ {
 		if i > 1 {
 			big = append(big, ',')
 		}
 		big = strconv.AppendInt(big, int64(i), 10)
 	}
-	big = append(big, `]}`...)
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(string(big)), http.StatusBadRequest, nil)
-	do(t, http.MethodPost, ts.URL+"/v1/datasets/paper/warmup",
-		strings.NewReader(`{"s": "1:1000,2000:3000"}`), http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/slinegraphs?s=1:1000,2000:3000",
-		nil, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[`+string(big)+`]}`, http.StatusBadRequest, nil)
 }
 
 func TestHTTPMeasures(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	var comp struct {
-		Cached bool `json:"cached"`
-		Result struct {
-			Count   int        `json:"count"`
-			Members [][]uint32 `json:"members"`
-		} `json:"result"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/components?s=2", nil, http.StatusOK, &comp)
+	var got queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"components"}`, http.StatusOK, &got)
 	// At s=2, hyperedges {0,1,2} form one component; hyperedge 3 has no
 	// 2-incident partner and is squeezed out.
-	if comp.Result.Count != 1 || !reflect.DeepEqual(comp.Result.Members, [][]uint32{{0, 1, 2}}) {
-		t.Fatalf("components: %+v", comp.Result)
+	comp := got.Results[0].Value
+	if got.Measure != "components" || comp == nil || comp.Scalar == nil || *comp.Scalar != 1 ||
+		!reflect.DeepEqual(comp.Groups, [][]uint32{{0, 1, 2}}) {
+		t.Fatalf("components: %+v", got.Results[0])
 	}
 
-	var dist struct {
-		Result struct {
-			HyperedgeIDs []uint32 `json:"hyperedge_ids"`
-			Distances    []int32  `json:"distances"`
-		} `json:"result"`
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances","params":{"source":"0"}}`, http.StatusOK, &got)
+	if e := got.Results[0]; !reflect.DeepEqual(e.Value.Ints, []int32{0, 1, 1}) || !reflect.DeepEqual(e.HyperedgeIDs, []uint32{0, 1, 2}) {
+		t.Fatalf("distances: %+v", e)
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2&source=0", nil, http.StatusOK, &dist)
-	if !reflect.DeepEqual(dist.Result.Distances, []int32{0, 1, 1}) {
-		t.Fatalf("distances: %+v", dist.Result)
+	// A required parameter is a request error; a source with no node at
+	// this s is a per-s evaluation error.
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances"}`, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"distances","params":{"source":"3"}}`, http.StatusBadGateway, &got)
+	if got.Results[0].Error == "" {
+		t.Fatalf("source 3 has no node at s=2: want a per-s error, got %+v", got.Results[0])
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2&source=3", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/distances?s=2", nil, http.StatusBadRequest, nil)
 
-	for _, kind := range []string{"betweenness", "closeness", "harmonic", "pagerank"} {
-		var cent struct {
-			Result struct {
-				Kind   string    `json:"kind"`
-				Scores []float64 `json:"scores"`
-			} `json:"result"`
-		}
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind="+kind,
-			nil, http.StatusOK, &cent)
-		if cent.Result.Kind != kind || len(cent.Result.Scores) != 3 {
-			t.Fatalf("centrality %s: %+v", kind, cent.Result)
+	for _, name := range []string{"betweenness", "closeness", "harmonic", "pagerank"} {
+		postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"`+name+`"}`, http.StatusOK, &got)
+		if got.Measure != name || len(got.Results[0].Value.Scores) != 3 {
+			t.Fatalf("centrality %s: %+v", name, got.Results[0])
 		}
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=nope", nil, http.StatusBadRequest, nil)
-
-	var conn struct {
-		Result struct {
-			Value float64 `json:"normalized_algebraic_connectivity"`
-		} `json:"result"`
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"eccentricity"}`, http.StatusOK, &got)
+	if len(got.Results[0].Value.Ints) != 3 {
+		t.Fatalf("eccentricity: %+v", got.Results[0])
 	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/connectivity?s=2", nil, http.StatusOK, &conn)
-	if conn.Result.Value <= 0 {
-		t.Fatalf("connectivity of a connected triangle must be positive, got %v", conn.Result.Value)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"nope"}`, http.StatusBadRequest, nil)
+
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"connectivity"}`, http.StatusOK, &got)
+	if v := got.Results[0].Value.Scalar; v == nil || *v <= 0 {
+		t.Fatalf("connectivity of a connected triangle must be positive, got %+v", got.Results[0].Value)
 	}
 
 	// dual measures work too
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/components?s=1&dual=true", nil, http.StatusOK, nil)
+	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1],"measure":"components"}`, http.StatusOK, nil)
+}
+
+// TestRouteInventory pins the API surface: probing every method against
+// every path the server has ever answered, exactly the listed
+// method+path pairs reach a handler, and every removed v1 compute URL
+// falls through to the mux's own 404/405. A handler's 404 (unknown
+// dataset) is JSON; the mux's is text/plain, and only the mux says 405.
+func TestRouteInventory(t *testing.T) {
+	want := map[string]bool{
+		"GET /healthz":               true,
+		"GET /metrics":               true,
+		"GET /v1/cache":              true,
+		"GET /v1/measures":           true,
+		"GET /v1/datasets":           true,
+		"PUT /v1/datasets/x":         true,
+		"GET /v1/datasets/x":         true,
+		"DELETE /v1/datasets/x":      true,
+		"POST /v1/datasets/x/load":   true,
+		"GET /v1/datasets/x/costs":   true,
+		"POST /v2/query":             true,
+		"POST /v2/ingest":            true,
+		"GET /v2/datasets/x/changes": true,
+	}
+	paths := []string{
+		"/healthz", "/metrics", "/v1/cache", "/v1/measures", "/v1/datasets",
+		"/v1/datasets/x", "/v1/datasets/x/load", "/v1/datasets/x/costs",
+		"/v2/query", "/v2/ingest", "/v2/datasets/x/changes",
+	}
+	removed := []string{
+		"warmup", "slinegraph", "slinegraphs", "scliquegraph", "scliquegraphs",
+		"measures", "components", "distances", "centrality", "connectivity",
+	}
+	for _, name := range removed {
+		paths = append(paths, "/v1/datasets/x/"+name)
+	}
+
+	ts, _ := newTestServer(t)
+	for _, path := range paths {
+		for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodPost, http.MethodDelete} {
+			req, err := http.NewRequest(method, ts.URL+path+"?s=2&timeout_ms=1", strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			muxMiss := resp.StatusCode == http.StatusMethodNotAllowed ||
+				(resp.StatusCode == http.StatusNotFound && strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain"))
+			if route := method + " " + path; want[route] == muxMiss {
+				t.Errorf("%s: status %d (%s), registered=%v, want registered=%v",
+					route, resp.StatusCode, resp.Header.Get("Content-Type"), !muxMiss, want[route])
+			}
+		}
+	}
 }

@@ -11,11 +11,11 @@ import (
 	"hyperline/internal/measure"
 )
 
-// queryRequestJSON is the POST /v2/query body: the context-first
-// unified query. "s" accepts a JSON integer array or an s-list string
-// ("1,4:8"); "kind" is "line" (default) or "clique"; "timeout_ms"
-// bounds this request via its context (independent of any server-wide
-// -request-timeout, whichever expires first wins).
+// queryRequestJSON is the POST /v2/query body: the unified query. "s"
+// accepts a JSON integer array or an s-list string ("1,4:8"); "kind" is
+// "line" (default) or "clique"; "timeout_ms" bounds this request via
+// its context (independent of any server-wide -request-timeout,
+// whichever expires first wins).
 type queryRequestJSON struct {
 	Dataset   string            `json:"dataset"`
 	Kind      string            `json:"kind,omitempty"`
@@ -37,7 +37,7 @@ type queryRequestJSON struct {
 
 // toplexJSON accepts the two JSON spellings of the toplex knob: a
 // boolean, or the string "auto" for the planner-resolved mode. The
-// zero value (field omitted) is ToplexOff, the historical default.
+// zero value (field omitted) is ToplexOff.
 type toplexJSON struct {
 	mode core.ToplexMode
 }
@@ -84,14 +84,19 @@ type queryResponseJSON struct {
 	Results   []queryEntryJSON `json:"results"`
 }
 
+// maxQueryBytes caps POST /v2/query bodies: a query is a dataset name,
+// an s-list of at most core.MaxSValues values and a handful of options,
+// so 1 MiB is far beyond any well-formed request.
+const maxQueryBytes = 1 << 20
+
 // handleQueryV2 serves POST /v2/query: one JSON Query in, ordered
 // per-s entries (with per-s errors), the executed plan, and stage
-// timings out. Unlike the v1 GET endpoints, edge lists are opt-in
-// ("edges": true) — the default response carries the projection shape,
-// mapping, and measure value only.
+// timings out. Edge lists are opt-in ("edges": true) — the default
+// response carries the projection shape, mapping, and measure value
+// only.
 func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req queryRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad /v2/query body: %w", err))
 		return
 	}

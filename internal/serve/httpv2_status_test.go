@@ -89,34 +89,52 @@ func TestQuotaShedCarriesRetryAfter(t *testing.T) {
 	}
 	defer release()
 
-	for _, probe := range []struct {
-		method, url, body string
-	}{
-		{http.MethodGet, ts.URL + "/v1/datasets/paper/slinegraph?s=2", ""},
-		{http.MethodPost, ts.URL + "/v2/query", `{"dataset":"paper","s":[2]}`},
-	} {
-		req, err := http.NewRequest(probe.method, probe.url, strings.NewReader(probe.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("%s %s: status %d, want 429", probe.method, probe.url, resp.StatusCode)
-		}
-		ra := resp.Header.Get("Retry-After")
-		if ra == "" {
-			t.Fatalf("%s %s: quota shed returned a bare 429 without Retry-After", probe.method, probe.url)
-		}
-		if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-			t.Fatalf("%s %s: Retry-After %q, want whole seconds >= 1", probe.method, probe.url, ra)
-		}
+	resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(`{"dataset":"paper","s":[2]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	ra := resp.Header.Get("Retry-After")
+	if ra == "" {
+		t.Fatal("quota shed returned a bare 429 without Retry-After")
+	}
+	if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+		t.Fatalf("Retry-After %q, want whole seconds >= 1", ra)
 	}
 	if st := svc.adm.Stats(); st.ShedPerDataset == 0 {
-		t.Fatalf("probes did not exercise the per-dataset quota path: %+v", st)
+		t.Fatalf("probe did not exercise the per-dataset quota path: %+v", st)
+	}
+}
+
+// TestBackgroundQueryShedsWhenSaturated: with the only admission slot
+// taken, a "priority":"background" query that needs Stage-3 work is
+// shed at once (429, never queued) while one answerable from the cache
+// still succeeds — the contract that makes a background sweep a safe
+// warmup.
+func TestBackgroundQueryShedsWhenSaturated(t *testing.T) {
+	svc := New(Config{MaxInflight: 1})
+	ts := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(ts.Close)
+	uploadPaper(t, ts)
+	postQuery(t, ts, `{"dataset":"paper","s":[2]}`, http.StatusOK, nil) // s=2 is now cached
+
+	release, err := svc.adm.Acquire(context.Background(), PriorityInteractive, "paper", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	postQuery(t, ts, `{"dataset":"paper","s":[3],"priority":"background"}`, http.StatusTooManyRequests, nil)
+	if st := svc.AdmissionStats(); st.ShedBackground != 1 || st.QueueLength != 0 {
+		t.Fatalf("background miss must shed without queueing: %+v", st)
+	}
+	var hit queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"priority":"background"}`, http.StatusOK, &hit)
+	if !hit.Results[0].Cached {
+		t.Fatal("background cache hit must be served, not shed")
 	}
 }
 
@@ -124,11 +142,22 @@ func TestV2QueryRequestErrorsKeep4xx(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 
-	// Client mistakes must not be reclassified by the all-failed rule.
-	do(t, http.MethodPost, ts.URL+"/v2/query",
-		strings.NewReader(`{"dataset":"paper","s":"1:2","measure":"nope"}`),
-		http.StatusBadRequest, nil)
-	do(t, http.MethodPost, ts.URL+"/v2/query",
-		strings.NewReader(`{"dataset":"missing","s":"1:2"}`),
-		http.StatusNotFound, nil)
+	// Client mistakes must not be reclassified by the all-failed rule,
+	// and a malformed or oversize body is a client mistake.
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"unknown measure", `{"dataset":"paper","s":"1:2","measure":"nope"}`, http.StatusBadRequest},
+		{"unknown dataset", `{"dataset":"missing","s":"1:2"}`, http.StatusNotFound},
+		{"truncated JSON", `{"dataset":"paper","s":[2]`, http.StatusBadRequest},
+		{"not an object", `[1,2,3]`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		// Well-formed and answerable but for its size: whitespace padding.
+		{"body over maxQueryBytes", `{"dataset":"paper","s":[2]` + strings.Repeat(" ", maxQueryBytes) + `}`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			postQuery(t, ts, tc.body, tc.status, nil)
+		})
+	}
 }

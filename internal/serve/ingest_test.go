@@ -110,10 +110,7 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	var cfg core.PipelineConfig
 	cfg.Core.DisableShortCircuit = true
 	for _, e := range full.Results {
-		fresh, err := core.Run(context.Background(), newH, e.S, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := direct(t, newH, e.S, cfg)
 		if e.Nodes != fresh.Graph.NumNodes() || e.Edges != fresh.Graph.NumEdges() {
 			t.Errorf("s=%d: served %d nodes/%d edges, fresh compute has %d/%d",
 				e.S, e.Nodes, e.Edges, fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
@@ -164,10 +161,7 @@ func TestIngestPolicyInvalidate(t *testing.T) {
 	var cfg core.PipelineConfig
 	cfg.Core.DisableShortCircuit = true
 	for _, e := range after.Results {
-		fresh, err := core.Run(context.Background(), newH, e.S, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := direct(t, newH, e.S, cfg)
 		if e.Nodes != fresh.Graph.NumNodes() || e.Edges != fresh.Graph.NumEdges() {
 			t.Errorf("s=%d: recomputed answer wrong: %d/%d vs %d/%d",
 				e.S, e.Nodes, e.Edges, fresh.Graph.NumNodes(), fresh.Graph.NumEdges())

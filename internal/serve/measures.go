@@ -60,49 +60,6 @@ type measureFlight struct {
 	fromCache bool
 }
 
-// Measure evaluates the named measure on the s-line graph (or s-clique
-// graph, when dual) of the named dataset, serving both the projection
-// and the measure value from their caches when possible. Unknown
-// measures fail with the list of registered ones; params are validated
-// against the measure's schema before any pipeline work runs.
-func (s *Service) Measure(ctx context.Context, name string, dual bool, sVal int, cfg core.PipelineConfig, measureName string, params map[string]string) (*MeasureResult, error) {
-	out, err := s.MeasureSweep(ctx, name, dual, []int{sVal}, cfg, measureName, params)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// MeasureSweep evaluates the named measure across an s-sweep as one
-// batched request — the serving form of the paper's application tables
-// (component counts, diameters, and centralities reported per s). It
-// is a thin view over Query that fails on the first per-s error (the
-// v1 semantics); cached measure values are served as-is, the remaining
-// s values share one batched Stage 1-4 pass followed by one Compute
-// per s, each deduplicated via singleflight and cached individually.
-// Results are ordered by ascending distinct s.
-func (s *Service) MeasureSweep(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig, measureName string, params map[string]string) ([]*MeasureResult, error) {
-	if measureName == "" {
-		// An empty name would turn the Query into a projection-only
-		// request; surface the registry menu instead.
-		_, err := measure.Get(measureName)
-		return nil, err
-	}
-	qr, err := s.Query(ctx, QueryRequest{
-		Dataset: name, Dual: dual, S: sValues, Cfg: cfg,
-		Measure: measureName, Params: params,
-		FailFast: true, // v1 semantics: the first per-s error fails the sweep
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MeasureResult, len(qr.Entries))
-	for i, e := range qr.Entries {
-		out[i] = e.Measure
-	}
-	return out, nil
-}
-
 // measureOne serves one measure evaluation: a singleflight-deduplicated
 // cache probe + Compute under the flight's detached context, so a
 // disconnected client neither aborts an evaluation other clients wait

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -21,20 +22,15 @@ func TestMeasureServedFromCache(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("paper", paperExample())
 
-	first, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := QueryRequest{Dataset: "paper", S: []int{2}, Measure: "components"}
+	first := mustQuery(t, svc, q).Entries[0].Measure
 	if first.Cached {
 		t.Fatal("cold measure must not report cached")
 	}
 	if got := svc.MeasureCacheStats().Computes; got != 1 {
 		t.Fatalf("cold measure ran %d computes, want 1", got)
 	}
-	second, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := mustQuery(t, svc, q).Entries[0].Measure
 	if !second.Cached || !second.ProjectionCached {
 		t.Fatalf("warm measure flags: %+v", second)
 	}
@@ -46,11 +42,8 @@ func TestMeasureServedFromCache(t *testing.T) {
 	}
 	// Execution knobs (workers) share the entry: the fingerprint
 	// excludes them and measures are worker-deterministic.
-	cfg := core.PipelineConfig{Core: core.Config{Workers: 3}}
-	third, err := svc.Measure(context.Background(), "paper", false, 2, cfg, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q.Cfg = core.PipelineConfig{Core: core.Config{Workers: 3}}
+	third := mustQuery(t, svc, q).Entries[0].Measure
 	if !third.Cached || third.MeasureEntry != first.MeasureEntry {
 		t.Fatal("workers-only config change must hit the same measure entry")
 	}
@@ -85,12 +78,12 @@ func TestMeasureCacheRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := queries[qIdx[i]]
-			res, err := svc.Measure(context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
+			qr, err := svc.Query(context.Background(), QueryRequest{Dataset: "g", S: []int{q.s}, Measure: q.measure})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			results[i] = qr.Entries[0].Measure
 		}(i)
 	}
 	wg.Wait()
@@ -130,12 +123,12 @@ func TestMeasureCacheRace(t *testing.T) {
 		go func(i int) {
 			defer wg2.Done()
 			q := queries[i%len(queries)]
-			res, err := svc.Measure(context.Background(), "g", false, q.s, core.PipelineConfig{}, q.measure, nil)
+			qr, err := svc.Query(context.Background(), QueryRequest{Dataset: "g", S: []int{q.s}, Measure: q.measure})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if !res.Cached {
+			if !qr.Entries[0].Cached {
 				t.Errorf("second round query %d not cached", i%len(queries))
 			}
 		}(i)
@@ -153,26 +146,20 @@ func TestMeasureCacheNeverStale(t *testing.T) {
 	svc := New(Config{MeasureCacheEntries: 2})
 	// v1: the paper example — 1-line graph has 1 component.
 	svc.Add("d", paperExample())
-	v1, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
+	at1 := func(measureName string) *MeasureResult {
+		t.Helper()
+		return mustQuery(t, svc, QueryRequest{Dataset: "d", S: []int{1}, Measure: measureName}).Entries[0].Measure
 	}
+	v1 := at1("components")
 	if *v1.Value.Scalar != 1 {
 		t.Fatalf("v1 components = %v, want 1", *v1.Value.Scalar)
 	}
 	// Fill the 2-entry LRU with other keys so v1's entry is evicted.
-	if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
-		t.Fatal(err)
-	}
+	at1("diameter")
+	at1("clustering-global")
 	// v2: two disjoint cliques — 1-line graph has 2 components.
 	svc.Add("d", exampleTwoComponents())
-	v2, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := at1("components")
 	if v2.Cached {
 		t.Fatal("replaced dataset must not serve the old version's value")
 	}
@@ -182,19 +169,12 @@ func TestMeasureCacheNeverStale(t *testing.T) {
 	// Churn the full LRU across both versions a few times: every
 	// response must match its version's ground truth.
 	for i := 0; i < 5; i++ {
-		got, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "components", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := at1("components")
 		if *got.Value.Scalar != 2 {
 			t.Fatalf("round %d served stale components = %v", i, *got.Value.Scalar)
 		}
-		if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "diameter", nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := svc.Measure(context.Background(), "d", false, 1, core.PipelineConfig{}, "clustering-global", nil); err != nil {
-			t.Fatal(err)
-		}
+		at1("diameter")
+		at1("clustering-global")
 	}
 	stats := svc.MeasureCacheStats()
 	if stats.Entries > 2 {
@@ -223,13 +203,8 @@ func TestMeasureSweepBatching(t *testing.T) {
 	svc.Add("paper", paperExample())
 
 	// Warm s=2 alone first.
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
-		t.Fatal(err)
-	}
-	results, err := svc.MeasureSweep(context.Background(), "paper", false, []int{3, 1, 2, 2}, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, QueryRequest{Dataset: "paper", S: []int{2}, Measure: "components"})
+	results := mustQuery(t, svc, QueryRequest{Dataset: "paper", S: []int{3, 1, 2, 2}, Measure: "components"}).Entries
 	if len(results) != 3 {
 		t.Fatalf("sweep returned %d results, want 3 distinct", len(results))
 	}
@@ -248,11 +223,7 @@ func TestMeasureSweepBatching(t *testing.T) {
 	if computes != 3 {
 		t.Fatalf("computes = %d, want 3 (s=2 warm + s=1,3 cold)", computes)
 	}
-	again, err := svc.MeasureSweep(context.Background(), "paper", false, []int{1, 2, 3}, core.PipelineConfig{}, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range again {
+	for _, r := range mustQuery(t, svc, QueryRequest{Dataset: "paper", S: []int{1, 2, 3}, Measure: "components"}).Entries {
 		if !r.Cached {
 			t.Fatalf("repeat sweep s=%d not cached", r.S)
 		}
@@ -267,23 +238,30 @@ func TestMeasureSweepBatching(t *testing.T) {
 func TestMeasureErrors(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("paper", paperExample())
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "nope", nil); err == nil ||
-		!strings.Contains(err.Error(), "components") {
+	query := func(dataset, measureName string, params map[string]string) (*QueryResult, error) {
+		return svc.Query(context.Background(), QueryRequest{
+			Dataset: dataset, S: []int{2}, Measure: measureName, Params: params,
+		})
+	}
+	if _, err := query("paper", "nope", nil); err == nil || !strings.Contains(err.Error(), "components") {
 		t.Fatalf("unknown measure error must list the registry, got %v", err)
 	}
-	if _, err := svc.Measure(context.Background(), "ghost", false, 2, core.PipelineConfig{}, "components", nil); err == nil ||
-		!strings.Contains(err.Error(), "unknown dataset") {
+	if _, err := query("ghost", "components", nil); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("unknown dataset error, got %v", err)
 	}
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{}, "distances", nil); err == nil {
+	if _, err := query("paper", "distances", nil); err == nil {
 		t.Fatal("distances without source must fail")
 	}
-	// A failed compute (absent source hyperedge) must not pollute the
-	// cache or the compute counter's meaning.
+	// A failed compute (absent source hyperedge) is a per-s error on its
+	// entry, which keeps the projection it failed on, and must not
+	// pollute the cache.
 	before := svc.MeasureCacheStats()
-	if _, err := svc.Measure(context.Background(), "paper", false, 2, core.PipelineConfig{},
-		"distances", map[string]string{"source": "3"}); err == nil {
-		t.Fatal("absent source hyperedge must fail")
+	qr, err := query("paper", "distances", map[string]string{"source": "3"})
+	if err != nil {
+		t.Fatalf("a per-s failure must not fail the query: %v", err)
+	}
+	if e := qr.Entries[0]; e.Err == nil || e.Measure != nil || e.Res == nil {
+		t.Fatalf("absent source hyperedge must fail its entry, got %+v", e)
 	}
 	after := svc.MeasureCacheStats()
 	if after.Entries != before.Entries {
@@ -291,8 +269,8 @@ func TestMeasureErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPMeasuresEndpoint exercises the new sweep endpoint and the
-// registry listing end to end.
+// TestHTTPMeasuresEndpoint exercises measure sweeps over /v2/query and
+// the registry listing end to end.
 func TestHTTPMeasuresEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
@@ -309,95 +287,27 @@ func TestHTTPMeasuresEndpoint(t *testing.T) {
 		}
 	}
 
-	var sweep struct {
-		Measure string `json:"measure"`
-		Results []struct {
-			S      int  `json:"s"`
-			Cached bool `json:"cached"`
-			Nodes  int  `json:"nodes"`
-			Value  struct {
-				Scalar *float64 `json:"scalar"`
-			} `json:"value"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=components",
-		nil, http.StatusOK, &sweep)
+	var sweep queryResponseJSON
+	body := `{"dataset":"paper","s":"1:3","measure":"components"}`
+	postQuery(t, ts, body, http.StatusOK, &sweep)
 	if len(sweep.Results) != 3 || sweep.Measure != "components" {
 		t.Fatalf("sweep response: %+v", sweep)
 	}
 	for i, r := range sweep.Results {
-		if r.S != i+1 || r.Value.Scalar == nil {
+		if r.S != i+1 || r.Value == nil || r.Value.Scalar == nil || r.Cached {
 			t.Fatalf("sweep result %d: %+v", i, r)
 		}
 	}
 	// Repeat: all cached.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=components",
-		nil, http.StatusOK, &sweep)
+	postQuery(t, ts, body, http.StatusOK, &sweep)
 	for _, r := range sweep.Results {
-		if !r.Cached {
+		if !r.Cached || !r.ProjectionCached {
 			t.Fatalf("repeat sweep s=%d not cached", r.S)
 		}
 	}
 	// Failure modes.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=1:3&measure=nope", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?measure=components", nil, http.StatusBadRequest, nil)
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/ghost/measures?s=1&measure=components", nil, http.StatusNotFound, nil)
-	// Parameterized measure over HTTP.
-	var dist struct {
-		Results []struct {
-			Value struct {
-				Ints []int32 `json:"ints"`
-			} `json:"value"`
-		} `json:"results"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/measures?s=2&measure=distances&source=0",
-		nil, http.StatusOK, &dist)
-	if len(dist.Results) != 1 || len(dist.Results[0].Value.Ints) == 0 {
-		t.Fatalf("distances sweep: %+v", dist)
-	}
-}
-
-// TestHTTPCentralityKinds pins the centrality endpoint's registry
-// wiring: the three newly exposed kinds work, and an unknown kind is a
-// 400 listing the valid kinds — never a silent default.
-func TestHTTPCentralityKinds(t *testing.T) {
-	ts, _ := newTestServer(t)
-	uploadPaper(t, ts)
-	var cent struct {
-		Cached bool `json:"cached"`
-		Result struct {
-			Kind   string    `json:"kind"`
-			Scores []float64 `json:"scores"`
-		} `json:"result"`
-	}
-	for _, kind := range []string{"betweenness", "closeness", "harmonic", "pagerank", "eccentricity"} {
-		do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind="+kind,
-			nil, http.StatusOK, &cent)
-		if cent.Result.Kind != kind || len(cent.Result.Scores) == 0 {
-			t.Fatalf("centrality %s: %+v", kind, cent.Result)
-		}
-	}
-	// Default kind is betweenness.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2", nil, http.StatusOK, &cent)
-	if cent.Result.Kind != "betweenness" {
-		t.Fatalf("default kind = %q", cent.Result.Kind)
-	}
-	// Unknown kind: 400 with the menu.
-	var errBody struct {
-		Error string `json:"error"`
-	}
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=closness",
-		nil, http.StatusBadRequest, &errBody)
-	for _, want := range []string{"closeness", "eccentricity", "pagerank"} {
-		if !strings.Contains(errBody.Error, want) {
-			t.Fatalf("unknown-kind error must list %q: %s", want, errBody.Error)
-		}
-	}
-	// Legacy endpoints share the measure cache: a repeat is cached.
-	do(t, http.MethodGet, ts.URL+"/v1/datasets/paper/centrality?s=2&kind=closeness",
-		nil, http.StatusOK, &cent)
-	if !cent.Cached {
-		t.Fatal("repeated centrality must be served from the measure cache")
-	}
+	postQuery(t, ts, `{"dataset":"paper","s":"1:3","measure":"nope"}`, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"paper","measure":"components"}`, http.StatusBadRequest, nil)
+	postQuery(t, ts, `{"dataset":"ghost","s":[1],"measure":"components"}`, http.StatusNotFound, nil)
+	postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"pagerank","params":{"damping":"7"}}`, http.StatusBadRequest, nil)
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -24,21 +23,17 @@ func autoCfg() core.PipelineConfig {
 func TestAutoKnobsShareCacheWithPinned(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	ctx := context.Background()
 
 	// Pinned default computes...
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, core.PipelineConfig{}); err != nil || cached {
-		t.Fatalf("pinned first query: cached=%v err=%v, want fresh compute", cached, err)
+	if mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0].Cached {
+		t.Fatal("pinned first query: want fresh compute")
 	}
 	// ...and the auto twin must hit the same entry.
-	res, cached, err := svc.SLineGraph(ctx, "h", 2, autoCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
+	e := mustQuery(t, svc, lineQ("h", autoCfg(), 2)).Entries[0]
+	if !e.Cached {
 		t.Fatal("planner-chosen query missed the entry its pinned twin cached")
 	}
-	if res == nil || res.Graph.NumEdges() == 0 {
+	if e.Res == nil || e.Res.Graph.NumEdges() == 0 {
 		t.Fatal("shared result is empty")
 	}
 
@@ -46,15 +41,15 @@ func TestAutoKnobsShareCacheWithPinned(t *testing.T) {
 	// resolved key, which the pinned twin hits.
 	svc2 := New(Config{})
 	svc2.Add("h", paperExample())
-	first, cached, err := svc2.SLineGraph(ctx, "h", 2, autoCfg())
-	if err != nil || cached {
-		t.Fatalf("auto first query: cached=%v err=%v, want fresh compute", cached, err)
+	first := mustQuery(t, svc2, lineQ("h", autoCfg(), 2)).Entries[0]
+	if first.Cached {
+		t.Fatal("auto first query: want fresh compute")
 	}
-	if first.Plan.KnobReason == "" {
+	if first.Res.Plan.KnobReason == "" {
 		t.Fatal("auto-planned result carries no knob reason")
 	}
-	if _, cached, err = svc2.SLineGraph(ctx, "h", 2, core.PipelineConfig{}); err != nil || !cached {
-		t.Fatalf("pinned query after auto: cached=%v err=%v, want hit", cached, err)
+	if !mustQuery(t, svc2, lineQ("h", core.PipelineConfig{}, 2)).Entries[0].Cached {
+		t.Fatal("pinned query after auto: want hit")
 	}
 }
 
@@ -64,20 +59,19 @@ func TestAutoKnobsShareCacheWithPinned(t *testing.T) {
 func TestAutoKnobsSplitFromOtherPinned(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	ctx := context.Background()
 
 	asc := core.PipelineConfig{Core: core.Config{Relabel: hg.RelabelAscending}}
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, asc); err != nil || cached {
-		t.Fatalf("pinned-ascending first query: cached=%v err=%v", cached, err)
+	if mustQuery(t, svc, lineQ("h", asc, 2)).Entries[0].Cached {
+		t.Fatal("pinned-ascending first query: want fresh compute")
 	}
 	// Auto resolves to RelabelNone here, so it must NOT hit the
 	// ascending entry.
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, autoCfg()); err != nil || cached {
-		t.Fatalf("auto query after pinned-ascending: cached=%v err=%v, want split (fresh compute)", cached, err)
+	if mustQuery(t, svc, lineQ("h", autoCfg(), 2)).Entries[0].Cached {
+		t.Fatal("auto query after pinned-ascending: want split (fresh compute)")
 	}
 	// And the ascending entry is still there.
-	if _, cached, err := svc.SLineGraph(ctx, "h", 2, asc); err != nil || !cached {
-		t.Fatalf("pinned-ascending repeat: cached=%v err=%v, want hit", cached, err)
+	if !mustQuery(t, svc, lineQ("h", asc, 2)).Entries[0].Cached {
+		t.Fatal("pinned-ascending repeat: want hit")
 	}
 }
 
@@ -88,17 +82,13 @@ func TestAutoKnobsSplitFromOtherPinned(t *testing.T) {
 func TestMeasureCacheSharesResolvedKeys(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	ctx := context.Background()
 
-	if _, err := svc.Measure(ctx, "h", false, 2, core.PipelineConfig{}, "components", nil); err != nil {
-		t.Fatal(err)
-	}
-	mr, err := svc.Measure(ctx, "h", false, 2, autoCfg(), "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mr.Cached {
-		t.Fatal("planner-chosen measure query missed the value its pinned twin cached")
+	q := lineQ("h", core.PipelineConfig{}, 2)
+	q.Measure = "components"
+	mustQuery(t, svc, q)
+	q.Cfg = autoCfg()
+	if e := mustQuery(t, svc, q).Entries[0]; !e.Cached || e.Res != nil {
+		t.Fatalf("planner-chosen measure query missed the value its pinned twin cached: %+v", e)
 	}
 }
 
@@ -107,7 +97,6 @@ func TestMeasureCacheSharesResolvedKeys(t *testing.T) {
 func TestCalibrationLifecycle(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	ctx := context.Background()
 
 	info, err := svc.Calibration("h")
 	if err != nil {
@@ -117,12 +106,8 @@ func TestCalibrationLifecycle(t *testing.T) {
 		t.Fatalf("fresh dataset has calibration: %+v", info)
 	}
 
-	if _, _, err := svc.SLineGraphs(ctx, "h", []int{2, 3}, core.PipelineConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := svc.SCliqueGraph(ctx, "h", 1, core.PipelineConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2, 3))
+	mustQuery(t, svc, cliqueQ("h", core.PipelineConfig{}, 1))
 	info, err = svc.Calibration("h")
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +151,7 @@ func TestCostsEndpoint(t *testing.T) {
 		t.Fatalf("fresh costs = %+v, want empty tables", fresh)
 	}
 
-	if _, _, err := svc.SLineGraph(context.Background(), "paper", 2, core.PipelineConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, lineQ("paper", core.PipelineConfig{}, 2))
 	var after struct {
 		Line []costCellJSON `json:"line"`
 	}

@@ -7,10 +7,10 @@ import (
 	"hyperline/internal/measure"
 )
 
-// QueryRequest is the serve-level form of the v2 unified query: one
+// QueryRequest is the serve-level form of the unified query: one
 // dataset, one orientation, an s-list, an optional Stage-5 measure, and
 // the pipeline configuration. It is the single request shape behind
-// POST /v2/query, Session.Execute, and the v1 compatibility wrappers.
+// POST /v2/query and Session.Execute.
 type QueryRequest struct {
 	// Dataset names a registered dataset.
 	Dataset string
@@ -20,8 +20,8 @@ type QueryRequest struct {
 	// core.ValidateSValues; duplicates collapse, results are ordered by
 	// ascending distinct s).
 	S []int
-	// Cfg is the pipeline configuration (options fingerprint drives the
-	// cache keys exactly as in the v1 paths).
+	// Cfg is the pipeline configuration; its output-relevant options
+	// (core.PipelineConfig.Fingerprint) are part of the cache keys.
 	Cfg core.PipelineConfig
 	// Measure optionally names a registered Stage-5 measure to
 	// evaluate on every projection of the sweep.
@@ -29,12 +29,6 @@ type QueryRequest struct {
 	// Params are the measure's raw parameters (validated against its
 	// schema before any pipeline work runs).
 	Params map[string]string
-	// FailFast makes the first per-s measure error fail the whole
-	// query instead of being recorded on its entry — the v1 sweep
-	// semantics. Without it a sweep whose measure is unsatisfiable at
-	// every s would still evaluate all of them just to report per-s
-	// errors nobody reads.
-	FailFast bool
 	// Priority classifies the query's Stage-3 work for admission
 	// control. The zero value is PriorityInteractive (may wait in the
 	// bounded admission queue); PriorityBackground marks deferrable
@@ -79,15 +73,16 @@ type QueryResult struct {
 	Version uint64
 }
 
-// Query executes one unified v2 request: validation first (a typo
-// fails in microseconds, before any pipeline work), then one batched
-// planner-driven pass for the uncached projections, then — when a
-// measure is named — one cached, deduplicated measure evaluation per
-// s. Cancellation is cooperative end to end: a cancelled ctx aborts
-// the pipeline within a bounded latency and Query returns ctx.Err(),
-// unless concurrent identical requests still wait on the shared
-// computation (singleflight keeps the flight alive for them and the
-// result is still cached).
+// Query executes one unified request, and is the one place validation,
+// knob resolution, cache probes, singleflight, admission and metrics
+// are applied: validation first (a typo fails in microseconds, before
+// any pipeline work), then one batched planner-driven pass for the
+// uncached projections, then — when a measure is named — one cached,
+// deduplicated measure evaluation per s. Cancellation is cooperative
+// end to end: a cancelled ctx aborts the pipeline within a bounded
+// latency and Query returns ctx.Err(), unless concurrent identical
+// requests still wait on the shared computation (singleflight keeps the
+// flight alive for them and the result is still cached).
 func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -116,15 +111,14 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Resolve planner-driven auto knobs once, up front: the measure
-	// cache keys below embed the configuration fingerprint, so they
+	// Resolve planner-driven auto knobs once, before any key is derived:
+	// both caches are probed under the configuration fingerprint, so it
 	// must name the concrete knobs the pipeline would run, or a
 	// planner-chosen query would miss the entries its pinned twin
-	// cached. projectBatchAt resolves again — idempotently — for
-	// callers that skip Query.
-	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, core.DistinctS(q.S), q.Cfg)
-
+	// cached.
 	distinct := core.DistinctS(q.S)
+	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, distinct, q.Cfg)
+
 	out := &QueryResult{Entries: make([]QueryEntry, len(distinct)), Version: version}
 	index := make(map[int]int, len(distinct))
 	for i, sVal := range distinct {
@@ -170,13 +164,9 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 			mr, err := s.measureOne(ctx, mk, m, p, q.Cfg, projs[sVal], projCached[sVal])
 			if err != nil {
 				// Cancellation fails the query; anything else is a
-				// per-s outcome (the other s values still answer)
-				// unless the caller asked for v1 fail-fast.
+				// per-s outcome (the other s values still answer).
 				if cerr := ctx.Err(); cerr != nil {
 					return nil, cerr
-				}
-				if q.FailFast {
-					return nil, err
 				}
 				out.Entries[i].Err = err
 				continue

@@ -8,15 +8,15 @@
 // applications repeatedly query the same hypergraph at many s values —
 // so the unit of caching is one materialized projection
 // (core.PipelineResult), and multi-s batches are first-class requests:
-// SLineGraphs/SCliqueGraphs (and Warmup on top of them) collect the
-// uncached s values of a batch and run them as one core.RunBatch call,
-// letting the planner decide whether a single ensemble counting pass or
-// per-s passes serve the batch. Results are immutable by convention:
-// every cache reader receives the same pointer, and the s-measures of
-// Stage 5 only read the graph.
+// Query collects the uncached s values of a request and runs them as
+// one core.RunBatch call, letting the planner decide whether a single
+// ensemble counting pass or per-s passes serve the batch. Results are
+// immutable by convention: every cache reader receives the same
+// pointer, and the s-measures of Stage 5 only read the graph.
 //
-// cmd/hyperlined exposes this package over HTTP/JSON; hyperline.Session
-// exposes it to library users.
+// Query and Ingest are the only compute entries. cmd/hyperlined exposes
+// them over HTTP/JSON (POST /v2/query, POST /v2/ingest);
+// hyperline.Session exposes Query to library users.
 package serve
 
 import (
@@ -49,7 +49,7 @@ type Config struct {
 	ShedCostBudget int64
 	// MaxQueue bounds how many interactive requests may wait for
 	// admission before further ones are shed (0 = a small default).
-	// Background work (warmup) never queues.
+	// Background-priority work never queues.
 	MaxQueue int
 	// MaxInflightPerDataset bounds concurrently admitted Stage-3
 	// passes per dataset (0 = unlimited). A dataset at its quota sheds
@@ -199,8 +199,6 @@ func (s *Service) Calibration(name string) (CalibrationInfo, error) {
 // longer the registry's current version (a concurrent replacement), the
 // stats are recomputed from the snapshot and calibration is skipped:
 // the new version's table says nothing about this hypergraph.
-// Idempotent — both Query and projectBatchAt call it, whichever comes
-// first does the work.
 func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, sValues []int, cfg core.PipelineConfig) core.PipelineConfig {
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
@@ -229,34 +227,6 @@ func key(name string, version uint64, dual bool, sVal int, cfg core.PipelineConf
 	return fmt.Sprintf("%s@%d/%s/s=%d/%s", name, version, orient, sVal, cfg.Fingerprint())
 }
 
-// SLineGraph returns the s-line graph of the named dataset, serving
-// from the cache when possible. cached reports whether Stages 1-4 were
-// skipped (a cache hit, or a concurrent identical request's result was
-// shared via singleflight). A cancelled ctx aborts cooperatively with
-// ctx.Err() unless another caller still waits on the same computation,
-// in which case the computation finishes (and is cached) without this
-// caller.
-func (s *Service) SLineGraph(ctx context.Context, name string, sVal int, cfg core.PipelineConfig) (res *core.PipelineResult, cached bool, err error) {
-	return s.project(ctx, name, false, sVal, cfg)
-}
-
-// SCliqueGraph returns the s-clique graph (the s-line graph of the dual
-// hypergraph) of the named dataset, serving from the cache when
-// possible.
-func (s *Service) SCliqueGraph(ctx context.Context, name string, sVal int, cfg core.PipelineConfig) (res *core.PipelineResult, cached bool, err error) {
-	return s.project(ctx, name, true, sVal, cfg)
-}
-
-// project serves a single-s request as a batch of one, sharing the
-// batch path's cache probes, singleflight, and cancellation semantics.
-func (s *Service) project(ctx context.Context, name string, dual bool, sVal int, cfg core.PipelineConfig) (*core.PipelineResult, bool, error) {
-	results, cached, err := s.projectBatch(ctx, name, dual, []int{sVal}, cfg, PriorityInteractive)
-	if err != nil {
-		return nil, false, err
-	}
-	return results[sVal], cached[sVal], nil
-}
-
 // batchFlight is a batch flight outcome: per-s results plus which of
 // them the flight found already cached.
 type batchFlight struct {
@@ -264,52 +234,18 @@ type batchFlight struct {
 	hits    map[int]bool
 }
 
-// SLineGraphs returns the s-line graphs of the named dataset for every
-// distinct s in sValues as one batched request: cached projections are
-// served as-is and the remaining s values run through the planner as a
-// single core.RunBatch pass. cached[s] reports whether Stages 1-4 were
+// projectBatchAt serves the projections of distinct (validated,
+// deduplicated, ascending s values) against the dataset snapshot Query
+// pinned (hypergraph + version) under the configuration Query resolved:
+// every cache key it derives refers to that version and those concrete
+// knobs, so one response never mixes versions even if the dataset is
+// concurrently replaced. cached[s] reports whether Stages 1-4 were
 // skipped for that s (a cache hit, or a concurrent identical batch's
 // result was shared via singleflight).
-func (s *Service) SLineGraphs(ctx context.Context, name string, sValues []int, cfg core.PipelineConfig) (results map[int]*core.PipelineResult, cached map[int]bool, err error) {
-	return s.projectBatch(ctx, name, false, sValues, cfg, PriorityInteractive)
-}
-
-// SCliqueGraphs returns the s-clique graphs (s-line graphs of the dual
-// hypergraph) of the named dataset for every distinct s in sValues,
-// batched and cached like SLineGraphs.
-func (s *Service) SCliqueGraphs(ctx context.Context, name string, sValues []int, cfg core.PipelineConfig) (results map[int]*core.PipelineResult, cached map[int]bool, err error) {
-	return s.projectBatch(ctx, name, true, sValues, cfg, PriorityInteractive)
-}
-
-func (s *Service) projectBatch(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
-	h, version, err := s.reg.Get(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.projectBatchAt(ctx, h, version, name, dual, sValues, cfg, pri)
-}
-
-// projectBatchAt is projectBatch against an explicitly pinned dataset
-// snapshot (hypergraph + version): every cache key it derives refers to
-// that version, so callers that already resolved the registry (the
-// measure engine, which must not mix versions within one sweep) stay
-// consistent even if the dataset is concurrently replaced.
-func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, sValues []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
-	if len(sValues) == 0 {
-		return nil, nil, fmt.Errorf("serve: at least one s value is required")
-	}
-	for _, sVal := range sValues {
-		if sVal < 1 {
-			return nil, nil, fmt.Errorf("serve: s must be >= 1, got %d", sVal)
-		}
-	}
-	// Resolve auto knobs before any key is derived: the cache must be
-	// probed under the concrete configuration the pipeline runs.
-	cfg = s.resolveAt(h, version, name, dual, sValues, cfg)
+func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
 	if dual {
 		h = h.Dual()
 	}
-	distinct := core.DistinctS(sValues)
 	results := make(map[int]*core.PipelineResult, len(distinct))
 	cached := make(map[int]bool, len(distinct))
 	missing := make([]int, 0, len(distinct))
@@ -390,30 +326,4 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 		cached[sVal] = shared || bf.hits[sVal]
 	}
 	return results, cached, nil
-}
-
-// Warmup precomputes the s-sweep for the named dataset and seeds the
-// cache, so subsequent queries for any swept s are hits. Already-cached
-// s values are skipped; the rest run as one batched planner-driven pass
-// (a single Algorithm 3 ensemble count when its memory is affordable,
-// per-s passes otherwise — pinned configurations keep their strategy).
-// It returns the number of results computed and the number of distinct
-// requested s values that were already cached.
-//
-// Warmup work is admitted at background priority: when the server is
-// saturated it is shed immediately (ErrSaturated) rather than queued,
-// so cache seeding can never starve interactive queries.
-func (s *Service) Warmup(ctx context.Context, name string, dual bool, sValues []int, cfg core.PipelineConfig) (computed, alreadyHot int, err error) {
-	_, cached, err := s.projectBatch(ctx, name, dual, sValues, cfg, PriorityBackground)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, hit := range cached {
-		if hit {
-			alreadyHot++
-		} else {
-			computed++
-		}
-	}
-	return computed, alreadyHot, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -39,8 +40,8 @@ func randomHypergraph(seed int64, edges, vertices, meanSize int) *hg.Hypergraph 
 
 func TestUnknownDataset(t *testing.T) {
 	svc := New(Config{})
-	if _, _, err := svc.SLineGraph(context.Background(), "nope", 2, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for unknown dataset")
+	if _, err := svc.Query(context.Background(), lineQ("nope", core.PipelineConfig{}, 2)); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("want ErrUnknownDataset, got %v", err)
 	}
 	if _, err := svc.Stats("nope"); err == nil {
 		t.Fatal("want error for unknown dataset stats")
@@ -50,11 +51,14 @@ func TestUnknownDataset(t *testing.T) {
 func TestRejectsBadS(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	if _, _, err := svc.SLineGraph(context.Background(), "h", 0, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for s=0")
-	}
-	if _, _, err := svc.Warmup(context.Background(), "h", false, []int{2, 0}, core.PipelineConfig{}); err == nil {
-		t.Fatal("want error for warmup with s=0")
+	for _, sValues := range [][]int{nil, {0}, {2, 0}} {
+		for _, pri := range []Priority{PriorityInteractive, PriorityBackground} {
+			q := lineQ("h", core.PipelineConfig{}, sValues...)
+			q.Priority = pri
+			if _, err := svc.Query(context.Background(), q); err == nil {
+				t.Fatalf("want error for s=%v (priority %v)", sValues, pri)
+			}
+		}
 	}
 }
 
@@ -63,28 +67,22 @@ func TestRepeatedQueryHitsCache(t *testing.T) {
 	svc.Add("h", paperExample())
 	cfg := core.PipelineConfig{}
 
-	r1, cached, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
+	e1 := mustQuery(t, svc, lineQ("h", cfg, 2)).Entries[0]
+	if e1.Cached {
 		t.Fatal("first request must be a miss")
 	}
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
+	e2 := mustQuery(t, svc, lineQ("h", cfg, 2)).Entries[0]
+	if !e2.Cached {
 		t.Fatal("second request must be a hit")
 	}
-	if r1 != r2 {
+	if e1.Res != e2.Res {
 		t.Fatal("cache hit must return the identical result pointer")
 	}
-	direct, _ := core.Run(context.Background(), paperExample(), 2, cfg)
-	if !reflect.DeepEqual(r2.Graph.Edges(), direct.Graph.Edges()) {
+	want := direct(t, paperExample(), 2, cfg)
+	if !reflect.DeepEqual(e2.Res.Graph.Edges(), want.Graph.Edges()) {
 		t.Fatal("cached edges differ from a direct pipeline run")
 	}
-	if !reflect.DeepEqual(r2.HyperedgeIDs, direct.HyperedgeIDs) {
+	if !reflect.DeepEqual(e2.Res.HyperedgeIDs, want.HyperedgeIDs) {
 		t.Fatal("cached hyperedge IDs differ from a direct pipeline run")
 	}
 }
@@ -92,18 +90,12 @@ func TestRepeatedQueryHitsCache(t *testing.T) {
 func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	r1, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0]
 	// Same request with different worker count / store: same entry.
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{
+	e2 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{
 		Core: core.Config{Workers: 3, Store: core.TLSHash},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || r1 != r2 {
+	}, 2)).Entries[0]
+	if !e2.Cached || e1.Res != e2.Res {
 		t.Fatal("requests differing only in execution knobs must share a cache entry")
 	}
 }
@@ -111,7 +103,7 @@ func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 // TestConcurrentIdenticalRequests is the headline concurrency test: N
 // goroutines requesting the same (dataset, s) must all receive the
 // pointer-identical cached result, whose edges are byte-identical to a
-// direct SLineGraph pipeline call. Run under -race in CI.
+// direct pipeline run. Run under -race in CI.
 func TestConcurrentIdenticalRequests(t *testing.T) {
 	h := randomHypergraph(7, 400, 300, 6)
 	svc := New(Config{})
@@ -127,12 +119,12 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			res, _, err := svc.SLineGraph(context.Background(), "rand", 2, cfg)
+			qr, err := svc.Query(context.Background(), lineQ("rand", cfg, 2))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			results[i] = qr.Entries[0].Res
 		}(i)
 	}
 	start.Done()
@@ -143,8 +135,7 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("goroutine %d got a different result pointer", i)
 		}
 	}
-	direct, _ := core.Run(context.Background(), h, 2, cfg)
-	if !reflect.DeepEqual(results[0].Graph.Edges(), direct.Graph.Edges()) {
+	if !reflect.DeepEqual(results[0].Graph.Edges(), direct(t, h, 2, cfg).Graph.Edges()) {
 		t.Fatal("shared result edges differ from a direct pipeline run")
 	}
 	if st := svc.CacheStats(); st.Entries != 1 {
@@ -166,14 +157,9 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				sVal := 1 + (g+i)%4
-				var err error
-				if g%2 == 0 {
-					_, _, err = svc.SLineGraph(context.Background(), "rand", sVal, cfg)
-				} else {
-					_, _, err = svc.SCliqueGraph(context.Background(), "rand", sVal, cfg)
-				}
-				if err != nil {
+				q := lineQ("rand", cfg, 1+(g+i)%4)
+				q.Dual = g%2 != 0
+				if _, err := svc.Query(context.Background(), q); err != nil {
 					t.Error(err)
 					return
 				}
@@ -184,81 +170,81 @@ func TestConcurrentMixedRequests(t *testing.T) {
 
 	// Every distinct projection must equal its direct computation.
 	for sVal := 1; sVal <= 4; sVal++ {
-		res, _, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, _ := core.Run(context.Background(), h, sVal, cfg)
-		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
+		res := mustQuery(t, svc, lineQ("rand", cfg, sVal)).Entries[0].Res
+		if !reflect.DeepEqual(res.Graph.Edges(), direct(t, h, sVal, cfg).Graph.Edges()) {
 			t.Fatalf("s=%d: cached line graph differs from direct run", sVal)
 		}
-		dres, _, err := svc.SCliqueGraph(context.Background(), "rand", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ddirect, _ := core.Run(context.Background(), h.Dual(), sVal, cfg)
-		if !reflect.DeepEqual(dres.Graph.Edges(), ddirect.Graph.Edges()) {
+		dres := mustQuery(t, svc, cliqueQ("rand", cfg, sVal)).Entries[0].Res
+		if !reflect.DeepEqual(dres.Graph.Edges(), direct(t, h.Dual(), sVal, cfg).Graph.Edges()) {
 			t.Fatalf("s=%d: cached clique graph differs from direct dual run", sVal)
 		}
 	}
 }
 
-func TestWarmupSeedsCacheIdenticalToDirect(t *testing.T) {
+// countCached reports how many entries of a result were served without
+// running Stages 1-4.
+func countCached(qr *QueryResult) (hot int) {
+	for _, e := range qr.Entries {
+		if e.Cached {
+			hot++
+		}
+	}
+	return hot
+}
+
+// TestBackgroundSweepSeedsCacheIdenticalToDirect: the warmup recipe is a
+// background-priority sweep — it computes every projection once, seeds
+// the per-s entries single-s queries hit, and a repeat finds all hot.
+func TestBackgroundSweepSeedsCacheIdenticalToDirect(t *testing.T) {
 	h := randomHypergraph(3, 200, 150, 5)
 	svc := New(Config{})
 	svc.Add("rand", h)
 	cfg := core.PipelineConfig{}
 
 	sweep := []int{1, 2, 3, 4}
-	computed, hot, err := svc.Warmup(context.Background(), "rand", false, sweep, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed != len(sweep) || hot != 0 {
-		t.Fatalf("warmup computed %d results (hot %d), want %d, 0", computed, hot, len(sweep))
+	warm := lineQ("rand", cfg, sweep...)
+	warm.Priority = PriorityBackground
+	if hot := countCached(mustQuery(t, svc, warm)); hot != 0 {
+		t.Fatalf("first sweep found %d of %d projections hot, want 0", hot, len(sweep))
 	}
 	for _, sVal := range sweep {
-		res, cached, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
+		e := mustQuery(t, svc, lineQ("rand", cfg, sVal)).Entries[0]
+		if !e.Cached {
+			t.Fatalf("s=%d: query after the warming sweep must be a cache hit", sVal)
 		}
-		if !cached {
-			t.Fatalf("s=%d: query after warmup must be a cache hit", sVal)
-		}
-		direct, _ := core.Run(context.Background(), h, sVal, cfg)
-		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
+		want := direct(t, h, sVal, cfg)
+		if !reflect.DeepEqual(e.Res.Graph.Edges(), want.Graph.Edges()) {
 			t.Fatalf("s=%d: warmed ensemble edges differ from direct Algorithm 2 run", sVal)
 		}
-		if !reflect.DeepEqual(res.HyperedgeIDs, direct.HyperedgeIDs) {
+		if !reflect.DeepEqual(e.Res.HyperedgeIDs, want.HyperedgeIDs) {
 			t.Fatalf("s=%d: warmed hyperedge IDs differ from direct run", sVal)
 		}
 	}
-	// A second warmup finds everything hot.
-	if computed, hot, err = svc.Warmup(context.Background(), "rand", false, sweep, cfg); err != nil || computed != 0 || hot != len(sweep) {
-		t.Fatalf("second warmup: computed=%d hot=%d err=%v, want 0, %d, nil", computed, hot, err, len(sweep))
+	if hot := countCached(mustQuery(t, svc, warm)); hot != len(sweep) {
+		t.Fatalf("second sweep found %d projections hot, want %d", hot, len(sweep))
+	}
+	if got := svc.projectionComputes.Load(); got != int64(len(sweep)) {
+		t.Fatalf("projection computes = %d, want %d", got, len(sweep))
 	}
 }
 
-// TestWarmupAlgorithm1RoutedPerS: a short-circuit Algorithm 1 warmup
-// (a distinct output class) flows through the same batch path as
+// TestSweepAlgorithm1RoutedPerS: a short-circuit Algorithm 1 sweep (a
+// distinct output class) flows through the same batch path as
 // everything else — the planner, not the serving layer, decides it must
 // run per s.
-func TestWarmupAlgorithm1RoutedPerS(t *testing.T) {
+func TestSweepAlgorithm1RoutedPerS(t *testing.T) {
 	h := paperExample()
 	svc := New(Config{})
 	svc.Add("h", h)
 	cfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSetIntersection}}
-	if _, _, err := svc.Warmup(context.Background(), "h", false, []int{1, 2}, cfg); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc, lineQ("h", cfg, 1, 2))
 	for _, sVal := range []int{1, 2} {
-		res, cached, err := svc.SLineGraph(context.Background(), "h", sVal, cfg)
-		if err != nil || !cached {
-			t.Fatalf("s=%d: want warmed hit, cached=%v err=%v", sVal, cached, err)
+		e := mustQuery(t, svc, lineQ("h", cfg, sVal)).Entries[0]
+		if !e.Cached {
+			t.Fatalf("s=%d: want a hit after the sweep", sVal)
 		}
-		direct, _ := core.Run(context.Background(), h, sVal, cfg)
-		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
-			t.Fatalf("s=%d: Algorithm 1 warmup differs from direct run", sVal)
+		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h, sVal, cfg).Graph.Edges()) {
+			t.Fatalf("s=%d: Algorithm 1 sweep differs from direct run", sVal)
 		}
 	}
 }
@@ -266,22 +252,16 @@ func TestWarmupAlgorithm1RoutedPerS(t *testing.T) {
 func TestDatasetReplacementInvalidates(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
-	r1, _, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0]
 	// Replace under the same name: the version bump must force a fresh
 	// computation.
 	svc.Add("h", hg.FromEdgeSlices([][]uint32{{0, 1, 2}, {0, 1, 2}}, 3))
-	r2, cached, err := svc.SLineGraph(context.Background(), "h", 2, core.PipelineConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached || r1 == r2 {
+	e2 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0]
+	if e2.Cached || e1.Res == e2.Res {
 		t.Fatal("replaced dataset must not serve the old cached result")
 	}
-	if r2.Graph.NumEdges() != 1 {
-		t.Fatalf("want 1 edge from replacement dataset, got %d", r2.Graph.NumEdges())
+	if e2.Res.Graph.NumEdges() != 1 {
+		t.Fatalf("want 1 edge from replacement dataset, got %d", e2.Res.Graph.NumEdges())
 	}
 }
 

@@ -161,9 +161,9 @@ func TestSpillChurnByteIdentical(t *testing.T) {
 	cfg := core.PipelineConfig{}
 
 	const maxS = 6
-	direct := make(map[int]*core.PipelineResult, maxS)
+	want := make(map[int]*core.PipelineResult, maxS)
 	for sVal := 1; sVal <= maxS; sVal++ {
-		direct[sVal], _ = core.Run(context.Background(), h, sVal, cfg)
+		want[sVal] = direct(t, h, sVal, cfg)
 	}
 
 	var wg sync.WaitGroup
@@ -173,16 +173,17 @@ func TestSpillChurnByteIdentical(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				sVal := 1 + (g+i)%maxS
-				res, _, err := svc.SLineGraph(context.Background(), "rand", sVal, cfg)
+				qr, err := svc.Query(context.Background(), lineQ("rand", cfg, sVal))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(res.Graph.Edges(), direct[sVal].Graph.Edges()) {
+				res := qr.Entries[0].Res
+				if !reflect.DeepEqual(res.Graph.Edges(), want[sVal].Graph.Edges()) {
 					t.Errorf("s=%d: churned answer differs from direct run", sVal)
 					return
 				}
-				if !reflect.DeepEqual(res.HyperedgeIDs, direct[sVal].HyperedgeIDs) {
+				if !reflect.DeepEqual(res.HyperedgeIDs, want[sVal].HyperedgeIDs) {
 					t.Errorf("s=%d: churned hyperedge IDs differ from direct run", sVal)
 					return
 				}
@@ -223,16 +224,11 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	svc1.Add("w", h)
 	want := make(map[int]*core.PipelineResult, len(sweep))
 	for _, sVal := range sweep {
-		res, _, err := svc1.SLineGraph(context.Background(), "w", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[sVal] = res
+		want[sVal] = mustQuery(t, svc1, lineQ("w", cfg, sVal)).Entries[0].Res
 	}
-	wantMeasure, err := svc1.Measure(context.Background(), "w", false, 2, cfg, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	measureQ := lineQ("w", cfg, 2)
+	measureQ.Measure = "components"
+	wantMeasure := mustQuery(t, svc1, measureQ).Entries[0].Measure
 	version := svc1.Datasets()[0].Version
 	if err := svc1.SaveState(stateDir); err != nil {
 		t.Fatal(err)
@@ -262,11 +258,9 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	// from disk), nothing recomputes, and the bytes match the pre-restart
 	// answers.
 	for _, sVal := range sweep {
-		res, cached, err := svc2.SLineGraph(context.Background(), "w", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cached {
+		e := mustQuery(t, svc2, lineQ("w", cfg, sVal)).Entries[0]
+		res := e.Res
+		if !e.Cached {
 			t.Fatalf("s=%d: first post-restart query must be served from the spill tier", sVal)
 		}
 		if !reflect.DeepEqual(res.Graph.Edges(), want[sVal].Graph.Edges()) {
@@ -285,10 +279,7 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	}
 
 	// Measures restore too, through their own codec.
-	m2, err := svc2.Measure(context.Background(), "w", false, 2, cfg, "components", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m2 := mustQuery(t, svc2, measureQ).Entries[0].Measure
 	if !m2.Cached {
 		t.Fatal("first post-restart measure must be served from the spill tier")
 	}
@@ -336,14 +327,8 @@ func TestPipelineDeterministicAcrossLoadStrategies(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.AlgoSetIntersection, core.AlgoHashmap, core.AlgoEnsemble} {
 		cfg := core.PipelineConfig{Core: core.Config{Algorithm: algo}}
 		for sVal := 1; sVal <= 3; sVal++ {
-			a, err := core.Run(context.Background(), loaded, sVal, cfg)
-			if err != nil {
-				t.Fatalf("algo=%d s=%d loaded: %v", algo, sVal, err)
-			}
-			b, err := core.Run(context.Background(), mapped, sVal, cfg)
-			if err != nil {
-				t.Fatalf("algo=%d s=%d mapped: %v", algo, sVal, err)
-			}
+			a := direct(t, loaded, sVal, cfg)
+			b := direct(t, mapped, sVal, cfg)
 			if !reflect.DeepEqual(a.Graph.Edges(), b.Graph.Edges()) {
 				t.Fatalf("algo=%d s=%d: mapped pipeline output differs from loaded", algo, sVal)
 			}

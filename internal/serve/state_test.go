@@ -32,15 +32,9 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 	svc1.Add("torn", paperExample())
 	want := make(map[int]*core.PipelineResult)
 	for _, sVal := range []int{1, 2} {
-		res, _, err := svc1.SLineGraph(context.Background(), "keep", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[sVal] = res
+		want[sVal] = mustQuery(t, svc1, lineQ("keep", cfg, sVal)).Entries[0].Res
 	}
-	if _, _, err := svc1.SLineGraph(context.Background(), "torn", 2, cfg); err != nil {
-		t.Fatal(err)
-	}
+	mustQuery(t, svc1, lineQ("torn", cfg, 2))
 	if err := svc1.SaveState(stateDir); err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +98,7 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 
 	// The surviving dataset still serves, byte-identical to pre-crash.
 	for _, sVal := range []int{1, 2} {
-		res, _, err := svc2.SLineGraph(context.Background(), "keep", sVal, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustQuery(t, svc2, lineQ("keep", cfg, sVal)).Entries[0].Res
 		if !reflect.DeepEqual(res.Graph.Edges(), want[sVal].Graph.Edges()) {
 			t.Fatalf("s=%d: post-crash answer differs from pre-crash run", sVal)
 		}
@@ -119,13 +110,11 @@ func TestRestoreSurvivesCrashMidSnapshot(t *testing.T) {
 	}
 
 	// The torn dataset is simply absent until re-registered.
-	if _, _, err := svc2.SLineGraph(context.Background(), "torn", 2, cfg); !errors.Is(err, ErrUnknownDataset) {
+	if _, err := svc2.Query(context.Background(), lineQ("torn", cfg, 2)); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("torn dataset: got %v, want ErrUnknownDataset", err)
 	}
 	svc2.Add("torn", paperExample())
-	if _, _, err := svc2.SLineGraph(context.Background(), "torn", 2, cfg); err != nil {
-		t.Fatalf("re-registered torn dataset must serve: %v", err)
-	}
+	mustQuery(t, svc2, lineQ("torn", cfg, 2)) // re-registered, it serves again
 
 	// The stray tmp files are swept, not accumulated forever.
 	for _, dir := range []string{stateDir, filepath.Join(stateDir, stateDatasetsDir)} {
@@ -165,7 +154,5 @@ func TestRestoreCorruptManifestColdStarts(t *testing.T) {
 		t.Fatalf("cold start restored %v, want none", names)
 	}
 	svc.Add("fresh", paperExample())
-	if _, _, err := svc.SLineGraph(context.Background(), "fresh", 2, core.PipelineConfig{}); err != nil {
-		t.Fatalf("service must serve after cold start: %v", err)
-	}
+	mustQuery(t, svc, lineQ("fresh", core.PipelineConfig{}, 2)) // serves after a cold start
 }

@@ -29,12 +29,10 @@ type PlanInfo = core.PlanInfo
 // StageTimings records wall-clock time per pipeline stage.
 type StageTimings = core.StageTimings
 
-// Query is the unified request object of the v2 API: one projection
-// family, an s-list, an optional Stage-5 measure, and the execution
-// options — the single shape behind Execute, Session.Execute, and the
-// hyperlined POST /v2/query endpoint. The four v1 call families
-// (top-level functions, Session methods, serve.Service, the v1 HTTP
-// endpoints) are thin wrappers over it.
+// Query is the unified request object: one projection family, an
+// s-list, an optional Stage-5 measure, and the execution options — the
+// single shape behind Execute, Session.Execute, and the hyperlined
+// POST /v2/query endpoint.
 type Query struct {
 	// Dataset names a Session-registered dataset. Only Session.Execute
 	// resolves it; exactly one of Dataset and Hypergraph must be set.
@@ -55,7 +53,7 @@ type Query struct {
 	// Params are the measure's parameters, validated against its
 	// schema before any pipeline work runs.
 	Params map[string]string
-	// Options are the execution options shared with the v1 API.
+	// Options are the execution options.
 	Options Options
 	// Deadline optionally bounds the whole query: past it the pipeline
 	// aborts cooperatively and Execute returns
@@ -256,37 +254,4 @@ func (s *Session) Execute(ctx context.Context, q Query) (*QueryResult, error) {
 		out.Entries[i] = QueryEntry{S: e.S, Result: e.Res, Measure: e.Measure, Cached: e.Cached, Err: e.Err}
 	}
 	return out, nil
-}
-
-// legacyBatch adapts the deprecated batch-shaped v1 functions onto
-// Execute, preserving their historical leniency: s values are clamped
-// to ≥ 1 rather than rejected, an empty list returns an empty map, and
-// lists beyond Execute's MaxSValues bound (a serving-layer DoS guard
-// the library API never had) run as successive chunks — per-s output
-// is independent of batch shape, so chunking is invisible. Execute
-// cannot otherwise fail for these inputs, so a non-nil error is a
-// programming error.
-func legacyBatch(h *Hypergraph, kind Kind, sValues []int, opt Options) map[int]*Result {
-	distinct := core.DistinctS(sValues) // clamps to ≥ 1 and dedupes
-	out := make(map[int]*Result, len(distinct))
-	for len(distinct) > 0 {
-		chunk := distinct
-		if len(chunk) > core.MaxSValues {
-			chunk = chunk[:core.MaxSValues]
-		}
-		distinct = distinct[len(chunk):]
-		qr, err := Execute(context.Background(), Query{
-			Hypergraph: h,
-			Kind:       kind,
-			S:          chunk,
-			Options:    opt,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("hyperline: legacy wrapper: %v", err))
-		}
-		for _, e := range qr.Entries {
-			out[e.S] = e.Result
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package hyperline_test
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -15,24 +16,43 @@ func sessionExample() *hyperline.Hypergraph {
 	}, 6)
 }
 
+// direct runs a one-s sessionless query and returns its projection —
+// the uncached reference the session results are compared against.
+func direct(t testing.TB, kind hyperline.Kind, s int, opt hyperline.Options) *hyperline.Result {
+	t.Helper()
+	qr, err := hyperline.Execute(context.Background(), hyperline.Query{
+		Hypergraph: sessionExample(), Kind: kind, S: []int{s}, Options: opt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qr.Entries[0].Result
+}
+
+// paperQuery is a line query for the given s values on the "paper"
+// dataset every session test registers.
+func paperQuery(s ...int) hyperline.Query {
+	return hyperline.Query{Dataset: "paper", S: s}
+}
+
 func TestSessionCachesAcrossCalls(t *testing.T) {
 	sess := hyperline.NewSession(hyperline.SessionOptions{})
 	sess.Add("paper", sessionExample())
 
-	r1, err := sess.SLineGraph("paper", 2, hyperline.Options{})
+	q1, err := sess.Execute(context.Background(), paperQuery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := sess.SLineGraph("paper", 2, hyperline.Options{})
+	q2, err := sess.Execute(context.Background(), paperQuery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
+	r1, r2 := q1.Entries[0], q2.Entries[0]
+	if r1.Cached || !r2.Cached || r1.Result != r2.Result {
 		t.Fatal("repeated query must return the cached result pointer")
 	}
-	direct := hyperline.SLineGraph(sessionExample(), 2, hyperline.Options{})
-	if !reflect.DeepEqual(r1.Graph.Edges(), direct.Graph.Edges()) {
-		t.Fatal("session result differs from direct SLineGraph call")
+	if !reflect.DeepEqual(r1.Result.Graph.Edges(), direct(t, hyperline.KindLine, 2, hyperline.Options{}).Graph.Edges()) {
+		t.Fatal("session result differs from the sessionless Execute")
 	}
 	st := sess.CacheStats()
 	if st.Hits < 1 || st.Entries != 1 {
@@ -51,12 +71,12 @@ func TestSessionConcurrentRequestsShareOneResult(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := sess.SLineGraph("paper", 2, hyperline.Options{})
+			qr, err := sess.Execute(context.Background(), paperQuery(2))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			results[i] = qr.Entries[0].Result
 		}(i)
 	}
 	wg.Wait()
@@ -67,70 +87,60 @@ func TestSessionConcurrentRequestsShareOneResult(t *testing.T) {
 	}
 }
 
-func TestSessionWarmupAndClique(t *testing.T) {
+// TestSessionBackgroundSweepWarmsCache: a background-priority sweep is
+// the warmup recipe — it computes every projection once, and the
+// interactive queries that follow are hits.
+func TestSessionBackgroundSweepWarmsCache(t *testing.T) {
 	sess := hyperline.NewSession(hyperline.SessionOptions{})
 	sess.Add("paper", sessionExample())
 
-	if n, err := sess.Warmup("paper", []int{1, 2, 3}, hyperline.Options{}); err != nil || n != 3 {
-		t.Fatalf("warmup: n=%d err=%v", n, err)
+	warm := paperQuery(1, 2, 3)
+	warm.Priority = hyperline.PriorityBackground
+	qr, err := sess.Execute(context.Background(), warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range qr.Entries {
+		if e.Cached {
+			t.Fatalf("s=%d: first sweep must compute, not hit", e.S)
+		}
 	}
 	for s := 1; s <= 3; s++ {
-		res, err := sess.SLineGraph("paper", s, hyperline.Options{})
+		got, err := sess.Execute(context.Background(), paperQuery(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := hyperline.SLineGraph(sessionExample(), s, hyperline.Options{})
-		if !reflect.DeepEqual(res.Graph.Edges(), direct.Graph.Edges()) {
-			t.Fatalf("s=%d: warmed result differs from direct call", s)
+		if e := got.Entries[0]; !e.Cached || e.Result != qr.Entries[s-1].Result {
+			t.Fatalf("s=%d: query after the warming sweep must hit its cached pointer", s)
 		}
-	}
-
-	clique, err := sess.SCliqueGraph("paper", 1, hyperline.Options{NoSqueeze: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hyperline.SCliqueGraph(sessionExample(), 1, hyperline.Options{NoSqueeze: true})
-	if !reflect.DeepEqual(clique.Graph.Edges(), want.Graph.Edges()) {
-		t.Fatal("session clique graph differs from direct call")
+		if !reflect.DeepEqual(got.Entries[0].Result.Graph.Edges(), direct(t, hyperline.KindLine, s, hyperline.Options{}).Graph.Edges()) {
+			t.Fatalf("s=%d: warmed result differs from the sessionless Execute", s)
+		}
 	}
 }
 
-func TestSessionBatchGraphs(t *testing.T) {
+func TestSessionCliqueAndBatch(t *testing.T) {
 	sess := hyperline.NewSession(hyperline.SessionOptions{})
 	sess.Add("paper", sessionExample())
 
-	sweep := []int{1, 2, 3}
-	batch, err := sess.SLineGraphs("paper", sweep, hyperline.Options{})
+	opt := hyperline.Options{NoSqueeze: true}
+	cliques, err := sess.Execute(context.Background(), hyperline.Query{
+		Dataset: "paper", Kind: hyperline.KindClique, S: []int{1, 2}, Options: opt,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch) != 3 {
-		t.Fatalf("batch returned %d results, want 3", len(batch))
+	if len(cliques.Entries) != 2 || cliques.Kind != hyperline.KindClique {
+		t.Fatalf("clique sweep returned %d entries of kind %q", len(cliques.Entries), cliques.Kind)
 	}
-	for _, s := range sweep {
-		direct := hyperline.SLineGraph(sessionExample(), s, hyperline.Options{})
-		if !reflect.DeepEqual(batch[s].Graph.Edges(), direct.Graph.Edges()) {
-			t.Fatalf("s=%d: batch result differs from direct call", s)
-		}
-		// The batch seeded the cache: single queries return the same
-		// pointer.
-		single, err := sess.SLineGraph("paper", s, hyperline.Options{})
-		if err != nil || single != batch[s] {
-			t.Fatalf("s=%d: single query after batch must hit the cached pointer (err=%v)", s, err)
+	for _, e := range cliques.Entries {
+		if !reflect.DeepEqual(e.Result.Graph.Edges(), direct(t, hyperline.KindClique, e.S, opt).Graph.Edges()) {
+			t.Fatalf("s=%d: session clique graph differs from the sessionless Execute", e.S)
 		}
 	}
 
-	cliques, err := sess.SCliqueGraphs("paper", []int{1, 2}, hyperline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := hyperline.SCliqueGraph(sessionExample(), 2, hyperline.Options{})
-	if !reflect.DeepEqual(cliques[2].Graph.Edges(), want.Graph.Edges()) {
-		t.Fatal("batched clique graph differs from direct call")
-	}
-
-	if _, err := sess.SLineGraphs("paper", nil, hyperline.Options{}); err == nil {
-		t.Fatal("empty batch must error")
+	if _, err := sess.Execute(context.Background(), paperQuery()); err == nil {
+		t.Fatal("empty s-list must error")
 	}
 }
 
@@ -148,7 +158,7 @@ func TestSessionLoadAndList(t *testing.T) {
 	if len(list) != 1 || list[0].Name != "disk" || list[0].Stats.NumEdges != 4 {
 		t.Fatalf("bad listing %+v", list)
 	}
-	if _, err := sess.SLineGraph("missing", 2, hyperline.Options{}); err == nil {
+	if _, err := sess.Execute(context.Background(), hyperline.Query{Dataset: "missing", S: []int{2}}); err == nil {
 		t.Fatal("unknown dataset must error")
 	}
 	if !sess.Remove("disk") {
