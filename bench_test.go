@@ -133,9 +133,12 @@ func BenchmarkTable2PageRank(b *testing.B) {
 	h := experiments.DisGeNetAnalog(1)
 	res := runAt(b, h, 10, core.PipelineConfig{})
 	b.ResetTimer()
+	iters := 0
 	for i := 0; i < b.N; i++ {
-		algo.PageRank(res.Graph, algo.PageRankOptions{})
+		_, iters = algo.PageRankIters(res.Graph, algo.PageRankOptions{})
 	}
+	// A kernel change must not win by converging differently.
+	b.ReportMetric(float64(iters), "iterations/op")
 }
 
 // ---- Figure 5: betweenness on the virology 5-line graph ----
@@ -162,9 +165,11 @@ func BenchmarkFig6Ensemble(b *testing.B) {
 func BenchmarkFig6Connectivity(b *testing.B) {
 	res := runAt(b, cond(), 8, core.PipelineConfig{})
 	b.ResetTimer()
+	iters := 0
 	for i := 0; i < b.N; i++ {
-		spectral.NormalizedAlgebraicConnectivity(res.Graph, spectral.Options{})
+		_, iters = spectral.NormalizedAlgebraicConnectivityIters(res.Graph, spectral.Options{})
 	}
+	b.ReportMetric(float64(iters), "iterations/op")
 }
 
 // ---- §V-C: the IMDB pipeline end to end ----
@@ -534,6 +539,42 @@ func BenchmarkStage4BuildSorted(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(edges))*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
 		})
+	}
+}
+
+// ---- Stage 5 at sweep grain: measure sweeps through Execute ----
+
+// BenchmarkStage5Sweep runs the measure-bundle benchmark workload's three
+// sweeps (Friendster ×1 analog, s=4:8) through Execute, at a budget of
+// one worker and of GOMAXPROCS. Execute also builds the five
+// projections; the "none" rows are that part alone, so a measure's
+// Stage-5 cost is its row minus the "none" row of the same budget.
+func BenchmarkStage5Sweep(b *testing.B) {
+	h := friend()
+	for _, measureName := range []string{"none", "components", "pagerank", "connectivity"} {
+		for _, workers := range []int{1, 0} {
+			name := measureName + "/workers=1"
+			if workers == 0 {
+				name = measureName + "/workers=GOMAXPROCS"
+			}
+			q := hyperline.Query{Hypergraph: h, S: []int{4, 5, 6, 7, 8}, Options: hyperline.Options{Workers: workers}}
+			if measureName != "none" {
+				q.Measure = measureName
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					qr, err := hyperline.Execute(context.Background(), q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, e := range qr.Entries {
+						if e.Err != nil {
+							b.Fatal(e.Err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -304,22 +304,31 @@ func timeoutDiag(start time.Time, completed, total int, timeout time.Duration, e
 // many s values finished evaluating, for partial-sweep diagnostics
 // when the context expires mid-sweep.
 func emitSweepTable(ctx context.Context, results map[int]*hyperline.Result, distinct []int, m measure.Measure, p measure.Params, top, workers int) (int, error) {
-	rows := make([]measure.SweepRow, 0, len(distinct))
-	for completed, sVal := range distinct {
-		res := results[sVal]
-		val, err := m.Compute(ctx, res, p, par.Options{Workers: workers})
-		if err != nil {
-			return completed, fmt.Errorf("s=%d: %w", sVal, err)
+	sweep := make([]*hyperline.Result, len(distinct))
+	for i, sVal := range distinct {
+		sweep[i] = results[sVal]
+	}
+	vals, errs := measure.ComputeSweep(ctx, m, p, sweep, par.Options{Workers: workers})
+	completed := 0
+	for _, err := range errs {
+		if err == nil {
+			completed++
 		}
-		rows = append(rows, measure.SweepRow{
-			S:            sVal,
+	}
+	rows := make([]measure.SweepRow, len(distinct))
+	for i, res := range sweep {
+		if errs[i] != nil {
+			return completed, fmt.Errorf("s=%d: %w", res.S, errs[i])
+		}
+		rows[i] = measure.SweepRow{
+			S:            res.S,
 			Nodes:        res.Graph.NumNodes(),
 			Edges:        res.Graph.NumEdges(),
 			HyperedgeIDs: res.HyperedgeIDs,
-			Value:        val,
-		})
+			Value:        vals[i],
+		}
 	}
-	return len(distinct), measure.WriteSweepTable(os.Stdout, m.Name(), p, top, rows)
+	return completed, measure.WriteSweepTable(os.Stdout, m.Name(), p, top, rows)
 }
 
 func printMetrics(res *hyperline.Result, metrics string, workers int) error {

@@ -32,57 +32,75 @@ func (o PageRankOptions) defaults() PageRankOptions {
 	return o
 }
 
-// PageRank computes the PageRank vector of an undirected graph by
-// parallel power iteration. Dangling (degree-0) nodes distribute their
-// mass uniformly. The result sums to 1. This backs the paper's Table II
-// experiment, which ranks diseases by PageRank in the clique expansion
-// and in higher-order s-clique graphs.
+// PageRank computes the PageRank vector of an undirected graph by power
+// iteration. Dangling (degree-0) nodes distribute their mass uniformly.
+// The result sums to 1. This backs the paper's Table II experiment,
+// which ranks diseases by PageRank in the clique expansion and in
+// higher-order s-clique graphs.
+//
+// Each iteration first writes every node's contribution
+// contrib[v] = rank[v] / deg(v) — one division per node, not one per
+// edge — then gathers next[u] = base + d·Σ contrib[v] over u's CSR row.
+// The gather is the only parallel loop (par.ForChunks: one worker is
+// one plain loop, no goroutine); s-sweeps get their parallelism across
+// s values instead (measure.EachS). The result is bit-identical for any
+// Workers/Grain/Strategy, the measures engine's determinism contract:
+// every next[u] is computed within one iteration from the same operands
+// in the same row order, and the L1 convergence delta is summed serially
+// in node order — per-worker partial sums would make the iteration
+// count, and therefore the result, depend on the partition.
 func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
+	rank, _ := PageRankIters(g, opt)
+	return rank
+}
+
+// PageRankIters is PageRank that also reports how many power iterations
+// ran, so a benchmark can tell a faster iteration from fewer of them.
+func PageRankIters(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
 	opt = opt.defaults()
 	n := g.NumNodes()
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
+	off, adj, _, _ := g.CSR()
 	rank := make([]float64, n)
 	next := make([]float64, n)
+	contrib := make([]float64, n)
 	inv := 1.0 / float64(n)
 	for u := range rank {
 		rank[u] = inv
 	}
-	diffs := make([]float64, n)
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		// Dangling (degree-0) mass redistributes uniformly.
+	iters := 0
+	for iters < opt.MaxIter {
+		iters++
+		// A degree-0 node contributes to no row (its contrib stays 0,
+		// never ±Inf/NaN); its mass redistributes uniformly.
 		var danglingMass float64
-		for u := 0; u < n; u++ {
-			if g.Degree(uint32(u)) == 0 {
-				danglingMass += rank[u]
+		for v, r := range rank {
+			if deg := off[v+1] - off[v]; deg != 0 {
+				contrib[v] = r / float64(deg)
+			} else {
+				danglingMass += r
 			}
 		}
 		base := (1-opt.Damping)*inv + opt.Damping*danglingMass*inv
-		par.For(n, opt.Par, func(_, u int) {
-			sum := 0.0
-			ids, _ := g.Neighbors(uint32(u))
-			for _, v := range ids {
-				sum += rank[v] / float64(g.Degree(v))
+		par.ForChunks(n, opt.Par, func(_, lo, hi int) {
+			for u := lo; u < hi; u++ {
+				sum := 0.0
+				for _, v := range adj[off[u]:off[u+1]] {
+					sum += contrib[v]
+				}
+				next[u] = base + opt.Damping*sum
 			}
-			nv := base + opt.Damping*sum
-			next[u] = nv
-			diffs[u] = math.Abs(nv - rank[u])
 		})
-		rank, next = next, rank
-		// The L1 convergence delta is summed serially in node order:
-		// per-worker partial sums would make the iteration count — and
-		// therefore the result — depend on how iterations were
-		// partitioned. With this, PageRank is bit-identical for any
-		// Workers/Grain/Strategy (the measures engine's determinism
-		// contract).
 		var delta float64
-		for _, d := range diffs {
-			delta += d
+		for u, nv := range next {
+			delta += math.Abs(nv - rank[u])
 		}
+		rank, next = next, rank
 		if delta < opt.Tol {
 			break
 		}
 	}
-	return rank
+	return rank, iters
 }

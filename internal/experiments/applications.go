@@ -10,8 +10,8 @@ import (
 	"hyperline/internal/algo"
 	"hyperline/internal/core"
 	"hyperline/internal/hg"
+	"hyperline/internal/measure"
 	"hyperline/internal/par"
-	"hyperline/internal/spectral"
 )
 
 // Fig2 prints the s-line graphs of the paper's running example
@@ -302,17 +302,23 @@ func Fig6(w io.Writer, scale Scale, workers int) Fig6Data {
 	}
 	opt := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoEnsemble, Workers: workers}}
 	results, _ := core.RunBatch(context.Background(), h, data.SValues, opt)
+	sweep := make([]*core.PipelineResult, len(data.SValues))
+	for i, s := range data.SValues {
+		sweep[i] = results[s]
+	}
+	// λ₂ of an edgeless projection is 0, so the whole ensemble goes
+	// through the sweep scheduler.
+	m, _ := measure.Get("connectivity")
+	vals, _ := measure.ComputeSweep(context.Background(), m, nil, sweep, par.Options{Workers: workers})
 	fmt.Fprintln(w, "Figure 6 analog — normalized algebraic connectivity, author-paper network")
-	for _, s := range data.SValues {
-		res := results[s]
-		lam := 0.0
+	for i, res := range sweep {
+		lam := *vals[i].Scalar
 		if res.Graph.NumEdges() > 0 {
-			lam = spectral.NormalizedAlgebraicConnectivity(res.Graph, spectral.Options{})
-			data.NonEmptyMaxS = s
+			data.NonEmptyMaxS = res.S
 		}
-		data.Connectivity[s] = lam
+		data.Connectivity[res.S] = lam
 		fmt.Fprintf(w, "  s=%-3d λ₂=%.4f (nodes=%d edges=%d)\n",
-			s, lam, res.Graph.NumNodes(), res.Graph.NumEdges())
+			res.S, lam, res.Graph.NumNodes(), res.Graph.NumEdges())
 	}
 	return data
 }

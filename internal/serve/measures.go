@@ -65,8 +65,7 @@ type measureFlight struct {
 // disconnected client neither aborts an evaluation other clients wait
 // on nor — when it disconnects before the evaluation starts — bumps
 // the compute counter.
-func (s *Service) measureOne(ctx context.Context, mk string, m measure.Measure, p measure.Params, cfg core.PipelineConfig, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
-	popt := par.Options{Workers: cfg.Core.Workers, Grain: cfg.Core.Grain, Strategy: cfg.Core.Partition}
+func (s *Service) measureOne(ctx context.Context, mk string, m measure.Measure, p measure.Params, popt par.Options, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
 	v, err, shared := s.msf.Do(ctx, mk, func(fctx context.Context) (any, error) {
 		// Re-probe under the flight: an identical request may have
 		// cached the value between our miss and this call

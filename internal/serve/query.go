@@ -5,6 +5,7 @@ import (
 
 	"hyperline/internal/core"
 	"hyperline/internal/measure"
+	"hyperline/internal/par"
 )
 
 // QueryRequest is the serve-level form of the unified query: one
@@ -157,22 +158,28 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, sVal := range missing {
-			i := index[sVal]
-			out.Entries[i].Res = projs[sVal]
+		// One evaluation per missing s, scheduled across the sweep;
+		// each writes only its own entry.
+		budget := par.Options{Workers: q.Cfg.Core.Workers, Grain: q.Cfg.Core.Grain, Strategy: q.Cfg.Core.Partition}
+		weight := func(k int) int { return measure.Weight(projs[missing[k]]) }
+		measure.EachS(len(missing), budget, weight, func(k int, inner par.Options) {
+			sVal := missing[k]
+			e := &out.Entries[index[sVal]]
+			e.Res = projs[sVal]
 			mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
-			mr, err := s.measureOne(ctx, mk, m, p, q.Cfg, projs[sVal], projCached[sVal])
-			if err != nil {
-				// Cancellation fails the query; anything else is a
-				// per-s outcome (the other s values still answer).
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				out.Entries[i].Err = err
-				continue
+			e.Measure, e.Err = s.measureOne(ctx, mk, m, p, inner, projs[sVal], projCached[sVal])
+			if e.Err == nil {
+				e.Cached = e.Measure.Cached
 			}
-			out.Entries[i].Measure = mr
-			out.Entries[i].Cached = mr.Cached
+		})
+		// Cancellation fails the query; any other error is a per-s
+		// outcome (the other s values still answer).
+		if err := ctx.Err(); err != nil {
+			for _, e := range out.Entries {
+				if e.Err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	for _, e := range out.Entries {

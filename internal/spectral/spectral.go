@@ -15,6 +15,7 @@ import (
 
 	"hyperline/internal/algo"
 	"hyperline/internal/graph"
+	"hyperline/internal/par"
 )
 
 // Options configures the eigensolver.
@@ -47,53 +48,82 @@ func (o Options) defaults() Options {
 // Implementation: eigenvalues of L̂ lie in [0, 2] and B = 2I − L̂ has
 // the same eigenvectors with eigenvalues 2 − λ, so λ₂(L̂) is found by
 // power iteration on B after deflating B's known top eigenvector
-// D^{1/2}·1 (eigenvalue 2, since the component is connected).
+// D^{1/2}·1 (eigenvalue 2, since the component is connected). The
+// iteration is serial and takes no execution options, so the result is
+// one value per graph; see normalizedLambda2Connected for why it equals,
+// bit for bit, a mat-vec that multiplies per edge.
 func NormalizedAlgebraicConnectivity(g *graph.Graph, opt Options) float64 {
-	sub := LargestComponent(g)
-	return normalizedLambda2Connected(sub, opt)
+	lambda2, _ := NormalizedAlgebraicConnectivityIters(g, opt)
+	return lambda2
+}
+
+// NormalizedAlgebraicConnectivityIters is
+// NormalizedAlgebraicConnectivity that also reports how many power
+// iterations ran, so a benchmark can tell a faster iteration from fewer
+// of them.
+func NormalizedAlgebraicConnectivityIters(g *graph.Graph, opt Options) (float64, int) {
+	return normalizedLambda2Connected(LargestComponent(g), opt)
 }
 
 // LargestComponent returns the subgraph induced by the largest
 // connected component of g (ties broken by smallest representative).
-// Node IDs are squeezed; the result is connected by construction.
+// Node IDs are squeezed; the result is connected by construction, and
+// empty when no component has an edge.
 func LargestComponent(g *graph.Graph) *graph.Graph {
 	cc := algo.ConnectedComponents(g)
-	sizes := map[uint32]int{}
+	// A label is its component's smallest node, so sizes index by label
+	// and the first largest one wins the tie.
+	sizes := make([]int32, g.NumNodes())
 	for _, l := range cc.Label {
 		sizes[l]++
 	}
-	best := uint32(0)
-	bestSize := -1
+	best := 0
 	for l, n := range sizes {
-		if n > bestSize || (n == bestSize && l < best) {
-			best, bestSize = l, n
+		if n > sizes[best] {
+			best = l
 		}
 	}
-	var edges []graph.Edge
-	for _, e := range g.Edges() {
-		if cc.Label[e.U] == best {
-			edges = append(edges, e)
-		}
-	}
-	if len(edges) == 0 {
+	if len(sizes) == 0 || sizes[best] < 2 {
 		return graph.Build(0, nil, false)
 	}
-	return graph.Build(g.NumNodes(), edges, true)
+	// The component's CSR rows in node order list its edges (U, V)-sorted
+	// and unique, which is BuildSorted's contract.
+	off, adj, wgt, _ := g.CSR()
+	edges := make([]graph.Edge, 0, g.NumEdges())
+	for u, l := range cc.Label {
+		if l != uint32(best) {
+			continue
+		}
+		for k := off[u]; k < off[u+1]; k++ {
+			if v := adj[k]; uint32(u) < v {
+				edges = append(edges, graph.Edge{U: uint32(u), V: v, W: wgt[k]})
+			}
+		}
+	}
+	return graph.BuildSorted(g.NumNodes(), edges, true, par.Options{Workers: 1})
 }
 
-// normalizedLambda2Connected computes λ₂(L̂) of a connected graph.
-func normalizedLambda2Connected(g *graph.Graph, opt Options) float64 {
+// normalizedLambda2Connected computes λ₂(L̂) of a connected graph and
+// the number of power iterations it took. The loop is serial — an
+// s-sweep runs its s values side by side instead (measure.EachS) — and
+// each iteration scales x once per node, z = D^{-1/2}x, so the mat-vec's
+// inner loop is a plain gather over the CSR row: the same products summed
+// in the same order as multiplying per edge.
+func normalizedLambda2Connected(g *graph.Graph, opt Options) (float64, int) {
 	opt = opt.defaults()
 	n := g.NumNodes()
 	if n < 2 {
-		return 0
+		return 0, 0
 	}
+	off, adj, _, _ := g.CSR()
 	// φ = D^{1/2}·1 normalized — the top eigenvector of B = 2I − L̂.
 	phi := make([]float64, n)
+	invSqrtDeg := make([]float64, n)
 	var norm float64
-	for u := 0; u < n; u++ {
-		d := float64(g.Degree(uint32(u)))
+	for u := range phi {
+		d := float64(off[u+1] - off[u])
 		phi[u] = math.Sqrt(d)
+		invSqrtDeg[u] = 1 / math.Sqrt(d)
 		norm += d
 	}
 	norm = math.Sqrt(norm)
@@ -110,19 +140,19 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) float64 {
 	normalize(x)
 
 	y := make([]float64, n)
-	invSqrtDeg := make([]float64, n)
-	for u := 0; u < n; u++ {
-		invSqrtDeg[u] = 1 / math.Sqrt(float64(g.Degree(uint32(u))))
-	}
-
+	z := make([]float64, n)
 	var mu float64
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	iters := 0
+	for iters < opt.MaxIter {
+		iters++
 		// y = Bx = x + D^{-1/2} A D^{-1/2} x.
-		for u := 0; u < n; u++ {
+		for v, xv := range x {
+			z[v] = invSqrtDeg[v] * xv
+		}
+		for u := range y {
 			sum := 0.0
-			ids, _ := g.Neighbors(uint32(u))
-			for _, v := range ids {
-				sum += invSqrtDeg[v] * x[v]
+			for _, v := range adj[off[u]:off[u+1]] {
+				sum += z[v]
 			}
 			y[u] = x[u] + invSqrtDeg[u]*sum
 		}
@@ -133,10 +163,10 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) float64 {
 		if ynorm == 0 {
 			// x lies in the kernel of the deflated operator:
 			// λ₂(L̂) = 2 exactly (e.g. a single edge).
-			return 2
+			return 2, iters
 		}
 		x, y = y, x
-		if iter > 0 && math.Abs(newMu-mu) < opt.Tol {
+		if iters > 1 && math.Abs(newMu-mu) < opt.Tol {
 			mu = newMu
 			break
 		}
@@ -146,7 +176,7 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) float64 {
 	if lambda2 < 0 {
 		lambda2 = 0
 	}
-	return lambda2
+	return lambda2, iters
 }
 
 // AlgebraicConnectivity returns λ₂ of the combinatorial Laplacian

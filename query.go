@@ -189,22 +189,25 @@ func Execute(ctx context.Context, q Query) (*QueryResult, error) {
 	distinct := core.DistinctS(q.S)
 	out := &QueryResult{Kind: kind, Entries: make([]QueryEntry, len(distinct))}
 	out.Plan = results[distinct[0]].Plan
+	sweep := make([]*Result, len(distinct))
 	for i, sVal := range distinct {
-		res := results[sVal]
-		e := QueryEntry{S: sVal, Result: res}
-		if m != nil {
-			val, merr := m.Compute(ctx, res, p, q.Options.par())
+		sweep[i] = results[sVal]
+		out.Entries[i] = QueryEntry{S: sVal, Result: sweep[i]}
+	}
+	if m != nil {
+		vals, errs := measure.ComputeSweep(ctx, m, p, sweep, q.Options.par())
+		for i := range out.Entries {
+			e := &out.Entries[i]
 			switch {
-			case merr != nil && ctx.Err() != nil:
+			case errs[i] != nil && ctx.Err() != nil:
 				// Cancellation fails the whole query, not one entry.
 				return nil, ctx.Err()
-			case merr != nil:
-				e.Err = merr
+			case errs[i] != nil:
+				e.Err = errs[i]
 			default:
-				e.Measure = &MeasureResult{S: sVal, MeasureEntry: serve.NewMeasureEntry(res, val)}
+				e.Measure = &MeasureResult{S: e.S, MeasureEntry: serve.NewMeasureEntry(e.Result, vals[i])}
 			}
 		}
-		out.Entries[i] = e
 	}
 	return out, nil
 }
