@@ -635,3 +635,25 @@ func BenchmarkQuickstartPipeline(b *testing.B) {
 		hyperline.SConnectedComponents(res)
 	}
 }
+
+// ---- The benchmark's cold-single operation, for -benchmem and profiles ----
+
+// BenchmarkColdSingle is one bench/ cold-single operation — Execute at
+// s=8 on the LiveJournal analog at 0.3 scale (bench/dataset.go), no
+// cache — where `go test` can attach -benchmem and -cpuprofile to it.
+// bench/run.sh stays the measure of record.
+func BenchmarkColdSingle(b *testing.B) {
+	h := gen.Community(gen.CommunityConfig{
+		Seed: 1001, NumVertices: 9000, NumCommunities: 1050,
+		MeanCommunitySize: 10, MaxCommunitySize: 1200,
+		EdgesPerCommunity: 4, Background: 1200, Bridge: 0.25,
+	})
+	q := hyperline.Query{Hypergraph: h, S: []int{8}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hyperline.Execute(context.Background(), q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

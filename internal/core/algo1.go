@@ -4,22 +4,16 @@ import (
 	"context"
 
 	"hyperline/internal/hg"
-	"hyperline/internal/par"
 )
 
-// worker1 is the thread-local state of one Algorithm 1 worker.
+// worker1 is what an Algorithm 1 worker keeps beside its outerWorker.
 type worker1 struct {
-	edges         []Edge
-	wedges        int64
-	pruned        int64
 	intersections int64
 	// seen de-duplicates candidate hyperedges within one outer
 	// iteration ("skipping already visited hyperedges"): seen[ej]
 	// holds the stamp of the last ei for which ej was intersected.
 	seen  []uint32
 	stamp uint32
-	pos   []uint32 // per-vertex resumable suffix cursors (may be nil)
-	stop  *stopFlag
 }
 
 // setIntersectionEdges is Algorithm 1, the prior state-of-the-art
@@ -28,85 +22,57 @@ type worker1 struct {
 // the two hyperedges' vertex lists, with the paper's heuristics:
 // degree-based pruning, per-source candidate de-duplication,
 // short-circuited intersections, and upper-triangle traversal.
-// Cancellation is polled per outer iteration and per wedge source
-// vertex, matching Algorithm 2's granularity.
+// Cancellation is polled per outer iteration and per wedge run,
+// matching Algorithm 2's granularity.
 func setIntersectionEdges(ctx context.Context, h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error) {
-	m := h.NumEdges()
-	w := numWorkers(cfg)
-	flag := watchContext(ctx)
-	workers := make([]worker1, w)
+	if stats, ok := allPruned(h, s, cfg); ok {
+		return nil, stats, nil
+	}
+	workers := make([]worker1, numWorkers(cfg))
 	for i := range workers {
-		workers[i].seen = make([]uint32, m)
-		workers[i].stop = flag
+		workers[i].seen = make([]uint32, h.NumEdges())
 	}
-	for i, pos := range newUpperCaches(w, h.NumVertices()) {
-		workers[i].pos = pos
-	}
-
-	par.For(m, cfg.parOptions(), func(worker, i int) {
-		st := &workers[worker]
-		if st.stop.Stop() {
-			return
+	edges, stats, err := outerLoop(ctx, h, s, cfg, 0, func(worker int, st *outerWorker, ei uint32, _ int) bool {
+		w1 := &workers[worker]
+		w1.stamp++
+		if w1.stamp == 0 { // wrapped: clear stale stamps
+			clear(w1.seen)
+			w1.stamp = 1
 		}
-		ei := uint32(i)
-		if !cfg.DisablePruning && h.EdgeSize(ei) < s {
-			st.pruned++
-			return
-		}
-		st.stamp++
-		if st.stamp == 0 { // wrapped: clear stale stamps
-			clear(st.seen)
-			st.stamp = 1
-		}
-		start := len(st.edges)
 		eiVerts := h.EdgeVertices(ei)
-		for _, vk := range eiVerts {
+		for _, run := range st.runs {
 			if st.stop.Stop() {
-				return // cancelled mid-iteration: partial output is discarded
+				return false
 			}
-			for _, ej := range upper(h, vk, ei, st.pos) {
-				st.wedges++
-				if st.seen[ej] == st.stamp {
+			for _, ej := range run {
+				if w1.seen[ej] == w1.stamp {
 					continue // candidate already intersected for this ei
 				}
-				st.seen[ej] = st.stamp
+				w1.seen[ej] = w1.stamp
 				if !cfg.DisablePruning && h.EdgeSize(ej) < s {
 					continue
 				}
-				st.intersections++
+				w1.intersections++
 				ejVerts := h.EdgeVertices(ej)
 				if cfg.DisableShortCircuit {
 					if n := hg.IntersectSize(eiVerts, ejVerts); n >= s {
-						st.edges = append(st.edges, Edge{U: ei, V: ej, W: uint32(n)})
+						st.seg = append(st.seg, Edge{U: ei, V: ej, W: uint32(n)})
 					}
 				} else if hg.IntersectAtLeast(eiVerts, ejVerts, s) {
 					// Short-circuit mode confirms ≥ s without
 					// finishing the count; report the bound.
-					st.edges = append(st.edges, Edge{U: ei, V: ej, W: uint32(s)})
+					st.seg = append(st.seg, Edge{U: ei, V: ej, W: uint32(s)})
 				}
 			}
 		}
-		// Wedge traversal emits this iteration's neighbors out of
-		// order; sorting the segment keeps the worker list
-		// (U, V)-sorted for the parallel merge.
-		sortSegmentByV(st.edges[start:])
+		// Wedge traversal meets this iteration's neighbors out of order.
+		sortSegmentByV(st.seg)
+		return true
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
-	}
-
-	stats := Stats{WedgesPerWorker: make([]int64, len(workers))}
-	lists := make([][]Edge, len(workers))
 	for i := range workers {
-		lists[i] = workers[i].edges
-		stats.Wedges += workers[i].wedges
-		stats.WedgesPerWorker[i] = workers[i].wedges
-		stats.Pruned += workers[i].pruned
 		stats.SetIntersections += workers[i].intersections
 	}
-	edges := mergeWorkerEdges(lists, cfg.parOptions())
-	stats.Edges = int64(len(edges))
-	return edges, stats, nil
+	return edges, stats, err
 }
 
 // NaiveAllPairs is the textbook "ijk" all-pairs construction used as a

@@ -104,10 +104,8 @@ func upper(h *hg.Hypergraph, vk, ei uint32, pos []uint32) []uint32 {
 }
 
 // denseStoreBudget caps the total memory StoreAuto will spend on
-// per-worker dense counter arrays (4·m bytes each in the common narrow
-// slot layout) before switching to the open-addressing tables. The
-// rare wide-slot fallback (a hyperedge of ≥ 2¹⁶ vertices) doubles
-// that; the budget is a heuristic and tolerates it.
+// per-worker dense counter arrays (4·m bytes each) before switching to
+// the open-addressing tables.
 const denseStoreBudget = 64 << 20
 
 // chooseStore resolves StoreAuto for one run: dense thread-local
@@ -143,87 +141,79 @@ func avgFrontier(h *hg.Hypergraph) int64 {
 	return wedgeEnds / int64(h.NumEdges())
 }
 
-// worker2 is the thread-local state of one Algorithm 2 worker.
-type worker2 struct {
-	edges  []Edge // Lt(H), the per-thread edge list, kept (U,V)-sorted
+// outerWorker is the thread-local state the outer loops of Algorithms 1
+// and 2 share: the wedge runs of the iteration in flight, the segment it
+// emits, and the block the worker's finished segments are stored in.
+type outerWorker struct {
+	pos    []uint32   // per-vertex resumable suffix cursors (may be nil)
+	runs   [][]uint32 // this iteration's non-empty upper(...) runs
+	seg    []Edge     // this iteration's emission, V-sorted when handed to put
+	block  []Edge     // the output block being filled; block[len:] is free
 	wedges int64
 	pruned int64
-	// counts32/counts64 are the TLSDense epoch-stamped overlap
-	// counters, len m — exactly one is allocated per run. Each slot
-	// packs (epoch << countBits) | count, so advancing the worker's
-	// epoch invalidates every slot at once and the per-iteration
-	// counter reset of the classic TLS layout (one store per touched
-	// slot) disappears. The narrow uint32 layout (16-bit count) is the
-	// default — half the cache footprint of a uint64 slot keeps the
-	// per-worker arrays L2-resident on datasets where the wide layout
-	// spills — and is sound whenever every overlap fits 16 bits
-	// (overlap ≤ max hyperedge size); its 16-bit epoch wraps, so the
-	// array is cleared once per 2¹⁶−1 iterations (amortized to noise).
-	// The wide uint64 layout handles hyperedges of ≥ 2¹⁶ vertices; its
-	// 32-bit epoch cannot wrap (at most m < 2³² iterations per run).
-	counts32 []uint32
-	counts64 []uint64
-	epoch    uint64
-	sink     uint64   // prefetch accumulator; never read
-	touched  []uint32 // TLSDense: slots touched this epoch
-	table    *oaTable // TLSHash: open-addressing counter table
-	pos      []uint32 // per-vertex resumable suffix cursors (may be nil)
-	stop     *stopFlag
+	stop   *stopFlag
 }
 
-// narrowCountBits is the count width of the narrow slot layout; the
-// high 32−narrowCountBits bits hold the epoch.
-const narrowCountBits = 16
+// newOuterWorkers returns one outerWorker per worker, all polling stop,
+// with suffix-cursor caches over n vertices when those fit their budget.
+func newOuterWorkers(workers, n int, stop *stopFlag) []outerWorker {
+	ws := make([]outerWorker, workers)
+	for i := range ws {
+		ws[i].stop = stop
+	}
+	for i, pos := range newUpperCaches(workers, n) {
+		ws[i].pos = pos
+	}
+	return ws
+}
 
-// hashmapEdges is Algorithm 2 of the paper: for each hyperedge ei the
-// overlaps with all 2-hop neighbor hyperedges ej > ei are accumulated in
-// a counter keyed by ej; pairs reaching s are emitted immediately. No
-// set intersection is ever performed.
+// gather collects, for every vertex of ei, the run of incident
+// hyperedges ej > ei into st.runs and returns the iteration's exact
+// wedge count — known before a single counter is touched, which is what
+// lets the dense store pick its regime up front.
+func (st *outerWorker) gather(h *hg.Hypergraph, ei uint32) int {
+	runs, wedges := st.runs[:0], 0
+	for _, vk := range h.EdgeVertices(ei) {
+		if run := upper(h, vk, ei, st.pos); len(run) > 0 {
+			runs = append(runs, run)
+			wedges += len(run)
+		}
+	}
+	st.runs = runs
+	return wedges
+}
+
+// iterFunc processes one outer iteration from the gathered st.runs: it
+// leaves the iteration's edges in st.seg, sorted by V, and reports
+// false when it stopped on a cancellation (st.seg is then discarded).
+type iterFunc func(worker int, st *outerWorker, ei uint32, wedges int) bool
+
+// allPruned reports whether degree-based pruning skips every hyperedge
+// (no hyperedge has s vertices), with the stats of that empty run, so
+// callers return before allocating any per-worker state.
+func allPruned(h *hg.Hypergraph, s int, cfg Config) (Stats, bool) {
+	if cfg.DisablePruning || s <= h.MaxEdgeSize() {
+		return Stats{}, false
+	}
+	return Stats{Pruned: int64(h.NumEdges()), WedgesPerWorker: make([]int64, numWorkers(cfg))}, true
+}
+
+// outerLoop is what Algorithms 1 and 2 have in common: distribute the
+// hyperedges over the workers, prune, gather each survivor's wedge runs,
+// hand them to iter, store the emitted segment, and concatenate the
+// segments by hyperedge. blockCap 0 means edgeBlockCap.
 //
-// Cancellation is polled once per outer iteration and once per wedge
-// source vertex, so cancel latency is bounded by a single neighbor-list
-// scan; counters left dirty by an aborted iteration are never read
-// again because every later iteration also sees the tripped flag.
-func hashmapEdges(ctx context.Context, h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error) {
+// Cancellation is polled here once per outer iteration and by iter once
+// per run (the dense store also per denseStopChunk endpoints); state
+// left dirty by an aborted iteration is never read again because every
+// later iteration sees the tripped flag too.
+func outerLoop(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, blockCap int, iter iterFunc) ([]Edge, Stats, error) {
 	m := h.NumEdges()
-	w := numWorkers(cfg)
-	store := cfg.Store
-	hint := int64(-1)
-	if store == StoreAuto {
-		store, hint = chooseStore(h, w)
+	if blockCap == 0 {
+		blockCap = edgeBlockCap
 	}
-	flag := watchContext(ctx)
-	workers := make([]worker2, w)
-	narrowDense := false
-	switch store {
-	case TLSDense:
-		// Pre-allocated thread-local storage (§III-F): one dense
-		// epoch-stamped counter array per worker; stale slots are
-		// invalidated by advancing the epoch, never rewritten. Narrow
-		// slots unless a hyperedge is large enough to overflow a
-		// 16-bit overlap count.
-		narrowDense = h.MaxEdgeSize() < 1<<narrowCountBits
-		for i := range workers {
-			if narrowDense {
-				workers[i].counts32 = make([]uint32, m)
-			} else {
-				workers[i].counts64 = make([]uint64, m)
-			}
-		}
-	case TLSHash:
-		if hint < 0 {
-			hint = avgFrontier(h)
-		}
-		for i := range workers {
-			workers[i].table = newOATable(hint, m)
-		}
-	}
-	for i := range workers {
-		workers[i].stop = flag
-	}
-	for i, pos := range newUpperCaches(w, h.NumVertices()) {
-		workers[i].pos = pos
-	}
+	workers := newOuterWorkers(numWorkers(cfg), h.NumVertices(), watchContext(ctx))
+	segs := make([][]Edge, m) // segs[ei] is written by the one worker that owns ei
 
 	par.For(m, cfg.parOptions(), func(worker, i int) {
 		st := &workers[worker]
@@ -235,241 +225,255 @@ func hashmapEdges(ctx context.Context, h *hg.Hypergraph, s int, cfg Config) ([]E
 			st.pruned++
 			return
 		}
-		start := len(st.edges)
-		sorted := false
-		switch store {
-		case TLSDense:
-			if narrowDense {
-				sorted = hashmapIterDenseNarrow(h, ei, s, st)
-			} else {
-				sorted = hashmapIterDenseWide(h, ei, s, st)
-			}
-		case TLSHash:
-			hashmapIterHash(h, ei, s, st)
-		default:
-			hashmapIterMap(h, ei, s, st)
+		wedges := st.gather(h, ei)
+		st.wedges += int64(wedges)
+		st.seg = st.seg[:0]
+		if wedges > 0 && iter(worker, st, ei, wedges) {
+			segs[ei] = st.put(blockCap)
 		}
-		if sorted {
-			return
-		}
-		// Keep the worker list (U, V)-sorted: both distribution
-		// strategies hand each worker strictly increasing ei, so
-		// sorting this iteration's segment by V is all it takes.
-		sortSegmentByV(st.edges[start:])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
 
-	edges, stats := collect(workers, cfg)
+	stats := Stats{WedgesPerWorker: make([]int64, len(workers))}
+	for i := range workers {
+		stats.Wedges += workers[i].wedges
+		stats.WedgesPerWorker[i] = workers[i].wedges
+		stats.Pruned += workers[i].pruned
+	}
+	edges := concatSegments(segs, cfg.parOptions())
+	stats.Edges = int64(len(edges))
 	return edges, stats, nil
+}
+
+// stage3Tune lets tests force either side of the two derived constants
+// of the dense path; the zero value is what every caller runs with.
+type stage3Tune struct {
+	regime   int8 // 0: by denseRatio; > 0: every iteration dense; < 0: every iteration sparse
+	blockCap int  // 0: edgeBlockCap
+}
+
+// hashmapEdges is Algorithm 2 of the paper: for each hyperedge ei the
+// overlaps with all 2-hop neighbor hyperedges ej > ei are accumulated in
+// a counter keyed by ej; pairs reaching s are emitted immediately. No
+// set intersection is ever performed.
+func hashmapEdges(ctx context.Context, h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error) {
+	return hashmapRun(ctx, h, s, cfg, stage3Tune{})
+}
+
+func hashmapRun(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune stage3Tune) ([]Edge, Stats, error) {
+	if stats, ok := allPruned(h, s, cfg); ok {
+		return nil, stats, nil
+	}
+	m, w := h.NumEdges(), numWorkers(cfg)
+	store, hint := cfg.Store, int64(-1)
+	if store == StoreAuto {
+		store, hint = chooseStore(h, w)
+	}
+	var iter iterFunc
+	switch store {
+	case TLSDense:
+		// Pre-allocated thread-local storage (§III-F).
+		counters := newPlainCounters(w, m)
+		iter = func(worker int, st *outerWorker, ei uint32, wedges int) bool {
+			return hashmapIterDense(&counters[worker], st, ei, s, tune.dense(wedges, m-int(ei)-1))
+		}
+	case TLSHash:
+		if hint < 0 {
+			hint = avgFrontier(h)
+		}
+		tables := make([]*oaTable, w)
+		for i := range tables {
+			tables[i] = newOATable(hint, m)
+		}
+		iter = func(worker int, st *outerWorker, ei uint32, _ int) bool {
+			return hashmapIterHash(tables[worker], st, ei, s)
+		}
+	default:
+		iter = func(_ int, st *outerWorker, ei uint32, _ int) bool {
+			return hashmapIterMap(st, ei, s)
+		}
+	}
+	return outerLoop(ctx, h, s, cfg, tune.blockCap, iter)
 }
 
 // hashmapIterMap processes one hyperedge with a per-iteration hashmap
 // (Lines 6-12 of Algorithm 2, dynamic allocation mode).
-func hashmapIterMap(h *hg.Hypergraph, ei uint32, s int, st *worker2) {
+func hashmapIterMap(st *outerWorker, ei uint32, s int) bool {
 	overlap := make(map[uint32]uint32)
-	wedges := int64(0)
-	for _, vk := range h.EdgeVertices(ei) {
+	for _, run := range st.runs {
 		if st.stop.Stop() {
-			return // cancelled mid-iteration: partial output is discarded
+			return false
 		}
-		neighbors := upper(h, vk, ei, st.pos)
-		wedges += int64(len(neighbors))
-		for _, ej := range neighbors {
+		for _, ej := range run {
 			overlap[ej]++
 		}
 	}
-	st.wedges += wedges
 	for ej, n := range overlap {
 		if int(n) >= s {
-			st.edges = append(st.edges, Edge{U: ei, V: ej, W: n})
+			st.seg = append(st.seg, Edge{U: ei, V: ej, W: n})
 		}
 	}
+	sortSegmentByV(st.seg)
+	return true
 }
 
-// denseLookahead is how many wedge endpoints ahead the dense counting
-// loop touches the counter array. The counter indices are effectively
-// random within [0, m), so the hardware prefetcher cannot help; an
-// explicit early load lets the out-of-order window overlap the DRAM
-// misses of upcoming increments with the current ones. The distance is
-// a compromise: long enough to cover a miss, short enough that the
-// touched line is still resident when the increment arrives.
-const denseLookahead = 12
-
-// denseStopChunk bounds how many wedge endpoints the dense counting
-// loop processes between stop-flag polls. Heavy-tailed inputs have
-// single neighbor runs of hundreds of thousands of cache-missing
-// increments; polling only per wedge-source vertex would make the
-// cancellation latency proportional to the largest vertex degree.
+// denseStopChunk bounds how many wedge endpoints (and, at emission, how
+// many counter slots) the dense store processes between stop-flag
+// polls. Heavy-tailed inputs have single neighbor runs of hundreds of
+// thousands of cache-missing increments; polling only per run would
+// make the cancellation latency proportional to the largest vertex
+// degree.
 const denseStopChunk = 8192
 
-// counterSlot is the dense slot width: narrow uint32 (16-bit count,
-// 16-bit epoch) or wide uint64 (32-bit count, 32-bit epoch).
-type counterSlot interface {
-	~uint32 | ~uint64
-}
+// denseRatio decides an iteration's regime from its wedge count, before
+// counting: with at least one wedge per denseRatio slots of the counter
+// tail (ei, m) the iteration is dense — bare increments, then one
+// sequential scan of the tail, whose output is already V-sorted —
+// otherwise sparse — increments that also record first touches, then a
+// walk of the touched slots and a V-sort. The scan reads a slot for
+// about a quarter of what a recorded, revisited and sorted touch costs.
+const denseRatio = 4
 
-// countDense counts one run of wedge endpoints into the epoch-stamped
-// slots (see hashmapIterDense) and returns the updated touched list and
-// prefetch sink. It is the branch-light inner kernel: one predicted
-// append branch per first touch, no per-slot reset.
-func countDense[T counterSlot](counts []T, neighbors []uint32, tag T, touched []uint32, sink T) ([]uint32, T) {
-	i := 0
-	for ; i+denseLookahead < len(neighbors); i++ {
-		sink ^= counts[neighbors[i+denseLookahead]]
-		ej := neighbors[i]
-		c := counts[ej]
-		if c < tag {
-			touched = append(touched, ej)
-			c = tag
-		}
-		counts[ej] = c + 1
+func (t stage3Tune) dense(wedges, tail int) bool {
+	if t.regime != 0 {
+		return t.regime > 0
 	}
-	for ; i < len(neighbors); i++ {
-		ej := neighbors[i]
-		c := counts[ej]
-		if c < tag {
-			touched = append(touched, ej)
-			c = tag
-		}
-		counts[ej] = c + 1
+	return wedges*denseRatio >= tail
+}
+
+// plainCounters is one worker's TLSDense store: counts[ej] is the
+// overlap accumulated for (ei, ej) in the iteration in flight and is
+// zero for every ej between iterations — each iteration resets exactly
+// what it may have touched. A uint32 count cannot overflow (an overlap
+// is at most a hyperedge size). touched has one slot of slack past m:
+// the sparse count loop stores the candidate unconditionally and
+// advances only on a first touch.
+type plainCounters struct {
+	counts  []uint32
+	touched []uint32
+}
+
+func newPlainCounters(workers, m int) []plainCounters {
+	cs := make([]plainCounters, workers)
+	for i := range cs {
+		cs[i] = plainCounters{counts: make([]uint32, m), touched: make([]uint32, m+1)}
 	}
-	return touched, sink
+	return cs
 }
 
-// hashmapIterDenseNarrow advances the 16-bit epoch of the narrow slot
-// layout, clearing the array on the (rare) epoch wrap — a wrapped tag
-// of 0 would make every stale slot read as current. It reports whether
-// the emitted segment is already V-sorted.
-func hashmapIterDenseNarrow(h *hg.Hypergraph, ei uint32, s int, st *worker2) bool {
-	st.epoch++
-	if st.epoch == 1<<(32-narrowCountBits) {
-		clear(st.counts32)
-		st.epoch = 1
-	}
-	tag := uint32(st.epoch) << narrowCountBits
-	// tag + s cannot be formed when s overflows the count field; no
-	// overlap can reach such an s anyway, so the scan path just turns
-	// itself off (the touched walk compares counts as ints, safely).
-	scanOK := s < 1<<narrowCountBits
-	return hashmapIterDense(h, ei, s, st, st.counts32, tag, scanOK)
-}
-
-// hashmapIterDenseWide advances the 32-bit epoch of the wide slot
-// layout; one increment per outer iteration and m < 2³² iterations per
-// run mean it cannot wrap. It reports whether the emitted segment is
-// already V-sorted.
-func hashmapIterDenseWide(h *hg.Hypergraph, ei uint32, s int, st *worker2) bool {
-	st.epoch++
-	return hashmapIterDense(h, ei, s, st, st.counts64, st.epoch<<32, uint64(s) < 1<<32)
-}
-
-// denseScanFactor selects the dense emission path: when the touched
-// set covers at least 1/denseScanFactor of the counter array, emitting
-// by an index-order scan of the slots beats walking the touched list —
-// the scan is sequential (the touched walk revisits the slots in
-// first-touch order, a random pattern) and its output is ascending in
-// ej, so the per-iteration segment needs no V-sort at all.
-const denseScanFactor = 8
-
-// hashmapIterDense processes one hyperedge with the pre-allocated
-// dense epoch-stamped counter (TLS mode): a slot whose stamp predates
-// this iteration's epoch tag reads as zero, so the per-iteration reset
-// loop of the classic layout is gone and the emission scan is
-// read-only. A touched slot holds tag + count, so the overlap is
-// recovered as slot − tag in either slot width. The return value
-// reports whether the emitted segment is already sorted by V (the
-// dense scan path); a false return means the caller must sort it.
-func hashmapIterDense[T counterSlot](h *hg.Hypergraph, ei uint32, s int, st *worker2, counts []T, tag T, scanOK bool) bool {
-	touched := st.touched[:0]
-	sink := T(st.sink)
-	wedges := int64(0)
-	for _, vk := range h.EdgeVertices(ei) {
-		if st.stop.Stop() {
-			// Cancelled mid-iteration: the dirty counters are never
-			// read again (every later iteration sees the flag too).
-			return true
+// count adds the wedge endpoints of runs to the counters, polling stop
+// once per run and once per denseStopChunk endpoints within a run. The
+// sparse regime also lists each endpoint's first touch and returns how
+// many there were; ok is false when the count stopped early.
+func (c *plainCounters) count(runs [][]uint32, dense bool, stop *stopFlag) (nt int, ok bool) {
+	for _, run := range runs {
+		for len(run) > 0 {
+			if stop.Stop() {
+				return 0, false
+			}
+			chunk := run[:min(len(run), denseStopChunk)]
+			run = run[len(chunk):]
+			if dense {
+				bump(c.counts, chunk)
+			} else {
+				nt = bumpTouched(c.counts, c.touched, nt, chunk)
+			}
 		}
-		neighbors := upper(h, vk, ei, st.pos)
-		wedges += int64(len(neighbors))
-		for len(neighbors) > denseStopChunk {
-			touched, sink = countDense(counts, neighbors[:denseStopChunk], tag, touched, sink)
-			neighbors = neighbors[denseStopChunk:]
+	}
+	return nt, true
+}
+
+// bump is the dense regime's inner loop, kept out of line: inlined into
+// count, the register allocator spills its loop index on every wedge.
+//
+//go:noinline
+func bump(counts, chunk []uint32) {
+	for _, ej := range chunk {
+		counts[ej]++
+	}
+}
+
+// bumpTouched is the sparse regime's inner loop: it stores the endpoint
+// at touched[nt] unconditionally and advances nt only on a first touch,
+// so the unpredictable "seen before?" outcome is never a branch.
+//
+//go:noinline
+func bumpTouched(counts, touched []uint32, nt int, chunk []uint32) int {
+	for _, ej := range chunk {
+		n := counts[ej]
+		touched[nt] = ej
+		nt += int((uint64(n) - 1) >> 63) // 1 iff n == 0
+		counts[ej] = n + 1
+	}
+	return nt
+}
+
+// hashmapIterDense processes one hyperedge with the pre-allocated dense
+// counters (TLS mode) in the given regime: count the gathered runs, emit
+// every count ≥ s into st.seg in ascending ej, and zero what was counted.
+func hashmapIterDense(c *plainCounters, st *outerWorker, ei uint32, s int, dense bool) bool {
+	nt, ok := c.count(st.runs, dense, st.stop)
+	if !ok {
+		return false
+	}
+	seg := st.seg
+	if dense {
+		// Slots ≤ ei are never touched (upper-triangle rule), so the
+		// scan and the reset cover the tail only.
+		first := ei + 1
+		tail := c.counts[first:]
+		for lo := 0; lo < len(tail); lo += denseStopChunk {
 			if st.stop.Stop() {
-				return true
+				return false
+			}
+			for j, n := range tail[lo:min(lo+denseStopChunk, len(tail))] {
+				if int(n) >= s {
+					seg = append(seg, Edge{U: ei, V: first + uint32(lo+j), W: n})
+				}
 			}
 		}
-		touched, sink = countDense(counts, neighbors, tag, touched, sink)
-	}
-	st.wedges += wedges
-	st.sink = uint64(sink)
-	st.touched = touched
-	// Reserve the worst case (every touched slot passes the filter) so
-	// the emission appends never grow mid-loop, and grow by doubling:
-	// append's 1.25× policy on a multi-million-edge worker list turns
-	// the tail of the run into repeated large memmoves.
-	if need := len(st.edges) + len(touched); need > cap(st.edges) {
-		newCap := 2 * cap(st.edges)
-		if newCap < need {
-			newCap = need
-		}
-		grown := make([]Edge, len(st.edges), newCap)
-		copy(grown, st.edges)
-		st.edges = grown
-	}
-	if scanOK && len(touched)*denseScanFactor >= len(counts) {
-		// Dense emission: one sequential pass over the slots. A slot
-		// passes iff it is stamped with this epoch AND its count ≥ s,
-		// which the single comparison against tag+s captures (stale
-		// slots are < tag < tag+s).
-		thresh := tag + T(s)
-		for ej := range counts {
-			if ej&(denseStopChunk-1) == 0 && st.stop.Stop() {
-				return true // partial st.edges are never read after a stop
+		clear(tail)
+	} else {
+		for lo := 0; lo < nt; lo += denseStopChunk {
+			if st.stop.Stop() {
+				return false
 			}
-			if c := counts[ej]; c >= thresh {
-				st.edges = append(st.edges, Edge{U: ei, V: uint32(ej), W: uint32(c - tag)})
+			for _, ej := range c.touched[lo:min(lo+denseStopChunk, nt)] {
+				n := c.counts[ej]
+				c.counts[ej] = 0
+				if int(n) >= s {
+					seg = append(seg, Edge{U: ei, V: ej, W: n})
+				}
 			}
 		}
-		return true
+		sortSegmentByV(seg)
 	}
-	for idx, ej := range touched {
-		if idx&(denseStopChunk-1) == 0 && st.stop.Stop() {
-			return false // partial st.edges are never read after a stop
-		}
-		if w := uint32(counts[ej] - tag); int(w) >= s {
-			st.edges = append(st.edges, Edge{U: ei, V: ej, W: w})
-		}
-	}
-	return false
+	st.seg = seg
+	return true
 }
 
 // hashmapIterHash processes one hyperedge with the pre-allocated
 // open-addressing counter table (TLS hash mode).
-func hashmapIterHash(h *hg.Hypergraph, ei uint32, s int, st *worker2) {
-	t := st.table
-	wedges := int64(0)
-	for _, vk := range h.EdgeVertices(ei) {
+func hashmapIterHash(t *oaTable, st *outerWorker, ei uint32, s int) bool {
+	for _, run := range st.runs {
 		if st.stop.Stop() {
-			return // cancelled mid-iteration; dirty slots are never read
+			return false // dirty slots are never read after a stop
 		}
-		neighbors := upper(h, vk, ei, st.pos)
-		wedges += int64(len(neighbors))
-		for _, ej := range neighbors {
+		for _, ej := range run {
 			t.incr(ej)
 		}
 	}
-	st.wedges += wedges
 	for _, slot := range t.touched {
-		if int(t.vals[slot]) >= s {
-			st.edges = append(st.edges, Edge{U: ei, V: st.keyAt(slot), W: t.vals[slot]})
+		if n := t.vals[slot]; int(n) >= s {
+			st.seg = append(st.seg, Edge{U: ei, V: t.keys[slot] - 1, W: n})
 		}
 	}
 	t.reset()
+	sortSegmentByV(st.seg)
+	return true
 }
-
-func (st *worker2) keyAt(slot uint32) uint32 { return st.table.keys[slot] - 1 }
 
 // oaTable is a linear-probing uint32→uint32 counter table. Keys are
 // stored +1 so the zero word means empty, letting reset clear only the
@@ -549,18 +553,4 @@ func (t *oaTable) reset() {
 		t.keys[slot] = 0
 	}
 	t.touched = t.touched[:0]
-}
-
-func collect(workers []worker2, cfg Config) ([]Edge, Stats) {
-	stats := Stats{WedgesPerWorker: make([]int64, len(workers))}
-	lists := make([][]Edge, len(workers))
-	for i := range workers {
-		lists[i] = workers[i].edges
-		stats.Wedges += workers[i].wedges
-		stats.WedgesPerWorker[i] = workers[i].wedges
-		stats.Pruned += workers[i].pruned
-	}
-	edges := mergeWorkerEdges(lists, cfg.parOptions())
-	stats.Edges = int64(len(edges))
-	return edges, stats
 }

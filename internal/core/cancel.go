@@ -11,9 +11,10 @@ import (
 // observe a cancellation at their very next poll without depending on
 // any watcher goroutine being scheduled (which on a saturated
 // single-core box can lag by tens of milliseconds). Workers poll once
-// per outer iteration and once per wedge-source vertex, bounding
-// cancellation latency to one neighbor-list scan without paying
-// per-edge synchronization.
+// per outer iteration and once per wedge run (the dense store also
+// every denseStopChunk endpoints), bounding cancellation latency to
+// one bounded neighbor-list scan without paying per-edge
+// synchronization.
 type stopFlag struct {
 	done <-chan struct{}
 }

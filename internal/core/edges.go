@@ -97,20 +97,48 @@ func sortSegmentByV(seg []Edge) {
 	}
 }
 
-// mergeWorkerEdges is the union step (Line 13 of Algorithm 2), rebuilt
-// as a parallel multi-way merge: every worker keeps its list sorted by
-// (U, V) — both workload distributions hand each worker a monotonically
-// increasing hyperedge sequence and each iteration's segment is sorted
-// by V at emission — so the global order is recovered with an O(E log W)
-// partitioned merge instead of the seed's single-threaded O(E log E)
-// sort of the concatenation. A worker list that somehow lost the
-// invariant is re-sorted (in parallel) rather than corrupting the
-// output.
-func mergeWorkerEdges(lists [][]Edge, opt par.Options) []Edge {
-	par.For(len(lists), par.Options{Workers: opt.Workers, Grain: 1}, func(_, i int) {
-		if !slices.IsSortedFunc(lists[i], edgeCmp) {
-			par.Sort(lists[i], edgeLess, opt)
+// edgeBlockCap is the capacity, in edges, of the blocks a worker stores
+// its finished segments in: large enough that block allocations are
+// noise, small enough that a worker with little output holds little.
+const edgeBlockCap = 1 << 15
+
+// put stores the iteration's segment in the worker's current block — a
+// fresh block when it does not fit, never a grown copy of an old one,
+// so an edge is moved once however long the run's output gets — and
+// returns where it now lives. A block that is abandoned wastes less
+// than the segment that did not fit.
+func (st *outerWorker) put(blockCap int) []Edge {
+	n := len(st.seg)
+	if n == 0 {
+		return nil
+	}
+	if cap(st.block)-len(st.block) < n {
+		st.block = make([]Edge, 0, max(blockCap, n))
+	}
+	start := len(st.block)
+	st.block = append(st.block, st.seg...)
+	return st.block[start : start+n : start+n]
+}
+
+// concatSegments is the union step (Line 13 of Algorithm 2): segs[ei]
+// holds hyperedge ei's edges sorted by V, so their concatenation in
+// ascending ei is the (U, V)-sorted edge list — a prefix sum over the
+// segment lengths and a parallel copy, with no comparison and no
+// dependence on which worker produced which segment.
+func concatSegments(segs [][]Edge, opt par.Options) []Edge {
+	off := make([]int64, len(segs))
+	for i, seg := range segs {
+		off[i] = int64(len(seg))
+	}
+	total := par.PrefixSum(off, opt)
+	if total == 0 {
+		return nil
+	}
+	out := make([]Edge, total)
+	par.ForChunks(len(segs), par.Options{Workers: opt.Workers}, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			copy(out[off[i]:], segs[i])
 		}
 	})
-	return par.MergeSorted(lists, edgeLess, opt)
+	return out
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"hyperline/internal/gen"
 )
 
 // naiveFilterGE is the obvious filtration the branch-free one is
@@ -93,18 +95,38 @@ func BenchmarkFilterEdgesGE(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseCounterReset measures Algorithm 2's dense-counter hot
-// loop (epoch-stamped slots: no per-iteration memset, prefetched 2-hop
-// traversal) end to end on a random hypergraph with the dense store
-// pinned.
-func BenchmarkDenseCounterReset(b *testing.B) {
-	r := rand.New(rand.NewSource(13))
-	h := randomHypergraph(r, 400, 2000, 12)
-	cfg := Config{Algorithm: AlgoHashmap, Store: TLSDense, Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := hashmapEdges(context.Background(), h, 2, cfg); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkStage3Kernel measures Algorithm 2's dense-store hot loop
+// end to end (gather, count, emit, reset, block store, assembly) on one
+// worker, once per regime: dense on overlapping communities whose
+// iterations cover most of the counter tail, sparse on small
+// communities that touch a sliver of it. The regime is forced so each
+// name measures what it says; wedges/s is the rate the bench/ ledger
+// calls core.mwedges_per_s.
+func BenchmarkStage3Kernel(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		regime int8
+		cfg    gen.CommunityConfig
+		s      int
+	}{
+		{"dense", +1, gen.CommunityConfig{Seed: 99, NumVertices: 4000, NumCommunities: 70,
+			MeanCommunitySize: 45, EdgesPerCommunity: 50, Background: 1000}, 8},
+		{"sparse", -1, gen.CommunityConfig{Seed: 1003, NumVertices: 60000, NumCommunities: 3000,
+			MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3, Background: 8000}, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			h := gen.Community(bc.cfg)
+			cfg := Config{Algorithm: AlgoHashmap, Store: TLSDense, Workers: 1}
+			var wedges int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, stats, err := hashmapRun(context.Background(), h, bc.s, cfg, stage3Tune{regime: bc.regime})
+				if err != nil {
+					b.Fatal(err)
+				}
+				wedges += stats.Wedges
+			}
+			b.ReportMetric(float64(wedges)/b.Elapsed().Seconds(), "wedges/s")
+		})
 	}
 }

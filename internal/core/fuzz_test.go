@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"hyperline/internal/hg"
+	"hyperline/internal/par"
 )
 
 // FuzzParseSValues fuzzes the s-list specification parser that every
@@ -77,6 +81,78 @@ func FuzzParseNotation(f *testing.F) {
 		}
 		if cfg2 != cfg {
 			t.Fatalf("notation round-trip drift: %q -> %+v -> %q -> %+v", s, cfg, round, cfg2)
+		}
+	})
+}
+
+// fuzzHypergraph decodes fuzz bytes into a small hypergraph and an s:
+// byte 0 picks s in 1..4, byte 1 the vertex count in 1..16, and every
+// later byte either closes the current hyperedge (top bit set) or adds
+// a vertex to it. At most 24 hyperedges, so the quadratic oracle stays
+// cheap; empty and duplicate hyperedges are kept — they are inputs too.
+func fuzzHypergraph(data []byte) (*hg.Hypergraph, int) {
+	if len(data) < 2 {
+		return hg.FromEdgeSlices(nil, 1), 1
+	}
+	s := 1 + int(data[0]%4)
+	n := 1 + int(data[1]%16)
+	edges := [][]uint32{nil}
+	for _, b := range data[2:] {
+		if b&0x80 != 0 {
+			if len(edges) == 24 {
+				break
+			}
+			edges = append(edges, nil)
+			continue
+		}
+		edges[len(edges)-1] = append(edges[len(edges)-1], uint32(int(b)%n))
+	}
+	return hg.FromEdgeSlices(edges, n), s
+}
+
+// FuzzStrategiesAgree is the differential target for Stage 3: on any
+// decodable hypergraph every registered strategy (at exact weights),
+// under both workload distributions, returns the all-pairs oracle's
+// edge list byte for byte, and the materialization-free component BFS
+// agrees with the components of that list.
+func FuzzStrategiesAgree(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5}) // the paper's example, s=1
+	f.Add([]byte{1, 9, 0, 1, 2, 3, 0x80, 0, 1, 2, 3, 0x80, 0x80, 3, 0x80, 2, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, s := fuzzHypergraph(data)
+		want := NaiveAllPairs(h, s)
+		for _, strat := range Strategies() {
+			for _, part := range []par.Strategy{par.Blocked, par.Cyclic} {
+				cfg := Config{DisableShortCircuit: true, Workers: 3, Partition: part, Grain: 2}
+				got, _, err := strat.Edges(context.Background(), h, []int{s}, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", strat.Name(), err)
+				}
+				if !edgeListsEqual(want, got[s]) {
+					t.Fatalf("%s %v s=%d: %v, oracle %v", strat.Name(), part, s, got[s], want)
+				}
+			}
+		}
+		// Components of the oracle's list, labelled by minimum member.
+		label := make([]uint32, h.NumEdges())
+		for e := range label {
+			label[e] = uint32(e)
+		}
+		find := func(e uint32) uint32 {
+			for label[e] != e {
+				e = label[e]
+			}
+			return e
+		}
+		for _, e := range want {
+			if a, b := find(e.U), find(e.V); a != b {
+				label[max(a, b)] = min(a, b)
+			}
+		}
+		for e, got := range SConnectedComponentsDirect(h, s) {
+			if want := find(uint32(e)); got != want {
+				t.Fatalf("SConnectedComponentsDirect s=%d: hyperedge %d in component %d, oracle says %d", s, e, got, want)
+			}
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hyperline/internal/hg"
 	"hyperline/internal/par"
 )
@@ -11,45 +13,23 @@ import (
 // components", e.g. 16 for the condMat network). Returns 0 when no two
 // hyperedges intersect.
 //
-// The scan reuses Algorithm 2's counting pass with per-worker dense
-// counters but emits nothing, so it is cheaper than materializing the
-// 1-line graph.
+// The scan is Algorithm 2's dense-store iteration with a moving
+// threshold: each worker asks only for overlaps above the best it has
+// seen, so after the first few hyperedges nothing is emitted and the
+// 1-line graph is never materialized.
 func MaxOverlap(h *hg.Hypergraph, cfg Config) int {
-	m := h.NumEdges()
-	w := numWorkers(cfg)
-	counts := make([][]uint32, w)
-	touched := make([][]uint32, w)
-
-	maxUint32 := func(a, b uint32) uint32 {
-		if a > b {
-			return a
+	m, w := h.NumEdges(), numWorkers(cfg)
+	counters := newPlainCounters(w, m)
+	workers := newOuterWorkers(w, h.NumVertices(), watchContext(nil)) // a flag that never trips
+	best := make([]uint32, w)
+	par.For(m, cfg.parOptions(), func(worker, i int) {
+		st := &workers[worker]
+		wedges := st.gather(h, uint32(i))
+		st.seg = st.seg[:0]
+		hashmapIterDense(&counters[worker], st, uint32(i), int(best[worker])+1, stage3Tune{}.dense(wedges, m-i-1))
+		for _, e := range st.seg {
+			best[worker] = max(best[worker], e.W)
 		}
-		return b
-	}
-	best := par.Reduce(m, cfg.parOptions(), uint32(0), func(worker, i int) uint32 {
-		if counts[worker] == nil {
-			counts[worker] = make([]uint32, m)
-		}
-		c := counts[worker]
-		t := touched[worker][:0]
-		ei := uint32(i)
-		for _, vk := range h.EdgeVertices(ei) {
-			for _, ej := range upperNeighbors(h.VertexEdges(vk), ei) {
-				if c[ej] == 0 {
-					t = append(t, ej)
-				}
-				c[ej]++
-			}
-		}
-		var iterBest uint32
-		for _, ej := range t {
-			if c[ej] > iterBest {
-				iterBest = c[ej]
-			}
-			c[ej] = 0
-		}
-		touched[worker] = t
-		return iterBest
-	}, maxUint32)
-	return int(best)
+	})
+	return int(slices.Max(best))
 }

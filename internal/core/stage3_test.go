@@ -1,0 +1,242 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"sync/atomic"
+	"testing"
+
+	"hyperline/internal/gen"
+	"hyperline/internal/hg"
+	"hyperline/internal/par"
+)
+
+// regimeGraph is a generated hypergraph small enough for the quadratic
+// oracle whose outer iterations fall on both sides of the dense/sparse
+// rule: early hyperedges face a long counter tail, late ones a short
+// one, and the communities give some of each enough wedges to be dense.
+func regimeGraph() *hg.Hypergraph {
+	return gen.Community(gen.CommunityConfig{
+		Seed: 23, NumVertices: 300, NumCommunities: 12,
+		MeanCommunitySize: 14, EdgesPerCommunity: 12, Background: 160,
+	})
+}
+
+// regimeSplit counts the iterations the rule sends each way.
+func regimeSplit(h *hg.Hypergraph) (dense, sparse int) {
+	st := &outerWorker{}
+	m := h.NumEdges()
+	for ei := 0; ei < m; ei++ {
+		wedges := st.gather(h, uint32(ei))
+		switch {
+		case wedges == 0:
+		case (stage3Tune{}).dense(wedges, m-ei-1):
+			dense++
+		default:
+			sparse++
+		}
+	}
+	return dense, sparse
+}
+
+// TestRegimeBoundary: the regime is a cost decision, never a semantic
+// one — the rule's own choice, every iteration forced dense and every
+// iteration forced sparse all produce the oracle's bytes, at every
+// worker count and under both distributions.
+func TestRegimeBoundary(t *testing.T) {
+	h := regimeGraph()
+	dense, sparse := regimeSplit(h)
+	if dense < 10 || sparse < 10 {
+		t.Fatalf("input does not straddle the rule: %d dense, %d sparse iterations", dense, sparse)
+	}
+	for _, s := range []int{1, 3} {
+		want := NaiveAllPairs(h, s)
+		if len(want) == 0 {
+			t.Fatalf("s=%d: empty oracle makes the comparison vacuous", s)
+		}
+		for _, regime := range []int8{0, +1, -1} {
+			for _, w := range []int{1, 2, 3, 8} {
+				for _, strat := range []par.Strategy{par.Blocked, par.Cyclic} {
+					cfg := Config{Store: TLSDense, Workers: w, Partition: strat, Grain: 5}
+					got, stats, err := hashmapRun(context.Background(), h, s, cfg, stage3Tune{regime: regime})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !edgeListsEqual(want, got) {
+						t.Fatalf("s=%d regime=%d workers=%d %v: diverges from NaiveAllPairs (%d vs %d edges)",
+							s, regime, w, strat, len(got), len(want))
+					}
+					if stats.Edges != int64(len(want)) {
+						t.Fatalf("s=%d regime=%d: Stats.Edges = %d, want %d", s, regime, stats.Edges, len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegimeWideOverlap: two hyperedges sharing 70 000 vertices overlap
+// in exactly 70 000 — past what a 16-bit count could hold, the case the
+// deleted wide slot layout existed for.
+func TestRegimeWideOverlap(t *testing.T) {
+	const shared = 70000
+	verts := make([]uint32, shared)
+	for i := range verts {
+		verts[i] = uint32(i)
+	}
+	h := hg.FromEdgeSlices([][]uint32{verts, verts}, shared)
+	want := []Edge{{U: 0, V: 1, W: shared}}
+	for _, regime := range []int8{0, +1, -1} {
+		got, stats, err := hashmapRun(context.Background(), h, shared, Config{Store: TLSDense, Workers: 2}, stage3Tune{regime: regime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !edgeListsEqual(want, got) || stats.Wedges != shared {
+			t.Fatalf("regime=%d: got %v with %d wedges, want %v with %d", regime, got, stats.Wedges, want, shared)
+		}
+		over, _, _ := hashmapRun(context.Background(), h, shared+1, Config{Store: TLSDense, DisablePruning: true}, stage3Tune{regime: regime})
+		if len(over) != 0 {
+			t.Fatalf("regime=%d: s=%d emitted %v", regime, shared+1, over)
+		}
+	}
+	if got := MaxOverlap(h, Config{Workers: 2}); got != shared {
+		t.Fatalf("MaxOverlap = %d, want %d", got, shared)
+	}
+}
+
+// TestBlockRollOver: where a segment lands — the tail of the current
+// block, a fresh block, a block made to measure because the segment is
+// larger than a whole block — never shows in the output.
+func TestBlockRollOver(t *testing.T) {
+	h := regimeGraph()
+	want := NaiveAllPairs(h, 1)
+	longest, run := 0, 0
+	for i := range want {
+		if i > 0 && want[i].U != want[i-1].U {
+			run = 0
+		}
+		run++
+		longest = max(longest, run)
+	}
+	if longest < 4 {
+		t.Fatalf("longest segment is %d edges: too short to roll over mid-block", longest)
+	}
+	for _, blockCap := range []int{1, 2, longest - 1, longest, 3 * longest} {
+		for _, store := range []CounterStore{TLSDense, TLSHash, MapPerIteration} {
+			for _, w := range []int{1, 3} {
+				cfg := Config{Store: store, Workers: w, Partition: par.Cyclic}
+				got, _, err := hashmapRun(context.Background(), h, 1, cfg, stage3Tune{blockCap: blockCap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !edgeListsEqual(want, got) {
+					t.Fatalf("blockCap=%d store=%v workers=%d: diverges from NaiveAllPairs", blockCap, store, w)
+				}
+			}
+		}
+	}
+}
+
+// denseProbe runs the TLSDense outer loop over counters the test can
+// inspect afterwards, calling hook (when set) before each iteration.
+func denseProbe(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune stage3Tune, hook func()) ([]plainCounters, []Edge, error) {
+	m := h.NumEdges()
+	counters := newPlainCounters(numWorkers(cfg), m)
+	edges, _, err := outerLoop(ctx, h, s, cfg, 0, func(worker int, st *outerWorker, ei uint32, wedges int) bool {
+		if hook != nil {
+			hook()
+		}
+		return hashmapIterDense(&counters[worker], st, ei, s, tune.dense(wedges, m-int(ei)-1))
+	})
+	return counters, edges, err
+}
+
+// TestSegmentsLeaveCountersZero: each iteration resets exactly what it
+// touched, in both regimes, so an uncancelled run hands back all-zero
+// counters — the invariant the next iteration's bare increments and
+// the next run's first-touch test both stand on.
+func TestSegmentsLeaveCountersZero(t *testing.T) {
+	h := regimeGraph()
+	want := NaiveAllPairs(h, 2)
+	for _, regime := range []int8{0, +1, -1} {
+		cfg := Config{Workers: 3, Partition: par.Cyclic}
+		counters, got, err := denseProbe(context.Background(), h, 2, cfg, stage3Tune{regime: regime}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !edgeListsEqual(want, got) {
+			t.Fatalf("regime=%d: probe run diverges from NaiveAllPairs", regime)
+		}
+		for w, c := range counters {
+			for ej, n := range c.counts {
+				if n != 0 {
+					t.Fatalf("regime=%d: worker %d left counts[%d] = %d", regime, w, ej, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentsCancelMidRun cancels from inside the run, at a counted
+// iteration rather than after a delay: the run must return
+// context.Canceled and no list, and no worker may start more than the
+// one iteration it had already polled for.
+func TestSegmentsCancelMidRun(t *testing.T) {
+	h := regimeGraph()
+	const cancelAt = 40
+	for _, regime := range []int8{+1, -1} {
+		for _, w := range []int{1, 3} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Int64
+			cfg := Config{Workers: w, Partition: par.Cyclic}
+			_, got, err := denseProbe(ctx, h, 1, cfg, stage3Tune{regime: regime}, func() {
+				if calls.Add(1) == cancelAt {
+					cancel()
+				}
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("regime=%d workers=%d: got (%d edges, %v), want (nil, context.Canceled)", regime, w, len(got), err)
+			}
+			if n := calls.Load(); n < cancelAt || n > cancelAt+int64(w)-1 {
+				t.Fatalf("regime=%d workers=%d: %d iterations started, want %d to %d", regime, w, n, cancelAt, cancelAt+w-1)
+			}
+		}
+	}
+}
+
+// TestAllPrunedAllocatesNothing: when no hyperedge has s vertices,
+// pruning skips all of them, so both algorithms must answer before
+// sizing any per-worker state; with pruning disabled the same query
+// still walks every wedge and says so.
+func TestAllPrunedAllocatesNothing(t *testing.T) {
+	h := regimeGraph()
+	s := h.MaxEdgeSize() + 1
+	_, walked, _ := hashmapEdges(context.Background(), h, 1, Config{Workers: 4})
+	for name, run := range map[string]func(context.Context, *hg.Hypergraph, int, Config) ([]Edge, Stats, error){
+		"hashmap": hashmapEdges, "set-intersection": setIntersectionEdges,
+	} {
+		cfg := Config{Workers: 4, Store: TLSDense}
+		edges, stats, err := run(context.Background(), h, s, cfg)
+		if err != nil || edges != nil {
+			t.Fatalf("%s: got (%v, %v), want an empty list", name, edges, err)
+		}
+		if stats.Pruned != int64(h.NumEdges()) || stats.Wedges != 0 || len(stats.WedgesPerWorker) != 4 {
+			t.Fatalf("%s: stats %+v, want all %d hyperedges pruned over 4 workers", name, stats, h.NumEdges())
+		}
+		// One allocation is Stats.WedgesPerWorker; the parent made
+		// 2·workers + 3 (counters and cursor caches per worker).
+		if allocs := testing.AllocsPerRun(10, func() { run(context.Background(), h, s, cfg) }); allocs > 2 {
+			t.Fatalf("%s: %v allocations for a query pruning answers outright", name, allocs)
+		}
+
+		cfg.DisablePruning = true
+		edges, stats, err = run(context.Background(), h, s, cfg)
+		if err != nil || len(edges) != 0 {
+			t.Fatalf("%s unpruned: got (%v, %v), want an empty list", name, edges, err)
+		}
+		if stats.Pruned != 0 || stats.Wedges != walked.Wedges {
+			t.Fatalf("%s unpruned: pruned %d, wedges %d; want 0 and %d", name, stats.Pruned, stats.Wedges, walked.Wedges)
+		}
+	}
+}
