@@ -32,9 +32,6 @@ var (
 	ljOnce sync.Once
 	ljH    *hg.Hypergraph
 
-	webOnce sync.Once
-	webH    *hg.Hypergraph
-
 	friendOnce sync.Once
 	friendH    *hg.Hypergraph
 
@@ -48,10 +45,6 @@ var (
 func lj() *hg.Hypergraph {
 	ljOnce.Do(func() { ljH = experiments.LiveJournalAnalog(1) })
 	return ljH
-}
-func web() *hg.Hypergraph {
-	webOnce.Do(func() { webH = experiments.WebAnalog(1) })
-	return webH
 }
 func friend() *hg.Hypergraph {
 	friendOnce.Do(func() { friendH = experiments.FriendsterAnalog(1) })
@@ -70,9 +63,6 @@ func cfgFor(b *testing.B, notation string) core.Config {
 	cfg, err := core.ParseNotation(notation)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if cfg.Algorithm == core.AlgoHashmap {
-		cfg.Store = core.TLSDense
 	}
 	return cfg
 }
@@ -103,7 +93,7 @@ func BenchmarkFig4SCliqueEnsemble(b *testing.B) {
 	h := experiments.DisGeNetAnalog(1).Dual()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.EnsembleEdges(context.Background(), h, experiments.Fig4SValues, core.Config{Store: core.TLSDense})
+		core.EnsembleEdges(context.Background(), h, experiments.Fig4SValues, core.Config{})
 	}
 }
 
@@ -158,7 +148,7 @@ func BenchmarkFig6Ensemble(b *testing.B) {
 	sValues := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.EnsembleEdges(context.Background(), h, sValues, core.Config{Store: core.TLSDense})
+		core.EnsembleEdges(context.Background(), h, sValues, core.Config{})
 	}
 }
 
@@ -178,7 +168,7 @@ func BenchmarkIMDBPipeline(b *testing.B) {
 	h := experiments.IMDBAnalog(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := executeAt(b, h, 101, hyperline.Options{Counters: hyperline.StoreDense})
+		res := executeAt(b, h, 101, hyperline.Options{})
 		algo.ConnectedComponents(res.Graph)
 		algo.Betweenness(res.Graph, par.Options{})
 	}
@@ -230,7 +220,7 @@ func BenchmarkFig8Threads16(b *testing.B) { benchmarkFig8(b, 16) }
 
 func benchmarkFig9(b *testing.B, files int) {
 	h := experiments.DNSAnalog(1, files)
-	cfg := core.Config{Workers: files, Store: core.TLSDense}
+	cfg := core.Config{Workers: files}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.SLineEdges(context.Background(), h, 8, cfg)
@@ -327,46 +317,15 @@ func BenchmarkTable5LPCCS8(b *testing.B) { benchmarkTable5(b, 8) }
 
 // ---- Ablations (DESIGN.md §5) ----
 
-// Counter storage: per-iteration maps vs pre-allocated TLS dense
-// counters (§III-F).
-func BenchmarkAblationCounterStoreMap(b *testing.B) {
-	h := web()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 8, core.Config{Store: core.MapPerIteration})
-	}
-}
-
-func BenchmarkAblationCounterStoreTLSDense(b *testing.B) {
-	h := web()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 8, core.Config{Store: core.TLSDense})
-	}
-}
-
-func BenchmarkAblationCounterStoreTLSHash(b *testing.B) {
-	h := web()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 8, core.Config{Store: core.TLSHash})
-	}
-}
-
-func BenchmarkAblationCounterStoreAuto(b *testing.B) {
-	h := web()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 8, core.Config{Store: core.StoreAuto})
-	}
-}
+// Counter storage (§III-F) is BenchmarkStage3Kernel/{dense,map} in
+// internal/core.
 
 // Degree-based pruning on/off at a selective s.
 func BenchmarkAblationPruningOn(b *testing.B) {
 	h := lj()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 32, core.Config{Store: core.TLSDense})
+		core.SLineEdges(context.Background(), h, 32, core.Config{})
 	}
 }
 
@@ -374,7 +333,7 @@ func BenchmarkAblationPruningOff(b *testing.B) {
 	h := lj()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SLineEdges(context.Background(), h, 32, core.Config{Store: core.TLSDense, DisablePruning: true})
+		core.SLineEdges(context.Background(), h, 32, core.Config{DisablePruning: true})
 	}
 }
 
@@ -400,7 +359,7 @@ func BenchmarkAblationShortCircuitOff(b *testing.B) {
 // Granularity control (§III-F): blocked chunk-size sweep.
 func benchmarkGrain(b *testing.B, grain int) {
 	h := lj()
-	cfg := core.Config{Store: core.TLSDense, Grain: grain}
+	cfg := core.Config{Grain: grain}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.SLineEdges(context.Background(), h, 8, cfg)
@@ -485,17 +444,6 @@ func BenchmarkBatchSweepPinnedPerS(b *testing.B) {
 		for _, s := range batchSweep {
 			runAt(b, h, s, cfg)
 		}
-	}
-}
-
-// BenchmarkBatchSweepSpGEMM drives the sweep through the promoted
-// SpGEMM strategy: one upper-triangle multiply shared by all s filters.
-func BenchmarkBatchSweepSpGEMM(b *testing.B) {
-	h := email()
-	cfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSpGEMM}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.RunBatch(context.Background(), h, batchSweep, cfg)
 	}
 }
 
@@ -613,7 +561,6 @@ func BenchmarkFig8Execute(b *testing.B) {
 			Algorithm: hyperline.AlgoHashmap,
 			Partition: hyperline.Cyclic,
 			Relabel:   hyperline.RelabelAscending,
-			Counters:  hyperline.StoreDense,
 			Workers:   8,
 		},
 	}

@@ -74,12 +74,11 @@
 // before any cache key is derived, so planner-chosen and pinned
 // requests share cache entries whenever they resolve to the same
 // configuration. The response's "plan" reports the resolved knobs and
-// the reason ("knob_reason"). Each dataset version additionally
-// self-calibrates: observed Stage-3 costs per (strategy, knobs, batch
-// shape) feed an online cost model — inspectable at
-// /v1/datasets/{name}/costs — which overrides the planner's static
-// heuristics once a cell has enough observations. Replacing a dataset
-// resets its calibration along with its version.
+// the reason ("knob_reason"). Planning reads the dataset's statistics
+// only. Observed Stage-3 costs per (strategy, knobs, batch shape) feed
+// an online cost table — inspectable at /v1/datasets/{name}/costs —
+// that prices admission once a cell has enough observations; replacing
+// a dataset resets it along with the version.
 package main
 
 import (

@@ -19,8 +19,8 @@
 // an inclusive range ("2:6"), or any mix ("1,4:6"). Multi-s sweeps run
 // as one batched query: the planner decides whether a single ensemble
 // counting pass or per-s passes serve the sweep. -config takes the
-// extended Table III notation (e.g. 2BA, 1CN, ABN, SBN) or the words
-// "auto" (default: planner-chosen) and "spgemm"; a relabel position of
+// extended Table III notation (e.g. 2BA, 1CN, 3CA, ABN) or the word
+// "auto" (default: planner-chosen); a relabel position of
 // '*' (e.g. "2C*", "AB*") lets the planner resolve relabel-by-degree
 // from the dataset's statistics. -toplex likewise takes true, false,
 // or auto (planner-resolved from a sampled containment probe). When
@@ -94,7 +94,7 @@ func (t *toplexFlag) IsBoolFlag() bool { return true }
 func main() {
 	in := flag.String("in", "", "input hypergraph (.pairs or adjacency lines)")
 	sSpec := flag.String("s", "2", "minimum overlap s: value, list, or lo:hi range (e.g. 8 or 1,4:6)")
-	notation := flag.String("config", "auto", "algorithm/partition/relabel notation (Table III, extended), or auto/spgemm")
+	notation := flag.String("config", "auto", "algorithm/partition/relabel notation (Table III, extended), or auto")
 	dual := flag.Bool("dual", false, "compute the s-clique graph (dual hypergraph)")
 	var toplex toplexFlag
 	flag.Var(&toplex, "toplex", "Stage-2 toplex simplification: true, false, or auto (planner-resolved)")

@@ -21,9 +21,9 @@
 // hg (hypergraph CSR substrate), core (the s-overlap algorithms),
 // graph (the materialized line graph), algo (s-measures), spectral
 // (normalized algebraic connectivity), toplex (Stage-2
-// simplification), spgemm (the SpGEMM baseline), gen (synthetic
-// dataset generators), hgio (text and binary I/O) and serve (the
-// caching query layer behind Session and cmd/hyperlined).
+// simplification), gen (synthetic dataset generators), hgio (text and
+// binary I/O) and serve (the caching query layer behind Session and
+// cmd/hyperlined).
 package hyperline
 
 import (
@@ -109,9 +109,6 @@ const (
 	// AlgoEnsemble is Algorithm 3: one counting pass serving every
 	// requested s value.
 	AlgoEnsemble = core.AlgoEnsemble
-	// AlgoSpGEMM is the SpGEMM baseline promoted into the pipeline:
-	// upper-triangular Gustavson SpGEMM of L = HᵀH + s-filtration.
-	AlgoSpGEMM = core.AlgoSpGEMM
 )
 
 // Strategy selects the workload distribution (Table III "B"/"C").
@@ -123,24 +120,6 @@ const (
 	Cyclic  = par.Cyclic
 )
 
-// CounterStore selects Algorithm 2's overlap-counter storage.
-type CounterStore = core.CounterStore
-
-// Counter storage modes (§III-F).
-const (
-	// StoreAuto (the default) adaptively picks dense or
-	// open-addressing thread-local counters from the hypergraph's
-	// size and 2-hop frontier.
-	StoreAuto = core.StoreAuto
-	// StoreMap allocates a fresh hashmap per outer iteration (the
-	// paper's dynamic-allocation mode).
-	StoreMap = core.MapPerIteration
-	// StoreDense uses pre-allocated per-worker dense counter arrays.
-	StoreDense = core.TLSDense
-	// StoreHash uses pre-allocated per-worker open-addressing tables.
-	StoreHash = core.TLSHash
-)
-
 // RelabelOrder selects Stage-1 relabel-by-degree (Table III "A"/"D"/"N").
 type RelabelOrder = hg.RelabelOrder
 
@@ -150,20 +129,18 @@ const (
 	RelabelAscending  = hg.RelabelAscending
 	RelabelDescending = hg.RelabelDescending
 	// RelabelAuto lets the planner resolve the order from the
-	// hypergraph's degree statistics (and, in a Session, from
-	// calibrated cost observations). The resolved order is recorded in
-	// the result's Plan.
+	// hypergraph's degree statistics. The resolved order is recorded
+	// in the result's Plan.
 	RelabelAuto = hg.RelabelAuto
 )
 
 // Options configures an s-line graph computation. The zero value runs
 // the planner-chosen strategy (AlgoAuto) with blocked distribution, no
-// relabeling, ID squeezing on, adaptive counter storage (StoreAuto),
-// and GOMAXPROCS workers.
+// relabeling, ID squeezing on, and GOMAXPROCS workers.
 type Options struct {
 	// Algorithm pins an s-overlap strategy (AlgoHashmap,
-	// AlgoSetIntersection, AlgoEnsemble, AlgoSpGEMM) or lets the
-	// cost-based planner choose (AlgoAuto, the default).
+	// AlgoSetIntersection, AlgoEnsemble) or lets the cost-based planner
+	// choose (AlgoAuto, the default).
 	Algorithm Algorithm
 	// Partition: Blocked (default) or Cyclic workload distribution.
 	Partition Strategy
@@ -174,10 +151,6 @@ type Options struct {
 	Workers int
 	// Grain: blocked-chunk size (0 = default).
 	Grain int
-	// Counters selects Algorithm 2's counter storage. The zero value
-	// is StoreAuto: dense or open-addressing thread-local counters
-	// picked adaptively per run.
-	Counters CounterStore
 	// ExactWeights makes Algorithm 1 compute exact overlap counts
 	// instead of short-circuiting at s (Algorithm 2 is always exact).
 	ExactWeights bool
@@ -204,7 +177,6 @@ func (o Options) pipeline() core.PipelineConfig {
 			Relabel:             o.Relabel,
 			Workers:             o.Workers,
 			Grain:               o.Grain,
-			Store:               o.Counters,
 			DisableShortCircuit: o.ExactWeights,
 		},
 		Toplex:    toplex,

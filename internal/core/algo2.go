@@ -103,44 +103,6 @@ func upper(h *hg.Hypergraph, vk, ei uint32, pos []uint32) []uint32 {
 	return upperNeighbors(list, ei)
 }
 
-// denseStoreBudget caps the total memory StoreAuto will spend on
-// per-worker dense counter arrays (4·m bytes each) before switching to
-// the open-addressing tables.
-const denseStoreBudget = 64 << 20
-
-// chooseStore resolves StoreAuto for one run: dense thread-local
-// counters when the per-worker arrays fit the budget or when the
-// average 2-hop frontier covers a large fraction of the hyperedge space
-// (a hash table would rival the dense array in size while paying probe
-// costs), the open-addressing table otherwise. The frontier estimate
-// is returned so the caller can reuse it as the table size hint.
-func chooseStore(h *hg.Hypergraph, workers int) (CounterStore, int64) {
-	m := h.NumEdges()
-	frontier := avgFrontier(h)
-	if int64(workers)*int64(m)*4 <= denseStoreBudget {
-		return TLSDense, frontier
-	}
-	if frontier*8 >= int64(m) {
-		return TLSDense, frontier
-	}
-	return TLSHash, frontier
-}
-
-// avgFrontier estimates the mean 2-hop frontier size of a hyperedge:
-// Σ_v deg(v)² / m counts, for the average outer iteration, how many
-// wedge endpoints (with multiplicity) it visits.
-func avgFrontier(h *hg.Hypergraph) int64 {
-	var wedgeEnds int64
-	for v := 0; v < h.NumVertices(); v++ {
-		d := int64(h.VertexDegree(uint32(v)))
-		wedgeEnds += d * d
-	}
-	if h.NumEdges() == 0 {
-		return 0
-	}
-	return wedgeEnds / int64(h.NumEdges())
-}
-
 // outerWorker is the thread-local state the outer loops of Algorithms 1
 // and 2 share: the wedge runs of the iteration in flight, the segment it
 // emits, and the block the worker's finished segments are stored in.
@@ -170,7 +132,7 @@ func newOuterWorkers(workers, n int, stop *stopFlag) []outerWorker {
 // gather collects, for every vertex of ei, the run of incident
 // hyperedges ej > ei into st.runs and returns the iteration's exact
 // wedge count — known before a single counter is touched, which is what
-// lets the dense store pick its regime up front.
+// lets the counting pass pick its regime up front.
 func (st *outerWorker) gather(h *hg.Hypergraph, ei uint32) int {
 	runs, wedges := st.runs[:0], 0
 	for _, vk := range h.EdgeVertices(ei) {
@@ -204,7 +166,7 @@ func allPruned(h *hg.Hypergraph, s int, cfg Config) (Stats, bool) {
 // segments by hyperedge. blockCap 0 means edgeBlockCap.
 //
 // Cancellation is polled here once per outer iteration and by iter once
-// per run (the dense store also per denseStopChunk endpoints); state
+// per run (Algorithm 2 also per denseStopChunk endpoints); state
 // left dirty by an aborted iteration is never read again because every
 // later iteration sees the tripped flag too.
 func outerLoop(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, blockCap int, iter iterFunc) ([]Edge, Stats, error) {
@@ -248,7 +210,7 @@ func outerLoop(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, blockCa
 }
 
 // stage3Tune lets tests force either side of the two derived constants
-// of the dense path; the zero value is what every caller runs with.
+// of the counting pass; the zero value is what every caller runs with.
 type stage3Tune struct {
 	regime   int8 // 0: by denseRatio; > 0: every iteration dense; < 0: every iteration sparse
 	blockCap int  // 0: edgeBlockCap
@@ -266,61 +228,15 @@ func hashmapRun(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune s
 	if stats, ok := allPruned(h, s, cfg); ok {
 		return nil, stats, nil
 	}
-	m, w := h.NumEdges(), numWorkers(cfg)
-	store, hint := cfg.Store, int64(-1)
-	if store == StoreAuto {
-		store, hint = chooseStore(h, w)
-	}
-	var iter iterFunc
-	switch store {
-	case TLSDense:
-		// Pre-allocated thread-local storage (§III-F).
-		counters := newPlainCounters(w, m)
-		iter = func(worker int, st *outerWorker, ei uint32, wedges int) bool {
-			return hashmapIterDense(&counters[worker], st, ei, s, tune.dense(wedges, m-int(ei)-1))
-		}
-	case TLSHash:
-		if hint < 0 {
-			hint = avgFrontier(h)
-		}
-		tables := make([]*oaTable, w)
-		for i := range tables {
-			tables[i] = newOATable(hint, m)
-		}
-		iter = func(worker int, st *outerWorker, ei uint32, _ int) bool {
-			return hashmapIterHash(tables[worker], st, ei, s)
-		}
-	default:
-		iter = func(_ int, st *outerWorker, ei uint32, _ int) bool {
-			return hashmapIterMap(st, ei, s)
-		}
-	}
-	return outerLoop(ctx, h, s, cfg, tune.blockCap, iter)
-}
-
-// hashmapIterMap processes one hyperedge with a per-iteration hashmap
-// (Lines 6-12 of Algorithm 2, dynamic allocation mode).
-func hashmapIterMap(st *outerWorker, ei uint32, s int) bool {
-	overlap := make(map[uint32]uint32)
-	for _, run := range st.runs {
-		if st.stop.Stop() {
-			return false
-		}
-		for _, ej := range run {
-			overlap[ej]++
-		}
-	}
-	for ej, n := range overlap {
-		if int(n) >= s {
-			st.seg = append(st.seg, Edge{U: ei, V: ej, W: n})
-		}
-	}
-	sortSegmentByV(st.seg)
-	return true
+	m := h.NumEdges()
+	counters := newPlainCounters(numWorkers(cfg), m)
+	return outerLoop(ctx, h, s, cfg, tune.blockCap, func(worker int, st *outerWorker, ei uint32, wedges int) bool {
+		return hashmapIterDense(&counters[worker], st, ei, s, tune.dense(wedges, m-int(ei)-1))
+	})
 }
 
 // denseStopChunk bounds how many wedge endpoints (and, at emission, how
-// many counter slots) the dense store processes between stop-flag
+// many counter slots) Algorithm 2 processes between stop-flag
 // polls. Heavy-tailed inputs have single neighbor runs of hundreds of
 // thousands of cache-missing increments; polling only per run would
 // make the cancellation latency proportional to the largest vertex
@@ -343,10 +259,11 @@ func (t stage3Tune) dense(wedges, tail int) bool {
 	return wedges*denseRatio >= tail
 }
 
-// plainCounters is one worker's TLSDense store: counts[ej] is the
-// overlap accumulated for (ei, ej) in the iteration in flight and is
-// zero for every ej between iterations — each iteration resets exactly
-// what it may have touched. A uint32 count cannot overflow (an overlap
+// plainCounters is one worker's pre-allocated thread-local counters
+// (§III-F), the only counter store: counts[ej] is the overlap
+// accumulated for (ei, ej) in the iteration in flight and is zero for
+// every ej between iterations — each iteration resets exactly what it
+// may have touched. A uint32 count cannot overflow (an overlap
 // is at most a hyperedge size). touched has one slot of slack past m:
 // the sparse count loop stores the candidate unconditionally and
 // advances only on a first touch.
@@ -452,105 +369,4 @@ func hashmapIterDense(c *plainCounters, st *outerWorker, ei uint32, s int, dense
 	}
 	st.seg = seg
 	return true
-}
-
-// hashmapIterHash processes one hyperedge with the pre-allocated
-// open-addressing counter table (TLS hash mode).
-func hashmapIterHash(t *oaTable, st *outerWorker, ei uint32, s int) bool {
-	for _, run := range st.runs {
-		if st.stop.Stop() {
-			return false // dirty slots are never read after a stop
-		}
-		for _, ej := range run {
-			t.incr(ej)
-		}
-	}
-	for _, slot := range t.touched {
-		if n := t.vals[slot]; int(n) >= s {
-			st.seg = append(st.seg, Edge{U: ei, V: t.keys[slot] - 1, W: n})
-		}
-	}
-	t.reset()
-	sortSegmentByV(st.seg)
-	return true
-}
-
-// oaTable is a linear-probing uint32→uint32 counter table. Keys are
-// stored +1 so the zero word means empty, letting reset clear only the
-// touched slots. It replaces the per-iteration map allocation of
-// MapPerIteration with O(frontier) reuse.
-type oaTable struct {
-	keys    []uint32 // key+1; 0 = empty
-	vals    []uint32
-	mask    uint32
-	touched []uint32 // occupied slot indices, in first-touch order
-}
-
-// newOATable sizes the table for ~4× the estimated per-iteration
-// frontier, but never beyond 2·m slots: at load factor 0.5 that holds
-// every possible key (an iteration touches at most m hyperedges), so
-// growth stops there and a skewed frontier estimate cannot balloon the
-// initial allocation past what the keys could ever need.
-func newOATable(sizeHint int64, m int) *oaTable {
-	size := uint32(64)
-	for int64(size) < sizeHint*4 && int64(size) < 2*int64(m) && size < 1<<30 {
-		size <<= 1
-	}
-	return &oaTable{
-		keys: make([]uint32, size),
-		vals: make([]uint32, size),
-		mask: size - 1,
-	}
-}
-
-// incr adds one to the counter of key, inserting it at zero.
-func (t *oaTable) incr(key uint32) {
-	k := key + 1
-	slot := (key * 2654435761) & t.mask
-	for {
-		switch t.keys[slot] {
-		case k:
-			t.vals[slot]++
-			return
-		case 0:
-			if len(t.touched)*2 >= len(t.keys) {
-				t.grow()
-				slot = (key * 2654435761) & t.mask
-				continue
-			}
-			t.keys[slot] = k
-			t.vals[slot] = 1
-			t.touched = append(t.touched, slot)
-			return
-		}
-		slot = (slot + 1) & t.mask
-	}
-}
-
-// grow doubles the table, rehashing the occupied slots.
-func (t *oaTable) grow() {
-	oldKeys, oldVals, oldTouched := t.keys, t.vals, t.touched
-	size := uint32(len(oldKeys)) << 1
-	t.keys = make([]uint32, size)
-	t.vals = make([]uint32, size)
-	t.mask = size - 1
-	t.touched = make([]uint32, 0, size/2)
-	for _, slot := range oldTouched {
-		k := oldKeys[slot]
-		ns := ((k - 1) * 2654435761) & t.mask
-		for t.keys[ns] != 0 {
-			ns = (ns + 1) & t.mask
-		}
-		t.keys[ns] = k
-		t.vals[ns] = oldVals[slot]
-		t.touched = append(t.touched, ns)
-	}
-}
-
-// reset clears the touched slots, leaving the table empty.
-func (t *oaTable) reset() {
-	for _, slot := range t.touched {
-		t.keys[slot] = 0
-	}
-	t.touched = t.touched[:0]
 }

@@ -5,7 +5,7 @@
 // The s-overlap stage is a pluggable execution engine: every algorithm
 // implements the Strategy interface (sorted, deduped, deterministic
 // edge lists per s), and a cost-based planner (PlanQuery) picks the
-// strategy for AlgoAuto queries. Four strategies are registered:
+// strategy for AlgoAuto queries. There are three strategies:
 //
 //   - Algorithm 1 (SetIntersection): the prior state-of-the-art
 //     heuristic algorithm of Liu et al. (HiPC'21), which intersects the
@@ -19,16 +19,15 @@
 //   - Algorithm 3 (Ensemble): a variant of Algorithm 2 that stores all
 //     overlap counts once and then derives the s-line graph for every
 //     requested s value.
-//   - SpGEMM: the §VI-G baseline — upper-triangular Gustavson SpGEMM of
-//     L = HᵀH followed by s-filtration — promoted into the pipeline so
-//     its results flow through the same preprocessing, CSR build, and
-//     caching as the native algorithms.
+//
+// The §VI-G SpGEMM baseline lives in internal/spgemm and is called only
+// by the experiments harness.
 //
 // All algorithms parallelize the outer loop over hyperedges using the
 // blocked or cyclic workload distribution of internal/par and support
 // the relabel-by-degree orderings of internal/hg, giving the twelve
 // configurations of the paper's Table III (1BA ... 2CD) plus the
-// extended "A" (auto) and "S" (SpGEMM) notations.
+// extended "3" (ensemble) and "A" (auto) notations.
 package core
 
 import (
@@ -63,15 +62,11 @@ const (
 	// pass decoupled from edge emission, serving every requested s from
 	// one materialized counter set.
 	AlgoEnsemble Algorithm = 3
-	// AlgoSpGEMM is the SpGEMM baseline of §VI-G, promoted into the
-	// pipeline: upper-triangular Gustavson SpGEMM of L = HᵀH followed
-	// by s-filtration.
-	AlgoSpGEMM Algorithm = 4
 )
 
 // String returns the character used in the (extended) Table III
 // notation: the paper's numerals for Algorithms 1-3, "A" for the
-// planner, "S" for SpGEMM.
+// planner.
 func (a Algorithm) String() string {
 	switch a {
 	case AlgoAuto:
@@ -82,52 +77,6 @@ func (a Algorithm) String() string {
 		return "2"
 	case AlgoEnsemble:
 		return "3"
-	case AlgoSpGEMM:
-		return "S"
-	default:
-		return "?"
-	}
-}
-
-// CounterStore selects how Algorithm 2 keeps its per-hyperedge overlap
-// counters (§III-F "dynamic vs pre-allocated thread-local storage").
-type CounterStore uint8
-
-const (
-	// StoreAuto (the default) picks between TLSDense and TLSHash from
-	// the hypergraph's size and average 2-hop frontier: dense counters
-	// when the per-worker arrays are affordable or the frontier covers
-	// a large fraction of the hyperedge space, the open-addressing
-	// table otherwise. It never picks MapPerIteration — the
-	// per-iteration map allocation it models is strictly dominated.
-	StoreAuto CounterStore = iota
-	// MapPerIteration allocates a fresh hashmap for every hyperedge
-	// of the outer loop — the paper's dynamic-allocation mode, kept as
-	// an explicit choice for the §III-F ablation.
-	MapPerIteration
-	// TLSDense uses a pre-allocated per-worker dense counter array
-	// plus a touched list, reset after each iteration. Preferred for
-	// hypergraphs with dense overlapping neighborhoods (the Web
-	// dataset regime).
-	TLSDense
-	// TLSHash uses a pre-allocated per-worker open-addressing
-	// uint32→uint32 hash table, reset via its touched list. Preferred
-	// when the hyperedge space is too large for per-worker dense
-	// arrays but each 2-hop frontier is small.
-	TLSHash
-)
-
-// String names the counter store.
-func (c CounterStore) String() string {
-	switch c {
-	case StoreAuto:
-		return "auto"
-	case MapPerIteration:
-		return "map"
-	case TLSDense:
-		return "tls-dense"
-	case TLSHash:
-		return "tls-hash"
 	default:
 		return "?"
 	}
@@ -135,8 +84,7 @@ func (c CounterStore) String() string {
 
 // Config selects an algorithm and its execution strategy. The zero
 // value means planner-chosen strategy (AlgoAuto), blocked distribution,
-// no relabeling, default grain, GOMAXPROCS workers, adaptive counter
-// storage (StoreAuto) — a sensible default.
+// no relabeling, default grain, GOMAXPROCS workers — a sensible default.
 type Config struct {
 	// Algorithm pins an s-overlap strategy, or lets the planner choose
 	// (AlgoAuto, the default).
@@ -152,9 +100,6 @@ type Config struct {
 	Workers int
 	// Grain is the blocked-chunk size (0 = par.DefaultGrain).
 	Grain int
-	// Store selects Algorithm 2's counter storage (default StoreAuto:
-	// adaptively dense or open-addressing thread-local counters).
-	Store CounterStore
 	// DisablePruning turns off degree-based pruning (hyperedges of
 	// size < s can never be s-incident and are skipped by default).
 	DisablePruning bool
@@ -176,20 +121,17 @@ func (c Config) Notation() string {
 }
 
 // ParseNotation parses a Table III shorthand such as "1CN" or "2BA",
-// extended with "3" (ensemble), "A" (planner/auto), and "S" (SpGEMM)
-// in the algorithm position, and "*" (planner-resolved) in the relabel
-// position (e.g. "2C*" or "AB*"). The bare words "auto" and "spgemm"
-// are accepted as shorthands with default partition and relabeling.
+// extended with "3" (ensemble) and "A" (planner/auto) in the algorithm
+// position, and "*" (planner-resolved) in the relabel position (e.g.
+// "2C*" or "AB*"). The bare word "auto" is accepted as a shorthand with
+// default partition and relabeling.
 func ParseNotation(s string) (Config, error) {
 	var c Config
-	switch s {
-	case "auto":
+	if s == "auto" {
 		return Config{Algorithm: AlgoAuto}, nil
-	case "spgemm":
-		return Config{Algorithm: AlgoSpGEMM}, nil
 	}
 	if len(s) != 3 {
-		return c, fmt.Errorf("core: notation %q must have 3 characters (or be \"auto\"/\"spgemm\")", s)
+		return c, fmt.Errorf("core: notation %q must have 3 characters (or be \"auto\")", s)
 	}
 	switch s[0] {
 	case '1':
@@ -200,8 +142,6 @@ func ParseNotation(s string) (Config, error) {
 		c.Algorithm = AlgoEnsemble
 	case 'A':
 		c.Algorithm = AlgoAuto
-	case 'S':
-		c.Algorithm = AlgoSpGEMM
 	default:
 		return c, fmt.Errorf("core: unknown algorithm %q", s[0])
 	}

@@ -86,7 +86,7 @@ func randomHypergraph(r *rand.Rand, n, m, maxSize int) *hg.Hypergraph {
 
 // TestAllAlgorithmsAgree is the central cross-validation property: on
 // random hypergraphs, Algorithm 1 (both intersection modes), Algorithm
-// 2 (both counter stores), the ensemble, and the naive all-pairs oracle
+// 2, the ensemble, and the naive all-pairs oracle
 // produce the same s-line graphs under every partitioning strategy.
 func TestAllAlgorithmsAgree(t *testing.T) {
 	f := func(seed int64, sRaw uint8) bool {
@@ -97,8 +97,7 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		wantPairs := stripWeights(want)
 
 		configs := []Config{
-			{Algorithm: AlgoHashmap, Store: MapPerIteration},
-			{Algorithm: AlgoHashmap, Store: TLSDense},
+			{Algorithm: AlgoHashmap},
 			{Algorithm: AlgoHashmap, Partition: par.Cyclic, Workers: 3},
 			{Algorithm: AlgoHashmap, Partition: par.Blocked, Grain: 1, Workers: 5},
 			{Algorithm: AlgoSetIntersection, DisableShortCircuit: true},
@@ -183,11 +182,11 @@ func TestWedgeStatsConsistency(t *testing.T) {
 	if stats.Wedges == 0 {
 		t.Fatal("expected non-zero wedge visits")
 	}
-	// Wedge count is invariant across counter stores at s=1 (no
-	// pruning difference).
-	_, stats2, _ := SLineEdges(context.Background(), h, 1, Config{Store: TLSDense, Workers: 4})
+	// Wedge count is invariant across worker counts at s=1 (no pruning
+	// difference).
+	_, stats2, _ := SLineEdges(context.Background(), h, 1, Config{Workers: 1})
 	if stats2.Wedges != stats.Wedges {
-		t.Fatalf("wedges differ across stores: %d vs %d", stats2.Wedges, stats.Wedges)
+		t.Fatalf("wedges differ across worker counts: %d vs %d", stats2.Wedges, stats.Wedges)
 	}
 }
 
@@ -232,7 +231,7 @@ func TestNotationRoundTrip(t *testing.T) {
 	if len(AllNotations()) != 12 {
 		t.Fatalf("Table III has 12 configurations, got %d", len(AllNotations()))
 	}
-	for _, bad := range []string{"", "9BA", "2XA", "2BZ", "2B", "22BA", "AUTO", "Spgemm"} {
+	for _, bad := range []string{"", "9BA", "2XA", "2BZ", "2B", "22BA", "AUTO", "Spgemm", "spgemm", "SBN", "SCD"} {
 		if _, err := ParseNotation(bad); err == nil {
 			t.Errorf("ParseNotation(%q) should fail", bad)
 		}
@@ -240,10 +239,10 @@ func TestNotationRoundTrip(t *testing.T) {
 }
 
 // TestExtendedNotations covers the engine's additions to the Table III
-// alphabet: Algorithm 3 ("3"), the planner ("A"), SpGEMM ("S"), and
-// the bare-word shorthands.
+// alphabet: Algorithm 3 ("3"), the planner ("A"), and the bare-word
+// shorthand.
 func TestExtendedNotations(t *testing.T) {
-	for _, n := range []string{"3BA", "3CN", "ABN", "ACA", "SBN", "SCD"} {
+	for _, n := range []string{"3BA", "3CN", "ABN", "ACA"} {
 		cfg, err := ParseNotation(n)
 		if err != nil {
 			t.Fatalf("ParseNotation(%q): %v", n, err)
@@ -256,16 +255,13 @@ func TestExtendedNotations(t *testing.T) {
 	if err != nil || auto.Algorithm != AlgoAuto {
 		t.Fatalf("ParseNotation(auto) = %+v, %v", auto, err)
 	}
-	sg, err := ParseNotation("spgemm")
-	if err != nil || sg.Algorithm != AlgoSpGEMM {
-		t.Fatalf("ParseNotation(spgemm) = %+v, %v", sg, err)
+	// The word round-trips through the 3-character form.
+	back, err := ParseNotation(auto.Notation())
+	if err != nil || back != auto {
+		t.Fatalf("word notation %q does not round trip: %+v, %v", auto.Notation(), back, err)
 	}
-	// The words round-trip through the 3-character form.
-	for _, w := range []Config{auto, sg} {
-		back, err := ParseNotation(w.Notation())
-		if err != nil || back != w {
-			t.Fatalf("word notation %q does not round trip: %+v, %v", w.Notation(), back, err)
-		}
+	if Algorithm(9).String() != "?" {
+		t.Fatal("unknown algorithm should stringify to ?")
 	}
 }
 
@@ -312,17 +308,5 @@ func TestDistinctS(t *testing.T) {
 	}
 	if len(DistinctS(nil)) != 0 {
 		t.Fatal("DistinctS(nil) should be empty")
-	}
-}
-
-func TestCounterStoreString(t *testing.T) {
-	if MapPerIteration.String() != "map" || TLSDense.String() != "tls-dense" {
-		t.Fatal("unexpected CounterStore names")
-	}
-	if CounterStore(9).String() != "?" {
-		t.Fatal("unknown store should stringify to ?")
-	}
-	if Algorithm(9).String() != "?" {
-		t.Fatal("unknown algorithm should stringify to ?")
 	}
 }

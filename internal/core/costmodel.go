@@ -9,9 +9,9 @@ import (
 )
 
 // CalibrationMin is how many observations a (strategy, knobs) cell
-// needs before the planner trusts its EWMA over the static heuristics.
-// Below it the cell is warming up: one or two measurements of a stage
-// that is itself planner-dependent are too noisy to redirect queries.
+// needs before admission control prices queries with its EWMA instead
+// of the wedge-pair heuristic. Below it the cell is warming up: one or
+// two measurements are too noisy to price with.
 const CalibrationMin = 3
 
 // costAlpha is the EWMA smoothing factor. 0.3 weights the last handful
@@ -46,17 +46,20 @@ type CostObservation struct {
 	PerS time.Duration
 	// N counts the observations folded into the EWMA.
 	N int64
-	// Calibrated reports N >= CalibrationMin: the planner consults
-	// this cell.
+	// Calibrated reports N >= CalibrationMin: admission control prices
+	// with this cell.
 	Calibrated bool
 }
 
 // CostModel is an online per-dataset cost table: an EWMA of observed
 // Stage-3 (s-overlap) time per distinct s, keyed by the executed
-// strategy and knobs. RunBatch feeds it after every successful pass and
-// the planner consults it — once a cell has CalibrationMin observations
-// — to override the static byte-count heuristics with what this
-// dataset actually measured. All methods are safe for concurrent use.
+// strategy and knobs. RunBatch feeds it after every successful pass; the
+// serving layer reads it — once a cell has CalibrationMin observations
+// — to price admission in measured milliseconds and to allow larger
+// patches on ingest, and reports it on /v1/datasets/{name}/costs. It
+// never influences which strategy or knobs run: planning is a pure
+// function of hg.Stats (PlanQuery, ResolveConfig). All methods are safe
+// for concurrent use.
 type CostModel struct {
 	mu    sync.RWMutex
 	table map[CostKey]costCell

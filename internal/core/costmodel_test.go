@@ -63,7 +63,7 @@ func TestCostModelKeysAreIndependent(t *testing.T) {
 func TestCostModelSnapshotSorted(t *testing.T) {
 	c := NewCostModel()
 	keys := []CostKey{
-		{Algo: AlgoSpGEMM, Multi: true},
+		{Algo: AlgoEnsemble, Multi: true},
 		{Algo: AlgoHashmap, Relabel: hg.RelabelDescending},
 		{Algo: AlgoHashmap, Relabel: hg.RelabelAscending, Toplex: true},
 		{Algo: AlgoSetIntersection},
@@ -106,7 +106,7 @@ func TestCostModelConcurrent(t *testing.T) {
 	keys := []CostKey{
 		{Algo: AlgoHashmap},
 		{Algo: AlgoEnsemble, Multi: true},
-		{Algo: AlgoSpGEMM, Toplex: true},
+		{Algo: AlgoSetIntersection, Toplex: true},
 	}
 	const goroutines = 8
 	const iters = 500

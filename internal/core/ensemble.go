@@ -14,7 +14,7 @@ import (
 // The stored-counter set is pruned at sMin, the smallest requested s:
 // a counter below sMin can never pass any requested filter, so the
 // materialization is exactly the sMin-line edge list with exact
-// weights — i.e. one Algorithm 2 pass at sMin, reusing its adaptive
+// weights — i.e. one Algorithm 2 pass at sMin, reusing its
 // thread-local counters and sort-free assembly. Each remaining s is
 // then a weight filtration (W ≥ s) of that list, which preserves the
 // sorted order. The filtrations are nested (s' > s implies

@@ -95,32 +95,32 @@ func BenchmarkFilterEdgesGE(b *testing.B) {
 	}
 }
 
-// BenchmarkStage3Kernel measures Algorithm 2's dense-store hot loop
-// end to end (gather, count, emit, reset, block store, assembly) on one
-// worker, once per regime: dense on overlapping communities whose
-// iterations cover most of the counter tail, sparse on small
-// communities that touch a sliver of it. The regime is forced so each
-// name measures what it says; wedges/s is the rate the bench/ ledger
-// calls core.mwedges_per_s.
+// BenchmarkStage3Kernel measures Algorithm 2's hot loop end to end
+// (gather, count, emit, reset, block store, assembly) on one worker,
+// once per regime: dense on overlapping communities whose iterations
+// cover most of the counter tail, sparse on small communities that
+// touch a sliver of it. The regime is forced so each name measures what
+// it says; wedges/s is the rate the bench/ ledger calls
+// core.mwedges_per_s. map runs the dense input through mapIter: dense
+// vs map is the paper's §III-F pre-allocated vs dynamic table.
 func BenchmarkStage3Kernel(b *testing.B) {
+	overlapping := gen.CommunityConfig{Seed: 99, NumVertices: 4000, NumCommunities: 70,
+		MeanCommunitySize: 45, EdgesPerCommunity: 50, Background: 1000}
+	small := gen.CommunityConfig{Seed: 1003, NumVertices: 60000, NumCommunities: 3000,
+		MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3, Background: 8000}
 	for _, bc := range []struct {
-		name   string
-		regime int8
-		cfg    gen.CommunityConfig
-		s      int
-	}{
-		{"dense", +1, gen.CommunityConfig{Seed: 99, NumVertices: 4000, NumCommunities: 70,
-			MeanCommunitySize: 45, EdgesPerCommunity: 50, Background: 1000}, 8},
-		{"sparse", -1, gen.CommunityConfig{Seed: 1003, NumVertices: 60000, NumCommunities: 3000,
-			MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3, Background: 8000}, 1},
-	} {
+		name string
+		cfg  gen.CommunityConfig
+		s    int
+	}{{"dense", overlapping, 8}, {"sparse", small, 1}, {"map", overlapping, 8}} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := gen.Community(bc.cfg)
-			cfg := Config{Algorithm: AlgoHashmap, Store: TLSDense, Workers: 1}
+			cfg := Config{Algorithm: AlgoHashmap, Workers: 1}
+			run := stage3Runs(0)[bc.name]
 			var wedges int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := hashmapRun(context.Background(), h, bc.s, cfg, stage3Tune{regime: bc.regime})
+				_, stats, err := run(h, bc.s, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,7 +8,7 @@ import "fmt"
 //
 // The key is canonicalized over output-equivalent configurations, not
 // over raw option values. Every strategy — Algorithm 2, the ensemble,
-// SpGEMM, the planner (AlgoAuto), and Algorithm 1 in exact mode
+// the planner (AlgoAuto), and Algorithm 1 in exact mode
 // (DisableShortCircuit) — produces byte-identical sorted edge lists
 // with exact overlap weights, so they all share the "exact" class. The
 // single exception is Algorithm 1 with short-circuiting (its default),
@@ -17,13 +17,13 @@ import "fmt"
 //
 // The remaining output-relevant fields are relabel-by-degree (it
 // permutes the squeezed node ID space), toplex simplification, and
-// squeezing. Execution-only knobs — Workers, Grain, Partition, Store,
-// and DisablePruning — are deliberately excluded: the edge-assembly
-// pipeline guarantees byte-identical output for any worker count,
-// workload distribution, or counter store, and pruning only skips
-// hyperedges that cannot contribute edges. Requests that differ only in
-// those knobs (or only in which exact-class strategy computes them)
-// therefore share a cache entry.
+// squeezing. Execution-only knobs — Workers, Grain, Partition and
+// DisablePruning — are deliberately excluded: the edge-assembly
+// pipeline guarantees byte-identical output for any worker count or
+// workload distribution, and pruning only skips hyperedges that cannot
+// contribute edges. Requests that differ only in those knobs (or only
+// in which exact-class strategy computes them) therefore share a cache
+// entry.
 // The planner-resolvable knobs (hg.RelabelAuto, ToplexAuto) must be
 // resolved via ResolveConfig before fingerprinting: the serving layer
 // does so at every entry point, which is what lets a planner-chosen

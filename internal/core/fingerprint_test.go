@@ -13,8 +13,6 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 		{Core: Config{Workers: 7}},
 		{Core: Config{Grain: 3}},
 		{Core: Config{Partition: par.Cyclic}},
-		{Core: Config{Store: TLSHash}},
-		{Core: Config{Store: MapPerIteration}},
 		{Core: Config{DisablePruning: true}},
 	}
 	for i, v := range variants {
@@ -33,7 +31,6 @@ func TestFingerprintCanonicalizesOutputClass(t *testing.T) {
 	exactClass := []PipelineConfig{
 		{Core: Config{Algorithm: AlgoHashmap}},
 		{Core: Config{Algorithm: AlgoEnsemble}},
-		{Core: Config{Algorithm: AlgoSpGEMM}},
 		{Core: Config{Algorithm: AlgoSetIntersection, DisableShortCircuit: true}},
 		{Core: Config{Algorithm: AlgoHashmap, DisableShortCircuit: true}}, // no-op flag
 	}

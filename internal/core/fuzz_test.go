@@ -61,11 +61,13 @@ func FuzzParseSValues(f *testing.F) {
 }
 
 // FuzzParseNotation fuzzes the Table III notation parser. Invariants:
-// no panic; on success the parsed configuration's Notation() is
-// canonical — re-parsing it yields the identical configuration.
+// no panic; on success the parsed configuration names the planner or a
+// strategy that exists (the retired "S"/"spgemm" spellings never
+// parse), and its Notation() is canonical — re-parsing it yields the
+// identical configuration.
 func FuzzParseNotation(f *testing.F) {
 	seeds := append(AllNotations(),
-		"auto", "spgemm", "ABN", "SBN", "3CA", "", "2B", "2BAX", "xBN", "2xN", "2Bx", "żBN")
+		"auto", "spgemm", "Spgemm", "ABN", "SBN", "SCD", "3CA", "", "2B", "2BAX", "xBN", "2xN", "2Bx", "żBN")
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -73,6 +75,9 @@ func FuzzParseNotation(f *testing.F) {
 		cfg, err := ParseNotation(s)
 		if err != nil {
 			return
+		}
+		if _, serr := StrategyFor(cfg.Algorithm); cfg.Algorithm != AlgoAuto && serr != nil {
+			t.Fatalf("%q parsed to algorithm %s, which has no strategy", s, cfg.Algorithm)
 		}
 		round := cfg.Notation()
 		cfg2, err := ParseNotation(round)
@@ -111,7 +116,7 @@ func fuzzHypergraph(data []byte) (*hg.Hypergraph, int) {
 }
 
 // FuzzStrategiesAgree is the differential target for Stage 3: on any
-// decodable hypergraph every registered strategy (at exact weights),
+// decodable hypergraph every strategy (at exact weights),
 // under both workload distributions, returns the all-pairs oracle's
 // edge list byte for byte, and the materialization-free component BFS
 // agrees with the components of that list.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hyperline/internal/graph"
@@ -89,31 +89,29 @@ type OverlapCount struct {
 	Count uint32 // |e ∩ neighbor|
 }
 
-// OverlapCounts runs one outer iteration of Algorithm 2 for hyperedge
-// ei over its full 2-hop frontier (not just the upper triangle): every
+// OverlapCounts is one outer iteration of Algorithm 2 for hyperedge ei
+// over its full 2-hop frontier (not just the upper triangle): every
 // hyperedge sharing at least one vertex with ei is returned with its
 // exact overlap count, in ascending neighbor ID order. This is the
 // kernel the incremental patcher recounts inserted hyperedges with —
-// the per-pair counts are identical to what a full Algorithm-2 pass
-// would produce, because they are the same accumulation.
+// the per-pair counts are what a full Algorithm-2 pass would produce.
+// A single iteration has no per-worker counters to reuse, so it sorts
+// the frontier and counts runs.
 func OverlapCounts(h *hg.Hypergraph, ei uint32) []OverlapCount {
-	var frontier int64
+	var frontier []uint32
 	for _, vk := range h.EdgeVertices(ei) {
-		frontier += int64(h.VertexDegree(vk))
+		frontier = append(frontier, h.VertexEdges(vk)...)
 	}
-	t := newOATable(frontier, h.NumEdges())
-	for _, vk := range h.EdgeVertices(ei) {
-		for _, ej := range h.VertexEdges(vk) {
-			if ej != ei {
-				t.incr(ej)
-			}
+	slices.Sort(frontier)
+	var out []OverlapCount
+	for _, ej := range frontier {
+		switch {
+		case ej == ei:
+		case len(out) > 0 && out[len(out)-1].Edge == ej:
+			out[len(out)-1].Count++
+		default:
+			out = append(out, OverlapCount{Edge: ej, Count: 1})
 		}
 	}
-	out := make([]OverlapCount, 0, len(t.touched))
-	for _, slot := range t.touched {
-		out = append(out, OverlapCount{Edge: t.keys[slot] - 1, Count: t.vals[slot]})
-	}
-	t.reset()
-	sort.Slice(out, func(i, j int) bool { return out[i].Edge < out[j].Edge })
 	return out
 }

@@ -73,10 +73,9 @@ type PipelineConfig struct {
 	// When nil, the planner computes them on demand. Stats are an
 	// execution hint and never part of the cache fingerprint.
 	Stats *hg.Stats
-	// Costs optionally attaches a calibration table: RunBatch records
-	// each successful Stage-3 pass into it, and the planner consults
-	// calibrated cells to override its static heuristics. Nil disables
-	// calibration. Not part of the cache fingerprint.
+	// Costs optionally attaches a cost table: RunBatch records each
+	// successful Stage-3 pass into it. No planning decision reads it.
+	// Not part of the cache fingerprint.
 	Costs *CostModel
 	// KnobReason records why ResolveConfig chose the preprocessing
 	// knobs ("" when the caller pinned them). It is set by
@@ -188,8 +187,8 @@ func planningStats(p prepared, sValues []int, cfg PipelineConfig) hg.Stats {
 // to ≥ 1) as one planned query: the planner first resolves any auto
 // preprocessing knobs (ResolveConfig), preprocessing and toplex
 // simplification run once, the planner resolves the s-overlap strategy
-// from the hypergraph's statistics, the batch shape, and any calibrated
-// costs, and Stage 4 builds one graph per s. The result maps each
+// from the hypergraph's statistics and the batch shape (PlanQuery), and
+// Stage 4 builds one graph per s. The result maps each
 // distinct clamped s to its projection.
 //
 // Cancellation is cooperative: the pipeline checks ctx between stages
@@ -214,7 +213,7 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg = ResolveConfig(h, sValues, cfg)
+	cfg = ResolveConfig(h, cfg)
 	p := prepare(h, cfg)
 	// Checkpoint between Stages 1-2 and Stage 3.
 	if err := ctx.Err(); err != nil {
@@ -222,7 +221,7 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	}
 
 	distinct := DistinctS(sValues)
-	dec := PlanQueryCosts(planningStats(p, sValues, cfg), sValues, cfg.Core, cfg.Costs, cfg.Toplex.Enabled())
+	dec := PlanQuery(planningStats(p, sValues, cfg), sValues, cfg.Core)
 	t2 := time.Now()
 	lists, stats, err := dec.Strategy.Edges(ctx, p.work, sValues, dec.Config)
 	if err != nil {

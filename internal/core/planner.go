@@ -3,15 +3,14 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"hyperline/internal/hg"
 )
 
 // Planner cost-model constants. The planner reasons in bytes because
-// the regime boundaries the paper observes (§VI-C, §VI-G) are memory
-// cliffs, not instruction-count crossovers: Algorithm 3 materializes
-// one counter per wedge pair, and SpGEMM materializes the product.
+// the regime boundary the paper observes (§VI-C) is a memory cliff, not
+// an instruction-count crossover: Algorithm 3 materializes one counter
+// per wedge pair.
 const (
 	// ensembleBytesPerCounter is the cost of one materialized overlap
 	// counter in Algorithm 3's pruned counter set (one Edge: U, V, W).
@@ -20,16 +19,6 @@ const (
 	// Algorithm 3 spend on materialized counters before falling back
 	// to per-s Algorithm 2 passes.
 	ensembleCounterBudget = 2 << 30
-	// spgemmMinEdges is the smallest hyperedge count for which the
-	// planner considers SpGEMM: below it, any strategy finishes in
-	// microseconds and the hashmap default keeps work counters
-	// meaningful.
-	spgemmMinEdges = 1024
-	// spgemmBytesPerEntry is the CSR cost of one stored product entry
-	// (column + value).
-	spgemmBytesPerEntry = 8
-	// spgemmProductBudget caps the materialized upper-triangle product.
-	spgemmProductBudget = 1 << 30
 )
 
 // Knob-resolution constants (§III-F, Table III). The thresholds are
@@ -72,18 +61,17 @@ func (d Decision) Info() PlanInfo {
 // pipeline configuration: a Relabel of hg.RelabelAuto and a Toplex of
 // ToplexAuto are replaced by concrete choices derived from the input
 // hypergraph's statistics (cfg.Stats when supplied, computed from h —
-// and cached back into cfg.Stats — otherwise) and, for the relabel
-// order, from calibrated cost observations when cfg.Costs has them.
-// The decision is recorded in cfg.KnobReason.
+// and cached back into cfg.Stats — otherwise). The decision is recorded
+// in cfg.KnobReason.
 //
-// Resolution is deterministic for fixed stats and calibration state and
-// idempotent: a configuration without auto knobs is returned unchanged.
+// Resolution is a pure function of the stats and idempotent: a
+// configuration without auto knobs is returned unchanged.
 // The serving layer calls this before deriving cache keys, so a
 // planner-chosen configuration shares cache entries with the pinned
 // configuration it resolves to; RunBatch calls it again (a no-op for
 // already-resolved configs) so direct library callers get the same
 // semantics. h may be nil when cfg.Stats is non-nil.
-func ResolveConfig(h *hg.Hypergraph, sValues []int, cfg PipelineConfig) PipelineConfig {
+func ResolveConfig(h *hg.Hypergraph, cfg PipelineConfig) PipelineConfig {
 	relAuto := cfg.Core.Relabel == hg.RelabelAuto
 	topAuto := cfg.Toplex == ToplexAuto
 	if !relAuto && !topAuto {
@@ -106,7 +94,7 @@ func ResolveConfig(h *hg.Hypergraph, sValues []int, cfg PipelineConfig) Pipeline
 		reasons = append(reasons, why)
 	}
 	if relAuto {
-		order, why := resolveRelabel(st, cfg.Costs, cfg.Toplex.Enabled(), len(DistinctS(sValues)) > 1)
+		order, why := resolveRelabel(st)
 		cfg.Core.Relabel = order
 		reasons = append(reasons, why)
 	}
@@ -127,15 +115,10 @@ func resolveToplex(st hg.Stats) (ToplexMode, string) {
 		st.ToplexSample*100, toplexSampleThreshold*100, st.NumEdges)
 }
 
-// resolveRelabel resolves hg.RelabelAuto: calibrated cost observations
-// win when at least two orders have been measured; otherwise ascending
-// relabel-by-degree is chosen for skewed degree distributions (the
-// regime where Table III shows it pays) and the input order is kept
-// everywhere else.
-func resolveRelabel(st hg.Stats, costs *CostModel, toplexOn, multi bool) (hg.RelabelOrder, string) {
-	if order, why, ok := calibratedRelabel(costs, toplexOn, multi); ok {
-		return order, why
-	}
+// resolveRelabel resolves hg.RelabelAuto: ascending relabel-by-degree
+// for skewed degree distributions (the regime where Table III shows it
+// pays), the input order everywhere else.
+func resolveRelabel(st hg.Stats) (hg.RelabelOrder, string) {
 	if st.NumEdges >= autoKnobMinEdges && degreeSkewed(st) {
 		return hg.RelabelAscending, fmt.Sprintf(
 			"relabel=A: skewed degrees (max/avg hyperedge size %.1fx, vertex degree %.1fx)",
@@ -161,63 +144,9 @@ func skewRatio(max int, avg float64) float64 {
 	return float64(max) / avg
 }
 
-// relabelCandidates are the concrete orders auto resolves among, in
-// tie-break priority order.
-var relabelCandidates = [...]hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
-
-// calibratedRelabel picks the relabel order with the cheapest
-// calibrated Stage-3 cost, comparing each order's best strategy under
-// the same toplex setting and batch shape. It abstains (ok=false)
-// unless at least two orders have calibrated cells — a single measured
-// order proves nothing about the alternatives.
-func calibratedRelabel(costs *CostModel, toplexOn, multi bool) (hg.RelabelOrder, string, bool) {
-	if costs == nil {
-		return 0, "", false
-	}
-	var (
-		observed int
-		best     hg.RelabelOrder
-		bestCost time.Duration
-		found    bool
-	)
-	for _, order := range relabelCandidates {
-		cost, ok := bestStrategyCost(costs, order, toplexOn, multi)
-		if !ok {
-			continue
-		}
-		observed++
-		if !found || cost < bestCost {
-			best, bestCost, found = order, cost, true
-		}
-	}
-	if observed < 2 {
-		return 0, "", false
-	}
-	return best, fmt.Sprintf("relabel=%s: calibrated Stage-3 cost ~%s/s is the cheapest of %d measured orders",
-		best, bestCost.Round(time.Microsecond), observed), true
-}
-
-// bestStrategyCost returns the cheapest calibrated per-s estimate among
-// all strategies for one (relabel, toplex, multi) knob combination.
-func bestStrategyCost(costs *CostModel, order hg.RelabelOrder, toplexOn, multi bool) (time.Duration, bool) {
-	var (
-		best  time.Duration
-		found bool
-	)
-	for _, algo := range [...]Algorithm{AlgoSetIntersection, AlgoHashmap, AlgoEnsemble, AlgoSpGEMM} {
-		d, calibrated := costs.Estimate(CostKey{Algo: algo, Relabel: order, Toplex: toplexOn, Multi: multi})
-		if !calibrated {
-			continue
-		}
-		if !found || d < best {
-			best, found = d, true
-		}
-	}
-	return best, found
-}
-
 // PlanQuery resolves the strategy for one query from the hypergraph's
-// statistics (st), the requested s values, and cfg.
+// statistics (st), the requested s values, and cfg. It is a pure
+// function of its three inputs: no clock, no observed costs.
 //
 // Pinned algorithms (cfg.Algorithm != AlgoAuto) are honored, with one
 // exception: a batched AlgoHashmap query whose counter memory fits the
@@ -226,36 +155,18 @@ func bestStrategyCost(costs *CostModel, order hg.RelabelOrder, toplexOn, multi b
 // 1 batches always run per s — its short-circuited weights depend on s
 // and no other strategy can reproduce them.
 //
-// For AlgoAuto the planner only chooses among exact-weight strategies
-// (Algorithm 2, Algorithm 3, SpGEMM), so the output — and therefore the
-// cache fingerprint — is independent of the decision:
+// For AlgoAuto the planner chooses between the two exact-weight
+// strategies (Algorithm 2, Algorithm 3), so the output — and therefore
+// the cache fingerprint — is independent of the decision:
 //
 //   - multi-s batches run as one ensemble counting pass when the
 //     estimated counter memory (st.WedgePairs) fits the budget, and as
 //     per-s hashmap passes otherwise;
-//   - s = 1 queries on dense hypergraphs (the line graph is at least
-//     half-complete) route to SpGEMM: at s = 1 the on-the-fly filter
-//     discards nothing, so Algorithm 2's store-nothing advantage
-//     vanishes and the simpler multiply kernel wins;
 //   - everything else takes Algorithm 2, whose wedge-linear cost is
 //     the floor among exact strategies. Algorithm 1 is never chosen:
 //     exact mode performs the same wedge traversal plus the
 //     intersections, and short-circuit mode changes the output class.
 func PlanQuery(st hg.Stats, sValues []int, cfg Config) Decision {
-	return PlanQueryCosts(st, sValues, cfg, nil, false)
-}
-
-// PlanQueryCosts is PlanQuery with self-calibration: when costs holds
-// calibrated observations (>= CalibrationMin measured passes per cell)
-// for every candidate strategy of an AlgoAuto decision point, the
-// measured per-s estimates override the static byte-count heuristics.
-// Only choices among exact-weight strategies are ever overridden — the
-// output class, and therefore the cache fingerprint, is independent of
-// calibration — and SpGEMM's memory budget guard still applies even to
-// a calibrated win. toplexOn selects which calibration cells describe
-// this run (Stage-3 cost after simplification differs materially from
-// cost without it). A nil costs reproduces PlanQuery exactly.
-func PlanQueryCosts(st hg.Stats, sValues []int, cfg Config, costs *CostModel, toplexOn bool) Decision {
 	distinct := DistinctS(sValues)
 	multi := len(distinct) > 1
 
@@ -265,8 +176,6 @@ func PlanQueryCosts(st hg.Stats, sValues []int, cfg Config, costs *CostModel, to
 			"pinned Algorithm 1: per-s passes preserve its weight semantics")
 	case AlgoEnsemble:
 		return pin(cfg, AlgoEnsemble, "pinned Algorithm 3")
-	case AlgoSpGEMM:
-		return pin(cfg, AlgoSpGEMM, "pinned SpGEMM")
 	case AlgoHashmap:
 		if multi && ensembleFits(st) {
 			return pin(cfg, AlgoEnsemble,
@@ -275,11 +184,8 @@ func PlanQueryCosts(st hg.Stats, sValues []int, cfg Config, costs *CostModel, to
 		return pin(cfg, AlgoHashmap, "pinned Algorithm 2")
 	}
 
-	// AlgoAuto: choose among the exact-weight strategies.
+	// AlgoAuto: choose between the exact-weight strategies.
 	if multi {
-		if dec, ok := calibratedChoice(cfg, costs, toplexOn, true, AlgoEnsemble, AlgoHashmap, ensembleFits(st)); ok {
-			return dec
-		}
 		if ensembleFits(st) {
 			return pin(cfg, AlgoEnsemble,
 				fmt.Sprintf("multi-s batch (%d values): one ensemble counting pass, ~%d counters fit the budget", len(distinct), st.WedgePairs))
@@ -287,84 +193,18 @@ func PlanQueryCosts(st hg.Stats, sValues []int, cfg Config, costs *CostModel, to
 		return pin(cfg, AlgoHashmap,
 			fmt.Sprintf("multi-s batch, but ~%d materialized counters exceed the ensemble budget; per-s hashmap passes", st.WedgePairs))
 	}
-	s := distinct[0]
-	if st.MaxEdgeSize > 0 && s > st.MaxEdgeSize {
+	if s := distinct[0]; st.MaxEdgeSize > 0 && s > st.MaxEdgeSize {
 		return pin(cfg, AlgoHashmap,
 			fmt.Sprintf("s=%d exceeds the largest hyperedge (%d): pruning makes the result trivially empty", s, st.MaxEdgeSize))
-	}
-	if s == 1 {
-		if dec, ok := calibratedChoice(cfg, costs, toplexOn, false, AlgoSpGEMM, AlgoHashmap, spgemmBudgetFits(st)); ok {
-			return dec
-		}
-		if spgemmRegime(st) {
-			return pin(cfg, AlgoSpGEMM,
-				"s=1 on a dense hypergraph: filtering discards nothing, so the materialized upper-triangle product costs no more than the output")
-		}
 	}
 	return pin(cfg, AlgoHashmap, "single-s query: hashmap counting is the exact-weight cost floor")
 }
 
-// calibratedChoice decides one AlgoAuto decision point — candidate vs
-// fallback — from calibrated observations. It abstains unless both
-// cells are calibrated under the same knobs and batch shape; the
-// candidate additionally needs its memory budget (candidateFits) even
-// when measured faster, because the calibration table records time, not
-// peak memory.
-func calibratedChoice(cfg Config, costs *CostModel, toplexOn, multi bool, candidate, fallback Algorithm, candidateFits bool) (Decision, bool) {
-	if costs == nil {
-		return Decision{}, false
-	}
-	candCost, candOK := costs.Estimate(CostKey{Algo: candidate, Relabel: cfg.Relabel, Toplex: toplexOn, Multi: multi})
-	fallCost, fallOK := costs.Estimate(CostKey{Algo: fallback, Relabel: cfg.Relabel, Toplex: toplexOn, Multi: multi})
-	if !candOK || !fallOK {
-		return Decision{}, false
-	}
-	winner := fallback
-	winCost, loseCost := fallCost, candCost
-	if candidateFits && candCost < fallCost {
-		winner = candidate
-		winCost, loseCost = candCost, fallCost
-	}
-	return pin(cfg, winner, fmt.Sprintf(
-		"calibrated: %s measured ~%s/s vs %s ~%s/s on this dataset",
-		algoName(winner), winCost.Round(time.Microsecond),
-		algoName(loser(winner, candidate, fallback)), loseCost.Round(time.Microsecond))), true
-}
-
-// loser names the strategy calibration rejected.
-func loser(winner, a, b Algorithm) Algorithm {
-	if winner == a {
-		return b
-	}
-	return a
-}
-
-// algoName renders an algorithm by its registered strategy name, for
-// plan reasons.
-func algoName(a Algorithm) string {
-	if s, err := StrategyFor(a); err == nil {
-		return s.Name()
-	}
-	return a.String()
-}
-
-// spgemmBudgetFits is spgemmRegime's memory guard alone: the
-// density-regime test is a heuristic calibration may override, the
-// budget is not.
-func spgemmBudgetFits(st hg.Stats) bool {
-	return st.WedgePairs <= spgemmProductBudget/spgemmBytesPerEntry
-}
-
-// pin resolves cfg onto a registered strategy. The registry is
-// populated at init with every Algorithm tag the planner can emit, so
-// a miss is a programming error.
+// pin resolves cfg onto the strategy implementing a, one of the three
+// tags of the strategies table.
 func pin(cfg Config, a Algorithm, reason string) Decision {
-	strat, err := StrategyFor(a)
-	if err != nil {
-		panic(err)
-	}
 	cfg.Algorithm = a
-	return Decision{Strategy: strat, Config: cfg, Reason: reason}
+	return Decision{Strategy: strategies[a-1], Config: cfg, Reason: reason}
 }
 
 // ensembleFits reports whether Algorithm 3's materialized counters
@@ -373,31 +213,6 @@ func pin(cfg Config, a Algorithm, reason string) Decision {
 // so extreme degree distributions cannot overflow into "fits".
 func ensembleFits(st hg.Stats) bool {
 	return st.WedgePairs <= ensembleCounterBudget/ensembleBytesPerCounter
-}
-
-// spgemmRegime reports whether a hypergraph is in the dense regime
-// where the planner prefers SpGEMM for s=1 queries: large enough to
-// matter, line graph at least half-complete (≥ half of all m·(m−1)/2
-// hyperedge pairs), and a product that fits the budget.
-//
-// WedgePairs counts a hyperedge pair once per shared vertex, so it
-// overestimates distinct pairs on deep-overlap hypergraphs; dividing
-// by the largest hyperedge size (the maximum multiplicity of any pair)
-// gives a conservative lower bound on the distinct-pair coverage, so
-// the regime only triggers when the line graph is provably dense.
-func spgemmRegime(st hg.Stats) bool {
-	m := int64(st.NumEdges)
-	if m < spgemmMinEdges {
-		return false
-	}
-	maxMult := int64(st.MaxEdgeSize)
-	if maxMult < 1 {
-		maxMult = 1
-	}
-	if st.WedgePairs/maxMult < m*(m-1)/4 {
-		return false
-	}
-	return st.WedgePairs <= spgemmProductBudget/spgemmBytesPerEntry
 }
 
 // planFor is the pipeline-internal entry: it computes dataset

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"hyperline/internal/hg"
 )
@@ -60,7 +59,7 @@ func TestResolveRelabelRegimes(t *testing.T) {
 		{"degenerate-avg", statsRegime(10_000, 4, 0.2, 0), hg.RelabelNone},
 	}
 	for _, tc := range cases {
-		order, why := resolveRelabel(tc.st, nil, false, false)
+		order, why := resolveRelabel(tc.st)
 		if order != tc.want {
 			t.Errorf("%s: resolveRelabel = %v (%s), want %v", tc.name, order, why, tc.want)
 		}
@@ -75,7 +74,7 @@ func TestResolveConfigPinnedUnchanged(t *testing.T) {
 		Core:   Config{Relabel: hg.RelabelAscending},
 		Toplex: ToplexOn,
 	}
-	got := ResolveConfig(nil, []int{2}, cfg) // nil h: must not be touched
+	got := ResolveConfig(nil, cfg) // nil h: must not be touched
 	if !reflect.DeepEqual(got, cfg) {
 		t.Fatalf("pinned config changed: %+v -> %+v", cfg, got)
 	}
@@ -91,7 +90,7 @@ func TestResolveConfigIdempotent(t *testing.T) {
 		Core:   Config{Relabel: hg.RelabelAuto},
 		Toplex: ToplexAuto,
 	}
-	once := ResolveConfig(h, []int{2, 3}, cfg)
+	once := ResolveConfig(h, cfg)
 	if once.Core.Relabel == hg.RelabelAuto || once.Toplex == ToplexAuto {
 		t.Fatalf("auto knobs survived resolution: %+v", once)
 	}
@@ -101,7 +100,7 @@ func TestResolveConfigIdempotent(t *testing.T) {
 	if once.Stats == nil {
 		t.Fatal("resolution did not cache stats back into the config")
 	}
-	twice := ResolveConfig(nil, []int{2, 3}, once)
+	twice := ResolveConfig(nil, once)
 	if !reflect.DeepEqual(once, twice) {
 		t.Fatalf("resolution not idempotent: %+v -> %+v", once, twice)
 	}
@@ -111,7 +110,7 @@ func TestResolveConfigIdempotent(t *testing.T) {
 func TestResolveConfigDeterministic(t *testing.T) {
 	st := statsRegime(10_000, 200, 3, 0.5)
 	mk := func() PipelineConfig {
-		return ResolveConfig(nil, []int{2}, PipelineConfig{
+		return ResolveConfig(nil, PipelineConfig{
 			Core:   Config{Relabel: hg.RelabelAuto},
 			Toplex: ToplexAuto,
 			Stats:  &st,
@@ -123,109 +122,6 @@ func TestResolveConfigDeterministic(t *testing.T) {
 	}
 	if a.Core.Relabel != hg.RelabelAscending || a.Toplex != ToplexOn {
 		t.Fatalf("skewed high-containment regime resolved to (%v, %v)", a.Core.Relabel, a.Toplex)
-	}
-}
-
-// TestCalibratedRelabelOverride: once two relabel orders have
-// calibrated cells, the measured winner overrides the static skew
-// heuristic; with fewer than two measured orders calibration abstains.
-func TestCalibratedRelabelOverride(t *testing.T) {
-	st := statsRegime(10_000, 200, 3, 0) // skewed: static choice is Ascending
-	costs := NewCostModel()
-	obs := func(order hg.RelabelOrder, d time.Duration) {
-		k := CostKey{Algo: AlgoHashmap, Relabel: order, Toplex: false, Multi: false}
-		for i := 0; i < CalibrationMin; i++ {
-			costs.Observe(k, d)
-		}
-	}
-
-	// One measured order: abstain, static heuristic applies.
-	obs(hg.RelabelAscending, 10*time.Millisecond)
-	cfg := PipelineConfig{Core: Config{Relabel: hg.RelabelAuto}, Stats: &st, Costs: costs}
-	got := ResolveConfig(nil, []int{2}, cfg)
-	if got.Core.Relabel != hg.RelabelAscending {
-		t.Fatalf("single measured order: relabel = %v, want static Ascending", got.Core.Relabel)
-	}
-	if strings.Contains(got.KnobReason, "calibrated") {
-		t.Fatalf("calibration should abstain with one measured order: %q", got.KnobReason)
-	}
-
-	// Second order measured cheaper: calibration overrides the skew
-	// heuristic.
-	obs(hg.RelabelNone, 2*time.Millisecond)
-	got = ResolveConfig(nil, []int{2}, cfg)
-	if got.Core.Relabel != hg.RelabelNone {
-		t.Fatalf("calibrated relabel = %v, want None (measured 5x cheaper)", got.Core.Relabel)
-	}
-	if !strings.Contains(got.KnobReason, "calibrated") {
-		t.Fatalf("reason does not mention calibration: %q", got.KnobReason)
-	}
-}
-
-// TestCalibratedStrategyFlip: calibrated observations flip the AlgoAuto
-// multi-s choice from the static ensemble to per-s hashmap passes when
-// the hashmap measured faster — and never flip toward a strategy whose
-// memory budget fails.
-func TestCalibratedStrategyFlip(t *testing.T) {
-	st := statsRegime(10_000, 4, 3, 0)
-	st.WedgePairs = 1000 // comfortably inside every budget
-	sweep := []int{2, 3, 4}
-	cfg := Config{Algorithm: AlgoAuto}
-
-	costs := NewCostModel()
-	calib := func(a Algorithm, d time.Duration) {
-		k := CostKey{Algo: a, Multi: true}
-		for i := 0; i < CalibrationMin; i++ {
-			costs.Observe(k, d)
-		}
-	}
-
-	// Uncalibrated: static choice is the ensemble.
-	if dec := PlanQueryCosts(st, sweep, cfg, costs, false); dec.Config.Algorithm != AlgoEnsemble {
-		t.Fatalf("static multi-s choice = %v, want ensemble", dec.Config.Algorithm)
-	}
-
-	// Hashmap measured faster: calibration flips the decision.
-	calib(AlgoEnsemble, 50*time.Millisecond)
-	calib(AlgoHashmap, 5*time.Millisecond)
-	dec := PlanQueryCosts(st, sweep, cfg, costs, false)
-	if dec.Config.Algorithm != AlgoHashmap {
-		t.Fatalf("calibrated multi-s choice = %v, want hashmap", dec.Config.Algorithm)
-	}
-	if !strings.Contains(dec.Reason, "calibrated") {
-		t.Fatalf("reason does not mention calibration: %q", dec.Reason)
-	}
-
-	// Ensemble measured faster but over budget: budget guard wins.
-	costs2 := NewCostModel()
-	for i := 0; i < CalibrationMin; i++ {
-		costs2.Observe(CostKey{Algo: AlgoEnsemble, Multi: true}, time.Millisecond)
-		costs2.Observe(CostKey{Algo: AlgoHashmap, Multi: true}, time.Second)
-	}
-	stBig := st
-	stBig.WedgePairs = 1 << 40 // ensemble counters cannot fit
-	if dec := PlanQueryCosts(stBig, sweep, cfg, costs2, false); dec.Config.Algorithm != AlgoHashmap {
-		t.Fatalf("budget-violating calibrated win chose %v, want hashmap", dec.Config.Algorithm)
-	}
-}
-
-// TestPlanQueryCostsNilMatchesPlanQuery: a nil cost model reproduces
-// the static planner bit for bit.
-func TestPlanQueryCostsNilMatchesPlanQuery(t *testing.T) {
-	regimes := []hg.Stats{
-		statsRegime(10_000, 4, 3, 0),
-		statsRegime(100, 4, 3, 0),
-		{NumEdges: 5000, MaxEdgeSize: 3, WedgePairs: 40_000_000},
-	}
-	sweeps := [][]int{{1}, {2}, {2, 4, 8}}
-	for _, st := range regimes {
-		for _, sweep := range sweeps {
-			a := PlanQuery(st, sweep, Config{})
-			b := PlanQueryCosts(st, sweep, Config{}, nil, false)
-			if a.Config.Algorithm != b.Config.Algorithm || a.Reason != b.Reason {
-				t.Fatalf("nil-cost divergence on %+v %v: %v vs %v", st, sweep, a, b)
-			}
-		}
 	}
 }
 
@@ -298,7 +194,7 @@ func TestKnobEquivalenceMatrix(t *testing.T) {
 		Core:   Config{Relabel: hg.RelabelAuto},
 		Toplex: ToplexAuto,
 	}
-	resolved := ResolveConfig(h, sweep, auto)
+	resolved := ResolveConfig(h, auto)
 	autoRes, err := RunBatch(context.Background(), h, sweep, auto)
 	if err != nil {
 		t.Fatal(err)

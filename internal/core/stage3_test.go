@@ -39,10 +39,52 @@ func regimeSplit(h *hg.Hypergraph) (dense, sparse int) {
 	return dense, sparse
 }
 
+// mapIter is Lines 6-12 of Algorithm 2 in the paper's dynamic-allocation
+// mode (§III-F): a fresh map per outer iteration. It shares no counting
+// code with plainCounters, which makes it the other arm of the §III-F
+// ablation (BenchmarkStage3Kernel/map) and a second reference beside
+// NaiveAllPairs.
+func mapIter(s int) iterFunc {
+	return func(_ int, st *outerWorker, ei uint32, _ int) bool {
+		overlap := make(map[uint32]uint32)
+		for _, run := range st.runs {
+			for _, ej := range run {
+				overlap[ej]++
+			}
+		}
+		for ej, n := range overlap {
+			if int(n) >= s {
+				st.seg = append(st.seg, Edge{U: ei, V: ej, W: n})
+			}
+		}
+		sortSegmentByV(st.seg)
+		return true
+	}
+}
+
+type stage3Run func(h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error)
+
+// stage3Runs lists every way the tests drive the outer loop: the rule's
+// own regime choice, every iteration forced dense, every iteration
+// forced sparse, and mapIter.
+func stage3Runs(blockCap int) map[string]stage3Run {
+	runs := map[string]stage3Run{
+		"map": func(h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error) {
+			return outerLoop(context.Background(), h, s, cfg, blockCap, mapIter(s))
+		},
+	}
+	for name, regime := range map[string]int8{"rule": 0, "dense": +1, "sparse": -1} {
+		runs[name] = func(h *hg.Hypergraph, s int, cfg Config) ([]Edge, Stats, error) {
+			return hashmapRun(context.Background(), h, s, cfg, stage3Tune{regime: regime, blockCap: blockCap})
+		}
+	}
+	return runs
+}
+
 // TestRegimeBoundary: the regime is a cost decision, never a semantic
-// one — the rule's own choice, every iteration forced dense and every
-// iteration forced sparse all produce the oracle's bytes, at every
-// worker count and under both distributions.
+// one — the rule's own choice, every iteration forced dense, every
+// iteration forced sparse and the per-iteration map all produce the
+// oracle's bytes, at every worker count and under both distributions.
 func TestRegimeBoundary(t *testing.T) {
 	h := regimeGraph()
 	dense, sparse := regimeSplit(h)
@@ -54,20 +96,20 @@ func TestRegimeBoundary(t *testing.T) {
 		if len(want) == 0 {
 			t.Fatalf("s=%d: empty oracle makes the comparison vacuous", s)
 		}
-		for _, regime := range []int8{0, +1, -1} {
+		for name, run := range stage3Runs(0) {
 			for _, w := range []int{1, 2, 3, 8} {
 				for _, strat := range []par.Strategy{par.Blocked, par.Cyclic} {
-					cfg := Config{Store: TLSDense, Workers: w, Partition: strat, Grain: 5}
-					got, stats, err := hashmapRun(context.Background(), h, s, cfg, stage3Tune{regime: regime})
+					cfg := Config{Workers: w, Partition: strat, Grain: 5}
+					got, stats, err := run(h, s, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !edgeListsEqual(want, got) {
-						t.Fatalf("s=%d regime=%d workers=%d %v: diverges from NaiveAllPairs (%d vs %d edges)",
-							s, regime, w, strat, len(got), len(want))
+						t.Fatalf("s=%d %s workers=%d %v: diverges from NaiveAllPairs (%d vs %d edges)",
+							s, name, w, strat, len(got), len(want))
 					}
 					if stats.Edges != int64(len(want)) {
-						t.Fatalf("s=%d regime=%d: Stats.Edges = %d, want %d", s, regime, stats.Edges, len(want))
+						t.Fatalf("s=%d %s: Stats.Edges = %d, want %d", s, name, stats.Edges, len(want))
 					}
 				}
 			}
@@ -87,14 +129,14 @@ func TestRegimeWideOverlap(t *testing.T) {
 	h := hg.FromEdgeSlices([][]uint32{verts, verts}, shared)
 	want := []Edge{{U: 0, V: 1, W: shared}}
 	for _, regime := range []int8{0, +1, -1} {
-		got, stats, err := hashmapRun(context.Background(), h, shared, Config{Store: TLSDense, Workers: 2}, stage3Tune{regime: regime})
+		got, stats, err := hashmapRun(context.Background(), h, shared, Config{Workers: 2}, stage3Tune{regime: regime})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !edgeListsEqual(want, got) || stats.Wedges != shared {
 			t.Fatalf("regime=%d: got %v with %d wedges, want %v with %d", regime, got, stats.Wedges, want, shared)
 		}
-		over, _, _ := hashmapRun(context.Background(), h, shared+1, Config{Store: TLSDense, DisablePruning: true}, stage3Tune{regime: regime})
+		over, _, _ := hashmapRun(context.Background(), h, shared+1, Config{DisablePruning: true}, stage3Tune{regime: regime})
 		if len(over) != 0 {
 			t.Fatalf("regime=%d: s=%d emitted %v", regime, shared+1, over)
 		}
@@ -122,22 +164,21 @@ func TestBlockRollOver(t *testing.T) {
 		t.Fatalf("longest segment is %d edges: too short to roll over mid-block", longest)
 	}
 	for _, blockCap := range []int{1, 2, longest - 1, longest, 3 * longest} {
-		for _, store := range []CounterStore{TLSDense, TLSHash, MapPerIteration} {
+		for name, run := range stage3Runs(blockCap) {
 			for _, w := range []int{1, 3} {
-				cfg := Config{Store: store, Workers: w, Partition: par.Cyclic}
-				got, _, err := hashmapRun(context.Background(), h, 1, cfg, stage3Tune{blockCap: blockCap})
+				got, _, err := run(h, 1, Config{Workers: w, Partition: par.Cyclic})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !edgeListsEqual(want, got) {
-					t.Fatalf("blockCap=%d store=%v workers=%d: diverges from NaiveAllPairs", blockCap, store, w)
+					t.Fatalf("blockCap=%d %s workers=%d: diverges from NaiveAllPairs", blockCap, name, w)
 				}
 			}
 		}
 	}
 }
 
-// denseProbe runs the TLSDense outer loop over counters the test can
+// denseProbe runs Algorithm 2's outer loop over counters the test can
 // inspect afterwards, calling hook (when set) before each iteration.
 func denseProbe(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune stage3Tune, hook func()) ([]plainCounters, []Edge, error) {
 	m := h.NumEdges()
@@ -216,7 +257,7 @@ func TestAllPrunedAllocatesNothing(t *testing.T) {
 	for name, run := range map[string]func(context.Context, *hg.Hypergraph, int, Config) ([]Edge, Stats, error){
 		"hashmap": hashmapEdges, "set-intersection": setIntersectionEdges,
 	} {
-		cfg := Config{Workers: 4, Store: TLSDense}
+		cfg := Config{Workers: 4}
 		edges, stats, err := run(context.Background(), h, s, cfg)
 		if err != nil || edges != nil {
 			t.Fatalf("%s: got (%v, %v), want an empty list", name, edges, err)

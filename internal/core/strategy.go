@@ -3,18 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"hyperline/internal/hg"
-	"hyperline/internal/par"
-	"hyperline/internal/spgemm"
 )
 
 // Strategy is one pluggable s-overlap execution engine. Implementations
 // must satisfy the pipeline contract: for every distinct s in sValues
 // (clamped to ≥ 1), the returned edge list is sorted by (U, V), deduped
 // with U < V, and deterministic for a given hypergraph regardless of
-// worker count, workload distribution, or counter store — exactly what
+// worker count or workload distribution — exactly what
 // graph.BuildSorted's zero-copy Stage 4 requires.
 //
 // Weight semantics are the only permitted output difference between
@@ -39,43 +36,21 @@ type Strategy interface {
 	Edges(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Config) (map[int][]Edge, Stats, error)
 }
 
-// strategies is the registry the planner and the pipeline resolve
-// Algorithm tags against. Populated at init; RegisterStrategy allows
-// tests and extensions to add entries before any query runs.
-var strategies = map[Algorithm]Strategy{}
+// strategies is the fixed table the planner and the pipeline resolve
+// Algorithm tags against, ordered by tag: strategies[a-1] implements a.
+var strategies = [...]Strategy{setIntersectionStrategy{}, hashmapStrategy{}, ensembleStrategy{}}
 
-// RegisterStrategy adds s to the registry, replacing any previous
-// strategy with the same Algorithm tag. Not safe for concurrent use
-// with running queries — register during initialization.
-func RegisterStrategy(s Strategy) {
-	strategies[s.Algorithm()] = s
-}
-
-// StrategyFor resolves a pinned algorithm tag to its registered
-// strategy.
+// StrategyFor resolves a pinned algorithm tag to its strategy.
 func StrategyFor(a Algorithm) (Strategy, error) {
-	s, ok := strategies[a]
-	if !ok {
-		return nil, fmt.Errorf("core: no strategy registered for algorithm %s", a)
+	if a < 1 || int(a) > len(strategies) {
+		return nil, fmt.Errorf("core: no strategy for algorithm %s", a)
 	}
-	return s, nil
+	return strategies[a-1], nil
 }
 
-// Strategies lists the registered strategies ordered by Algorithm tag.
+// Strategies lists the strategies ordered by Algorithm tag.
 func Strategies() []Strategy {
-	out := make([]Strategy, 0, len(strategies))
-	for _, s := range strategies {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Algorithm() < out[j].Algorithm() })
-	return out
-}
-
-func init() {
-	RegisterStrategy(setIntersectionStrategy{})
-	RegisterStrategy(hashmapStrategy{})
-	RegisterStrategy(ensembleStrategy{})
-	RegisterStrategy(spgemmStrategy{})
+	return append([]Strategy(nil), strategies[:]...)
 }
 
 // setIntersectionStrategy is Algorithm 1. Multi-s queries run one
@@ -111,61 +86,6 @@ func (ensembleStrategy) Name() string         { return "ensemble" }
 
 func (ensembleStrategy) Edges(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Config) (map[int][]Edge, Stats, error) {
 	return EnsembleEdges(ctx, h, sValues, cfg)
-}
-
-// spgemmStrategy computes s-overlaps as upper-triangular Gustavson
-// SpGEMM (L = HᵀH) followed by s-filtration. The product is
-// materialized once and filtered per s, so multi-s queries share the
-// multiply. Weights are exact overlap counts, identical to Algorithm
-// 2's. Stats report only the emitted edge count: the SpGEMM kernel has
-// no wedge or intersection counters.
-//
-// Cancellation granularity is coarser here than in the native
-// strategies: the multiply kernel runs to completion, with checkpoints
-// before it and between the per-s filtrations.
-type spgemmStrategy struct{}
-
-func (spgemmStrategy) Algorithm() Algorithm { return AlgoSpGEMM }
-func (spgemmStrategy) Name() string         { return "spgemm" }
-
-func (spgemmStrategy) Edges(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Config) (map[int][]Edge, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var stats Stats
-	distinct := DistinctS(sValues)
-	result := make(map[int][]Edge, len(distinct))
-	if len(distinct) == 0 {
-		return result, stats, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	l, err := spgemm.MultiplyUpper(spgemm.EdgeView(h), spgemm.VertexView(h), cfg.parOptions())
-	if err != nil {
-		// HᵀH dimensions agree by construction; a mismatch is a
-		// programming error, not a query error.
-		panic(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	lists := make([][]Edge, len(distinct))
-	flag := watchContext(ctx)
-	par.For(len(distinct), par.Options{Workers: cfg.Workers}, func(_, k int) {
-		if flag.Stop() {
-			return
-		}
-		lists[k] = spgemm.FilterS(l, distinct[k])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	for k, s := range distinct {
-		result[s] = lists[k]
-		stats.Edges += int64(len(lists[k]))
-	}
-	return result, stats, nil
 }
 
 // perS runs an independent single-s pass per distinct s value and

@@ -22,12 +22,12 @@ func exactConfig(strat Strategy, workers int, p par.Strategy) Config {
 }
 
 // TestStrategiesByteIdentical is the engine's core property: every
-// registered strategy, in exact mode, produces byte-identical sorted
-// edge lists on random hypergraphs across s values, worker counts, and
-// workload distributions — single-s and batched.
+// strategy, in exact mode, produces byte-identical sorted edge lists on
+// random hypergraphs across s values, worker counts, and workload
+// distributions — single-s and batched.
 func TestStrategiesByteIdentical(t *testing.T) {
-	if len(Strategies()) < 4 {
-		t.Fatalf("expected >= 4 registered strategies, got %d", len(Strategies()))
+	if len(Strategies()) != 3 {
+		t.Fatalf("expected 3 strategies, got %d", len(Strategies()))
 	}
 	f := func(seed int64, sRaw, wRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -78,7 +78,6 @@ func TestPlannerPathsByteIdentical(t *testing.T) {
 	pinned := []Config{
 		{Algorithm: AlgoHashmap},
 		{Algorithm: AlgoEnsemble},
-		{Algorithm: AlgoSpGEMM},
 		{Algorithm: AlgoSetIntersection, DisableShortCircuit: true},
 	}
 	for _, cfg := range pinned {
@@ -123,9 +122,11 @@ func stats(m, maxEdge int, wedgePairs int64) hg.Stats {
 	return hg.Stats{NumEdges: m, MaxEdgeSize: maxEdge, WedgePairs: wedgePairs}
 }
 
-// TestPlannerDecisions pins the planner's regime boundaries with
-// synthetic dataset statistics.
-func TestPlannerDecisions(t *testing.T) {
+// TestPlanQueryDecisionTree enumerates every leaf of the planner with
+// synthetic dataset statistics, and requires the decision to be a pure
+// function of (stats, s values, config).
+func TestPlanQueryDecisionTree(t *testing.T) {
+	const fits = ensembleCounterBudget / ensembleBytesPerCounter // largest WedgePairs the ensemble takes
 	cases := []struct {
 		name   string
 		st     hg.Stats
@@ -134,44 +135,43 @@ func TestPlannerDecisions(t *testing.T) {
 		want   Algorithm
 		wantSC bool // expected DisableShortCircuit on the resolved config
 	}{
-		{"auto single-s takes hashmap",
-			stats(100000, 40, 1<<20), []int{4}, Config{}, AlgoHashmap, false},
-		{"auto batch coalesces into ensemble",
-			stats(100000, 40, 1<<20), []int{1, 2, 3}, Config{}, AlgoEnsemble, false},
-		{"auto batch over counter budget falls back to per-s hashmap",
-			stats(100000, 40, 1<<40), []int{1, 2, 3}, Config{}, AlgoHashmap, false},
-		{"auto s=1 dense regime routes to spgemm",
-			stats(4096, 4, int64(4096)*4095), []int{1}, Config{}, AlgoSpGEMM, false},
-		{"auto s=1 sparse stays hashmap",
-			stats(4096, 64, 4096), []int{1}, Config{}, AlgoHashmap, false},
-		{"auto s=1 deep-overlap sparse pairs stays hashmap",
-			// Wedge pairs look large only through multiplicity (pairs
-			// sharing ~1024 vertices each): not a dense line graph.
-			stats(4096, 1024, int64(4096)*4095), []int{1}, Config{}, AlgoHashmap, false},
-		{"auto s=1 dense but tiny stays hashmap",
-			stats(100, 4, int64(100)*99), []int{1}, Config{}, AlgoHashmap, false},
-		{"auto s=1 dense but product over budget stays hashmap",
-			stats(1<<20, 1, 1<<39), []int{1}, Config{}, AlgoHashmap, false},
-		{"auto batch with overflow-scale wedge pairs stays per-s hashmap",
-			stats(1<<30, 40, 1<<62), []int{1, 2}, Config{}, AlgoHashmap, false},
-		{"auto s beyond max edge size is trivially empty",
-			stats(100000, 40, 1<<20), []int{41}, Config{}, AlgoHashmap, false},
-		{"pinned hashmap batch coalesces into ensemble",
-			stats(100000, 40, 1<<20), []int{2, 4}, Config{Algorithm: AlgoHashmap}, AlgoEnsemble, false},
-		{"pinned hashmap batch over budget stays per-s",
-			stats(100000, 40, 1<<40), []int{2, 4}, Config{Algorithm: AlgoHashmap}, AlgoHashmap, false},
-		{"pinned hashmap single stays hashmap",
-			stats(100000, 40, 1<<20), []int{2}, Config{Algorithm: AlgoHashmap}, AlgoHashmap, false},
+		{"pinned algorithm 1 single",
+			stats(100000, 40, 1<<20), []int{2}, Config{Algorithm: AlgoSetIntersection}, AlgoSetIntersection, false},
 		{"pinned algorithm 1 batch never coalesces",
 			stats(100000, 40, 1<<20), []int{2, 4}, Config{Algorithm: AlgoSetIntersection}, AlgoSetIntersection, false},
 		{"pinned algorithm 1 keeps exact mode",
 			stats(100000, 40, 1<<20), []int{2}, Config{Algorithm: AlgoSetIntersection, DisableShortCircuit: true}, AlgoSetIntersection, true},
+		{"pinned hashmap single stays hashmap",
+			stats(100000, 40, 1<<20), []int{2}, Config{Algorithm: AlgoHashmap}, AlgoHashmap, false},
+		{"pinned hashmap batch coalesces into ensemble",
+			stats(100000, 40, 1<<20), []int{2, 4}, Config{Algorithm: AlgoHashmap}, AlgoEnsemble, false},
+		{"pinned hashmap batch at the counter budget still coalesces",
+			stats(100000, 40, fits), []int{2, 4}, Config{Algorithm: AlgoHashmap}, AlgoEnsemble, false},
+		{"pinned hashmap batch one counter over budget stays per-s",
+			stats(100000, 40, fits+1), []int{2, 4}, Config{Algorithm: AlgoHashmap}, AlgoHashmap, false},
+		{"pinned hashmap duplicate s values are one s",
+			stats(100000, 40, 1<<20), []int{3, 3, 3}, Config{Algorithm: AlgoHashmap}, AlgoHashmap, false},
 		{"pinned ensemble honored for single s",
 			stats(100000, 40, 1<<20), []int{2}, Config{Algorithm: AlgoEnsemble}, AlgoEnsemble, false},
-		{"pinned spgemm honored",
-			stats(10, 4, 5), []int{3}, Config{Algorithm: AlgoSpGEMM}, AlgoSpGEMM, false},
+		{"pinned ensemble honored over budget",
+			stats(100000, 40, 1<<40), []int{2, 4}, Config{Algorithm: AlgoEnsemble}, AlgoEnsemble, false},
+		{"auto batch coalesces into ensemble",
+			stats(100000, 40, 1<<20), []int{1, 2, 3}, Config{}, AlgoEnsemble, false},
+		{"auto batch at the counter budget takes the ensemble",
+			stats(100000, 40, fits), []int{1, 2, 3}, Config{}, AlgoEnsemble, false},
+		{"auto batch over counter budget falls back to per-s hashmap",
+			stats(100000, 40, fits+1), []int{1, 2, 3}, Config{}, AlgoHashmap, false},
+		{"auto batch with overflow-scale wedge pairs stays per-s hashmap",
+			stats(1<<30, 40, 1<<62), []int{1, 2}, Config{}, AlgoHashmap, false},
+		{"auto single-s takes hashmap",
+			stats(100000, 40, 1<<20), []int{4}, Config{}, AlgoHashmap, false},
+		{"auto s=1 on a half-complete line graph takes hashmap",
+			stats(4096, 4, int64(4096)*4095), []int{1}, Config{}, AlgoHashmap, false},
+		{"auto s beyond max edge size is trivially empty",
+			stats(100000, 40, 1<<20), []int{41}, Config{}, AlgoHashmap, false},
 	}
 	for _, tc := range cases {
+		sValues := append([]int(nil), tc.s...)
 		dec := PlanQuery(tc.st, tc.s, tc.cfg)
 		if dec.Strategy.Algorithm() != tc.want {
 			t.Errorf("%s: planned %s, want %s (reason: %s)",
@@ -187,6 +187,12 @@ func TestPlannerDecisions(t *testing.T) {
 		}
 		if dec.Reason == "" {
 			t.Errorf("%s: empty plan reason", tc.name)
+		}
+		if again := PlanQuery(tc.st, tc.s, tc.cfg); !reflect.DeepEqual(again, dec) {
+			t.Errorf("%s: same inputs planned %+v, then %+v", tc.name, dec, again)
+		}
+		if !reflect.DeepEqual(tc.s, sValues) {
+			t.Errorf("%s: PlanQuery modified its s values: %v -> %v", tc.name, sValues, tc.s)
 		}
 	}
 }
@@ -208,9 +214,9 @@ func TestPlannerNeverChangesOutputClass(t *testing.T) {
 	}
 }
 
-// TestStrategyRegistry exercises the registry surface.
+// TestStrategyRegistry exercises the strategy table's surface.
 func TestStrategyRegistry(t *testing.T) {
-	for _, a := range []Algorithm{AlgoSetIntersection, AlgoHashmap, AlgoEnsemble, AlgoSpGEMM} {
+	for _, a := range []Algorithm{AlgoSetIntersection, AlgoHashmap, AlgoEnsemble} {
 		strat, err := StrategyFor(a)
 		if err != nil {
 			t.Fatalf("StrategyFor(%s): %v", a, err)
@@ -219,8 +225,10 @@ func TestStrategyRegistry(t *testing.T) {
 			t.Fatalf("StrategyFor(%s) returned %s", a, strat.Algorithm())
 		}
 	}
-	if _, err := StrategyFor(Algorithm(99)); err == nil {
-		t.Fatal("unregistered algorithm should error")
+	for _, a := range []Algorithm{4, 99} { // 4 was the SpGEMM tag
+		if _, err := StrategyFor(a); err == nil {
+			t.Fatalf("StrategyFor(%d) should error", a)
+		}
 	}
 	if _, err := StrategyFor(AlgoAuto); err == nil {
 		t.Fatal("AlgoAuto is not a strategy; it must resolve through PlanQuery")

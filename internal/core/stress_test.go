@@ -28,7 +28,7 @@ func TestStressCrossValidation(t *testing.T) {
 			t.Fatal("algorithm 2 must not intersect")
 		}
 		configs := []Config{
-			{Store: TLSDense, Workers: 16},
+			{Workers: 16},
 			{Partition: par.Cyclic, Workers: 9},
 			{Algorithm: AlgoSetIntersection, DisableShortCircuit: true, Workers: 16},
 			{Algorithm: AlgoSetIntersection, DisableShortCircuit: true, Partition: par.Cyclic, Workers: 5, Grain: 7},

@@ -73,14 +73,6 @@ func mustNotation(n string) core.Config {
 	if err != nil {
 		panic(err)
 	}
-	if cfg.Algorithm == core.AlgoHashmap {
-		// The experiment harness uses the pre-allocated thread-local
-		// counter storage of §III-F for Algorithm 2: on these analogs
-		// (as on the paper's Web dataset) it is the faster of the two
-		// storage modes, and Go's per-iteration maps are considerably
-		// slower than the C++ unordered_map the dynamic mode models.
-		cfg.Store = core.TLSDense
-	}
 	return cfg
 }
 

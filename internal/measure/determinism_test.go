@@ -113,8 +113,8 @@ func TestMeasureDeterminismAcrossWorkers(t *testing.T) {
 // pluggable execution engine without observable differences.
 func TestMeasureDeterminismAcrossStrategies(t *testing.T) {
 	cfgs := exactStrategyConfigs()
-	if len(cfgs) < 4 {
-		t.Fatalf("expected at least 4 registered strategies, got %d", len(cfgs))
+	if len(cfgs) != 3 {
+		t.Fatalf("expected 3 strategies, got %d", len(cfgs))
 	}
 	for gname, h := range determinismGraphs() {
 		for _, s := range []int{1, 2, 3} {

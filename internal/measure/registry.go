@@ -7,7 +7,7 @@ import (
 
 // registry maps measure names to implementations. Populated at init;
 // Register allows tests and extensions to add entries before queries
-// run, mirroring core.RegisterStrategy.
+// run.
 var registry = map[string]Measure{}
 
 // Register adds m to the registry, replacing any previous measure with

@@ -347,7 +347,7 @@ func estimateCost(cfg core.PipelineConfig, compute []int) int64 {
 	if cfg.Stats != nil {
 		st = *cfg.Stats
 	}
-	dec := core.PlanQueryCosts(st, distinct, cfg.Core, cfg.Costs, cfg.Toplex.Enabled())
+	dec := core.PlanQuery(st, distinct, cfg.Core)
 	key := core.CostKey{
 		Algo:    dec.Config.Algorithm,
 		Relabel: dec.Config.Relabel,

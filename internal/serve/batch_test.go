@@ -69,10 +69,9 @@ func TestBatchDualOrientation(t *testing.T) {
 
 // TestOutputEquivalentConfigsShareEntries is the fingerprint
 // canonicalization acceptance test at the service level: requests
-// pinning any exact-weight strategy — Algorithm 2, the ensemble,
-// SpGEMM, or Algorithm 1 in exact mode — share one cache entry with the
-// planner default, so SpGEMM results are cacheable (and servable) under
-// the same fingerprint scheme.
+// pinning any exact-weight strategy — Algorithm 2, the ensemble, or
+// Algorithm 1 in exact mode — share one cache entry with the planner
+// default.
 func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
@@ -80,7 +79,6 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	equivalent := []core.PipelineConfig{
 		{Core: core.Config{Algorithm: core.AlgoHashmap}},
 		{Core: core.Config{Algorithm: core.AlgoEnsemble}},
-		{Core: core.Config{Algorithm: core.AlgoSpGEMM}},
 		{Core: core.Config{Algorithm: core.AlgoSetIntersection, DisableShortCircuit: true}},
 	}
 	for _, cfg := range equivalent {
@@ -100,25 +98,6 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	}
 	if st := svc.CacheStats(); st.Entries != 2 {
 		t.Fatalf("want exactly 2 cache entries (exact + shortcircuit), got %d", st.Entries)
-	}
-}
-
-// TestSpGEMMSweepSeedsDefaultQueries: a sweep pinned to SpGEMM fills
-// the exact-class keys, so default (planner) queries hit it.
-func TestSpGEMMSweepSeedsDefaultQueries(t *testing.T) {
-	h := randomHypergraph(29, 120, 100, 5)
-	svc := New(Config{})
-	svc.Add("rand", h)
-	spgemmCfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSpGEMM}}
-	mustQuery(t, svc, lineQ("rand", spgemmCfg, 1, 2, 3))
-	for _, sVal := range []int{1, 2, 3} {
-		e := mustQuery(t, svc, lineQ("rand", core.PipelineConfig{}, sVal)).Entries[0]
-		if !e.Cached {
-			t.Fatalf("s=%d: default query after the SpGEMM sweep must hit", sVal)
-		}
-		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h, sVal, core.PipelineConfig{}).Graph.Edges()) {
-			t.Fatalf("s=%d: SpGEMM-computed edges differ from direct run", sVal)
-		}
 	}
 }
 

@@ -204,7 +204,7 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
-// costCellJSON renders one calibration cell with human-readable knob
+// costCellJSON renders one cost-table cell with human-readable knob
 // names (the library form, core.CostObservation, carries typed enums).
 type costCellJSON struct {
 	Strategy   string  `json:"strategy"`
@@ -236,11 +236,11 @@ func toCostCells(obs []core.CostObservation) []costCellJSON {
 	return out
 }
 
-// handleCosts serves GET /v1/datasets/{name}/costs: the
-// self-calibrating planner's observed Stage-3 cost table for the
-// dataset's current version, per orientation. Fresh (or freshly
-// replaced) datasets report empty tables — calibration never survives
-// a version bump.
+// handleCosts serves GET /v1/datasets/{name}/costs: the observed
+// Stage-3 cost table admission control prices with, for the dataset's
+// current version, per orientation. Fresh (or freshly replaced)
+// datasets report empty tables — observations never survive a
+// replacement.
 func handleCosts(svc *Service, w http.ResponseWriter, r *http.Request) {
 	info, err := svc.Calibration(r.PathValue("name"))
 	if err != nil {

@@ -147,17 +147,28 @@ func TestV2QueryRequestErrorsKeep4xx(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		status     int
+		errHas     string // substring the error body must carry
 	}{
-		{"unknown measure", `{"dataset":"paper","s":"1:2","measure":"nope"}`, http.StatusBadRequest},
-		{"unknown dataset", `{"dataset":"missing","s":"1:2"}`, http.StatusNotFound},
-		{"truncated JSON", `{"dataset":"paper","s":[2]`, http.StatusBadRequest},
-		{"not an object", `[1,2,3]`, http.StatusBadRequest},
-		{"empty body", ``, http.StatusBadRequest},
+		{"unknown measure", `{"dataset":"paper","s":"1:2","measure":"nope"}`, http.StatusBadRequest, ""},
+		{"unknown dataset", `{"dataset":"missing","s":"1:2"}`, http.StatusNotFound, ""},
+		{"truncated JSON", `{"dataset":"paper","s":[2]`, http.StatusBadRequest, ""},
+		{"not an object", `[1,2,3]`, http.StatusBadRequest, ""},
+		{"empty body", ``, http.StatusBadRequest, ""},
 		// Well-formed and answerable but for its size: whitespace padding.
-		{"body over maxQueryBytes", `{"dataset":"paper","s":[2]` + strings.Repeat(" ", maxQueryBytes) + `}`, http.StatusBadRequest},
+		{"body over maxQueryBytes", `{"dataset":"paper","s":[2]` + strings.Repeat(" ", maxQueryBytes) + `}`, http.StatusBadRequest, ""},
+		// SpGEMM is not a pipeline strategy: its notations answer with
+		// the parser's own message.
+		{"retired spgemm config word", `{"dataset":"paper","s":[1],"config":"spgemm"}`, http.StatusBadRequest, `must have 3 characters (or be "auto")`},
+		{"retired S config letter", `{"dataset":"paper","s":[1],"config":"SBN"}`, http.StatusBadRequest, `unknown algorithm 'S'`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			postQuery(t, ts, tc.body, tc.status, nil)
+			var resp struct {
+				Error string `json:"error"`
+			}
+			do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(tc.body), tc.status, &resp)
+			if !strings.Contains(resp.Error, tc.errHas) {
+				t.Fatalf("error %q does not contain %q", resp.Error, tc.errHas)
+			}
 		})
 	}
 }

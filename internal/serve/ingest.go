@@ -115,6 +115,11 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	oldPrefix := fmt.Sprintf("%s@%d/", name, oldV)
 	newPrefix := fmt.Sprintf("%s@%d/", name, newV)
 	nd, _ := s.reg.at(name, newV) // nil after a concurrent replacement: treat everything as drop
+	patching := nd != nil && s.deltaPolicy == DeltaPolicyPatch
+	calibrated := map[bool]bool{} // by orientation, asked once per delta (see anyCalibrated)
+	if patching {
+		calibrated[false], calibrated[true] = anyCalibrated(nd.costs), anyCalibrated(nd.dualCosts)
+	}
 
 	for _, k := range s.cache.Keys() {
 		rest, ok := strings.CutPrefix(k, oldPrefix)
@@ -124,19 +129,15 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		if err := ctx.Err(); err != nil {
 			break
 		}
-		attrs, parsed := parseProjKeyRest(rest)
-		action := delta.ActionDrop
-		var old *core.PipelineResult
-		if parsed && nd != nil && s.deltaPolicy == DeltaPolicyPatch {
-			if old, ok = s.cache.Remove(k); ok {
-				action = p.Plan(attrs, old.Graph.NumEdges(),
-					nd.statsFor(attrs.Dual).WedgePairs, anyCalibrated(nd.costsFor(attrs.Dual)))
-			}
-		} else {
-			_, ok = s.cache.Remove(k)
-		}
+		old, ok := s.cache.Remove(k)
 		if !ok {
 			continue // evicted between the snapshot and the walk
+		}
+		attrs, parsed := parseProjKeyRest(rest)
+		action := delta.ActionDrop
+		if parsed && patching {
+			action = p.Plan(attrs, old.Graph.NumEdges(),
+				nd.statsFor(attrs.Dual).WedgePairs, calibrated[attrs.Dual])
 		}
 		switch action {
 		case delta.ActionMigrate:
@@ -268,11 +269,9 @@ func parseProjKeyRest(rest string) (delta.KeyAttrs, bool) {
 // anyCalibrated reports whether the model has at least one calibrated
 // cell — the signal that its recompute-cost estimates are grounded in
 // observations of this dataset, which lets the patch-vs-recompute
-// decision use the more permissive threshold.
+// decision use the more permissive threshold. It snapshots the whole
+// table: ask once per delta, not per cached key.
 func anyCalibrated(cm *core.CostModel) bool {
-	if cm == nil {
-		return false
-	}
 	for _, o := range cm.Snapshot() {
 		if o.Calibrated {
 			return true

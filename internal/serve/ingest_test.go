@@ -186,7 +186,7 @@ func calibratedCells(t *testing.T, svc *Service, name string) int {
 }
 
 // TestIngestCalibrationSurvives is the carry-forward satellite: the
-// cost model a dataset accumulated keeps steering the planner across
+// cost model a dataset accumulated keeps pricing admission across
 // delta-derived version bumps (the hypergraph changed incrementally, so
 // the observations still describe it), while a full re-upload — an
 // arbitrary replacement — resets calibration from scratch.

@@ -118,7 +118,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	// planner-chosen query would miss the entries its pinned twin
 	// cached.
 	distinct := core.DistinctS(q.S)
-	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, distinct, q.Cfg)
+	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, q.Cfg)
 
 	out := &QueryResult{Entries: make([]QueryEntry, len(distinct)), Version: version}
 	index := make(map[int]int, len(distinct))

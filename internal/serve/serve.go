@@ -184,22 +184,22 @@ func (s *Service) Hypergraph(name string) (*hg.Hypergraph, error) {
 }
 
 // Calibration snapshots the named dataset's observed Stage-3 cost
-// tables (both orientations): what the self-calibrating planner has
-// measured for this dataset version so far.
+// tables (both orientations): what RunBatch has measured for this
+// dataset so far, and what admission control prices with.
 func (s *Service) Calibration(name string) (CalibrationInfo, error) {
 	return s.reg.Calibration(name)
 }
 
 // resolveAt resolves cfg's planner-driven auto knobs (hg.RelabelAuto,
 // core.ToplexAuto) against a pinned dataset snapshot and attaches the
-// version's cached statistics and calibration table, so every cache key
+// version's cached statistics and cost table, so every cache key
 // derived afterwards names the concrete configuration the pipeline will
 // actually run — a planner-chosen configuration shares cache entries
 // with the pinned configuration it resolves to. When the snapshot is no
 // longer the registry's current version (a concurrent replacement), the
-// stats are recomputed from the snapshot and calibration is skipped:
+// stats are recomputed from the snapshot and no cost table is attached:
 // the new version's table says nothing about this hypergraph.
-func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, sValues []int, cfg core.PipelineConfig) core.PipelineConfig {
+func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, cfg core.PipelineConfig) core.PipelineConfig {
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
 		cfg.Stats = &st
@@ -209,7 +209,7 @@ func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual 
 	if dual {
 		work = h.Dual()
 	}
-	return core.ResolveConfig(work, sValues, cfg)
+	return core.ResolveConfig(work, cfg)
 }
 
 // CacheStats snapshots the result cache counters.

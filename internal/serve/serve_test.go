@@ -12,6 +12,7 @@ import (
 	"hyperline/internal/core"
 	"hyperline/internal/hg"
 	"hyperline/internal/hgio"
+	"hyperline/internal/par"
 )
 
 func paperExample() *hg.Hypergraph {
@@ -91,9 +92,10 @@ func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
 	e1 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0]
-	// Same request with different worker count / store: same entry.
+	// Same request with different worker count / distribution / grain:
+	// same entry.
 	e2 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{
-		Core: core.Config{Workers: 3, Store: core.TLSHash},
+		Core: core.Config{Workers: 3, Partition: par.Cyclic, Grain: 2},
 	}, 2)).Entries[0]
 	if !e2.Cached || e1.Res != e2.Res {
 		t.Fatal("requests differing only in execution knobs must share a cache entry")

@@ -32,12 +32,12 @@ type MeasureValue = measure.Value
 // projection shape it was computed on, and cache provenance.
 type MeasureResult = serve.MeasureResult
 
-// CalibrationInfo is the self-calibrating planner's observed Stage-3
-// cost state for one dataset version: every (strategy, relabel, toplex,
+// CalibrationInfo is the observed Stage-3 cost state admission control
+// prices with for one dataset version: every (strategy, relabel, toplex,
 // batch-shape) cell the session has measured, per orientation.
 type CalibrationInfo = serve.CalibrationInfo
 
-// CostObservation is one exported cell of a calibration table.
+// CostObservation is one exported cell of a cost table.
 type CostObservation = core.CostObservation
 
 // Priority classifies a query's Stage-3 work for admission control in
@@ -190,13 +190,12 @@ func (s *Session) Remove(name string) bool { return s.svc.Remove(name) }
 // Datasets lists the registered datasets sorted by name.
 func (s *Session) Datasets() []DatasetInfo { return s.svc.Datasets() }
 
-// Calibration snapshots what the self-calibrating planner has measured
-// for the named dataset's current version: observed Stage-3 cost per
-// (strategy, relabel, toplex, batch shape) cell, per orientation. Fresh
-// and freshly replaced datasets report empty tables — calibration never
-// survives a version bump. Once a cell reaches core.CalibrationMin
-// observations, auto-planned queries (Options.Algorithm = AlgoAuto,
-// Relabel = RelabelAuto) consult it in place of the static heuristics.
+// Calibration snapshots what the session has measured for the named
+// dataset's current version: observed Stage-3 cost per (strategy,
+// relabel, toplex, batch shape) cell, per orientation. Fresh and freshly
+// replaced datasets report empty tables. Once a cell reaches
+// core.CalibrationMin observations admission control prices queries
+// with it; planning (AlgoAuto, RelabelAuto) never reads it.
 func (s *Session) Calibration(name string) (CalibrationInfo, error) {
 	return s.svc.Calibration(name)
 }
