@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hyperline/internal/core"
+	"hyperline/internal/jsonsplice"
 )
 
 // Config parameterizes a Router.
@@ -537,14 +538,40 @@ func (rt *Router) handleChanges(w http.ResponseWriter, r *http.Request) {
 // shardOutcome is one shard's contribution to the merged response.
 type shardOutcome struct {
 	s       []int
-	entries map[int]json.RawMessage // nil when the shard failed outright
-	header  replicaHeader           // dataset/kind/measure/plan of a usable response
-	status  int                     // final shard status; 0 = transport failure
+	entries map[int]shardEntry // nil when the shard failed outright
+	header  replicaHeader      // dataset/kind/measure/plan of a usable response
+	status  int                // final shard status; 0 = transport failure
 	errMsg  string
 	shed    bool
 	// retryAfter is the largest Retry-After seen from shedding owners.
 	retryAfter int
 	deadline   bool
+}
+
+// shardEntry is one replica entry, kept in the bytes the replica wrote.
+type shardEntry struct {
+	raw []byte
+	ok  bool // the entry answered: it carries no "error"
+}
+
+// errorEntryJSON is a per-s error entry the router synthesises, with
+// the replica's field order, so every merged entry starts with {"s":.
+type errorEntryJSON struct {
+	S      int    `json:"s"`
+	Error  string `json:"error"`
+	Cached bool   `json:"cached"`
+}
+
+// mergedHeadJSON is a merged /v2/query answer without its last field,
+// "results". Version is omitted when the shards disagreed on it.
+type mergedHeadJSON struct {
+	Dataset      string          `json:"dataset"`
+	Version      uint64          `json:"version,omitempty"`
+	VersionMixed bool            `json:"version_mixed,omitempty"`
+	Kind         string          `json:"kind"`
+	Measure      string          `json:"measure,omitempty"`
+	Plan         json.RawMessage `json:"plan,omitempty"`
+	ElapsedMS    float64         `json:"elapsed_ms"`
 }
 
 // replicaHeader is the non-entry portion of a replica /v2/query answer.
@@ -823,7 +850,8 @@ func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte, hedg
 }
 
 // parseShardResponse turns a usable replica answer into a shard
-// outcome, indexing its entries by s.
+// outcome, indexing its entries by s. Each entry is decoded once, for
+// its s and whether it answered; its bytes pass through unchanged.
 func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcome {
 	oc := shardOutcome{s: sVals, status: res.status}
 	if res.status == http.StatusGatewayTimeout {
@@ -846,13 +874,14 @@ func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcom
 		return oc
 	}
 	oc.header = parsed.replicaHeader
-	oc.entries = make(map[int]json.RawMessage, len(parsed.Results))
+	oc.entries = make(map[int]shardEntry, len(parsed.Results))
 	for _, raw := range parsed.Results {
 		var peek struct {
-			S int `json:"s"`
+			S     int    `json:"s"`
+			Error string `json:"error"`
 		}
 		if json.Unmarshal(raw, &peek) == nil {
-			oc.entries[peek.S] = raw
+			oc.entries[peek.S] = shardEntry{raw: raw, ok: peek.Error == ""}
 		}
 	}
 	return oc
@@ -864,10 +893,13 @@ func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcom
 // status rules re-applied across the merged sweep — partial success is
 // 200, an all-failed sweep reports the dominant failure class (shed
 // beats deadline beats upstream), and Retry-After is the max across
-// shedding owners.
+// shedding owners. The plan is the one reported by the answering shard
+// that holds the lowest s, as a single node reports the plan of its
+// first projection — never a matter of which shard finished first.
 func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, kind, measureName string, distinct []int, outcomes []shardOutcome) {
-	entries := make(map[int]json.RawMessage, len(distinct))
+	entries := make(map[int]shardEntry, len(distinct))
 	var plan json.RawMessage
+	planS := 0
 	// Version is reported only when every answering shard was pinned to
 	// the same dataset version; a mixed sweep (a delta landed between
 	// shard arrivals on different owners) is flagged instead, so
@@ -896,8 +928,8 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 			deadline = true
 		}
 		if oc.entries != nil {
-			if plan == nil && len(oc.header.Plan) > 0 {
-				plan = oc.header.Plan
+			if len(oc.header.Plan) > 0 && (plan == nil || oc.s[0] < planS) {
+				plan, planS = oc.header.Plan, oc.s[0]
 			}
 			if oc.header.Version > 0 {
 				switch {
@@ -907,8 +939,8 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 					versionMixed = true
 				}
 			}
-			for sVal, raw := range oc.entries {
-				entries[sVal] = raw
+			for sVal, e := range oc.entries {
+				entries[sVal] = e
 			}
 			continue
 		}
@@ -917,24 +949,18 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 			msg = "replica unavailable"
 		}
 		for _, sVal := range oc.s {
-			synth, _ := json.Marshal(map[string]any{"s": sVal, "error": msg, "cached": false})
-			entries[sVal] = synth
+			entries[sVal] = errorEntry(sVal, msg)
 		}
 	}
 
-	results := make([]json.RawMessage, 0, len(distinct))
+	results := make([]jsonsplice.Entry, 0, len(distinct))
 	for _, sVal := range distinct {
-		raw, ok := entries[sVal]
+		e, ok := entries[sVal]
 		if !ok {
-			raw, _ = json.Marshal(map[string]any{"s": sVal, "error": "missing from replica answer", "cached": false})
+			e = errorEntry(sVal, "missing from replica answer")
 		}
-		results = append(results, raw)
-		var peek struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &peek) == nil && peek.Error == "" {
-			anyOK = true
-		}
+		results = append(results, jsonsplice.Entry{Raw: e.raw})
+		anyOK = anyOK || e.ok
 	}
 
 	status := http.StatusOK
@@ -958,28 +984,25 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 		}
 	}
 
-	resp := struct {
-		Dataset      string            `json:"dataset"`
-		Version      uint64            `json:"version,omitempty"`
-		VersionMixed bool              `json:"version_mixed,omitempty"`
-		Kind         string            `json:"kind"`
-		Measure      string            `json:"measure,omitempty"`
-		Plan         json.RawMessage   `json:"plan,omitempty"`
-		ElapsedMS    float64           `json:"elapsed_ms"`
-		Results      []json.RawMessage `json:"results"`
-	}{
-		Dataset:   dataset,
-		Kind:      kind,
-		Measure:   measureName,
-		Plan:      plan,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Results:   results,
+	head := mergedHeadJSON{
+		Dataset:      dataset,
+		VersionMixed: versionMixed,
+		Kind:         kind,
+		Measure:      measureName,
+		Plan:         plan,
+		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if versionSet && !versionMixed {
-		resp.Version = version
+		head.Version = version
 	}
-	resp.VersionMixed = versionMixed
-	writeJSON(w, status, resp)
+	jsonsplice.Write(w, status, head, results)
+}
+
+// errorEntry synthesises the per-s error entry for an s no replica
+// answered.
+func errorEntry(sVal int, msg string) shardEntry {
+	raw, _ := json.Marshal(errorEntryJSON{S: sVal, Error: msg}) // ints and strings always marshal
+	return shardEntry{raw: raw}
 }
 
 // decodeS accepts the two /v2/query spellings of "s": a JSON integer

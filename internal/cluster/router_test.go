@@ -297,11 +297,154 @@ func TestRouterReplicaDownPartialSuccess(t *testing.T) {
 		if !failed[e.S] && e.Error != "" {
 			t.Fatalf("s=%d owned by the live replica failed: %s", e.S, e.Error)
 		}
+		// A synthesised entry is laid out like a replica's own error
+		// entry, so every merged entry starts with {"s":.
+		if want := fmt.Sprintf(`{"s":%d,"error":"replica %s answered 429","cached":false}`, e.S, guard.URL); failed[e.S] && string(raw) != want {
+			t.Fatalf("synthesised entry %s, want %s", raw, want)
+		}
 	}
 	// The failover is visible in the router's own counters.
 	m := routerMetrics(t, router.URL)
 	if m[`hyperrouter_retries_total`] < 1 {
 		t.Fatalf("no failover retry recorded: %v", m)
+	}
+}
+
+// TestRouterMergedPlanFollowsLowestS: when the shards' cached
+// projections were planned differently, the merged answer reports the
+// plan of the shard holding the lowest s — the plan a single node
+// reports — on every run, whichever shard finishes first.
+func TestRouterMergedPlanFollowsLowestS(t *testing.T) {
+	adj := randomAdjacency(7, 60, 40, 4)
+	repA := realReplica(t, serve.New(serve.Config{}))
+	repB := realReplica(t, serve.New(serve.Config{}))
+	_, router := newRouterServer(t, Config{Replicas: []string{repA.URL, repB.URL}, Replication: 2})
+	putViaRouter(t, router.URL, "d", adj, 2)
+	single := realReplica(t, serve.New(serve.Config{}))
+	sreq, _ := http.NewRequest(http.MethodPut, single.URL+"/v1/datasets/d?format=adj", strings.NewReader(adj))
+	sresp, err := http.DefaultClient.Do(sreq)
+	if err != nil || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("reference upload: %v %v", err, sresp.Status)
+	}
+	sresp.Body.Close()
+
+	plan := func(data []byte) string {
+		t.Helper()
+		var out struct {
+			Plan json.RawMessage `json:"plan"`
+		}
+		if err := json.Unmarshal(data, &out); err != nil || len(out.Plan) == 0 {
+			t.Fatalf("no plan in %s", data)
+		}
+		return string(out.Plan)
+	}
+	// The shard of s=1 is primed as one batch (an ensemble pass), the
+	// other shard one s at a time (hashmap passes); the single node
+	// sees the same priming.
+	ownerList := NewRing([]string{repA.URL, repB.URL}).Owners("d", 2)
+	var batch []int
+	for s := 1; s <= 4; s++ {
+		if ownerList[s%2] == ownerList[1%2] {
+			batch = append(batch, s)
+		}
+	}
+	prime := func(base string) (batchPlan, singlePlan string) {
+		body := fmt.Sprintf(`{"dataset":"d","s":%s}`, strings.ReplaceAll(fmt.Sprint(batch), " ", ","))
+		_, _, data := postQuery(t, base, body)
+		batchPlan = plan(data)
+		for s := 1; s <= 4; s++ {
+			if ownerList[s%2] != ownerList[1%2] {
+				_, _, data = postQuery(t, base, fmt.Sprintf(`{"dataset":"d","s":[%d]}`, s))
+				singlePlan = plan(data)
+			}
+		}
+		return batchPlan, singlePlan
+	}
+	if bp, sp := prime(ownerList[1%2]); bp == sp {
+		t.Fatalf("priming planned both shards alike (%s): nothing to tell apart", bp)
+	}
+	for _, u := range ownerList {
+		if u != ownerList[1%2] {
+			prime(u)
+		}
+	}
+	prime(single.URL)
+
+	_, _, direct := postQuery(t, single.URL, `{"dataset":"d","s":"1:4"}`)
+	want := plan(direct)
+	for i := 0; i < 20; i++ {
+		status, _, routed := postQuery(t, router.URL, `{"dataset":"d","s":"1:4"}`)
+		if status != http.StatusOK {
+			t.Fatalf("routed query: status %d: %s", status, routed)
+		}
+		if got := plan(routed); got != want {
+			t.Fatalf("run %d: merged plan %s, single node %s", i, got, want)
+		}
+	}
+}
+
+// TestRouterMergedBodyMatchesEncoder: the spliced merge writes what
+// encoding/json writes for the whole merged document — replica entries
+// as the replicas wrote them, synthesised error entries, HTML-escaped
+// strings, with the version kept, omitted when mixed, or absent.
+func TestRouterMergedBodyMatchesEncoder(t *testing.T) {
+	rt := NewRouter(Config{})
+	answered := func(s []int, version uint64, plan string, entries ...string) shardOutcome {
+		oc := shardOutcome{s: s, status: http.StatusOK, entries: map[int]shardEntry{}}
+		oc.header.Version = version
+		if plan != "" {
+			oc.header.Plan = json.RawMessage(plan)
+		}
+		for i, e := range entries {
+			oc.entries[s[i]] = shardEntry{raw: []byte(e), ok: !strings.Contains(e, `"error"`)}
+		}
+		return oc
+	}
+	failed := shardOutcome{s: []int{5}, status: http.StatusTooManyRequests, errMsg: "replica <a&b> answered 429", shed: true}
+	for _, tc := range []struct {
+		name     string
+		outcomes []shardOutcome
+		distinct []int
+		measure  string
+	}{
+		{"one version", []shardOutcome{
+			answered([]int{2, 4}, 3, `{"strategy":"hashmap","toplex":false}`, `{"s":2,"cached":true,"nodes":2,"edges":1}`, `{"s":4,"error":"x \u003c y","cached":false}`),
+			answered([]int{1, 3}, 3, `{"strategy":"ensemble","toplex":false}`, `{"s":1,"cached":true}`, `{"s":3,"cached":false}`),
+		}, []int{1, 2, 3, 4}, "pagerank"},
+		{"mixed versions and a failed shard", []shardOutcome{
+			answered([]int{2}, 3, "", `{"s":2,"cached":true}`),
+			answered([]int{1}, 4, "", `{"s":1,"cached":true}`),
+			failed,
+		}, []int{1, 2, 5}, ""},
+		{"every shard failed", []shardOutcome{failed}, []int{5, 6}, "<m>"},
+		{"no entries", nil, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			rt.writeMerged(rec, time.Now(), "d<&>", "line", tc.measure, tc.distinct, tc.outcomes)
+			var got struct {
+				mergedHeadJSON
+				Results []json.RawMessage `json:"results"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("merged body %s: %v", rec.Body.Bytes(), err)
+			}
+			if got.Results == nil {
+				got.Results = []json.RawMessage{}
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("merged body differs from its encoding:\n got  %s\n want %s", rec.Body.Bytes(), want.Bytes())
+			}
+			for _, e := range got.Results {
+				if !bytes.HasPrefix(e, []byte(`{"s":`)) {
+					t.Fatalf("entry %s does not start with {\"s\":", e)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"hyperline/internal/core"
 	"hyperline/internal/measure"
@@ -234,9 +235,33 @@ func (c *lru[V]) Stats() CacheStats {
 // configured.
 const DefaultCacheEntries = 128
 
+// fragment memoises the /v2/query encoding of a cached entry's hit, and
+// lives as long as the cache value holding it: eviction, removal and an
+// ingest drop free it; an ingest migrate re-keys the value and keeps it.
+type fragment struct{ p atomic.Pointer[[]byte] }
+
+// get returns the memoised bytes, building them on first use; racing
+// first uses may each build, but all return the one copy stored.
+func (f *fragment) get(build func() []byte) []byte {
+	if b := f.p.Load(); b != nil {
+		return *b
+	}
+	b := build()
+	if b != nil && !f.p.CompareAndSwap(nil, &b) {
+		b = *f.p.Load()
+	}
+	return b
+}
+
+// projEntry is one pipeline-result cache value.
+type projEntry struct {
+	res  *core.PipelineResult
+	frag fragment
+}
+
 // Cache is a thread-safe LRU of pipeline results keyed by
 // (dataset, version, orientation, s, options-fingerprint) strings.
-type Cache struct{ lru[*core.PipelineResult] }
+type Cache struct{ lru[*projEntry] }
 
 // NewCache returns an LRU cache holding up to capacity results
 // (DefaultCacheEntries if capacity <= 0).
@@ -244,7 +269,7 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &Cache{*newLRU[*core.PipelineResult](capacity)}
+	return &Cache{*newLRU[*projEntry](capacity)}
 }
 
 // DefaultMeasureCacheEntries is the measure LRU capacity when none is
@@ -265,6 +290,7 @@ type MeasureEntry struct {
 	// HyperedgeIDs is shared with the projection that produced the
 	// value (immutable by convention).
 	HyperedgeIDs []uint32
+	frag         fragment // not spilled: a disk hit rebuilds it on its next hit
 }
 
 // NewMeasureEntry builds the self-contained cache entry for one

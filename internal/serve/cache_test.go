@@ -11,7 +11,7 @@ import (
 	"hyperline/internal/core"
 )
 
-func res(s int) *core.PipelineResult { return &core.PipelineResult{S: s} }
+func res(s int) *projEntry { return &projEntry{res: &core.PipelineResult{S: s}} }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
@@ -43,8 +43,8 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 		t.Fatalf("want 1 entry, got %d", c.Len())
 	}
 	got, _ := c.Get("a")
-	if got.S != 9 {
-		t.Fatalf("want refreshed value, got S=%d", got.S)
+	if got.res.S != 9 {
+		t.Fatalf("want refreshed value, got S=%d", got.res.S)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hyperline/internal/core"
+	"hyperline/internal/jsonsplice"
 	"hyperline/internal/measure"
 )
 
@@ -72,16 +73,18 @@ type queryEntryJSON struct {
 	TimingsMS        *timingsJSON   `json:"timings_ms,omitempty"`
 }
 
-type queryResponseJSON struct {
+// queryHeadJSON is a /v2/query response document without its last
+// field: the body is this object followed by "results", the
+// queryEntryJSON encoding of every entry in ascending s.
+type queryHeadJSON struct {
 	Dataset string `json:"dataset"`
 	// Version is the dataset version the query was pinned to; streaming
 	// clients use it to order answers across ingested deltas.
-	Version   uint64           `json:"version"`
-	Kind      string           `json:"kind"`
-	Measure   string           `json:"measure,omitempty"`
-	Plan      *planJSON        `json:"plan,omitempty"`
-	ElapsedMS float64          `json:"elapsed_ms"`
-	Results   []queryEntryJSON `json:"results"`
+	Version   uint64    `json:"version"`
+	Kind      string    `json:"kind"`
+	Measure   string    `json:"measure,omitempty"`
+	Plan      *planJSON `json:"plan,omitempty"`
+	ElapsedMS float64   `json:"elapsed_ms"`
 }
 
 // maxQueryBytes caps POST /v2/query bodies: a query is a dataset name,
@@ -94,6 +97,10 @@ const maxQueryBytes = 1 << 20
 // timings out. Edge lists are opt-in ("edges": true) — the default
 // response carries the projection shape, mapping, and measure value
 // only.
+//
+// The body is byte-for-byte what encoding/json writes for the response
+// document; an entry this query found in a cache is encoded once per
+// cache entry and spliced in, everything else is encoded per request.
 func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req queryRequestJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
@@ -173,49 +180,21 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := queryResponseJSON{
+	writeQueryV2(w, queryHeadJSON{
 		Dataset:   req.Dataset,
-		Version:   qr.Version,
 		Kind:      kindString(dual),
 		Measure:   req.Measure,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Results:   make([]queryEntryJSON, len(qr.Entries)),
-	}
+	}, qr, req.Edges)
+}
+
+// writeQueryV2 writes the /v2/query answer for qr under head (version
+// and plan filled from qr); edges adds the projections' edge lists.
+func writeQueryV2(w http.ResponseWriter, head queryHeadJSON, qr *QueryResult, edges bool) {
+	head.Version = qr.Version
 	if qr.Plan.Strategy != "" {
 		plan := toPlan(qr.Plan)
-		resp.Plan = &plan
-	}
-	for i, e := range qr.Entries {
-		out := queryEntryJSON{S: e.S, Cached: e.Cached}
-		if e.Err != nil {
-			out.Error = e.Err.Error()
-			resp.Results[i] = out
-			continue
-		}
-		switch {
-		case e.Measure != nil:
-			out.ProjectionCached = e.Measure.ProjectionCached
-			out.Nodes = e.Measure.Nodes
-			out.Edges = e.Measure.Edges
-			out.HyperedgeIDs = e.Measure.HyperedgeIDs
-			out.Value = e.Measure.Value
-		case e.Res != nil:
-			out.Nodes = e.Res.Graph.NumNodes()
-			out.Edges = e.Res.Graph.NumEdges()
-			out.HyperedgeIDs = e.Res.HyperedgeIDs
-		}
-		if e.Res != nil {
-			t := toTimings(e.Res.Timings)
-			out.TimingsMS = &t
-			if req.Edges {
-				edges := e.Res.Graph.Edges()
-				out.EdgeList = make([][3]uint32, len(edges))
-				for j, ge := range edges {
-					out.EdgeList[j] = [3]uint32{ge.U, ge.V, ge.W}
-				}
-			}
-		}
-		resp.Results[i] = out
+		head.Plan = &plan
 	}
 	// Per-s errors keep 200 while at least one entry answered, but a
 	// sweep where *every* entry failed is a failed request: 502 lets
@@ -223,19 +202,59 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	// parsing entries. (Per-s errors are upstream evaluation failures,
 	// not client mistakes, hence the 502 class.)
 	status := http.StatusOK
-	if len(resp.Results) > 0 {
-		allFailed := true
-		for _, e := range resp.Results {
-			if e.Error == "" {
-				allFailed = false
-				break
-			}
+	if len(qr.Entries) > 0 {
+		status = http.StatusBadGateway
+	}
+	entries := make([]jsonsplice.Entry, len(qr.Entries))
+	for i, e := range qr.Entries {
+		if e.Err == nil {
+			status = http.StatusOK
 		}
-		if allFailed {
-			status = http.StatusBadGateway
+		// A fragment has no edge list, so a projection asked for with
+		// edges is encoded afresh, as is an entry that does not encode
+		// (the encoder then reports it).
+		if e.frag != nil && !(edges && e.Res != nil) {
+			entries[i].Raw = e.frag.get(func() []byte { b, _ := json.Marshal(entryJSON(e, false)); return b })
+		}
+		if entries[i].Raw == nil {
+			entries[i].Value = entryJSON(e, edges)
 		}
 	}
-	writeJSON(w, status, resp)
+	jsonsplice.Write(w, status, head, entries)
+}
+
+// entryJSON renders one Query entry in its wire form; edges adds the
+// projection's edge list.
+func entryJSON(e QueryEntry, edges bool) queryEntryJSON {
+	out := queryEntryJSON{S: e.S, Cached: e.Cached}
+	if e.Err != nil {
+		out.Error = e.Err.Error()
+		return out
+	}
+	switch {
+	case e.Measure != nil:
+		out.ProjectionCached = e.Measure.ProjectionCached
+		out.Nodes = e.Measure.Nodes
+		out.Edges = e.Measure.Edges
+		out.HyperedgeIDs = e.Measure.HyperedgeIDs
+		out.Value = e.Measure.Value
+	case e.Res != nil:
+		out.Nodes = e.Res.Graph.NumNodes()
+		out.Edges = e.Res.Graph.NumEdges()
+		out.HyperedgeIDs = e.Res.HyperedgeIDs
+	}
+	if e.Res != nil {
+		t := toTimings(e.Res.Timings)
+		out.TimingsMS = &t
+		if edges {
+			ges := e.Res.Graph.Edges()
+			out.EdgeList = make([][3]uint32, len(ges))
+			for j, ge := range ges {
+				out.EdgeList[j] = [3]uint32{ge.U, ge.V, ge.W}
+			}
+		}
+	}
+	return out
 }
 
 // kindString renders the orientation the way the v2 API spells it.

@@ -136,22 +136,22 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		attrs, parsed := parseProjKeyRest(rest)
 		action := delta.ActionDrop
 		if parsed && patching {
-			action = p.Plan(attrs, old.Graph.NumEdges(),
+			action = p.Plan(attrs, old.res.Graph.NumEdges(),
 				nd.statsFor(attrs.Dual).WedgePairs, calibrated[attrs.Dual])
 		}
 		switch action {
 		case delta.ActionMigrate:
-			s.cache.Put(newPrefix+rest, old)
+			s.cache.Put(newPrefix+rest, old) // fragment too: nothing in it depends on the version
 			res.Migrated++
 			s.ingestMigrated.Add(1)
 		case delta.ActionPatch:
-			patched, perr := p.Patch(old, attrs)
+			patched, perr := p.Patch(old.res, attrs)
 			if perr != nil {
 				res.Dropped++
 				s.ingestDropped.Add(1)
 				continue
 			}
-			s.cache.Put(newPrefix+rest, patched)
+			s.cache.Put(newPrefix+rest, &projEntry{res: patched})
 			res.Patched++
 			s.ingestPatched.Add(1)
 		default:

@@ -58,6 +58,9 @@ type QueryEntry struct {
 	// query; request-level failures (unknown dataset or measure, bad
 	// parameters, cancellation) are returned by Query itself.
 	Err error
+	// frag is the response fragment of the cache entry this query's own
+	// probe hit; nil for every other entry.
+	frag *fragment
 }
 
 // QueryResult is the outcome of one Query: per-s entries ordered by
@@ -128,15 +131,15 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	}
 
 	if m == nil {
-		results, cached, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, distinct, q.Cfg, q.Priority)
+		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, distinct, q.Cfg, q.Priority)
 		if err != nil {
 			return nil, err
 		}
 		for i, sVal := range distinct {
-			out.Entries[i].Res = results[sVal]
-			out.Entries[i].Cached = cached[sVal]
+			p := projs[sVal]
+			out.Entries[i].Res, out.Entries[i].Cached, out.Entries[i].frag = p.res, p.cached, p.frag
 		}
-		out.Plan = results[distinct[0]].Plan
+		out.Plan = projs[distinct[0]].res.Plan
 		return out, nil
 	}
 
@@ -149,25 +152,26 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 			i := index[sVal]
 			out.Entries[i].Measure = &MeasureResult{S: sVal, MeasureEntry: e, Cached: true, ProjectionCached: true}
 			out.Entries[i].Cached = true
+			out.Entries[i].frag = &e.frag
 		} else {
 			missing = append(missing, sVal)
 		}
 	}
 	if len(missing) > 0 {
-		projs, projCached, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, missing, q.Cfg, q.Priority)
+		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, missing, q.Cfg, q.Priority)
 		if err != nil {
 			return nil, err
 		}
 		// One evaluation per missing s, scheduled across the sweep;
 		// each writes only its own entry.
 		budget := par.Options{Workers: q.Cfg.Core.Workers, Grain: q.Cfg.Core.Grain, Strategy: q.Cfg.Core.Partition}
-		weight := func(k int) int { return measure.Weight(projs[missing[k]]) }
+		weight := func(k int) int { return measure.Weight(projs[missing[k]].res) }
 		measure.EachS(len(missing), budget, weight, func(k int, inner par.Options) {
 			sVal := missing[k]
 			e := &out.Entries[index[sVal]]
-			e.Res = projs[sVal]
+			e.Res = projs[sVal].res
 			mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
-			e.Measure, e.Err = s.measureOne(ctx, mk, m, p, inner, projs[sVal], projCached[sVal])
+			e.Measure, e.Err = s.measureOne(ctx, mk, m, p, inner, e.Res, projs[sVal].cached)
 			if e.Err == nil {
 				e.Cached = e.Measure.Cached
 			}

@@ -227,11 +227,11 @@ func key(name string, version uint64, dual bool, sVal int, cfg core.PipelineConf
 	return fmt.Sprintf("%s@%d/%s/s=%d/%s", name, version, orient, sVal, cfg.Fingerprint())
 }
 
-// batchFlight is a batch flight outcome: per-s results plus which of
-// them the flight found already cached.
-type batchFlight struct {
-	results map[int]*core.PipelineResult
-	hits    map[int]bool
+// projection is one s of a projectBatchAt answer.
+type projection struct {
+	res    *core.PipelineResult
+	cached bool      // Stages 1-4 skipped: a cache hit or a shared flight
+	frag   *fragment // set only when this caller's own cache probe hit
 }
 
 // projectBatchAt serves the projections of distinct (validated,
@@ -239,26 +239,22 @@ type batchFlight struct {
 // pinned (hypergraph + version) under the configuration Query resolved:
 // every cache key it derives refers to that version and those concrete
 // knobs, so one response never mixes versions even if the dataset is
-// concurrently replaced. cached[s] reports whether Stages 1-4 were
-// skipped for that s (a cache hit, or a concurrent identical batch's
-// result was shared via singleflight).
-func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]*core.PipelineResult, map[int]bool, error) {
+// concurrently replaced.
+func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]projection, error) {
 	if dual {
 		h = h.Dual()
 	}
-	results := make(map[int]*core.PipelineResult, len(distinct))
-	cached := make(map[int]bool, len(distinct))
+	out := make(map[int]projection, len(distinct))
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
-		if res, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
-			results[sVal] = res
-			cached[sVal] = true
+		if e, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+			out[sVal] = projection{res: e.res, cached: true, frag: &e.frag}
 		} else {
 			missing = append(missing, sVal)
 		}
 	}
 	if len(missing) == 0 {
-		return results, cached, nil
+		return out, nil
 	}
 	// One planner-driven pass fills every missing s. Singleflight is
 	// keyed on the batch shape, so concurrent identical batches share
@@ -271,15 +267,11 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 		// Re-probe under the flight: an overlapping batch may have
 		// cached some of these s values between our misses and this
 		// call. Hits are recorded so the cached flags stay truthful.
-		out := batchFlight{
-			results: make(map[int]*core.PipelineResult, len(missing)),
-			hits:    make(map[int]bool, len(missing)),
-		}
+		got := make(map[int]projection, len(missing))
 		compute := make([]int, 0, len(missing))
 		for _, sVal := range missing {
-			if res, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
-				out.results[sVal] = res
-				out.hits[sVal] = true
+			if e, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+				got[sVal] = projection{res: e.res, cached: true}
 			} else {
 				compute = append(compute, sVal)
 			}
@@ -308,22 +300,21 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 				s.metrics.observeStages(res.Timings)
 			}
 			for sVal, res := range computed {
-				s.cache.Put(key(name, version, dual, sVal, cfg), res)
-				out.results[sVal] = res
+				s.cache.Put(key(name, version, dual, sVal, cfg), &projEntry{res: res})
+				got[sVal] = projection{res: res}
 			}
 		}
-		return out, nil
+		return got, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if shared {
 		s.sfDedups.Add(1)
 	}
-	bf := v.(batchFlight)
-	for sVal, res := range bf.results {
-		results[sVal] = res
-		cached[sVal] = shared || bf.hits[sVal]
+	for sVal, p := range v.(map[int]projection) {
+		p.cached = p.cached || shared
+		out[sVal] = p
 	}
-	return results, cached, nil
+	return out, nil
 }

@@ -32,13 +32,13 @@ type projectionMeta struct {
 }
 
 // encodeProjection serializes one cached pipeline result.
-func encodeProjection(res *core.PipelineResult) ([]byte, error) {
+func encodeProjection(e *projEntry) ([]byte, error) {
 	meta, err := json.Marshal(projectionMeta{
-		S:            res.S,
-		HyperedgeIDs: res.HyperedgeIDs,
-		Stats:        res.Stats,
-		Timings:      res.Timings,
-		Plan:         res.Plan,
+		S:            e.res.S,
+		HyperedgeIDs: e.res.HyperedgeIDs,
+		Stats:        e.res.Stats,
+		Timings:      e.res.Timings,
+		Plan:         e.res.Plan,
 	})
 	if err != nil {
 		return nil, err
@@ -48,14 +48,14 @@ func encodeProjection(res *core.PipelineResult) ([]byte, error) {
 	binary.LittleEndian.PutUint32(lenb[:], uint32(len(meta)))
 	buf.Write(lenb[:])
 	buf.Write(meta)
-	if err := hgio.WriteCSR(&buf, res.Graph); err != nil {
+	if err := hgio.WriteCSR(&buf, e.res.Graph); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // decodeProjection rebuilds a pipeline result from its spill payload.
-func decodeProjection(data []byte) (*core.PipelineResult, error) {
+func decodeProjection(data []byte) (*projEntry, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("serve: projection payload too short")
 	}
@@ -71,14 +71,14 @@ func decodeProjection(data []byte) (*core.PipelineResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: projection graph: %w", err)
 	}
-	return &core.PipelineResult{
+	return &projEntry{res: &core.PipelineResult{
 		S:            meta.S,
 		Graph:        g,
 		HyperedgeIDs: meta.HyperedgeIDs,
 		Stats:        meta.Stats,
 		Timings:      meta.Timings,
 		Plan:         meta.Plan,
-	}, nil
+	}}, nil
 }
 
 // encodeMeasureEntry serializes one cached measure evaluation.
