@@ -7,70 +7,70 @@ import (
 
 	"hyperline/internal/graph"
 	"hyperline/internal/hg"
+	"hyperline/internal/par"
 )
 
-// Prepared is the exported Stage 1-2 state of a pipeline run: the
-// preprocessed working hypergraph plus the ID mappings needed to move
-// edge lists between the original and working ID spaces. The
-// incremental patcher (internal/delta) prepares the post-delta
-// hypergraph once, patches each cached projection's edge list in
-// original-ID space, and assembles results through the same Stage-4
-// code path as RunBatch — which is what makes a patched projection
-// byte-identical to a from-scratch recompute.
+// Prepared is the part of Stage 1 the incremental patcher needs from a
+// post-delta hypergraph: its working hyperedge order (hg.EdgeOrder) and
+// the inverse mapping, which move edge lists between the original and
+// working ID spaces. The working hypergraph itself is never built — a
+// patched projection's node space and labels depend on nothing else —
+// so preparing is a scan of row lengths. Assemble then runs the same
+// Stage-4 code path as RunBatch, which is what makes a patched
+// projection byte-identical to a from-scratch recompute. Toplex keys
+// are never patched, so there is no Stage 2 here.
 type Prepared struct {
-	p   prepared
-	cfg PipelineConfig
+	edgeOrig []uint32
+	toWork   []int64
+	preTime  time.Duration
 }
 
-// PrepareFor runs Stage 1 (preprocess + relabel) and Stage 2 (optional
-// toplex simplification) of cfg on h. cfg must be resolved: the auto
-// knobs (hg.RelabelAuto, ToplexAuto) are planner decisions that must be
-// taken before an ID space is fixed.
-func PrepareFor(h *hg.Hypergraph, cfg PipelineConfig) (*Prepared, error) {
-	if cfg.Core.Relabel == hg.RelabelAuto {
-		return nil, fmt.Errorf("core: PrepareFor requires a resolved relabel order, got auto")
+// PrepareOrder derives h's working hyperedge order under relabel, as
+// Stage 1 would. relabel must be resolved: hg.RelabelAuto is a planner
+// decision that must be taken before an ID space is fixed.
+func PrepareOrder(h *hg.Hypergraph, relabel hg.RelabelOrder) (*Prepared, error) {
+	if relabel == hg.RelabelAuto {
+		return nil, fmt.Errorf("core: PrepareOrder requires a resolved relabel order, got auto")
 	}
-	if cfg.Toplex == ToplexAuto {
-		return nil, fmt.Errorf("core: PrepareFor requires a resolved toplex mode, got auto")
+	t0 := time.Now()
+	pp := &Prepared{edgeOrig: hg.EdgeOrder(h, relabel), toWork: make([]int64, h.NumEdges())}
+	for i := range pp.toWork {
+		pp.toWork[i] = -1
 	}
-	return &Prepared{p: prepare(h, cfg), cfg: cfg}, nil
+	for workID, origID := range pp.edgeOrig {
+		pp.toWork[origID] = int64(workID)
+	}
+	pp.preTime = time.Since(t0)
+	return pp, nil
 }
 
-// NumWorkEdges returns the working hypergraph's hyperedge count — the
-// node ID space Stage-4 edge lists must index into.
-func (pp *Prepared) NumWorkEdges() int { return pp.p.work.NumEdges() }
+// EdgeOrig returns the working→original edge ID mapping. The slice is
+// shared and must not be modified.
+func (pp *Prepared) EdgeOrig() []uint32 { return pp.edgeOrig }
 
-// OrigToWork returns the original→working edge ID mapping over an
-// original ID space of size origEdges (-1 marks hyperedges the
-// preprocessing dropped: empty rows, and non-toplexes when Stage 2
-// ran). It is the inverse of the EdgeOrig mapping RunBatch uses to
-// label results.
-func (pp *Prepared) OrigToWork(origEdges int) []int64 {
-	out := make([]int64, origEdges)
-	for i := range out {
-		out[i] = -1
-	}
-	for workID, origID := range pp.p.edgeOrig {
-		out[origID] = int64(workID)
-	}
-	return out
-}
+// OrigToWork returns the original→working edge ID mapping over the
+// prepared hypergraph's edge space, -1 marking the empty rows Stage 1
+// drops. The slice is shared and must not be modified.
+func (pp *Prepared) OrigToWork() []int64 { return pp.toWork }
+
+// PreprocessTime is how long PrepareOrder took; patched results report
+// it as their Stage-1 time.
+func (pp *Prepared) PreprocessTime() time.Duration { return pp.preTime }
 
 // Assemble runs Stage 4 on a working-space edge list, exactly as
-// RunBatch does: the list must be sorted by (U, V) with U < V, deduped,
-// and indexed into the working edge space. stats and plan label the
-// result; preprocessing timings come from this Prepared, the s-overlap
-// timing is the caller's (the patch time, for patched projections).
+// RunBatch does for a squeezed key: the list must be sorted by (U, V)
+// with U < V, deduped, and indexed into the working edge space. stats
+// and plan label the result; the s-overlap timing is the caller's (the
+// patch time, for patched projections).
 func (pp *Prepared) Assemble(s int, edges []Edge, overlapTime time.Duration, stats Stats, plan PlanInfo) *PipelineResult {
 	t := time.Now()
-	g := graph.BuildSorted(pp.p.work.NumEdges(), edges, !pp.cfg.NoSqueeze, pp.cfg.Core.parOptions())
+	g := graph.BuildSorted(len(pp.edgeOrig), edges, true, par.Options{})
 	r := &PipelineResult{
 		S:     s,
 		Graph: g,
 		Stats: stats,
 		Timings: StageTimings{
-			Preprocess: pp.p.preTime,
-			Toplex:     pp.p.topTime,
+			Preprocess: pp.preTime,
 			SOverlap:   overlapTime,
 			Squeeze:    time.Since(t),
 		},
@@ -78,7 +78,7 @@ func (pp *Prepared) Assemble(s int, edges []Edge, overlapTime time.Duration, sta
 	}
 	r.HyperedgeIDs = make([]uint32, g.NumNodes())
 	for node := 0; node < g.NumNodes(); node++ {
-		r.HyperedgeIDs[node] = pp.p.edgeOrig[g.OrigID(uint32(node))]
+		r.HyperedgeIDs[node] = pp.edgeOrig[g.OrigID(uint32(node))]
 	}
 	return r
 }

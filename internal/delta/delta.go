@@ -27,6 +27,7 @@ package delta
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hyperline/internal/hg"
@@ -104,12 +105,14 @@ func (d *Delta) Normalize(base *hg.Hypergraph) error {
 	if d.Ops() > MaxBatch {
 		return fmt.Errorf("delta: %d operations exceed the per-delta cap %d", d.Ops(), MaxBatch)
 	}
-	// Vertex growth bound: every new vertex needs at least one inserted
-	// incidence, so the densest legal ID space is the base's plus one ID
-	// per inserted incidence. Checking before Apply allocates keeps a
-	// single absurd vertex ID (e.g. 4e9 in a 10-vertex hypergraph) from
-	// demanding a multi-gigabyte offset array.
-	maxVertex := int64(base.NumVertices()) + d.insertIncidences() - 1
+	// An empty list is an absent one: the wire form omits both, so only
+	// nil survives a JSON round trip.
+	if len(d.Inserts) == 0 {
+		d.Inserts = nil
+	}
+	if len(d.Deletes) == 0 {
+		d.Deletes = nil
+	}
 	for i, vs := range d.Inserts {
 		if len(vs) == 0 {
 			return fmt.Errorf("delta: insert %d is empty (hyperedges must have at least one vertex)", i)
@@ -123,7 +126,16 @@ func (d *Delta) Normalize(base *hg.Hypergraph) error {
 			}
 		}
 		d.Inserts[i] = vs[:w]
-		if top := int64(vs[w-1]); top > maxVertex {
+	}
+	// Vertex growth bound: every new vertex needs at least one inserted
+	// incidence, so the densest legal ID space is the base's plus one ID
+	// per (deduplicated, so that Normalize is idempotent) inserted
+	// incidence. Checking before Apply allocates keeps a single absurd
+	// vertex ID (e.g. 4e9 in a 10-vertex hypergraph) from demanding a
+	// multi-gigabyte offset array.
+	maxVertex := int64(base.NumVertices()) + d.insertIncidences() - 1
+	for i, vs := range d.Inserts {
+		if top := int64(vs[len(vs)-1]); top > maxVertex {
 			return fmt.Errorf("delta: insert %d references vertex %d beyond the growth bound %d (base has %d vertices)",
 				i, top, maxVertex, base.NumVertices())
 		}
@@ -152,46 +164,130 @@ func (d *Delta) Normalize(base *hg.Hypergraph) error {
 }
 
 // Apply materializes the post-delta hypergraph: base rows survive
-// unchanged, deleted rows become empty, and inserts append. The CSR
-// arrays are built directly in O(nnz) — no text re-parse, no Builder
-// sort — and the result shares no storage with the base (the base may
-// be mmap-backed and replaced underneath long-lived readers). d must be
-// normalized against base first.
+// unchanged, deleted rows become empty, and inserts append. It edits
+// rows rather than rebuilding: in both orientations every row the delta
+// does not touch is copied as part of a contiguous span with its offset
+// shifted, and only the deleted and inserted hyperedges' rows and their
+// member vertices' rows are rewritten — no text re-parse, no sort of
+// the whole, no transpose. The result shares no storage with the base
+// (the base may be mmap-backed and replaced underneath long-lived
+// readers). d must be normalized against base first.
 func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
 	if err := d.Normalize(base); err != nil {
 		return nil, err
 	}
-	m := base.NumEdges()
+	m, n := base.NumEdges(), base.NumVertices()
 	newEdges := m + len(d.Inserts)
-	deleted := make(map[uint32]bool, len(d.Deletes))
+	numVertices := n
 	var removed int64
 	for _, e := range d.Deletes {
-		deleted[e] = true
 		removed += int64(base.EdgeSize(e))
 	}
+	for _, vs := range d.Inserts {
+		numVertices = max(numVertices, int(vs[len(vs)-1])+1)
+	}
 	nnz := base.Incidences() - removed + d.insertIncidences()
+	eOffB, eAdjB, vOffB, vAdjB := base.CSR()
 
-	// Edge orientation: survivors copy, deletions collapse to
-	// zero-length rows, inserts append (already sorted by Normalize).
-	eOff := make([]int64, newEdges+1)
-	eAdj := make([]uint32, 0, nnz)
-	numVertices := int64(base.NumVertices())
-	for e := 0; e < m; e++ {
-		if !deleted[uint32(e)] {
-			eAdj = append(eAdj, base.EdgeVertices(uint32(e))...)
-		}
-		eOff[e+1] = int64(len(eAdj))
+	// Edge orientation: deleted rows empty out, inserted rows (already
+	// sorted by Normalize) append. Deletes ascend and every insert ID is
+	// above them, so the edited rows are in order.
+	edited := make([]uint32, 0, len(d.Deletes)+len(d.Inserts))
+	edited = append(edited, d.Deletes...)
+	for i := range d.Inserts {
+		edited = append(edited, uint32(m+i))
 	}
+	eOff, eAdj := editRows(eOffB, eAdjB, newEdges, nnz, edited, func(e uint32, row []uint32) []uint32 {
+		if int(e) >= m {
+			row = append(row, d.Inserts[int(e)-m]...)
+		}
+		return row
+	})
+
+	// Vertex orientation: the incidences the delta removes and adds, as
+	// vertex<<32|edge keys sorted by vertex, then edge. The vertices they
+	// name are the only rows that change.
+	gone := make([]uint64, 0, removed)
+	for _, e := range d.Deletes {
+		for _, v := range base.EdgeVertices(e) {
+			gone = append(gone, uint64(v)<<32|uint64(e))
+		}
+	}
+	added := make([]uint64, 0, d.insertIncidences())
 	for i, vs := range d.Inserts {
-		eAdj = append(eAdj, vs...)
-		eOff[m+i+1] = int64(len(eAdj))
-		if top := int64(vs[len(vs)-1]) + 1; top > numVertices {
-			numVertices = top
+		for _, v := range vs {
+			added = append(added, uint64(v)<<32|uint64(m+i))
 		}
 	}
+	slices.Sort(gone)
+	slices.Sort(added)
+	touched := make([]uint32, 0, len(gone)+len(added))
+	for gi, ai := 0, 0; gi < len(gone) || ai < len(added); {
+		var v uint32
+		if ai == len(added) || (gi < len(gone) && gone[gi] < added[ai]) {
+			v = uint32(gone[gi] >> 32)
+			gi++
+		} else {
+			v = uint32(added[ai] >> 32)
+			ai++
+		}
+		if len(touched) == 0 || touched[len(touched)-1] != v {
+			touched = append(touched, v)
+		}
+	}
+	gi, ai := 0, 0
+	vOff, vAdj := editRows(vOffB, vAdjB, numVertices, nnz, touched, func(v uint32, row []uint32) []uint32 {
+		// The base row without the deleted edges (a sorted subset of it),
+		// then the inserted edges — the largest IDs, so the row stays
+		// sorted.
+		if int(v) < n {
+			for _, e := range vAdjB[vOffB[v]:vOffB[v+1]] {
+				if gi < len(gone) && gone[gi] == uint64(v)<<32|uint64(e) {
+					gi++
+					continue
+				}
+				row = append(row, e)
+			}
+		}
+		for ; ai < len(added) && uint32(added[ai]>>32) == v; ai++ {
+			row = append(row, uint32(added[ai]))
+		}
+		return row
+	})
+	return hg.FromCSR(newEdges, numVertices, eOff, eAdj, vOff, vAdj)
+}
 
-	vOff, vAdj := hg.Transpose(eOff, eAdj, int(numVertices))
-	return hg.FromCSR(newEdges, int(numVertices), eOff, eAdj, vOff, vAdj)
+// editRows copies the CSR rows (off, adj) into fresh arrays of rows rows
+// and nnz entries, rewriting the rows listed in edited (ascending): fill
+// appends an edited row's new contents to dst and returns it. Every
+// other row is copied as part of a span between edits, its offset
+// shifted; rows past the input's end are empty unless edited.
+func editRows(off []int64, adj []uint32, rows int, nnz int64, edited []uint32, fill func(r uint32, dst []uint32) []uint32) ([]int64, []uint32) {
+	newOff := make([]int64, rows+1)
+	newAdj := make([]uint32, 0, nnz)
+	inRows := len(off) - 1
+	next := 0 // first row not yet written
+	span := func(to int) {
+		if hi := min(to, inRows); next < hi {
+			shift := int64(len(newAdj)) - off[next]
+			newAdj = append(newAdj, adj[off[next]:off[hi]]...)
+			for r := next; r < hi; r++ {
+				newOff[r+1] = off[r+1] + shift
+			}
+			next = hi
+		}
+		for ; next < to; next++ {
+			newOff[next+1] = int64(len(newAdj))
+		}
+	}
+	for _, r := range edited {
+		span(int(r))
+		newAdj = fill(r, newAdj)
+		newOff[r+1] = int64(len(newAdj))
+		next = int(r) + 1
+	}
+	span(rows)
+	return newOff, newAdj
 }
 
 // Invert returns the delta that undoes d, phrased against the

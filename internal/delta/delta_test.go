@@ -78,6 +78,24 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
+// TestNormalizeIdempotent: the growth bound counts deduplicated
+// incidences, so a delta that normalizes once normalizes again (Apply
+// re-normalizes what its callers already did).
+func TestNormalizeIdempotent(t *testing.T) {
+	base := paperExample()
+	d := &Delta{Inserts: [][]uint32{{0, 8, 0}}}
+	if err := d.Normalize(base); err == nil {
+		t.Fatal("vertex 8 is beyond the bound of two distinct incidences; Normalize accepted it")
+	}
+	d = &Delta{Inserts: [][]uint32{{0, 8, 0, 1}}}
+	if err := d.Normalize(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Normalize(base); err != nil {
+		t.Fatalf("second Normalize: %v", err)
+	}
+}
+
 func TestNormalizeRejectsDoubleDelete(t *testing.T) {
 	base := paperExample()
 	h, err := Apply(base, &Delta{Deletes: []uint32{1}})
@@ -178,8 +196,9 @@ func TestParseWireFormat(t *testing.T) {
 
 // FuzzDeltaWire feeds arbitrary bytes through the /v2/ingest wire
 // format: decoding must never panic, and any delta that normalizes
-// against the example base must apply cleanly, produce a valid
-// hypergraph, and round-trip through Invert back to the base's
+// against the example base must apply cleanly to exactly the
+// hypergraph a from-scratch build of the edited edge lists gives — all
+// four CSR arrays — and round-trip through Invert back to the base's
 // multiset of hyperedge vertex sets.
 func FuzzDeltaWire(f *testing.F) {
 	f.Add([]byte(`{"inserts": [[0,3,7]], "deletes": [1]}`))
@@ -187,6 +206,8 @@ func FuzzDeltaWire(f *testing.F) {
 	f.Add([]byte(`{"deletes": [0,1,2,3]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"inserts": [[4294967295]]}`))
+	f.Add([]byte(`{"inserts": [[0,7], [6,1]]}`))               // vertex growth
+	f.Add([]byte(`{"inserts": [[5,6,2]], "deletes": [3, 0]}`)) // first and last rows
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data)
 		if err != nil {
@@ -203,6 +224,18 @@ func FuzzDeltaWire(f *testing.F) {
 		}
 		if err := h1.Validate(); err != nil {
 			t.Fatalf("applied hypergraph invalid: %v", err)
+		}
+		edited := base.EdgeSlices()
+		for _, e := range d.Deletes {
+			edited[e] = nil
+		}
+		edited = append(edited, d.Inserts...)
+		want := hg.FromEdgeSlices(edited, h1.NumVertices())
+		gEOff, gEAdj, gVOff, gVAdj := h1.CSR()
+		wEOff, wEAdj, wVOff, wVAdj := want.CSR()
+		if !reflect.DeepEqual(gEOff, wEOff) || !reflect.DeepEqual(gEAdj, wEAdj) ||
+			!reflect.DeepEqual(gVOff, wVOff) || !reflect.DeepEqual(gVAdj, wVAdj) {
+			t.Fatalf("Apply differs from a rebuild of the edited edge lists for %s", data)
 		}
 		h2, err := Apply(h1, inv)
 		if err != nil {

@@ -20,14 +20,6 @@ import (
 // CI runs this package under -race, so the lazily shared patcher state
 // is exercised for data races as well.
 
-// orient projects the hypergraph for one orientation.
-func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
-	if dual {
-		return h.Dual()
-	}
-	return h
-}
-
 // pipelineAt runs the pipeline for one s, failing the test on error.
 func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg core.PipelineConfig) *core.PipelineResult {
 	t.Helper()
@@ -136,74 +128,160 @@ func testBases(t *testing.T) map[string]*hg.Hypergraph {
 	}
 }
 
-// TestPatchEquivalence is the headline property: patch == recompute,
-// byte for byte, across bases × deltas × orientations × s × relabel.
-func TestPatchEquivalence(t *testing.T) {
-	relabels := []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
-	for name, base := range testBases(t) {
-		for deltaSeed := int64(0); deltaSeed < 3; deltaSeed++ {
-			d := randomDelta(rand.New(rand.NewSource(deltaSeed)), base)
-			newH, err := Apply(base, d)
-			if err != nil {
-				t.Fatalf("%s/seed%d: %v", name, deltaSeed, err)
-			}
-			p := NewPatcher(base, newH, d)
-			for _, dual := range []bool{false, true} {
-				for _, relabel := range relabels {
-					cfg := exactCfg(relabel)
-					for s := 1; s <= 5; s++ {
-						label := fmt.Sprintf("%s/seed%d/dual=%v/relabel=%s/s=%d", name, deltaSeed, dual, relabel, s)
-						old := pipelineAt(t, orient(base, dual), s, cfg)
-						fresh := pipelineAt(t, orient(newH, dual), s, cfg)
-						a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-						patched, err := p.Patch(old, a)
-						if err != nil {
-							t.Fatalf("%s: Patch: %v", label, err)
-						}
-						sameResult(t, label, patched, fresh)
-						// Migration soundness: a key the patcher calls
-						// unchanged must really be unchanged.
-						if p.Migratable(a) {
-							sameServed(t, label+" (migrate)", old, fresh)
-						}
-					}
+// equivCase is one base hypergraph and one delta against it.
+type equivCase struct {
+	name string
+	base *hg.Hypergraph
+	d    *Delta
+}
+
+// edgeCases are the named shapes the row rewrite must get right, in
+// either orientation.
+func edgeCases() []equivCase {
+	return []equivCase{
+		// Hyperedge 0's only neighbour is deleted, so its node dies.
+		{"only-neighbour-lost", hg.FromEdgeSlices([][]uint32{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 3}}, 6),
+			&Delta{Deletes: []uint32{1}}},
+		// Hyperedge 2 and vertex 5 are isolated before and gain an
+		// edge to the insert.
+		{"isolated-survivor-joins", hg.FromEdgeSlices([][]uint32{{0, 1}, {1, 2}, {3, 4}}, 6),
+			&Delta{Inserts: [][]uint32{{4, 5}}}},
+		// The only new pair is between the two inserts.
+		{"insert-insert", hg.FromEdgeSlices([][]uint32{{0, 1}, {2, 3}}, 7),
+			&Delta{Inserts: [][]uint32{{4, 5}, {5, 6}}}},
+		{"delete-first-and-last", paperExample(), &Delta{Deletes: []uint32{0, 3}}},
+		// Vertex 7 is the largest ID two inserted incidences may name.
+		{"vertex-at-growth-bound", paperExample(), &Delta{Inserts: [][]uint32{{0, 7}}}},
+	}
+}
+
+// checkPatch asserts, for both orientations × every relabel order × s
+// in 1..maxS, that patching base's projection across d equals the
+// recompute on the post-delta hypergraph, and that every key the
+// patcher calls migratable serves the same answer unchanged.
+func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS int) {
+	t.Helper()
+	newH, err := Apply(base, d)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	p := NewPatcher(base, newH, d)
+	for _, dual := range []bool{false, true} {
+		for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+			cfg := exactCfg(relabel)
+			for s := 1; s <= maxS; s++ {
+				label := fmt.Sprintf("%s/dual=%v/relabel=%s/s=%d", label, dual, relabel, s)
+				old := pipelineAt(t, orient(base, dual), s, cfg)
+				fresh := pipelineAt(t, orient(newH, dual), s, cfg)
+				a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
+				patched, err := p.Patch(old, a)
+				if err != nil {
+					t.Fatalf("%s: Patch: %v", label, err)
+				}
+				sameResult(t, label, patched, fresh)
+				// Migration soundness: a key the patcher calls
+				// unchanged must really be unchanged.
+				if p.Migratable(a) {
+					sameServed(t, label+" (migrate)", old, fresh)
 				}
 			}
 		}
 	}
 }
 
+// TestPatchEquivalence is the headline property: patch == recompute,
+// byte for byte, across bases × deltas × orientations × s × relabel.
+func TestPatchEquivalence(t *testing.T) {
+	cases := edgeCases()
+	for name, base := range testBases(t) {
+		for deltaSeed := int64(0); deltaSeed < 3; deltaSeed++ {
+			d := randomDelta(rand.New(rand.NewSource(deltaSeed)), base)
+			cases = append(cases, equivCase{fmt.Sprintf("%s/seed%d", name, deltaSeed), base, d})
+		}
+	}
+	for _, c := range cases {
+		checkPatch(t, c.name, c.base, c.d, 5)
+	}
+}
+
 // TestPatchEquivalenceChained patches through a chain of deltas — each
 // step reuses the previous step's patched result as its cached input —
 // and checks the end state still matches a from-scratch recompute, so
-// patching does not accumulate drift across versions.
+// patching does not accumulate drift across versions, under every
+// relabel order.
 func TestPatchEquivalenceChained(t *testing.T) {
 	base := gen.Zipf(gen.ZipfConfig{
 		Seed: 3, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 4, MaxEdgeSize: 8,
 	})
-	rng := rand.New(rand.NewSource(42))
-	for _, dual := range []bool{false, true} {
-		cfg := exactCfg(hg.RelabelNone)
-		for s := 1; s <= 3; s++ {
-			h := base
-			cur := pipelineAt(t, orient(h, dual), s, cfg)
-			for step := 0; step < 4; step++ {
-				d := randomDelta(rng, h)
-				newH, err := Apply(h, d)
-				if err != nil {
-					t.Fatal(err)
+	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+		rng := rand.New(rand.NewSource(42))
+		for _, dual := range []bool{false, true} {
+			cfg := exactCfg(relabel)
+			for s := 1; s <= 3; s++ {
+				h := base
+				cur := pipelineAt(t, orient(h, dual), s, cfg)
+				for step := 0; step < 4; step++ {
+					d := randomDelta(rng, h)
+					newH, err := Apply(h, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := NewPatcher(h, newH, d)
+					a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
+					cur, err = p.Patch(cur, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h = newH
 				}
-				p := NewPatcher(h, newH, d)
-				a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
-				cur, err = p.Patch(cur, a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h = newH
+				fresh := pipelineAt(t, orient(h, dual), s, cfg)
+				sameResult(t, fmt.Sprintf("chained/relabel=%s/dual=%v/s=%d", relabel, dual, s), cur, fresh)
 			}
-			fresh := pipelineAt(t, orient(h, dual), s, cfg)
-			sameResult(t, fmt.Sprintf("chained/dual=%v/s=%d", dual, s), cur, fresh)
 		}
+	}
+}
+
+// TestPatchWorkIsLocal guards the O(delta) write path without a clock:
+// Apply and a line-orientation Patch make the same number of
+// allocations on two bases whose edge counts differ 100×, so neither
+// grows, rebuilds or re-sorts anything in proportion to the dataset.
+func TestPatchWorkIsLocal(t *testing.T) {
+	allocs := func(numEdges int) (apply, patch float64) {
+		base := gen.Zipf(gen.ZipfConfig{
+			Seed: 5, NumVertices: 4 * numEdges, NumEdges: numEdges, MeanEdgeSize: 4, MaxEdgeSize: 8,
+		})
+		victim := uint32(0)
+		for base.EdgeSize(victim) < 2 {
+			victim++
+		}
+		ins := append([]uint32(nil), base.EdgeVertices(victim)[:2]...)
+		d := &Delta{Inserts: [][]uint32{ins}, Deletes: []uint32{victim}}
+		newH, err := Apply(base, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply = testing.AllocsPerRun(20, func() {
+			if _, err := Apply(base, d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelAscending, Squeeze: true}
+		old := pipelineAt(t, base, a.S, exactCfg(a.Relabel))
+		p := NewPatcher(base, newH, d)
+		patch = testing.AllocsPerRun(20, func() {
+			if _, err := p.Patch(old, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return apply, patch
+	}
+	smallApply, smallPatch := allocs(60)
+	bigApply, bigPatch := allocs(6000)
+	if smallApply != bigApply {
+		t.Errorf("Apply: %v allocations at 60 hyperedges, %v at 6000", smallApply, bigApply)
+	}
+	if smallPatch != bigPatch {
+		t.Errorf("Patch: %v allocations at 60 hyperedges, %v at 6000", smallPatch, bigPatch)
 	}
 }
 
@@ -246,4 +324,72 @@ func TestMigratableRespectsOrderStability(t *testing.T) {
 	if p.Migratable(unsqueezed) {
 		t.Error("unsqueezed keys must never migrate")
 	}
+}
+
+// fuzzCase decodes fuzz bytes into a small base hypergraph and a delta
+// against it. Byte 0 picks the vertex count in 1..8; the bytes up to the
+// first 0xFF are the base's hyperedges (a byte with the top bit set
+// closes the current one, any other adds vertex b mod n to it; at most
+// 16 hyperedges), and the bytes after it are the delta: 0xC0..0xFE
+// deletes hyperedge b−0xC0 mod m, 0x80..0xBF closes the current insert,
+// and any other byte adds vertex b mod (n+2) to it — up to two vertex
+// IDs past the base, which Normalize admits only within its growth
+// bound. Empty hyperedges stay in the base (they are tombstones to
+// patch around); empty inserts and deletes of empty rows are skipped.
+func fuzzCase(data []byte) (*hg.Hypergraph, *Delta) {
+	if len(data) == 0 {
+		return hg.FromEdgeSlices(nil, 1), &Delta{}
+	}
+	n := 1 + int(data[0]%8)
+	rest := data[1:]
+	edges := [][]uint32{nil}
+	for len(rest) > 0 && rest[0] != 0xFF {
+		b := rest[0]
+		rest = rest[1:]
+		switch {
+		case b&0x80 == 0:
+			edges[len(edges)-1] = append(edges[len(edges)-1], uint32(int(b)%n))
+		case len(edges) < 16:
+			edges = append(edges, nil)
+		}
+	}
+	base := hg.FromEdgeSlices(edges, n)
+	d := &Delta{}
+	var ins []uint32
+	flush := func() {
+		if len(ins) > 0 && len(d.Inserts) < 8 {
+			d.Inserts = append(d.Inserts, ins)
+		}
+		ins = nil
+	}
+	for _, b := range rest[min(1, len(rest)):] {
+		switch {
+		case b >= 0xC0:
+			if e := uint32(int(b-0xC0) % base.NumEdges()); base.EdgeSize(e) > 0 {
+				d.Deletes = append(d.Deletes, e)
+			}
+		case b >= 0x80:
+			flush()
+		default:
+			ins = append(ins, uint32(int(b)%(n+2)))
+		}
+	}
+	flush()
+	return base, d
+}
+
+// FuzzPatchMatchesRecompute is the differential target for the
+// incremental write path: on any decodable base and delta, patching
+// every orientation × relabel × s in 1..4 equals the recompute on the
+// post-delta hypergraph, and migration is only ever claimed for keys
+// that serve the same answer unchanged.
+func FuzzPatchMatchesRecompute(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		base, d := fuzzCase(data)
+		if d.Normalize(base) != nil {
+			return
+		}
+		checkPatch(t, "fuzz", base, d, 4)
+	})
 }

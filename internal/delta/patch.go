@@ -1,24 +1,27 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
 	"hyperline/internal/core"
 	"hyperline/internal/graph"
 	"hyperline/internal/hg"
-	"hyperline/internal/par"
 )
 
 // Patcher incrementally maintains cached s-line projections across one
 // delta. It is built once per applied delta (base → newH) and consulted
 // once per cached projection key; the expensive per-orientation state —
 // the Algorithm-2 recount of inserted hyperedges, the affected
-// vertex-pair table of the clique orientation, and the Stage 1
-// preprocessing of the new hypergraph — is computed lazily and shared
-// across every key that needs it.
+// vertex-pair table of the clique orientation, and the new
+// hypergraph's working-ID order — is computed lazily and shared
+// across every key that needs it. Nothing it computes is proportional
+// to the dataset beyond one scan of an orientation's row lengths (the
+// working-ID order) and one pass over each patched projection's rows.
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
@@ -33,7 +36,8 @@ type Patcher struct {
 	newH *hg.Hypergraph
 	d    *Delta
 
-	deleted map[uint32]bool
+	// reason labels every patched result's plan.
+	reason string
 
 	// affectedS[orient] bounds the largest s any pair of that
 	// orientation changes at: a projection at s above the bound is
@@ -54,7 +58,7 @@ type Patcher struct {
 	cliquePairs map[uint64]uint32
 	cliqueOK    bool
 
-	// prepared caches Stage-1 preprocessing of the new hypergraph per
+	// prepared caches the new hypergraph's working-ID order per
 	// (orientation, relabel) — shared by every key patched under it.
 	mu       sync.Mutex
 	prepared map[preparedKey]*core.Prepared
@@ -89,11 +93,8 @@ func NewPatcher(base, newH *hg.Hypergraph, d *Delta) *Patcher {
 		base:     base,
 		newH:     newH,
 		d:        d,
-		deleted:  make(map[uint32]bool, len(d.Deletes)),
+		reason:   fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
 		prepared: make(map[preparedKey]*core.Prepared),
-	}
-	for _, e := range d.Deletes {
-		p.deleted[e] = true
 	}
 	// Line bound: a pair involving a deleted hyperedge x had weight
 	// |x ∩ f| ≤ |x|; a pair involving an inserted g has weight ≤ |g|.
@@ -357,8 +358,8 @@ func (p *Patcher) cliqueUpdates() (map[uint64]uint32, bool) {
 	return p.cliquePairs, p.cliqueOK
 }
 
-// preparedFor returns (building on first use) the Stage-1 preprocessing
-// of the new hypergraph for one orientation and relabel order.
+// preparedFor returns (deriving on first use) the new hypergraph's
+// working-ID order for one orientation and relabel order.
 func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepared, error) {
 	k := preparedKey{dual: dual, relabel: relabel}
 	p.mu.Lock()
@@ -366,13 +367,7 @@ func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepare
 	if pp, ok := p.prepared[k]; ok {
 		return pp, nil
 	}
-	work := p.newH
-	if dual {
-		work = work.Dual()
-	}
-	cfg := core.PipelineConfig{}
-	cfg.Core.Relabel = relabel
-	pp, err := core.PrepareFor(work, cfg)
+	pp, err := core.PrepareOrder(orient(p.newH, dual), relabel)
 	if err != nil {
 		return nil, err
 	}
@@ -380,113 +375,251 @@ func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepare
 	return pp, nil
 }
 
-// Patch rewrites one cached projection for the new version: the cached
-// graph's edges are lifted back to original-ID space, pairs the delta
-// affected are dropped or replaced, the inserted hyperedges' new pairs
-// are added, and the result is assembled through the same Stage-4 path
-// as a full run — byte-identical Graph and HyperedgeIDs to a
-// from-scratch recompute of the post-delta hypergraph. The caller must
-// have gotten ActionPatch from Plan for this key.
+// orient is the hypergraph whose hyperedges an orientation's projection
+// nodes are: h for the line orientation, its dual for the clique one.
+func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
+	if dual {
+		return h.Dual()
+	}
+	return h
+}
+
+// Patch rewrites one cached projection for the new version, byte-
+// identical — Graph and HyperedgeIDs — to a from-scratch recompute of
+// the post-delta hypergraph. The caller must have gotten ActionPatch
+// from Plan for this key. Order-stable keys are rewritten row by row
+// (patchRows); clique keys under a by-degree relabel, whose surviving
+// nodes reorder, are lifted to original IDs, edited, re-sorted and
+// assembled through the same Stage-4 path as a full run.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	t0 := time.Now()
-	var kept, added []core.Edge
-	var err error
-	if a.Dual {
-		kept, added, err = p.patchCliquePairs(old, a.S)
-	} else {
-		kept, added = p.patchLinePairs(old, a.S)
-	}
-	if err != nil {
-		return nil, err
-	}
 	pp, err := p.preparedFor(a.Dual, a.Relabel)
 	if err != nil {
 		return nil, err
 	}
-	origSpace := p.newH.NumEdges()
-	if a.Dual {
-		origSpace = p.newH.NumVertices()
-	}
-	toWork := pp.OrigToWork(origSpace)
-	for _, list := range [][]core.Edge{kept, added} {
-		for i, e := range list {
-			wu, wv := toWork[e.U], toWork[e.V]
-			if wu < 0 || wv < 0 {
-				return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
-			}
-			u, v := uint32(wu), uint32(wv)
-			if u > v {
-				u, v = v, u
-			}
-			list[i].U, list[i].V = u, v
-		}
-	}
-	var work []core.Edge
-	if orderStable(a) {
-		// kept left the cached graph (U, V)-sorted and the survivors'
-		// old node → new working ID map is monotone, so it still is:
-		// only the handful of added pairs needs a sort.
-		core.SortEdges(added)
-		work = par.MergeSorted([][]core.Edge{kept, added}, graph.EdgeLess, par.Options{Workers: 1})
-	} else {
-		work = append(kept, added...)
-		core.SortEdges(work)
-	}
 	plan := core.PlanInfo{
 		Strategy: "patch",
-		Reason:   fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(p.d.Inserts), len(p.d.Deletes)),
+		Reason:   p.reason,
 		Relabel:  a.Relabel.String(),
 	}
+	if orderStable(a) {
+		return p.patchRows(old, a, pp, plan, t0)
+	}
+	work, err := p.patchCliquePairs(old, a.S)
+	if err != nil {
+		return nil, err
+	}
+	toWork := pp.OrigToWork()
+	for i, e := range work {
+		wu, wv := toWork[e.U], toWork[e.V]
+		if wu < 0 || wv < 0 {
+			return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
+		}
+		work[i].U, work[i].V = uint32(min(wu, wv)), uint32(max(wu, wv))
+	}
+	core.SortEdges(work)
 	stats := core.Stats{Edges: int64(len(work))}
 	return pp.Assemble(a.S, work, time.Since(t0), stats, plan), nil
 }
 
-// patchLinePairs lifts the cached line projection to original IDs
-// without the pairs touching deleted hyperedges (kept, in the cached
-// graph's edge order), and selects the inserted hyperedges' pairs at or
-// above s (added).
-func (p *Patcher) patchLinePairs(old *core.PipelineResult, s int) (kept, added []core.Edge) {
-	edges := old.Graph.Edges() // a fresh list, filtered and lifted in place
-	kept = edges[:0]
-	for _, e := range edges {
-		u, v := old.HyperedgeIDs[e.U], old.HyperedgeIDs[e.V]
-		if p.deleted[u] || p.deleted[v] {
+// patchRows patches an order-stable key by rewriting the cached graph's
+// CSR rows (graph.Rewrite). Surviving nodes keep their relative order in
+// the new working ID space, so the old → new node map is monotone: a
+// node is gone when its hyperedge left the working space (a deleted
+// hyperedge, or a vertex whose every hyperedge was deleted), dies when
+// every edge it had was removed and none added, and otherwise keeps its
+// row, minus removed neighbours and merged with the added pairs.
+// Endpoints of added pairs that were not nodes before (inserted
+// hyperedges, or survivors isolated at s) slot into the node order by
+// working ID.
+func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepared, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
+	g, ids := old.Graph, old.HyperedgeIDs
+	n := g.NumNodes()
+	toWork, edgeOrig := pp.OrigToWork(), pp.EdgeOrig()
+
+	// remap[x] holds old node x's working ID (Gone if it left the working
+	// space) until the walk below turns it into x's new node ID.
+	remap := make([]uint32, n)
+	lostCap := 0
+	for x, id := range ids {
+		remap[x] = graph.Gone
+		if w := toWork[id]; w >= 0 {
+			remap[x] = uint32(w)
+		} else {
+			lostCap += g.Degree(uint32(x))
+		}
+	}
+
+	// Pairs in original IDs (U < V): the cached edges the delta changed
+	// (clique orientation only: a line pair changes only through a
+	// deleted endpoint, which is gone) and the new pairs at or above s.
+	var changed, added []core.Edge
+	if a.Dual {
+		updates, ok := p.cliqueUpdates()
+		if !ok {
+			return nil, fmt.Errorf("delta: clique pair enumeration over budget")
+		}
+		changed, added = make([]core.Edge, 0, len(updates)), make([]core.Edge, 0, len(updates))
+		for k, w := range updates {
+			e := core.Edge{U: uint32(k >> 32), V: uint32(k), W: w}
+			changed = append(changed, e)
+			if int(w) >= a.S {
+				added = append(added, e)
+			}
+		}
+	} else {
+		added = make([]core.Edge, 0, len(p.insertPairs()))
+		for _, e := range p.insertPairs() {
+			if int(e.W) >= a.S {
+				added = append(added, e)
+			}
+		}
+	}
+
+	// drop: the changed pairs that are edges between kept nodes, both
+	// directions, in old node IDs. Only unrelabeled clique keys get here
+	// with changed pairs, and their nodes ascend by vertex ID.
+	drop := make([]graph.Edge, 0, 2*len(changed))
+	for _, e := range changed {
+		x, okx := slices.BinarySearch(ids, e.U)
+		y, oky := slices.BinarySearch(ids, e.V)
+		if okx && oky && remap[x] != graph.Gone && remap[y] != graph.Gone && g.HasEdge(uint32(x), uint32(y)) {
+			drop = append(drop, graph.Edge{U: uint32(x), V: uint32(y)}, graph.Edge{U: uint32(y), V: uint32(x)})
+		}
+	}
+	core.SortEdges(drop)
+
+	// lost lists, with multiplicity, the kept old nodes that lose an edge.
+	lost := make([]uint32, 0, lostCap+len(drop))
+	for x := range remap {
+		if remap[x] != graph.Gone {
 			continue
 		}
-		kept = append(kept, core.Edge{U: u, V: v, W: e.W})
-	}
-	for _, e := range p.insertPairs() {
-		if int(e.W) >= s {
-			added = append(added, e)
+		ys, _ := g.Neighbors(uint32(x))
+		for _, y := range ys {
+			if remap[y] != graph.Gone {
+				lost = append(lost, y)
+			}
 		}
 	}
-	return kept, added
+	for _, e := range drop {
+		lost = append(lost, e.U)
+	}
+	slices.Sort(lost)
+
+	// add: the added pairs in working IDs, both directions; ends: their
+	// distinct sources, each with its added degree and, once numbered,
+	// its new node ID.
+	add := make([]graph.Edge, 0, 2*len(added))
+	for _, e := range added {
+		wu, wv := toWork[e.U], toWork[e.V]
+		if wu < 0 || wv < 0 {
+			return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
+		}
+		add = append(add, graph.Edge{U: uint32(wu), V: uint32(wv), W: e.W}, graph.Edge{U: uint32(wv), V: uint32(wu), W: e.W})
+	}
+	core.SortEdges(add)
+	type end struct{ work, deg, node uint32 }
+	ends := make([]end, 0, len(add))
+	for _, e := range add {
+		if len(ends) > 0 && ends[len(ends)-1].work == e.U {
+			ends[len(ends)-1].deg++
+		} else {
+			ends = append(ends, end{work: e.U, deg: 1})
+		}
+	}
+
+	// Number the new nodes in working-ID order: kept old nodes merged
+	// with the added pairs' endpoints, skipping old nodes left without an
+	// edge. orig is the new squeeze map, hids the new HyperedgeIDs.
+	orig := make([]uint32, 0, n+len(ends))
+	hids := make([]uint32, 0, n+len(ends))
+	ei, li := 0, 0
+	number := func(w, id uint32) uint32 {
+		orig, hids = append(orig, w), append(hids, id)
+		return uint32(len(orig) - 1)
+	}
+	for x := range remap {
+		w := remap[x]
+		if w == graph.Gone {
+			continue
+		}
+		for ; ei < len(ends) && ends[ei].work < w; ei++ {
+			ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work])
+		}
+		deg := g.Degree(uint32(x))
+		for ; li < len(lost) && lost[li] == uint32(x); li++ {
+			deg--
+		}
+		isEnd := ei < len(ends) && ends[ei].work == w
+		if isEnd {
+			deg += int(ends[ei].deg)
+		}
+		if deg == 0 {
+			remap[x] = graph.Gone
+			continue
+		}
+		remap[x] = number(w, ids[x])
+		if isEnd {
+			ends[ei].node = remap[x]
+			ei++
+		}
+	}
+	for ; ei < len(ends); ei++ {
+		ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work])
+	}
+	// The working → node map is monotone, so add stays sorted.
+	nodeOf := func(w uint32) uint32 {
+		i, _ := slices.BinarySearchFunc(ends, w, func(e end, w uint32) int { return cmp.Compare(e.work, w) })
+		return ends[i].node
+	}
+	for i := range add {
+		add[i].U, add[i].V = nodeOf(add[i].U), nodeOf(add[i].V)
+	}
+
+	t1 := time.Now()
+	ng, err := graph.Rewrite(g, remap, len(orig), drop, add, orig)
+	if err != nil {
+		return nil, err
+	}
+	return &core.PipelineResult{
+		S:            a.S,
+		Graph:        ng,
+		HyperedgeIDs: hids,
+		Stats:        core.Stats{Edges: int64(ng.NumEdges())},
+		Timings: core.StageTimings{
+			Preprocess: pp.PreprocessTime(),
+			SOverlap:   t1.Sub(t0),
+			Squeeze:    time.Since(t1),
+		},
+		Plan: plan,
+	}, nil
 }
 
 // patchCliquePairs lifts the cached clique projection to original
-// vertex IDs without the affected pairs (kept, in the cached graph's
-// edge order) and lists every affected pair whose recounted adj value
-// is at or above s (added).
-func (p *Patcher) patchCliquePairs(old *core.PipelineResult, s int) (kept, added []core.Edge, err error) {
+// vertex IDs without the affected pairs and appends every affected pair
+// whose recounted adj value is at or above s: the new edge list in
+// original IDs, unsorted.
+func (p *Patcher) patchCliquePairs(old *core.PipelineResult, s int) ([]core.Edge, error) {
 	updates, ok := p.cliqueUpdates()
 	if !ok {
-		return nil, nil, fmt.Errorf("delta: clique pair enumeration over budget")
+		return nil, fmt.Errorf("delta: clique pair enumeration over budget")
 	}
 	edges := old.Graph.Edges() // a fresh list, filtered and lifted in place
-	kept = edges[:0]
+	out := edges[:0]
 	for _, e := range edges {
 		u, v := old.HyperedgeIDs[e.U], old.HyperedgeIDs[e.V]
 		if _, affected := updates[pairKey(u, v)]; affected {
 			continue
 		}
-		kept = append(kept, core.Edge{U: u, V: v, W: e.W})
+		out = append(out, core.Edge{U: u, V: v, W: e.W})
 	}
 	for k, w := range updates {
 		if int(w) >= s {
-			added = append(added, core.Edge{U: uint32(k >> 32), V: uint32(k), W: w})
+			out = append(out, core.Edge{U: uint32(k >> 32), V: uint32(k), W: w})
 		}
 	}
-	return kept, added, nil
+	return out, nil
 }
 
 // GlobalAffected is the AffectedS value meaning "assume every s is

@@ -138,7 +138,7 @@ func fromEdgeCSR(numVertices int, eOff []int64, eAdj []uint32) *Hypergraph {
 // rows, each listing the input rows that contain the column. Input rows
 // are scanned in ascending order, so the output rows come out sorted.
 // Shared by every producer that builds one orientation directly
-// (Builder, Preprocess, delta.Apply, the hgio binary readers).
+// (Builder, Preprocess, the hgio binary readers).
 func Transpose(off []int64, adj []uint32, cols int) ([]int64, []uint32) {
 	// Built one slot to the right: tOff[c+1] is column c's write cursor
 	// during the scatter and has advanced to row c+1's start after it.

@@ -1,7 +1,5 @@
 package hg
 
-import "sort"
-
 // PreprocessResult is the output of Stage 1 of the framework: a cleaned
 // (and optionally relabeled) hypergraph plus the ID mappings back to the
 // input.
@@ -55,28 +53,53 @@ func (r RelabelOrder) String() string {
 	}
 }
 
-// Preprocess removes empty hyperedges and isolated vertices and applies
-// the requested relabel-by-degree ordering to the hyperedge IDs,
-// compacting both ID spaces. The mappings from new to original IDs are
-// returned so downstream results can be reported in input terms.
-func Preprocess(h *Hypergraph, order RelabelOrder) *PreprocessResult {
-	// Surviving edges, in their final order.
+// EdgeOrder returns Stage 1's working hyperedge order: the non-empty
+// rows of h in ID order, stably sorted by size for the by-degree
+// orders, so EdgeOrder(h, order)[w] is the input ID of working
+// hyperedge w. It reads only row lengths — a counting sort, O(m + ∆e) —
+// which is all the incremental patcher needs of Stage 1.
+func EdgeOrder(h *Hypergraph, order RelabelOrder) []uint32 {
 	edges := make([]uint32, 0, h.numEdges)
+	maxSize := 0
 	for e := 0; e < h.numEdges; e++ {
-		if h.EdgeSize(uint32(e)) > 0 {
+		if sz := h.EdgeSize(uint32(e)); sz > 0 {
 			edges = append(edges, uint32(e))
+			maxSize = max(maxSize, sz)
 		}
 	}
-	switch order {
-	case RelabelAscending:
-		sort.SliceStable(edges, func(i, j int) bool {
-			return h.EdgeSize(edges[i]) < h.EdgeSize(edges[j])
-		})
-	case RelabelDescending:
-		sort.SliceStable(edges, func(i, j int) bool {
-			return h.EdgeSize(edges[i]) > h.EdgeSize(edges[j])
-		})
+	if order != RelabelAscending && order != RelabelDescending {
+		return edges
 	}
+	key := func(e uint32) int {
+		if order == RelabelDescending {
+			return maxSize - h.EdgeSize(e)
+		}
+		return h.EdgeSize(e)
+	}
+	// start[k] becomes the first output slot of sort key k; scanning the
+	// ID-ordered edges into it keeps equal sizes in ID order.
+	start := make([]int, maxSize+2)
+	for _, e := range edges {
+		start[key(e)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	out := make([]uint32, len(edges))
+	for _, e := range edges {
+		out[start[key(e)]] = e
+		start[key(e)]++
+	}
+	return out
+}
+
+// Preprocess removes empty hyperedges and isolated vertices and applies
+// the requested relabel-by-degree ordering to the hyperedge IDs
+// (EdgeOrder), compacting both ID spaces. The mappings from new to
+// original IDs are returned so downstream results can be reported in
+// input terms.
+func Preprocess(h *Hypergraph, order RelabelOrder) *PreprocessResult {
+	edges := EdgeOrder(h, order)
 
 	// Surviving vertices keep their relative order (vertex IDs are
 	// never relabeled by degree in the paper's edge-centric setting;

@@ -50,31 +50,6 @@ func cmpFromLess[T any](less func(a, b T) bool) func(a, b T) int {
 	}
 }
 
-// MergeSorted merges k individually sorted lists into one sorted slice.
-// When at most one list is non-empty it is returned as-is (aliasing the
-// input) — the zero-copy fast path for single-worker runs. The merge is
-// not stable across lists: elements comparing equal may appear in any
-// list order.
-func MergeSorted[T any](lists [][]T, less func(a, b T) bool, opt Options) []T {
-	active := lists[:0:0]
-	total := 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			active = append(active, l)
-			total += len(l)
-		}
-	}
-	if len(active) == 0 {
-		return nil
-	}
-	if len(active) == 1 {
-		return active[0]
-	}
-	out := make([]T, total)
-	MergeSortedInto(out, active, less, opt)
-	return out
-}
-
 // MergeSortedInto merges k individually sorted lists into dst, which
 // must have length equal to the total input length. The output key
 // range is partitioned by sampled pivots and the partitions are merged
