@@ -92,7 +92,11 @@ func NewRouter(cfg Config) *Router {
 		replicas: make(map[string]*replica),
 	}
 	if rt.client == nil {
-		rt.client = &http.Client{}
+		// One idle connection kept per concurrent shard, not the default
+		// two per replica: past two, every query would dial and discard.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = tr.MaxIdleConns
+		rt.client = &http.Client{Transport: tr}
 	}
 	for _, u := range cfg.Replicas {
 		u = strings.TrimRight(u, "/")
@@ -539,7 +543,7 @@ func (rt *Router) handleChanges(w http.ResponseWriter, r *http.Request) {
 type shardOutcome struct {
 	s       []int
 	entries map[int]shardEntry // nil when the shard failed outright
-	header  replicaHeader      // dataset/kind/measure/plan of a usable response
+	header  replicaHeader      // version and plan of a usable response
 	status  int                // final shard status; 0 = transport failure
 	errMsg  string
 	shed    bool
@@ -574,12 +578,10 @@ type mergedHeadJSON struct {
 	ElapsedMS    float64         `json:"elapsed_ms"`
 }
 
-// replicaHeader is the non-entry portion of a replica /v2/query answer.
+// replicaHeader is what the merge reads of a replica /v2/query answer's
+// head, the part before "results".
 type replicaHeader struct {
-	Dataset string          `json:"dataset"`
 	Version uint64          `json:"version"`
-	Kind    string          `json:"kind"`
-	Measure string          `json:"measure,omitempty"`
 	Plan    json.RawMessage `json:"plan,omitempty"`
 }
 
@@ -599,25 +601,19 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad /v2/query body: %w", err))
 		return
 	}
-	var dataset string
-	if raw, ok := base["dataset"]; ok {
-		json.Unmarshal(raw, &dataset)
-	}
+	// An absent or mistyped field leaves its zero value.
+	var dataset, kind, measureName string
+	var timeoutMS int
+	json.Unmarshal(base["dataset"], &dataset)
+	json.Unmarshal(base["kind"], &kind)
+	json.Unmarshal(base["measure"], &measureName)
+	json.Unmarshal(base["timeout_ms"], &timeoutMS)
 	if dataset == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: \"dataset\" is required"))
 		return
 	}
-	kind := "line"
-	if raw, ok := base["kind"]; ok {
-		var k string
-		json.Unmarshal(raw, &k)
-		if k != "" {
-			kind = k
-		}
-	}
-	var measureName string
-	if raw, ok := base["measure"]; ok {
-		json.Unmarshal(raw, &measureName)
+	if kind == "" {
+		kind = "line"
 	}
 	sweep, err := decodeS(base["s"])
 	if err != nil {
@@ -626,10 +622,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	var timeoutMS int
-	if raw, ok := base["timeout_ms"]; ok {
-		json.Unmarshal(raw, &timeoutMS)
-	}
 	if timeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
@@ -654,12 +646,8 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// its caches stay hot.
 	distinct := core.DistinctS(sweep)
 	byOwner := make(map[int][]int)
-	for _, sVal := range distinct {
-		idx := sVal % len(owners)
-		if idx < 0 {
-			idx += len(owners)
-		}
-		byOwner[idx] = append(byOwner[idx], sVal)
+	for _, sVal := range distinct { // DistinctS clamps every s to ≥ 1
+		byOwner[sVal%len(owners)] = append(byOwner[sVal%len(owners)], sVal)
 	}
 	rt.metrics.countQuery(len(byOwner))
 
@@ -693,6 +681,7 @@ type attemptResult struct {
 	hedge      bool
 	status     int
 	body       []byte
+	index      string // the answer's jsonsplice.EntriesHeader
 	retryAfter int
 	err        error
 }
@@ -803,23 +792,16 @@ func (rt *Router) shardPayload(ctx context.Context, base map[string]json.RawMess
 		// (which would abort the sub-request and lose the verdict). The
 		// floor covers the replica's cancellation-poll overshoot plus a
 		// round-trip; the ceiling keeps long budgets mostly usable.
-		margin := remaining / 10
-		if margin < 40*time.Millisecond {
-			margin = 40 * time.Millisecond
-		} else if margin > 500*time.Millisecond {
-			margin = 500 * time.Millisecond
-		}
-		ms := (remaining - margin).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
+		margin := min(max(remaining/10, 40*time.Millisecond), 500*time.Millisecond)
+		ms := max((remaining - margin).Milliseconds(), 1)
 		sub["timeout_ms"] = json.RawMessage(strconv.FormatInt(ms, 10))
 	}
 	payload, _ := json.Marshal(sub)
 	return payload
 }
 
-// tryReplica issues one sub-request and reads the full answer.
+// tryReplica issues one sub-request and reads the full answer into one
+// buffer sized from its Content-Length.
 func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte, hedge bool) attemptResult {
 	res := attemptResult{replica: u, hedge: hedge}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+"/v2/query", bytes.NewReader(payload))
@@ -834,13 +816,16 @@ func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte, hedg
 		return res
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		res.err = err
+	// Content-Length is the replica's word, so the presize is capped; the
+	// MinRead spare lets ReadFrom see EOF without growing the buffer.
+	var body bytes.Buffer
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, res.err = body.ReadFrom(resp.Body); res.err != nil {
 		return res
 	}
-	res.status = resp.StatusCode
-	res.body = body
+	res.status, res.body, res.index = resp.StatusCode, body.Bytes(), resp.Header.Get(jsonsplice.EntriesHeader)
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil {
 			res.retryAfter = secs
@@ -849,19 +834,14 @@ func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte, hedg
 	return res
 }
 
-// parseShardResponse turns a usable replica answer into a shard
-// outcome, indexing its entries by s. Each entry is decoded once, for
-// its s and whether it answered; its bytes pass through unchanged.
+// parseShardResponse turns a usable replica answer into a shard outcome,
+// indexing its entries by s. A 200/502 answer is cut by its jsonsplice
+// index and only its head is decoded; json.Valid still vouches for each
+// entry, as any host may register as a replica. An answer that fails
+// these checks fails its shard with a 502.
 func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcome {
-	oc := shardOutcome{s: sVals, status: res.status}
-	if res.status == http.StatusGatewayTimeout {
-		oc.deadline = true
-	}
-	var parsed struct {
-		replicaHeader
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(res.body, &parsed); err != nil || (res.status != http.StatusOK && res.status != http.StatusBadGateway) {
+	oc := shardOutcome{s: sVals, status: res.status, deadline: res.status == http.StatusGatewayTimeout}
+	if res.status != http.StatusOK && res.status != http.StatusBadGateway {
 		// 4xx/504 bodies are {"error": ...} documents, not entry lists.
 		var e struct {
 			Error string `json:"error"`
@@ -873,18 +853,38 @@ func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcom
 		}
 		return oc
 	}
-	oc.header = parsed.replicaHeader
-	oc.entries = make(map[int]shardEntry, len(parsed.Results))
-	for _, raw := range parsed.Results {
-		var peek struct {
-			S     int    `json:"s"`
-			Error string `json:"error"`
+	head, raws, ok := jsonsplice.Split(res.body, res.index)
+	ok = ok && json.Unmarshal(append(head[:len(head):len(head)], '}'), &oc.header) == nil
+	entries := make(map[int]shardEntry, len(raws))
+	for _, raw := range raws {
+		s, isErr, valid := entryPrefix(raw)
+		if ok = ok && valid && json.Valid(raw); !ok {
+			break
 		}
-		if json.Unmarshal(raw, &peek) == nil {
-			oc.entries[peek.S] = shardEntry{raw: raw, ok: peek.Error == ""}
-		}
+		entries[s] = shardEntry{raw: raw, ok: !isErr}
 	}
+	if !ok {
+		oc.status = http.StatusBadGateway
+		oc.errMsg = fmt.Sprintf("replica %s: answer does not match its entry index", res.replica)
+		return oc
+	}
+	oc.entries = entries
 	return oc
+}
+
+// entryPrefix reads an entry's s and whether it is an error entry from
+// its {"s":N, or {"s":N,"error": prefix: the field order of every entry
+// a replica or this router writes.
+func entryPrefix(raw []byte) (s int, isErr, ok bool) {
+	rest, ok := bytes.CutPrefix(raw, []byte(`{"s":`))
+	i := 0
+	for ; ok && i < len(rest) && i < 10 && '0' <= rest[i] && rest[i] <= '9'; i++ {
+		s = s*10 + int(rest[i]-'0')
+	}
+	if !ok || i == 0 || i == len(rest) || rest[i] != ',' {
+		return 0, false, false
+	}
+	return s, bytes.HasPrefix(rest[i+1:], []byte(`"error":`)), true
 }
 
 // writeMerged assembles the client-facing answer from the shard

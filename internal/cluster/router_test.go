@@ -11,11 +11,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hyperline/internal/gen"
 	"hyperline/internal/hg"
+	"hyperline/internal/jsonsplice"
 	"hyperline/internal/loadgen"
 	"hyperline/internal/serve"
 )
@@ -488,7 +491,8 @@ func TestRouterAllOwnersShedTranslates429(t *testing.T) {
 // deadline already killed.
 func TestRouterDeadlinePropagatesToReplica(t *testing.T) {
 	svc := serve.New(serve.Config{})
-	// ~900ms of Stage-3 work per s on one core — far past the budget.
+	// 250–470 ms of Stage 1–4 work for s=1 on 2 CPUs: past the budget
+	// the replica is forwarded (timeout_ms minus the 40 ms merge margin).
 	svc.Add("slow", gen.Community(gen.CommunityConfig{
 		Seed: 31, NumVertices: 4000, NumCommunities: 70,
 		MeanCommunitySize: 45, EdgesPerCommunity: 50, Background: 1000,
@@ -496,7 +500,7 @@ func TestRouterDeadlinePropagatesToReplica(t *testing.T) {
 	rep := realReplica(t, svc)
 	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
 
-	timeoutMS, hangAfter := 300, 3*time.Second
+	timeoutMS, hangAfter := 150, 3*time.Second
 	if raceEnabled {
 		// Race instrumentation slows the pipeline's cancellation polls;
 		// widen the budget so the replica still answers inside its margin.
@@ -621,12 +625,11 @@ func TestRouterHedgesSlowShard(t *testing.T) {
 			case <-r.Context().Done():
 				return
 			}
-			entries := make([]map[string]any, len(req.S))
+			entries := make([]jsonsplice.Entry, len(req.S))
 			for i, s := range req.S {
-				entries[i] = map[string]any{"s": s, "cached": false, "nodes": nodes, "edges": 1}
+				entries[i].Value = stubEntry{S: s, Nodes: nodes, Edges: 1}
 			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"dataset": "d", "kind": "line", "results": entries})
+			jsonsplice.Write(w, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"}, entries)
 		}))
 		t.Cleanup(ts.Close)
 		return ts
@@ -666,6 +669,122 @@ func TestRouterHedgesSlowShard(t *testing.T) {
 	m := routerMetrics(t, router.URL)
 	if m[`hyperrouter_hedges_total`] < 1 || m[`hyperrouter_hedge_wins_total`] < 1 {
 		t.Fatalf("hedge counters did not move: %v", m)
+	}
+}
+
+// stubEntry is an answered entry in a replica's field order.
+type stubEntry struct {
+	S      int  `json:"s"`
+	Cached bool `json:"cached"`
+	Nodes  int  `json:"nodes"`
+	Edges  int  `json:"edges"`
+}
+
+// TestRouterUnusableAnswerIs502: a replica 200 whose body the router
+// cannot use — garbage, or a valid body under an index that does not
+// describe it — fails its shard as a 502, so a sweep with no other
+// shard answers 502 with synthesised error entries, as the replica
+// itself would for a sweep where every entry failed. The replica's
+// response still counts as one sub-request.
+func TestRouterUnusableAnswerIs502(t *testing.T) {
+	valid := httptest.NewRecorder()
+	jsonsplice.Write(valid, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"},
+		[]jsonsplice.Entry{{Value: stubEntry{S: 1, Nodes: 2, Edges: 1}}, {Value: stubEntry{S: 2, Nodes: 2, Edges: 1}}})
+	index := valid.Header().Get(jsonsplice.EntriesHeader)
+	var head, first, second int
+	if _, err := fmt.Sscanf(index, "%d,%d,%d", &head, &first, &second); err != nil {
+		t.Fatalf("index %q: %v", index, err)
+	}
+	for _, tc := range []struct{ name, body, index string }{
+		{"garbage body", "<html>not json</html>", ""},
+		{"garbage under a valid index", strings.Repeat("x", valid.Body.Len()), index},
+		{"index joins two entries", valid.Body.String(), fmt.Sprintf("%d,%d", head, first+1+second)},
+		{"index misplaces the head", valid.Body.String(), fmt.Sprintf("%d,%d,%d", head-1, first, second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var answered atomic.Int64
+			rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				if tc.index != "" {
+					w.Header().Set(jsonsplice.EntriesHeader, tc.index)
+				}
+				w.Write([]byte(tc.body))
+				answered.Add(1)
+			}))
+			t.Cleanup(rep.Close)
+			_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+
+			status, _, data := postQuery(t, router.URL, `{"dataset":"d","s":[1,2]}`)
+			if status != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502: %s", status, data)
+			}
+			for i, raw := range queryResults(t, data) {
+				want := fmt.Sprintf(`{"s":%d,"error":"replica %s: answer does not match its entry index","cached":false}`, i+1, rep.URL)
+				if string(raw) != want {
+					t.Fatalf("entry %s, want %s", raw, want)
+				}
+			}
+			m := routerMetrics(t, router.URL)
+			if got := m[`hyperrouter_subrequests_total{outcome="ok"}`]; got != float64(answered.Load()) || got != 1 {
+				t.Fatalf("%v ok sub-requests for %d replica responses: %v", got, answered.Load(), m)
+			}
+		})
+	}
+}
+
+// TestRouterReusesFanoutConnections: the default fan-out client keeps
+// an idle connection per concurrent shard, so a second round of as many
+// concurrent queries dials nothing. Each round holds its sub-requests
+// at the replica until all 16 are in flight.
+func TestRouterReusesFanoutConnections(t *testing.T) {
+	const n = 16
+	svc := serve.New(serve.Config{})
+	svc.Add("paper", paperHG())
+	inner := serve.NewHandler(svc)
+	var gate sync.WaitGroup
+	var dialed atomic.Int64
+	rep := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gate.Done()
+		gate.Wait()
+		inner.ServeHTTP(w, r)
+	}))
+	rep.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	rep.Start()
+	t.Cleanup(rep.Close)
+	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+
+	round := func() int64 {
+		before := dialed.Load()
+		gate.Add(n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(router.URL+"/v2/query", "application/json", strings.NewReader(`{"dataset":"paper","s":[1]}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+		return dialed.Load() - before
+	}
+	if first := round(); first != n {
+		t.Fatalf("first round opened %d connections, want %d", first, n)
+	}
+	if second := round(); second != 0 {
+		t.Fatalf("second round opened %d new connections, want 0", second)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
+	"hyperline/internal/jsonsplice"
 )
 
 // queryResponseJSON is the whole /v2/query response document: what the
@@ -348,5 +349,66 @@ func TestFragmentLifecycleConcurrentFirstHits(t *testing.T) {
 		if got := resultsOf(t, b); !bytes.Equal(got, want) {
 			t.Fatalf("request %d: %s, want %s", i, got, want)
 		}
+	}
+}
+
+// TestQueryEntryPrefixes pins the two byte-level contracts a router
+// reads answers by, without decoding them: every body carries an
+// index under which jsonsplice.Split cuts it, and every entry starts
+// with {"s":N,"cached": when it answered and {"s":N,"error": when it
+// failed — projection entries (misses, spliced hits, edge lists),
+// measure entries, per-s errors and an all-failed sweep alike.
+func TestQueryEntryPrefixes(t *testing.T) {
+	ts, svc := newTestServer(t)
+	svc.Add("g", sweepDataset())
+	svc.Add("paper", paperExample())
+	answered, failed := 0, 0
+	for _, body := range []string{
+		`{"dataset":"g","s":"1:4"}`,
+		`{"dataset":"g","s":"1:4"}`,
+		`{"dataset":"g","s":[2,3],"edges":true}`,
+		`{"dataset":"g","s":[2,3],"measure":"pagerank"}`,
+		`{"dataset":"g","s":[2,3],"measure":"pagerank"}`,
+		`{"dataset":"paper","s":[1,3],"measure":"distances","params":{"source":"3"}}`,
+		`{"dataset":"paper","s":[3,4],"measure":"distances","params":{"source":"3"}}`,
+		`{"dataset":"paper","s":[1,2],"kind":"clique"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || (resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadGateway) {
+			t.Fatalf("%s: status %d, %v: %s", body, resp.StatusCode, err, data)
+		}
+		if resp.ContentLength != int64(len(data)) {
+			t.Fatalf("%s: Content-Length %d for a %d-byte body", body, resp.ContentLength, len(data))
+		}
+		_, entries, ok := jsonsplice.Split(data, resp.Header.Get(jsonsplice.EntriesHeader))
+		if !ok {
+			t.Fatalf("%s: Split rejects %s under index %q", body, data, resp.Header.Get(jsonsplice.EntriesHeader))
+		}
+		for _, e := range entries {
+			var peek struct {
+				S     int    `json:"s"`
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(e, &peek); err != nil {
+				t.Fatalf("%s: entry %s: %v", body, e, err)
+			}
+			prefix := fmt.Sprintf(`{"s":%d,"cached":`, peek.S)
+			if peek.Error != "" {
+				prefix, failed = fmt.Sprintf(`{"s":%d,"error":`, peek.S), failed+1
+			} else {
+				answered++
+			}
+			if !bytes.HasPrefix(e, []byte(prefix)) {
+				t.Fatalf("%s: entry %s does not start with %s", body, e, prefix)
+			}
+		}
+	}
+	if answered == 0 || failed == 0 {
+		t.Fatalf("%d answered and %d failed entries: the table must cover both", answered, failed)
 	}
 }
