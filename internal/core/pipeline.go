@@ -71,16 +71,16 @@ type PipelineConfig struct {
 	// Stats optionally supplies precomputed statistics of the input
 	// hypergraph (the serving layer caches them per dataset version).
 	// When nil, the planner computes them on demand. Stats are an
-	// execution hint and never part of the cache fingerprint.
+	// execution hint and never part of the cache key (OutputKey).
 	Stats *hg.Stats
 	// Costs optionally attaches a cost table: RunBatch records each
 	// successful Stage-3 pass into it. No planning decision reads it.
-	// Not part of the cache fingerprint.
+	// Not part of the cache key.
 	Costs *CostModel
 	// KnobReason records why ResolveConfig chose the preprocessing
 	// knobs ("" when the caller pinned them). It is set by
 	// ResolveConfig and surfaced through PlanInfo; not part of the
-	// cache fingerprint.
+	// cache key.
 	KnobReason string
 }
 

@@ -157,7 +157,7 @@ func skewRatio(max int, avg float64) float64 {
 //
 // For AlgoAuto the planner chooses between the two exact-weight
 // strategies (Algorithm 2, Algorithm 3), so the output — and therefore
-// the cache fingerprint — is independent of the decision:
+// the cache key — is independent of the decision:
 //
 //   - multi-s batches run as one ensemble counting pass when the
 //     estimated counter memory (st.WedgePairs) fits the budget, and as

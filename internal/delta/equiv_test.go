@@ -315,7 +315,7 @@ func TestMigratableRespectsOrderStability(t *testing.T) {
 		t.Error("s=1 is inside every frontier; must not migrate")
 	}
 	toplexed := attrs(false, hg.RelabelNone)
-	toplexed.Toplex = true
+	toplexed.Toplex = core.ToplexOn
 	if p.Migratable(toplexed) {
 		t.Error("toplex keys must never migrate")
 	}

@@ -171,18 +171,9 @@ func (a Action) String() string {
 	}
 }
 
-// KeyAttrs are the output-relevant attributes of one cached projection
-// key, as parsed from its fingerprint by the serving layer.
-type KeyAttrs struct {
-	Dual bool
-	S    int
-	// Exact reports the fingerprint's "exact" weight class (every
-	// strategy but short-circuiting Algorithm 1).
-	Exact   bool
-	Relabel hg.RelabelOrder
-	Toplex  bool
-	Squeeze bool
-}
+// KeyAttrs are the output-relevant attributes of one cached projection:
+// the key the serving layer caches it under, minus dataset and version.
+type KeyAttrs = core.OutputKey
 
 // Plan decides what to do with one cached projection: oldEdges is the
 // cached graph's edge count, wedgePairs the new version's recompute
@@ -199,12 +190,13 @@ type KeyAttrs struct {
 // kept: one inserted superset or deleted container flips other edges'
 // toplex status, perturbing the simplified hypergraph at any s.
 // Unsqueezed keys bake the working ID space size into the node space,
-// which every delta changes.
+// which every delta changes. A key with an unresolved auto knob names
+// no concrete output and is dropped too.
 func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, calibrated bool) Action {
 	if p.Migratable(a) {
 		return ActionMigrate
 	}
-	if a.Toplex || !a.Squeeze {
+	if !keepable(a) {
 		return ActionDrop
 	}
 	if !a.Exact {
@@ -233,10 +225,13 @@ func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, calibrated bo
 // so the measure cache — whose entries cannot be patched, only carried
 // or dropped — decides with it directly.
 func (p *Patcher) Migratable(a KeyAttrs) bool {
-	if a.Toplex || !a.Squeeze {
-		return false
-	}
-	return orderStable(a) && a.S > p.AffectedS(a.Dual)
+	return keepable(a) && orderStable(a) && a.S > p.AffectedS(a.Dual)
+}
+
+// keepable reports whether a key can survive a delta at all (see Plan):
+// squeezed, toplex off, and relabel resolved to a concrete order.
+func keepable(a KeyAttrs) bool {
+	return a.Squeeze && a.Toplex == core.ToplexOff && a.Relabel != hg.RelabelAuto
 }
 
 // orderStable reports whether hyperedges surviving a delta keep their

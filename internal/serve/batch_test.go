@@ -67,7 +67,7 @@ func TestBatchDualOrientation(t *testing.T) {
 	}
 }
 
-// TestOutputEquivalentConfigsShareEntries is the fingerprint
+// TestOutputEquivalentConfigsShareEntries is the output-key
 // canonicalization acceptance test at the service level: requests
 // pinning any exact-weight strategy — Algorithm 2, the ensemble, or
 // Algorithm 1 in exact mode — share one cache entry with the planner

@@ -2,31 +2,35 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hyperline/internal/core"
+	"hyperline/internal/hg"
+	"hyperline/internal/measure"
 )
 
 func res(s int) *projEntry { return &projEntry{res: &core.PipelineResult{S: s}} }
 
+// pk is the projection key of dataset "g" at version 1 and s.
+func pk(s int) projKey { return projKey{"g", 1, core.PipelineConfig{}.OutputKey(false, s)} }
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", res(1))
-	c.Put("b", res(2))
-	if _, ok := c.Get("a"); !ok { // promotes a
-		t.Fatal("a must be cached")
+	c.Put(pk(1), res(1))
+	c.Put(pk(2), res(2))
+	if _, ok := c.Get(pk(1)); !ok { // promotes s=1
+		t.Fatal("s=1 must be cached")
 	}
-	c.Put("c", res(3)) // evicts b (least recently used)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b must have been evicted")
+	c.Put(pk(3), res(3)) // evicts s=2 (least recently used)
+	if _, ok := c.Get(pk(2)); ok {
+		t.Fatal("s=2 must have been evicted")
 	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("%s must survive", k)
+	for _, s := range []int{1, 3} {
+		if _, ok := c.Get(pk(s)); !ok {
+			t.Fatalf("s=%d must survive", s)
 		}
 	}
 	st := c.Stats()
@@ -37,12 +41,12 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", res(1))
-	c.Put("a", res(9))
+	c.Put(pk(1), res(1))
+	c.Put(pk(1), res(9))
 	if c.Len() != 1 {
 		t.Fatalf("want 1 entry, got %d", c.Len())
 	}
-	got, _ := c.Get("a")
+	got, _ := c.Get(pk(1))
 	if got.res.S != 9 {
 		t.Fatalf("want refreshed value, got S=%d", got.res.S)
 	}
@@ -62,7 +66,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := fmt.Sprintf("k%d", (g+i)%24)
+				k := pk((g+i)%24 + 1)
 				if _, ok := c.Get(k); !ok {
 					c.Put(k, res(i))
 				}
@@ -72,6 +76,66 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 16 {
 		t.Fatalf("cache over capacity: %d", c.Len())
+	}
+}
+
+// TestKeyEncoding pins each key's text form — its spill address — to
+// the exact strings earlier builds wrote, so spill directories and
+// warm-start state from them still hit. Keys are built the way the
+// query path builds them: from a configuration, a dataset and a
+// version.
+func TestKeyEncoding(t *testing.T) {
+	cfg := func(algo core.Algorithm, relabel hg.RelabelOrder, toplex core.ToplexMode, noSqueeze bool) core.PipelineConfig {
+		return core.PipelineConfig{Core: core.Config{Algorithm: algo, Relabel: relabel}, Toplex: toplex, NoSqueeze: noSqueeze}
+	}
+	for _, tc := range []struct {
+		k    projKey
+		want string
+	}{
+		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 3)},
+			"paper@1/line/s=3/class=exact,relabel=N,toplex=false,squeeze=true"},
+		{projKey{"g", 7, cfg(core.AlgoHashmap, hg.RelabelAscending, core.ToplexOff, false).OutputKey(true, 2)},
+			"g@7/clique/s=2/class=exact,relabel=A,toplex=false,squeeze=true"},
+		{projKey{"g", 7, cfg(core.AlgoEnsemble, hg.RelabelDescending, core.ToplexOn, false).OutputKey(false, 5)},
+			"g@7/line/s=5/class=exact,relabel=D,toplex=true,squeeze=true"},
+		{projKey{"g", 2, cfg(core.AlgoAuto, hg.RelabelNone, core.ToplexOff, true).OutputKey(true, 1)},
+			"g@2/clique/s=1/class=exact,relabel=N,toplex=false,squeeze=false"},
+		{projKey{"g", 2, cfg(core.AlgoSetIntersection, hg.RelabelNone, core.ToplexOff, false).OutputKey(false, 4)},
+			"g@2/line/s=4/class=shortcircuit,relabel=N,toplex=false,squeeze=true"},
+		{projKey{"g", 2, cfg(core.AlgoAuto, hg.RelabelAuto, core.ToplexAuto, false).OutputKey(false, 4)},
+			"g@2/line/s=4/class=exact,relabel=*,toplex=auto,squeeze=true"},
+		{projKey{"g@1/x", 2, core.PipelineConfig{}.OutputKey(false, 1)},
+			"g@1/x@2/line/s=1/class=exact,relabel=N,toplex=false,squeeze=true"},
+	} {
+		if got := tc.k.String(); got != tc.want {
+			t.Errorf("%+v:\n got  %q\n want %q", tc.k, got, tc.want)
+		}
+	}
+
+	for _, tc := range []struct {
+		k      projKey
+		name   string
+		params map[string]string
+		want   string
+	}{
+		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(false, 2)}, "pagerank", map[string]string{"damping": "0.850"},
+			"g@3/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=pagerank?damping=0.85"},
+		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(true, 2)}, "components", nil,
+			"g@3/clique/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=components?"},
+		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 1)}, "distances", map[string]string{"source": "3"},
+			"paper@1/line/s=1/class=exact,relabel=N,toplex=false,squeeze=true/measure=distances?source=3"},
+	} {
+		m, err := measure.Get(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := measure.Canonicalize(m, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := (measureKey{tc.k, m.Name(), p.CanonicalString()}).String(); got != tc.want {
+			t.Errorf("%s on %v:\n got  %q\n want %q", tc.name, tc.k, got, tc.want)
+		}
 	}
 }
 

@@ -122,14 +122,15 @@ func resultsOf(t *testing.T, body []byte) []byte {
 	return body[i:]
 }
 
-// cachedProj returns the projection-cache value whose key starts with
-// prefix, without touching recency or the hit counters.
-func cachedProj(svc *Service, prefix string) *projEntry {
+// cachedProj returns a projection-cache value of dataset "g"'s line
+// orientation at version and s (any s when s is 0), without touching
+// recency or the hit counters.
+func cachedProj(svc *Service, version uint64, s int) *projEntry {
 	svc.cache.mu.Lock()
 	defer svc.cache.mu.Unlock()
 	for k, el := range svc.cache.entries {
-		if strings.HasPrefix(k, prefix) {
-			return el.Value.(*cacheEntry[*projEntry]).val
+		if k.dataset == "g" && k.version == version && !k.out.Dual && (s == 0 || k.out.S == s) {
+			return el.Value.(*cacheEntry[projKey, *projEntry]).val
 		}
 	}
 	return nil
@@ -142,7 +143,7 @@ func builtFragments(svc *Service) int {
 	defer svc.cache.mu.Unlock()
 	n := 0
 	for _, el := range svc.cache.entries {
-		if el.Value.(*cacheEntry[*projEntry]).val.frag.p.Load() != nil {
+		if el.Value.(*cacheEntry[projKey, *projEntry]).val.frag.p.Load() != nil {
 			n++
 		}
 	}
@@ -211,7 +212,7 @@ func TestFragmentLifecycle(t *testing.T) {
 		checkBody(t, svc, q, false)
 		old := map[int]*projEntry{}
 		for s := 1; s <= 5; s++ {
-			old[s] = cachedProj(svc, fmt.Sprintf("g@1/line/s=%d/", s))
+			old[s] = cachedProj(svc, 1, s)
 			if old[s] == nil || old[s].frag.p.Load() == nil {
 				t.Fatalf("s=%d: no fragment after a hit", s)
 			}
@@ -226,7 +227,7 @@ func TestFragmentLifecycle(t *testing.T) {
 			t.Fatalf("want s=3..5 migrated and a patch below: %+v", ing)
 		}
 		for s := 1; s <= 5; s++ {
-			now := cachedProj(svc, fmt.Sprintf("g@%d/line/s=%d/", ing.Version, s))
+			now := cachedProj(svc, ing.Version, s)
 			switch {
 			case s > ing.AffectedSLine && now != old[s]:
 				t.Fatalf("s=%d: migrate must carry the same entry", s)
@@ -247,7 +248,7 @@ func TestFragmentLifecycle(t *testing.T) {
 		checkBody(t, svc, q, false)
 		checkBody(t, svc, q, false)
 		for s := 1; s <= ing.AffectedSLine; s++ {
-			e := cachedProj(svc, fmt.Sprintf("g@%d/line/s=%d/", ing.Version, s))
+			e := cachedProj(svc, ing.Version, s)
 			if e == nil || e.frag.p.Load() == nil {
 				t.Fatalf("s=%d: no fragment after hits at the new version", s)
 			}
@@ -267,7 +268,7 @@ func TestFragmentLifecycle(t *testing.T) {
 		hit := func(s int) *projEntry {
 			checkBody(t, svc, lineQ("g", core.PipelineConfig{}, s), false)
 			checkBody(t, svc, lineQ("g", core.PipelineConfig{}, s), false)
-			return cachedProj(svc, fmt.Sprintf("g@1/line/s=%d/", s))
+			return cachedProj(svc, 1, s)
 		}
 		first := hit(1)
 		if first == nil || builtFragments(svc) != 1 {
@@ -275,30 +276,26 @@ func TestFragmentLifecycle(t *testing.T) {
 		}
 		hit(2)
 		hit(3) // evicts s=1
-		if cachedProj(svc, "g@1/line/s=1/") != nil || builtFragments(svc) != 2 {
+		if cachedProj(svc, 1, 1) != nil || builtFragments(svc) != 2 {
 			t.Fatalf("eviction: s=1 still cached or %d fragments (want 2)", builtFragments(svc))
 		}
 		checkBody(t, svc, lineQ("g", core.PipelineConfig{}, 1), false) // recomputed
-		if e := cachedProj(svc, "g@1/line/s=1/"); e == nil || e == first || e.frag.p.Load() != nil {
+		if e := cachedProj(svc, 1, 1); e == nil || e == first || e.frag.p.Load() != nil {
 			t.Fatal("a recomputed entry must not inherit the evicted entry's fragment")
 		}
 
-		for _, k := range svc.cache.Keys() {
-			if strings.HasPrefix(k, "g@1/line/s=3/") {
-				if e, ok := svc.cache.Remove(k); !ok || e.frag.p.Load() == nil {
-					t.Fatal("s=3 must be cached with a fragment before removal")
-				}
-			}
+		if e, ok := svc.cache.Remove(pk(3)); !ok || e.frag.p.Load() == nil {
+			t.Fatal("s=3 must be cached with a fragment before removal")
 		}
-		if cachedProj(svc, "g@1/line/s=3/") != nil || builtFragments(svc) != 0 {
+		if cachedProj(svc, 1, 3) != nil || builtFragments(svc) != 0 {
 			t.Fatalf("removal left %d fragments reachable", builtFragments(svc))
 		}
 
 		svc.Add("g", sweepDataset()) // version 2
 		hit(3)
 		hit(4)
-		if n := builtFragments(svc); n != 2 || cachedProj(svc, "g@1/") != nil {
-			t.Fatalf("after replacement: %d fragments, version-1 entries cached=%v", n, cachedProj(svc, "g@1/") != nil)
+		if n := builtFragments(svc); n != 2 || cachedProj(svc, 1, 0) != nil {
+			t.Fatalf("after replacement: %d fragments, version-1 entries cached=%v", n, cachedProj(svc, 1, 0) != nil)
 		}
 		if body := checkBody(t, svc, lineQ("g", core.PipelineConfig{}, 1), false).Body.Bytes(); !bytes.Contains(body, []byte(`"cached":false`)) {
 			t.Fatalf("replaced dataset answered s=1 from the old version: %s", body)
@@ -343,7 +340,7 @@ func TestFragmentLifecycleConcurrentFirstHits(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	e := cachedProj(svc, "g@1/line/s=2/")
+	e := cachedProj(svc, 1, 2)
 	want := append(append([]byte(`,"results":[`), *e.frag.p.Load()...), "]}\n"...)
 	for i, b := range bodies {
 		if got := resultsOf(t, b); !bytes.Equal(got, want) {

@@ -3,13 +3,10 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
-	"hyperline/internal/hg"
 )
 
 // This file is the serving half of streaming ingest: applying a delta
@@ -112,8 +109,6 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Policy:          s.deltaPolicy,
 	}
 
-	oldPrefix := fmt.Sprintf("%s@%d/", name, oldV)
-	newPrefix := fmt.Sprintf("%s@%d/", name, newV)
 	nd, _ := s.reg.at(name, newV) // nil after a concurrent replacement: treat everything as drop
 	patching := nd != nil && s.deltaPolicy == DeltaPolicyPatch
 	calibrated := map[bool]bool{} // by orientation, asked once per delta (see anyCalibrated)
@@ -122,8 +117,7 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	}
 
 	for _, k := range s.cache.Keys() {
-		rest, ok := strings.CutPrefix(k, oldPrefix)
-		if !ok {
+		if k.dataset != name || k.version != oldV {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -133,25 +127,24 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		if !ok {
 			continue // evicted between the snapshot and the walk
 		}
-		attrs, parsed := parseProjKeyRest(rest)
 		action := delta.ActionDrop
-		if parsed && patching {
-			action = p.Plan(attrs, old.res.Graph.NumEdges(),
-				nd.statsFor(attrs.Dual).WedgePairs, calibrated[attrs.Dual])
+		if patching {
+			action = p.Plan(k.out, old.res.Graph.NumEdges(),
+				nd.statsFor(k.out.Dual).WedgePairs, calibrated[k.out.Dual])
 		}
 		switch action {
 		case delta.ActionMigrate:
-			s.cache.Put(newPrefix+rest, old) // fragment too: nothing in it depends on the version
+			s.cache.Put(k.at(newV), old) // fragment too: nothing in it depends on the version
 			res.Migrated++
 			s.ingestMigrated.Add(1)
 		case delta.ActionPatch:
-			patched, perr := p.Patch(old.res, attrs)
+			patched, perr := p.Patch(old.res, k.out)
 			if perr != nil {
 				res.Dropped++
 				s.ingestDropped.Add(1)
 				continue
 			}
-			s.cache.Put(newPrefix+rest, &projEntry{res: patched})
+			s.cache.Put(k.at(newV), &projEntry{res: patched})
 			res.Patched++
 			s.ingestPatched.Add(1)
 		default:
@@ -161,20 +154,17 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	}
 
 	for _, k := range s.mcache.Keys() {
-		rest, ok := strings.CutPrefix(k, oldPrefix)
-		if !ok {
+		if k.proj.dataset != name || k.proj.version != oldV {
 			continue
 		}
-		projRest, _, found := strings.Cut(rest, "/measure=")
-		attrs, parsed := parseProjKeyRest(projRest)
-		migrate := found && parsed && s.deltaPolicy == DeltaPolicyPatch &&
-			ctx.Err() == nil && p.Migratable(attrs)
+		migrate := patching && ctx.Err() == nil && p.Migratable(k.proj.out)
 		val, ok := s.mcache.Remove(k)
 		if !ok {
 			continue
 		}
 		if migrate {
-			s.mcache.Put(newPrefix+rest, val)
+			k.proj = k.proj.at(newV)
+			s.mcache.Put(k, val)
 			res.MeasuresMigrated++
 			s.ingestMeasureMigrated.Add(1)
 		} else {
@@ -195,75 +185,6 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Policy:           res.Policy,
 	})
 	return res, nil
-}
-
-// parseProjKeyRest parses the version-independent tail of a projection
-// cache key — "orient/s=N/class=...,relabel=...,toplex=...,squeeze=..."
-// (see key) — back into the attributes the patcher decides on. Keys
-// minted by a different build that fail to parse are simply dropped by
-// the caller, which is always sound.
-func parseProjKeyRest(rest string) (delta.KeyAttrs, bool) {
-	var a delta.KeyAttrs
-	orient, rest, ok := strings.Cut(rest, "/")
-	if !ok {
-		return a, false
-	}
-	switch orient {
-	case "line":
-		a.Dual = false
-	case "clique":
-		a.Dual = true
-	default:
-		return a, false
-	}
-	sPart, fp, ok := strings.Cut(rest, "/")
-	if !ok || !strings.HasPrefix(sPart, "s=") {
-		return a, false
-	}
-	sVal, err := strconv.Atoi(sPart[len("s="):])
-	if err != nil || sVal < 1 {
-		return a, false
-	}
-	a.S = sVal
-	for _, field := range strings.Split(fp, ",") {
-		name, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return a, false
-		}
-		switch name {
-		case "class":
-			a.Exact = val == "exact"
-		case "relabel":
-			switch val {
-			case "N":
-				a.Relabel = hg.RelabelNone
-			case "A":
-				a.Relabel = hg.RelabelAscending
-			case "D":
-				a.Relabel = hg.RelabelDescending
-			default:
-				return a, false // unresolved "*" never reaches a cache key
-			}
-		case "toplex":
-			switch val {
-			case "true":
-				a.Toplex = true
-			case "false":
-				a.Toplex = false
-			default:
-				return a, false
-			}
-		case "squeeze":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return a, false
-			}
-			a.Squeeze = b
-		default:
-			return a, false
-		}
-	}
-	return a, true
 }
 
 // anyCalibrated reports whether the model has at least one calibrated

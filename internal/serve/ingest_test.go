@@ -118,6 +118,49 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	}
 }
 
+// TestIngestLeavesOtherDatasetsAlone: a delta walks only its own
+// dataset's cache entries, projection and measure alike — including
+// when another dataset's name begins with this one's "name@version/".
+// Over HTTP such a name arrives as PUT /v1/datasets/g%401%2Fx.
+func TestIngestLeavesOtherDatasetsAlone(t *testing.T) {
+	svc := New(Config{})
+	if v := svc.reg.Add("g", paperExample()); v != 1 {
+		t.Fatalf("g registered at version %d, want 1", v)
+	}
+	svc.Add("g@1/x", paperExample())
+	sweeps := func(name string) []QueryRequest {
+		return []QueryRequest{
+			lineQ(name, core.PipelineConfig{}, 1, 2, 3),
+			{Dataset: name, S: []int{1, 2, 3}, Measure: "components"},
+		}
+	}
+	for _, q := range append(sweeps("g"), sweeps("g@1/x")...) {
+		mustQuery(t, svc, q)
+	}
+	projs, measures := svc.projectionComputes.Load(), svc.measureComputes.Load()
+
+	ing, err := svc.Ingest(context.Background(), "g", &delta.Delta{Inserts: [][]uint32{{4, 5}}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ing.Migrated + ing.Patched + ing.Dropped; n != 3 {
+		t.Errorf("projection outcomes %+v count %d keys, want g's 3", ing, n)
+	}
+	if n := ing.MeasuresMigrated + ing.MeasuresDropped; n != 3 {
+		t.Errorf("measure outcomes %+v count %d keys, want g's 3", ing, n)
+	}
+	for _, q := range sweeps("g@1/x") {
+		for _, e := range mustQuery(t, svc, q).Entries {
+			if !e.Cached {
+				t.Errorf("%s measure=%q s=%d: recomputed after a delta into g", q.Dataset, q.Measure, e.S)
+			}
+		}
+	}
+	if p, m := svc.projectionComputes.Load(), svc.measureComputes.Load(); p != projs || m != measures {
+		t.Errorf("g@1/x recomputed: projections %d -> %d, measures %d -> %d", projs, p, measures, m)
+	}
+}
+
 // TestIngestPolicyInvalidate pins the baseline arm: with
 // DeltaPolicyInvalidate every cached entry of the dataset drops and the
 // next sweep recomputes, but answers stay correct.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 
 	"hyperline/internal/core"
 	"hyperline/internal/measure"
@@ -45,14 +44,6 @@ func (s *Service) MeasureCacheStats() MeasureCacheStats {
 	}
 }
 
-// measureKey extends a projection cache key with the measure identity:
-// a measure hit is only possible where the projection key would hit,
-// and replacing a dataset (version bump) invalidates both layers at
-// once.
-func measureKey(projKey, measureName string, p measure.Params) string {
-	return fmt.Sprintf("%s/measure=%s?%s", projKey, measureName, p.CanonicalString())
-}
-
 // measureFlight is a measure singleflight outcome: the entry plus
 // whether the flight itself served it from the measure cache.
 type measureFlight struct {
@@ -65,8 +56,8 @@ type measureFlight struct {
 // disconnected client neither aborts an evaluation other clients wait
 // on nor — when it disconnects before the evaluation starts — bumps
 // the compute counter.
-func (s *Service) measureOne(ctx context.Context, mk string, m measure.Measure, p measure.Params, popt par.Options, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
-	v, err, shared := s.msf.Do(ctx, mk, func(fctx context.Context) (any, error) {
+func (s *Service) measureOne(ctx context.Context, mk measureKey, m measure.Measure, p measure.Params, popt par.Options, res *core.PipelineResult, projCached bool) (*MeasureResult, error) {
+	v, err, shared := s.msf.Do(ctx, mk.String(), func(fctx context.Context) (any, error) {
 		// Re-probe under the flight: an identical request may have
 		// cached the value between our miss and this call
 		// (singleflight forgets completed flights).

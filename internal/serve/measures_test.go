@@ -40,7 +40,7 @@ func TestMeasureServedFromCache(t *testing.T) {
 	if got := svc.MeasureCacheStats().Computes; got != 1 {
 		t.Fatalf("warm measure recomputed (computes=%d, want 1)", got)
 	}
-	// Execution knobs (workers) share the entry: the fingerprint
+	// Execution knobs (workers) share the entry: the output key
 	// excludes them and measures are worker-deterministic.
 	q.Cfg = core.PipelineConfig{Core: core.Config{Workers: 3}}
 	third := mustQuery(t, svc, q).Entries[0].Measure

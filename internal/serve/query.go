@@ -22,7 +22,7 @@ type QueryRequest struct {
 	// ascending distinct s).
 	S []int
 	// Cfg is the pipeline configuration; its output-relevant options
-	// (core.PipelineConfig.Fingerprint) are part of the cache keys.
+	// (core.OutputKey) are part of the cache keys.
 	Cfg core.PipelineConfig
 	// Measure optionally names a registered Stage-5 measure to
 	// evaluate on every projection of the sweep.
@@ -116,7 +116,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 		return nil, err
 	}
 	// Resolve planner-driven auto knobs once, before any key is derived:
-	// both caches are probed under the configuration fingerprint, so it
+	// both caches are probed under the configuration's output key, so it
 	// must name the concrete knobs the pipeline would run, or a
 	// planner-chosen query would miss the entries its pinned twin
 	// cached.
@@ -145,10 +145,13 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 
 	// Measure path: probe the measure cache per s, then fetch every
 	// projection the misses need as one batch, then evaluate.
+	params := p.CanonicalString() // once per query, not per s
+	mkey := func(sVal int) measureKey {
+		return measureKey{projKey{q.Dataset, version, q.Cfg.OutputKey(q.Dual, sVal)}, m.Name(), params}
+	}
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
-		mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
-		if e, ok := s.mcache.Get(mk); ok {
+		if e, ok := s.mcache.Get(mkey(sVal)); ok {
 			i := index[sVal]
 			out.Entries[i].Measure = &MeasureResult{S: sVal, MeasureEntry: e, Cached: true, ProjectionCached: true}
 			out.Entries[i].Cached = true
@@ -170,8 +173,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 			sVal := missing[k]
 			e := &out.Entries[index[sVal]]
 			e.Res = projs[sVal].res
-			mk := measureKey(key(q.Dataset, version, q.Dual, sVal, q.Cfg), m.Name(), p)
-			e.Measure, e.Err = s.measureOne(ctx, mk, m, p, inner, e.Res, projs[sVal].cached)
+			e.Measure, e.Err = s.measureOne(ctx, mkey(sVal), m, p, inner, e.Res, projs[sVal].cached)
 			if e.Err == nil {
 				e.Cached = e.Measure.Cached
 			}

@@ -1,8 +1,8 @@
 // Package serve is the long-running query layer over the s-line graph
 // pipeline: a registry of named hypergraph datasets, an LRU cache of
-// pipeline results keyed by (dataset, version, orientation, s,
-// options-fingerprint), and singleflight deduplication so concurrent
-// identical requests run Stages 1-4 once and share one result.
+// pipeline results keyed by (dataset, version, core.OutputKey), and
+// singleflight deduplication so concurrent identical requests run
+// Stages 1-4 once and share one result.
 //
 // The paper treats s-line graphs as a multi-resolution family — the
 // applications repeatedly query the same hypergraph at many s values —
@@ -215,18 +215,6 @@ func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual 
 // CacheStats snapshots the result cache counters.
 func (s *Service) CacheStats() CacheStats { return s.cache.Stats() }
 
-// key builds the cache key for one projection request. The dataset
-// version makes replaced datasets miss; the fingerprint folds in every
-// output-relevant option, so requests differing only in execution knobs
-// (workers, grain, partition, counter store) share an entry.
-func key(name string, version uint64, dual bool, sVal int, cfg core.PipelineConfig) string {
-	orient := "line"
-	if dual {
-		orient = "clique"
-	}
-	return fmt.Sprintf("%s@%d/%s/s=%d/%s", name, version, orient, sVal, cfg.Fingerprint())
-}
-
 // projection is one s of a projectBatchAt answer.
 type projection struct {
 	res    *core.PipelineResult
@@ -244,10 +232,14 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 	if dual {
 		h = h.Dual()
 	}
+	// The version makes replaced datasets miss; the output key folds in
+	// every output-relevant option, so requests differing only in
+	// execution knobs share an entry.
+	key := func(sVal int) projKey { return projKey{name, version, cfg.OutputKey(dual, sVal)} }
 	out := make(map[int]projection, len(distinct))
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
-		if e, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+		if e, ok := s.cache.Get(key(sVal)); ok {
 			out[sVal] = projection{res: e.res, cached: true, frag: &e.frag}
 		} else {
 			missing = append(missing, sVal)
@@ -262,7 +254,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 	// single-s requests to hit. The flight runs under its own detached
 	// context (fctx): this caller cancelling only aborts the pipeline
 	// if no other caller still waits on the same flight.
-	bk := fmt.Sprintf("batch/%v%s", missing, key(name, version, dual, 0, cfg))
+	bk := fmt.Sprintf("batch/%v%s", missing, key(0))
 	v, err, shared := s.sf.Do(ctx, bk, func(fctx context.Context) (any, error) {
 		// Re-probe under the flight: an overlapping batch may have
 		// cached some of these s values between our misses and this
@@ -270,7 +262,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 		got := make(map[int]projection, len(missing))
 		compute := make([]int, 0, len(missing))
 		for _, sVal := range missing {
-			if e, ok := s.cache.Get(key(name, version, dual, sVal, cfg)); ok {
+			if e, ok := s.cache.Get(key(sVal)); ok {
 				got[sVal] = projection{res: e.res, cached: true}
 			} else {
 				compute = append(compute, sVal)
@@ -300,7 +292,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 				s.metrics.observeStages(res.Timings)
 			}
 			for sVal, res := range computed {
-				s.cache.Put(key(name, version, dual, sVal, cfg), &projEntry{res: res})
+				s.cache.Put(key(sVal), &projEntry{res: res})
 				got[sVal] = projection{res: res}
 			}
 		}
