@@ -65,10 +65,16 @@ func upperNeighbors(edges []uint32, ei uint32) []uint32 {
 // search of upperNeighbors.
 const upperCacheBudget = 64 << 20
 
+// upperCachesFit reports whether per-worker suffix-position caches over n
+// vertices fit upperCacheBudget.
+func upperCachesFit(workers, n int) bool {
+	return int64(workers)*int64(n)*4 <= upperCacheBudget
+}
+
 // newUpperCaches allocates one suffix-position cache per worker, or nil
 // when n vertices × workers exceeds the budget.
 func newUpperCaches(workers, n int) [][]uint32 {
-	if int64(workers)*int64(n)*4 > upperCacheBudget {
+	if !upperCachesFit(workers, n) {
 		return nil
 	}
 	caches := make([][]uint32, workers)

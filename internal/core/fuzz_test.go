@@ -115,6 +115,21 @@ func fuzzHypergraph(data []byte) (*hg.Hypergraph, int) {
 	return hg.FromEdgeSlices(edges, n), s
 }
 
+// FuzzStage1Agrees is the differential target for Stage 1: on any
+// decodable hypergraph — empty and duplicate hyperedges and isolated
+// vertices included — RunBatch equals the Preprocess-first reference
+// under every relabel, toplex and squeeze setting, in both orientations.
+func FuzzStage1Agrees(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5}) // the paper's example, s=1
+	f.Add([]byte{1, 15, 1, 3, 5, 0x80, 0x80, 3, 5, 7, 0x80, 1, 3, 5, 7, 9, 0x80, 1, 3, 5})
+	f.Add([]byte{2, 9, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 2, 3, 4, 0x80, 0, 2, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, s := fuzzHypergraph(data)
+		checkStage1Agrees(t, "line", h, s)
+		checkStage1Agrees(t, "dual", h.Dual(), s)
+	})
+}
+
 // FuzzStrategiesAgree is the differential target for Stage 3: on any
 // decodable hypergraph every strategy (at exact weights),
 // under both workload distributions, returns the all-pairs oracle's

@@ -99,8 +99,13 @@ func EdgeOrder(h *Hypergraph, order RelabelOrder) []uint32 {
 // original IDs are returned so downstream results can be reported in
 // input terms.
 func Preprocess(h *Hypergraph, order RelabelOrder) *PreprocessResult {
-	edges := EdgeOrder(h, order)
+	return PreprocessOrder(h, EdgeOrder(h, order))
+}
 
+// PreprocessOrder is Preprocess with the working order already derived:
+// edges must be EdgeOrder(h, order) for some order, and becomes the
+// result's EdgeOrig.
+func PreprocessOrder(h *Hypergraph, edges []uint32) *PreprocessResult {
 	// Surviving vertices keep their relative order (vertex IDs are
 	// never relabeled by degree in the paper's edge-centric setting;
 	// they are only compacted). Isolated vertices keep a stale

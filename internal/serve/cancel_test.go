@@ -145,6 +145,88 @@ func TestSingleflightLastWaiterCancelAborts(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForOrphanedFlights: a flight whose only waiter left
+// keeps running until it next polls its context, and may be reading a
+// mapped dataset the whole time. Close must cancel every flight and
+// return only after all of them have, releasing the dataset last; a
+// second, still-attended flight shows Close has started.
+func TestCloseWaitsForOrphanedFlights(t *testing.T) {
+	svc := New(Config{})
+	h := paperExample()
+	released := make(chan struct{})
+	h.SetReleaser(func() error { close(released); return nil })
+	svc.Add("d", h)
+
+	// The orphan: its waiter cancels while the gate holds it, and it
+	// ignores its context, as a pipeline stage does between polls.
+	orphanStarted, orphanGate, orphanDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err, _ := svc.sf.Do(ctx, "orphan", func(context.Context) (any, error) {
+			close(orphanStarted)
+			<-orphanGate
+			select {
+			case <-released:
+				t.Error("the dataset was released while a flight still ran")
+			default:
+			}
+			close(orphanDone)
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	<-orphanStarted
+	cancel()
+	if err := <-waiterErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("orphan's waiter got %v, want context.Canceled", err)
+	}
+
+	// The attended flight returns when Close cancels it.
+	attendedStarted, attendedCancelled := make(chan struct{}), make(chan struct{})
+	attendedErr := make(chan error, 1)
+	go func() {
+		_, err, _ := svc.sf.Do(context.Background(), "attended", func(fctx context.Context) (any, error) {
+			close(attendedStarted)
+			<-fctx.Done()
+			close(attendedCancelled)
+			return nil, fctx.Err()
+		})
+		attendedErr <- err
+	}()
+	<-attendedStarted
+
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a flight still ran")
+	case <-released:
+		t.Fatal("Close released the dataset while a flight still ran")
+	case <-attendedCancelled:
+	}
+	if err := <-attendedErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("attended flight's waiter got %v, want context.Canceled", err)
+	}
+	close(orphanGate)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-orphanDone:
+	default:
+		t.Fatal("Close returned before the orphaned flight did")
+	}
+	select {
+	case <-released:
+	default:
+		t.Fatal("Close did not release the dataset")
+	}
+	if _, err, _ := svc.sf.Do(context.Background(), "late", func(context.Context) (any, error) { return nil, nil }); err == nil {
+		t.Fatal("a flight started after Close")
+	}
+}
+
 // TestProjectionCancelReturnsCtxErr: a service-level projection query
 // whose context expires mid-pipeline surfaces the context error, and
 // repeated cancelled calls leak no goroutines.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -30,10 +31,20 @@ type call struct {
 // is the flight's context cancelled, aborting the computation
 // cooperatively; the key is cleared at the same time so a fresh
 // request starts a fresh flight instead of joining a dying one.
+//
+// Such an orphaned flight still runs until it next polls its context,
+// so every flight is counted in running until it returns: close waits
+// for all of them, which is what lets the owner release what flights
+// read (a mapped dataset) afterwards.
 type singleflight struct {
-	mu    sync.Mutex
-	calls map[string]*call
+	mu      sync.Mutex
+	calls   map[string]*call
+	running sync.WaitGroup
+	closed  bool // mu-guarded; set by close, after which Do starts nothing
 }
+
+// errFlightsClosed is what Do returns once close has been called.
+var errFlightsClosed = errors.New("serve: service closed")
 
 // Do runs fn once per concurrent group of callers sharing key, passing
 // it the flight's detached context. shared reports whether this caller
@@ -46,6 +57,10 @@ func (g *singleflight) Do(ctx context.Context, key string, fn func(context.Conte
 		return nil, err, false
 	}
 	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return nil, errFlightsClosed, false
+	}
 	if g.calls == nil {
 		g.calls = make(map[string]*call)
 	}
@@ -54,6 +69,7 @@ func (g *singleflight) Do(ctx context.Context, key string, fn func(context.Conte
 		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 		c = &call{done: make(chan struct{}), cancel: cancel}
 		g.calls[key] = c
+		g.running.Add(1)
 		go g.run(key, c, fctx, fn)
 	}
 	c.waiters++
@@ -95,6 +111,19 @@ func (g *singleflight) run(key string, c *call, fctx context.Context, fn func(co
 		g.mu.Unlock()
 		c.cancel() // release the detached context's resources
 		close(c.done)
+		g.running.Done()
 	}()
 	c.val, c.err = fn(fctx)
+}
+
+// close cancels every flight that still has waiters, refuses new ones,
+// and returns once every flight — orphaned ones included — has returned.
+func (g *singleflight) close() {
+	g.mu.Lock()
+	g.closed = true
+	for _, c := range g.calls {
+		c.cancel()
+	}
+	g.mu.Unlock()
+	g.running.Wait()
 }

@@ -198,10 +198,15 @@ func sweepStateTmp(dir string) {
 
 // Close releases out-of-heap resources deterministically: every mapped
 // dataset is unmapped. Callers must have drained in-flight queries
-// first (the daemon closes after http.Server.Shutdown returns). Safe to
-// call once; datasets dropped earlier by Remove are unmapped by their
-// GC finalizer instead.
+// first (the daemon closes after http.Server.Shutdown returns). A
+// computation can outlive its callers (a shared flight whose last
+// waiter left keeps running until it next polls its context), so Close
+// first cancels every flight and waits for all of them to return;
+// queries after Close fail. Safe to call once; datasets dropped earlier
+// by Remove are unmapped by their GC finalizer instead.
 func (s *Service) Close() error {
+	s.sf.close()
+	s.msf.close()
 	var first error
 	for _, d := range s.reg.drain() {
 		if err := d.h.Close(); err != nil && first == nil {

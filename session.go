@@ -171,9 +171,10 @@ func (s *Session) RestoreState(dir string) ([]string, error) { return s.svc.Rest
 // directory is attached.
 func (s *Session) SpillStats() SpillStats { return s.svc.SpillStats() }
 
-// Close unmaps every mapped dataset. Call it when done with a session
-// that loaded binary files or restored state; outstanding results must
-// no longer be read afterwards.
+// Close waits for running computations to stop, then unmaps every
+// mapped dataset. Call it when done with a session that loaded binary
+// files or restored state; outstanding results must no longer be read
+// afterwards, and queries fail.
 func (s *Session) Close() error { return s.svc.Close() }
 
 // Add registers h under name, replacing any previous dataset with that
