@@ -7,22 +7,20 @@
 // short client timeout expires on the replica, never as a hung router.
 // Replica 429/Retry-After answers fail over to the next owner and, when
 // every owner sheds, surface as a router-level 429 with the largest
-// Retry-After; a shard that dawdles past -hedge-after is raced against
-// the next owner and the first answer wins.
+// Retry-After. Each shard has one sub-request in flight at a time.
 //
 // Usage:
 //
 //	hyperrouter [-addr :8090] [-replicas http://a:8080,http://b:8080]
-//	            [-replication 2] [-hedge-after 0]
-//	            [-health-interval 2s] [-request-timeout 0]
-//	            [-drain-timeout 10s]
+//	            [-replication 2] [-health-interval 2s]
+//	            [-request-timeout 0] [-drain-timeout 10s]
 //
 // Replicas may also self-register (hyperlined -register/-advertise) via
 // POST /v1/replicas; GET /v1/replicas shows the member list and health.
 // The router keeps no dataset bytes and no caches: uploads
 // (PUT /v1/datasets/{name}) replicate to the dataset's owners, queries
 // pass replica answers through verbatim, and GET /metrics exposes the
-// fan-out/hedge/retry/shed counter families.
+// fan-out/retry/shed counter families.
 package main
 
 import (
@@ -44,7 +42,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated hyperlined base URLs (replicas may also self-register via POST /v1/replicas)")
 	replication := flag.Int("replication", 2, "replicas owning each dataset (clamped to the cluster size)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "per-shard latency budget before a hedged duplicate goes to the next owner (0 = no hedging)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica /healthz probe period")
 	reqTimeout := flag.Duration("request-timeout", 0, "bound on proxied queries without their own shorter timeout_ms (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window after SIGINT/SIGTERM")
@@ -59,7 +56,6 @@ func main() {
 	rt := cluster.NewRouter(cluster.Config{
 		Replicas:       seed,
 		Replication:    *replication,
-		HedgeAfter:     *hedgeAfter,
 		HealthInterval: *healthInterval,
 		RequestTimeout: *reqTimeout,
 	})

@@ -9,10 +9,11 @@ import (
 )
 
 // Sub-request outcome labels for hyperrouter_subrequests_total. Every
-// replica-bound request (shard attempt, hedge, retry, upload fan-out)
-// lands in exactly one bucket, so the sum reconciles against the
-// replicas' own hyperline_http_responses_total — minus outcome="error",
-// which never produced a replica response.
+// replica-bound request (shard attempt, retry, upload fan-out) lands in
+// exactly one bucket, so the sum reconciles against the replicas' own
+// hyperline_http_responses_total — minus outcome="error", which never
+// produced a replica response. A shard attempt cut short by the
+// router's own deadline lands in none.
 const (
 	outcomeOK       = "ok"       // 2xx
 	outcomeShed     = "shed"     // 429
@@ -58,8 +59,6 @@ type rmetrics struct {
 	queries     int64
 	shards      int64
 	ingests     int64
-	hedges      int64
-	hedgeWins   int64
 	retries     int64
 	sheds       int64
 }
@@ -81,11 +80,8 @@ func (m *rmetrics) countSubrequest(outcome string) {
 }
 
 func (m *rmetrics) countIngest() { m.mu.Lock(); m.ingests++; m.mu.Unlock() }
-
-func (m *rmetrics) countHedge()    { m.mu.Lock(); m.hedges++; m.mu.Unlock() }
-func (m *rmetrics) countHedgeWin() { m.mu.Lock(); m.hedgeWins++; m.mu.Unlock() }
-func (m *rmetrics) countRetry()    { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-func (m *rmetrics) countShed()     { m.mu.Lock(); m.sheds++; m.mu.Unlock() }
+func (m *rmetrics) countRetry()  { m.mu.Lock(); m.retries++; m.mu.Unlock() }
+func (m *rmetrics) countShed()   { m.mu.Lock(); m.sheds++; m.mu.Unlock() }
 
 func (m *rmetrics) countResponse(code int) {
 	m.mu.Lock()
@@ -140,8 +136,8 @@ func (w *metricWriter) value(name, labels string, v float64) {
 	fmt.Fprintf(&w.b, "%s%s %g\n", name, labels, v)
 }
 
-// handleMetrics renders the router's exposition: fan-out, hedge, retry,
-// and shed counters, per-outcome sub-request counts, response codes,
+// handleMetrics renders the router's exposition: fan-out, retry, and
+// shed counters, per-outcome sub-request counts, response codes,
 // and replica health gauges.
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := &rt.metrics
@@ -154,10 +150,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	mw.value("hyperrouter_fanout_shards_total", "", float64(m.shards))
 	mw.header("hyperrouter_ingests_total", "fanned-out /v2/ingest requests", "counter")
 	mw.value("hyperrouter_ingests_total", "", float64(m.ingests))
-	mw.header("hyperrouter_hedges_total", "hedged duplicate sub-requests issued", "counter")
-	mw.value("hyperrouter_hedges_total", "", float64(m.hedges))
-	mw.header("hyperrouter_hedge_wins_total", "hedged sub-requests whose answer was used", "counter")
-	mw.value("hyperrouter_hedge_wins_total", "", float64(m.hedgeWins))
 	mw.header("hyperrouter_retries_total", "failover retries to another owner", "counter")
 	mw.value("hyperrouter_retries_total", "", float64(m.retries))
 	mw.header("hyperrouter_shed_total", "router-level 429 answers (all owners shed)", "counter")

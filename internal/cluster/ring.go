@@ -5,9 +5,8 @@
 // across the healthy owners, each shard carries the remaining request
 // deadline over the wire as timeout_ms, and per-s entries are merged
 // back in order. Replica 429/Retry-After answers translate into router
-// shed decisions, and a shard that dawdles past a latency budget is
-// hedged to the next owner. The router holds no dataset state and
-// caches nothing — every answer is a replica's answer, byte for byte.
+// shed decisions. The router holds no dataset state and caches
+// nothing — every answer is a replica's answer, byte for byte.
 package cluster
 
 import (

@@ -26,9 +26,6 @@ type Config struct {
 	// Replication is how many replicas own each dataset (clamped to the
 	// cluster size at placement time). Default 2.
 	Replication int
-	// HedgeAfter is the per-shard latency budget after which the router
-	// issues a hedged duplicate to the next owner. 0 disables hedging.
-	HedgeAfter time.Duration
 	// HealthInterval is the replica health-probe period for Run.
 	// Default 2s.
 	HealthInterval time.Duration
@@ -283,7 +280,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad register body: %w", err))
 		return
 	}
@@ -586,7 +583,8 @@ type replicaHeader struct {
 }
 
 // maxQueryBytes caps POST /v2/query bodies, which the router buffers
-// whole to re-shard; it matches the cap the replicas apply.
+// whole to re-shard; it matches the cap the replicas apply. It also
+// caps POST /v1/replicas, which any host may send.
 const maxQueryBytes = 1 << 20
 
 // handleQuery is the scatter-gather core: decode just enough of the
@@ -678,7 +676,6 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 // attemptResult is one replica attempt's raw outcome.
 type attemptResult struct {
 	replica    string
-	hedge      bool
 	status     int
 	body       []byte
 	index      string // the answer's jsonsplice.EntriesHeader
@@ -686,92 +683,45 @@ type attemptResult struct {
 	err        error
 }
 
-// runShard drives one shard to completion: primary attempt, an optional
-// hedged duplicate after the latency budget, and sequential failover to
-// the remaining owners on retryable failures (transport errors, 429
-// sheds, 404 from an owner that missed the upload). Deterministic
-// failures (200/400/502) and deadline expiry (504) are final — a
-// different replica computes the same answer, so retrying buys nothing.
+// runShard drives one shard to completion, trying its owners in
+// preference order. Retryable failures (transport errors, 429 sheds,
+// 404 from an owner that missed the upload) fail over to the next
+// owner. Any other answer (200/400/502, or the replica's own 504) is
+// final: a different replica computes the same answer, so retrying
+// buys nothing. An attempt cut short by the request's own context is
+// the router-side 504; it never reached a verdict, so it is not counted
+// as a sub-request and not held against the replica.
 func (rt *Router) runShard(ctx context.Context, prefs []string, sVals []int, base map[string]json.RawMessage) shardOutcome {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan attemptResult, len(prefs))
-	tried := make(map[string]bool, len(prefs))
-	inflight := 0
-	launch := func(u string, hedge bool) {
-		tried[u] = true
-		inflight++
-		payload := rt.shardPayload(sctx, base, sVals)
-		go func() { results <- rt.tryReplica(sctx, u, payload, hedge) }()
-	}
-	next := func() string {
-		for _, u := range prefs {
-			if !tried[u] {
-				return u
-			}
-		}
-		return ""
-	}
-
-	launch(prefs[0], false)
-	var hedgeTimer <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 && len(prefs) > 1 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
-
 	oc := shardOutcome{s: sVals}
-	for {
-		select {
-		case <-ctx.Done():
+	for i, u := range prefs {
+		if i > 0 {
+			rt.metrics.countRetry()
+		}
+		res := rt.tryReplica(ctx, u, rt.shardPayload(ctx, base, sVals))
+		if res.err != nil && ctx.Err() != nil {
 			oc.deadline = true
 			oc.status = http.StatusGatewayTimeout
 			oc.errMsg = "deadline exceeded before a replica answered"
 			return oc
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if u := next(); u != "" {
-				rt.metrics.countHedge()
-				launch(u, true)
-			}
-		case res := <-results:
-			inflight--
-			rt.metrics.countSubrequest(attemptOutcome(res))
-			if res.err == nil && res.status != http.StatusTooManyRequests && res.status != http.StatusNotFound {
-				// A usable, deterministic answer (success, per-entry
-				// errors, client error, or deadline): take it.
-				if res.hedge {
-					rt.metrics.countHedgeWin()
-				}
-				return rt.parseShardResponse(res, sVals)
-			}
-			// Retryable: remember the failure shape, try the next owner.
-			if res.err != nil {
-				rt.markFailure(res.replica)
-				oc.errMsg = fmt.Sprintf("replica %s: %v", res.replica, res.err)
-			} else {
-				oc.status = res.status
-				oc.errMsg = fmt.Sprintf("replica %s answered %d", res.replica, res.status)
-				if res.status == http.StatusTooManyRequests {
-					oc.shed = true
-					if res.retryAfter > oc.retryAfter {
-						oc.retryAfter = res.retryAfter
-					}
-				}
-			}
-			if u := next(); u != "" {
-				rt.metrics.countRetry()
-				launch(u, false)
-				continue
-			}
-			if inflight > 0 {
-				continue // a hedge is still racing; it may yet answer
-			}
-			return oc
+		}
+		rt.metrics.countSubrequest(attemptOutcome(res))
+		if res.err == nil && res.status != http.StatusTooManyRequests && res.status != http.StatusNotFound {
+			return rt.parseShardResponse(res, sVals)
+		}
+		// Retryable: remember the failure shape, try the next owner.
+		if res.err != nil {
+			rt.markFailure(u)
+			oc.errMsg = fmt.Sprintf("replica %s: %v", u, res.err)
+			continue
+		}
+		oc.status = res.status
+		oc.errMsg = fmt.Sprintf("replica %s answered %d", u, res.status)
+		if res.status == http.StatusTooManyRequests {
+			oc.shed = true
+			oc.retryAfter = max(oc.retryAfter, res.retryAfter)
 		}
 	}
+	return oc
 }
 
 // shardPayload builds one sub-request body: the client's fields pass
@@ -802,8 +752,8 @@ func (rt *Router) shardPayload(ctx context.Context, base map[string]json.RawMess
 
 // tryReplica issues one sub-request and reads the full answer into one
 // buffer sized from its Content-Length.
-func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte, hedge bool) attemptResult {
-	res := attemptResult{replica: u, hedge: hedge}
+func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte) attemptResult {
+	res := attemptResult{replica: u}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u+"/v2/query", bytes.NewReader(payload))
 	if err != nil {
 		res.err = err

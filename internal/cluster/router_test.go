@@ -610,65 +610,53 @@ func TestRouterReplicaRestartMidSweep(t *testing.T) {
 	}
 }
 
-// TestRouterHedgesSlowShard: a shard that dawdles past -hedge-after is
-// raced against the next owner; the faster answer wins and is recorded
-// as a hedge win.
-func TestRouterHedgesSlowShard(t *testing.T) {
-	stub := func(delay time.Duration, nodes int) *httptest.Server {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				S []int `json:"s"`
-			}
-			json.NewDecoder(r.Body).Decode(&req)
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				return
-			}
-			entries := make([]jsonsplice.Entry, len(req.S))
-			for i, s := range req.S {
-				entries[i].Value = stubEntry{S: s, Nodes: nodes, Edges: 1}
-			}
-			jsonsplice.Write(w, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"}, entries)
-		}))
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	slow := stub(2*time.Second, 111)
-	fast := stub(0, 222)
-
-	// Pick the s whose primary is the slow stub, so the hedge (not the
-	// primary) must deliver the answer.
-	ownerList := NewRing([]string{slow.URL, fast.URL}).Owners("d", 2)
-	sVal := 1
-	for s := 1; s <= 2; s++ {
-		if ownerList[s%2] == slow.URL {
-			sVal = s
+// TestRouterOwnDeadlineSparesReplica: when the router's own deadline
+// ends an attempt that has no response yet, the query answers 504, the
+// attempt is no sub-request, and the replica is not held at fault: it
+// stays healthy and serves the next query.
+func TestRouterOwnDeadlineSparesReplica(t *testing.T) {
+	var serving atomic.Bool
+	held, released := make(chan struct{}, 1), make(chan struct{}, 1)
+	rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			S []int `json:"s"`
 		}
-	}
+		body, _ := io.ReadAll(r.Body)
+		json.Unmarshal(body, &req)
+		if !serving.Load() {
+			// Hold past every forwarded budget: only the router's own
+			// context, ending the connection, lets this request go.
+			held <- struct{}{}
+			<-r.Context().Done()
+			released <- struct{}{}
+			return
+		}
+		entries := make([]jsonsplice.Entry, len(req.S))
+		for i, s := range req.S {
+			entries[i].Value = stubEntry{S: s, Nodes: 2, Edges: 1}
+		}
+		jsonsplice.Write(w, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"}, entries)
+	}))
+	t.Cleanup(rep.Close)
+	rt, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
 
-	_, router := newRouterServer(t, Config{
-		Replicas: []string{slow.URL, fast.URL}, Replication: 2, HedgeAfter: 50 * time.Millisecond,
-	})
-	t0 := time.Now()
-	status, _, data := postQuery(t, router.URL, fmt.Sprintf(`{"dataset":"d","s":[%d]}`, sVal))
-	elapsed := time.Since(t0)
-	if status != http.StatusOK {
-		t.Fatalf("hedged query: status %d: %s", status, data)
+	status, _, data := postQuery(t, router.URL, `{"dataset":"d","s":[1],"timeout_ms":100}`)
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", status, data)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the slow shard: took %v", elapsed)
-	}
-	var e struct {
-		Nodes int `json:"nodes"`
-	}
-	json.Unmarshal(queryResults(t, data)[0], &e)
-	if e.Nodes != 222 {
-		t.Fatalf("answer came from the slow replica (nodes=%d), want the hedge's (222)", e.Nodes)
+	<-held
+	<-released
+	if st := rt.Replicas(); len(st) != 1 || !st[0].Healthy || st[0].Fails != 0 {
+		t.Fatalf("the router's own deadline was held against the replica: %+v", st)
 	}
 	m := routerMetrics(t, router.URL)
-	if m[`hyperrouter_hedges_total`] < 1 || m[`hyperrouter_hedge_wins_total`] < 1 {
-		t.Fatalf("hedge counters did not move: %v", m)
+	if _, ok := m[`hyperrouter_subrequests_total{outcome="error"}`]; ok {
+		t.Fatalf("the cut attempt counted as a failed sub-request: %v", m)
+	}
+
+	serving.Store(true)
+	if status, _, data := postQuery(t, router.URL, `{"dataset":"d","s":[1]}`); status != http.StatusOK {
+		t.Fatalf("query after the deadline: status %d, want 200: %s", status, data)
 	}
 }
 
@@ -789,7 +777,8 @@ func TestRouterReusesFanoutConnections(t *testing.T) {
 }
 
 // TestRouterSelfRegistration: a replica POSTing its URL joins the map
-// and starts owning datasets; garbage URLs are rejected.
+// and starts owning datasets; garbage URLs and bodies over
+// maxQueryBytes are rejected.
 func TestRouterSelfRegistration(t *testing.T) {
 	svc := serve.New(serve.Config{})
 	svc.Add("paper", paperHG())
@@ -816,14 +805,19 @@ func TestRouterSelfRegistration(t *testing.T) {
 		t.Fatalf("query after registration: status %d: %s", status, data)
 	}
 
-	bad, err := http.Post(router.URL+"/v1/replicas", "application/json",
-		strings.NewReader(`{"url":"not a url"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage registration: status %d, want 400", bad.StatusCode)
+	for _, tc := range []struct{ name, body string }{
+		{"garbage url", `{"url":"not a url"}`},
+		// A valid registration but for its size: whitespace padding.
+		{"body over maxQueryBytes", fmt.Sprintf(`{"url":%q`, rep.URL) + strings.Repeat(" ", maxQueryBytes) + `}`},
+	} {
+		bad, err := http.Post(router.URL+"/v1/replicas", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad.Body.Close()
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s registration: status %d, want 400", tc.name, bad.StatusCode)
+		}
 	}
 }
 

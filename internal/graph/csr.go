@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // The s-line graph is already stored as flat CSR arrays (see Build):
 //
@@ -13,10 +9,8 @@ import (
 //	wgt  [2*numEdges]uint32  parallel edge weights (overlap sizes)
 //	orig [numNodes]uint32    pre-squeeze node IDs (absent if unsqueezed)
 //
-// which makes a Graph mmap-shaped: hgio.WriteCSR persists exactly these
-// arrays and hgio.MapCSR aliases them back from a file without parsing.
-// This file holds the raw-array accessors and the ownership story those
-// serializers need.
+// hgio.WriteCSR persists exactly these arrays and hgio.ReadCSR reads
+// them back; this file holds the raw-array accessors those codecs need.
 
 // CSR exposes the graph's raw arrays. The slices alias internal storage
 // and must not be modified. orig is nil when the graph was built
@@ -46,41 +40,3 @@ func FromCSR(numNodes, numEdges int, off []int64, adj, wgt, orig []uint32) (*Gra
 	}
 	return &Graph{numNodes: numNodes, numEdges: numEdges, off: off, adj: adj, wgt: wgt, orig: orig}, nil
 }
-
-// backing owns out-of-heap storage (an mmap) behind a Graph, released
-// exactly once via Close or a GC finalizer — the same lifecycle as
-// hg.Hypergraph's backing.
-type backing struct {
-	once    sync.Once
-	release func() error
-	err     error
-}
-
-func (b *backing) close() error {
-	b.once.Do(func() {
-		if b.release != nil {
-			b.err = b.release()
-		}
-	})
-	return b.err
-}
-
-// SetReleaser attaches the function that releases g's out-of-heap
-// storage and arranges a GC finalizer so dropping the last reference
-// releases it even without an explicit Close.
-func (g *Graph) SetReleaser(release func() error) {
-	g.back = &backing{release: release}
-	runtime.SetFinalizer(g.back, func(b *backing) { _ = b.close() })
-}
-
-// Close releases the graph's out-of-heap storage, if any; a no-op for
-// heap-backed graphs and idempotent otherwise.
-func (g *Graph) Close() error {
-	if g.back == nil {
-		return nil
-	}
-	return g.back.close()
-}
-
-// Mapped reports whether the graph's arrays alias out-of-heap storage.
-func (g *Graph) Mapped() bool { return g.back != nil }

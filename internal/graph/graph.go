@@ -35,9 +35,6 @@ type Graph struct {
 	// orig[node] = ID in the pre-squeeze space; nil when the graph
 	// was built without squeezing (IDs are the identity).
 	orig []uint32
-	// back owns out-of-heap storage backing the arrays; nil for
-	// heap-backed graphs (see csr.go).
-	back *backing
 }
 
 // Build materializes a graph from an s-line edge list over a node ID

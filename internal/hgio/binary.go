@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"hyperline/internal/hg"
 )
 
 // Binary format: a compact little-endian CSR dump for large datasets
-// where text parsing dominates load time. Version 2 is mmap-native: it
-// stores both CSR orientations, 8-byte aligned, so MapBinary can alias
-// the file's arrays directly as hg.Hypergraph slices with zero parsing
-// and zero copying.
+// where text parsing dominates load time. It is mmap-native: it stores
+// both CSR orientations, 8-byte aligned, so MapBinary can alias the
+// file's arrays directly as hg.Hypergraph slices with zero parsing and
+// zero copying.
 //
 //	magic   [8]byte  "HLBIN\x00\x00\x02"  (version 2)
 //	n       uint64   number of vertices
@@ -26,37 +27,23 @@ import (
 //	vOff    [n+1]int64    vertex→edges row offsets
 //	vAdj    [nnz]uint32   edge IDs, sorted per vertex
 //
-// Version 1 (still readable) stored only the edge orientation with
-// uint64 offsets:
-//
-//	magic   [8]byte  "HLBIN\x00\x00\x01"
-//	n, m, nnz as above
-//	off     [m+1]uint64
-//	adj     [nnz]uint32
-var (
-	binaryMagic   = [8]byte{'H', 'L', 'B', 'I', 'N', 0, 0, 1}
-	binaryMagicV2 = [8]byte{'H', 'L', 'B', 'I', 'N', 0, 0, 2}
-)
+// Any other version byte, such as the retired version 1 (edge
+// orientation only), is rejected with an error naming the version.
+var binaryMagic = [8]byte{'H', 'L', 'B', 'I', 'N', 0, 0, 2}
 
 // binHeader is the decoded fixed-size prefix of a binary file.
 type binHeader struct {
-	version byte
-	n, m    uint64
-	nnz     uint64
+	n, m uint64
+	nnz  uint64
 }
 
-// headerSize is the byte length of magic + counts, identical in both
-// versions.
+// headerSize is the byte length of magic + counts.
 const headerSize = 8 + 3*8
 
 // expectedSize returns the exact byte length of a well-formed file with
 // this header.
 func (h binHeader) expectedSize() int64 {
-	edge := 8*(int64(h.m)+1) + 4*int64(h.nnz)
-	if h.version == 1 {
-		return headerSize + edge
-	}
-	return headerSize + edge + pad4(h.nnz) + 8*(int64(h.n)+1) + 4*int64(h.nnz)
+	return headerSize + 8*(int64(h.m)+1) + 4*int64(h.nnz) + pad4(h.nnz) + 8*(int64(h.n)+1) + 4*int64(h.nnz)
 }
 
 // pad4 is the number of padding bytes after the eAdj section: 4 when
@@ -72,7 +59,7 @@ func pad4(nnz uint64) int64 {
 // CSR format.
 func WriteBinary(w io.Writer, h *hg.Hypergraph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(binaryMagicV2[:]); err != nil {
+	if _, err := bw.Write(binaryMagic[:]); err != nil {
 		return err
 	}
 	eOff, eAdj, vOff, vAdj := h.CSR()
@@ -104,11 +91,10 @@ func WriteBinary(w io.Writer, h *hg.Hypergraph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a hypergraph in the hyperline binary CSR format
-// (either version). The vertex orientation of a version-2 stream is
-// derived from the edge orientation and then compared byte-for-byte
-// with the stored one, so a corrupt or hostile body can never yield an
-// internally inconsistent hypergraph.
+// ReadBinary reads a hypergraph in the hyperline binary CSR format.
+// The vertex orientation is derived from the edge orientation and then
+// compared byte-for-byte with the stored one, so a corrupt or hostile
+// body can never yield an internally inconsistent hypergraph.
 func ReadBinary(r io.Reader) (*hg.Hypergraph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr, err := readHeader(br)
@@ -124,15 +110,13 @@ func readHeader(r io.Reader) (binHeader, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return binHeader{}, fmt.Errorf("hgio: reading magic: %w", err)
 	}
-	var hdr binHeader
-	switch magic {
-	case binaryMagic:
-		hdr.version = 1
-	case binaryMagicV2:
-		hdr.version = 2
-	default:
+	if magic != binaryMagic {
+		if [7]byte(magic[:7]) == [7]byte(binaryMagic[:7]) {
+			return binHeader{}, fmt.Errorf("hgio: binary format version %d is not supported (only version 2 is read)", magic[7])
+		}
 		return binHeader{}, fmt.Errorf("hgio: bad magic %q", magic[:])
 	}
+	var hdr binHeader
 	for _, p := range []*uint64{&hdr.n, &hdr.m, &hdr.nnz} {
 		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
 			return binHeader{}, fmt.Errorf("hgio: reading header: %w", err)
@@ -145,53 +129,12 @@ func readHeader(r io.Reader) (binHeader, error) {
 	return hdr, nil
 }
 
-// readBody reads everything after the header.
+// readBody reads everything after the header. The edge orientation is
+// validated structurally (monotone offsets, in-range sorted rows); the
+// vertex orientation is derived from it by counting sort and must match
+// the stored bytes exactly, which makes the whole tail an integrity
+// check.
 func readBody(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
-	if hdr.version == 1 {
-		return readBodyV1(r, hdr)
-	}
-	return readBodyV2(r, hdr)
-}
-
-// readBodyV1 reads a version-1 body through the incidence builder,
-// which reconstructs the vertex orientation.
-func readBodyV1(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
-	n, m, nnz := hdr.n, hdr.m, hdr.nnz
-	off, err := readUint64s(r, m+1)
-	if err != nil {
-		return nil, fmt.Errorf("hgio: reading offsets: %w", err)
-	}
-	if off[0] != 0 || off[m] != nnz {
-		return nil, fmt.Errorf("hgio: corrupt offsets [%d..%d], want [0..%d]", off[0], off[m], nnz)
-	}
-	adj, err := readUint32s(r, nnz)
-	if err != nil {
-		return nil, fmt.Errorf("hgio: reading adjacency: %w", err)
-	}
-	b := hg.NewBuilder(int(nnz))
-	for e := uint64(0); e < m; e++ {
-		if off[e] > off[e+1] || off[e+1] > nnz {
-			return nil, fmt.Errorf("hgio: corrupt offset at edge %d", e)
-		}
-		for k := off[e]; k < off[e+1]; k++ {
-			if uint64(adj[k]) >= n {
-				return nil, fmt.Errorf("hgio: vertex %d out of range (n=%d)", adj[k], n)
-			}
-			b.AddPair(uint32(e), adj[k])
-		}
-	}
-	h, err := b.BuildWithSize(int(m), int(n))
-	if err != nil {
-		return nil, fmt.Errorf("hgio: %w", err)
-	}
-	return h, nil
-}
-
-// readBodyV2 reads a version-2 body. The edge orientation is validated
-// structurally (monotone offsets, in-range sorted rows); the vertex
-// orientation is derived from it by counting sort and must match the
-// stored bytes exactly, which makes the whole tail an integrity check.
-func readBodyV2(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
 	n, m, nnz := hdr.n, hdr.m, hdr.nnz
 	eOff, err := readInt64s(r, m+1)
 	if err != nil {
@@ -222,7 +165,7 @@ func readBodyV2(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hgio: reading vertex adjacency: %w", err)
 	}
-	if !int64sEqual(vOff, storedVOff) || !uint32sEqual(vAdj, storedVAdj) {
+	if !slices.Equal(vOff, storedVOff) || !slices.Equal(vAdj, storedVAdj) {
 		return nil, fmt.Errorf("hgio: vertex orientation inconsistent with edge orientation")
 	}
 	h, err := hg.FromCSR(int(m), int(n), eOff, eAdj, vOff, vAdj)
@@ -262,30 +205,6 @@ func validateEdgeCSR(off []int64, adj []uint32, n, nnz uint64) error {
 	return nil
 }
 
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func uint32sEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // binaryReadChunk bounds how many elements a single read decodes at
 // once. Reading in chunks keeps allocation proportional to the bytes
 // actually present in the stream: a corrupt (or hostile) header
@@ -294,22 +213,6 @@ func uint32sEqual(a, b []uint32) bool {
 // matters now that ReadBinary is reachable from network uploads, not
 // just local files.
 const binaryReadChunk = 1 << 16
-
-// readUint64s reads n little-endian uint64 values in bounded chunks.
-func readUint64s(r io.Reader, n uint64) ([]uint64, error) {
-	out := make([]uint64, 0, min(n, binaryReadChunk))
-	buf := make([]byte, 8*binaryReadChunk)
-	for uint64(len(out)) < n {
-		c := min(n-uint64(len(out)), binaryReadChunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < c; i++ {
-			out = append(out, binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-	}
-	return out, nil
-}
 
 // readInt64s reads n little-endian int64 values in bounded chunks.
 func readInt64s(r io.Reader, n uint64) ([]int64, error) {
@@ -420,8 +323,8 @@ func checkFileSize(path string, size int64, hdr binHeader) error {
 	want := hdr.expectedSize()
 	switch {
 	case size < want:
-		return fmt.Errorf("hgio: %s: truncated binary file: have %d bytes, want %d (v%d, n=%d m=%d nnz=%d)",
-			path, size, want, hdr.version, hdr.n, hdr.m, hdr.nnz)
+		return fmt.Errorf("hgio: %s: truncated binary file: have %d bytes, want %d (n=%d m=%d nnz=%d)",
+			path, size, want, hdr.n, hdr.m, hdr.nnz)
 	case size > want:
 		return fmt.Errorf("hgio: %s: binary file has %d trailing bytes (have %d, want %d)",
 			path, size-want, size, want)

@@ -2,19 +2,16 @@ package hgio
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"unsafe"
 
 	"hyperline/internal/graph"
 )
 
 // CSR format: the Stage-4 s-line graph persisted as its flat arrays,
-// mmap-native like the version-2 hypergraph format, so materialized
-// projections can be spilled to disk and remapped without a rebuild.
+// the graph half of a spilled projection, so a materialized projection
+// comes back from disk without a rebuild.
 //
 //	magic  [8]byte  "HLCSR\x00\x00\x01"
 //	nodes  uint64   node count (post-squeeze)
@@ -33,14 +30,6 @@ const csrFlagOrig = 1
 type csrHeader struct {
 	nodes, edges uint64
 	flags        uint64
-}
-
-func (h csrHeader) expectedSize() int64 {
-	size := int64(headerSize) + 8*(int64(h.nodes)+1) + 2*4*2*int64(h.edges)
-	if h.flags&csrFlagOrig != 0 {
-		size += 4 * int64(h.nodes)
-	}
-	return size
 }
 
 // WriteCSR writes g in the CSR graph format.
@@ -111,10 +100,6 @@ func ReadCSR(r io.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readCSRBody(r, hdr)
-}
-
-func readCSRBody(r io.Reader, hdr csrHeader) (*graph.Graph, error) {
 	off, err := readInt64s(r, hdr.nodes+1)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: reading csr offsets: %w", err)
@@ -145,115 +130,6 @@ func readCSRBody(r io.Reader, hdr csrHeader) (*graph.Graph, error) {
 	g, err := graph.FromCSR(int(hdr.nodes), int(hdr.edges), off, adj, wgt, orig)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: %w", err)
-	}
-	return g, nil
-}
-
-// SaveCSR writes g to path in the CSR format.
-func SaveCSR(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteCSR(f, g)
-}
-
-// LoadCSR reads a CSR-format graph from a file, pre-stat'ing the size
-// against the header like LoadBinary.
-func LoadCSR(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	br := bufio.NewReaderSize(f, 1<<20)
-	hdr, err := readCSRHeader(br)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if want := hdr.expectedSize(); st.Size() != want {
-		return nil, fmt.Errorf("hgio: %s: csr file size %d, want %d (nodes=%d edges=%d)",
-			path, st.Size(), want, hdr.nodes, hdr.edges)
-	}
-	g, err := readCSRBody(br, hdr)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return g, nil
-}
-
-// MapCSR maps a CSR-format graph file, aliasing its arrays zero-copy
-// exactly as MapBinary does for hypergraphs: Stage-4 outputs persisted
-// with SaveCSR come back in O(pages touched), own their mapping, and
-// unmap on Close or GC. Validation covers the offset section only.
-func MapCSR(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Size() < headerSize {
-		return nil, fmt.Errorf("hgio: %s: truncated csr file: have %d bytes, want at least %d",
-			path, st.Size(), headerSize)
-	}
-	data, release, err := mapFile(f, st.Size())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	g, err := mapCSRData(path, data, st.Size())
-	if err != nil {
-		release()
-		return nil, err
-	}
-	g.SetReleaser(release)
-	return g, nil
-}
-
-// mapCSRData builds a graph over an already-mapped file image.
-func mapCSRData(path string, data []byte, size int64) (*graph.Graph, error) {
-	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
-		return nil, fmt.Errorf("hgio: %s: mapping is not 8-byte aligned", path)
-	}
-	hdr, err := readCSRHeader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if want := hdr.expectedSize(); size != want {
-		return nil, fmt.Errorf("hgio: %s: csr file size %d, want %d (nodes=%d edges=%d)",
-			path, size, want, hdr.nodes, hdr.edges)
-	}
-	nodes, adjLen := int64(hdr.nodes), 2*int64(hdr.edges)
-	pos := int64(headerSize)
-	off := asInt64s(data, pos, nodes+1)
-	pos += 8 * (nodes + 1)
-	if off[0] != 0 || off[nodes] != adjLen {
-		return nil, fmt.Errorf("hgio: %s: corrupt csr offsets [%d..%d], want [0..%d]", path, off[0], off[nodes], adjLen)
-	}
-	for i := int64(0); i < nodes; i++ {
-		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("hgio: %s: corrupt csr offset at node %d", path, i)
-		}
-	}
-	adj := asUint32s(data, pos, adjLen)
-	pos += 4 * adjLen
-	wgt := asUint32s(data, pos, adjLen)
-	pos += 4 * adjLen
-	var orig []uint32
-	if hdr.flags&csrFlagOrig != 0 {
-		orig = asUint32s(data, pos, nodes)
-	}
-	g, err := graph.FromCSR(int(hdr.nodes), int(hdr.edges), off, adj, wgt, orig)
-	if err != nil {
-		return nil, fmt.Errorf("hgio: %s: %w", path, err)
 	}
 	return g, nil
 }

@@ -14,12 +14,8 @@ import (
 // arrays directly as hg.Hypergraph slices via mmap: no parsing, no
 // copying, and load time proportional to the pages actually touched
 // rather than the file size — the out-of-core load path for datasets
-// that exceed RAM.
-//
-// A version-2 file maps fully zero-copy (both orientations live in the
-// file, 8-byte aligned). A version-1 file aliases the edge orientation
-// and derives the vertex orientation into the heap (one O(nnz) pass) —
-// re-save with SaveBinary to upgrade it.
+// that exceed RAM. Both orientations live in the file, 8-byte aligned,
+// so the whole hypergraph maps zero-copy.
 //
 // Validation is proportional to the offset sections only (monotone
 // offsets with correct endpoints, plus the exact-file-size check); the
@@ -79,28 +75,20 @@ func mapBinaryData(path string, data []byte, size int64) (*hg.Hypergraph, error)
 	eOff := asInt64s(data, pos, m+1)
 	pos += 8 * (m + 1)
 	eAdj := asUint32s(data, pos, nnz)
-	pos += 4 * nnz
+	pos += 4*nnz + pad4(hdr.nnz)
 	if err := validateEdgeCSR(eOff, nil, hdr.n, hdr.nnz); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-
-	var vOff []int64
-	var vAdj []uint32
-	if hdr.version == 1 {
-		vOff, vAdj = hg.Transpose(eOff, eAdj, int(n))
-	} else {
-		pos += pad4(hdr.nnz)
-		vOff = asInt64s(data, pos, n+1)
-		pos += 8 * (n + 1)
-		vAdj = asUint32s(data, pos, nnz)
-		if vOff[0] != 0 || vOff[n] != nnz {
-			return nil, fmt.Errorf("hgio: %s: corrupt vertex offsets [%d..%d], want [0..%d]",
-				path, vOff[0], vOff[n], nnz)
-		}
-		for v := int64(0); v < n; v++ {
-			if vOff[v] > vOff[v+1] {
-				return nil, fmt.Errorf("hgio: %s: corrupt vertex offset at vertex %d", path, v)
-			}
+	vOff := asInt64s(data, pos, n+1)
+	pos += 8 * (n + 1)
+	vAdj := asUint32s(data, pos, nnz)
+	if vOff[0] != 0 || vOff[n] != nnz {
+		return nil, fmt.Errorf("hgio: %s: corrupt vertex offsets [%d..%d], want [0..%d]",
+			path, vOff[0], vOff[n], nnz)
+	}
+	for v := int64(0); v < n; v++ {
+		if vOff[v] > vOff[v+1] {
+			return nil, fmt.Errorf("hgio: %s: corrupt vertex offset at vertex %d", path, v)
 		}
 	}
 	h, err := hg.FromCSR(int(m), int(n), eOff, eAdj, vOff, vAdj)

@@ -14,13 +14,13 @@ import (
 	"hyperline/internal/hg"
 )
 
-// writeV1Binary synthesizes a version-1 file image (edge orientation
-// only) for compatibility tests: magic, n/m/nnz, off u64[m+1],
+// writeV1Binary synthesizes a file image in the retired version-1
+// layout (edge orientation only): magic, n/m/nnz, off u64[m+1],
 // adj u32[nnz].
 func writeV1Binary(h *hg.Hypergraph) []byte {
 	eOff, eAdj, _, _ := h.CSR()
 	var buf bytes.Buffer
-	buf.Write(binaryMagic[:])
+	buf.WriteString("HLBIN\x00\x00\x01")
 	for _, v := range []uint64{uint64(h.NumVertices()), uint64(h.NumEdges()), uint64(len(eAdj))} {
 		binary.Write(&buf, binary.LittleEndian, v)
 	}
@@ -71,27 +71,41 @@ func TestMapBinaryMatchesReadBinary(t *testing.T) {
 	}
 }
 
-func TestMapBinaryV1File(t *testing.T) {
-	h := paperExample()
+// writeV1File writes a version-1 image to a temporary file and returns
+// the image and its path.
+func writeV1File(t *testing.T) ([]byte, string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "v1.bin")
-	if err := os.WriteFile(path, writeV1Binary(h), 0o644); err != nil {
+	image := writeV1Binary(paperExample())
+	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := MapBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	sameHypergraph(t, mapped, h)
+	return image, path
 }
 
-func TestReadBinaryV1File(t *testing.T) {
-	h := paperExample()
-	got, err := ReadBinary(bytes.NewReader(writeV1Binary(h)))
-	if err != nil {
-		t.Fatal(err)
+func wantV1Rejected(t *testing.T, reader string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("%s: error %v, want one naming version 1", reader, err)
 	}
-	sameHypergraph(t, got, h)
+}
+
+// TestReadBinaryV1File: the stream and file readers refuse a version-1
+// image with an error that names the version.
+func TestReadBinaryV1File(t *testing.T) {
+	image, path := writeV1File(t)
+	_, err := ReadBinary(bytes.NewReader(image))
+	wantV1Rejected(t, "ReadBinary", err)
+	_, err = LoadBinary(path)
+	wantV1Rejected(t, "LoadBinary", err)
+}
+
+// TestMapBinaryV1File: the mapping reader refuses a version-1 image with
+// an error that names the version.
+func TestMapBinaryV1File(t *testing.T) {
+	_, path := writeV1File(t)
+	_, err := MapBinary(path)
+	wantV1Rejected(t, "MapBinary", err)
 }
 
 func TestLoadBinaryTruncated(t *testing.T) {
@@ -209,46 +223,6 @@ func TestCSRRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCSRFileHelpers(t *testing.T) {
-	g := testGraph(true)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.csr")
-	if err := SaveCSR(path, g); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCSR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Edges(), g.Edges()) {
-		t.Fatal("LoadCSR changed the edge set")
-	}
-	mapped, err := MapCSR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if !mapped.Mapped() {
-		t.Error("MapCSR result not marked as mapped")
-	}
-	if !reflect.DeepEqual(mapped.Edges(), g.Edges()) {
-		t.Fatal("MapCSR changed the edge set")
-	}
-
-	// Truncation and corruption are rejected.
-	full, _ := os.ReadFile(path)
-	bad := filepath.Join(dir, "bad.csr")
-	if err := os.WriteFile(bad, full[:len(full)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCSR(bad); err == nil {
-		t.Error("LoadCSR accepted a truncated file")
-	}
-	if _, err := MapCSR(bad); err == nil {
-		t.Error("MapCSR accepted a truncated file")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 //
 // A projection payload is a little-endian uint32 meta length, a JSON
 // meta document (everything in core.PipelineResult except the graph),
-// and an hgio CSR stream for the graph itself — the same on-disk graph
-// container MapCSR understands, so the spilled bytes double as a
+// and an hgio CSR stream for the graph itself — the on-disk graph
+// container hgio.ReadCSR reads, so the spilled bytes double as a
 // portable projection dump. A measure payload is a gob of MeasureEntry
 // (all-exported, small). Both decode back to objects that answer
 // queries byte-identically to the originals; timings and plan metadata
