@@ -15,6 +15,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"hyperline"
 	"hyperline/internal/algo"
@@ -603,4 +604,35 @@ func BenchmarkColdSingle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkColdSweep is one bench/ cold-sweep operation — Execute at
+// s=1..8 on the Friendster analog at scale 2 (bench/dataset.go), no
+// cache: one ensemble counting pass and eight Stage-4 builds. It
+// reports the Stage-3 time and stage4_wall_ms, what the operation took
+// beyond Stages 1-3 — the builds' wall time, which the per-s Squeeze
+// values no longer add up to once the builds overlap.
+func BenchmarkColdSweep(b *testing.B) {
+	h := gen.Community(gen.CommunityConfig{
+		Seed: 1003, NumVertices: 120000, NumCommunities: 6000,
+		MeanCommunitySize: 6, MaxCommunitySize: 120,
+		EdgesPerCommunity: 3, Background: 16000,
+	})
+	q := hyperline.Query{Hypergraph: h, S: []int{1, 2, 3, 4, 5, 6, 7, 8}}
+	var stage3, stage4 time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		res, err := hyperline.Execute(context.Background(), q)
+		wall := time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t := res.Entries[0].Timings()
+		stage3 += t.SOverlap
+		stage4 += wall - t.Preprocess - t.Toplex - t.SOverlap
+	}
+	b.ReportMetric(float64(stage3.Microseconds())/1e3/float64(b.N), "stage3_ms")
+	b.ReportMetric(float64(stage4.Microseconds())/1e3/float64(b.N), "stage4_wall_ms")
 }

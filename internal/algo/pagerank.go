@@ -43,7 +43,7 @@ func (o PageRankOptions) defaults() PageRankOptions {
 // edge — then gathers next[u] = base + d·Σ contrib[v] over u's CSR row.
 // The gather is the only parallel loop (par.ForChunks: one worker is
 // one plain loop, no goroutine); s-sweeps get their parallelism across
-// s values instead (measure.EachS). The result is bit-identical for any
+// s values instead (par.EachS). The result is bit-identical for any
 // Workers/Grain/Strategy, the measures engine's determinism contract:
 // every next[u] is computed within one iteration from the same operands
 // in the same row order, and the L1 convergence delta is summed serially

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 
 	"hyperline/internal/hg"
@@ -253,9 +254,9 @@ const denseStopChunk = 8192
 // counting: with at least one wedge per denseRatio slots of the counter
 // tail (ei, m) the iteration is dense — bare increments, then one
 // sequential scan of the tail, whose output is already V-sorted —
-// otherwise sparse — increments that also record first touches, then a
-// walk of the touched slots and a V-sort. The scan reads a slot for
-// about a quarter of what a recorded, revisited and sorted touch costs.
+// otherwise sparse — increments that also set a mark bit, then a walk
+// of the marked slots in ascending ID. The scan reads a slot for about
+// a quarter of what a marked and revisited touch costs.
 const denseRatio = 4
 
 func (t stage3Tune) dense(wedges, tail int) bool {
@@ -270,42 +271,50 @@ func (t stage3Tune) dense(wedges, tail int) bool {
 // accumulated for (ei, ej) in the iteration in flight and is zero for
 // every ej between iterations — each iteration resets exactly what it
 // may have touched. A uint32 count cannot overflow (an overlap
-// is at most a hyperedge size). touched has one slot of slack past m:
-// the sparse count loop stores the candidate unconditionally and
-// advances only on a first touch.
+// is at most a hyperedge size). The sparse regime also keeps a
+// two-level touched bitmap: bit ej of marks is set when counts[ej] is
+// bumped, and bit w of summary when marks[w] gains a bit, so the walk
+// finds every touched slot in ascending ID while skipping 4096 untouched
+// slots per clear summary bit. Both are all zero between iterations.
 type plainCounters struct {
 	counts  []uint32
-	touched []uint32
+	marks   []uint64 // one bit per hyperedge
+	summary []uint64 // one bit per marks word
 }
 
 func newPlainCounters(workers, m int) []plainCounters {
 	cs := make([]plainCounters, workers)
+	words := (m + 63) >> 6
 	for i := range cs {
-		cs[i] = plainCounters{counts: make([]uint32, m), touched: make([]uint32, m+1)}
+		cs[i] = plainCounters{
+			counts:  make([]uint32, m),
+			marks:   make([]uint64, words),
+			summary: make([]uint64, (words+63)>>6),
+		}
 	}
 	return cs
 }
 
 // count adds the wedge endpoints of runs to the counters, polling stop
 // once per run and once per denseStopChunk endpoints within a run. The
-// sparse regime also lists each endpoint's first touch and returns how
-// many there were; ok is false when the count stopped early.
-func (c *plainCounters) count(runs [][]uint32, dense bool, stop *stopFlag) (nt int, ok bool) {
+// sparse regime also marks each endpoint; ok is false when the count
+// stopped early.
+func (c *plainCounters) count(runs [][]uint32, dense bool, stop *stopFlag) (ok bool) {
 	for _, run := range runs {
 		for len(run) > 0 {
 			if stop.Stop() {
-				return 0, false
+				return false
 			}
 			chunk := run[:min(len(run), denseStopChunk)]
 			run = run[len(chunk):]
 			if dense {
 				bump(c.counts, chunk)
 			} else {
-				nt = bumpTouched(c.counts, c.touched, nt, chunk)
+				bumpMarked(c.counts, c.marks, c.summary, chunk)
 			}
 		}
 	}
-	return nt, true
+	return true
 }
 
 // bump is the dense regime's inner loop, kept out of line: inlined into
@@ -318,52 +327,77 @@ func bump(counts, chunk []uint32) {
 	}
 }
 
-// bumpTouched is the sparse regime's inner loop: it stores the endpoint
-// at touched[nt] unconditionally and advances nt only on a first touch,
-// so the unpredictable "seen before?" outcome is never a branch.
+// bumpMarked is the sparse regime's inner loop: it counts the endpoint
+// and sets its mark and summary bits unconditionally, so the
+// unpredictable "seen before?" outcome is never a branch.
 //
 //go:noinline
-func bumpTouched(counts, touched []uint32, nt int, chunk []uint32) int {
+func bumpMarked(counts []uint32, marks, summary []uint64, chunk []uint32) {
 	for _, ej := range chunk {
-		n := counts[ej]
-		touched[nt] = ej
-		nt += int((uint64(n) - 1) >> 63) // 1 iff n == 0
-		counts[ej] = n + 1
+		counts[ej]++
+		marks[ej>>6] |= 1 << (ej & 63)
+		summary[ej>>12] |= 1 << ((ej >> 6) & 63)
 	}
-	return nt
 }
 
 // hashmapIterDense processes one hyperedge with the pre-allocated dense
 // counters (TLS mode) in the given regime: count the gathered runs, emit
 // every count ≥ s into st.seg in ascending ej, and zero what was counted.
 func hashmapIterDense(c *plainCounters, st *outerWorker, ei uint32, s int, dense bool) bool {
-	nt, ok := c.count(st.runs, dense, st.stop)
-	if !ok {
+	if !c.count(st.runs, dense, st.stop) {
 		return false
 	}
+	if !dense {
+		return c.emitMarked(st, ei, s)
+	}
 	seg := st.seg
-	if dense {
-		// Slots ≤ ei are never touched (upper-triangle rule), so the
-		// scan and the reset cover the tail only.
-		first := ei + 1
-		tail := c.counts[first:]
-		for lo := 0; lo < len(tail); lo += denseStopChunk {
-			if st.stop.Stop() {
-				return false
-			}
-			for j, n := range tail[lo:min(lo+denseStopChunk, len(tail))] {
-				if int(n) >= s {
-					seg = append(seg, Edge{U: ei, V: first + uint32(lo+j), W: n})
-				}
+	// Slots ≤ ei are never touched (upper-triangle rule), so the scan
+	// and the reset cover the tail only.
+	first := ei + 1
+	tail := c.counts[first:]
+	for lo := 0; lo < len(tail); lo += denseStopChunk {
+		if st.stop.Stop() {
+			return false
+		}
+		for j, n := range tail[lo:min(lo+denseStopChunk, len(tail))] {
+			if int(n) >= s {
+				seg = append(seg, Edge{U: ei, V: first + uint32(lo+j), W: n})
 			}
 		}
-		clear(tail)
-	} else {
-		for lo := 0; lo < nt; lo += denseStopChunk {
-			if st.stop.Stop() {
-				return false
-			}
-			for _, ej := range c.touched[lo:min(lo+denseStopChunk, nt)] {
+	}
+	clear(tail)
+	st.seg = seg
+	return true
+}
+
+// emitMarked is the sparse regime's emission: it walks the summary
+// words covering (ei, hi], where hi is the iteration's highest touched
+// ID, and within each set summary bit the marks word it names, so the
+// counts come out in ascending ej with no sort. Every count, mark and
+// summary word it visits is zeroed. Stop is polled once per summary
+// word, that is once per 4096 counter slots at most.
+func (c *plainCounters) emitMarked(st *outerWorker, ei uint32, s int) bool {
+	// Runs are sorted suffixes: the highest touched ID is the largest
+	// last element.
+	var hi uint32
+	for _, run := range st.runs {
+		hi = max(hi, run[len(run)-1])
+	}
+	seg := st.seg
+	for sw := (ei + 1) >> 12; sw <= hi>>12; sw++ {
+		if st.stop.Stop() {
+			return false
+		}
+		sbits := c.summary[sw]
+		c.summary[sw] = 0
+		for sbits != 0 {
+			mw := sw<<6 | uint32(bits.TrailingZeros64(sbits))
+			sbits &= sbits - 1
+			mbits := c.marks[mw]
+			c.marks[mw] = 0
+			for mbits != 0 {
+				ej := mw<<6 | uint32(bits.TrailingZeros64(mbits))
+				mbits &= mbits - 1
 				n := c.counts[ej]
 				c.counts[ej] = 0
 				if int(n) >= s {
@@ -371,7 +405,6 @@ func hashmapIterDense(c *plainCounters, st *outerWorker, ei uint32, s int, dense
 				}
 			}
 		}
-		sortSegmentByV(seg)
 	}
 	st.seg = seg
 	return true

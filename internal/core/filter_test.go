@@ -99,24 +99,36 @@ func BenchmarkFilterEdgesGE(b *testing.B) {
 // (gather, count, emit, reset, block store, assembly) on one worker,
 // once per regime: dense on overlapping communities whose iterations
 // cover most of the counter tail, sparse on small communities that
-// touch a sliver of it. The regime is forced so each name measures what
-// it says; wedges/s is the rate the bench/ ledger calls
-// core.mwedges_per_s. map runs the dense input through mapIter: dense
-// vs map is the paper's §III-F pre-allocated vs dynamic table.
+// touch a sliver of it, and sparse-large on the same generator at 16×
+// the hyperedges, where the sparse walk's span over summary words is
+// widest. The regime is forced so each name measures what it says;
+// wedges/s is the rate the bench/ ledger calls core.mwedges_per_s. map
+// runs the dense input through mapIter: dense vs map is the paper's
+// §III-F pre-allocated vs dynamic table.
 func BenchmarkStage3Kernel(b *testing.B) {
 	overlapping := gen.CommunityConfig{Seed: 99, NumVertices: 4000, NumCommunities: 70,
 		MeanCommunitySize: 45, EdgesPerCommunity: 50, Background: 1000}
 	small := gen.CommunityConfig{Seed: 1003, NumVertices: 60000, NumCommunities: 3000,
 		MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3, Background: 8000}
+	large := small // the Friendster analog ×16: m = 272 000
+	large.NumVertices *= 16
+	large.NumCommunities *= 16
+	large.Background *= 16
 	for _, bc := range []struct {
 		name string
 		cfg  gen.CommunityConfig
 		s    int
-	}{{"dense", overlapping, 8}, {"sparse", small, 1}, {"map", overlapping, 8}} {
+		run  string
+	}{
+		{"dense", overlapping, 8, "dense"},
+		{"sparse", small, 1, "sparse"},
+		{"sparse-large", large, 1, "sparse"},
+		{"map", overlapping, 8, "map"},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := gen.Community(bc.cfg)
 			cfg := Config{Algorithm: AlgoHashmap, Workers: 1}
-			run := stage3Runs(0)[bc.name]
+			run := stage3Runs(0)[bc.run]
 			var wedges int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -6,6 +6,7 @@ import (
 
 	"hyperline/internal/graph"
 	"hyperline/internal/hg"
+	"hyperline/internal/par"
 	"hyperline/internal/toplex"
 )
 
@@ -85,12 +86,14 @@ type PipelineConfig struct {
 }
 
 // StageTimings records wall-clock time per pipeline stage — the rows of
-// the paper's Table I.
+// the paper's Table I. Squeeze is one s's own build: the builds of a
+// sweep may run side by side, so per-s Squeeze values of one batch do
+// not add up to the batch's wall time.
 type StageTimings struct {
 	Preprocess time.Duration // Stage 1: cleanup + relabel-by-degree (only the order scan when the order is the identity)
 	Toplex     time.Duration // Stage 2 (optional)
 	SOverlap   time.Duration // Stage 3: the s-line edge list (dominant)
-	Squeeze    time.Duration // Stage 4: ID squeezing + graph build
+	Squeeze    time.Duration // Stage 4: ID squeezing + graph build of this s alone
 }
 
 // Total sums all stages.
@@ -213,17 +216,19 @@ func planningStats(p prepared, sValues []int, cfg PipelineConfig) hg.Stats {
 // preprocessing knobs (ResolveConfig), preprocessing and toplex
 // simplification run once, the planner resolves the s-overlap strategy
 // from the hypergraph's statistics and the batch shape (PlanQuery), and
-// Stage 4 builds one graph per s. The result maps each
-// distinct clamped s to its projection.
+// Stage 4 builds one graph per s, the builds of a sweep sharing the
+// worker budget through par.EachS. The result maps each distinct
+// clamped s to its projection.
 //
 // Cancellation is cooperative: the pipeline checks ctx between stages
 // and the Stage-3 strategies poll it inside their worker loops, so a
 // cancelled or expired context aborts within roughly one worker
-// iteration plus one Stage-4 build and RunBatch returns ctx.Err(). A
-// nil ctx is treated as context.Background().
+// iteration plus the Stage-4 builds already started, and RunBatch
+// returns ctx.Err(). A nil ctx is treated as context.Background().
 //
 // Stage timings on each result share the pipeline-wide preprocessing
-// and s-overlap costs; squeeze time is per s. Stats are aggregated
+// and s-overlap costs; squeeze time is that s's own build, and builds
+// of one batch may overlap. Stats are aggregated
 // across the batch (multi-s strategies may share one counting pass).
 // When cfg.Costs is set, the measured Stage-3 cost per distinct s is
 // recorded into it after a successful pass.
@@ -266,18 +271,23 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	plan.Toplex = cfg.Toplex.Enabled()
 	plan.KnobReason = cfg.KnobReason
 
-	for s, edges := range lists {
-		// Checkpoint between per-s Stage-4 builds.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	// Stage 4: one graph per s, scheduled like a Stage-5 sweep — the
+	// builds share the worker budget by edge count, a single s (or a
+	// budget of one) builds inline with the whole budget. Each build
+	// checks ctx before it starts and writes only its own slot.
+	results := make([]*PipelineResult, len(distinct))
+	weight := func(i int) int { return len(lists[distinct[i]]) }
+	par.EachS(len(distinct), cfg.Core.parOptions(), weight, func(i int, inner par.Options) {
+		if ctx.Err() != nil {
+			return
 		}
 		t3 := time.Now()
 		// Every registered strategy emits each list sorted and deduped
-		// with U < V, so Stage 4 takes the parallel zero-copy path.
-		g := graph.BuildSorted(p.work.NumEdges(), edges, !cfg.NoSqueeze, cfg.Core.parOptions())
+		// with U < V, so Stage 4 takes the zero-copy path.
+		g := graph.BuildSorted(p.work.NumEdges(), lists[distinct[i]], !cfg.NoSqueeze, inner)
 		squeeze := time.Since(t3)
 		r := &PipelineResult{
-			S:     s,
+			S:     distinct[i],
 			Graph: g,
 			Stats: stats,
 			Timings: StageTimings{
@@ -292,7 +302,13 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 		for node := 0; node < g.NumNodes(); node++ {
 			r.HyperedgeIDs[node] = p.edgeOrig[g.OrigID(uint32(node))]
 		}
-		out[s] = r
+		results[i] = r
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, r := range results {
+		out[r.S] = r
 	}
 	return out, nil
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"hyperline/internal/gen"
 	"hyperline/internal/hg"
 )
 
@@ -183,6 +185,62 @@ func TestPipelineWeightsExact(t *testing.T) {
 		u, v := res.HyperedgeID(e.U), res.HyperedgeID(e.V)
 		if want := h.Inc(u, v); int(e.W) != want {
 			t.Fatalf("edge (%d,%d) weight %d, want %d", u, v, e.W, want)
+		}
+	}
+}
+
+// TestSweepBuildsAtAnyBudget: a sweep's Stage-4 builds share the worker
+// budget through par.EachS, which changes who builds when, never what
+// is built — every budget gives the same CSR arrays, node-to-hyperedge
+// maps, Stats (apart from the per-worker breakdown, whose length is the
+// budget) and Plan, and each graph is the one a single-s run builds.
+func TestSweepBuildsAtAnyBudget(t *testing.T) {
+	// Lift GOMAXPROCS so Workers 8 is a budget of eight on any box.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	h := gen.Community(gen.CommunityConfig{
+		Seed: 7, NumVertices: 3000, NumCommunities: 120,
+		MeanCommunitySize: 12, MaxCommunitySize: 200, EdgesPerCommunity: 6, Background: 900,
+	})
+	sweep := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	type built struct {
+		off         []int64
+		adj, wgt    []uint32
+		orig, hedge []uint32
+	}
+	snap := func(r *PipelineResult) built {
+		off, adj, wgt, orig := r.Graph.CSR()
+		return built{off, adj, wgt, orig, r.HyperedgeIDs}
+	}
+	single := make(map[int]built, len(sweep))
+	for _, s := range sweep {
+		single[s] = snap(pipelineAt(t, h, s, PipelineConfig{Core: Config{Workers: 1}}))
+	}
+	if len(single[8].adj) == 0 {
+		t.Fatal("s=8 projection is empty: the sweep does not exercise every build")
+	}
+	var wantStats Stats
+	var wantPlan PlanInfo
+	for _, w := range []int{1, 2, 3, 8} {
+		out, err := RunBatch(context.Background(), h, sweep, PipelineConfig{Core: Config{Workers: w}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sweep {
+			r := out[s]
+			if got := snap(r); !reflect.DeepEqual(got, single[s]) {
+				t.Fatalf("workers=%d s=%d: sweep build differs from the single-s build", w, s)
+			}
+			stats := r.Stats
+			if len(stats.WedgesPerWorker) != w {
+				t.Fatalf("workers=%d s=%d: %d per-worker wedge counts", w, s, len(stats.WedgesPerWorker))
+			}
+			stats.WedgesPerWorker = nil
+			if w == 1 && s == sweep[0] {
+				wantStats, wantPlan = stats, r.Plan
+			}
+			if !reflect.DeepEqual(stats, wantStats) || r.Plan != wantPlan {
+				t.Fatalf("workers=%d s=%d: stats %+v plan %+v, want %+v %+v", w, s, stats, r.Plan, wantStats, wantPlan)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -178,6 +180,61 @@ func TestBlockRollOver(t *testing.T) {
 	}
 }
 
+// bitmapGraph is a generated hypergraph with m = 2·4096 + 65
+// hyperedges — three summary words, the last one barely started — of
+// one to four uniform random vertices, plus two hub vertices joining
+// the hyperedges on either side of every marks-word (64) and
+// summary-word (4096) boundary, and the last one. The hubs make every
+// pair of those hyperedges overlap by at least 2, so s = 2 crosses the
+// boundaries too.
+func bitmapGraph() *hg.Hypergraph {
+	const m, n = 2*4096 + 65, 20000
+	r := rand.New(rand.NewSource(41))
+	edges := make([][]uint32, m)
+	for e := range edges {
+		for k := r.Intn(4); k >= 0; k-- {
+			edges[e] = append(edges[e], uint32(r.Intn(n)))
+		}
+	}
+	for _, e := range []int{0, 62, 63, 64, 4095, 4096, 4097, 8191, 8192, m - 1} {
+		edges[e] = append(edges[e], n, n+1)
+	}
+	return hg.FromEdgeSlices(edges, n+2)
+}
+
+// TestBitmapBoundaries: the sparse walk finds touched slots on both
+// sides of every marks-word and summary-word boundary and in the last,
+// partial summary word — forced sparse, forced dense and mapIter agree
+// at every worker count, under both distributions.
+func TestBitmapBoundaries(t *testing.T) {
+	h := bitmapGraph()
+	runs := stage3Runs(0)
+	for _, s := range []int{1, 2} {
+		want, _, err := runs["map"](h, s, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := uint32(h.NumEdges() - 1)
+		if !slices.ContainsFunc(want, func(e Edge) bool { return e.U == 0 && e.V == last }) {
+			t.Fatalf("s=%d: hub pair (0, m-1) missing from the reference: the input does not reach the last word", s)
+		}
+		for _, name := range []string{"sparse", "dense", "map"} {
+			for _, w := range []int{1, 2, 3} {
+				for _, strat := range []par.Strategy{par.Blocked, par.Cyclic} {
+					got, _, err := runs[name](h, s, Config{Workers: w, Partition: strat})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !edgeListsEqual(want, got) {
+						t.Fatalf("s=%d %s workers=%d %v: diverges from mapIter (%d vs %d edges)",
+							s, name, w, strat, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
 // denseProbe runs Algorithm 2's outer loop over counters the test can
 // inspect afterwards, calling hook (when set) before each iteration.
 func denseProbe(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune stage3Tune, hook func()) ([]plainCounters, []Edge, error) {
@@ -194,8 +251,9 @@ func denseProbe(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, tune s
 
 // TestSegmentsLeaveCountersZero: each iteration resets exactly what it
 // touched, in both regimes, so an uncancelled run hands back all-zero
-// counters — the invariant the next iteration's bare increments and
-// the next run's first-touch test both stand on.
+// counters and an all-zero touched bitmap (marks and summary) — the
+// invariant the next iteration's bare increments and the sparse walk,
+// which visits only marked slots, both stand on.
 func TestSegmentsLeaveCountersZero(t *testing.T) {
 	h := regimeGraph()
 	want := NaiveAllPairs(h, 2)
@@ -212,6 +270,16 @@ func TestSegmentsLeaveCountersZero(t *testing.T) {
 			for ej, n := range c.counts {
 				if n != 0 {
 					t.Fatalf("regime=%d: worker %d left counts[%d] = %d", regime, w, ej, n)
+				}
+			}
+			for i, word := range c.marks {
+				if word != 0 {
+					t.Fatalf("regime=%d: worker %d left marks[%d] = %#x", regime, w, i, word)
+				}
+			}
+			for i, word := range c.summary {
+				if word != 0 {
+					t.Fatalf("regime=%d: worker %d left summary[%d] = %#x", regime, w, i, word)
 				}
 			}
 		}

@@ -20,9 +20,10 @@
 // property tests in this package enforce it across workers and across
 // pipeline strategies.
 //
-// An s-sweep is parallel across its s values: EachS (sweep.go) is the
-// one per-s loop, dividing the request's workers over the sweep by
-// projection size and handing each Compute its share as par.Options.
+// An s-sweep is parallel across its s values: par.EachS, which
+// ComputeSweep (sweep.go) wraps, is the one per-s loop, dividing the
+// request's workers over the sweep by projection size and handing each
+// Compute its share as par.Options.
 // The share an s receives depends on the rest of the sweep, so the
 // determinism contract is what keeps a value — and the cache key that
 // excludes execution options — independent of which sweep computed it.

@@ -11,6 +11,9 @@ import (
 	"hyperline/internal/par"
 )
 
+// These tests pin par.EachS, the sweep scheduler ComputeSweep and
+// Service.Query run Stage 5 on (and core.RunBatch a sweep's Stage 4).
+
 // probe records what EachS did with one sweep: how often each index
 // ran, the share it was given, and the most workers ever in flight.
 type probe struct {
@@ -61,7 +64,7 @@ func TestEachSSharesAndBudget(t *testing.T) {
 			n := len(tc.weights)
 			p := newProbe(n)
 			budget := par.Options{Workers: tc.budget, Grain: 7, Strategy: par.Cyclic}
-			EachS(n, budget, func(i int) int { return tc.weights[i] }, func(i int, inner par.Options) {
+			par.EachS(n, budget, func(i int) int { return tc.weights[i] }, func(i int, inner par.Options) {
 				if inner.Grain != budget.Grain || inner.Strategy != budget.Strategy {
 					t.Errorf("index %d: inner %+v lost the budget's grain or strategy", i, inner)
 				}
@@ -102,7 +105,7 @@ func TestEachSFlatSweepRunsBudgetSideBySide(t *testing.T) {
 	var barrier sync.WaitGroup
 	barrier.Add(budget)
 	var arrived atomic.Int32
-	EachS(n, par.Options{Workers: budget}, func(int) int { return 1 }, func(i int, inner par.Options) {
+	par.EachS(n, par.Options{Workers: budget}, func(int) int { return 1 }, func(i int, inner par.Options) {
 		p.enter(i, inner)
 		if arrived.Add(1) <= budget {
 			barrier.Done()
@@ -135,7 +138,7 @@ func onCallersGoroutine(testName string) bool {
 func TestEachSSingleRunsInlineWithWholeBudget(t *testing.T) {
 	for _, budget := range []int{1, 2, 8} {
 		ran := false
-		EachS(1, par.Options{Workers: budget}, func(int) int { return 123 }, func(i int, inner par.Options) {
+		par.EachS(1, par.Options{Workers: budget}, func(int) int { return 123 }, func(i int, inner par.Options) {
 			ran = true
 			if inner.Workers != budget {
 				t.Errorf("budget %d: single s got %d workers", budget, inner.Workers)
@@ -149,7 +152,7 @@ func TestEachSSingleRunsInlineWithWholeBudget(t *testing.T) {
 		}
 	}
 	// The unset budget is GOMAXPROCS, as everywhere in par.
-	EachS(1, par.Options{}, func(int) int { return 1 }, func(_ int, inner par.Options) {
+	par.EachS(1, par.Options{}, func(int) int { return 1 }, func(_ int, inner par.Options) {
 		if inner.Workers != runtime.GOMAXPROCS(0) {
 			t.Errorf("unset budget: got %d workers, want GOMAXPROCS", inner.Workers)
 		}
@@ -160,7 +163,7 @@ func TestEachSDominantWeightKeepsAlmostEveryWorker(t *testing.T) {
 	for _, budget := range []int{2, 4, 8, 32} {
 		weights := []int{3, 1_000_000, 2, 5}
 		p := newProbe(len(weights))
-		EachS(len(weights), par.Options{Workers: budget}, func(i int) int { return weights[i] }, func(i int, inner par.Options) {
+		par.EachS(len(weights), par.Options{Workers: budget}, func(i int) int { return weights[i] }, func(i int, inner par.Options) {
 			p.enter(i, inner)
 			p.leave(i)
 		})
@@ -175,7 +178,7 @@ func TestEachSDominantWeightKeepsAlmostEveryWorker(t *testing.T) {
 func TestEachSStartsHeaviestFirst(t *testing.T) {
 	weights := []int{4, 9, 4, 30, 1}
 	var order []int
-	EachS(len(weights), par.Options{Workers: 1}, func(i int) int { return weights[i] }, func(i int, _ par.Options) {
+	par.EachS(len(weights), par.Options{Workers: 1}, func(i int) int { return weights[i] }, func(i int, _ par.Options) {
 		order = append(order, i)
 	})
 	if want := []int{3, 1, 0, 2, 4}; !slices.Equal(order, want) {

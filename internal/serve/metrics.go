@@ -22,7 +22,7 @@ import (
 // breaking changes for scrapers.
 
 // stageLabels orders the per-stage histograms the way StageTimings
-// orders the pipeline; "total" is their sum per pass.
+// orders the pipeline; "total" is the wall time of a pass.
 var stageLabels = [...]string{"preprocess", "toplex", "soverlap", "squeeze", "total"}
 
 // latencyBuckets are the histogram upper bounds in seconds, spanning
@@ -62,14 +62,17 @@ func newMetrics() *metrics {
 	return &metrics{responses: make(map[int]int64)}
 }
 
-// observeStages feeds one pipeline pass's per-stage timings into the
-// histograms.
-func (m *metrics) observeStages(t core.StageTimings) {
+// observePass feeds one pipeline pass into the histograms: Stages 1-3
+// are shared by every s of the pass, total is the pass's wall time, and
+// squeeze is what that wall time spent beyond Stages 1-3 — all of the
+// pass's Stage-4 builds, never negative.
+func (m *metrics) observePass(t core.StageTimings, wall time.Duration) {
+	shared := t.Preprocess + t.Toplex + t.SOverlap
 	m.stages[0].observe(t.Preprocess)
 	m.stages[1].observe(t.Toplex)
 	m.stages[2].observe(t.SOverlap)
-	m.stages[3].observe(t.Squeeze)
-	m.stages[4].observe(t.Total())
+	m.stages[3].observe(max(wall-shared, 0))
+	m.stages[4].observe(wall)
 }
 
 // countResponse records one HTTP response code.

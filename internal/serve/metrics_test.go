@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"hyperline/internal/core"
 )
 
 // metricFamilies is the exposition contract: every family /metrics must
@@ -203,4 +207,45 @@ func TestMetricsCountersMonotonicAndTruthful(t *testing.T) {
 	if d := delta(`hyperline_http_responses_total{code="404"}`); d != 1 {
 		t.Errorf("404s grew by %g, want 1", d)
 	}
+}
+
+// TestStageHistogramsCoverWholeSweep: the stage histograms record one
+// observation per pipeline pass, and a sweep's pass is all of its s
+// values — squeeze holds every build of the sweep, not one of them.
+// At one worker the builds run one after another, so the recorded
+// squeeze is at least the sum of the per-s build times.
+func TestStageHistogramsCoverWholeSweep(t *testing.T) {
+	svc := New(Config{})
+	svc.Add("g", sweepDataset())
+	before := make([]histogramSnap, len(stageLabels))
+	for i := range stageLabels {
+		before[i] = snapHistogram(&svc.metrics.stages[i])
+	}
+	qr, err := svc.Query(context.Background(), lineQ("g", core.PipelineConfig{Core: core.Config{Workers: 1}}, 1, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builds time.Duration
+	for _, e := range qr.Entries {
+		if e.Err != nil || e.Cached {
+			t.Fatalf("s=%d: err %v, cached %v; want a fresh projection", e.S, e.Err, e.Cached)
+		}
+		builds += e.Res.Timings.Squeeze
+	}
+	for i, label := range stageLabels {
+		got := snapHistogram(&svc.metrics.stages[i])
+		if n := got.count - before[i].count; n != 1 {
+			t.Errorf("stage %s: count rose by %d over one sweep pass, want 1", label, n)
+		}
+	}
+	squeeze := time.Duration(svc.metrics.stages[3].sumNS.Load() - before[3].sumNS)
+	if squeeze < builds {
+		t.Errorf("squeeze histogram gained %v for the pass, less than its three builds' %v", squeeze, builds)
+	}
+}
+
+type histogramSnap struct{ count, sumNS int64 }
+
+func snapHistogram(h *histogram) histogramSnap {
+	return histogramSnap{h.count.Load(), h.sumNS.Load()}
 }

@@ -169,7 +169,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 		// each writes only its own entry.
 		budget := par.Options{Workers: q.Cfg.Core.Workers, Grain: q.Cfg.Core.Grain, Strategy: q.Cfg.Core.Partition}
 		weight := func(k int) int { return measure.Weight(projs[missing[k]].res) }
-		measure.EachS(len(missing), budget, weight, func(k int, inner par.Options) {
+		par.EachS(len(missing), budget, weight, func(k int, inner par.Options) {
 			sVal := missing[k]
 			e := &out.Entries[index[sVal]]
 			e.Res = projs[sVal].res

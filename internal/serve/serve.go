@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"hyperline/internal/core"
 	"hyperline/internal/hg"
@@ -280,16 +281,18 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 			if aerr != nil {
 				return nil, aerr
 			}
+			t0 := time.Now()
 			computed, err := func() (map[int]*core.PipelineResult, error) {
 				defer release()
 				return core.RunBatch(fctx, h, compute, cfg)
 			}()
+			wall := time.Since(t0)
 			if err != nil {
 				return nil, err
 			}
 			s.projectionComputes.Add(int64(len(computed)))
 			if res := computed[compute[0]]; res != nil {
-				s.metrics.observeStages(res.Timings)
+				s.metrics.observePass(res.Timings, wall)
 			}
 			for sVal, res := range computed {
 				s.cache.Put(key(sVal), &projEntry{res: res})

@@ -105,7 +105,7 @@ func LargestComponent(g *graph.Graph) *graph.Graph {
 
 // normalizedLambda2Connected computes λ₂(L̂) of a connected graph and
 // the number of power iterations it took. The loop is serial — an
-// s-sweep runs its s values side by side instead (measure.EachS) — and
+// s-sweep runs its s values side by side instead (par.EachS) — and
 // each iteration scales x once per node, z = D^{-1/2}x, so the mat-vec's
 // inner loop is a plain gather over the CSR row: the same products summed
 // in the same order as multiplying per edge.
