@@ -36,7 +36,8 @@
 //
 // -max-inflight and -shed-cost-budget turn on admission control: they
 // bound concurrent Stage-3 work by request count and by summed
-// planner-estimated cost (~ms units — see /v1/datasets/{name}/costs).
+// planner-estimated cost (one unit per 50 000 wedge pairs of the
+// dataset's statistics, roughly a millisecond of Stage-3 work).
 // When saturated, interactive requests wait in a bounded FIFO queue
 // (-max-queue) and overflow is shed with 429 + Retry-After; background
 // work (-warmup, "priority":"background" queries) never queues. GET
@@ -66,7 +67,6 @@
 //	curl 'localhost:8080/v2/datasets/web/changes?since=1&timeout_ms=5000'
 //	curl 'localhost:8080/v1/measures'
 //	curl 'localhost:8080/v1/cache'
-//	curl 'localhost:8080/v1/datasets/web/costs'
 //
 // Requests may leave the preprocessing knobs to the planner: a config
 // notation with '*' in the relabel position (e.g. "2C*", "AB*") and/or
@@ -74,11 +74,9 @@
 // before any cache key is derived, so planner-chosen and pinned
 // requests share cache entries whenever they resolve to the same
 // configuration. The response's "plan" reports the resolved knobs and
-// the reason ("knob_reason"). Planning reads the dataset's statistics
-// only. Observed Stage-3 costs per (strategy, knobs, batch shape) feed
-// an online cost table — inspectable at /v1/datasets/{name}/costs —
-// that prices admission once a cell has enough observations; replacing
-// a dataset resets it along with the version.
+// the reason ("knob_reason"). Planning and admission pricing read the
+// dataset's statistics only, so the same query on the same dataset
+// version is planned and priced the same whatever ran before it.
 package main
 
 import (
@@ -170,7 +168,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request timeout applied via the request context (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window after SIGINT/SIGTERM")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently admitted Stage-3 passes; excess interactive requests queue then shed with 429 (0 = unlimited)")
-	shedCostBudget := flag.Int64("shed-cost-budget", 0, "max summed planner-estimated cost of admitted Stage-3 work, in ~ms units (0 = unlimited)")
+	shedCostBudget := flag.Int64("shed-cost-budget", 0, "max summed planner-estimated cost of admitted Stage-3 work, in units of 50k wedge pairs (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max interactive requests waiting for admission before 429 (0 = default 64)")
 	maxPerDataset := flag.Int("max-inflight-per-dataset", 0, "max concurrently admitted Stage-3 passes per dataset; excess is shed immediately with 429 (0 = unlimited)")
 	deltaPolicy := flag.String("delta-policy", "patch", "cache maintenance across /v2/ingest deltas: patch (migrate + incrementally patch cached projections) or invalidate (drop everything)")

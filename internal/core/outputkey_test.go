@@ -15,7 +15,7 @@ func TestOutputKeyIgnoresExecutionKnobs(t *testing.T) {
 		{Core: Config{Grain: 3}},
 		{Core: Config{Partition: par.Cyclic}},
 		{Core: Config{DisablePruning: true}},
-		{Stats: &hg.Stats{}, Costs: NewCostModel(), KnobReason: "pinned"},
+		{Stats: &hg.Stats{}, KnobReason: "pinned"},
 	}
 	for i, v := range variants {
 		if got, want := v.OutputKey(false, 2), base.OutputKey(false, 2); got != want {

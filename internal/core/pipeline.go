@@ -74,10 +74,6 @@ type PipelineConfig struct {
 	// When nil, the planner computes them on demand. Stats are an
 	// execution hint and never part of the cache key (OutputKey).
 	Stats *hg.Stats
-	// Costs optionally attaches a cost table: RunBatch records each
-	// successful Stage-3 pass into it. No planning decision reads it.
-	// Not part of the cache key.
-	Costs *CostModel
 	// KnobReason records why ResolveConfig chose the preprocessing
 	// knobs ("" when the caller pinned them). It is set by
 	// ResolveConfig and surfaced through PlanInfo; not part of the
@@ -230,8 +226,6 @@ func planningStats(p prepared, sValues []int, cfg PipelineConfig) hg.Stats {
 // and s-overlap costs; squeeze time is that s's own build, and builds
 // of one batch may overlap. Stats are aggregated
 // across the batch (multi-s strategies may share one counting pass).
-// When cfg.Costs is set, the measured Stage-3 cost per distinct s is
-// recorded into it after a successful pass.
 func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg PipelineConfig) (map[int]*PipelineResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -258,14 +252,6 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 		return nil, err
 	}
 	overlapTime := time.Since(t2)
-	if cfg.Costs != nil {
-		cfg.Costs.Observe(CostKey{
-			Algo:    dec.Config.Algorithm,
-			Relabel: cfg.Core.Relabel,
-			Toplex:  cfg.Toplex.Enabled(),
-			Multi:   len(distinct) > 1,
-		}, overlapTime/time.Duration(len(distinct)))
-	}
 	plan := dec.Info()
 	plan.Relabel = cfg.Core.Relabel.String()
 	plan.Toplex = cfg.Toplex.Enabled()

@@ -77,13 +77,14 @@ type preparedKey struct {
 const cliquePairBudget = 1 << 22
 
 // Patch-vs-recompute thresholds: patch when its estimated work is below
-// this fraction of a full recompute (stats.WedgePairs). With a
-// calibrated cost model vouching for the recompute estimate the planner
-// tolerates patches up to half a recompute; without calibration it only
-// patches clear wins.
+// this fraction of a full recompute (stats.WedgePairs). A dataset
+// lineage that is being projected (the serving layer counts its Stage-3
+// passes) will want its entries again, so patches up to half a
+// recompute pay off; otherwise only clear wins are patched, since a
+// patch of an entry no read needs is pure cost.
 const (
-	patchFractionCalibrated   = 0.5
-	patchFractionUncalibrated = 0.25
+	patchFractionProjected   = 0.5
+	patchFractionUnprojected = 0.25
 )
 
 // NewPatcher builds the patcher for one applied delta. d must be the
@@ -178,8 +179,8 @@ type KeyAttrs = core.OutputKey
 // Plan decides what to do with one cached projection: oldEdges is the
 // cached graph's edge count, wedgePairs the new version's recompute
 // cost proxy (hg.Stats.WedgePairs of the orientation the key projects),
-// calibrated whether the dataset's cost model has a calibrated cell
-// vouching for that proxy.
+// projected whether the dataset lineage has run enough Stage-3 passes in
+// that orientation to expect its entries to be read again.
 //
 // Migration requires s above the frontier bound plus ID-order
 // stability: Stage 1's stable relabel sort keeps surviving hyperedges
@@ -192,7 +193,7 @@ type KeyAttrs = core.OutputKey
 // Unsqueezed keys bake the working ID space size into the node space,
 // which every delta changes. A key with an unresolved auto knob names
 // no concrete output and is dropped too.
-func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, calibrated bool) Action {
+func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, projected bool) Action {
 	if p.Migratable(a) {
 		return ActionMigrate
 	}
@@ -209,9 +210,9 @@ func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, calibrated bo
 		return ActionDrop
 	}
 	units := p.patchUnits(a.Dual) + int64(oldEdges)
-	frac := patchFractionUncalibrated
-	if calibrated {
-		frac = patchFractionCalibrated
+	frac := patchFractionUnprojected
+	if projected {
+		frac = patchFractionProjected
 	}
 	if wedgePairs > 0 && float64(units) > frac*float64(wedgePairs) {
 		return ActionDrop

@@ -28,11 +28,10 @@ const (
 	RelabelDescending
 	// RelabelAuto defers the choice among the three concrete orders to
 	// the planner, which resolves it from the hypergraph's degree
-	// statistics (or from calibrated cost observations) before any
-	// pipeline stage runs. It is an explicit opt-in — the zero value
-	// stays RelabelNone — and never reaches Preprocess: knob
-	// resolution replaces it with a concrete order first. Written "*"
-	// in the extended Table III notation (e.g. "2C*").
+	// statistics before any pipeline stage runs. It is an explicit
+	// opt-in — the zero value stays RelabelNone — and never reaches
+	// Preprocess: knob resolution replaces it with a concrete order
+	// first. Written "*" in the extended Table III notation (e.g. "2C*").
 	RelabelAuto
 )
 

@@ -156,33 +156,6 @@ func cyclicFor(n, workers int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// Do runs the given functions concurrently and waits for all of them.
-func Do(fns ...func()) {
-	var wg sync.WaitGroup
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		go func(f func()) {
-			defer wg.Done()
-			f()
-		}(fn)
-	}
-	wg.Wait()
-}
-
-// ReduceInt64 runs fn(worker, i) over [0, n) and sums its return values.
-func ReduceInt64(n int, opt Options, fn func(worker, i int) int64) int64 {
-	w := opt.workers()
-	partial := make([]int64, w)
-	For(n, opt, func(worker, i int) {
-		partial[worker] += fn(worker, i)
-	})
-	var total int64
-	for _, p := range partial {
-		total += p
-	}
-	return total
-}
-
 // WorkerStats accumulates one counter per worker without
 // synchronization; each worker may only touch its own slot. Slots are
 // padded to independent cache lines to avoid false sharing in hot inner

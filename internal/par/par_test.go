@@ -126,30 +126,6 @@ func TestForSingleWorkerSequential(t *testing.T) {
 	})
 }
 
-func TestReduceInt64(t *testing.T) {
-	got := ReduceInt64(1001, Options{Workers: 7}, func(_, i int) int64 {
-		return int64(i)
-	})
-	want := int64(1000 * 1001 / 2)
-	if got != want {
-		t.Fatalf("ReduceInt64 = %d, want %d", got, want)
-	}
-}
-
-func TestReduceInt64Empty(t *testing.T) {
-	if got := ReduceInt64(0, Options{}, func(_, i int) int64 { return 1 }); got != 0 {
-		t.Fatalf("ReduceInt64(0) = %d, want 0", got)
-	}
-}
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Int32
-	Do(func() { a.Store(1) }, func() { b.Store(2) })
-	if a.Load() != 1 || b.Load() != 2 {
-		t.Fatal("Do did not run all functions")
-	}
-}
-
 func TestWorkerStats(t *testing.T) {
 	s := NewWorkerStats(4)
 	For(1000, Options{Workers: 4}, func(worker, i int) {
@@ -190,16 +166,13 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func BenchmarkForBlocked(b *testing.B) {
-	opt := Options{Strategy: Blocked, Grain: 256}
+func benchmarkFor(b *testing.B, opt Options) {
+	st := NewWorkerStats(opt.workers())
 	for i := 0; i < b.N; i++ {
-		ReduceInt64(1<<16, opt, func(_, i int) int64 { return int64(i & 7) })
+		For(1<<16, opt, func(w, i int) { st.Add(w, int64(i&7)) })
 	}
 }
 
-func BenchmarkForCyclic(b *testing.B) {
-	opt := Options{Strategy: Cyclic}
-	for i := 0; i < b.N; i++ {
-		ReduceInt64(1<<16, opt, func(_, i int) int64 { return int64(i & 7) })
-	}
-}
+func BenchmarkForBlocked(b *testing.B) { benchmarkFor(b, Options{Strategy: Blocked, Grain: 256}) }
+
+func BenchmarkForCyclic(b *testing.B) { benchmarkFor(b, Options{Strategy: Cyclic}) }

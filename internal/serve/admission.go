@@ -56,8 +56,8 @@ func (e *SaturatedError) Is(target error) bool { return target == ErrSaturated }
 // AdmissionStats is a point-in-time snapshot of the admission
 // controller: configuration, live occupancy, and lifetime counters.
 type AdmissionStats struct {
-	// MaxCost is the concurrent cost budget in cost units (estimated
-	// milliseconds of Stage-3 work); 0 = unlimited.
+	// MaxCost is the concurrent cost budget in cost units (one unit
+	// per 50 000 wedge pairs of Stage-3 work); 0 = unlimited.
 	MaxCost int64 `json:"max_cost"`
 	// MaxInflight is the concurrent admitted-request bound; 0 = unlimited.
 	MaxInflight int `json:"max_inflight"`
@@ -142,9 +142,6 @@ func newAdmission(maxCost int64, maxReqs, maxQueue, maxPerDataset int) *admissio
 		perDataset:    make(map[string]int),
 	}
 }
-
-// limited reports whether any admission limit is configured.
-func (a *admission) limited() bool { return a.maxCost > 0 || a.maxReqs > 0 }
 
 // clampCost bounds a request's estimated cost to the budget, so one
 // oversized request can still run when the server is otherwise idle
@@ -326,17 +323,16 @@ func (a *admission) Stats() AdmissionStats {
 }
 
 // wedgePairsPerCostUnit converts the static planner statistic into
-// admission cost units when no calibrated observation exists: one cost
-// unit (≈ 1ms of Stage-3 work) per 50k wedge pairs, a deliberately
-// conservative throughput so uncalibrated estimates err toward
-// admitting less under saturation.
+// admission cost units: one unit per 50k wedge pairs of Stage-3 work
+// (roughly a millisecond at a deliberately conservative throughput, so
+// estimates err toward admitting less under saturation).
 const wedgePairsPerCostUnit = 50_000
 
 // estimateCost prices a batch of uncached s values in admission cost
-// units (estimated milliseconds of Stage-3 work) from the resolved
-// configuration: the planner's decision picks the strategy, calibrated
-// per-s observations price it when the dataset version has them (the
-// PR-6 CostModel), and a wedge-pair heuristic prices it otherwise.
+// units from the resolved configuration and the dataset's statistics
+// alone: the planner's decision picks the strategy and the wedge-pair
+// heuristic prices it. The same query on the same dataset version is
+// priced the same whatever ran before it.
 func estimateCost(cfg core.PipelineConfig, compute []int) int64 {
 	distinct := core.DistinctS(compute)
 	n := int64(len(distinct))
@@ -348,19 +344,6 @@ func estimateCost(cfg core.PipelineConfig, compute []int) int64 {
 		st = *cfg.Stats
 	}
 	dec := core.PlanQuery(st, distinct, cfg.Core)
-	key := core.CostKey{
-		Algo:    dec.Config.Algorithm,
-		Relabel: dec.Config.Relabel,
-		Toplex:  cfg.Toplex.Enabled(),
-		Multi:   n > 1,
-	}
-	if perS, calibrated := cfg.Costs.Estimate(key); calibrated {
-		ms := int64(time.Duration(n) * perS / time.Millisecond)
-		if ms < 1 {
-			ms = 1
-		}
-		return ms
-	}
 	perS := st.WedgePairs / wedgePairsPerCostUnit
 	if perS < 1 {
 		perS = 1

@@ -414,3 +414,34 @@ func TestEstimateCostFloorsAtOne(t *testing.T) {
 		t.Fatalf("batch of 4 costs %d < single %d", many, one)
 	}
 }
+
+// TestEstimateCostIgnoresHistory: admission prices a query from the
+// resolved configuration and the dataset's statistics alone, so the
+// same query on the same dataset version costs the same before any
+// Stage-3 pass and after several. The passes run at s above every
+// hyperedge size, so each takes next to no time: a price learned from
+// them would differ from the wedge-pair estimate.
+func TestEstimateCostIgnoresHistory(t *testing.T) {
+	svc := New(Config{})
+	h := randomHypergraph(7, 2000, 50, 4)
+	svc.Add("h", h)
+	_, v, err := svc.reg.Get("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := func() int64 {
+		cfg := svc.resolveAt(h, v, "h", false, core.PipelineConfig{})
+		if cfg.Stats == nil || cfg.Stats.WedgePairs < 10*wedgePairsPerCostUnit {
+			t.Fatalf("dataset stats %+v: want WedgePairs >= %d", cfg.Stats, 10*wedgePairsPerCostUnit)
+		}
+		return estimateCost(cfg, []int{20})
+	}
+
+	before := price()
+	for _, sVal := range []int{17, 18, 19} {
+		mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, sVal))
+	}
+	if after := price(); after != before {
+		t.Fatalf("estimateCost after three passes = %d, before any = %d", after, before)
+	}
+}

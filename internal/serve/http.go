@@ -26,7 +26,6 @@ import (
 //	POST   /v1/datasets/{name}/load                   {"path": "..."}
 //	GET    /v1/datasets/{name}
 //	DELETE /v1/datasets/{name}
-//	GET    /v1/datasets/{name}/costs
 //	POST   /v2/query                                  (unified JSON query, see handleQueryV2)
 //	POST   /v2/ingest                                 (streaming delta, see handleIngest)
 //	GET    /v2/datasets/{name}/changes                (long-poll change feed, see handleChanges)
@@ -76,9 +75,6 @@ func NewHandler(svc *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"removed": true})
-	})
-	mux.HandleFunc("GET /v1/datasets/{name}/costs", func(w http.ResponseWriter, r *http.Request) {
-		handleCosts(svc, w, r)
 	})
 	mux.HandleFunc("POST /v2/query", func(w http.ResponseWriter, r *http.Request) {
 		handleQueryV2(svc, w, r)
@@ -192,7 +188,7 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Path == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil || req.Path == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: body must be {\"path\": \"...\"}"))
 		return
 	}
@@ -202,57 +198,6 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	stats, _ := svc.Stats(name)
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// costCellJSON renders one cost-table cell with human-readable knob
-// names (the library form, core.CostObservation, carries typed enums).
-type costCellJSON struct {
-	Strategy   string  `json:"strategy"`
-	Relabel    string  `json:"relabel"`
-	Toplex     bool    `json:"toplex"`
-	Multi      bool    `json:"multi"`
-	PerSMS     float64 `json:"per_s_ms"`
-	N          int64   `json:"n"`
-	Calibrated bool    `json:"calibrated"`
-}
-
-func toCostCells(obs []core.CostObservation) []costCellJSON {
-	out := make([]costCellJSON, len(obs))
-	for i, o := range obs {
-		name := o.Key.Algo.String()
-		if st, err := core.StrategyFor(o.Key.Algo); err == nil {
-			name = st.Name()
-		}
-		out[i] = costCellJSON{
-			Strategy:   name,
-			Relabel:    o.Key.Relabel.String(),
-			Toplex:     o.Key.Toplex,
-			Multi:      o.Key.Multi,
-			PerSMS:     float64(o.PerS) / float64(time.Millisecond),
-			N:          o.N,
-			Calibrated: o.Calibrated,
-		}
-	}
-	return out
-}
-
-// handleCosts serves GET /v1/datasets/{name}/costs: the observed
-// Stage-3 cost table admission control prices with, for the dataset's
-// current version, per orientation. Fresh (or freshly replaced)
-// datasets report empty tables — observations never survive a
-// replacement.
-func handleCosts(svc *Service, w http.ResponseWriter, r *http.Request) {
-	info, err := svc.Calibration(r.PathValue("name"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"name":    info.Name,
-		"version": info.Version,
-		"line":    toCostCells(info.Line),
-		"clique":  toCostCells(info.Clique),
-	})
 }
 
 // decodeSValues accepts the two /v2/query body forms for "s": a JSON

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -123,6 +124,23 @@ func TestHTTPServerSideLoad(t *testing.T) {
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/disk/load",
 		strings.NewReader(`{"path": "/no/such/file.hgr"}`), http.StatusBadRequest, nil)
+}
+
+// TestHTTPLoadBodyCapped: the {"path": ...} body of a server-side load
+// is capped like every other JSON body — padding a valid request past
+// maxQueryBytes answers 400, while the unpadded request loads.
+func TestHTTPLoadBodyCapped(t *testing.T) {
+	ts, _ := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "h.adj")
+	if err := os.WriteFile(path, []byte(paperAdjacency), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"path": %q}`, path)
+	padded := strings.Repeat(" ", maxQueryBytes) + body
+	do(t, http.MethodPost, ts.URL+"/v1/datasets/adj/load",
+		strings.NewReader(padded), http.StatusBadRequest, nil)
+	do(t, http.MethodPost, ts.URL+"/v1/datasets/adj/load",
+		strings.NewReader(body), http.StatusOK, nil)
 }
 
 // postQuery sends one /v2/query body, asserting the status code, and
@@ -372,19 +390,19 @@ func TestRouteInventory(t *testing.T) {
 		"GET /v1/datasets/x":         true,
 		"DELETE /v1/datasets/x":      true,
 		"POST /v1/datasets/x/load":   true,
-		"GET /v1/datasets/x/costs":   true,
 		"POST /v2/query":             true,
 		"POST /v2/ingest":            true,
 		"GET /v2/datasets/x/changes": true,
 	}
 	paths := []string{
 		"/healthz", "/metrics", "/v1/cache", "/v1/measures", "/v1/datasets",
-		"/v1/datasets/x", "/v1/datasets/x/load", "/v1/datasets/x/costs",
+		"/v1/datasets/x", "/v1/datasets/x/load",
 		"/v2/query", "/v2/ingest", "/v2/datasets/x/changes",
 	}
 	removed := []string{
 		"warmup", "slinegraph", "slinegraphs", "scliquegraph", "scliquegraphs",
 		"measures", "components", "distances", "centrality", "connectivity",
+		"costs",
 	}
 	for _, name := range removed {
 		paths = append(paths, "/v1/datasets/x/"+name)

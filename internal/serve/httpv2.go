@@ -89,7 +89,8 @@ type queryHeadJSON struct {
 
 // maxQueryBytes caps POST /v2/query bodies: a query is a dataset name,
 // an s-list of at most core.MaxSValues values and a handful of options,
-// so 1 MiB is far beyond any well-formed request.
+// so 1 MiB is far beyond any well-formed request. It caps the
+// {"path": ...} body of POST /v1/datasets/{name}/load too.
 const maxQueryBytes = 1 << 20
 
 // handleQueryV2 serves POST /v2/query: one JSON Query in, ordered

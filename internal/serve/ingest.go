@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"sync"
 
-	"hyperline/internal/core"
 	"hyperline/internal/delta"
 )
 
 // This file is the serving half of streaming ingest: applying a delta
-// to a registered dataset bumps its version (calibration carried
+// to a registered dataset bumps its version (pass count carried
 // forward, see Registry.ApplyDelta) and then walks both result caches
 // once, deciding per key — via the delta.Patcher — whether the entry
 // provably survived the delta (migrate: re-key to the new version),
@@ -70,7 +69,7 @@ type IngestResult struct {
 
 // Ingest applies one delta to the named dataset: the post-delta
 // hypergraph is materialized (no re-parse), installed as the next
-// version with calibration carried forward, and the caches are walked
+// version with its pass count carried forward, and the caches are walked
 // under the configured DeltaPolicy. The delta is validated against the
 // dataset's current version; baseVersion != 0 additionally pins the
 // version the client built the delta against (hyperedge IDs are only
@@ -111,11 +110,6 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 
 	nd, _ := s.reg.at(name, newV) // nil after a concurrent replacement: treat everything as drop
 	patching := nd != nil && s.deltaPolicy == DeltaPolicyPatch
-	calibrated := map[bool]bool{} // by orientation, asked once per delta (see anyCalibrated)
-	if patching {
-		calibrated[false], calibrated[true] = anyCalibrated(nd.costs), anyCalibrated(nd.dualCosts)
-	}
-
 	for _, k := range s.cache.Keys() {
 		if k.dataset != name || k.version != oldV {
 			continue
@@ -129,8 +123,8 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		}
 		action := delta.ActionDrop
 		if patching {
-			action = p.Plan(k.out, old.res.Graph.NumEdges(),
-				nd.statsFor(k.out.Dual).WedgePairs, calibrated[k.out.Dual])
+			projected := nd.passesOf(k.out.Dual).Load() >= projectedPasses
+			action = p.Plan(k.out, old.res.Graph.NumEdges(), nd.statsFor(k.out.Dual).WedgePairs, projected)
 		}
 		switch action {
 		case delta.ActionMigrate:
@@ -187,19 +181,10 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	return res, nil
 }
 
-// anyCalibrated reports whether the model has at least one calibrated
-// cell — the signal that its recompute-cost estimates are grounded in
-// observations of this dataset, which lets the patch-vs-recompute
-// decision use the more permissive threshold. It snapshots the whole
-// table: ask once per delta, not per cached key.
-func anyCalibrated(cm *core.CostModel) bool {
-	for _, o := range cm.Snapshot() {
-		if o.Calibrated {
-			return true
-		}
-	}
-	return false
-}
+// projectedPasses is how many Stage-3 passes one orientation of a
+// dataset lineage must have run before ingest patches against the
+// permissive threshold (delta.Patcher.Plan's projected).
+const projectedPasses = 3
 
 // ChangeEvent is one entry of a dataset's change feed: the version a
 // delta produced, its shape, and the cache outcomes — what a dashboard

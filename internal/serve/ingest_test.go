@@ -212,38 +212,35 @@ func TestIngestPolicyInvalidate(t *testing.T) {
 	}
 }
 
-// calibratedCells counts calibrated cost cells across both orientations.
-func calibratedCells(t *testing.T, svc *Service, name string) int {
+// linePasses reads the line-orientation Stage-3 pass count of the named
+// dataset's current version.
+func linePasses(t *testing.T, svc *Service, name string) int64 {
 	t.Helper()
-	ci, err := svc.Calibration(name)
+	_, v, err := svc.reg.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for _, o := range append(ci.Line, ci.Clique...) {
-		if o.Calibrated {
-			n++
-		}
+	d, ok := svc.reg.at(name, v)
+	if !ok {
+		t.Fatalf("dataset %q version %d is not current", name, v)
 	}
-	return n
+	return d.passesOf(false).Load()
 }
 
-// TestIngestCalibrationSurvives is the carry-forward satellite: the
-// cost model a dataset accumulated keeps pricing admission across
-// delta-derived version bumps (the hypergraph changed incrementally, so
-// the observations still describe it), while a full re-upload — an
-// arbitrary replacement — resets calibration from scratch.
-func TestIngestCalibrationSurvives(t *testing.T) {
+// TestIngestPassCountSurvives: the Stage-3 pass count that switches the
+// ingest walk to the permissive patch threshold belongs to the dataset
+// lineage. It survives delta-derived version bumps (the hypergraph
+// changed incrementally and is still being read), while a full
+// re-upload and a registry restored from a snapshot start at 0.
+func TestIngestPassCountSurvives(t *testing.T) {
 	ts, svc := newTestServer(t)
 	uploadPaper(t, ts)
 
-	// Three single-s computes land three observations in one cost cell
-	// (same strategy, relabel, toplex, single-s batch shape).
 	for s := 1; s <= 3; s++ {
 		queryV2(t, ts, fmt.Sprintf(`{"dataset": "paper", "s": [%d], "exact": true}`, s))
 	}
-	if calibratedCells(t, svc, "paper") == 0 {
-		t.Fatal("three single-s computes did not calibrate any cell")
+	if n := linePasses(t, svc, "paper"); n != projectedPasses {
+		t.Fatalf("three single-s computes counted %d passes, want %d", n, projectedPasses)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -251,22 +248,31 @@ func TestIngestCalibrationSurvives(t *testing.T) {
 		if _, err := svc.Ingest(context.Background(), "paper", d, 0); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
-		if calibratedCells(t, svc, "paper") == 0 {
-			t.Fatalf("calibration lost after delta %d", i+1)
+		if n := linePasses(t, svc, "paper"); n != projectedPasses {
+			t.Fatalf("after delta %d the pass count is %d, want %d", i+1, n, projectedPasses)
 		}
 	}
-	ci, err := svc.Calibration("paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Version != 4 {
-		t.Fatalf("after 3 deltas version = %d, want 4", ci.Version)
+	if _, v, _ := svc.reg.Get("paper"); v != 4 {
+		t.Fatalf("after 3 deltas version = %d, want 4", v)
 	}
 
-	// A full replacement invalidates everything the model learned.
+	dir := t.TempDir()
+	if err := svc.SaveState(dir); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{})
+	t.Cleanup(func() { restored.Close() })
+	if _, err := restored.RestoreState(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n := linePasses(t, restored, "paper"); n != 0 {
+		t.Fatalf("restored registry starts at %d passes, want 0", n)
+	}
+
+	// A full replacement is a new lineage.
 	uploadPaper(t, ts)
-	if n := calibratedCells(t, svc, "paper"); n != 0 {
-		t.Fatalf("re-upload kept %d calibrated cells, want 0", n)
+	if n := linePasses(t, svc, "paper"); n != 0 {
+		t.Fatalf("re-upload kept %d passes, want 0", n)
 	}
 }
 

@@ -92,84 +92,6 @@ func TestMeasureCacheSharesResolvedKeys(t *testing.T) {
 	}
 }
 
-// TestCalibrationLifecycle: queries feed the dataset's calibration
-// table; replacing the dataset resets it along with the version.
-func TestCalibrationLifecycle(t *testing.T) {
-	svc := New(Config{})
-	svc.Add("h", paperExample())
-
-	info, err := svc.Calibration("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Line) != 0 || len(info.Clique) != 0 {
-		t.Fatalf("fresh dataset has calibration: %+v", info)
-	}
-
-	mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2, 3))
-	mustQuery(t, svc, cliqueQ("h", core.PipelineConfig{}, 1))
-	info, err = svc.Calibration("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Line) != 1 || !info.Line[0].Key.Multi || info.Line[0].N != 1 {
-		t.Fatalf("line calibration after one batch = %+v, want one multi-s cell with N=1", info.Line)
-	}
-	if len(info.Clique) != 1 || info.Clique[0].Key.Multi {
-		t.Fatalf("clique calibration = %+v, want one single-s cell", info.Clique)
-	}
-
-	// Replacement: new version, empty tables.
-	svc.Add("h", paperExample())
-	info, err = svc.Calibration("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(info.Line) != 0 || len(info.Clique) != 0 {
-		t.Fatalf("replaced dataset kept calibration: %+v", info)
-	}
-
-	if _, err := svc.Calibration("nope"); err == nil {
-		t.Fatal("want error for unknown dataset calibration")
-	}
-}
-
-// TestCostsEndpoint: the calibration table is inspectable over HTTP,
-// keyed by dataset, and reflects observations made through the API.
-func TestCostsEndpoint(t *testing.T) {
-	ts, svc := newTestServer(t)
-	svc.Add("paper", paperExample())
-
-	var fresh struct {
-		Name    string         `json:"name"`
-		Version uint64         `json:"version"`
-		Line    []costCellJSON `json:"line"`
-		Clique  []costCellJSON `json:"clique"`
-	}
-	do(t, "GET", ts.URL+"/v1/datasets/paper/costs", nil, 200, &fresh)
-	if fresh.Name != "paper" || len(fresh.Line) != 0 || len(fresh.Clique) != 0 {
-		t.Fatalf("fresh costs = %+v, want empty tables", fresh)
-	}
-
-	mustQuery(t, svc, lineQ("paper", core.PipelineConfig{}, 2))
-	var after struct {
-		Line []costCellJSON `json:"line"`
-	}
-	do(t, "GET", ts.URL+"/v1/datasets/paper/costs", nil, 200, &after)
-	if len(after.Line) != 1 {
-		t.Fatalf("costs after one query: %+v, want one line cell", after)
-	}
-	cell := after.Line[0]
-	if cell.N != 1 || cell.Multi || cell.PerSMS < 0 {
-		t.Fatalf("cost cell = %+v", cell)
-	}
-	if cell.Strategy == "" || cell.Relabel == "" {
-		t.Fatalf("cost cell missing names: %+v", cell)
-	}
-
-	do(t, "GET", ts.URL+"/v1/datasets/ghost/costs", nil, 404, nil)
-}
-
 // TestRegistryStatsCarryContainmentProbe: registration computes the
 // containment probe the planner's toplex knob reads, on both
 // orientations.

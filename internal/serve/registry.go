@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"hyperline/internal/core"
 	"hyperline/internal/hg"
 	"hyperline/internal/hgio"
 )
@@ -38,18 +38,16 @@ type DatasetInfo struct {
 // the planner's toplex knob reads; dual-orientation stats are computed
 // lazily on the first clique-side query that needs them.
 //
-// Each version also owns two fresh calibration tables (line and clique
-// orientation — their Stage-3 costs differ because the dual swaps the
-// degree structure). Tying the tables to the dataset value means
-// replacing a dataset implicitly discards its calibration: observations
-// of the old hypergraph say nothing about the new one.
+// passes counts the Stage-3 passes the service has run on this dataset's
+// lineage, indexed line then clique: the ingest walk's patch-vs-drop
+// threshold reads it (see Service.Ingest). A delta's next version
+// shares the counter; a fresh Add or a restore starts a new one at 0.
 type dataset struct {
 	h       *hg.Hypergraph
 	version uint64
 	stats   hg.Stats
 
-	costs     *core.CostModel // line-orientation calibration
-	dualCosts *core.CostModel // clique-orientation calibration
+	passes    *[2]atomic.Int64
 	dualOnce  sync.Once
 	dualStats hg.Stats
 }
@@ -70,12 +68,12 @@ func (d *dataset) statsFor(dual bool) hg.Stats {
 	return d.dualStats
 }
 
-// costsFor returns the calibration table of one orientation.
-func (d *dataset) costsFor(dual bool) *core.CostModel {
+// passesOf returns the Stage-3 pass counter of one orientation.
+func (d *dataset) passesOf(dual bool) *atomic.Int64 {
 	if dual {
-		return d.dualCosts
+		return &d.passes[1]
 	}
-	return d.costs
+	return &d.passes[0]
 }
 
 // Registry is a thread-safe name → hypergraph table. Hypergraphs are
@@ -100,11 +98,10 @@ func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
 	defer r.mu.Unlock()
 	r.nextVer++
 	r.byName[name] = &dataset{
-		h:         h,
-		version:   r.nextVer,
-		stats:     stats,
-		costs:     core.NewCostModel(),
-		dualCosts: core.NewCostModel(),
+		h:       h,
+		version: r.nextVer,
+		stats:   stats,
+		passes:  new([2]atomic.Int64),
 	}
 	return r.nextVer
 }
@@ -113,14 +110,12 @@ func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
 // oldVersion is still the current version (compare-and-swap against
 // concurrent writers; losers get ErrVersionConflict and must re-read).
 //
-// Unlike Add, the old version's calibration tables are carried forward:
-// a delta perturbs a bounded neighborhood of the hypergraph, so Stage-3
-// cost observations of vN remain accurate predictors for vN+1 — whereas
-// a full replacement says nothing about the new hypergraph and rightly
-// resets them. The EWMA smoothing absorbs drift across long delta
-// chains. The dual-orientation statistics do reset (fresh dualOnce):
-// they are exact counts, not estimates, and must describe the new
-// hypergraph.
+// Unlike Add, the old version's pass counter is carried forward: a
+// delta perturbs a bounded neighborhood of the hypergraph, so the
+// lineage that has been projected before is still being read — whereas
+// a full replacement is a new lineage and starts at 0. The
+// dual-orientation statistics do reset (fresh dualOnce): they are exact
+// counts and must describe the new hypergraph.
 func (r *Registry) ApplyDelta(name string, oldVersion uint64, newH *hg.Hypergraph) (uint64, error) {
 	stats := hg.ComputeStats(name, newH)
 	stats.ToplexSample = hg.SampleContainment(newH)
@@ -136,11 +131,10 @@ func (r *Registry) ApplyDelta(name string, oldVersion uint64, newH *hg.Hypergrap
 	}
 	r.nextVer++
 	r.byName[name] = &dataset{
-		h:         newH,
-		version:   r.nextVer,
-		stats:     stats,
-		costs:     d.costs,
-		dualCosts: d.dualCosts,
+		h:       newH,
+		version: r.nextVer,
+		stats:   stats,
+		passes:  d.passes,
 	}
 	return r.nextVer, nil
 }
@@ -159,11 +153,10 @@ func (r *Registry) addRestored(name string, h *hg.Hypergraph, version uint64) {
 		r.nextVer = version
 	}
 	r.byName[name] = &dataset{
-		h:         h,
-		version:   version,
-		stats:     stats,
-		costs:     core.NewCostModel(),
-		dualCosts: core.NewCostModel(),
+		h:       h,
+		version: version,
+		stats:   stats,
+		passes:  new([2]atomic.Int64),
 	}
 }
 
@@ -243,7 +236,7 @@ func (r *Registry) Get(name string) (*hg.Hypergraph, uint64, error) {
 
 // at returns the named dataset only while version is still its current
 // version. Callers holding a pinned snapshot (hypergraph + version) use
-// it to reach the version's cached stats and calibration tables; after
+// it to reach the version's cached stats and pass counter; after
 // a concurrent replacement it reports false and the caller falls back
 // to computing what it needs from the snapshot itself.
 func (r *Registry) at(name string, version uint64) (*dataset, bool) {
@@ -254,34 +247,6 @@ func (r *Registry) at(name string, version uint64) (*dataset, bool) {
 		return nil, false
 	}
 	return d, true
-}
-
-// Calibration snapshots the named dataset's calibration tables for both
-// orientations.
-func (r *Registry) Calibration(name string) (CalibrationInfo, error) {
-	r.mu.RLock()
-	d, ok := r.byName[name]
-	r.mu.RUnlock()
-	if !ok {
-		return CalibrationInfo{}, fmt.Errorf("serve: %w %q", ErrUnknownDataset, name)
-	}
-	return CalibrationInfo{
-		Name:    name,
-		Version: d.version,
-		Line:    d.costs.Snapshot(),
-		Clique:  d.dualCosts.Snapshot(),
-	}, nil
-}
-
-// CalibrationInfo is the observed Stage-3 cost state of one dataset
-// version: every (strategy, relabel, toplex, batch-shape) cell the
-// service has measured, per orientation, with its smoothed per-s
-// estimate and observation count.
-type CalibrationInfo struct {
-	Name    string                 `json:"name"`
-	Version uint64                 `json:"version"`
-	Line    []core.CostObservation `json:"line"`
-	Clique  []core.CostObservation `json:"clique"`
 }
 
 // Stats returns the registration-time statistics of the named dataset.

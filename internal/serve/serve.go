@@ -43,8 +43,8 @@ type Config struct {
 	// gated — admission protects the expensive pipeline work only.
 	MaxInflight int
 	// ShedCostBudget bounds the summed planner-estimated cost of
-	// admitted Stage-3 work, in cost units of roughly one millisecond
-	// of s-overlap time each (0 = unlimited). When both limits are
+	// admitted Stage-3 work, in cost units of 50 000 wedge pairs each
+	// (0 = unlimited). When both limits are
 	// exceeded-or-unset the service behaves exactly as before this
 	// knob existed.
 	ShedCostBudget int64
@@ -184,27 +184,18 @@ func (s *Service) Hypergraph(name string) (*hg.Hypergraph, error) {
 	return h, err
 }
 
-// Calibration snapshots the named dataset's observed Stage-3 cost
-// tables (both orientations): what RunBatch has measured for this
-// dataset so far, and what admission control prices with.
-func (s *Service) Calibration(name string) (CalibrationInfo, error) {
-	return s.reg.Calibration(name)
-}
-
 // resolveAt resolves cfg's planner-driven auto knobs (hg.RelabelAuto,
 // core.ToplexAuto) against a pinned dataset snapshot and attaches the
-// version's cached statistics and cost table, so every cache key
-// derived afterwards names the concrete configuration the pipeline will
-// actually run — a planner-chosen configuration shares cache entries
-// with the pinned configuration it resolves to. When the snapshot is no
-// longer the registry's current version (a concurrent replacement), the
-// stats are recomputed from the snapshot and no cost table is attached:
-// the new version's table says nothing about this hypergraph.
+// version's cached statistics, so every cache key derived afterwards
+// names the concrete configuration the pipeline will actually run — a
+// planner-chosen configuration shares cache entries with the pinned
+// configuration it resolves to. When the snapshot is no longer the
+// registry's current version (a concurrent replacement), the stats are
+// recomputed from the snapshot.
 func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, cfg core.PipelineConfig) core.PipelineConfig {
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
 		cfg.Stats = &st
-		cfg.Costs = d.costsFor(dual)
 	}
 	work := h
 	if dual {
@@ -291,6 +282,9 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 				return nil, err
 			}
 			s.projectionComputes.Add(int64(len(computed)))
+			if d, ok := s.reg.at(name, version); ok {
+				d.passesOf(dual).Add(1)
+			}
 			if res := computed[compute[0]]; res != nil {
 				s.metrics.observePass(res.Timings, wall)
 			}

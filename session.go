@@ -3,7 +3,6 @@ package hyperline
 import (
 	"io"
 
-	"hyperline/internal/core"
 	"hyperline/internal/measure"
 	"hyperline/internal/serve"
 )
@@ -31,14 +30,6 @@ type MeasureValue = measure.Value
 // MeasureResult is one served measure evaluation: the value, the
 // projection shape it was computed on, and cache provenance.
 type MeasureResult = serve.MeasureResult
-
-// CalibrationInfo is the observed Stage-3 cost state admission control
-// prices with for one dataset version: every (strategy, relabel, toplex,
-// batch-shape) cell the session has measured, per orientation.
-type CalibrationInfo = serve.CalibrationInfo
-
-// CostObservation is one exported cell of a cost table.
-type CostObservation = core.CostObservation
 
 // Priority classifies a query's Stage-3 work for admission control in
 // a Session (or server) configured with admission limits.
@@ -190,16 +181,6 @@ func (s *Session) Remove(name string) bool { return s.svc.Remove(name) }
 
 // Datasets lists the registered datasets sorted by name.
 func (s *Session) Datasets() []DatasetInfo { return s.svc.Datasets() }
-
-// Calibration snapshots what the session has measured for the named
-// dataset's current version: observed Stage-3 cost per (strategy,
-// relabel, toplex, batch shape) cell, per orientation. Fresh and freshly
-// replaced datasets report empty tables. Once a cell reaches
-// core.CalibrationMin observations admission control prices queries
-// with it; planning (AlgoAuto, RelabelAuto) never reads it.
-func (s *Session) Calibration(name string) (CalibrationInfo, error) {
-	return s.svc.Calibration(name)
-}
 
 // CacheStats snapshots the session's result-cache counters.
 func (s *Session) CacheStats() CacheStats { return s.svc.CacheStats() }
