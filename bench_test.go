@@ -130,6 +130,10 @@ func BenchmarkTable2PageRank(b *testing.B) {
 	}
 	// A kernel change must not win by converging differently.
 	b.ReportMetric(float64(iters), "iterations/op")
+	// Time per adjacency entry gathered: the kernel's own rate, apart
+	// from how many iterations it takes.
+	_, adj, _, _ := res.Graph.CSR()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(iters*len(adj)), "ns/adj")
 }
 
 // ---- Figure 5: betweenness on the virology 5-line graph ----

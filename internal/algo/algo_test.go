@@ -61,6 +61,50 @@ func TestConnectedComponentsBasic(t *testing.T) {
 	}
 }
 
+// membersByMap is the map-based Members the counting sort replaced,
+// kept as its reference.
+func membersByMap(c *Components) [][]uint32 {
+	byLabel := map[uint32][]uint32{}
+	for u, l := range c.Label {
+		byLabel[l] = append(byLabel[l], uint32(u))
+	}
+	out := make([][]uint32, 0, len(byLabel))
+	for l := uint32(0); int(l) < len(c.Label); l++ {
+		if ms, ok := byLabel[l]; ok {
+			out = append(out, ms)
+		}
+	}
+	return out
+}
+
+func TestMembersMatchesMapVersion(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	var cases []*Components
+	for k := 0; k < 40; k++ {
+		n := 1 + r.Intn(80)
+		g := randomGraph(r, n, r.Intn(2*n))
+		cases = append(cases, ConnectedComponents(g), LabelPropagationCC(g, par.Options{Workers: 3}))
+	}
+	// Unsqueezed, isolated nodes between the connected ones.
+	iso := graph.Build(12, []graph.Edge{{U: 1, V: 4, W: 1}, {U: 4, V: 9, W: 1}, {U: 6, V: 11, W: 1}}, false)
+	cases = append(cases, ConnectedComponents(iso), LabelPropagationCC(iso, par.Options{Workers: 2}))
+	cases = append(cases, ConnectedComponents(graph.Build(0, nil, false)))
+	for i, c := range cases {
+		got, want := c.Members(), membersByMap(c)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: Members = %v, map version %v", i, got, want)
+		}
+		// An append to one list must not write into the next.
+		for j := 0; j+1 < len(got); j++ {
+			nextFirst := got[j+1][0]
+			_ = append(got[j], 1<<31)
+			if got[j+1][0] != nextFirst {
+				t.Fatalf("case %d: append to list %d overwrote list %d", i, j, j+1)
+			}
+		}
+	}
+}
+
 func TestLPCCMatchesUnionFind(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -22,17 +22,30 @@ type Components struct {
 }
 
 // Members returns the component membership lists, sorted by ascending
-// representative and, within a component, ascending node ID.
+// representative and, within a component, ascending node ID. The lists
+// are cut from one backing array by a counting sort on the labels; each
+// is capped at its own length, so an append to one never overwrites the
+// next.
 func (c *Components) Members() [][]uint32 {
-	byLabel := map[uint32][]uint32{}
-	for u, l := range c.Label {
-		byLabel[l] = append(byLabel[l], uint32(u))
+	n := len(c.Label)
+	// start[l] is where label l's members begin in nodes.
+	start := make([]int, n+1)
+	for _, l := range c.Label {
+		start[l+1]++
 	}
-	out := make([][]uint32, 0, len(byLabel))
-	for l := uint32(0); int(l) < len(c.Label); l++ {
-		if ms, ok := byLabel[l]; ok {
-			out = append(out, ms)
+	for l := 1; l <= n; l++ {
+		start[l] += start[l-1]
+	}
+	nodes := make([]uint32, n)
+	out := make([][]uint32, 0, c.Count)
+	for l := 0; l < n; l++ {
+		if lo, hi := start[l], start[l+1]; lo < hi {
+			out = append(out, nodes[lo:hi:hi])
 		}
+	}
+	for u, l := range c.Label {
+		nodes[start[l]] = uint32(u)
+		start[l]++
 	}
 	return out
 }

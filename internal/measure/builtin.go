@@ -52,10 +52,11 @@ func canonUint32(v string) (string, error) {
 }
 
 // canonDamping validates a PageRank damping factor in (0, 1) and
-// normalizes its spelling.
+// normalizes its spelling. The range test is written so that NaN, for
+// which every comparison is false, fails it.
 func canonDamping(v string) (string, error) {
 	d, err := strconv.ParseFloat(v, 64)
-	if err != nil || d <= 0 || d >= 1 {
+	if err != nil || !(d > 0 && d < 1) {
 		return "", fmt.Errorf("want a damping factor in (0, 1), got %q", v)
 	}
 	return strconv.FormatFloat(d, 'g', -1, 64), nil

@@ -124,6 +124,18 @@ func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg core.PipelineConfig) 
 	return out[s]
 }
 
+// TestCanonicalizeRejectsNaNDamping: NaN fails both halves of a
+// "d <= 0 || d >= 1" test, so a range check written that way lets it
+// through and every rank comes out NaN.
+func TestCanonicalizeRejectsNaNDamping(t *testing.T) {
+	pr, _ := Get("pagerank")
+	for _, v := range []string{"NaN", "nan", "-NaN", "+Inf", "-Inf"} {
+		if p, err := Canonicalize(pr, map[string]string{"damping": v}); err == nil {
+			t.Fatalf("damping %q canonicalized to %q, want an error", v, p.CanonicalString())
+		}
+	}
+}
+
 func TestComponentsOnPaperExample(t *testing.T) {
 	res := pipelineAt(t, paperExample(), 2, core.PipelineConfig{})
 	m, _ := Get("components")

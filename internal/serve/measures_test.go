@@ -271,6 +271,17 @@ func TestMeasureErrors(t *testing.T) {
 
 // TestHTTPMeasuresEndpoint exercises measure sweeps over /v2/query and
 // the registry listing end to end.
+// TestQueryNaNDampingIs400: a NaN damping is a bad parameter. Were it
+// let through, the ranks would be NaN, the JSON encode would fail after
+// the status line, and the client would read 200 with an empty body.
+func TestQueryNaNDampingIs400(t *testing.T) {
+	ts, _ := newTestServer(t)
+	uploadPaper(t, ts)
+	for _, v := range []string{"NaN", "nan"} {
+		postQuery(t, ts, `{"dataset":"paper","s":[2],"measure":"pagerank","params":{"damping":"`+v+`"}}`, http.StatusBadRequest, nil)
+	}
+}
+
 func TestHTTPMeasuresEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
