@@ -7,13 +7,17 @@ import (
 )
 
 // worker1 is what an Algorithm 1 worker keeps beside its outerWorker.
+// Its fields are written every outer iteration, so they sit between
+// pads, like outerWorker's.
 type worker1 struct {
+	_             cacheLinePad
 	intersections int64
 	// seen de-duplicates candidate hyperedges within one outer
 	// iteration ("skipping already visited hyperedges"): seen[ej]
 	// holds the stamp of the last ei for which ej was intersected.
 	seen  []uint32
 	stamp uint32
+	_     cacheLinePad
 }
 
 // setIntersectionEdges is Algorithm 1, the prior state-of-the-art

@@ -110,10 +110,19 @@ func upper(h *hg.Hypergraph, vk, ei uint32, pos []uint32) []uint32 {
 	return upperNeighbors(list, ei)
 }
 
+// cacheLinePad keeps per-worker state that is written every outer
+// iteration off the 64-byte lines of its neighbours in a []T: without
+// it, worker i's last fields and worker i+1's first share a line, and
+// every iteration's writes bounce it between cores (false sharing).
+type cacheLinePad [64]byte
+
 // outerWorker is the thread-local state the outer loops of Algorithms 1
 // and 2 share: the wedge runs of the iteration in flight, the segment it
 // emits, and the block the worker's finished segments are stored in.
+// Every iteration writes runs, seg, block and the tallies, so the fields
+// sit between pads (§III-F: workers never contend).
 type outerWorker struct {
+	_      cacheLinePad
 	pos    []uint32   // per-vertex resumable suffix cursors (may be nil)
 	runs   [][]uint32 // this iteration's non-empty upper(...) runs
 	seg    []Edge     // this iteration's emission, V-sorted when handed to put
@@ -121,6 +130,7 @@ type outerWorker struct {
 	wedges int64
 	pruned int64
 	stop   *stopFlag
+	_      cacheLinePad
 }
 
 // newOuterWorkers returns one outerWorker per worker, all polling stop,

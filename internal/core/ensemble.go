@@ -51,7 +51,7 @@ func EnsembleEdges(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Con
 
 	prev := base
 	for _, s := range distinct[1:] {
-		filtered, err := filterEdgesGE(ctx, prev, s)
+		filtered, err := filterEdgesGE(ctx, prev, s, cfg.parOptions())
 		if err != nil {
 			return nil, stats, err
 		}

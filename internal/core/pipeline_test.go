@@ -244,3 +244,25 @@ func TestSweepBuildsAtAnyBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepBeyondUint32: an overlap is a uint32, so no pair reaches an
+// s of 2³² or more — a sweep beside s = 1 must answer such an s with an
+// empty graph under every algorithm, not with a filtration at s mod 2³².
+func TestSweepBeyondUint32(t *testing.T) {
+	h := paperExample()
+	full := len(NaiveAllPairs(h, 1))
+	for _, big := range []int{1<<32 + 1, 1 << 32, 1<<33 + 3} {
+		for _, algo := range []Algorithm{AlgoAuto, AlgoEnsemble, AlgoHashmap} {
+			out, err := RunBatch(context.Background(), h, []int{1, big}, PipelineConfig{Core: Config{Algorithm: algo}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := out[1].Graph.NumEdges(); n != full {
+				t.Fatalf("%v s=1: %d edges, want %d", algo, n, full)
+			}
+			if g := out[big].Graph; g.NumEdges() != 0 {
+				t.Fatalf("%v s=%d: %d edges, want none", algo, big, g.NumEdges())
+			}
+		}
+	}
+}

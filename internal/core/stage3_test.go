@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"hyperline/internal/gen"
 	"hyperline/internal/hg"
@@ -145,6 +146,89 @@ func TestRegimeWideOverlap(t *testing.T) {
 	}
 	if got := MaxOverlap(h, Config{Workers: 2}); got != shared {
 		t.Fatalf("MaxOverlap = %d, want %d", got, shared)
+	}
+}
+
+// thresholdGraph is hyperedge p (p = 0 or 1, so that the first tail
+// slot ei+1 is odd or even) over vertices 0..s, followed by a tail of
+// length hyperedges whose overlaps with it run s-1, s, s+1, s-1, ...
+// (each a prefix of p's vertices; an empty prefix gets a private vertex
+// instead). For p = 1, hyperedge 0 is a private vertex of its own.
+func thresholdGraph(s, p, length int) *hg.Hypergraph {
+	private := uint32(s + 1)
+	edges := [][]uint32{}
+	if p == 1 {
+		edges = append(edges, []uint32{private})
+		private++
+	}
+	prefix := func(n int) []uint32 {
+		if n <= 0 {
+			private++
+			return []uint32{private - 1}
+		}
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(i)
+		}
+		return out
+	}
+	edges = append(edges, prefix(s+1))
+	for j := 0; j < length; j++ {
+		edges = append(edges, prefix(s-1+j%3))
+	}
+	return hg.FromEdgeSlices(edges, int(private))
+}
+
+// TestDenseEmissionAtThreshold: every regime emits exactly the counts
+// ≥ s of the counter tail — counts of s-1, s and s+1 side by side, at
+// every tail length up to 17 and both parities of the first slot — and
+// nothing for an s no overlap reaches, however large (pruning off, so
+// such an s reaches the counting pass).
+func TestDenseEmissionAtThreshold(t *testing.T) {
+	runs := stage3Runs(0)
+	for _, s := range []int{1, 2, 8} {
+		for p := 0; p <= 1; p++ {
+			for length := 0; length <= 17; length++ {
+				h := thresholdGraph(s, p, length)
+				maxSize := h.MaxEdgeSize()
+				for _, sq := range []int{s, maxSize, maxSize + 1, 1 << 31, 1<<32 + 1} {
+					want := NaiveAllPairs(h, sq)
+					for _, name := range []string{"dense", "sparse", "rule"} {
+						for _, w := range []int{1, 2} {
+							got, _, err := runs[name](h, sq, Config{Workers: w, DisablePruning: true})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !edgeListsEqual(want, got) {
+								t.Fatalf("s=%d p=%d length=%d query s=%d %s workers=%d: got %v, want %v",
+									s, p, length, sq, name, w, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerStatePadded: the fields an outer iteration writes sit at
+// least a cache line from either end of outerWorker and worker1, so in
+// a []outerWorker or []worker1 no two workers write the same line.
+func TestWorkerStatePadded(t *testing.T) {
+	const line = 64
+	for _, c := range []struct {
+		name                    string
+		size, first, last, tail uintptr
+	}{
+		{"outerWorker", unsafe.Sizeof(outerWorker{}), unsafe.Offsetof(outerWorker{}.pos),
+			unsafe.Offsetof(outerWorker{}.stop), unsafe.Sizeof(outerWorker{}.stop)},
+		{"worker1", unsafe.Sizeof(worker1{}), unsafe.Offsetof(worker1{}.intersections),
+			unsafe.Offsetof(worker1{}.stamp), unsafe.Sizeof(worker1{}.stamp)},
+	} {
+		if after := c.size - (c.last + c.tail); c.first < line || after < line {
+			t.Fatalf("%s: %d bytes before the first field and %d after the last, want ≥ %d each",
+				c.name, c.first, after, line)
+		}
 	}
 }
 

@@ -274,6 +274,30 @@ func TestHTTPBackgroundQueryThenHit(t *testing.T) {
 	}
 }
 
+// TestHTTPQueryBeyondUint32: an s of 2³² or more swept beside s = 1 is
+// an empty projection, not the s = 1 graph, and the entry a following
+// single-s query is served is that empty one.
+func TestHTTPQueryBeyondUint32(t *testing.T) {
+	ts, _ := newTestServer(t)
+	uploadPaper(t, ts)
+	full := direct(t, paperExample(), 1, core.PipelineConfig{}).Graph.NumEdges()
+	var sweep, single queryResponseJSON
+	postQuery(t, ts, `{"dataset":"paper","s":[1,4294967297]}`, http.StatusOK, &sweep)
+	if len(sweep.Results) != 2 || sweep.Results[0].S != 1 || sweep.Results[1].S != 1<<32+1 {
+		t.Fatalf("sweep entries: %+v", sweep.Results)
+	}
+	if got := sweep.Results[0]; got.Edges != full {
+		t.Fatalf("s=1: %d edges, want %d", got.Edges, full)
+	}
+	if got := sweep.Results[1]; got.Edges != 0 || got.Nodes != 0 {
+		t.Fatalf("s=%d: %d nodes, %d edges, want an empty graph", got.S, got.Nodes, got.Edges)
+	}
+	postQuery(t, ts, `{"dataset":"paper","s":[4294967297]}`, http.StatusOK, &single)
+	if got := single.Results[0]; got.Edges != 0 || got.Nodes != 0 {
+		t.Fatalf("single s=%d (cached %v): %d nodes, %d edges, want an empty graph", got.S, got.Cached, got.Nodes, got.Edges)
+	}
+}
+
 func TestHTTPBatchProjections(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
