@@ -3,8 +3,10 @@ package delta
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hyperline/internal/core"
@@ -244,7 +246,9 @@ func TestPatchEquivalenceChained(t *testing.T) {
 // TestPatchWorkIsLocal guards the O(delta) write path without a clock:
 // Apply and a line-orientation Patch make the same number of
 // allocations on two bases whose edge counts differ 100×, so neither
-// grows, rebuilds or re-sorts anything in proportion to the dataset.
+// grows, rebuilds or re-sorts anything in proportion to the dataset,
+// and a Patch allocates the same bytes on two projections with the
+// same nodes and 10× the edges, so it writes no rows.
 func TestPatchWorkIsLocal(t *testing.T) {
 	allocs := func(numEdges int) (apply, patch float64) {
 		base := gen.Zipf(gen.ZipfConfig{
@@ -283,6 +287,64 @@ func TestPatchWorkIsLocal(t *testing.T) {
 	if smallPatch != bigPatch {
 		t.Errorf("Patch: %v allocations at 60 hyperedges, %v at 6000", smallPatch, bigPatch)
 	}
+
+	// Bytes, at equal node count: a patch writes no rows, so a projection
+	// with 10× the edges costs it nothing more.
+	sparseEdges, sparseBytes := patchBytes(t, 2)
+	denseEdges, denseBytes := patchBytes(t, 12)
+	if denseEdges < 10*sparseEdges {
+		t.Fatalf("dense projection has %d edges, sparse %d: not 10×", denseEdges, sparseEdges)
+	}
+	if sparseBytes != denseBytes {
+		t.Errorf("Patch: %d bytes allocated on %d edges, %d bytes on %d (same node count)",
+			sparseBytes, sparseEdges, denseBytes, denseEdges)
+	}
+}
+
+// patchBytes builds a base whose s = 1 line projection has 1 323 nodes —
+// 1 320 two-vertex hyperedges in groups of group sharing a hub vertex,
+// so each group is a clique, plus a three-hyperedge path — and returns
+// the projection's edge count and the bytes one line Patch allocates
+// for a delta on the path alone (the fewest over five rounds of 20).
+func patchBytes(t *testing.T, group int) (edges int, bytes uint64) {
+	t.Helper()
+	const ballast = 1320
+	hubs := ballast / group
+	var hes [][]uint32
+	for i := 0; i < ballast; i++ {
+		hes = append(hes, []uint32{uint32(i / group), uint32(hubs + i)})
+	}
+	a0, b0, c0, d0 := uint32(hubs+ballast), uint32(hubs+ballast+1), uint32(hubs+ballast+2), uint32(hubs+ballast+3)
+	hes = append(hes, []uint32{a0, b0}, []uint32{b0, c0}, []uint32{c0, d0})
+	base := hg.FromEdgeSlices(hes, int(d0)+1)
+	d := &Delta{Inserts: [][]uint32{{a0, c0}}, Deletes: []uint32{uint32(ballast)}}
+	newH, err := Apply(base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelAscending, Squeeze: true}
+	old := pipelineAt(t, base, a.S, exactCfg(a.Relabel))
+	if old.Graph.NumNodes() != ballast+3 {
+		t.Fatalf("group %d: %d nodes, want %d", group, old.Graph.NumNodes(), ballast+3)
+	}
+	p := NewPatcher(base, newH, d)
+	patch := func() {
+		if _, err := p.Patch(old, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	patch() // derives the shared per-delta state
+	bytes = math.MaxUint64
+	for round := 0; round < 5; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			patch()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/20)
+	}
+	return old.Graph.NumEdges(), bytes
 }
 
 // TestMigratableRespectsOrderStability pins the migration rules: clique

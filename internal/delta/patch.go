@@ -21,7 +21,8 @@ import (
 // hypergraph's working-ID order — is computed lazily and shared
 // across every key that needs it. Nothing it computes is proportional
 // to the dataset beyond one scan of an orientation's row lengths (the
-// working-ID order) and one pass over each patched projection's rows.
+// working-ID order) and, per patched projection, passes over its nodes
+// and pending lists; order-stable patches write no rows (patchRows).
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
@@ -62,6 +63,11 @@ type Patcher struct {
 	// (orientation, relabel) — shared by every key patched under it.
 	mu       sync.Mutex
 	prepared map[preparedKey]*core.Prepared
+
+	// OnMaterialize, when set before the first Patch, is called once
+	// each time the rows of a projection this patcher deferred are
+	// built.
+	OnMaterialize func()
 }
 
 type preparedKey struct {
@@ -155,8 +161,8 @@ const (
 	// ActionMigrate re-keys the cached result to the new version as-is:
 	// the projection provably did not change.
 	ActionMigrate
-	// ActionPatch rewrites the cached edge list incrementally and
-	// caches the patched result under the new version.
+	// ActionPatch edits the cached projection incrementally and caches
+	// the patched result under the new version.
 	ActionPatch
 )
 
@@ -383,10 +389,11 @@ func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
 // Patch rewrites one cached projection for the new version, byte-
 // identical — Graph and HyperedgeIDs — to a from-scratch recompute of
 // the post-delta hypergraph. The caller must have gotten ActionPatch
-// from Plan for this key. Order-stable keys are rewritten row by row
-// (patchRows); clique keys under a by-degree relabel, whose surviving
-// nodes reorder, are lifted to original IDs, edited, re-sorted and
-// assembled through the same Stage-4 path as a full run.
+// from Plan for this key. Order-stable keys get a deferred graph whose
+// rows are built on first read (patchRows); clique keys under a
+// by-degree relabel, whose surviving nodes reorder, are lifted to
+// original IDs, edited, re-sorted and assembled through the same
+// Stage-4 path as a full run.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	t0 := time.Now()
 	pp, err := p.preparedFor(a.Dual, a.Relabel)
@@ -418,31 +425,41 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 	return pp.Assemble(a.S, work, time.Since(t0), stats, plan), nil
 }
 
-// patchRows patches an order-stable key by rewriting the cached graph's
-// CSR rows (graph.Rewrite). Surviving nodes keep their relative order in
-// the new working ID space, so the old → new node map is monotone: a
-// node is gone when its hyperedge left the working space (a deleted
-// hyperedge, or a vertex whose every hyperedge was deleted), dies when
-// every edge it had was removed and none added, and otherwise keeps its
+// deferFraction bounds the pending lists of a deferred projection: a
+// patch whose composed drop and add lists pass 1/deferFraction of the
+// base's adjacency entries builds its rows at once and becomes the base
+// of the next patch. Carrying the lists forward costs each later patch
+// about as much as rewriting that share of the rows.
+const deferFraction = 8
+
+// patchRows patches an order-stable key without writing rows: the
+// result's graph is deferred (graph.Defer), one graph.Rewrite of a base
+// graph — the cached projection itself when it has rows, else the base
+// it defers to — composed across every delta since that base.
+// Surviving nodes keep their relative order in the new working ID space,
+// so the old → new node map is monotone: a node is gone when its
+// hyperedge left the working space (a deleted hyperedge, or a vertex
+// whose every hyperedge was deleted), dies when every edge it had was
+// removed and none added (its degree says so), and otherwise keeps its
 // row, minus removed neighbours and merged with the added pairs.
 // Endpoints of added pairs that were not nodes before (inserted
 // hyperedges, or survivors isolated at s) slot into the node order by
-// working ID.
+// working ID. Only the rows of gone nodes and the pairs the delta names
+// are read, through the pending lists (rowSource), so the work is
+// O(nodes + delta), never O(edges).
 func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepared, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
 	g, ids := old.Graph, old.HyperedgeIDs
 	n := g.NumNodes()
 	toWork, edgeOrig := pp.OrigToWork(), pp.EdgeOrig()
+	cur := readThrough(g)
 
 	// remap[x] holds old node x's working ID (Gone if it left the working
 	// space) until the walk below turns it into x's new node ID.
 	remap := make([]uint32, n)
-	lostCap := 0
 	for x, id := range ids {
 		remap[x] = graph.Gone
 		if w := toWork[id]; w >= 0 {
 			remap[x] = uint32(w)
-		} else {
-			lostCap += g.Degree(uint32(x))
 		}
 	}
 
@@ -479,29 +496,26 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 	for _, e := range changed {
 		x, okx := slices.BinarySearch(ids, e.U)
 		y, oky := slices.BinarySearch(ids, e.V)
-		if okx && oky && remap[x] != graph.Gone && remap[y] != graph.Gone && g.HasEdge(uint32(x), uint32(y)) {
+		if okx && oky && remap[x] != graph.Gone && remap[y] != graph.Gone && cur.hasEdge(uint32(x), uint32(y)) {
 			drop = append(drop, graph.Edge{U: uint32(x), V: uint32(y)}, graph.Edge{U: uint32(y), V: uint32(x)})
 		}
 	}
 	core.SortEdges(drop)
 
-	// lost lists, with multiplicity, the kept old nodes that lose an edge.
-	lost := make([]uint32, 0, lostCap+len(drop))
+	// lost[x] counts the edges kept old node x loses.
+	lost := make([]uint32, n)
 	for x := range remap {
-		if remap[x] != graph.Gone {
-			continue
-		}
-		ys, _ := g.Neighbors(uint32(x))
-		for _, y := range ys {
-			if remap[y] != graph.Gone {
-				lost = append(lost, y)
-			}
+		if remap[x] == graph.Gone {
+			cur.neighbors(uint32(x), func(y uint32) {
+				if remap[y] != graph.Gone {
+					lost[y]++
+				}
+			})
 		}
 	}
 	for _, e := range drop {
-		lost = append(lost, e.U)
+		lost[e.U]++
 	}
-	slices.Sort(lost)
 
 	// add: the added pairs in working IDs, both directions; ends: their
 	// distinct sources, each with its added degree and, once numbered,
@@ -527,12 +541,14 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 
 	// Number the new nodes in working-ID order: kept old nodes merged
 	// with the added pairs' endpoints, skipping old nodes left without an
-	// edge. orig is the new squeeze map, hids the new HyperedgeIDs.
+	// edge. orig is the new squeeze map, hids the new HyperedgeIDs, deg
+	// the new degrees.
 	orig := make([]uint32, 0, n+len(ends))
 	hids := make([]uint32, 0, n+len(ends))
-	ei, li := 0, 0
-	number := func(w, id uint32) uint32 {
-		orig, hids = append(orig, w), append(hids, id)
+	deg := make([]uint32, 0, n+len(ends))
+	ei := 0
+	number := func(w, id uint32, d int) uint32 {
+		orig, hids, deg = append(orig, w), append(hids, id), append(deg, uint32(d))
 		return uint32(len(orig) - 1)
 	}
 	for x := range remap {
@@ -541,28 +557,25 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 			continue
 		}
 		for ; ei < len(ends) && ends[ei].work < w; ei++ {
-			ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work])
+			ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work], int(ends[ei].deg))
 		}
-		deg := g.Degree(uint32(x))
-		for ; li < len(lost) && lost[li] == uint32(x); li++ {
-			deg--
-		}
+		d := g.Degree(uint32(x)) - int(lost[x])
 		isEnd := ei < len(ends) && ends[ei].work == w
 		if isEnd {
-			deg += int(ends[ei].deg)
+			d += int(ends[ei].deg)
 		}
-		if deg == 0 {
+		if d == 0 {
 			remap[x] = graph.Gone
 			continue
 		}
-		remap[x] = number(w, ids[x])
+		remap[x] = number(w, ids[x], d)
 		if isEnd {
 			ends[ei].node = remap[x]
 			ei++
 		}
 	}
 	for ; ei < len(ends); ei++ {
-		ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work])
+		ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work], int(ends[ei].deg))
 	}
 	// The working → node map is monotone, so add stays sorted.
 	nodeOf := func(w uint32) uint32 {
@@ -574,9 +587,13 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 	}
 
 	t1 := time.Now()
-	ng, err := graph.Rewrite(g, remap, len(orig), drop, add, orig)
+	next := cur.compose(remap, drop, add, deg)
+	ng, err := graph.Defer(next, orig, p.OnMaterialize)
 	if err != nil {
 		return nil, err
+	}
+	if len(next.Drop)+len(next.Add) > 2*next.Base.NumEdges()/deferFraction {
+		ng = ng.Materialize()
 	}
 	return &core.PipelineResult{
 		S:            a.S,
@@ -590,6 +607,162 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 		},
 		Plan: plan,
 	}, nil
+}
+
+// rowSource reads a cached projection's rows whether or not they are
+// built, as the pending rewrite that produces them: a node's row is its
+// base row under the remap, minus the drops, plus the adds. A graph
+// with rows is its own base under the identity remap.
+type rowSource struct {
+	graph.Pending
+	// baseOf maps a node to its base node, Gone for a node with no base
+	// row; nil under the identity remap.
+	baseOf []uint32
+}
+
+// readThrough returns g's rows as a rowSource.
+func readThrough(g *graph.Graph) *rowSource {
+	pend := g.Pending()
+	if pend == nil {
+		return &rowSource{Pending: graph.Pending{Base: g.Materialize()}}
+	}
+	r := &rowSource{Pending: *pend, baseOf: make([]uint32, g.NumNodes())}
+	for x := range r.baseOf {
+		r.baseOf[x] = graph.Gone
+	}
+	for bx, x := range pend.Remap {
+		if x != graph.Gone {
+			r.baseOf[x] = uint32(bx)
+		}
+	}
+	return r
+}
+
+// base returns node x's base node (Gone if it has none).
+func (r *rowSource) base(x uint32) uint32 {
+	if r.baseOf == nil {
+		return x
+	}
+	return r.baseOf[x]
+}
+
+// node returns base node bx's node (Gone if it has none).
+func (r *rowSource) node(bx uint32) uint32 {
+	if r.Remap == nil {
+		return bx
+	}
+	return r.Remap[bx]
+}
+
+// edgeCmp orders edges by (U, V), as graph.EdgeLess.
+func edgeCmp(a, b graph.Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
+// has reports whether the sorted list es holds the pair (u, v).
+func has(es []graph.Edge, u, v uint32) bool {
+	_, ok := slices.BinarySearchFunc(es, graph.Edge{U: u, V: v}, edgeCmp)
+	return ok
+}
+
+// neighbors calls fn with every neighbour of node x.
+func (r *rowSource) neighbors(x uint32, fn func(y uint32)) {
+	if bx := r.base(x); bx != graph.Gone {
+		ys, _ := r.Base.Neighbors(bx)
+		di, _ := slices.BinarySearchFunc(r.Drop, graph.Edge{U: bx}, edgeCmp)
+		for _, by := range ys {
+			for di < len(r.Drop) && r.Drop[di].U == bx && r.Drop[di].V < by {
+				di++
+			}
+			if di < len(r.Drop) && r.Drop[di].U == bx && r.Drop[di].V == by {
+				continue
+			}
+			if y := r.node(by); y != graph.Gone {
+				fn(y)
+			}
+		}
+	}
+	ai, _ := slices.BinarySearchFunc(r.Add, graph.Edge{U: x}, edgeCmp)
+	for ; ai < len(r.Add) && r.Add[ai].U == x; ai++ {
+		fn(r.Add[ai].V)
+	}
+}
+
+// hasEdge reports whether {x, y} is an edge.
+func (r *rowSource) hasEdge(x, y uint32) bool {
+	if has(r.Add, x, y) {
+		return true
+	}
+	bx, by := r.base(x), r.base(y)
+	return bx != graph.Gone && by != graph.Gone && !has(r.Drop, bx, by) && r.Base.HasEdge(bx, by)
+}
+
+// compose folds one more rewrite of r's graph — remap (node → next node
+// or Gone), drop (directed pairs to remove, node IDs) and add (directed
+// pairs to insert, next node IDs), sorted as graph.Rewrite takes them —
+// into r's own, giving the one rewrite of r's base that yields the next
+// graph, whose degrees are deg. Pairs touching a node that is gone from
+// the next graph leave both lists.
+func (r *rowSource) compose(remap []uint32, drop, add []graph.Edge, deg []uint32) *graph.Pending {
+	next := &graph.Pending{Base: r.Base, Remap: remap, Deg: deg}
+	if r.Remap != nil {
+		next.Remap = make([]uint32, len(r.Remap))
+		for bx, x := range r.Remap {
+			next.Remap[bx] = graph.Gone
+			if x != graph.Gone {
+				next.Remap[bx] = remap[x]
+			}
+		}
+	}
+	// A dropped pair is one of r's adds, which it leaves, or an edge of
+	// the base, dropped in base IDs. Base edges join nodes with base rows,
+	// and base IDs ascend with node IDs, so the translation stays sorted.
+	baseDrop := make([]graph.Edge, 0, len(drop))
+	for _, e := range drop {
+		if !has(r.Add, e.U, e.V) {
+			baseDrop = append(baseDrop, graph.Edge{U: r.base(e.U), V: r.base(e.V)})
+		}
+	}
+	next.Drop = mergeKept(r.Drop, baseDrop, next.Remap)
+	carried := make([]graph.Edge, 0, len(r.Add))
+	for _, e := range r.Add {
+		if u, v := remap[e.U], remap[e.V]; u != graph.Gone && v != graph.Gone && !has(drop, e.U, e.V) {
+			carried = append(carried, graph.Edge{U: u, V: v, W: e.W})
+		}
+	}
+	next.Add = mergeKept(carried, add, nil)
+	return next
+}
+
+// mergeKept merges two sorted, disjoint pair lists into a fresh one,
+// keeping only pairs whose ends both map to a node under remap (every
+// pair when remap is nil).
+func mergeKept(a, b []graph.Edge, remap []uint32) []graph.Edge {
+	out := make([]graph.Edge, 0, len(a)+len(b))
+	keep := func(e graph.Edge) {
+		if remap == nil || (remap[e.U] != graph.Gone && remap[e.V] != graph.Gone) {
+			out = append(out, e)
+		}
+	}
+	for len(a) > 0 && len(b) > 0 {
+		if edgeCmp(a[0], b[0]) < 0 {
+			keep(a[0])
+			a = a[1:]
+		} else {
+			keep(b[0])
+			b = b[1:]
+		}
+	}
+	for _, e := range a {
+		keep(e)
+	}
+	for _, e := range b {
+		keep(e)
+	}
+	return out
 }
 
 // patchCliquePairs lifts the cached clique projection to original

@@ -16,6 +16,7 @@ import "fmt"
 // and must not be modified. orig is nil when the graph was built
 // without ID squeezing.
 func (g *Graph) CSR() (off []int64, adj, wgt, orig []uint32) {
+	g = g.Materialize()
 	return g.off, g.adj, g.wgt, g.orig
 }
 

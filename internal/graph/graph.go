@@ -25,7 +25,11 @@ type Edge struct {
 	W    uint32
 }
 
-// Graph is an immutable weighted undirected graph in CSR form.
+// Graph is an immutable weighted undirected graph in CSR form. A graph
+// made by Defer holds a pending Rewrite instead of rows: its node and
+// edge counts, degrees and squeeze mapping answer at once, and the first
+// row read (Neighbors, CSR, Edges, HasEdge, Weight) runs the rewrite
+// (see deferred).
 type Graph struct {
 	numNodes int
 	numEdges int // undirected edge count
@@ -35,6 +39,8 @@ type Graph struct {
 	// orig[node] = ID in the pre-squeeze space; nil when the graph
 	// was built without squeezing (IDs are the identity).
 	orig []uint32
+	// lazy is set on a graph made by Defer, whose off/adj/wgt stay nil.
+	lazy *deferred
 }
 
 // Build materializes a graph from an s-line edge list over a node ID
@@ -102,12 +108,18 @@ func (g *Graph) OrigID(node uint32) uint32 {
 // Neighbors returns the sorted neighbor IDs of u and, in parallel
 // position, the edge weights. The slices alias internal storage.
 func (g *Graph) Neighbors(u uint32) ([]uint32, []uint32) {
+	if g.lazy != nil {
+		g = g.lazy.rows(g)
+	}
 	lo, hi := g.off[u], g.off[u+1]
 	return g.adj[lo:hi], g.wgt[lo:hi]
 }
 
-// Degree returns the number of neighbors of u.
+// Degree returns the number of neighbors of u. It reads no rows.
 func (g *Graph) Degree(u uint32) int {
+	if g.lazy != nil {
+		return int(g.lazy.deg[u])
+	}
 	return int(g.off[u+1] - g.off[u])
 }
 
@@ -139,6 +151,7 @@ func (g *Graph) Weight(u, v uint32) uint32 {
 
 // Edges returns the undirected edge list sorted by (U, V) with U < V.
 func (g *Graph) Edges() []Edge {
+	g = g.Materialize()
 	out := make([]Edge, 0, g.numEdges)
 	for u := 0; u < g.numNodes; u++ {
 		ids, ws := g.Neighbors(uint32(u))

@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
+
 // Gone marks a node that Rewrite drops.
 const Gone = ^uint32(0)
 
@@ -21,6 +27,7 @@ const Gone = ^uint32(0)
 // unsqueezed graph). g is not modified and shares no storage with the
 // result.
 func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []uint32) (*Graph, error) {
+	g = g.Materialize()
 	off := make([]int64, numNodes+1)
 	adj := make([]uint32, 0, len(g.adj)+len(add))
 	wgt := make([]uint32, 0, len(g.adj)+len(add))
@@ -77,4 +84,104 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []ui
 		off[k+1] = int64(len(adj))
 	}
 	return FromCSR(numNodes, len(adj)/2, off, adj, wgt, orig)
+}
+
+// Pending is a Rewrite that has not run: Rewrite(Base, Remap, len(Deg),
+// Drop, Add, orig) is the graph it stands for, under Rewrite's contract.
+// Deg holds every node's degree in that graph, so a deferred graph
+// answers Degree without rows. A Pending is immutable once handed to
+// Defer.
+type Pending struct {
+	Base      *Graph
+	Remap     []uint32
+	Drop, Add []Edge
+	Deg       []uint32
+}
+
+// deferred is the pending rewrite of a graph made by Defer and, once
+// some reader ran it, the graph it built.
+type deferred struct {
+	deg     []uint32
+	onBuild func()
+
+	mu    sync.Mutex // serializes the build, so it runs once
+	pend  atomic.Pointer[Pending]
+	built atomic.Pointer[Graph]
+}
+
+// Defer returns the graph p stands for without building its rows: node
+// and edge counts, Degree, OrigID and Squeezed answer from p and orig,
+// and the first row read runs the rewrite once for every reader
+// (onBuild, when non-nil, is then called once). orig is the result's
+// squeeze mapping, as for Rewrite.
+func Defer(p *Pending, orig []uint32, onBuild func()) (*Graph, error) {
+	n := len(p.Deg)
+	if orig != nil && len(orig) != n {
+		return nil, fmt.Errorf("graph: orig length %d, want %d", len(orig), n)
+	}
+	sum := 0
+	for _, d := range p.Deg {
+		sum += int(d)
+	}
+	if sum%2 != 0 {
+		return nil, fmt.Errorf("graph: degrees sum to %d, an odd number", sum)
+	}
+	d := &deferred{deg: p.Deg, onBuild: onBuild}
+	d.pend.Store(p)
+	return &Graph{numNodes: n, numEdges: sum / 2, orig: orig, lazy: d}, nil
+}
+
+// Pending returns the rewrite g defers, or nil when g has rows: it was
+// not made by Defer, or a reader already built them.
+func (g *Graph) Pending() *Pending {
+	if g.lazy == nil {
+		return nil
+	}
+	return g.lazy.pend.Load()
+}
+
+// Materialize returns a graph with rows equal to g: g itself unless g
+// was made by Defer, else the graph its rewrite builds, built on the
+// first call and shared by every later one.
+func (g *Graph) Materialize() *Graph {
+	if g.lazy == nil {
+		return g
+	}
+	return g.lazy.rows(g)
+}
+
+// rows returns the rows g defers, building them on first use; only the
+// reader that built them calls onBuild, outside the lock.
+func (d *deferred) rows(g *Graph) *Graph {
+	if b := d.built.Load(); b != nil {
+		return b
+	}
+	b, built := d.build(g)
+	if built && d.onBuild != nil {
+		d.onBuild()
+	}
+	return b
+}
+
+// build runs the pending rewrite unless another reader already has,
+// reporting whether this call ran it.
+func (d *deferred) build(g *Graph) (*Graph, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if b := d.built.Load(); b != nil {
+		return b, false
+	}
+	p := d.pend.Load()
+	b, err := Rewrite(p.Base, p.Remap, g.numNodes, p.Drop, p.Add, g.orig)
+	if err == nil && b.numEdges != g.numEdges {
+		err = fmt.Errorf("%d edges, want %d", b.numEdges, g.numEdges)
+	}
+	if err != nil {
+		// Defer's caller broke Rewrite's contract; no reader may see
+		// rows that disagree with the counts already served.
+		panic(fmt.Sprintf("graph: deferred rewrite: %v", err))
+	}
+	d.built.Store(b)
+	d.pend.Store(nil)
+	return b, true
 }

@@ -1,0 +1,95 @@
+package graph
+
+import (
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// deferCase is a path 0-1-2-3 rewritten to drop node 0, drop edge
+// {2, 3}, and add a new node 3 joined to nodes 0 and 2 (new IDs):
+// remap 0→Gone, 1→0, 2→1, 3→2.
+func deferCase() (*Graph, *Pending, []uint32) {
+	g := Build(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, true)
+	p := &Pending{
+		Base:  g,
+		Remap: []uint32{Gone, 0, 1, 2},
+		Drop:  []Edge{{U: 2, V: 3}, {U: 3, V: 2}},
+		Add:   []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
+		Deg:   []uint32{2, 1, 1, 2},
+	}
+	return g, p, []uint32{10, 11, 12, 13}
+}
+
+// TestDeferEqualsRewrite: a deferred graph answers counts and degrees
+// without building rows, and its rows, once read, are Rewrite's.
+func TestDeferEqualsRewrite(t *testing.T) {
+	g, p, orig := deferCase()
+	want, err := Rewrite(g, p.Remap, len(p.Deg), p.Drop, p.Add, orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	d, err := Defer(p, orig, func() { builds++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NumNodes() != want.NumNodes() || d.NumEdges() != want.NumEdges() || d.OrigID(3) != 13 {
+		t.Fatalf("deferred counts %d nodes, %d edges; Rewrite %d, %d", d.NumNodes(), d.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for x := uint32(0); x < 4; x++ {
+		if d.Degree(x) != want.Degree(x) {
+			t.Fatalf("node %d: deferred degree %d, Rewrite %d", x, d.Degree(x), want.Degree(x))
+		}
+	}
+	if builds != 0 || d.Pending() != p {
+		t.Fatal("counts or degrees built the rows")
+	}
+	if !reflect.DeepEqual(d.Edges(), want.Edges()) {
+		t.Fatalf("deferred edges %v, Rewrite %v", d.Edges(), want.Edges())
+	}
+	if builds != 1 || d.Pending() != nil {
+		t.Fatalf("after a row read: %d builds, pending %v; want 1 and none", builds, d.Pending())
+	}
+	if d.Materialize() != d.Materialize() || d.Materialize().Pending() != nil {
+		t.Fatal("Materialize must return one built graph")
+	}
+	if _, err := Defer(&Pending{Base: g, Deg: []uint32{1}}, nil, nil); err == nil {
+		t.Fatal("Defer accepted degrees with an odd sum")
+	}
+}
+
+// TestDeferBuildsOnce: concurrent first row reads of one deferred graph
+// run the rewrite once and share its rows. Run under -race.
+func TestDeferBuildsOnce(t *testing.T) {
+	_, p, orig := deferCase()
+	var builds atomic.Int64
+	d, err := Defer(p, orig, func() { builds.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := make([][]uint32, 8)
+	var wg sync.WaitGroup
+	for i := range adj {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				adj[i], _ = d.Neighbors(3)
+			} else {
+				_, a, _, _ := d.CSR()
+				adj[i] = a[len(a)-2:]
+			}
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent readers built the rows %d times, want once", len(adj), n)
+	}
+	for i, a := range adj {
+		if !reflect.DeepEqual(a, []uint32{0, 2}) {
+			t.Fatalf("reader %d: node 3's neighbours %v, want [0 2]", i, a)
+		}
+	}
+}

@@ -156,11 +156,13 @@ func readBody(r io.Reader, hdr binHeader) (*hg.Hypergraph, error) {
 			return nil, fmt.Errorf("hgio: reading padding: %w", err)
 		}
 	}
-	vOff, vAdj := hg.Transpose(eOff, eAdj, int(n))
+	// The stored vertex offsets are read (chunked, so a header's n is
+	// bounded by the bytes present) before Transpose allocates by n.
 	storedVOff, err := readInt64s(r, n+1)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: reading vertex offsets: %w", err)
 	}
+	vOff, vAdj := hg.Transpose(eOff, eAdj, int(n))
 	storedVAdj, err := readUint32s(r, nnz)
 	if err != nil {
 		return nil, fmt.Errorf("hgio: reading vertex adjacency: %w", err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,6 +106,38 @@ func TestBinaryHugeHeaderFailsWithoutHugeAllocation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ReadBinary did not fail fast on a hostile header")
+	}
+}
+
+// hugeVertexHeader is a 48-byte body that is well formed up to its
+// vertex offsets: a header claiming n = 2³⁶ vertices, no hyperedges and
+// no incidences, the one edge offset, and the first of the n+1 vertex
+// offsets.
+func hugeVertexHeader() []byte {
+	var buf bytes.Buffer
+	buf.Write(binaryMagic[:])
+	for _, v := range []uint64{1 << 36, 0, 0, 0, 0} { // n, m, nnz, eOff[0], vOff[0]
+		binary.Write(&buf, binary.LittleEndian, v)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryHugeVertexCountReadsBeforeAllocating: a body whose header
+// claims 2³⁶ vertices fails on EOF within the first chunk of vertex
+// offsets. The reader must not size the vertex orientation by the
+// header (hg.Transpose would ask for 512 GiB of offsets) before it has
+// read the stored offsets the bytes actually hold.
+func TestBinaryHugeVertexCountReadsBeforeAllocating(t *testing.T) {
+	body := hugeVertexHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a 48-byte body claiming 2^36 vertices")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("allocated %d bytes on a 48-byte body, want at most 8 MiB", got)
 	}
 }
 

@@ -133,6 +133,7 @@ func FuzzReadBinary(f *testing.F) {
 	corrupt := append([]byte(nil), v...)
 	corrupt[10] ^= 0xff // header byte
 	f.Add(corrupt)
+	f.Add(hugeVertexHeader())
 	f.Add([]byte("HLBIN\x00\x00\x01"))
 	f.Add([]byte("not binary at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -96,7 +96,8 @@ type admissionWaiter struct {
 
 // admission is a weighted semaphore bounding concurrent Stage-3 work by
 // planner-estimated cost. Two limits compose: a cost budget (the sum of
-// admitted requests' estimated milliseconds of s-overlap work) and a
+// admitted requests' cost units, one per 50 000 wedge pairs of
+// s-overlap work; see wedgePairsPerCostUnit) and a
 // plain concurrent-request bound; a request is admitted only under
 // both. Interactive requests past the limits wait in a bounded FIFO
 // queue; background requests and queue overflow are shed immediately
@@ -280,10 +281,11 @@ func (a *admission) grantLocked() {
 }
 
 // retryAfterLocked estimates how long a shed client should wait: the
-// pending work (admitted + queued cost units ≈ milliseconds of Stage-3
-// time) divided by the request-level parallelism, floored at one second
-// — coarse by construction, but monotone in load, which is what backoff
-// needs.
+// pending work (admitted + queued cost units, one per 50 000 wedge
+// pairs, each taken as about a millisecond of Stage-3 time; see
+// wedgePairsPerCostUnit) divided by the request-level parallelism,
+// floored at one second — coarse by construction, but monotone in
+// load, which is what backoff needs.
 func (a *admission) retryAfterLocked() time.Duration {
 	pending := a.inflightCost
 	for _, w := range a.queue {

@@ -13,8 +13,9 @@ import (
 // forward, see Registry.ApplyDelta) and then walks both result caches
 // once, deciding per key — via the delta.Patcher — whether the entry
 // provably survived the delta (migrate: re-key to the new version),
-// can be patched cheaper than recomputed (patch: rewrite the edge list
-// incrementally), or must go (drop). Keys the walk never visits are
+// can be patched cheaper than recomputed (patch: a deferred rewrite of
+// the cached rows, built only when something reads them), or must go
+// (drop). Keys the walk never visits are
 // merely unreachable, not wrong: every cache key embeds the version.
 
 // DeltaPolicy selects what Ingest does to cached artifacts.
@@ -97,6 +98,7 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	s.ingestsApplied.Add(1)
 
 	p := delta.NewPatcher(h, newH, d)
+	p.OnMaterialize = func() { s.projectionMaterializations.Add(1) }
 	res := &IngestResult{
 		Dataset:         name,
 		OldVersion:      oldV,

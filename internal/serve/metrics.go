@@ -168,6 +168,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	mw.value("hyperline_projection_computes_total", "", float64(s.projectionComputes.Load()))
 	mw.header("hyperline_measure_computes_total", "measure evaluations actually computed", "counter")
 	mw.value("hyperline_measure_computes_total", "", float64(s.measureComputes.Load()))
+	mw.header("hyperline_projection_materializations_total", "patched projections whose deferred rows were built (by a row read, a spill, or a patch past the pending-list bound)", "counter")
+	mw.value("hyperline_projection_materializations_total", "", float64(s.projectionMaterializations.Load()))
 
 	mw.header("hyperline_ingest_applied_total", "deltas applied via streaming ingest", "counter")
 	mw.value("hyperline_ingest_applied_total", "", float64(s.ingestsApplied.Load()))
@@ -199,7 +201,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	mw.value("hyperline_admission_queued_total", "", float64(as.Queued))
 	mw.header("hyperline_admission_queue_cancelled_total", "queued admissions abandoned by context expiry", "counter")
 	mw.value("hyperline_admission_queue_cancelled_total", "", float64(as.QueueCancelled))
-	mw.header("hyperline_admission_inflight_cost_units", "admitted Stage-3 work in cost units (estimated ms)", "gauge")
+	mw.header("hyperline_admission_inflight_cost_units", "admitted Stage-3 work in cost units (one per 50000 wedge pairs)", "gauge")
 	mw.value("hyperline_admission_inflight_cost_units", "", float64(as.InflightCost))
 	mw.header("hyperline_admission_inflight_requests", "admitted Stage-3 passes currently running", "gauge")
 	mw.value("hyperline_admission_inflight_requests", "", float64(as.InflightRequests))

@@ -81,6 +81,9 @@ type Service struct {
 	// projectionComputes counts per-s projections that actually ran
 	// Stages 1-4 (cache hits and singleflight joins excluded).
 	projectionComputes atomic.Int64
+	// projectionMaterializations counts patched projections whose
+	// deferred rows were built (delta.Patcher.OnMaterialize).
+	projectionMaterializations atomic.Int64
 	// sfDedups / msfDedups count requests served by joining another
 	// caller's in-flight computation (projection / measure flights).
 	sfDedups  atomic.Int64
