@@ -26,9 +26,10 @@ type Prepared struct {
 }
 
 // PrepareOrder derives h's working hyperedge order under relabel, as
-// Stage 1 would. relabel must be resolved: hg.RelabelAuto is a planner
-// decision that must be taken before an ID space is fixed.
-func PrepareOrder(h *hg.Hypergraph, relabel hg.RelabelOrder) (*Prepared, error) {
+// Stage 1 would, reading row lengths only — a pending hg.Version's
+// through its edits. relabel must be resolved: hg.RelabelAuto is a
+// planner decision that must be taken before an ID space is fixed.
+func PrepareOrder(h hg.Rows, relabel hg.RelabelOrder) (*Prepared, error) {
 	if relabel == hg.RelabelAuto {
 		return nil, fmt.Errorf("core: PrepareOrder requires a resolved relabel order, got auto")
 	}
@@ -96,8 +97,9 @@ type OverlapCount struct {
 // kernel the incremental patcher recounts inserted hyperedges with —
 // the per-pair counts are what a full Algorithm-2 pass would produce.
 // A single iteration has no per-worker counters to reuse, so it sorts
-// the frontier and counts runs.
-func OverlapCounts(h *hg.Hypergraph, ei uint32) []OverlapCount {
+// the frontier and counts runs. It reads ei's rows and their vertices'
+// rows only, so a pending version answers it through its edits.
+func OverlapCounts(h hg.Rows, ei uint32) []OverlapCount {
 	var frontier []uint32
 	for _, vk := range h.EdgeVertices(ei) {
 		frontier = append(frontier, h.VertexEdges(vk)...)

@@ -1,10 +1,10 @@
 // Package delta implements incremental maintenance of streaming
-// hypergraphs: batched hyperedge insert/delete deltas applied to an
-// immutable hg.Hypergraph produce the next dataset version without
-// re-parsing, and the Stage-3 patcher (patch.go) exploits Algorithm 2's
-// locality — a hyperedge only perturbs overlap counts within its 2-hop
-// neighborhood — to patch cached s-line projections instead of
-// recomputing five stages.
+// hypergraphs: batched hyperedge insert/delete deltas composed onto an
+// immutable hypergraph version (hg.Version) produce the next dataset
+// version without re-parsing or copying it, and the Stage-3 patcher
+// (patch.go) exploits Algorithm 2's locality — a hyperedge only
+// perturbs overlap counts within its 2-hop neighborhood — to patch
+// cached s-line projections instead of recomputing five stages.
 //
 // # ID stability
 //
@@ -95,7 +95,7 @@ func Parse(data []byte) (*Delta, error) {
 // is safe to Apply without further allocation hazards: every array
 // Apply sizes is bounded by the base plus the delta's own payload, so a
 // hostile wire body cannot demand an allocation it did not pay for.
-func (d *Delta) Normalize(base *hg.Hypergraph) error {
+func (d *Delta) Normalize(base hg.Rows) error {
 	if d == nil {
 		return fmt.Errorf("delta: nil delta")
 	}
@@ -163,150 +163,90 @@ func (d *Delta) Normalize(base *hg.Hypergraph) error {
 	return nil
 }
 
-// Apply materializes the post-delta hypergraph: base rows survive
-// unchanged, deleted rows become empty, and inserts append. It edits
-// rows rather than rebuilding: in both orientations every row the delta
-// does not touch is copied as part of a contiguous span with its offset
-// shifted, and only the deleted and inserted hyperedges' rows and their
-// member vertices' rows are rewritten — no text re-parse, no sort of
-// the whole, no transpose. The result shares no storage with the base
-// (the base may be mmap-backed and replaced underneath long-lived
-// readers). d must be normalized against base first.
-func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
-	if err := d.Normalize(base); err != nil {
+// Compose returns the version d makes of v without building it: the
+// deleted hyperedges' rows become empty in place, inserts append, and
+// only those rows and their member vertices' rows are rewritten
+// (hg.Version.Edit), so the work is O(delta) plus the rows v itself
+// carries pending. Once the pending rows pass 1/deferFraction of the
+// base's incidences in both orientations, the new version is built at
+// once (deferFraction's rule for deferred projections, one layer down)
+// and becomes the base of the next compose. d is normalized against v
+// first.
+func Compose(v *hg.Version, d *Delta) (*hg.Version, error) {
+	if err := d.Normalize(v); err != nil {
 		return nil, err
 	}
-	m, n := base.NumEdges(), base.NumVertices()
-	newEdges := m + len(d.Inserts)
-	numVertices := n
-	var removed int64
+	next := v.Edit(d.Deletes, d.Inserts)
+	if next.PendingIncidences() > 2*next.BaseIncidences()/deferFraction {
+		next.Flat()
+	}
+	return next, nil
+}
+
+// Apply materializes the post-delta hypergraph: base rows survive
+// unchanged, deleted rows become empty, and inserts append. It is
+// Compose and then the build — rows edited rather than rebuilt: in both
+// orientations every row the delta does not touch is copied as part of
+// a contiguous span with its offset shifted, and only the deleted and
+// inserted hyperedges' rows and their member vertices' rows are
+// rewritten — no text re-parse, no sort of the whole, no transpose. The
+// result shares no storage with the base (the base may be mmap-backed
+// and replaced underneath long-lived readers).
+func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
+	next, err := Compose(hg.NewVersion(base, nil), d)
+	if err != nil {
+		return nil, err
+	}
+	return next.Flat(), nil
+}
+
+// CarryStats carries st — the statistics of old, hg.ComputeStats plus
+// hg.SampleContainment — across d to next, the version d composed onto
+// old, in O(delta) and without a build: the sizes come from next,
+// WedgePairs moves by the touched vertices' degree changes, and each
+// maximum is rescanned only when the delta shrinks an element that held
+// it. The result equals computing the statistics on next's built CSR.
+func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
+	oldMaxV, oldMaxE := st.MaxVertexDegree, st.MaxEdgeSize
+	st.NumVertices, st.NumEdges, st.Incidences = next.NumVertices(), next.NumEdges(), next.Incidences()
+	st.AvgVertexDegree, st.AvgEdgeSize = 0, 0
+	if st.NumVertices > 0 {
+		st.AvgVertexDegree = float64(st.Incidences) / float64(st.NumVertices)
+	}
+	if st.NumEdges > 0 {
+		st.AvgEdgeSize = float64(st.Incidences) / float64(st.NumEdges)
+	}
+
+	touched := make([]uint32, 0, d.insertIncidences())
+	rescanE := false
 	for _, e := range d.Deletes {
-		removed += int64(base.EdgeSize(e))
+		vs := old.EdgeVertices(e)
+		rescanE = rescanE || len(vs) == oldMaxE
+		touched = append(touched, vs...)
 	}
 	for _, vs := range d.Inserts {
-		numVertices = max(numVertices, int(vs[len(vs)-1])+1)
+		st.MaxEdgeSize = max(st.MaxEdgeSize, len(vs))
+		touched = append(touched, vs...)
 	}
-	nnz := base.Incidences() - removed + d.insertIncidences()
-	eOffB, eAdjB, vOffB, vAdjB := base.CSR()
-
-	// Edge orientation: deleted rows empty out, inserted rows (already
-	// sorted by Normalize) append. Deletes ascend and every insert ID is
-	// above them, so the edited rows are in order.
-	edited := make([]uint32, 0, len(d.Deletes)+len(d.Inserts))
-	edited = append(edited, d.Deletes...)
-	for i := range d.Inserts {
-		edited = append(edited, uint32(m+i))
+	if rescanE {
+		st.MaxEdgeSize = next.MaxEdgeSize()
 	}
-	eOff, eAdj := editRows(eOffB, eAdjB, newEdges, nnz, edited, func(e uint32, row []uint32) []uint32 {
-		if int(e) >= m {
-			row = append(row, d.Inserts[int(e)-m]...)
+	slices.Sort(touched)
+	rescanV := false
+	pairs := func(deg int) int64 { return int64(deg) * int64(deg-1) / 2 }
+	for _, v := range slices.Compact(touched) {
+		was := 0
+		if int(v) < old.NumVertices() {
+			was = old.VertexDegree(v)
 		}
-		return row
-	})
-
-	// Vertex orientation: the incidences the delta removes and adds, as
-	// vertex<<32|edge keys sorted by vertex, then edge. The vertices they
-	// name are the only rows that change.
-	gone := make([]uint64, 0, removed)
-	for _, e := range d.Deletes {
-		for _, v := range base.EdgeVertices(e) {
-			gone = append(gone, uint64(v)<<32|uint64(e))
-		}
+		now := next.VertexDegree(v)
+		st.WedgePairs += pairs(now) - pairs(was)
+		st.MaxVertexDegree = max(st.MaxVertexDegree, now)
+		rescanV = rescanV || (was == oldMaxV && now < was)
 	}
-	added := make([]uint64, 0, d.insertIncidences())
-	for i, vs := range d.Inserts {
-		for _, v := range vs {
-			added = append(added, uint64(v)<<32|uint64(m+i))
-		}
+	if rescanV {
+		st.MaxVertexDegree = next.MaxVertexDegree()
 	}
-	slices.Sort(gone)
-	slices.Sort(added)
-	touched := make([]uint32, 0, len(gone)+len(added))
-	for gi, ai := 0, 0; gi < len(gone) || ai < len(added); {
-		var v uint32
-		if ai == len(added) || (gi < len(gone) && gone[gi] < added[ai]) {
-			v = uint32(gone[gi] >> 32)
-			gi++
-		} else {
-			v = uint32(added[ai] >> 32)
-			ai++
-		}
-		if len(touched) == 0 || touched[len(touched)-1] != v {
-			touched = append(touched, v)
-		}
-	}
-	gi, ai := 0, 0
-	vOff, vAdj := editRows(vOffB, vAdjB, numVertices, nnz, touched, func(v uint32, row []uint32) []uint32 {
-		// The base row without the deleted edges (a sorted subset of it),
-		// then the inserted edges — the largest IDs, so the row stays
-		// sorted.
-		if int(v) < n {
-			for _, e := range vAdjB[vOffB[v]:vOffB[v+1]] {
-				if gi < len(gone) && gone[gi] == uint64(v)<<32|uint64(e) {
-					gi++
-					continue
-				}
-				row = append(row, e)
-			}
-		}
-		for ; ai < len(added) && uint32(added[ai]>>32) == v; ai++ {
-			row = append(row, uint32(added[ai]))
-		}
-		return row
-	})
-	return hg.FromCSR(newEdges, numVertices, eOff, eAdj, vOff, vAdj)
-}
-
-// editRows copies the CSR rows (off, adj) into fresh arrays of rows rows
-// and nnz entries, rewriting the rows listed in edited (ascending): fill
-// appends an edited row's new contents to dst and returns it. Every
-// other row is copied as part of a span between edits, its offset
-// shifted; rows past the input's end are empty unless edited.
-func editRows(off []int64, adj []uint32, rows int, nnz int64, edited []uint32, fill func(r uint32, dst []uint32) []uint32) ([]int64, []uint32) {
-	newOff := make([]int64, rows+1)
-	newAdj := make([]uint32, 0, nnz)
-	inRows := len(off) - 1
-	next := 0 // first row not yet written
-	span := func(to int) {
-		if hi := min(to, inRows); next < hi {
-			shift := int64(len(newAdj)) - off[next]
-			newAdj = append(newAdj, adj[off[next]:off[hi]]...)
-			for r := next; r < hi; r++ {
-				newOff[r+1] = off[r+1] + shift
-			}
-			next = hi
-		}
-		for ; next < to; next++ {
-			newOff[next+1] = int64(len(newAdj))
-		}
-	}
-	for _, r := range edited {
-		span(int(r))
-		newAdj = fill(r, newAdj)
-		newOff[r+1] = int64(len(newAdj))
-		next = int(r) + 1
-	}
-	span(rows)
-	return newOff, newAdj
-}
-
-// Invert returns the delta that undoes d, phrased against the
-// hypergraph Apply(base, d) produced: it deletes the IDs d's inserts
-// received and re-inserts the vertex lists of d's deletes. Applying d
-// then Invert(d, base) restores the base's multiset of non-empty
-// hyperedge vertex sets — not its ID layout: the twice-applied
-// hypergraph keeps tombstone rows and appends the restored hyperedges
-// at fresh IDs, which Stage 1 erases. d must be normalized against
-// base.
-func Invert(d *Delta, base *hg.Hypergraph) *Delta {
-	inv := &Delta{}
-	m := uint32(base.NumEdges())
-	for i := range d.Inserts {
-		inv.Deletes = append(inv.Deletes, m+uint32(i))
-	}
-	for _, e := range d.Deletes {
-		vs := append([]uint32(nil), base.EdgeVertices(e)...)
-		inv.Inserts = append(inv.Inserts, vs)
-	}
-	return inv
+	st.ToplexSample = hg.SampleContainment(next)
+	return st
 }

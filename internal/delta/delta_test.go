@@ -258,3 +258,24 @@ func FuzzDeltaWire(f *testing.F) {
 		}
 	})
 }
+
+// Invert returns the delta that undoes d, phrased against the
+// hypergraph Apply(base, d) produced: it deletes the IDs d's inserts
+// received and re-inserts the vertex lists of d's deletes. Applying d
+// then Invert(d, base) restores the base's multiset of non-empty
+// hyperedge vertex sets — not its ID layout: the twice-applied
+// hypergraph keeps tombstone rows and appends the restored hyperedges
+// at fresh IDs, which Stage 1 erases. d must be normalized against
+// base.
+func Invert(d *Delta, base *hg.Hypergraph) *Delta {
+	inv := &Delta{}
+	m := uint32(base.NumEdges())
+	for i := range d.Inserts {
+		inv.Deletes = append(inv.Deletes, m+uint32(i))
+	}
+	for _, e := range d.Deletes {
+		vs := append([]uint32(nil), base.EdgeVertices(e)...)
+		inv.Inserts = append(inv.Inserts, vs)
+	}
+	return inv
+}

@@ -33,8 +33,8 @@ import (
 // co-occur in some inserted or deleted hyperedge's vertex set. Every
 // other pair of either projection is bit-for-bit untouched.
 type Patcher struct {
-	base *hg.Hypergraph
-	newH *hg.Hypergraph
+	base *hg.Version
+	newH *hg.Version
 	d    *Delta
 
 	// reason labels every patched result's plan.
@@ -96,6 +96,13 @@ const (
 // NewPatcher builds the patcher for one applied delta. d must be the
 // normalized delta that produced newH = Apply(base, d).
 func NewPatcher(base, newH *hg.Hypergraph, d *Delta) *Patcher {
+	return PatcherFor(hg.NewVersion(base, nil), hg.NewVersion(newH, nil), d)
+}
+
+// PatcherFor is NewPatcher on versions that need not be built: newH
+// must be Compose(base, d). The patcher reads only the rows the delta
+// touches, through the versions' edits, and builds neither.
+func PatcherFor(base, newH *hg.Version, d *Delta) *Patcher {
 	p := &Patcher{
 		base:     base,
 		newH:     newH,
@@ -379,7 +386,8 @@ func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepare
 
 // orient is the hypergraph whose hyperedges an orientation's projection
 // nodes are: h for the line orientation, its dual for the clique one.
-func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
+// h is a flat *hg.Hypergraph or a *hg.Version.
+func orient[H interface{ Dual() H }](h H, dual bool) H {
 	if dual {
 		return h.Dual()
 	}

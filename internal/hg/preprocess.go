@@ -56,38 +56,47 @@ func (r RelabelOrder) String() string {
 // rows of h in ID order, stably sorted by size for the by-degree
 // orders, so EdgeOrder(h, order)[w] is the input ID of working
 // hyperedge w. It reads only row lengths — a counting sort, O(m + ∆e) —
-// which is all the incremental patcher needs of Stage 1.
-func EdgeOrder(h *Hypergraph, order RelabelOrder) []uint32 {
-	edges := make([]uint32, 0, h.numEdges)
+// which is all the incremental patcher needs of Stage 1, and a pending
+// Version answers it without a build.
+func EdgeOrder(h Rows, order RelabelOrder) []uint32 {
+	m := h.NumEdges()
+	edges := make([]uint32, 0, m)
 	maxSize := 0
-	for e := 0; e < h.numEdges; e++ {
-		if sz := h.EdgeSize(uint32(e)); sz > 0 {
+	w := h.edgeSizes()
+	for e := 0; e < m; e++ {
+		if size := w.at(e); size > 0 {
 			edges = append(edges, uint32(e))
-			maxSize = max(maxSize, sz)
+			maxSize = max(maxSize, size)
 		}
 	}
 	if order != RelabelAscending && order != RelabelDescending {
 		return edges
 	}
-	key := func(e uint32) int {
+	key := func(size int) int {
 		if order == RelabelDescending {
-			return maxSize - h.EdgeSize(e)
+			return maxSize - size
 		}
-		return h.EdgeSize(e)
+		return size
 	}
 	// start[k] becomes the first output slot of sort key k; scanning the
-	// ID-ordered edges into it keeps equal sizes in ID order.
+	// rows in ID order into it keeps equal sizes in ID order.
 	start := make([]int, maxSize+2)
-	for _, e := range edges {
-		start[key(e)+1]++
+	w = h.edgeSizes()
+	for e := 0; e < m; e++ {
+		if size := w.at(e); size > 0 {
+			start[key(size)+1]++
+		}
 	}
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
 	}
 	out := make([]uint32, len(edges))
-	for _, e := range edges {
-		out[start[key(e)]] = e
-		start[key(e)]++
+	w = h.edgeSizes()
+	for e := 0; e < m; e++ {
+		if size := w.at(e); size > 0 {
+			out[start[key(size)]] = uint32(e)
+			start[key(size)]++
+		}
 	}
 	return out
 }

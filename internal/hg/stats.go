@@ -21,9 +21,9 @@ type Stats struct {
 	// planner's primary cost-model input.
 	WedgePairs int64
 	// ToplexSample estimates, from a deterministic sampled containment
-	// probe (SampleContainment), the fraction of hyperedges that are
-	// not toplexes — i.e. the fraction Stage-2 simplification would
-	// remove. It drives the planner's toplex knob; the exact ratio
+	// probe (SampleContainment), the fraction of non-empty hyperedges
+	// that are not toplexes — i.e. the fraction Stage-2 simplification
+	// would remove. It drives the planner's toplex knob; the exact ratio
 	// costs a full Toplexes pass. ComputeStats leaves it zero (the
 	// probe, though capped, is not free and sits on latency-bounded
 	// paths); populate it with SampleContainment where the toplex knob
@@ -73,39 +73,43 @@ const (
 
 // SampleContainment estimates the fraction of hyperedges that are not
 // toplexes by testing a deterministic stride-spread sample of
-// hyperedges for containment in another hyperedge. A sampled hyperedge
-// e counts as contained when some hyperedge f ⊇ e exists with f ≠ e;
-// among identical vertex sets only the lowest ID counts as the toplex,
-// matching Stage 2's duplicate rule. Candidates are scanned through
-// e's lowest-degree member vertex (every container of e must contain
-// it), capped at containmentScanCap candidates per sample.
-func SampleContainment(h *Hypergraph) float64 {
+// non-empty hyperedges for containment in another hyperedge: the
+// sample of each stride window is its first non-empty hyperedge. Empty
+// rows (a deleted hyperedge's tombstone) are never sampled, because
+// Stage 1 drops them before simplification sees them. A sampled
+// hyperedge e counts as contained when some hyperedge f ⊇ e exists
+// with f ≠ e; among identical vertex sets only the lowest ID counts as
+// the toplex, matching Stage 2's duplicate rule. Candidates are scanned
+// through e's lowest-degree member vertex (every container of e must
+// contain it), capped at containmentScanCap candidates per sample. h
+// may be a pending Version: the probe reads a few rows through it.
+func SampleContainment(h Rows) float64 {
 	m := h.NumEdges()
-	if m == 0 {
-		return 0
-	}
-	stride := m / containmentSamples
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(m/containmentSamples, 1)
 	sampled, contained := 0, 0
-	for e := 0; e < m; e += stride {
-		sampled++
-		if sampledEdgeContained(h, uint32(e)) {
-			contained++
+	for lo := 0; lo < m; lo += stride {
+		for e := lo; e < min(lo+stride, m); e++ {
+			if h.EdgeSize(uint32(e)) == 0 {
+				continue
+			}
+			sampled++
+			if sampledEdgeContained(h, uint32(e)) {
+				contained++
+			}
+			break
 		}
+	}
+	if sampled == 0 {
+		return 0
 	}
 	return float64(contained) / float64(sampled)
 }
 
-// sampledEdgeContained reports whether hyperedge e is strictly
-// contained in (or a higher-ID duplicate of) another hyperedge, giving
-// up after containmentScanCap candidates.
-func sampledEdgeContained(h *Hypergraph, e uint32) bool {
+// sampledEdgeContained reports whether the non-empty hyperedge e is
+// strictly contained in (or a higher-ID duplicate of) another
+// hyperedge, giving up after containmentScanCap candidates.
+func sampledEdgeContained(h Rows, e uint32) bool {
 	verts := h.EdgeVertices(e)
-	if len(verts) == 0 {
-		return true // empty hyperedges are never toplexes
-	}
 	probe := verts[0]
 	for _, v := range verts[1:] {
 		if h.VertexDegree(v) < h.VertexDegree(probe) {

@@ -425,12 +425,12 @@ func TestEstimateCostIgnoresHistory(t *testing.T) {
 	svc := New(Config{})
 	h := randomHypergraph(7, 2000, 50, 4)
 	svc.Add("h", h)
-	_, v, err := svc.reg.Get("h")
+	hv, v, err := svc.reg.Get("h")
 	if err != nil {
 		t.Fatal(err)
 	}
 	price := func() int64 {
-		cfg := svc.resolveAt(h, v, "h", false, core.PipelineConfig{})
+		cfg := svc.resolveAt(hv, v, "h", false, core.PipelineConfig{})
 		if cfg.Stats == nil || cfg.Stats.WedgePairs < 10*wedgePairsPerCostUnit {
 			t.Fatalf("dataset stats %+v: want WedgePairs >= %d", cfg.Stats, 10*wedgePairsPerCostUnit)
 		}

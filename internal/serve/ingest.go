@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the serving half of streaming ingest: applying a delta
-// to a registered dataset bumps its version (pass count carried
-// forward, see Registry.ApplyDelta) and then walks both result caches
+// to a registered dataset composes a pending version and bumps to it
+// (statistics and pass count carried forward, see Registry.ApplyDelta)
+// and then walks both result caches
 // once, deciding per key — via the delta.Patcher — whether the entry
 // provably survived the delta (migrate: re-key to the new version),
 // can be patched cheaper than recomputed (patch: a deferred rewrite of
@@ -68,36 +69,39 @@ type IngestResult struct {
 	Policy DeltaPolicy `json:"policy"`
 }
 
-// Ingest applies one delta to the named dataset: the post-delta
-// hypergraph is materialized (no re-parse), installed as the next
-// version with its pass count carried forward, and the caches are walked
-// under the configured DeltaPolicy. The delta is validated against the
-// dataset's current version; baseVersion != 0 additionally pins the
-// version the client built the delta against (hyperedge IDs are only
-// meaningful relative to a version). Concurrent writers lose the CAS
-// and get ErrVersionConflict. A cancelled ctx stops the cache walk
-// early — the version bump itself is already durable, and unvisited
-// old-version keys are unreachable, so early exit only costs hit rate.
+// Ingest applies one delta to the named dataset: the delta is composed
+// onto the current version as a pending one (delta.Compose: no copy of
+// the dataset, built only when something needs flat rows), installed
+// as the next version with its statistics and pass count carried
+// forward, and the caches are walked under the configured DeltaPolicy.
+// The delta is validated against the dataset's current version;
+// baseVersion != 0 additionally pins the version the client built the
+// delta against (hyperedge IDs are only meaningful relative to a
+// version). Concurrent writers lose the CAS and get ErrVersionConflict.
+// A cancelled ctx stops the cache walk early — the version bump itself
+// is already durable, and unvisited old-version keys are unreachable,
+// so early exit only costs hit rate.
 func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseVersion uint64) (*IngestResult, error) {
-	h, oldV, err := s.reg.Get(name)
+	cur, err := s.reg.current(name)
 	if err != nil {
 		return nil, err
 	}
+	oldV := cur.version
 	if baseVersion != 0 && baseVersion != oldV {
 		return nil, fmt.Errorf("serve: %w: delta based on version %d of %q, current is %d",
 			ErrVersionConflict, baseVersion, name, oldV)
 	}
-	newH, err := delta.Apply(h, d)
+	next, err := delta.Compose(cur.v, d)
 	if err != nil {
 		return nil, err
 	}
-	newV, err := s.reg.ApplyDelta(name, oldV, newH)
+	newV, err := s.reg.ApplyDelta(name, oldV, next, delta.CarryStats(cur.stats, cur.v, next, d))
 	if err != nil {
 		return nil, err
 	}
 	s.ingestsApplied.Add(1)
 
-	p := delta.NewPatcher(h, newH, d)
+	p := delta.PatcherFor(cur.v, next, d)
 	p.OnMaterialize = func() { s.projectionMaterializations.Add(1) }
 	res := &IngestResult{
 		Dataset:         name,

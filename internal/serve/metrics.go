@@ -170,6 +170,8 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	mw.value("hyperline_measure_computes_total", "", float64(s.measureComputes.Load()))
 	mw.header("hyperline_projection_materializations_total", "patched projections whose deferred rows were built (by a row read, a spill, or a patch past the pending-list bound)", "counter")
 	mw.value("hyperline_projection_materializations_total", "", float64(s.projectionMaterializations.Load()))
+	mw.header("hyperline_dataset_builds_total", "pending dataset versions built into flat CSR (by a cache-miss pass, the dual statistics, a snapshot, a Hypergraph read, or a delta past the pending bound)", "counter")
+	mw.value("hyperline_dataset_builds_total", "", float64(s.datasetBuilds.Load()))
 
 	mw.header("hyperline_ingest_applied_total", "deltas applied via streaming ingest", "counter")
 	mw.value("hyperline_ingest_applied_total", "", float64(s.ingestsApplied.Load()))

@@ -38,6 +38,7 @@ var metricFamilies = map[string]string{
 	"hyperline_projection_computes_total":          "counter",
 	"hyperline_measure_computes_total":             "counter",
 	"hyperline_projection_materializations_total":  "counter",
+	"hyperline_dataset_builds_total":               "counter",
 	"hyperline_ingest_applied_total":               "counter",
 	"hyperline_ingest_projection_outcomes_total":   "counter",
 	"hyperline_ingest_measure_outcomes_total":      "counter",

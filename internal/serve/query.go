@@ -107,7 +107,8 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	}
 	// The dataset snapshot (hypergraph + version) is read once and
 	// pinned through the whole query, so a concurrent replacement can
-	// never mix two versions within one response.
+	// never mix two versions within one response. A pending version is
+	// built only if a projection must be computed.
 	h, version, err := s.reg.Get(q.Dataset)
 	if err != nil {
 		return nil, err

@@ -29,21 +29,24 @@ type DatasetInfo struct {
 	Stats   hg.Stats
 }
 
-// dataset pairs an immutable hypergraph with a monotonically increasing
-// version. Replacing a dataset under the same name bumps the version,
-// which flows into every cache key derived from it — stale results are
-// never served, they simply age out of the LRU. Stats are computed once
-// at registration (they are immutable per version, and recomputing them
-// scans the whole hypergraph), including the sampled containment probe
-// the planner's toplex knob reads; dual-orientation stats are computed
-// lazily on the first clique-side query that needs them.
+// dataset pairs an immutable hypergraph version with a monotonically
+// increasing version number. Replacing a dataset under the same name
+// bumps the number, which flows into every cache key derived from it —
+// stale results are never served, they simply age out of the LRU. A
+// delta's version is pending (hg.Version): its CSR is built only when
+// something needs flat rows. Stats are computed once at registration
+// (they are immutable per version, and recomputing them scans the whole
+// hypergraph) and carried forward across deltas (delta.CarryStats),
+// including the sampled containment probe the planner's toplex knob
+// reads; dual-orientation stats are computed lazily on the first
+// clique-side query that needs them, which builds a pending version.
 //
 // passes counts the Stage-3 passes the service has run on this dataset's
 // lineage, indexed line then clique: the ingest walk's patch-vs-drop
 // threshold reads it (see Service.Ingest). A delta's next version
 // shares the counter; a fresh Add or a restore starts a new one at 0.
 type dataset struct {
-	h       *hg.Hypergraph
+	v       *hg.Version
 	version uint64
 	stats   hg.Stats
 
@@ -60,7 +63,7 @@ func (d *dataset) statsFor(dual bool) hg.Stats {
 		return d.stats
 	}
 	d.dualOnce.Do(func() {
-		dh := d.h.Dual()
+		dh := d.v.Flat().Dual()
 		st := hg.ComputeStats(d.stats.Name+"/dual", dh)
 		st.ToplexSample = hg.SampleContainment(dh)
 		d.dualStats = st
@@ -82,6 +85,8 @@ type Registry struct {
 	mu      sync.RWMutex
 	byName  map[string]*dataset
 	nextVer uint64
+	// onBuild is called once per pending version whose CSR is built.
+	onBuild func()
 }
 
 // NewRegistry returns an empty registry.
@@ -89,26 +94,29 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*dataset)}
 }
 
+// registered returns the dataset record of h, with its statistics.
+func (r *Registry) registered(name string, h *hg.Hypergraph, version uint64) *dataset {
+	stats := hg.ComputeStats(name, h)
+	stats.ToplexSample = hg.SampleContainment(h)
+	return &dataset{v: hg.NewVersion(h, r.onBuild), version: version, stats: stats, passes: new([2]atomic.Int64)}
+}
+
 // Add registers h under name, replacing any previous dataset with that
 // name, and returns the assigned version.
 func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
-	stats := hg.ComputeStats(name, h)
-	stats.ToplexSample = hg.SampleContainment(h)
+	d := r.registered(name, h, 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextVer++
-	r.byName[name] = &dataset{
-		h:       h,
-		version: r.nextVer,
-		stats:   stats,
-		passes:  new([2]atomic.Int64),
-	}
+	d.version = r.nextVer
+	r.byName[name] = d
 	return r.nextVer
 }
 
-// ApplyDelta installs newH as the next version of name, but only while
-// oldVersion is still the current version (compare-and-swap against
-// concurrent writers; losers get ErrVersionConflict and must re-read).
+// ApplyDelta installs next, with its carried statistics, as the next
+// version of name, but only while oldVersion is still the current
+// version (compare-and-swap against concurrent writers; losers get
+// ErrVersionConflict and must re-read).
 //
 // Unlike Add, the old version's pass counter is carried forward: a
 // delta perturbs a bounded neighborhood of the hypergraph, so the
@@ -116,9 +124,7 @@ func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
 // a full replacement is a new lineage and starts at 0. The
 // dual-orientation statistics do reset (fresh dualOnce): they are exact
 // counts and must describe the new hypergraph.
-func (r *Registry) ApplyDelta(name string, oldVersion uint64, newH *hg.Hypergraph) (uint64, error) {
-	stats := hg.ComputeStats(name, newH)
-	stats.ToplexSample = hg.SampleContainment(newH)
+func (r *Registry) ApplyDelta(name string, oldVersion uint64, next *hg.Version, stats hg.Stats) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d, ok := r.byName[name]
@@ -131,7 +137,7 @@ func (r *Registry) ApplyDelta(name string, oldVersion uint64, newH *hg.Hypergrap
 	}
 	r.nextVer++
 	r.byName[name] = &dataset{
-		h:       newH,
+		v:       next,
 		version: r.nextVer,
 		stats:   stats,
 		passes:  d.passes,
@@ -145,19 +151,13 @@ func (r *Registry) ApplyDelta(name string, oldVersion uint64, newH *hg.Hypergrap
 // version counter advances past the pinned version so later Add calls
 // never collide with it.
 func (r *Registry) addRestored(name string, h *hg.Hypergraph, version uint64) {
-	stats := hg.ComputeStats(name, h)
-	stats.ToplexSample = hg.SampleContainment(h)
+	d := r.registered(name, h, version)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if version > r.nextVer {
 		r.nextVer = version
 	}
-	r.byName[name] = &dataset{
-		h:       h,
-		version: version,
-		stats:   stats,
-		passes:  new([2]atomic.Int64),
-	}
+	r.byName[name] = d
 }
 
 // bumpNextVersion advances the version counter to at least v.
@@ -173,7 +173,7 @@ func (r *Registry) bumpNextVersion(v uint64) {
 // snapshot.
 type registrySnapshot struct {
 	name    string
-	h       *hg.Hypergraph
+	v       *hg.Version
 	version uint64
 }
 
@@ -183,7 +183,7 @@ func (r *Registry) snapshot() ([]registrySnapshot, uint64) {
 	defer r.mu.RUnlock()
 	out := make([]registrySnapshot, 0, len(r.byName))
 	for name, d := range r.byName {
-		out = append(out, registrySnapshot{name: name, h: d.h, version: d.version})
+		out = append(out, registrySnapshot{name: name, v: d.v, version: d.version})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out, r.nextVer
@@ -223,15 +223,24 @@ func (r *Registry) Remove(name string) bool {
 	return ok
 }
 
-// Get returns the named hypergraph and its version.
-func (r *Registry) Get(name string) (*hg.Hypergraph, uint64, error) {
+// Get returns the named hypergraph version and its version number.
+func (r *Registry) Get(name string) (*hg.Version, uint64, error) {
+	d, err := r.current(name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return d.v, d.version, nil
+}
+
+// current returns the named dataset's current record.
+func (r *Registry) current(name string) (*dataset, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d, ok := r.byName[name]
 	if !ok {
-		return nil, 0, fmt.Errorf("serve: %w %q", ErrUnknownDataset, name)
+		return nil, fmt.Errorf("serve: %w %q", ErrUnknownDataset, name)
 	}
-	return d.h, d.version, nil
+	return d, nil
 }
 
 // at returns the named dataset only while version is still its current

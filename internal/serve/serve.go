@@ -84,6 +84,9 @@ type Service struct {
 	// projectionMaterializations counts patched projections whose
 	// deferred rows were built (delta.Patcher.OnMaterialize).
 	projectionMaterializations atomic.Int64
+	// datasetBuilds counts pending dataset versions whose CSR was built
+	// (hg.Version.Flat).
+	datasetBuilds atomic.Int64
 	// sfDedups / msfDedups count requests served by joining another
 	// caller's in-flight computation (projection / measure flights).
 	sfDedups  atomic.Int64
@@ -116,7 +119,7 @@ func New(cfg Config) *Service {
 	if policy == "" {
 		policy = DeltaPolicyPatch
 	}
-	return &Service{
+	s := &Service{
 		reg:         NewRegistry(),
 		cache:       NewCache(cfg.CacheEntries),
 		mcache:      NewMeasureCache(cfg.MeasureCacheEntries),
@@ -125,6 +128,8 @@ func New(cfg Config) *Service {
 		deltaPolicy: policy,
 		feed:        newChangeFeed(),
 	}
+	s.reg.onBuild = func() { s.datasetBuilds.Add(1) }
+	return s
 }
 
 // EnableSpill attaches a disk tier under both caches: entries evicted
@@ -181,10 +186,14 @@ func (s *Service) Stats(name string) (hg.Stats, error) {
 	return s.reg.Stats(name)
 }
 
-// Hypergraph returns the named hypergraph (shared, immutable).
+// Hypergraph returns the named hypergraph (shared, immutable), building
+// its current version's CSR if a delta left it pending.
 func (s *Service) Hypergraph(name string) (*hg.Hypergraph, error) {
-	h, _, err := s.reg.Get(name)
-	return h, err
+	v, _, err := s.reg.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return v.Flat(), nil
 }
 
 // resolveAt resolves cfg's planner-driven auto knobs (hg.RelabelAuto,
@@ -194,17 +203,25 @@ func (s *Service) Hypergraph(name string) (*hg.Hypergraph, error) {
 // planner-chosen configuration shares cache entries with the pinned
 // configuration it resolves to. When the snapshot is no longer the
 // registry's current version (a concurrent replacement), the stats are
-// recomputed from the snapshot.
-func (s *Service) resolveAt(h *hg.Hypergraph, version uint64, name string, dual bool, cfg core.PipelineConfig) core.PipelineConfig {
+// recomputed from the snapshot's built rows.
+func (s *Service) resolveAt(h *hg.Version, version uint64, name string, dual bool, cfg core.PipelineConfig) core.PipelineConfig {
+	var work *hg.Hypergraph
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
 		cfg.Stats = &st
-	}
-	work := h
-	if dual {
-		work = h.Dual()
+	} else {
+		work = orient(h, dual).Flat()
 	}
 	return core.ResolveConfig(work, cfg)
+}
+
+// orient is the version whose hyperedges an orientation's projection
+// nodes are: v for the line orientation, its dual for the clique one.
+func orient(v *hg.Version, dual bool) *hg.Version {
+	if dual {
+		return v.Dual()
+	}
+	return v
 }
 
 // CacheStats snapshots the result cache counters.
@@ -222,11 +239,9 @@ type projection struct {
 // pinned (hypergraph + version) under the configuration Query resolved:
 // every cache key it derives refers to that version and those concrete
 // knobs, so one response never mixes versions even if the dataset is
-// concurrently replaced.
-func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]projection, error) {
-	if dual {
-		h = h.Dual()
-	}
+// concurrently replaced. Only a pass that computes builds a pending
+// version's CSR (once, for every flight that needs it).
+func (s *Service) projectBatchAt(ctx context.Context, h *hg.Version, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]projection, error) {
 	// The version makes replaced datasets miss; the output key folds in
 	// every output-relevant option, so requests differing only in
 	// execution knobs share an entry.
@@ -278,7 +293,7 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Hypergraph, version 
 			t0 := time.Now()
 			computed, err := func() (map[int]*core.PipelineResult, error) {
 				defer release()
-				return core.RunBatch(fctx, h, compute, cfg)
+				return core.RunBatch(fctx, orient(h, dual).Flat(), compute, cfg)
 			}()
 			wall := time.Since(t0)
 			if err != nil {

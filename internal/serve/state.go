@@ -72,7 +72,7 @@ func (s *Service) SaveState(dir string) error {
 		rel := datasetFileName(d.name, d.version)
 		path := filepath.Join(dir, rel)
 		if _, err := os.Stat(path); err != nil {
-			if err := saveBinaryAtomic(dir, path, d.h); err != nil {
+			if err := saveBinaryAtomic(dir, path, d.v.Flat()); err != nil {
 				return fmt.Errorf("serve: persisting dataset %q: %w", d.name, err)
 			}
 		}
@@ -209,7 +209,7 @@ func (s *Service) Close() error {
 	s.msf.close()
 	var first error
 	for _, d := range s.reg.drain() {
-		if err := d.h.Close(); err != nil && first == nil {
+		if err := d.v.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
