@@ -11,9 +11,11 @@ import (
 )
 
 // Prepared is the part of Stage 1 the incremental patcher needs from a
-// post-delta hypergraph: its working hyperedge order (hg.EdgeOrder) and
-// the inverse mapping, which move edge lists between the original and
-// working ID spaces. The working hypergraph itself is never built — a
+// post-delta hypergraph whose surviving nodes reorder (the clique
+// orientation under a by-degree relabel; order-stable keys carry their
+// order as an hg.Reorder instead): its working hyperedge order
+// (hg.EdgeOrder) and the inverse mapping, which move edge lists between
+// the original and working ID spaces. The working hypergraph itself is never built — a
 // patched projection's node space and labels depend on nothing else —
 // so preparing is a scan of row lengths. Assemble then runs the same
 // Stage-4 code path as RunBatch, which is what makes a patched

@@ -200,12 +200,15 @@ func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
 	return next.Flat(), nil
 }
 
-// CarryStats carries st — the statistics of old, hg.ComputeStats plus
-// hg.SampleContainment — across d to next, the version d composed onto
-// old, in O(delta) and without a build: the sizes come from next,
-// WedgePairs moves by the touched vertices' degree changes, and each
-// maximum is rescanned only when the delta shrinks an element that held
-// it. The result equals computing the statistics on next's built CSR.
+// CarryStats carries st — the statistics of old, hg.ComputeStats —
+// across d to next, the version d composed onto old, in O(delta) and
+// without a build: the sizes come from next, WedgePairs moves by the
+// touched vertices' degree changes and EdgePairs by the deleted and
+// inserted hyperedges, and each maximum is rescanned only when the
+// delta shrinks an element that held it. The result equals
+// hg.ComputeStats on next's built CSR. ToplexSample is cleared: the
+// containment probe is next's own, taken the first time something
+// reads it.
 func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 	oldMaxV, oldMaxE := st.MaxVertexDegree, st.MaxEdgeSize
 	st.NumVertices, st.NumEdges, st.Incidences = next.NumVertices(), next.NumEdges(), next.Incidences()
@@ -217,15 +220,18 @@ func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 		st.AvgEdgeSize = float64(st.Incidences) / float64(st.NumEdges)
 	}
 
+	pairs := func(deg int) int64 { return int64(deg) * int64(deg-1) / 2 }
 	touched := make([]uint32, 0, d.insertIncidences())
 	rescanE := false
 	for _, e := range d.Deletes {
 		vs := old.EdgeVertices(e)
 		rescanE = rescanE || len(vs) == oldMaxE
+		st.EdgePairs -= pairs(len(vs))
 		touched = append(touched, vs...)
 	}
 	for _, vs := range d.Inserts {
 		st.MaxEdgeSize = max(st.MaxEdgeSize, len(vs))
+		st.EdgePairs += pairs(len(vs))
 		touched = append(touched, vs...)
 	}
 	if rescanE {
@@ -233,7 +239,6 @@ func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 	}
 	slices.Sort(touched)
 	rescanV := false
-	pairs := func(deg int) int64 { return int64(deg) * int64(deg-1) / 2 }
 	for _, v := range slices.Compact(touched) {
 		was := 0
 		if int(v) < old.NumVertices() {
@@ -247,6 +252,6 @@ func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 	if rescanV {
 		st.MaxVertexDegree = next.MaxVertexDegree()
 	}
-	st.ToplexSample = hg.SampleContainment(next)
+	st.ToplexSample = 0
 	return st
 }

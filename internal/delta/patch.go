@@ -17,12 +17,15 @@ import (
 // delta. It is built once per applied delta (base → newH) and consulted
 // once per cached projection key; the expensive per-orientation state —
 // the Algorithm-2 recount of inserted hyperedges, the affected
-// vertex-pair table of the clique orientation, and the new
-// hypergraph's working-ID order — is computed lazily and shared
-// across every key that needs it. Nothing it computes is proportional
-// to the dataset beyond one scan of an orientation's row lengths (the
-// working-ID order) and, per patched projection, passes over its nodes
-// and pending lists; order-stable patches write no rows (patchRows).
+// vertex-pair table of the clique orientation, and how the delta moves
+// the working-ID order (an hg.Reorder, read off the rows the delta
+// touches) — is computed lazily and shared across every key that needs
+// it. Nothing it computes is proportional to the dataset: per patched
+// projection it copies runs of its node arrays and passes over its
+// pending lists, and order-stable patches write no rows (patchRows).
+// The one exception is the clique orientation under a by-degree
+// relabel, which is not order-stable: it derives the new version's
+// whole working order (core.PrepareOrder) and rebuilds the projection.
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
@@ -59,9 +62,12 @@ type Patcher struct {
 	cliquePairs map[uint64]uint32
 	cliqueOK    bool
 
-	// prepared caches the new hypergraph's working-ID order per
-	// (orientation, relabel) — shared by every key patched under it.
+	// orders caches how the delta moves each order-stable
+	// (orientation, relabel)'s working order, and prepared the new
+	// hypergraph's full working order for the clique orientation under
+	// A/D — each shared by every key patched under it.
 	mu       sync.Mutex
+	orders   map[preparedKey]*carried
 	prepared map[preparedKey]*core.Prepared
 
 	// OnMaterialize, when set before the first Patch, is called once
@@ -108,6 +114,7 @@ func PatcherFor(base, newH *hg.Version, d *Delta) *Patcher {
 		newH:     newH,
 		d:        d,
 		reason:   fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
+		orders:   make(map[preparedKey]*carried),
 		prepared: make(map[preparedKey]*core.Prepared),
 	}
 	// Line bound: a pair involving a deleted hyperedge x had weight
@@ -367,8 +374,78 @@ func (p *Patcher) cliqueUpdates() (map[uint64]uint32, bool) {
 	return p.cliquePairs, p.cliqueOK
 }
 
+// carried is one order-stable (orientation, relabel)'s working order
+// carried across the delta, and how long deriving it took.
+type carried struct {
+	ro   *hg.Reorder
+	took time.Duration
+}
+
+// orderFor returns (deriving on first use) how the delta moves the
+// working order of an order-stable orientation and relabel: the rows
+// the delta empties and fills, ranked by hg.Version.WorkID in the old
+// and the new version. It reads the delta's rows only — no row-length
+// scan and nothing m-sized, unlike core.PrepareOrder.
+func (p *Patcher) orderFor(dual bool, relabel hg.RelabelOrder) (*carried, error) {
+	if relabel == hg.RelabelAuto {
+		return nil, fmt.Errorf("delta: patching requires a resolved relabel order, got auto")
+	}
+	k := preparedKey{dual: dual, relabel: relabel}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if o, ok := p.orders[k]; ok {
+		return o, nil
+	}
+	t0 := time.Now()
+	o := &carried{ro: p.reorder(dual, relabel)}
+	o.took = time.Since(t0)
+	p.orders[k] = o
+	return o, nil
+}
+
+// reorder derives the hg.Reorder of one order-stable orientation and
+// relabel. In the line orientation the deleted hyperedges leave the
+// working order and the inserted ones enter it; in the clique
+// orientation a touched vertex leaves when the delta takes its last
+// hyperedge and enters when it gets its first.
+func (p *Patcher) reorder(dual bool, relabel hg.RelabelOrder) *hg.Reorder {
+	was, now := orient(p.base, dual), orient(p.newH, dual)
+	ro := &hg.Reorder{}
+	if !dual {
+		for _, e := range p.d.Deletes {
+			ro.Gone = append(ro.Gone, uint32(was.WorkID(e, relabel)))
+		}
+		m := uint32(p.base.NumEdges())
+		for i := range p.d.Inserts {
+			ro.Enter = append(ro.Enter, uint32(now.WorkID(m+uint32(i), relabel)))
+		}
+	} else {
+		var touched []uint32
+		for _, e := range p.d.Deletes {
+			touched = append(touched, p.base.EdgeVertices(e)...)
+		}
+		for _, vs := range p.d.Inserts {
+			touched = append(touched, vs...)
+		}
+		slices.Sort(touched)
+		for _, u := range slices.Compact(touched) {
+			before := int(u) < was.NumEdges() && was.EdgeSize(u) > 0
+			switch after := now.EdgeSize(u) > 0; {
+			case before && !after:
+				ro.Gone = append(ro.Gone, uint32(was.WorkID(u, relabel)))
+			case !before && after:
+				ro.Enter = append(ro.Enter, uint32(now.WorkID(u, relabel)))
+			}
+		}
+	}
+	slices.Sort(ro.Gone)
+	slices.Sort(ro.Enter)
+	return ro
+}
+
 // preparedFor returns (deriving on first use) the new hypergraph's
-// working-ID order for one orientation and relabel order.
+// working-ID order for a key that is not order-stable: the clique
+// orientation under a by-degree relabel.
 func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepared, error) {
 	k := preparedKey{dual: dual, relabel: relabel}
 	p.mu.Lock()
@@ -404,17 +481,21 @@ func orient[H interface{ Dual() H }](h H, dual bool) H {
 // Stage-4 path as a full run.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	t0 := time.Now()
-	pp, err := p.preparedFor(a.Dual, a.Relabel)
-	if err != nil {
-		return nil, err
-	}
 	plan := core.PlanInfo{
 		Strategy: "patch",
 		Reason:   p.reason,
 		Relabel:  a.Relabel.String(),
 	}
 	if orderStable(a) {
-		return p.patchRows(old, a, pp, plan, t0)
+		o, err := p.orderFor(a.Dual, a.Relabel)
+		if err != nil {
+			return nil, err
+		}
+		return p.patchRows(old, a, o, plan, t0)
+	}
+	pp, err := p.preparedFor(a.Dual, a.Relabel)
+	if err != nil {
+		return nil, err
 	}
 	work, err := p.patchCliquePairs(old, a.S)
 	if err != nil {
@@ -444,31 +525,41 @@ const deferFraction = 8
 // result's graph is deferred (graph.Defer), one graph.Rewrite of a base
 // graph — the cached projection itself when it has rows, else the base
 // it defers to — composed across every delta since that base.
+//
 // Surviving nodes keep their relative order in the new working ID space,
-// so the old → new node map is monotone: a node is gone when its
-// hyperedge left the working space (a deleted hyperedge, or a vertex
-// whose every hyperedge was deleted), dies when every edge it had was
-// removed and none added (its degree says so), and otherwise keeps its
-// row, minus removed neighbours and merged with the added pairs.
-// Endpoints of added pairs that were not nodes before (inserted
-// hyperedges, or survivors isolated at s) slot into the node order by
-// working ID. Only the rows of gone nodes and the pairs the delta names
-// are read, through the pending lists (rowSource), so the work is
-// O(nodes + delta), never O(edges).
-func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepared, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
-	g, ids := old.Graph, old.HyperedgeIDs
-	n := g.NumNodes()
-	toWork, edgeOrig := pp.OrigToWork(), pp.EdgeOrig()
+// so the old → new node map is monotone, and it changes only at
+// O(delta) breakpoints: a node whose row left the working order (its
+// working ID is in the Reorder's Gone), a node that dies because every
+// edge it had was removed and none added, an endpoint of an added pair
+// that was no node (an inserted hyperedge, a vertex the delta gave its
+// first hyperedge, or a survivor isolated at s) slotting in by working
+// ID, and the working IDs where the Reorder shifts the squeeze map.
+// Between breakpoints the new HyperedgeIDs, squeeze map and degrees are
+// copies of runs of the old ones (the squeeze map shifted by one
+// constant per run), and the node map is a graph.Runs. Only the rows of
+// gone nodes and the pairs the delta names are read, through the
+// pending lists (rowSource), so the work is copies of O(nodes) plus
+// O(delta) lookups, never O(edges).
+func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
+	g, ids, work := old.Graph, old.HyperedgeIDs, old.Graph.Orig()
+	n := uint32(len(ids))
+	ro, nv := o.ro, orient(p.newH, a.Dual)
 	cur := readThrough(g)
+	lowerBound := func(w uint32) uint32 {
+		x, _ := slices.BinarySearch(work, w)
+		return uint32(x)
+	}
 
-	// remap[x] holds old node x's working ID (Gone if it left the working
-	// space) until the walk below turns it into x's new node ID.
-	remap := make([]uint32, n)
-	for x, id := range ids {
-		remap[x] = graph.Gone
-		if w := toWork[id]; w >= 0 {
-			remap[x] = uint32(w)
+	// gone: the old nodes whose rows left the working order, ascending.
+	gone := make([]uint32, 0, len(ro.Gone))
+	for _, w := range ro.Gone {
+		if x, ok := slices.BinarySearch(work, w); ok {
+			gone = append(gone, uint32(x))
 		}
+	}
+	isGone := func(x uint32) bool {
+		_, ok := slices.BinarySearch(gone, x)
+		return ok
 	}
 
 	// Pairs in original IDs (U < V): the cached edges the delta changed
@@ -504,90 +595,169 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 	for _, e := range changed {
 		x, okx := slices.BinarySearch(ids, e.U)
 		y, oky := slices.BinarySearch(ids, e.V)
-		if okx && oky && remap[x] != graph.Gone && remap[y] != graph.Gone && cur.hasEdge(uint32(x), uint32(y)) {
+		if okx && oky && !isGone(uint32(x)) && !isGone(uint32(y)) && cur.hasEdge(uint32(x), uint32(y)) {
 			drop = append(drop, graph.Edge{U: uint32(x), V: uint32(y)}, graph.Edge{U: uint32(y), V: uint32(x)})
 		}
 	}
 	core.SortEdges(drop)
 
-	// lost[x] counts the edges kept old node x loses.
-	lost := make([]uint32, n)
-	for x := range remap {
-		if remap[x] == graph.Gone {
-			cur.neighbors(uint32(x), func(y uint32) {
-				if remap[y] != graph.Gone {
-					lost[y]++
-				}
-			})
-		}
+	// lost: one entry per edge a kept old node loses, ascending. Every
+	// slice below is sized up front, so a patch allocates as often
+	// however many neighbours the delta reaches.
+	lostCap := len(drop)
+	for _, x := range gone {
+		lostCap += int(cur.Deg[x])
+	}
+	lost := make([]uint32, 0, lostCap)
+	for _, x := range gone {
+		cur.neighbors(x, func(y uint32) {
+			if !isGone(y) {
+				lost = append(lost, y)
+			}
+		})
 	}
 	for _, e := range drop {
-		lost[e.U]++
+		lost = append(lost, e.U)
 	}
+	slices.Sort(lost)
 
-	// add: the added pairs in working IDs, both directions; ends: their
-	// distinct sources, each with its added degree and, once numbered,
-	// its new node ID.
+	// add: the added pairs in new working IDs, both directions; ends:
+	// their distinct sources, each with its hyperedge ID, its added
+	// degree, its old node (Gone if it was none) and, once numbered, its
+	// new node.
 	add := make([]graph.Edge, 0, 2*len(added))
+	type end struct{ work, id, deg, old, node uint32 }
+	named := make([]end, 0, 2*len(added))
 	for _, e := range added {
-		wu, wv := toWork[e.U], toWork[e.V]
-		if wu < 0 || wv < 0 {
-			return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
-		}
-		add = append(add, graph.Edge{U: uint32(wu), V: uint32(wv), W: e.W}, graph.Edge{U: uint32(wv), V: uint32(wu), W: e.W})
+		wu, wv := uint32(nv.WorkID(e.U, a.Relabel)), uint32(nv.WorkID(e.V, a.Relabel))
+		add = append(add, graph.Edge{U: wu, V: wv, W: e.W}, graph.Edge{U: wv, V: wu, W: e.W})
+		named = append(named, end{work: wu, id: e.U}, end{work: wv, id: e.V})
 	}
 	core.SortEdges(add)
-	type end struct{ work, deg, node uint32 }
-	ends := make([]end, 0, len(add))
-	for _, e := range add {
-		if len(ends) > 0 && ends[len(ends)-1].work == e.U {
-			ends[len(ends)-1].deg++
-		} else {
-			ends = append(ends, end{work: e.U, deg: 1})
+	byWork := func(a, b end) int { return cmp.Compare(a.work, b.work) }
+	slices.SortFunc(named, byWork)
+	ends := slices.CompactFunc(named, func(a, b end) bool { return a.work == b.work })
+	for i, ai := 0, 0; i < len(ends); i++ {
+		for ; ai < len(add) && add[ai].U == ends[i].work; ai++ {
+			ends[i].deg++
+		}
+		ends[i].old = graph.Gone
+		if w, entered := ro.Back(ends[i].work); !entered {
+			if x, ok := slices.BinarySearch(work, w); ok {
+				ends[i].old = uint32(x)
+			}
 		}
 	}
 
-	// Number the new nodes in working-ID order: kept old nodes merged
-	// with the added pairs' endpoints, skipping old nodes left without an
-	// edge. orig is the new squeeze map, hids the new HyperedgeIDs, deg
-	// the new degrees.
-	orig := make([]uint32, 0, n+len(ends))
-	hids := make([]uint32, 0, n+len(ends))
-	deg := make([]uint32, 0, n+len(ends))
-	ei := 0
-	number := func(w, id uint32, d int) uint32 {
-		orig, hids, deg = append(orig, w), append(hids, id), append(deg, uint32(d))
-		return uint32(len(orig) - 1)
-	}
-	for x := range remap {
-		w := remap[x]
-		if w == graph.Gone {
-			continue
-		}
-		for ; ei < len(ends) && ends[ei].work < w; ei++ {
-			ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work], int(ends[ei].deg))
-		}
-		d := g.Degree(uint32(x)) - int(lost[x])
-		isEnd := ei < len(ends) && ends[ei].work == w
-		if isEnd {
-			d += int(ends[ei].deg)
-		}
-		if d == 0 {
-			remap[x] = graph.Gone
-			continue
-		}
-		remap[x] = number(w, ids[x], d)
-		if isEnd {
-			ends[ei].node = remap[x]
-			ei++
+	// The kept old nodes whose degree changes, and the ones among them
+	// that die; removed is every old node the new graph drops.
+	type hit struct{ node, lost, gain uint32 }
+	hits := make([]hit, 0, len(lost)+len(ends))
+	for _, x := range lost {
+		if len(hits) > 0 && hits[len(hits)-1].node == x {
+			hits[len(hits)-1].lost++
+		} else {
+			hits = append(hits, hit{node: x, lost: 1})
 		}
 	}
-	for ; ei < len(ends); ei++ {
-		ends[ei].node = number(ends[ei].work, edgeOrig[ends[ei].work], int(ends[ei].deg))
+	for _, e := range ends {
+		if e.old == graph.Gone {
+			continue
+		}
+		i, ok := slices.BinarySearchFunc(hits, e.old, func(h hit, x uint32) int { return cmp.Compare(h.node, x) })
+		if !ok {
+			hits = slices.Insert(hits, i, hit{node: e.old})
+		}
+		hits[i].gain += e.deg
+	}
+	removed := append(make([]uint32, 0, len(gone)+len(hits)), gone...)
+	for _, h := range hits {
+		if cur.Deg[h.node]-h.lost+h.gain == 0 {
+			removed = append(removed, h.node)
+		}
+	}
+	slices.Sort(removed)
+
+	// ins: the ends that were no node, ascending by working ID, each
+	// slotting in before the old node at its position.
+	type slot struct{ end, pos uint32 }
+	ins := make([]slot, 0, len(ends))
+	for i, e := range ends {
+		if e.old == graph.Gone {
+			w, _ := ro.Back(e.work)
+			ins = append(ins, slot{end: uint32(i), pos: lowerBound(w)})
+		}
+	}
+
+	// Breakpoints in the old node space: the node map and the squeeze
+	// map's shift are constant between them.
+	bps := make([]uint32, 0, 2+2*len(removed)+len(ins)+len(ro.Gone)+len(ro.Enter))
+	bps = append(bps, 0, n)
+	for _, x := range removed {
+		bps = append(bps, x, x+1)
+	}
+	for _, s := range ins {
+		bps = append(bps, s.pos)
+	}
+	for _, w := range ro.Gone {
+		bps = append(bps, lowerBound(w))
+	}
+	for _, w := range ro.Enter {
+		old, _ := ro.Back(w)
+		bps = append(bps, lowerBound(old))
+	}
+	slices.Sort(bps)
+	bps = slices.Compact(bps)
+
+	// Number the new nodes in working-ID order: runs of kept old nodes,
+	// copied, with the inserted ends between them. orig is the new
+	// squeeze map, hids the new HyperedgeIDs, deg the new degrees, segs
+	// the old → new node map.
+	size := int(n) - len(removed) + len(ins)
+	orig := make([]uint32, 0, size)
+	hids := make([]uint32, 0, size)
+	deg := make([]uint32, 0, size)
+	segs := make(graph.Runs, 0, len(bps))
+	insert := func(e *end) {
+		e.node = uint32(len(orig))
+		orig, hids, deg = append(orig, e.work), append(hids, e.id), append(deg, e.deg)
+	}
+	ii, ri := 0, 0
+	for k := 0; k+1 < len(bps); k++ {
+		lo, hi := bps[k], bps[k+1]
+		for ; ii < len(ins) && ins[ii].pos == lo; ii++ {
+			insert(&ends[ins[ii].end])
+		}
+		if ri < len(removed) && removed[ri] == lo {
+			ri++
+			continue
+		}
+		node := uint32(len(orig))
+		shift := ro.Map(work[lo]) - work[lo]
+		orig = append(orig, work[lo:hi]...)
+		for i := node; i < uint32(len(orig)); i++ {
+			orig[i] += shift
+		}
+		hids = append(hids, ids[lo:hi]...)
+		deg = append(deg, cur.Deg[lo:hi]...)
+		segs = append(segs, graph.Run{Base: lo, Node: node, Len: hi - lo})
+	}
+	for ; ii < len(ins); ii++ {
+		insert(&ends[ins[ii].end])
+	}
+	for _, h := range hits {
+		if y := segs.Node(h.node); y != graph.Gone {
+			deg[y] = cur.Deg[h.node] - h.lost + h.gain
+		}
+	}
+	for i := range ends {
+		if ends[i].old != graph.Gone {
+			ends[i].node = segs.Node(ends[i].old)
+		}
 	}
 	// The working → node map is monotone, so add stays sorted.
 	nodeOf := func(w uint32) uint32 {
-		i, _ := slices.BinarySearchFunc(ends, w, func(e end, w uint32) int { return cmp.Compare(e.work, w) })
+		i, _ := slices.BinarySearchFunc(ends, end{work: w}, byWork)
 		return ends[i].node
 	}
 	for i := range add {
@@ -595,7 +765,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 	}
 
 	t1 := time.Now()
-	next := cur.compose(remap, drop, add, deg)
+	next := cur.compose(segs, drop, add, deg)
 	ng, err := graph.Defer(next, orig, p.OnMaterialize)
 	if err != nil {
 		return nil, err
@@ -609,7 +779,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 		HyperedgeIDs: hids,
 		Stats:        core.Stats{Edges: int64(ng.NumEdges())},
 		Timings: core.StageTimings{
-			Preprocess: pp.PreprocessTime(),
+			Preprocess: o.took,
 			SOverlap:   t1.Sub(t0),
 			Squeeze:    time.Since(t1),
 		},
@@ -619,47 +789,27 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, pp *core.Prepa
 
 // rowSource reads a cached projection's rows whether or not they are
 // built, as the pending rewrite that produces them: a node's row is its
-// base row under the remap, minus the drops, plus the adds. A graph
-// with rows is its own base under the identity remap.
+// base row under the node map, minus the drops, plus the adds, and Deg
+// holds every node's degree. A graph with rows is its own base under
+// the identity map.
 type rowSource struct {
 	graph.Pending
-	// baseOf maps a node to its base node, Gone for a node with no base
-	// row; nil under the identity remap.
-	baseOf []uint32
 }
 
 // readThrough returns g's rows as a rowSource.
 func readThrough(g *graph.Graph) *rowSource {
-	pend := g.Pending()
-	if pend == nil {
-		return &rowSource{Pending: graph.Pending{Base: g.Materialize()}}
+	if pend := g.Pending(); pend != nil {
+		return &rowSource{*pend}
 	}
-	r := &rowSource{Pending: *pend, baseOf: make([]uint32, g.NumNodes())}
-	for x := range r.baseOf {
-		r.baseOf[x] = graph.Gone
+	b := g.Materialize()
+	r := &rowSource{graph.Pending{Base: b, Deg: make([]uint32, b.NumNodes())}}
+	if len(r.Deg) > 0 {
+		r.Runs = graph.Runs{{Len: uint32(len(r.Deg))}}
 	}
-	for bx, x := range pend.Remap {
-		if x != graph.Gone {
-			r.baseOf[x] = uint32(bx)
-		}
+	for x := range r.Deg {
+		r.Deg[x] = uint32(b.Degree(uint32(x)))
 	}
 	return r
-}
-
-// base returns node x's base node (Gone if it has none).
-func (r *rowSource) base(x uint32) uint32 {
-	if r.baseOf == nil {
-		return x
-	}
-	return r.baseOf[x]
-}
-
-// node returns base node bx's node (Gone if it has none).
-func (r *rowSource) node(bx uint32) uint32 {
-	if r.Remap == nil {
-		return bx
-	}
-	return r.Remap[bx]
 }
 
 // edgeCmp orders edges by (U, V), as graph.EdgeLess.
@@ -678,7 +828,7 @@ func has(es []graph.Edge, u, v uint32) bool {
 
 // neighbors calls fn with every neighbour of node x.
 func (r *rowSource) neighbors(x uint32, fn func(y uint32)) {
-	if bx := r.base(x); bx != graph.Gone {
+	if bx := r.Runs.Base(x); bx != graph.Gone {
 		ys, _ := r.Base.Neighbors(bx)
 		di, _ := slices.BinarySearchFunc(r.Drop, graph.Edge{U: bx}, edgeCmp)
 		for _, by := range ys {
@@ -688,7 +838,7 @@ func (r *rowSource) neighbors(x uint32, fn func(y uint32)) {
 			if di < len(r.Drop) && r.Drop[di].U == bx && r.Drop[di].V == by {
 				continue
 			}
-			if y := r.node(by); y != graph.Gone {
+			if y := r.Runs.Node(by); y != graph.Gone {
 				fn(y)
 			}
 		}
@@ -704,40 +854,31 @@ func (r *rowSource) hasEdge(x, y uint32) bool {
 	if has(r.Add, x, y) {
 		return true
 	}
-	bx, by := r.base(x), r.base(y)
+	bx, by := r.Runs.Base(x), r.Runs.Base(y)
 	return bx != graph.Gone && by != graph.Gone && !has(r.Drop, bx, by) && r.Base.HasEdge(bx, by)
 }
 
-// compose folds one more rewrite of r's graph — remap (node → next node
-// or Gone), drop (directed pairs to remove, node IDs) and add (directed
-// pairs to insert, next node IDs), sorted as graph.Rewrite takes them —
-// into r's own, giving the one rewrite of r's base that yields the next
-// graph, whose degrees are deg. Pairs touching a node that is gone from
-// the next graph leave both lists.
-func (r *rowSource) compose(remap []uint32, drop, add []graph.Edge, deg []uint32) *graph.Pending {
-	next := &graph.Pending{Base: r.Base, Remap: remap, Deg: deg}
-	if r.Remap != nil {
-		next.Remap = make([]uint32, len(r.Remap))
-		for bx, x := range r.Remap {
-			next.Remap[bx] = graph.Gone
-			if x != graph.Gone {
-				next.Remap[bx] = remap[x]
-			}
-		}
-	}
+// compose folds one more rewrite of r's graph — segs (node → next node;
+// a node no run covers is gone), drop (directed pairs to remove, node
+// IDs) and add (directed pairs to insert, next node IDs), sorted as
+// graph.Rewrite takes them — into r's own, giving the one rewrite of
+// r's base that yields the next graph, whose degrees are deg. Pairs
+// touching a node that is gone from the next graph leave both lists.
+func (r *rowSource) compose(segs graph.Runs, drop, add []graph.Edge, deg []uint32) *graph.Pending {
+	next := &graph.Pending{Base: r.Base, Runs: r.Runs.Then(segs), Deg: deg}
 	// A dropped pair is one of r's adds, which it leaves, or an edge of
 	// the base, dropped in base IDs. Base edges join nodes with base rows,
 	// and base IDs ascend with node IDs, so the translation stays sorted.
 	baseDrop := make([]graph.Edge, 0, len(drop))
 	for _, e := range drop {
 		if !has(r.Add, e.U, e.V) {
-			baseDrop = append(baseDrop, graph.Edge{U: r.base(e.U), V: r.base(e.V)})
+			baseDrop = append(baseDrop, graph.Edge{U: r.Runs.Base(e.U), V: r.Runs.Base(e.V)})
 		}
 	}
-	next.Drop = mergeKept(r.Drop, baseDrop, next.Remap)
+	next.Drop = mergeKept(r.Drop, baseDrop, next.Runs)
 	carried := make([]graph.Edge, 0, len(r.Add))
 	for _, e := range r.Add {
-		if u, v := remap[e.U], remap[e.V]; u != graph.Gone && v != graph.Gone && !has(drop, e.U, e.V) {
+		if u, v := segs.Node(e.U), segs.Node(e.V); u != graph.Gone && v != graph.Gone && !has(drop, e.U, e.V) {
 			carried = append(carried, graph.Edge{U: u, V: v, W: e.W})
 		}
 	}
@@ -746,12 +887,12 @@ func (r *rowSource) compose(remap []uint32, drop, add []graph.Edge, deg []uint32
 }
 
 // mergeKept merges two sorted, disjoint pair lists into a fresh one,
-// keeping only pairs whose ends both map to a node under remap (every
-// pair when remap is nil).
-func mergeKept(a, b []graph.Edge, remap []uint32) []graph.Edge {
+// keeping only pairs whose ends both map to a node under runs (every
+// pair when runs is nil).
+func mergeKept(a, b []graph.Edge, runs graph.Runs) []graph.Edge {
 	out := make([]graph.Edge, 0, len(a)+len(b))
 	keep := func(e graph.Edge) {
-		if remap == nil || (remap[e.U] != graph.Gone && remap[e.V] != graph.Gone) {
+		if runs == nil || (runs.Node(e.U) != graph.Gone && runs.Node(e.V) != graph.Gone) {
 			out = append(out, e)
 		}
 	}

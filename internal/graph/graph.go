@@ -96,6 +96,11 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // Squeezed reports whether ID squeezing was applied.
 func (g *Graph) Squeezed() bool { return g.orig != nil }
 
+// Orig returns the squeeze mapping, nil when the graph was not
+// squeezed. It reads no rows. The slice aliases internal storage and
+// must not be modified.
+func (g *Graph) Orig() []uint32 { return g.orig }
+
 // OrigID maps a node back to its pre-squeeze ID (identity when the
 // graph was not squeezed).
 func (g *Graph) OrigID(node uint32) uint32 {

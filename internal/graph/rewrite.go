@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -86,16 +87,80 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []ui
 	return FromCSR(numNodes, len(adj)/2, off, adj, wgt, orig)
 }
 
-// Pending is a Rewrite that has not run: Rewrite(Base, Remap, len(Deg),
-// Drop, Add, orig) is the graph it stands for, under Rewrite's contract.
+// Pending is a Rewrite that has not run: Rewrite(Base, p.Remap(),
+// len(Deg), Drop, Add, orig) is the graph it stands for, under
+// Rewrite's contract. Its node remap is held as Runs, so a pending
+// rewrite that keeps most nodes costs O(runs), not O(nodes), to carry.
 // Deg holds every node's degree in that graph, so a deferred graph
 // answers Degree without rows. A Pending is immutable once handed to
 // Defer.
 type Pending struct {
-	Base      *Graph
-	Remap     []uint32
+	Base *Graph
+	// Runs maps base nodes to nodes; a base node no run covers is Gone.
+	Runs      Runs
 	Drop, Add []Edge
 	Deg       []uint32
+}
+
+// Remap expands Runs into Rewrite's per-base-node remap.
+func (p *Pending) Remap() []uint32 {
+	remap := make([]uint32, p.Base.NumNodes())
+	for i := range remap {
+		remap[i] = Gone
+	}
+	for _, r := range p.Runs {
+		for i := uint32(0); i < r.Len; i++ {
+			remap[r.Base+i] = r.Node + i
+		}
+	}
+	return remap
+}
+
+// Run maps the Len nodes from Base on to the Len nodes from Node on.
+type Run struct{ Base, Node, Len uint32 }
+
+// Runs is a monotone node map: runs ascending in both Base and Node,
+// none overlapping. A node no run covers maps to Gone.
+type Runs []Run
+
+// Node returns the node x maps to, Gone if none.
+func (rs Runs) Node(x uint32) uint32 {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Base+rs[i].Len > x })
+	if i < len(rs) && rs[i].Base <= x {
+		return rs[i].Node + x - rs[i].Base
+	}
+	return Gone
+}
+
+// Base returns the node that maps to y, Gone if none.
+func (rs Runs) Base(y uint32) uint32 {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Node+rs[i].Len > y })
+	if i < len(rs) && rs[i].Node <= y {
+		return rs[i].Base + y - rs[i].Node
+	}
+	return Gone
+}
+
+// Then returns the map rs followed by next: x maps to next.Node(rs.Node(x)).
+// Runs that meet end to end in both spaces are joined.
+func (rs Runs) Then(next Runs) Runs {
+	out := make(Runs, 0, len(rs)+len(next))
+	j := 0
+	for _, r := range rs {
+		lo, hi := r.Node, r.Node+r.Len
+		for ; j < len(next) && next[j].Base+next[j].Len <= lo; j++ {
+		}
+		for k := j; k < len(next) && next[k].Base < hi; k++ {
+			a, b := max(lo, next[k].Base), min(hi, next[k].Base+next[k].Len)
+			run := Run{Base: r.Base + a - r.Node, Node: next[k].Node + a - next[k].Base, Len: b - a}
+			if n := len(out); n > 0 && out[n-1].Base+out[n-1].Len == run.Base && out[n-1].Node+out[n-1].Len == run.Node {
+				out[n-1].Len += run.Len
+			} else {
+				out = append(out, run)
+			}
+		}
+	}
+	return out
 }
 
 // deferred is the pending rewrite of a graph made by Defer and, once
@@ -172,7 +237,7 @@ func (d *deferred) build(g *Graph) (*Graph, bool) {
 		return b, false
 	}
 	p := d.pend.Load()
-	b, err := Rewrite(p.Base, p.Remap, g.numNodes, p.Drop, p.Add, g.orig)
+	b, err := Rewrite(p.Base, p.Remap(), g.numNodes, p.Drop, p.Add, g.orig)
 	if err == nil && b.numEdges != g.numEdges {
 		err = fmt.Errorf("%d edges, want %d", b.numEdges, g.numEdges)
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,11 @@ import (
 func deferCase() (*Graph, *Pending, []uint32) {
 	g := Build(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, true)
 	p := &Pending{
-		Base:  g,
-		Remap: []uint32{Gone, 0, 1, 2},
-		Drop:  []Edge{{U: 2, V: 3}, {U: 3, V: 2}},
-		Add:   []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
-		Deg:   []uint32{2, 1, 1, 2},
+		Base: g,
+		Runs: []Run{{Base: 1, Node: 0, Len: 3}},
+		Drop: []Edge{{U: 2, V: 3}, {U: 3, V: 2}},
+		Add:  []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
+		Deg:  []uint32{2, 1, 1, 2},
 	}
 	return g, p, []uint32{10, 11, 12, 13}
 }
@@ -26,7 +27,7 @@ func deferCase() (*Graph, *Pending, []uint32) {
 // without building rows, and its rows, once read, are Rewrite's.
 func TestDeferEqualsRewrite(t *testing.T) {
 	g, p, orig := deferCase()
-	want, err := Rewrite(g, p.Remap, len(p.Deg), p.Drop, p.Add, orig)
+	want, err := Rewrite(g, p.Remap(), len(p.Deg), p.Drop, p.Add, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +91,59 @@ func TestDeferBuildsOnce(t *testing.T) {
 	for i, a := range adj {
 		if !reflect.DeepEqual(a, []uint32{0, 2}) {
 			t.Fatalf("reader %d: node 3's neighbours %v, want [0 2]", i, a)
+		}
+	}
+}
+
+// TestRunsThen: composing two run maps equals composing their expanded
+// remaps node by node, Node and Base invert each other on every mapped
+// node, and runs that meet end to end are joined.
+func TestRunsThen(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// runsOf draws a random monotone map of n nodes, dropping some and
+	// leaving gaps in the image.
+	runsOf := func(n int) (Runs, int) {
+		var rs Runs
+		next := uint32(0)
+		for x := 0; x < n; x++ {
+			if rng.Intn(4) == 0 {
+				continue // dropped
+			}
+			next += uint32(rng.Intn(2)) // a gap: an inserted node
+			if k := len(rs) - 1; k >= 0 && rs[k].Base+rs[k].Len == uint32(x) && rs[k].Node+rs[k].Len == next {
+				rs[k].Len++
+			} else {
+				rs = append(rs, Run{Base: uint32(x), Node: next, Len: 1})
+			}
+			next++
+		}
+		return rs, int(next)
+	}
+	expand := func(rs Runs, n int) []uint32 {
+		return (&Pending{Base: &Graph{numNodes: n}, Runs: rs}).Remap()
+	}
+	for round := 0; round < 200; round++ {
+		n := rng.Intn(40)
+		a, mid := runsOf(n)
+		b, _ := runsOf(mid)
+		got := a.Then(b)
+		ea, eb, eg := expand(a, n), expand(b, mid), expand(got, n)
+		for x := range ea {
+			want := Gone
+			if ea[x] != Gone {
+				want = eb[ea[x]]
+			}
+			if eg[x] != want {
+				t.Fatalf("round %d: node %d maps to %d, want %d", round, x, eg[x], want)
+			}
+			if got.Node(uint32(x)) != want || (want != Gone && got.Base(want) != uint32(x)) {
+				t.Fatalf("round %d: Node/Base disagree at node %d", round, x)
+			}
+		}
+		for k := 1; k < len(got); k++ {
+			if p := got[k-1]; p.Base+p.Len == got[k].Base && p.Node+p.Len == got[k].Node {
+				t.Fatalf("round %d: runs %v and %v meet but were not joined", round, p, got[k])
+			}
 		}
 	}
 }

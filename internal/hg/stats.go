@@ -20,27 +20,28 @@ type Stats struct {
 	// counters Algorithm 3 must materialize, which makes it the
 	// planner's primary cost-model input.
 	WedgePairs int64
+	// EdgePairs is Σ_e |e|·(|e|−1)/2, the vertex pairs the hyperedges
+	// hold: the dual hypergraph's WedgePairs (see Dual).
+	EdgePairs int64
 	// ToplexSample estimates, from a deterministic sampled containment
 	// probe (SampleContainment), the fraction of non-empty hyperedges
 	// that are not toplexes — i.e. the fraction Stage-2 simplification
 	// would remove. It drives the planner's toplex knob; the exact ratio
-	// costs a full Toplexes pass. ComputeStats leaves it zero (the
-	// probe, though capped, is not free and sits on latency-bounded
+	// costs a full Toplexes pass. ComputeStats and Dual leave it zero
+	// (the probe, though capped, is not free and sits on latency-bounded
 	// paths); populate it with SampleContainment where the toplex knob
-	// is actually resolved, as the serving registry does at dataset
-	// registration.
+	// is actually resolved, as the serving registry does the first time
+	// a version's sample is read.
 	ToplexSample float64
 }
 
 // ComputeStats derives Table IV-style statistics for h.
 func ComputeStats(name string, h *Hypergraph) Stats {
 	s := Stats{
-		Name:            name,
-		NumVertices:     h.NumVertices(),
-		NumEdges:        h.NumEdges(),
-		Incidences:      h.Incidences(),
-		MaxVertexDegree: h.MaxVertexDegree(),
-		MaxEdgeSize:     h.MaxEdgeSize(),
+		Name:        name,
+		NumVertices: h.NumVertices(),
+		NumEdges:    h.NumEdges(),
+		Incidences:  h.Incidences(),
 	}
 	if s.NumVertices > 0 {
 		s.AvgVertexDegree = float64(s.Incidences) / float64(s.NumVertices)
@@ -49,10 +50,35 @@ func ComputeStats(name string, h *Hypergraph) Stats {
 		s.AvgEdgeSize = float64(s.Incidences) / float64(s.NumEdges)
 	}
 	for v := 0; v < s.NumVertices; v++ {
-		d := int64(h.VertexDegree(uint32(v)))
-		s.WedgePairs += d * (d - 1) / 2
+		d := h.VertexDegree(uint32(v))
+		s.MaxVertexDegree = max(s.MaxVertexDegree, d)
+		s.WedgePairs += int64(d) * int64(d-1) / 2
+	}
+	for e := 0; e < s.NumEdges; e++ {
+		d := h.EdgeSize(uint32(e))
+		s.MaxEdgeSize = max(s.MaxEdgeSize, d)
+		s.EdgePairs += int64(d) * int64(d-1) / 2
 	}
 	return s
+}
+
+// Dual returns the statistics of the dual hypergraph, which swaps the
+// two sides: ComputeStats(name, h.Dual()) from s = ComputeStats(…, h),
+// without a pass over h. ToplexSample is left zero: the dual's sample
+// is a probe of its own.
+func (s Stats) Dual(name string) Stats {
+	return Stats{
+		Name:            name,
+		NumVertices:     s.NumEdges,
+		NumEdges:        s.NumVertices,
+		Incidences:      s.Incidences,
+		AvgVertexDegree: s.AvgEdgeSize,
+		AvgEdgeSize:     s.AvgVertexDegree,
+		MaxVertexDegree: s.MaxEdgeSize,
+		MaxEdgeSize:     s.MaxVertexDegree,
+		WedgePairs:      s.EdgePairs,
+		EdgePairs:       s.WedgePairs,
+	}
 }
 
 // Containment-probe bounds. The probe is a planner input, not an exact

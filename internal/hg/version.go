@@ -99,6 +99,9 @@ type Version struct {
 	// this view is the dual of the hypergraph flat builds.
 	flat *flat
 	dual bool
+	// idx indexes the base for the working order (see WorkID), shared
+	// by every version composed on the base and by their dual views.
+	idx *baseIndex
 }
 
 // edits is a sparse set of rewritten rows of one orientation, split by
@@ -110,6 +113,9 @@ type edits struct {
 	shift  uint
 	chunks []*chunk // nil where no row of the chunk was rewritten
 	size   int64    // entries across every chunk
+	// flipBefore[c] is the number of rows the chunks below c empty less
+	// the number they fill, against the base (see WorkID).
+	flipBefore []int
 }
 
 // chunk holds the rewritten rows of one chunk: row ids[i] reads
@@ -118,6 +124,9 @@ type chunk struct {
 	ids []uint32 // ascending
 	off []int64
 	adj []uint32
+	// flips is the number of the chunk's rows that are empty less the
+	// number that were empty in the base.
+	flips int
 }
 
 // row returns rewritten row r, reporting whether r was rewritten.
@@ -147,7 +156,7 @@ type flat struct {
 func NewVersion(h *Hypergraph, onBuild func()) *Version {
 	f := &flat{onBuild: onBuild}
 	f.h.Store(h)
-	return &Version{base: h, numEdges: h.numEdges, numVertices: h.numVertices, nnz: h.Incidences(), flat: f}
+	return &Version{base: h, numEdges: h.numEdges, numVertices: h.numVertices, nnz: h.Incidences(), flat: f, idx: new(baseIndex)}
 }
 
 // NumVertices returns n = |V|.
@@ -222,6 +231,7 @@ func (v *Version) Dual() *Version {
 		nnz:         v.nnz,
 		flat:        v.flat,
 		dual:        !v.dual,
+		idx:         v.idx,
 	}
 }
 
@@ -293,7 +303,7 @@ func (v *Version) build() *Hypergraph {
 func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 	from := v
 	if !v.Pending() {
-		from = &Version{base: v.Flat(), numEdges: v.numEdges, numVertices: v.numVertices, nnz: v.nnz}
+		from = &Version{base: v.Flat(), numEdges: v.numEdges, numVertices: v.numVertices, nnz: v.nnz, idx: new(baseIndex)}
 	}
 	m := from.numEdges
 	next := &Version{
@@ -302,6 +312,7 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 		numVertices: from.numVertices,
 		nnz:         from.nnz,
 		flat:        &flat{onBuild: v.flat.onBuild},
+		idx:         from.idx,
 	}
 	var removed, added int64
 	for _, e := range dels {
@@ -320,7 +331,7 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 	for i := range ins {
 		rows = append(rows, uint32(m+i))
 	}
-	next.edge = from.edge.with(rows, next.numEdges, added, func(e uint32, dst []uint32) []uint32 {
+	next.edge = from.edge.with(rows, next.numEdges, added, from.base.eOff, func(e uint32, dst []uint32) []uint32 {
 		if int(e) >= m {
 			dst = append(dst, ins[int(e)-m]...)
 		}
@@ -363,7 +374,7 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 		grown += int64(from.VertexDegree(u))
 	}
 	gi, pi := 0, 0
-	next.vert = from.vert.with(touched, next.numVertices, grown+added, func(u uint32, dst []uint32) []uint32 {
+	next.vert = from.vert.with(touched, next.numVertices, grown+added, from.base.vOff, func(u uint32, dst []uint32) []uint32 {
 		// The row without the deleted edges (a sorted subset of it), then
 		// the inserted edges — the largest IDs, so the row stays sorted.
 		for _, e := range from.VertexEdges(u) {
@@ -390,14 +401,15 @@ const minChunkShift = 8
 // appends row r's new contents to dst and returns it — and every other
 // row of x carried over. numRows is the orientation's row count, which
 // sizes the chunks of a first edit; extra bounds the entries of the
-// rewritten rows' new contents.
+// rewritten rows' new contents; off is the base's offsets in this
+// orientation, against which the chunks count their emptied rows.
 //
 // The chunks an edit creates share one set of arrays, so the first edit
 // of a flat base (all Apply makes) allocates the same few arrays however
 // many chunks it touches. A chunk that replaces an earlier one gets
 // arrays of its own: cut from a shared set, it would keep the whole set
 // alive for as long as any chunk cut from it lives.
-func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32, dst []uint32) []uint32) edits {
+func (x *edits) with(rows []uint32, numRows int, extra int64, off []int64, fill func(r uint32, dst []uint32) []uint32) edits {
 	out := edits{shift: x.shift, size: x.size}
 	if x.chunks == nil {
 		out.shift = uint(max(minChunkShift, bits.Len(uint(numRows)>>10)))
@@ -443,8 +455,16 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32
 			out.size -= int64(len(old.adj))
 		}
 		out.size += int64(len(c.adj))
+		c.flips = c.flipsBelow(off, noRow)
 		out.chunks[ci] = c
 		lo = hi
+	}
+	out.flipBefore = make([]int, len(out.chunks)+1)
+	for ci, c := range out.chunks {
+		out.flipBefore[ci+1] = out.flipBefore[ci]
+		if c != nil {
+			out.flipBefore[ci+1] += c.flips
+		}
 	}
 	return out
 }

@@ -153,3 +153,42 @@ func TestPendingVersionCloseReleasesRoot(t *testing.T) {
 		}
 	})
 }
+
+// TestCliqueIngestBuildsNothing: with clique projections cached, neither
+// a delta's ingest nor a cached clique query of the version it makes
+// builds the pending dataset — the dual statistics the ingest walk and
+// the query read are derived from the carried primal ones — and those
+// derived statistics equal hg.ComputeStats on the built dual.
+func TestCliqueIngestBuildsNothing(t *testing.T) {
+	svc := New(Config{})
+	want := sweepDataset()
+	svc.Add("g", want)
+	mustQuery(t, svc, cliqueQ("g", core.PipelineConfig{}, 1, 2))
+	for step, d := range pendingDeltas {
+		res, err := svc.Ingest(context.Background(), "g", d, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = delta.Apply(want, d); err != nil {
+			t.Fatal(err)
+		}
+		if res.Dropped != 0 {
+			t.Fatalf("step %d: ingest dropped %d clique keys; want every key patched or migrated", step, res.Dropped)
+		}
+		for _, e := range mustQuery(t, svc, cliqueQ("g", core.PipelineConfig{}, 1, 2)).Entries {
+			if !e.Cached {
+				t.Fatalf("step %d: s=%d missed the cache", step, e.S)
+			}
+		}
+		if n := svc.datasetBuilds.Load(); n != 0 {
+			t.Fatalf("step %d: ingest and cached clique queries built the dataset %d times, want 0", step, n)
+		}
+		nd, ok := svc.reg.at("g", res.Version)
+		if !ok {
+			t.Fatal("registry lost the dataset")
+		}
+		if got, wantDual := nd.statsFor(true), hg.ComputeStats("g/dual", want.Dual()); got != wantDual {
+			t.Fatalf("step %d: derived dual stats %+v\nwant %+v", step, got, wantDual)
+		}
+	}
+}

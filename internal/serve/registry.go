@@ -36,10 +36,11 @@ type DatasetInfo struct {
 // delta's version is pending (hg.Version): its CSR is built only when
 // something needs flat rows. Stats are computed once at registration
 // (they are immutable per version, and recomputing them scans the whole
-// hypergraph) and carried forward across deltas (delta.CarryStats),
-// including the sampled containment probe the planner's toplex knob
-// reads; dual-orientation stats are computed lazily on the first
-// clique-side query that needs them, which builds a pending version.
+// hypergraph) and carried forward across deltas (delta.CarryStats); the
+// dual orientation's are derived from them (hg.Stats.Dual), so neither
+// side builds a pending version. The containment probe the planner's
+// toplex knob reads is not carried: each version takes it, per
+// orientation, the first time something reads it (sampled).
 //
 // passes counts the Stage-3 passes the service has run on this dataset's
 // lineage, indexed line then clique: the ingest walk's patch-vs-drop
@@ -48,35 +49,47 @@ type DatasetInfo struct {
 type dataset struct {
 	v       *hg.Version
 	version uint64
-	stats   hg.Stats
+	stats   hg.Stats // ToplexSample unset: see sampled
 
-	passes    *[2]atomic.Int64
-	dualOnce  sync.Once
-	dualStats hg.Stats
+	passes  *[2]atomic.Int64
+	samples [2]struct {
+		once sync.Once
+		frac float64
+	}
+}
+
+// side indexes per-orientation state: 0 for the line orientation, 1 for
+// the clique one.
+func side(dual bool) int {
+	if dual {
+		return 1
+	}
+	return 0
 }
 
 // statsFor returns the statistics of the orientation a query actually
-// projects; the dual side is computed on first use and cached for the
-// life of this version.
+// projects, without the containment sample.
 func (d *dataset) statsFor(dual bool) hg.Stats {
 	if !dual {
 		return d.stats
 	}
-	d.dualOnce.Do(func() {
-		dh := d.v.Flat().Dual()
-		st := hg.ComputeStats(d.stats.Name+"/dual", dh)
-		st.ToplexSample = hg.SampleContainment(dh)
-		d.dualStats = st
-	})
-	return d.dualStats
+	return d.stats.Dual(d.stats.Name + "/dual")
+}
+
+// sampled returns statsFor(dual) with its ToplexSample, probing the
+// version through its edits (hg.SampleContainment) the first time it
+// is read and keeping the answer for the life of the version.
+func (d *dataset) sampled(dual bool) hg.Stats {
+	st := d.statsFor(dual)
+	s := &d.samples[side(dual)]
+	s.once.Do(func() { s.frac = hg.SampleContainment(orient(d.v, dual)) })
+	st.ToplexSample = s.frac
+	return st
 }
 
 // passesOf returns the Stage-3 pass counter of one orientation.
 func (d *dataset) passesOf(dual bool) *atomic.Int64 {
-	if dual {
-		return &d.passes[1]
-	}
-	return &d.passes[0]
+	return &d.passes[side(dual)]
 }
 
 // Registry is a thread-safe name → hypergraph table. Hypergraphs are
@@ -97,7 +110,6 @@ func NewRegistry() *Registry {
 // registered returns the dataset record of h, with its statistics.
 func (r *Registry) registered(name string, h *hg.Hypergraph, version uint64) *dataset {
 	stats := hg.ComputeStats(name, h)
-	stats.ToplexSample = hg.SampleContainment(h)
 	return &dataset{v: hg.NewVersion(h, r.onBuild), version: version, stats: stats, passes: new([2]atomic.Int64)}
 }
 
@@ -121,9 +133,8 @@ func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
 // Unlike Add, the old version's pass counter is carried forward: a
 // delta perturbs a bounded neighborhood of the hypergraph, so the
 // lineage that has been projected before is still being read — whereas
-// a full replacement is a new lineage and starts at 0. The
-// dual-orientation statistics do reset (fresh dualOnce): they are exact
-// counts and must describe the new hypergraph.
+// a full replacement is a new lineage and starts at 0. The containment
+// samples do reset: each version takes its own.
 func (r *Registry) ApplyDelta(name string, oldVersion uint64, next *hg.Version, stats hg.Stats) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,24 +269,28 @@ func (r *Registry) at(name string, version uint64) (*dataset, bool) {
 	return d, true
 }
 
-// Stats returns the registration-time statistics of the named dataset.
+// Stats returns the statistics of the named dataset's current version,
+// containment sample included.
 func (r *Registry) Stats(name string) (hg.Stats, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.byName[name]
-	if !ok {
-		return hg.Stats{}, fmt.Errorf("serve: %w %q", ErrUnknownDataset, name)
+	d, err := r.current(name)
+	if err != nil {
+		return hg.Stats{}, err
 	}
-	return d.stats, nil
+	return d.sampled(false), nil
 }
 
 // List returns all registered datasets sorted by name.
 func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]DatasetInfo, 0, len(r.byName))
+	ds := make([]*dataset, 0, len(r.byName))
 	for name, d := range r.byName {
-		out = append(out, DatasetInfo{Name: name, Version: d.version, Stats: d.stats})
+		out = append(out, DatasetInfo{Name: name, Version: d.version})
+		ds = append(ds, d)
+	}
+	r.mu.RUnlock()
+	for i, d := range ds {
+		out[i].Stats = d.sampled(false) // may probe: outside the lock
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -180,8 +180,9 @@ func (s *Service) Remove(name string) bool { return s.reg.Remove(name) }
 // Datasets lists the registered datasets sorted by name.
 func (s *Service) Datasets() []DatasetInfo { return s.reg.List() }
 
-// Stats returns Table IV-style statistics for the named dataset
-// (computed once at registration).
+// Stats returns Table IV-style statistics for the named dataset's
+// current version (carried across deltas; the containment sample taken
+// on first read).
 func (s *Service) Stats(name string) (hg.Stats, error) {
 	return s.reg.Stats(name)
 }
@@ -208,6 +209,9 @@ func (s *Service) resolveAt(h *hg.Version, version uint64, name string, dual boo
 	var work *hg.Hypergraph
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
+		if cfg.Toplex == core.ToplexAuto {
+			st = d.sampled(dual)
+		}
 		cfg.Stats = &st
 	} else {
 		work = orient(h, dual).Flat()
