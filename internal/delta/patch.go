@@ -887,8 +887,9 @@ func (r *rowSource) compose(segs graph.Runs, drop, add []graph.Edge, deg []uint3
 }
 
 // mergeKept merges two sorted, disjoint pair lists into a fresh one,
-// keeping only pairs whose ends both map to a node under runs (every
-// pair when runs is nil).
+// keeping only pairs whose ends both map to a node under runs. The add
+// lists are in node IDs already, so compose merges them with runs nil,
+// which keeps every pair.
 func mergeKept(a, b []graph.Edge, runs graph.Runs) []graph.Edge {
 	out := make([]graph.Edge, 0, len(a)+len(b))
 	keep := func(e graph.Edge) {

@@ -1,6 +1,7 @@
 package hg
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 )
@@ -13,9 +14,11 @@ import (
 // since the base moved: an emptied row leaves, an appended one enters.
 // WorkID therefore reads two things. Of the base, an index built once
 // per base and orientation, the first time any version composed on that
-// base asks (baseIndex). Of the edits, the emptiness changes they carry,
-// counted per chunk when the chunk is made (chunk.flips) and summed over
-// the chunk table when the table is copied (edits.flipBefore).
+// base asks (baseIndex). Of the edits, under RelabelNone the emptiness
+// changes they carry, counted per chunk when the chunk is made
+// (chunk.flips) and summed over the chunk table when the table is
+// copied (edits.flipBefore); under a by-degree order the keys of the
+// rewritten rows, kept in sorted runs as each edit is made (keyRuns).
 
 // baseIndex is what the working orders of the versions composed on one
 // base read of it, per orientation: side[0] indexes the hyperedge rows
@@ -116,15 +119,6 @@ func (x *rowIndex) before(h Rows, desc bool, size int, id uint32) int {
 	return lo + rank
 }
 
-// keyLess orders rows under a by-degree order: by size (ascending, or
-// descending when desc), then by ID.
-func keyLess(desc bool, sizeA int, a uint32, sizeB int, b uint32) bool {
-	if sizeA != sizeB {
-		return (sizeA < sizeB) != desc
-	}
-	return a < b
-}
-
 // index returns the base index of v's hyperedge orientation.
 func (v *Version) index() *rowIndex {
 	if v.dual {
@@ -137,8 +131,8 @@ func (v *Version) index() *rowIndex {
 // of v under order — its index in EdgeOrder(v, order) — without
 // building v or scanning its rows. Under RelabelNone it costs a block
 // of the base index and a chunk of v's edits; under a by-degree order,
-// a binary search of the base index plus one pass over the rows v
-// rewrote since its base. order must be resolved.
+// binary searches of the base index and of v's rewritten keys. order
+// must be resolved.
 func (v *Version) WorkID(e uint32, order RelabelOrder) int {
 	if order == RelabelAscending || order == RelabelDescending {
 		return v.workByDegree(e, order == RelabelDescending)
@@ -150,23 +144,100 @@ func (v *Version) WorkID(e uint32, order RelabelOrder) int {
 }
 
 // workByDegree is WorkID under a by-degree order: the base's non-empty
-// rows with a lower key, less the rewritten rows that had a lower key in
-// the base, plus those that have one now.
+// rows with a lower key, plus how many more of the rewritten rows have a
+// lower key now than in the base.
 func (v *Version) workByDegree(e uint32, desc bool) int {
 	size := v.EdgeSize(e)
-	n := v.index().before(v.base, desc, size, e)
-	off := v.base.eOff
-	for _, c := range v.edge.chunks {
-		if c == nil {
-			continue
+	return v.index().before(v.base, desc, size, e) + v.edge.runs.below(desc, size, e)
+}
+
+// sizeKey is a row's key under a by-degree order.
+type sizeKey struct {
+	size int
+	id   uint32
+}
+
+// cmpKey orders keys by size, then ID.
+func cmpKey(a, b sizeKey) int {
+	if a.size != b.size {
+		return cmp.Compare(a.size, b.size)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// signedKey is one row rewrite's change to the by-degree keys: +1 for
+// the key the row has after it, −1 for the key it had before.
+type signedKey struct {
+	sizeKey
+	sign int32
+}
+
+// keyRun is a sorted list of signed keys; sum[i] adds the signs of
+// keys[:i]. A run is immutable once made.
+type keyRun struct {
+	keys []signedKey
+	sum  []int32
+}
+
+// keyRuns holds every rewrite an edits set made since its base as
+// signed keys, empty rows left out. Per row the signs telescope, so the
+// signed count of keys below a key is how many more rewritten rows order
+// below it now than in the base. The runs are merged like a binary
+// counter, each less than half the one before it: an edit of k rows
+// adds a run of its k changes, shares every earlier run with the version
+// it edits, and costs O(k log P) amortized for the P rewrites since the
+// base; a count costs a binary search per run, O(log² P).
+type keyRuns []*keyRun
+
+// cmpSigned orders signed keys by key.
+func cmpSigned(a, b signedKey) int { return cmpKey(a.sizeKey, b.sizeKey) }
+
+// push returns rs with a run of keys added, merging tail runs until each
+// is more than twice the next; rs itself is left as it was.
+func (rs keyRuns) push(keys []signedKey) keyRuns {
+	if len(keys) == 0 {
+		return rs
+	}
+	slices.SortFunc(keys, cmpSigned)
+	out := append(make(keyRuns, 0, len(rs)+1), rs...)
+	for len(out) > 0 && len(out[len(out)-1].keys) <= 2*len(keys) {
+		keys = mergeKeys(out[len(out)-1].keys, keys)
+		out = out[:len(out)-1]
+	}
+	r := &keyRun{keys: keys, sum: make([]int32, len(keys)+1)}
+	for i, k := range keys {
+		r.sum[i+1] = r.sum[i] + k.sign
+	}
+	return append(out, r)
+}
+
+// mergeKeys merges two sorted lists of signed keys into a fresh one.
+func mergeKeys(a, b []signedKey) []signedKey {
+	out := make([]signedKey, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if cmpSigned(a[0], b[0]) <= 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
 		}
-		for i, q := range c.ids {
-			if was := rowLen(off, q); was > 0 && keyLess(desc, was, q, size, e) {
-				n--
-			}
-			if now := int(c.off[i+1] - c.off[i]); now > 0 && keyLess(desc, now, q, size, e) {
-				n++
-			}
+	}
+	return append(append(out, a...), b...)
+}
+
+// below returns the signed count of rs's keys that order below a row of
+// the given size and ID under a by-degree order (size descending when
+// desc, then ID).
+func (rs keyRuns) below(desc bool, size int, id uint32) int {
+	n := 0
+	for _, r := range rs {
+		at := func(k sizeKey) int32 {
+			i, _ := slices.BinarySearchFunc(r.keys, k, func(a signedKey, b sizeKey) int { return cmpKey(a.sizeKey, b) })
+			return r.sum[i]
+		}
+		if desc {
+			n += int(r.sum[len(r.keys)] - at(sizeKey{size + 1, 0}) + at(sizeKey{size, id}) - at(sizeKey{size, 0}))
+		} else {
+			n += int(at(sizeKey{size, id}))
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package hg
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -86,6 +87,55 @@ func TestWorkIDConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestKeyRunsStayLogarithmic: a long chain of edits on one pending
+// version keeps its by-degree key runs each more than twice the next —
+// at most log₂ of the rewrites since the base plus one, so a WorkID
+// under A/D costs O(log² P) — and every version still ranks every row
+// of both orientations as EdgeOrder does on the rebuilt hypergraph.
+func TestKeyRunsStayLogarithmic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	edges := make([][]uint32, 300)
+	for e := range edges {
+		edges[e] = []uint32{uint32(rng.Intn(40)), uint32(40 + rng.Intn(40))}
+	}
+	v := NewVersion(FromEdgeSlices(edges, 80), nil)
+	for step := 0; step < 120; step++ {
+		var dels []uint32
+		for len(dels) < 2 {
+			if e := uint32(rng.Intn(len(edges))); len(edges[e]) > 0 && !slices.Contains(dels, e) {
+				dels = append(dels, e)
+			}
+		}
+		slices.Sort(dels)
+		ins := [][]uint32{{uint32(rng.Intn(40)), uint32(40 + rng.Intn(40))}, {uint32(rng.Intn(80))}}
+		v = v.Edit(dels, ins)
+		for _, e := range dels {
+			edges[e] = nil
+		}
+		edges = append(edges, ins...)
+		for _, x := range []edits{v.edge, v.vert} {
+			keys := 0
+			for i, r := range x.runs {
+				keys += len(r.keys)
+				if i > 0 && len(x.runs[i-1].keys) <= 2*len(r.keys) {
+					t.Fatalf("step %d: run %d holds %d keys, the run before it %d", step, i, len(r.keys), len(x.runs[i-1].keys))
+				}
+			}
+			if len(x.runs) > bits.Len(uint(keys))+1 {
+				t.Fatalf("step %d: %d runs for %d keys", step, len(x.runs), keys)
+			}
+		}
+		if step%10 == 9 {
+			h := FromEdgeSlices(edges, 80)
+			sameWork(t, fmt.Sprintf("step %d", step), v, h)
+			sameWork(t, fmt.Sprintf("step %d (dual)", step), v.Dual(), h.Dual())
+		}
+	}
+	if !v.Pending() {
+		t.Fatal("the chain built its version; want it pending throughout")
+	}
 }
 
 // sameBuild asserts that v builds exactly h's CSR.

@@ -188,7 +188,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	mw.value("hyperline_singleflight_dedups_total", `flight="measure"`, float64(s.msfDedups.Load()))
 
 	mw.header("hyperline_datasets", "registered datasets", "gauge")
-	mw.value("hyperline_datasets", "", float64(len(s.Datasets())))
+	mw.value("hyperline_datasets", "", float64(s.reg.Len()))
 
 	as := s.adm.Stats()
 	mw.header("hyperline_admission_admitted_total", "admitted units of Stage-3 work", "counter")

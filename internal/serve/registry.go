@@ -279,6 +279,13 @@ func (r *Registry) Stats(name string) (hg.Stats, error) {
 	return d.sampled(false), nil
 }
 
+// Len returns the number of registered datasets.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.byName)
+}
+
 // List returns all registered datasets sorted by name.
 func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()

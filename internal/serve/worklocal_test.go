@@ -20,8 +20,18 @@ import (
 // dataset's ingests allocate beyond the smaller one's may only be the
 // result slices each patched key must hold — HyperedgeIDs, the squeeze
 // map and the pending degrees, 12 bytes per node — never anything sized
-// by the dataset, like a working-order array of every hyperedge.
+// by the dataset, like a working-order array of every hyperedge. It runs
+// with the keys under each concrete relabel order; under A and D the
+// base's by-degree index is built by the first delta, once per base.
 func TestIngestWorkIsLocal(t *testing.T) {
+	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+		t.Run("relabel="+relabel.String(), func(t *testing.T) {
+			ingestWorkIsLocal(t, core.PipelineConfig{Core: core.Config{Relabel: relabel}})
+		})
+	}
+}
+
+func ingestWorkIsLocal(t *testing.T, cfg core.PipelineConfig) {
 	small := gen.Community(gen.CommunityConfig{
 		Seed: 15, NumVertices: 3000, NumCommunities: 300,
 		MeanCommunitySize: 10, EdgesPerCommunity: 6,
@@ -41,7 +51,7 @@ func TestIngestWorkIsLocal(t *testing.T) {
 		svc := New(Config{})
 		defer svc.Close()
 		svc.Add("g", h)
-		for _, e := range mustQuery(t, svc, lineQ("g", core.PipelineConfig{}, 1, 2, 3, 4, 5, 6, 7, 8)).Entries {
+		for _, e := range mustQuery(t, svc, lineQ("g", cfg, 1, 2, 3, 4, 5, 6, 7, 8)).Entries {
 			if e.Err != nil {
 				t.Fatal(e.Err)
 			}
@@ -71,7 +81,7 @@ func TestIngestWorkIsLocal(t *testing.T) {
 			}
 			r.bytes += after.TotalAlloc - before.TotalAlloc
 			for s := 1; s <= res.AffectedSLine; s++ {
-				if e, ok := svc.cache.Get(projKey{"g", res.Version, core.PipelineConfig{}.OutputKey(false, s)}); ok {
+				if e, ok := svc.cache.Get(projKey{"g", res.Version, cfg.OutputKey(false, s)}); ok {
 					r.result += 12 * uint64(e.res.Graph.NumNodes())
 				}
 			}
