@@ -587,6 +587,11 @@ type replicaHeader struct {
 // caps POST /v1/replicas, which any host may send.
 const maxQueryBytes = 1 << 20
 
+// maxAnswerBytes caps a replica's answer to one sub-request, which the
+// router buffers whole to merge. Any host may register as a replica, so
+// an answer that declares or reaches more fails its shard unread.
+const maxAnswerBytes = 1 << 30
+
 // handleQuery is the scatter-gather core: decode just enough of the
 // body to shard it (everything else passes through verbatim), fan the
 // distinct s values across the dataset's healthy owners, and merge the
@@ -679,6 +684,7 @@ type attemptResult struct {
 	status     int
 	body       []byte
 	index      string // the answer's jsonsplice.EntriesHeader
+	overCap    bool   // the answer exceeds maxAnswerBytes and goes unused
 	retryAfter int
 	err        error
 }
@@ -766,30 +772,40 @@ func (rt *Router) tryReplica(ctx context.Context, u string, payload []byte) atte
 		return res
 	}
 	defer resp.Body.Close()
+	res.status, res.index = resp.StatusCode, resp.Header.Get(jsonsplice.EntriesHeader)
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		if secs, err := strconv.Atoi(ra); err == nil {
+			res.retryAfter = secs
+		}
+	}
+	if res.overCap = resp.ContentLength > maxAnswerBytes; res.overCap {
+		return res
+	}
 	// Content-Length is the replica's word, so the presize is capped; the
 	// MinRead spare lets ReadFrom see EOF without growing the buffer.
 	var body bytes.Buffer
 	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
 		body.Grow(int(n) + bytes.MinRead)
 	}
-	if _, res.err = body.ReadFrom(resp.Body); res.err != nil {
-		return res
-	}
-	res.status, res.body, res.index = resp.StatusCode, body.Bytes(), resp.Header.Get(jsonsplice.EntriesHeader)
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil {
-			res.retryAfter = secs
-		}
+	n, err := body.ReadFrom(io.LimitReader(resp.Body, maxAnswerBytes+1))
+	if res.err = err; err == nil {
+		res.body, res.overCap = body.Bytes(), n > maxAnswerBytes
 	}
 	return res
 }
 
 // parseShardResponse turns a usable replica answer into a shard outcome,
 // indexing its entries by s. A 200/502 answer is cut by its jsonsplice
-// index and only its head is decoded; json.Valid still vouches for each
-// entry, as any host may register as a replica. An answer that fails
-// these checks fails its shard with a 502.
+// index and only its head is decoded; as any host may register as a
+// replica, jsonsplice.Valid still vouches for every byte of each entry,
+// in one pass that accepts what encoding/json.Valid accepts. An answer
+// over maxAnswerBytes, or one that fails these checks, fails its shard
+// with a 502.
 func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcome {
+	if res.overCap {
+		return shardOutcome{s: sVals, status: http.StatusBadGateway,
+			errMsg: fmt.Sprintf("replica %s: answer exceeds %d bytes", res.replica, maxAnswerBytes)}
+	}
 	oc := shardOutcome{s: sVals, status: res.status, deadline: res.status == http.StatusGatewayTimeout}
 	if res.status != http.StatusOK && res.status != http.StatusBadGateway {
 		// 4xx/504 bodies are {"error": ...} documents, not entry lists.
@@ -808,7 +824,7 @@ func (rt *Router) parseShardResponse(res attemptResult, sVals []int) shardOutcom
 	entries := make(map[int]shardEntry, len(raws))
 	for _, raw := range raws {
 		s, isErr, valid := entryPrefix(raw)
-		if ok = ok && valid && json.Valid(raw); !ok {
+		if ok = ok && valid && jsonsplice.Valid(raw); !ok {
 			break
 		}
 		entries[s] = shardEntry{raw: raw, ok: !isErr}

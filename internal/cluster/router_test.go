@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -669,11 +670,12 @@ type stubEntry struct {
 }
 
 // TestRouterUnusableAnswerIs502: a replica 200 whose body the router
-// cannot use — garbage, or a valid body under an index that does not
-// describe it — fails its shard as a 502, so a sweep with no other
-// shard answers 502 with synthesised error entries, as the replica
-// itself would for a sweep where every entry failed. The replica's
-// response still counts as one sub-request.
+// cannot use — garbage, a valid body under an index that does not
+// describe it, or a well-framed body with an entry that is not JSON —
+// fails its shard as a 502, so a sweep with no other shard answers 502
+// with synthesised error entries, as the replica itself would for a
+// sweep where every entry failed. The replica's response still counts
+// as one sub-request.
 func TestRouterUnusableAnswerIs502(t *testing.T) {
 	valid := httptest.NewRecorder()
 	jsonsplice.Write(valid, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"},
@@ -683,12 +685,30 @@ func TestRouterUnusableAnswerIs502(t *testing.T) {
 	if _, err := fmt.Sscanf(index, "%d,%d,%d", &head, &first, &second); err != nil {
 		t.Fatalf("index %q: %v", index, err)
 	}
-	for _, tc := range []struct{ name, body, index string }{
+	type unusable struct{ name, body, index string }
+	cases := []unusable{
 		{"garbage body", "<html>not json</html>", ""},
 		{"garbage under a valid index", strings.Repeat("x", valid.Body.Len()), index},
 		{"index joins two entries", valid.Body.String(), fmt.Sprintf("%d,%d", head, first+1+second)},
 		{"index misplaces the head", valid.Body.String(), fmt.Sprintf("%d,%d,%d", head-1, first, second)},
+	}
+	// Entries that pass entryPrefix and Split but are not JSON: only the
+	// validator stands between them and the client.
+	for _, tc := range []struct{ name, entry string }{
+		{"truncated array", `{"s":2,"cached":false,"hyperedge_ids":[0,1`},
+		{"trailing bytes after the object", `{"s":2,"cached":false} 7`},
+		{"bad \\u escape", `{"s":2,"error":"\u12g4","cached":false}`},
+		{"raw control byte in a string", "{\"s\":2,\"error\":\"a\x01b\",\"cached\":false}"},
+		{"leading-zero number", `{"s":2,"cached":false,"hyperedge_ids":[0,01]}`},
+		{"lone minus", `{"s":2,"cached":false,"nodes":-}`},
+		{"nesting of 10001 levels", `{"s":2,"cached":false,"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + "}"},
 	} {
+		notJSON := httptest.NewRecorder()
+		jsonsplice.Write(notJSON, http.StatusOK, map[string]any{"dataset": "d", "kind": "line"},
+			[]jsonsplice.Entry{{Value: stubEntry{S: 1, Nodes: 2, Edges: 1}}, {Raw: []byte(tc.entry)}})
+		cases = append(cases, unusable{tc.name, notJSON.Body.String(), notJSON.Header().Get(jsonsplice.EntriesHeader)})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var answered atomic.Int64
 			rep := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -717,6 +737,43 @@ func TestRouterUnusableAnswerIs502(t *testing.T) {
 				t.Fatalf("%v ok sub-requests for %d replica responses: %v", got, answered.Load(), m)
 			}
 		})
+	}
+}
+
+// TestRouterAnswerOverCapIs502: a replica that declares a Content-Length
+// past maxAnswerBytes fails its shard with a 502 naming the cap, before
+// the router reads the body it would otherwise wait on.
+func TestRouterAnswerOverCapIs502(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one sub-request ends when the router hangs up: on reading the
+	// header, or at the query's timeout_ms.
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := http.ReadRequest(bufio.NewReader(conn)); err != nil {
+			return
+		}
+		fmt.Fprintf(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{", maxAnswerBytes+1)
+		io.Copy(io.Discard, conn)
+	}()
+	t.Cleanup(func() { ln.Close(); <-served })
+	_, router := newRouterServer(t, Config{Replicas: []string{"http://" + ln.Addr().String()}, Replication: 1})
+
+	status, _, data := postQuery(t, router.URL, `{"dataset":"d","s":[1],"timeout_ms":5000}`)
+	if status != http.StatusBadGateway {
+		t.Fatalf("status %d, want 502: %s", status, data)
+	}
+	want := fmt.Sprintf(`{"s":1,"error":"replica http://%s: answer exceeds %d bytes","cached":false}`, ln.Addr(), maxAnswerBytes)
+	if results := queryResults(t, data); len(results) != 1 || string(results[0]) != want {
+		t.Fatalf("entries %s, want [%s]", results, want)
 	}
 }
 

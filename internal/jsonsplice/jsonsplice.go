@@ -11,7 +11,8 @@
 // is most of the response's cost.
 //
 // Write also sends the document's byte layout in EntriesHeader, so a
-// reader cuts the entries out with Split instead of decoding the body.
+// reader cuts the entries out with Split instead of decoding the body,
+// and checks an entry it cannot trust with Valid.
 package jsonsplice
 
 import (
