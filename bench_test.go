@@ -272,21 +272,6 @@ func BenchmarkFig11SpGEMMFilterUpper(b *testing.B) {
 	}
 }
 
-func BenchmarkFig11SpGEMMHashUpper(b *testing.B) {
-	// The hash-accumulator SpGEMM models the Nagasaka et al. library
-	// the paper benchmarks against.
-	h := email()
-	a, bt := spgemm.EdgeView(h), spgemm.VertexView(h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := spgemm.MultiplyHashUpper(a, bt, par.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		spgemm.FilterS(l, 8)
-	}
-}
-
 func BenchmarkFig11Algo1CA(b *testing.B) {
 	h := email()
 	cfg := cfgFor(b, "1CA")

@@ -11,7 +11,6 @@
 //	           [-request-timeout 30s] [-drain-timeout 10s]
 //	           [-max-inflight 8] [-shed-cost-budget 4000] [-max-queue 64]
 //	           [-state-dir dir] [-spill-dir dir] [-spill-budget bytes]
-//	           [-delta-policy patch|invalidate]
 //	           [-register http://router:8090 -advertise http://host:8080]
 //
 // Each -load registers a dataset at startup (format by extension:
@@ -171,7 +170,6 @@ func main() {
 	shedCostBudget := flag.Int64("shed-cost-budget", 0, "max summed planner-estimated cost of admitted Stage-3 work, in units of 50k wedge pairs (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max interactive requests waiting for admission before 429 (0 = default 64)")
 	maxPerDataset := flag.Int("max-inflight-per-dataset", 0, "max concurrently admitted Stage-3 passes per dataset; excess is shed immediately with 429 (0 = unlimited)")
-	deltaPolicy := flag.String("delta-policy", "patch", "cache maintenance across /v2/ingest deltas: patch (migrate + incrementally patch cached projections) or invalidate (drop everything)")
 	registerURL := flag.String("register", "", "hyperrouter base URL to self-register with (requires -advertise)")
 	advertise := flag.String("advertise", "", "this replica's base URL as reachable by the router, e.g. http://10.0.0.2:8080")
 	registerInterval := flag.Duration("register-interval", 5*time.Second, "heartbeat period for -register")
@@ -182,12 +180,6 @@ func main() {
 	flag.Var(&loads, "load", "dataset to register at startup, as name=path (repeatable)")
 	flag.Parse()
 
-	policy, err := serve.ParseDeltaPolicy(*deltaPolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hyperlined: %v\n", err)
-		os.Exit(2)
-	}
-
 	svc := serve.New(serve.Config{
 		CacheEntries:          *cache,
 		MeasureCacheEntries:   *mcache,
@@ -195,7 +187,6 @@ func main() {
 		ShedCostBudget:        *shedCostBudget,
 		MaxQueue:              *maxQueue,
 		MaxInflightPerDataset: *maxPerDataset,
-		DeltaPolicy:           policy,
 	})
 
 	// Storage tier: the spill directory turns cache evictions into disk

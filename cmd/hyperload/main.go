@@ -29,8 +29,8 @@
 // churn and answer stability are exercised together. With -data the
 // dataset is uploaded before the run starts, so
 // hyperload can target a freshly started server. -o writes the report
-// in cmd/benchjson's schema (latency quantiles as ns/op entries), ready
-// to land in the repo's BENCH_<n>.json series.
+// as JSON: a label, a date, and one {name, runs, iters, ns_per_op} row
+// per quantile and counter (loadgen.BenchReport).
 //
 //	curl -s localhost:8080/metrics | grep hyperline_admission
 //
@@ -86,7 +86,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for the arrival draw sequence")
 	priority := flag.String("priority", "", "v2 priority for query traffic (interactive|background)")
 	label := flag.String("label", "", "label embedded in the JSON report")
-	out := flag.String("o", "", "write a benchjson-schema JSON report here")
+	out := flag.String("o", "", "write a JSON report (latency quantiles and counters) here")
 	flag.Parse()
 
 	if *dataset == "" {

@@ -48,7 +48,7 @@ func ExampleExecute_clique() {
 }
 
 // ExampleExecute_sweep sweeps s in one query and reports when the line
-// graph becomes empty, together with MaxOverlap.
+// graph becomes empty.
 func ExampleExecute_sweep() {
 	h := hyperline.FromEdgeSlices([][]uint32{
 		{0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {4, 5},
@@ -57,13 +57,11 @@ func ExampleExecute_sweep() {
 	for _, e := range qr.Entries {
 		fmt.Printf("s=%d: %d edges\n", e.S, e.Result.Graph.NumEdges())
 	}
-	fmt.Println("max overlap:", hyperline.MaxOverlap(h, 0))
 	// Output:
 	// s=1: 4 edges
 	// s=2: 3 edges
 	// s=3: 2 edges
 	// s=4: 0 edges
-	// max overlap: 3
 }
 
 // ExampleSession_Execute queries one dataset at several s values
@@ -89,15 +87,4 @@ func ExampleSession_Execute() {
 	// s=3: 2 edges
 	// components at s=2: 1
 	// cached projections: 3
-}
-
-// ExampleSConnectedComponentsDirect finds s-connected components
-// without materializing the line graph.
-func ExampleSConnectedComponentsDirect() {
-	h := hyperline.FromEdgeSlices([][]uint32{
-		{0, 1, 2}, {1, 2, 3}, {0, 1, 2, 3, 4}, {4, 5},
-	}, 6)
-	fmt.Println(hyperline.SConnectedComponentsDirect(h, 3))
-	// Output:
-	// [0 0 0 3]
 }

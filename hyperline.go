@@ -247,18 +247,6 @@ func SEccentricities(res *Result, workers int) []int32 {
 	return algo.Eccentricities(res.Graph, par.Options{Workers: workers})
 }
 
-// SDiameter returns the s-diameter of an s-line graph: the longest
-// shortest s-walk between any two s-connected hyperedges.
-func SDiameter(res *Result, workers int) int32 {
-	var max int32
-	for _, e := range algo.Eccentricities(res.Graph, par.Options{Workers: workers}) {
-		if e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // ClusteringCoefficients returns the local clustering coefficient of
 // every node of g.
 func ClusteringCoefficients(g *Graph, workers int) []float64 {
@@ -275,19 +263,3 @@ func GlobalClusteringCoefficient(g *Graph, workers int) float64 {
 // mix ("1,4:6,12") — the format s-sweeps take on the command line and
 // over HTTP.
 func ParseSValues(spec string) ([]int, error) { return core.ParseSValues(spec) }
-
-// MaxOverlap returns the maximum pairwise hyperedge overlap of h — the
-// largest s for which the s-line graph is non-empty.
-func MaxOverlap(h *Hypergraph, workers int) int {
-	return core.MaxOverlap(h, core.Config{Workers: workers})
-}
-
-// SConnectedComponentsDirect computes the s-connected components of
-// the hyperedges without materializing the s-line graph, trading
-// repeated overlap counting for O(|E|) memory — useful when the s-line
-// graph (e.g. the clique-expansion regime at s=1) is too dense to
-// store. The result maps each hyperedge to the minimum hyperedge ID of
-// its component.
-func SConnectedComponentsDirect(h *Hypergraph, s int) []uint32 {
-	return core.SConnectedComponentsDirect(h, s)
-}

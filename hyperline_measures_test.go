@@ -33,9 +33,6 @@ func TestSEccentricityAndDiameter(t *testing.T) {
 	if ecc[2] != 1 || ecc[0] != 2 || ecc[3] != 2 {
 		t.Fatalf("eccentricities = %v", ecc)
 	}
-	if d := SDiameter(res, 0); d != 2 {
-		t.Fatalf("s-diameter = %d, want 2", d)
-	}
 }
 
 func TestClusteringOnLineGraph(t *testing.T) {
@@ -49,19 +46,5 @@ func TestClusteringOnLineGraph(t *testing.T) {
 	}
 	if g := GlobalClusteringCoefficient(res.Graph, 0); math.Abs(g-1) > 1e-9 {
 		t.Fatalf("global clustering = %f, want 1", g)
-	}
-}
-
-func TestMaxOverlapFacade(t *testing.T) {
-	h := example()
-	if got := MaxOverlap(h, 0); got != 3 {
-		t.Fatalf("MaxOverlap = %d, want 3", got)
-	}
-	// Consistency: the MaxOverlap-line graph is non-empty, one past
-	// it is empty.
-	at := projectAt(t, h, KindLine, 3, Options{})
-	past := projectAt(t, h, KindLine, 4, Options{})
-	if at.Graph.NumEdges() == 0 || past.Graph.NumEdges() != 0 {
-		t.Fatal("MaxOverlap inconsistent with s-line graph emptiness")
 	}
 }

@@ -50,11 +50,6 @@ func (c *Components) Members() [][]uint32 {
 	return out
 }
 
-// SameComponent reports whether u and v share a component.
-func (c *Components) SameComponent(u, v uint32) bool {
-	return c.Label[u] == c.Label[v]
-}
-
 // ConnectedComponents labels components with a sequential union-find
 // (path-halving + union by smaller root). This is the reference
 // implementation; LabelPropagationCC is the parallel variant the paper

@@ -216,12 +216,3 @@ func intersectCount(a, b []uint32) int {
 	}
 	return n
 }
-
-// Degrees returns the degree of every node.
-func Degrees(g *graph.Graph) []int {
-	out := make([]int, g.NumNodes())
-	for u := range out {
-		out[u] = g.Degree(uint32(u))
-	}
-	return out
-}

@@ -175,3 +175,24 @@ func TestCentralitiesTinyGraphs(t *testing.T) {
 		t.Fatal("singleton harmonic should be 0")
 	}
 }
+
+// Eccentricity returns the maximum finite distance from src (0 when
+// src is isolated).
+func Eccentricity(g *graph.Graph, src uint32) int32 {
+	max := int32(0)
+	for _, d := range BFSDistances(g, src) {
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// Degrees returns the degree of every node.
+func Degrees(g *graph.Graph) []int {
+	out := make([]int, g.NumNodes())
+	for u := range out {
+		out[u] = g.Degree(uint32(u))
+	}
+	return out
+}

@@ -45,18 +45,6 @@ func WeightedDistances(g *graph.Graph, src uint32, cost func(w uint32) float64) 
 	return dist
 }
 
-// WeightedEccentricity returns the maximum finite weighted distance
-// from src (0 when src is isolated).
-func WeightedEccentricity(g *graph.Graph, src uint32, cost func(w uint32) float64) float64 {
-	max := 0.0
-	for _, d := range WeightedDistances(g, src, cost) {
-		if !math.IsInf(d, 1) && d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 type distItem struct {
 	node uint32
 	dist float64

@@ -108,19 +108,6 @@ func bellmanFord(g *graph.Graph, src uint32) []float64 {
 	return dist
 }
 
-func TestWeightedEccentricity(t *testing.T) {
-	g := graph.Build(4, []graph.Edge{
-		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1},
-	}, false)
-	unit := func(uint32) float64 { return 1 }
-	if e := WeightedEccentricity(g, 0, unit); e != 2 {
-		t.Fatalf("ecc = %f, want 2", e)
-	}
-	if e := WeightedEccentricity(g, 3, unit); e != 0 {
-		t.Fatalf("isolated ecc = %f, want 0", e)
-	}
-}
-
 func TestWeightedDistancesNegativeCostPanics(t *testing.T) {
 	g := graph.Build(2, []graph.Edge{{U: 0, V: 1, W: 1}}, false)
 	defer func() {

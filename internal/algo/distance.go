@@ -32,28 +32,3 @@ func BFSDistances(g *graph.Graph, src uint32) []int32 {
 	}
 	return dist
 }
-
-// Eccentricity returns the maximum finite distance from src (0 when
-// src is isolated).
-func Eccentricity(g *graph.Graph, src uint32) int32 {
-	max := int32(0)
-	for _, d := range BFSDistances(g, src) {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Diameter returns the maximum eccentricity over all nodes — the
-// s-diameter when applied to an s-line graph. O(n·(n+m)); intended for
-// the modest graphs that survive s-filtering.
-func Diameter(g *graph.Graph) int32 {
-	max := int32(0)
-	for u := 0; u < g.NumNodes(); u++ {
-		if e := Eccentricity(g, uint32(u)); e > max {
-			max = e
-		}
-	}
-	return max
-}

@@ -31,8 +31,8 @@ type vnode struct {
 // Membership changes rebuild the ring (cheap: members are few); lookups
 // are lock-free on the immutable value.
 type Ring struct {
-	vnodes []vnode
-	nodes  []string
+	vnodes  []vnode
+	members int
 }
 
 // NewRing builds a ring over the given node identifiers (duplicates and
@@ -45,12 +45,11 @@ func NewRing(nodes []string) *Ring {
 			continue
 		}
 		seen[n] = true
-		r.nodes = append(r.nodes, n)
+		r.members++
 		for i := 0; i < vnodesPerNode; i++ {
 			r.vnodes = append(r.vnodes, vnode{hash: ringHash(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
-	sort.Strings(r.nodes)
 	sort.Slice(r.vnodes, func(i, j int) bool {
 		if r.vnodes[i].hash != r.vnodes[j].hash {
 			return r.vnodes[i].hash < r.vnodes[j].hash
@@ -60,9 +59,6 @@ func NewRing(nodes []string) *Ring {
 	return r
 }
 
-// Nodes returns the ring members, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Owners returns up to n distinct nodes for key, walking clockwise from
 // the key's ring position — the stable R-way replica set for a dataset.
 // Ownership is a pure function of membership, so every router instance
@@ -71,8 +67,8 @@ func (r *Ring) Owners(key string, n int) []string {
 	if len(r.vnodes) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
+	if n > r.members {
+		n = r.members
 	}
 	h := ringHash(key)
 	start := sort.Search(len(r.vnodes), func(i int) bool { return r.vnodes[i].hash >= h })

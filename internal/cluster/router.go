@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -592,6 +593,16 @@ const maxQueryBytes = 1 << 20
 // an answer that declares or reaches more fails its shard unread.
 const maxAnswerBytes = 1 << 30
 
+// msDuration converts a client's timeout_ms to a Duration. It saturates
+// at the largest Duration (about 292 years, no deadline in practice)
+// where time.Duration(ms)*time.Millisecond would wrap negative.
+func msDuration(ms int) time.Duration {
+	if int64(ms) > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 // handleQuery is the scatter-gather core: decode just enough of the
 // body to shard it (everything else passes through verbatim), fan the
 // distinct s values across the dataset's healthy owners, and merge the
@@ -627,7 +638,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if timeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, msDuration(timeoutMS))
 		defer cancel()
 	} else if rt.cfg.RequestTimeout > 0 {
 		var cancel context.CancelFunc

@@ -881,6 +881,23 @@ func TestRouterSelfRegistration(t *testing.T) {
 // TestRouterQueryDecodeErrors: bodies the router cannot shard — and
 // bodies over maxQueryBytes, which it would otherwise buffer whole —
 // answer 400 before any replica is contacted.
+// TestRouterHugeTimeoutStays200: a client timeout_ms past what a
+// Duration holds saturates to no deadline at the router, instead of
+// wrapping negative into an instant 504; the remaining budget it forwards
+// is one the replica accepts too.
+func TestRouterHugeTimeoutStays200(t *testing.T) {
+	svc := serve.New(serve.Config{})
+	svc.Add("paper", paperHG())
+	rep := realReplica(t, svc)
+	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+	for _, ms := range []string{"9223372036855", "10000000000000", "9223372036854775807"} {
+		body := `{"dataset":"paper","s":[1,2],"timeout_ms":` + ms + `}`
+		if status, _, data := postQuery(t, router.URL, body); status != http.StatusOK {
+			t.Fatalf("timeout_ms %s: status %d, want 200: %s", ms, status, data)
+		}
+	}
+}
+
 func TestRouterQueryDecodeErrors(t *testing.T) {
 	svc := serve.New(serve.Config{})
 	svc.Add("paper", paperHG())

@@ -113,13 +113,6 @@ func (c Config) parOptions() par.Options {
 	return par.Options{Workers: c.Workers, Grain: c.Grain, Strategy: c.Partition}
 }
 
-// Notation returns the (extended) Table III shorthand for this
-// configuration, e.g. "2BA" for Algorithm 2, blocked distribution,
-// relabel ascending, or "ABN" for the planner default.
-func (c Config) Notation() string {
-	return c.Algorithm.String() + c.Partition.String() + c.Relabel.String()
-}
-
 // ParseNotation parses a Table III shorthand such as "1CN" or "2BA",
 // extended with "3" (ensemble) and "A" (planner/auto) in the algorithm
 // position, and "*" (planner-resolved) in the relabel position (e.g.

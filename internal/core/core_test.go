@@ -310,3 +310,31 @@ func TestDistinctS(t *testing.T) {
 		t.Fatal("DistinctS(nil) should be empty")
 	}
 }
+
+// NaiveAllPairs is the textbook "ijk" all-pairs construction used as a
+// correctness oracle: it intersects every pair of hyperedges, ignoring
+// the hypergraph structure entirely. Quadratic in |E| — only suitable
+// for tiny inputs and tests.
+func NaiveAllPairs(h *hg.Hypergraph, s int) []Edge {
+	if s < 1 {
+		s = 1
+	}
+	var edges []Edge
+	m := h.NumEdges()
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			if n := h.Inc(uint32(i), uint32(j)); n >= s {
+				edges = append(edges, Edge{U: uint32(i), V: uint32(j), W: uint32(n)})
+			}
+		}
+	}
+	SortEdges(edges)
+	return edges
+}
+
+// Notation returns the (extended) Table III shorthand for this
+// configuration, e.g. "2BA" for Algorithm 2, blocked distribution,
+// relabel ascending, or "ABN" for the planner default.
+func (c Config) Notation() string {
+	return c.Algorithm.String() + c.Partition.String() + c.Relabel.String()
+}

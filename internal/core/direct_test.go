@@ -8,6 +8,7 @@ import (
 
 	"hyperline/internal/algo"
 	"hyperline/internal/graph"
+	"hyperline/internal/hg"
 )
 
 // directOracle computes s-CC labels via the materializing pipeline.
@@ -69,4 +70,69 @@ func TestDirectCCSmallEdgesSingleton(t *testing.T) {
 			t.Fatalf("label[%d] = %d, want singleton", e, l)
 		}
 	}
+}
+
+// SConnectedComponentsDirect computes the s-connected components of
+// the hyperedges of h without materializing the s-line graph: a BFS
+// over hyperedges where the s-incident neighbors of the frontier edge
+// are discovered on the fly with Algorithm 2's overlap counting.
+//
+// Compared to the pipeline (materialize Ls, then run CC), this trades
+// repeated counting work for O(|E|) memory — the right choice when the
+// s-line graph is too dense to store but only component structure is
+// needed (the paper's clique-expansion OOMs of Table V are exactly
+// this regime at s=1). Hyperedges of size < s form singleton
+// components.
+//
+// The returned slice maps each hyperedge to its component
+// representative: the minimum hyperedge ID in the component.
+func SConnectedComponentsDirect(h *hg.Hypergraph, s int) []uint32 {
+	if s < 1 {
+		s = 1
+	}
+	m := h.NumEdges()
+	label := make([]uint32, m)
+	for e := range label {
+		label[e] = uint32(e)
+	}
+	visited := make([]bool, m)
+	counts := make([]uint32, m)
+	var touched []uint32
+	var queue []uint32
+
+	for start := 0; start < m; start++ {
+		if visited[start] || h.EdgeSize(uint32(start)) < s {
+			continue
+		}
+		visited[start] = true
+		queue = append(queue[:0], uint32(start))
+		rep := uint32(start) // minimum ID in BFS order is the start
+		for head := 0; head < len(queue); head++ {
+			ei := queue[head]
+			label[ei] = rep
+			// Discover s-incident neighbors of ei (both directions:
+			// unlike the construction algorithms, traversal needs
+			// every neighbor, not just ej > ei).
+			touched = touched[:0]
+			for _, vk := range h.EdgeVertices(ei) {
+				for _, ej := range h.VertexEdges(vk) {
+					if ej == ei || visited[ej] {
+						continue
+					}
+					if counts[ej] == 0 {
+						touched = append(touched, ej)
+					}
+					counts[ej]++
+				}
+			}
+			for _, ej := range touched {
+				if int(counts[ej]) >= s && !visited[ej] {
+					visited[ej] = true
+					queue = append(queue, ej)
+				}
+				counts[ej] = 0
+			}
+		}
+	}
+	return label
 }

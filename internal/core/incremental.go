@@ -56,10 +56,6 @@ func (pp *Prepared) EdgeOrig() []uint32 { return pp.edgeOrig }
 // drops. The slice is shared and must not be modified.
 func (pp *Prepared) OrigToWork() []int64 { return pp.toWork }
 
-// PreprocessTime is how long PrepareOrder took; patched results report
-// it as their Stage-1 time.
-func (pp *Prepared) PreprocessTime() time.Duration { return pp.preTime }
-
 // Assemble runs Stage 4 on a working-space edge list, exactly as
 // RunBatch does for a squeezed key: the list must be sorted by (U, V)
 // with U < V, deduped, and indexed into the working edge space. stats

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"hyperline/internal/hg"
 )
@@ -39,14 +38,6 @@ type Strategy interface {
 // strategies is the fixed table the planner and the pipeline resolve
 // Algorithm tags against, ordered by tag: strategies[a-1] implements a.
 var strategies = [...]Strategy{setIntersectionStrategy{}, hashmapStrategy{}, ensembleStrategy{}}
-
-// StrategyFor resolves a pinned algorithm tag to its strategy.
-func StrategyFor(a Algorithm) (Strategy, error) {
-	if a < 1 || int(a) > len(strategies) {
-		return nil, fmt.Errorf("core: no strategy for algorithm %s", a)
-	}
-	return strategies[a-1], nil
-}
 
 // Strategies lists the strategies ordered by Algorithm tag.
 func Strategies() []Strategy {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -233,4 +234,12 @@ func TestStrategyRegistry(t *testing.T) {
 	if _, err := StrategyFor(AlgoAuto); err == nil {
 		t.Fatal("AlgoAuto is not a strategy; it must resolve through PlanQuery")
 	}
+}
+
+// StrategyFor resolves a pinned algorithm tag to its strategy.
+func StrategyFor(a Algorithm) (Strategy, error) {
+	if a < 1 || int(a) > len(strategies) {
+		return nil, fmt.Errorf("core: no strategy for algorithm %s", a)
+	}
+	return strategies[a-1], nil
 }

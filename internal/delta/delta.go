@@ -25,7 +25,6 @@
 package delta
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -56,11 +55,6 @@ type Delta struct {
 	Deletes []uint32 `json:"deletes,omitempty"`
 }
 
-// Empty reports whether the delta carries no operations.
-func (d *Delta) Empty() bool {
-	return d == nil || (len(d.Inserts) == 0 && len(d.Deletes) == 0)
-}
-
 // Ops returns the number of hyperedge operations in the delta.
 func (d *Delta) Ops() int {
 	if d == nil {
@@ -76,16 +70,6 @@ func (d *Delta) insertIncidences() int64 {
 		n += int64(len(vs))
 	}
 	return n
-}
-
-// Parse decodes the /v2/ingest wire format. Structural decoding only —
-// the delta still needs Normalize against its base before Apply.
-func Parse(data []byte) (*Delta, error) {
-	var d Delta
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("delta: bad wire format: %w", err)
-	}
-	return &d, nil
 }
 
 // Normalize validates d against its base and canonicalizes it in place:

@@ -2,6 +2,7 @@ package delta
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -278,4 +279,14 @@ func Invert(d *Delta, base *hg.Hypergraph) *Delta {
 		inv.Inserts = append(inv.Inserts, vs)
 	}
 	return inv
+}
+
+// Parse decodes the /v2/ingest wire format. Structural decoding only —
+// the delta still needs Normalize against its base before Apply.
+func Parse(data []byte) (*Delta, error) {
+	var d Delta
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("delta: bad wire format: %w", err)
+	}
+	return &d, nil
 }

@@ -180,18 +180,6 @@ const (
 	ActionPatch
 )
 
-// String names the action for logs and counters.
-func (a Action) String() string {
-	switch a {
-	case ActionMigrate:
-		return "migrate"
-	case ActionPatch:
-		return "patch"
-	default:
-		return "drop"
-	}
-}
-
 // KeyAttrs are the output-relevant attributes of one cached projection:
 // the key the serving layer caches it under, minus dataset and version.
 type KeyAttrs = core.OutputKey

@@ -72,3 +72,15 @@ func TestPlan(t *testing.T) {
 		}
 	}
 }
+
+// String names the action in test failures.
+func (a Action) String() string {
+	switch a {
+	case ActionMigrate:
+		return "migrate"
+	case ActionPatch:
+		return "patch"
+	default:
+		return "drop"
+	}
+}

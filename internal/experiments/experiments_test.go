@@ -222,3 +222,22 @@ func TestScaleClamp(t *testing.T) {
 		t.Fatal("Scale.mul misbehaves")
 	}
 }
+
+// Imbalance returns max/min per-worker visits for a Fig10 notation
+// (min clamped to 1).
+func (d Fig10Data) Imbalance(notation string) float64 {
+	visits := d.Visits[notation]
+	if len(visits) == 0 {
+		return 0
+	}
+	min, max := visits[0], visits[0]
+	for _, v := range visits {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return float64(max) / float64(max64(min, 1))
+}

@@ -230,25 +230,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Imbalance returns max/min per-worker visits for a Fig10 notation
-// (min clamped to 1).
-func (d Fig10Data) Imbalance(notation string) float64 {
-	visits := d.Visits[notation]
-	if len(visits) == 0 {
-		return 0
-	}
-	min, max := visits[0], visits[0]
-	for _, v := range visits {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return float64(max) / float64(max64(min, 1))
-}
-
 // Fig11Data reproduces Figure 11: runtime of the SpGEMM baselines
 // versus Algorithm 1 (1CA) and Algorithm 2 (2BA) across s values.
 type Fig11Data struct {

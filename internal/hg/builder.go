@@ -42,9 +42,6 @@ func (b *Builder) AddEdge(e uint32, vs ...uint32) {
 	}
 }
 
-// Len returns the number of incidence pairs recorded so far.
-func (b *Builder) Len() int { return len(b.pairs) }
-
 // Build produces the hypergraph. Vertex and edge ID spaces are sized by
 // the maximum IDs seen (IDs with no incidences become empty edges /
 // isolated vertices; use Preprocess to drop them). Build may be called

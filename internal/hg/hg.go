@@ -196,22 +196,6 @@ func (h *Hypergraph) Adj(u, v uint32) int {
 	return IntersectSize(h.VertexEdges(u), h.VertexEdges(v))
 }
 
-// HasVertex reports whether hyperedge e contains vertex v (binary
-// search over the sorted vertex list).
-func (h *Hypergraph) HasVertex(e, v uint32) bool {
-	vs := h.EdgeVertices(e)
-	lo, hi := 0, len(vs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if vs[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(vs) && vs[lo] == v
-}
-
 // MaxEdgeSize returns ∆e, the maximum hyperedge size (0 for an
 // edge-less hypergraph).
 func (h *Hypergraph) MaxEdgeSize() int {

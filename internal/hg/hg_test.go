@@ -118,19 +118,6 @@ func TestBuildWithSizeTooSmall(t *testing.T) {
 	}
 }
 
-func TestHasVertex(t *testing.T) {
-	h := paperExample()
-	if !h.HasVertex(2, 4) {
-		t.Fatal("edge 3 should contain e")
-	}
-	if h.HasVertex(0, 5) {
-		t.Fatal("edge 1 should not contain f")
-	}
-	if h.HasVertex(3, 0) {
-		t.Fatal("edge 4 should not contain a")
-	}
-}
-
 func TestIntersectSize(t *testing.T) {
 	cases := []struct {
 		a, b []uint32

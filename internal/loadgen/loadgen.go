@@ -512,9 +512,9 @@ func quantiles(samples []int64) Quantiles {
 	}
 }
 
-// BenchResult / BenchReport mirror cmd/benchjson's schema, so a
-// hyperload run lands in the repo's BENCH_<n>.json series alongside the
-// go-test benchmarks.
+// BenchResult / BenchReport are the report hyperload -o writes: one
+// row per latency quantile (ns/op) and per counter (the count as
+// ns_per_op), the shape CI's smoke steps read counters from.
 type BenchResult struct {
 	Name    string  `json:"name"`
 	Runs    int     `json:"runs"`
@@ -528,7 +528,7 @@ type BenchReport struct {
 	Benchmarks []BenchResult `json:"benchmarks"`
 }
 
-// BenchJSON renders the report in benchjson's schema: latency quantiles
+// BenchJSON renders the report as a BenchReport: latency quantiles
 // as ns/op entries (iters = sample count) plus the headline saturation
 // counts encoded as ops (offered/sent/shed/dropped, ns_per_op = count).
 func (r *Report) BenchJSON(label string, now time.Time) BenchReport {

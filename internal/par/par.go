@@ -183,15 +183,6 @@ func (s *WorkerStats) Add(worker int, delta int64) {
 	s.slots[worker].v += delta
 }
 
-// PerWorker returns a copy of the per-worker counters.
-func (s *WorkerStats) PerWorker() []int64 {
-	out := make([]int64, len(s.slots))
-	for i := range s.slots {
-		out[i] = s.slots[i].v
-	}
-	return out
-}
-
 // Total returns the sum over all workers.
 func (s *WorkerStats) Total() int64 {
 	var t int64

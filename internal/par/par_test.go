@@ -176,3 +176,12 @@ func benchmarkFor(b *testing.B, opt Options) {
 func BenchmarkForBlocked(b *testing.B) { benchmarkFor(b, Options{Strategy: Blocked, Grain: 256}) }
 
 func BenchmarkForCyclic(b *testing.B) { benchmarkFor(b, Options{Strategy: Cyclic}) }
+
+// PerWorker returns a copy of the per-worker counters.
+func (s *WorkerStats) PerWorker() []int64 {
+	out := make([]int64, len(s.slots))
+	for i := range s.slots {
+		out[i] = s.slots[i].v
+	}
+	return out
+}

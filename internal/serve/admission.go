@@ -26,14 +26,6 @@ const (
 	PriorityBackground
 )
 
-// String renders the priority the way the metrics labels spell it.
-func (p Priority) String() string {
-	if p == PriorityBackground {
-		return "background"
-	}
-	return "interactive"
-}
-
 // ErrSaturated marks requests shed by admission control. The HTTP layer
 // maps it to 429 with a Retry-After header; errors.Is(err, ErrSaturated)
 // identifies it through wrapping.

@@ -65,6 +65,16 @@ const (
 	maxChangesTimeout     = 2 * time.Minute
 )
 
+// changesTimeout is the long-poll bound for a client's timeout_ms: the
+// default for 0, the value itself up to maxChangesTimeout, and
+// maxChangesTimeout past it.
+func changesTimeout(ms int) time.Duration {
+	if ms == 0 {
+		return defaultChangesTimeout
+	}
+	return min(msDuration(ms), maxChangesTimeout)
+}
+
 // handleChanges serves GET /v2/datasets/{name}/changes?since=V: the
 // long-poll change feed. The response carries the dataset's current
 // version and every retained event past since; with nothing to report
@@ -82,14 +92,7 @@ func handleChanges(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad timeout_ms"))
 		return
 	}
-	timeout := defaultChangesTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if timeout > maxChangesTimeout {
-		timeout = maxChangesTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), changesTimeout(timeoutMS))
 	defer cancel()
 	events, version, err := svc.Changes(ctx, name, uint64(since))
 	if err != nil {

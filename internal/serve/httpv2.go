@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -11,6 +12,16 @@ import (
 	"hyperline/internal/jsonsplice"
 	"hyperline/internal/measure"
 )
+
+// msDuration converts a client's timeout_ms to a Duration. It saturates
+// at the largest Duration (about 292 years, no deadline in practice)
+// where time.Duration(ms)*time.Millisecond would wrap negative.
+func msDuration(ms int) time.Duration {
+	if int64(ms) > math.MaxInt64/int64(time.Millisecond) {
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
+}
 
 // queryRequestJSON is the POST /v2/query body: the unified query. "s"
 // accepts a JSON integer array or an s-list string ("1,4:8"); "kind" is
@@ -162,7 +173,7 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, msDuration(req.TimeoutMS))
 		defer cancel()
 	}
 

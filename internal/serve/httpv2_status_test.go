@@ -70,6 +70,17 @@ func TestV2QueryPartialFailureStays200(t *testing.T) {
 	}
 }
 
+// TestV2QueryHugeTimeoutStays200: a timeout_ms past what a Duration
+// holds (from 9 223 372 036 855 ms on) saturates to no deadline instead
+// of wrapping negative into an instant 504.
+func TestV2QueryHugeTimeoutStays200(t *testing.T) {
+	ts, _ := newTestServer(t)
+	uploadPaper(t, ts)
+	for _, ms := range []string{"9223372036854", "9223372036855", "10000000000000", "9223372036854775807"} {
+		v2Status(t, ts.URL, `{"dataset":"paper","s":[1,2],"timeout_ms":`+ms+`}`, http.StatusOK)
+	}
+}
+
 // TestQuotaShedCarriesRetryAfter pins that a per-dataset quota shed
 // (-max-inflight-per-dataset) answers 429 *with* a Retry-After header,
 // exactly like a global admission shed — clients and the router key

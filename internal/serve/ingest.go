@@ -19,30 +19,14 @@ import (
 // (drop). Keys the walk never visits are
 // merely unreachable, not wrong: every cache key embeds the version.
 
-// DeltaPolicy selects what Ingest does to cached artifacts.
+// DeltaPolicy and DeltaPolicyPatch name the one cache-maintenance
+// policy Ingest has: migrate and patch where provably sound, drop what
+// the delta's frontier touches. They remain only so that callers which
+// spell the policy out still compile; New reads neither.
 type DeltaPolicy string
 
-const (
-	// DeltaPolicyPatch (the default) migrates and patches cache entries
-	// across the version bump where provably sound, dropping only keys
-	// the delta's frontier actually touches.
-	DeltaPolicyPatch DeltaPolicy = "patch"
-	// DeltaPolicyInvalidate drops every cached entry of the dataset —
-	// the pre-streaming behavior, kept as the baseline arm for
-	// benchmarking patched maintenance against.
-	DeltaPolicyInvalidate DeltaPolicy = "invalidate"
-)
-
-// ParseDeltaPolicy validates a policy name ("" = patch).
-func ParseDeltaPolicy(v string) (DeltaPolicy, error) {
-	switch DeltaPolicy(v) {
-	case "", DeltaPolicyPatch:
-		return DeltaPolicyPatch, nil
-	case DeltaPolicyInvalidate:
-		return DeltaPolicyInvalidate, nil
-	}
-	return "", fmt.Errorf("serve: unknown delta policy %q (want %q or %q)", v, DeltaPolicyPatch, DeltaPolicyInvalidate)
-}
+// DeltaPolicyPatch is the only DeltaPolicy (see DeltaPolicy).
+const DeltaPolicyPatch DeltaPolicy = "patch"
 
 // IngestResult summarizes one applied delta: the version transition,
 // the delta's shape, and what happened to the dataset's cached
@@ -65,15 +49,13 @@ type IngestResult struct {
 	// drop; they are never patched).
 	MeasuresMigrated int `json:"measures_migrated"`
 	MeasuresDropped  int `json:"measures_dropped"`
-
-	Policy DeltaPolicy `json:"policy"`
 }
 
 // Ingest applies one delta to the named dataset: the delta is composed
 // onto the current version as a pending one (delta.Compose: no copy of
 // the dataset, built only when something needs flat rows), installed
 // as the next version with its statistics and pass count carried
-// forward, and the caches are walked under the configured DeltaPolicy.
+// forward, and the caches are walked once.
 // The delta is validated against the dataset's current version;
 // baseVersion != 0 additionally pins the version the client built the
 // delta against (hyperedge IDs are only meaningful relative to a
@@ -111,11 +93,10 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Deletes:         len(d.Deletes),
 		AffectedSLine:   p.AffectedS(false),
 		AffectedSClique: p.AffectedS(true),
-		Policy:          s.deltaPolicy,
 	}
 
 	nd, _ := s.reg.at(name, newV) // nil after a concurrent replacement: treat everything as drop
-	patching := nd != nil && s.deltaPolicy == DeltaPolicyPatch
+	patching := nd != nil
 	for _, k := range s.cache.Keys() {
 		if k.dataset != name || k.version != oldV {
 			continue
@@ -182,7 +163,6 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		Dropped:          res.Dropped,
 		MeasuresMigrated: res.MeasuresMigrated,
 		MeasuresDropped:  res.MeasuresDropped,
-		Policy:           res.Policy,
 	})
 	return res, nil
 }
@@ -196,15 +176,14 @@ const projectedPasses = 3
 // delta produced, its shape, and the cache outcomes — what a dashboard
 // needs to watch an evolving hypergraph without polling projections.
 type ChangeEvent struct {
-	Version          uint64      `json:"version"`
-	Inserts          int         `json:"inserts"`
-	Deletes          int         `json:"deletes"`
-	Migrated         int         `json:"migrated"`
-	Patched          int         `json:"patched"`
-	Dropped          int         `json:"dropped"`
-	MeasuresMigrated int         `json:"measures_migrated"`
-	MeasuresDropped  int         `json:"measures_dropped"`
-	Policy           DeltaPolicy `json:"policy"`
+	Version          uint64 `json:"version"`
+	Inserts          int    `json:"inserts"`
+	Deletes          int    `json:"deletes"`
+	Migrated         int    `json:"migrated"`
+	Patched          int    `json:"patched"`
+	Dropped          int    `json:"dropped"`
+	MeasuresMigrated int    `json:"measures_migrated"`
+	MeasuresDropped  int    `json:"measures_dropped"`
 }
 
 // feedCapacity bounds the retained events per dataset; a consumer more
@@ -227,9 +206,8 @@ func newChangeFeed() *changeFeed {
 	return &changeFeed{byName: make(map[string]*datasetFeed)}
 }
 
-func (f *changeFeed) get(name string) *datasetFeed {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// lockedGet returns name's feed, creating it; f.mu must be held.
+func (f *changeFeed) lockedGet(name string) *datasetFeed {
 	df, ok := f.byName[name]
 	if !ok {
 		df = &datasetFeed{notify: make(chan struct{})}
@@ -242,11 +220,7 @@ func (f *changeFeed) get(name string) *datasetFeed {
 func (f *changeFeed) publish(name string, ev ChangeEvent) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	df, ok := f.byName[name]
-	if !ok {
-		df = &datasetFeed{notify: make(chan struct{})}
-		f.byName[name] = df
-	}
+	df := f.lockedGet(name)
 	df.events = append(df.events, ev)
 	if len(df.events) > feedCapacity {
 		df.events = df.events[len(df.events)-feedCapacity:]
@@ -260,11 +234,7 @@ func (f *changeFeed) publish(name string, ev ChangeEvent) {
 func (f *changeFeed) after(name string, since uint64) ([]ChangeEvent, <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	df, ok := f.byName[name]
-	if !ok {
-		df = &datasetFeed{notify: make(chan struct{})}
-		f.byName[name] = df
-	}
+	df := f.lockedGet(name)
 	var out []ChangeEvent
 	for _, ev := range df.events {
 		if ev.Version > since {

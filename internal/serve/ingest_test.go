@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -71,9 +72,6 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	}
 	if ing.Inserts != 1 || ing.Deletes != 0 {
 		t.Fatalf("delta shape %d/%d, want 1 insert, 0 deletes", ing.Inserts, ing.Deletes)
-	}
-	if ing.Policy != DeltaPolicyPatch {
-		t.Fatalf("policy %q, want patch", ing.Policy)
 	}
 	// s=3,4,5 are above the frontier: migrated. s=1,2 were patched or
 	// dropped, never silently kept.
@@ -158,57 +156,6 @@ func TestIngestLeavesOtherDatasetsAlone(t *testing.T) {
 	}
 	if p, m := svc.projectionComputes.Load(), svc.measureComputes.Load(); p != projs || m != measures {
 		t.Errorf("g@1/x recomputed: projections %d -> %d, measures %d -> %d", projs, p, measures, m)
-	}
-}
-
-// TestIngestPolicyInvalidate pins the baseline arm: with
-// DeltaPolicyInvalidate every cached entry of the dataset drops and the
-// next sweep recomputes, but answers stay correct.
-func TestIngestPolicyInvalidate(t *testing.T) {
-	svc := New(Config{DeltaPolicy: DeltaPolicyInvalidate})
-	ts := httptest.NewServer(NewHandler(svc))
-	t.Cleanup(ts.Close)
-	uploadPaper(t, ts)
-
-	queryV2(t, ts, `{"dataset": "paper", "s": [1,2,3,4,5], "exact": true}`)
-	computes := svc.projectionComputes.Load()
-
-	var ing ingestResponse
-	do(t, http.MethodPost, ts.URL+"/v2/ingest",
-		strings.NewReader(`{"dataset": "paper", "inserts": [[4, 5]]}`),
-		http.StatusOK, &ing)
-	if ing.Policy != DeltaPolicyInvalidate {
-		t.Fatalf("policy %q, want invalidate", ing.Policy)
-	}
-	if ing.Migrated != 0 || ing.Patched != 0 {
-		t.Fatalf("invalidate policy migrated %d / patched %d entries", ing.Migrated, ing.Patched)
-	}
-	if ing.Dropped != 5 {
-		t.Fatalf("dropped = %d, want all 5 warmed entries", ing.Dropped)
-	}
-
-	after := queryV2(t, ts, `{"dataset": "paper", "s": [3,4,5], "exact": true}`)
-	for _, e := range after.Results {
-		if e.Cached {
-			t.Errorf("s=%d cached under the invalidate policy", e.S)
-		}
-	}
-	if got := svc.projectionComputes.Load(); got == computes {
-		t.Fatal("invalidate policy served without recomputing")
-	}
-	d := &delta.Delta{Inserts: [][]uint32{{4, 5}}}
-	newH, err := delta.Apply(paperExample(), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfg core.PipelineConfig
-	cfg.Core.DisableShortCircuit = true
-	for _, e := range after.Results {
-		fresh := direct(t, newH, e.S, cfg)
-		if e.Nodes != fresh.Graph.NumNodes() || e.Edges != fresh.Graph.NumEdges() {
-			t.Errorf("s=%d: recomputed answer wrong: %d/%d vs %d/%d",
-				e.S, e.Nodes, e.Edges, fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
-		}
 	}
 }
 
@@ -318,6 +265,31 @@ type changesResponse struct {
 	Dataset string        `json:"dataset"`
 	Version uint64        `json:"version"`
 	Events  []ChangeEvent `json:"events"`
+}
+
+// TestChangesTimeoutCap pins the long-poll bound for every timeout_ms:
+// the default for 0, the value itself up to maxChangesTimeout, and
+// maxChangesTimeout past it, including values whose product with
+// time.Millisecond overflows a Duration.
+func TestChangesTimeoutCap(t *testing.T) {
+	for _, tc := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, defaultChangesTimeout},
+		{1, time.Millisecond},
+		{5000, 5 * time.Second},
+		{120000, maxChangesTimeout},
+		{120001, maxChangesTimeout},
+		{9223372036854, maxChangesTimeout},
+		{9223372036855, maxChangesTimeout}, // the first to wrap negative unsaturated
+		{10000000000000, maxChangesTimeout},
+		{math.MaxInt, maxChangesTimeout},
+	} {
+		if got := changesTimeout(tc.ms); got != tc.want {
+			t.Errorf("changesTimeout(%d) = %v, want %v", tc.ms, got, tc.want)
+		}
+	}
 }
 
 // TestChangesFeed covers the long-poll contract: an idle poll times out

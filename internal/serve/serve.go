@@ -58,10 +58,8 @@ type Config struct {
 	// dataset cannot monopolize the global budget or the queue.
 	MaxInflightPerDataset int
 
-	// DeltaPolicy selects what Ingest does to cached artifacts across a
-	// delta-derived version bump: DeltaPolicyPatch (the default)
-	// migrates and incrementally patches entries where provably sound;
-	// DeltaPolicyInvalidate drops everything — the recompute baseline.
+	// DeltaPolicy is read by nothing: Ingest always patches (see
+	// DeltaPolicy).
 	DeltaPolicy DeltaPolicy
 }
 
@@ -95,10 +93,8 @@ type Service struct {
 	adm     *admission
 	metrics *metrics
 
-	// Streaming ingest state: the configured cache-maintenance policy,
-	// the per-dataset change feed, and the lifetime ingest counters the
-	// /metrics exposition reports.
-	deltaPolicy           DeltaPolicy
+	// Streaming ingest state: the per-dataset change feed and the
+	// lifetime ingest counters the /metrics exposition reports.
 	feed                  *changeFeed
 	ingestsApplied        atomic.Int64
 	ingestMigrated        atomic.Int64
@@ -115,18 +111,13 @@ type Service struct {
 
 // New returns an empty service.
 func New(cfg Config) *Service {
-	policy := cfg.DeltaPolicy
-	if policy == "" {
-		policy = DeltaPolicyPatch
-	}
 	s := &Service{
-		reg:         NewRegistry(),
-		cache:       NewCache(cfg.CacheEntries),
-		mcache:      NewMeasureCache(cfg.MeasureCacheEntries),
-		adm:         newAdmission(cfg.ShedCostBudget, cfg.MaxInflight, cfg.MaxQueue, cfg.MaxInflightPerDataset),
-		metrics:     newMetrics(),
-		deltaPolicy: policy,
-		feed:        newChangeFeed(),
+		reg:     NewRegistry(),
+		cache:   NewCache(cfg.CacheEntries),
+		mcache:  NewMeasureCache(cfg.MeasureCacheEntries),
+		adm:     newAdmission(cfg.ShedCostBudget, cfg.MaxInflight, cfg.MaxQueue, cfg.MaxInflightPerDataset),
+		metrics: newMetrics(),
+		feed:    newChangeFeed(),
 	}
 	s.reg.onBuild = func() { s.datasetBuilds.Add(1) }
 	return s

@@ -71,6 +71,11 @@ func decodeProjection(data []byte) (*projEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: projection graph: %w", err)
 	}
+	// Spill files carry no checksum: a meta that names other than one
+	// hyperedge per node would send measures past HyperedgeIDs.
+	if len(meta.HyperedgeIDs) != g.NumNodes() {
+		return nil, fmt.Errorf("serve: projection meta names %d hyperedges for %d nodes", len(meta.HyperedgeIDs), g.NumNodes())
+	}
 	return &projEntry{res: &core.PipelineResult{
 		S:            meta.S,
 		Graph:        g,

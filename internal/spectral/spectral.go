@@ -179,65 +179,6 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) (float64, int) {
 	return lambda2, iters
 }
 
-// AlgebraicConnectivity returns λ₂ of the combinatorial Laplacian
-// L = D − A of the largest connected component (Fiedler value). Uses
-// power iteration on cI − L with c = 2·∆+1 and deflation of the
-// all-ones vector.
-func AlgebraicConnectivity(g *graph.Graph, opt Options) float64 {
-	opt = opt.defaults()
-	sub := LargestComponent(g)
-	n := sub.NumNodes()
-	if n < 2 {
-		return 0
-	}
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		if d := sub.Degree(uint32(u)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	c := float64(2*maxDeg + 1)
-	phi := make([]float64, n)
-	for u := range phi {
-		phi[u] = 1 / math.Sqrt(float64(n))
-	}
-	x := make([]float64, n)
-	for u := range x {
-		x[u] = math.Cos(float64(u+1)) + 0.25
-	}
-	deflate(x, phi)
-	normalize(x)
-	y := make([]float64, n)
-	var mu float64
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		for u := 0; u < n; u++ {
-			d := float64(sub.Degree(uint32(u)))
-			sum := 0.0
-			ids, _ := sub.Neighbors(uint32(u))
-			for _, v := range ids {
-				sum += x[v]
-			}
-			y[u] = (c-d)*x[u] + sum
-		}
-		deflate(y, phi)
-		newMu := dot(x, y)
-		if normalize(y) == 0 {
-			return c
-		}
-		x, y = y, x
-		if iter > 0 && math.Abs(newMu-mu) < opt.Tol {
-			mu = newMu
-			break
-		}
-		mu = newMu
-	}
-	lambda2 := c - mu
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	return lambda2
-}
-
 func deflate(x, phi []float64) {
 	p := dot(x, phi)
 	for i := range x {

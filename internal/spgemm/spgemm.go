@@ -29,25 +29,10 @@ type Matrix struct {
 	Val        []uint32
 }
 
-// NNZ returns the number of stored entries.
-func (m *Matrix) NNZ() int64 { return int64(len(m.Col)) }
-
 // Row returns the column indices and values of row i.
 func (m *Matrix) Row(i int) ([]uint32, []uint32) {
 	lo, hi := m.Off[i], m.Off[i+1]
 	return m.Col[lo:hi], m.Val[lo:hi]
-}
-
-// At returns the value at (i, j), 0 when not stored. Linear scan —
-// intended for tests.
-func (m *Matrix) At(i, j int) uint32 {
-	cols, vals := m.Row(i)
-	for k, c := range cols {
-		if int(c) == j {
-			return vals[k]
-		}
-	}
-	return 0
 }
 
 // EdgeView returns Hᵀ as a CSR matrix: rows are hyperedges, columns

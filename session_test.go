@@ -4,6 +4,8 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,5 +165,84 @@ func TestSessionLoadAndList(t *testing.T) {
 	}
 	if !sess.Remove("disk") {
 		t.Fatal("remove failed")
+	}
+}
+
+// TestSessionWarmStart drives the persistence half of the facade: a
+// mapped .bin dataset served by an OpenSession with a spill tier, its
+// state saved, and a second OpenSession on the same directories that
+// restores the dataset and answers from the spill tier without a
+// recompute.
+func TestSessionWarmStart(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "h.bin")
+	if err := hyperline.Save(path, sessionExample()); err != nil {
+		t.Fatal(err)
+	}
+	h, err := hyperline.Map(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := hyperline.SessionOptions{
+		MaxInflight: 3,
+		SpillDir:    filepath.Join(dir, "spill"),
+		StateDir:    filepath.Join(dir, "state"),
+	}
+	ctx := context.Background()
+	q := hyperline.Query{Dataset: "paper", S: []int{1, 2, 3}}
+
+	cold, err := hyperline.OpenSession(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.AdmissionStats().MaxInflight; got != 3 {
+		t.Fatalf("AdmissionStats().MaxInflight = %d, want 3", got)
+	}
+	cold.Add("paper", h)
+	want, err := cold.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.SaveState(opt.StateDir); err != nil {
+		t.Fatal(err)
+	}
+	if st := cold.SpillStats(); st.Entries == 0 {
+		t.Fatalf("SaveState flushed nothing to the spill tier: %+v", st)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := hyperline.OpenSession(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if names, err := warm.RestoreState(opt.StateDir); err != nil || !reflect.DeepEqual(names, []string{"paper"}) {
+		t.Fatalf("RestoreState = %v, %v; want [paper]", names, err)
+	}
+	got, err := warm.Execute(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range got.Entries {
+		if !e.Cached || e.Result.Graph.NumEdges() != want.Entries[i].Result.Graph.NumEdges() {
+			t.Fatalf("s=%d after a warm start: cached=%v, %d edges, want cached and %d",
+				e.S, e.Cached, e.Result.Graph.NumEdges(), want.Entries[i].Result.Graph.NumEdges())
+		}
+	}
+	var metrics strings.Builder
+	if err := warm.WriteMetrics(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "hyperline_projection_computes_total 0\n") {
+		t.Fatal("a warm start recomputed a projection")
+	}
+	var names []string
+	for _, m := range hyperline.Measures() {
+		names = append(names, m.Name)
+	}
+	if !slices.Contains(names, "components") {
+		t.Fatalf("Measures() = %v, want components among them", names)
 	}
 }
