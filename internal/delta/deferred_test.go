@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyperline/internal/core"
 	"hyperline/internal/gen"
 	"hyperline/internal/hg"
 )
@@ -48,69 +49,78 @@ func deferredBase() *hg.Hypergraph {
 }
 
 // TestDeferredChainMatchesRecompute chains k = 1..8 deltas through the
-// deferred write path, for both orientations under every order-stable
-// relabel: every step must leave the rows unbuilt (no materialization
-// during the chain), and the one materialization the first row read
-// makes must be byte-identical to RunBatch on the post-chain
-// hypergraph. A second read builds nothing.
+// deferred write path, for both orientations under relabel N: every
+// step must leave the rows unbuilt (no materialization during the
+// chain), and the one materialization the first row read makes must be
+// byte-identical to RunBatch on the post-chain hypergraph. A second read
+// builds nothing. Under A and D, Plan must patch no step of the same
+// chains.
 func TestDeferredChainMatchesRecompute(t *testing.T) {
 	base := deferredBase()
-	stable := []struct {
-		dual    bool
-		relabel hg.RelabelOrder
-	}{
-		{false, hg.RelabelNone}, {false, hg.RelabelAscending}, {false, hg.RelabelDescending},
-		{true, hg.RelabelNone},
-	}
-	for _, o := range stable {
-		cfg := exactCfg(o.relabel)
-		for s := 1; s <= 3; s++ {
-			a := KeyAttrs{Dual: o.dual, S: s, Exact: true, Relabel: o.relabel, Squeeze: true}
-			for k := 1; k <= 8; k++ {
-				label := fmt.Sprintf("dual=%v/relabel=%s/s=%d/k=%d", o.dual, o.relabel, s, k)
-				rng := rand.New(rand.NewSource(int64(10*s + k)))
-				h := base
-				cur := pipelineAt(t, orient(h, o.dual), s, cfg)
-				builds := 0
-				for step := 1; step <= k; step++ {
-					d := smallDelta(rng, h)
-					newH, err := Apply(h, d)
-					if err != nil {
-						t.Fatal(err)
-					}
-					p := NewPatcher(h, newH, d)
-					p.OnMaterialize = func() { builds++ }
-					if cur, err = p.Patch(cur, a); err != nil {
-						t.Fatalf("%s: step %d: %v", label, step, err)
-					}
-					if cur.Graph.Pending() == nil {
-						t.Fatalf("%s: step %d built its rows; want them deferred", label, step)
-					}
-					h = newH
-				}
-				if builds != 0 {
-					t.Fatalf("%s: %d materializations during the chain, want 0", label, builds)
-				}
-				fresh := pipelineAt(t, orient(h, o.dual), s, cfg)
-				if cur.Graph.NumNodes() != fresh.Graph.NumNodes() || cur.Graph.NumEdges() != fresh.Graph.NumEdges() {
-					t.Fatalf("%s: deferred counts %d nodes, %d edges; recompute %d, %d", label,
-						cur.Graph.NumNodes(), cur.Graph.NumEdges(), fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
-				}
-				for x := 0; x < fresh.Graph.NumNodes(); x++ {
-					if got, want := cur.Graph.Degree(uint32(x)), fresh.Graph.Degree(uint32(x)); got != want {
-						t.Fatalf("%s: deferred degree of node %d is %d, want %d", label, x, got, want)
-					}
-				}
-				if builds != 0 {
-					t.Fatalf("%s: counts and degrees built the rows", label)
-				}
-				sameResult(t, label, cur, fresh)
-				sameResult(t, label, cur, fresh)
-				if builds != 1 {
-					t.Fatalf("%s: %d materializations after two reads, want 1", label, builds)
+	for _, dual := range []bool{false, true} {
+		for _, relabel := range relabels {
+			cfg := exactCfg(relabel)
+			for s := 1; s <= 3; s++ {
+				a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
+				for k := 1; k <= 8; k++ {
+					label := fmt.Sprintf("dual=%v/relabel=%s/s=%d/k=%d", dual, relabel, s, k)
+					deferredChain(t, label, base, a, cfg, rand.New(rand.NewSource(int64(10*s+k))), k)
 				}
 			}
 		}
+	}
+}
+
+// deferredChain runs one chain of TestDeferredChainMatchesRecompute: k
+// deltas from base for the key a.
+func deferredChain(t *testing.T, label string, base *hg.Hypergraph, a KeyAttrs, cfg core.PipelineConfig, rng *rand.Rand, k int) {
+	t.Helper()
+	h := base
+	cur := pipelineAt(t, orient(h, a.Dual), a.S, cfg)
+	builds := 0
+	for step := 1; step <= k; step++ {
+		d := smallDelta(rng, h)
+		newH, err := Apply(h, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPatcher(h, newH, d)
+		h = newH
+		if a.Relabel != hg.RelabelNone {
+			neverPatched(t, fmt.Sprintf("%s: step %d", label, step), p, a)
+			continue
+		}
+		p.OnMaterialize = func() { builds++ }
+		if cur, err = p.Patch(cur, a); err != nil {
+			t.Fatalf("%s: step %d: %v", label, step, err)
+		}
+		if cur.Graph.Pending() == nil {
+			t.Fatalf("%s: step %d built its rows; want them deferred", label, step)
+		}
+	}
+	if a.Relabel != hg.RelabelNone {
+		return
+	}
+	if builds != 0 {
+		t.Fatalf("%s: %d materializations during the chain, want 0", label, builds)
+	}
+	fresh := pipelineAt(t, orient(h, a.Dual), a.S, cfg)
+	if cur.Graph.NumNodes() != fresh.Graph.NumNodes() || cur.Graph.NumEdges() != fresh.Graph.NumEdges() {
+		t.Fatalf("%s: deferred counts %d nodes, %d edges; recompute %d, %d", label,
+			cur.Graph.NumNodes(), cur.Graph.NumEdges(), fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
+	}
+	for x := 0; x < fresh.Graph.NumNodes(); x++ {
+		if got, want := cur.Graph.Degree(uint32(x)), fresh.Graph.Degree(uint32(x)); got != want {
+			t.Fatalf("%s: deferred degree of node %d is %d, want %d", label, x, got, want)
+		}
+	}
+	if builds != 0 {
+		t.Fatalf("%s: counts and degrees built the rows", label)
+	}
+	sameResult(t, label, cur, fresh)
+	sameResult(t, label, cur, fresh)
+	if builds != 1 {
+		t.Fatalf("%s: %d materializations after two reads, want 1", label, builds)
 	}
 }
 

@@ -16,11 +16,26 @@ import (
 
 // This file is the correctness contract of the incremental patcher: for
 // seeded generated hypergraphs × random delta batches × both
-// orientations × s = 1..5 × every relabel order, patching a cached
-// projection must be byte-identical — Graph CSR, HyperedgeIDs, S — to
-// recomputing the projection from scratch on the post-delta hypergraph.
-// CI runs this package under -race, so the lazily shared patcher state
-// is exercised for data races as well.
+// orientations × s = 1..5, patching a cached projection under relabel N
+// must be byte-identical — Graph CSR, HyperedgeIDs, S — to recomputing
+// the projection from scratch on the post-delta hypergraph. Under the
+// by-degree relabels A and D, Plan must never patch, and every key it
+// migrates must serve the recompute's answer unchanged. CI runs this
+// package under -race, so the lazily shared patcher state is exercised
+// for data races as well.
+
+// relabels are the concrete relabel orders a cache key can carry.
+var relabels = []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
+
+// neverPatched fails the test when Plan would patch a, under the
+// terms most favourable to patching: no cached edges, no cost bound,
+// a projected lineage.
+func neverPatched(t *testing.T, label string, p *Patcher, a KeyAttrs) {
+	t.Helper()
+	if got := p.Plan(a, 0, 0, true); got == ActionPatch {
+		t.Fatalf("%s: Plan patches a key under relabel %s", label, a.Relabel)
+	}
+}
 
 // pipelineAt runs the pipeline for one s, failing the test on error.
 func pipelineAt(t testing.TB, h *hg.Hypergraph, s int, cfg core.PipelineConfig) *core.PipelineResult {
@@ -158,9 +173,10 @@ func edgeCases() []equivCase {
 }
 
 // checkPatch asserts, for both orientations × every relabel order × s
-// in 1..maxS, that patching base's projection across d equals the
-// recompute on the post-delta hypergraph, and that every key the
-// patcher calls migratable serves the same answer unchanged.
+// in 1..maxS, that patching base's projection across d under relabel N
+// equals the recompute on the post-delta hypergraph, that Plan patches
+// no key under A or D, and that every key the patcher calls migratable
+// serves the same answer unchanged.
 func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS int) {
 	t.Helper()
 	newH, err := Apply(base, d)
@@ -169,18 +185,22 @@ func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS 
 	}
 	p := NewPatcher(base, newH, d)
 	for _, dual := range []bool{false, true} {
-		for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+		for _, relabel := range relabels {
 			cfg := exactCfg(relabel)
 			for s := 1; s <= maxS; s++ {
 				label := fmt.Sprintf("%s/dual=%v/relabel=%s/s=%d", label, dual, relabel, s)
 				old := pipelineAt(t, orient(base, dual), s, cfg)
 				fresh := pipelineAt(t, orient(newH, dual), s, cfg)
 				a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-				patched, err := p.Patch(old, a)
-				if err != nil {
-					t.Fatalf("%s: Patch: %v", label, err)
+				if relabel == hg.RelabelNone {
+					patched, err := p.Patch(old, a)
+					if err != nil {
+						t.Fatalf("%s: Patch: %v", label, err)
+					}
+					sameResult(t, label, patched, fresh)
+				} else {
+					neverPatched(t, label, p, a)
 				}
-				sameResult(t, label, patched, fresh)
 				// Migration soundness: a key the patcher calls
 				// unchanged must really be unchanged.
 				if p.Migratable(a) {
@@ -209,19 +229,21 @@ func TestPatchEquivalence(t *testing.T) {
 // TestPatchEquivalenceChained patches through a chain of deltas — each
 // step reuses the previous step's patched result as its cached input —
 // and checks the end state still matches a from-scratch recompute, so
-// patching does not accumulate drift across versions, under every
-// relabel order.
+// patching does not accumulate drift across versions. Under A and D the
+// chain runs as the service does: Plan never patches, a migrated key
+// carries its result, and any other key is recomputed.
 func TestPatchEquivalenceChained(t *testing.T) {
 	base := gen.Zipf(gen.ZipfConfig{
 		Seed: 3, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 4, MaxEdgeSize: 8,
 	})
-	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+	for _, relabel := range relabels {
 		rng := rand.New(rand.NewSource(42))
 		for _, dual := range []bool{false, true} {
 			cfg := exactCfg(relabel)
 			for s := 1; s <= 3; s++ {
 				h := base
 				cur := pipelineAt(t, orient(h, dual), s, cfg)
+				label := fmt.Sprintf("chained/relabel=%s/dual=%v/s=%d", relabel, dual, s)
 				for step := 0; step < 4; step++ {
 					d := randomDelta(rng, h)
 					newH, err := Apply(h, d)
@@ -230,14 +252,24 @@ func TestPatchEquivalenceChained(t *testing.T) {
 					}
 					p := NewPatcher(h, newH, d)
 					a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-					cur, err = p.Patch(cur, a)
-					if err != nil {
-						t.Fatal(err)
+					if relabel == hg.RelabelNone {
+						if cur, err = p.Patch(cur, a); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						neverPatched(t, label, p, a)
+						if !p.Migratable(a) {
+							cur = pipelineAt(t, orient(newH, dual), s, cfg)
+						}
 					}
 					h = newH
 				}
 				fresh := pipelineAt(t, orient(h, dual), s, cfg)
-				sameResult(t, fmt.Sprintf("chained/relabel=%s/dual=%v/s=%d", relabel, dual, s), cur, fresh)
+				if relabel == hg.RelabelNone {
+					sameResult(t, label, cur, fresh)
+				} else {
+					sameServed(t, label, cur, fresh)
+				}
 			}
 		}
 	}
@@ -269,7 +301,7 @@ func TestPatchWorkIsLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelAscending, Squeeze: true}
+		a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
 		old := pipelineAt(t, base, a.S, exactCfg(a.Relabel))
 		p := NewPatcher(base, newH, d)
 		patch = testing.AllocsPerRun(20, func() {
@@ -322,7 +354,7 @@ func patchBytes(t *testing.T, group int) (edges int, bytes uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelAscending, Squeeze: true}
+	a := KeyAttrs{S: 1, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
 	old := pipelineAt(t, base, a.S, exactCfg(a.Relabel))
 	if old.Graph.NumNodes() != ballast+3 {
 		t.Fatalf("group %d: %d nodes, want %d", group, old.Graph.NumNodes(), ballast+3)
@@ -442,9 +474,10 @@ func fuzzCase(data []byte) (*hg.Hypergraph, *Delta) {
 
 // FuzzPatchMatchesRecompute is the differential target for the
 // incremental write path: on any decodable base and delta, patching
-// every orientation × relabel × s in 1..4 equals the recompute on the
-// post-delta hypergraph, and migration is only ever claimed for keys
-// that serve the same answer unchanged.
+// either orientation under relabel N at s in 1..4 equals the recompute
+// on the post-delta hypergraph, Plan patches no key under A or D, and
+// migration is only ever claimed for keys that serve the same answer
+// unchanged.
 func FuzzPatchMatchesRecompute(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {

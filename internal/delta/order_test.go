@@ -12,58 +12,50 @@ import (
 	"hyperline/internal/hg"
 )
 
-// orderKeys are the order-stable (orientation, relabel) classes, whose
-// working order a Patcher carries as an hg.Reorder.
-var orderKeys = []struct {
-	dual    bool
-	relabel hg.RelabelOrder
-}{
-	{false, hg.RelabelNone}, {false, hg.RelabelAscending}, {false, hg.RelabelDescending}, {true, hg.RelabelNone},
-}
-
 // checkCarriedOrder asserts that the Reorder the patcher of one delta
-// carries for an order-stable class maps every old working ID as
-// core.PrepareOrder on the built versions does, that its Gone and Enter
-// lists are exactly the rows that left and entered, and that WorkID on
-// the pending new version ranks every non-empty row as Stage 1 does.
-func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hypergraph, dual bool, relabel hg.RelabelOrder) {
+// carries for an orientation maps every old working ID as Stage 1's
+// order (hg.EdgeOrder under RelabelNone) on the built versions does,
+// that its Gone and Enter lists are exactly the rows that left and
+// entered, and that WorkID on the pending new version ranks every
+// non-empty row as Stage 1 does.
+func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hypergraph, dual bool) {
 	t.Helper()
-	was, err := core.PrepareOrder(orient(oldH, dual), relabel)
-	if err != nil {
-		t.Fatal(err)
+	was := hg.EdgeOrder(orient(oldH, dual), hg.RelabelNone)
+	now := hg.EdgeOrder(orient(newH, dual), hg.RelabelNone)
+	workOf := func(order []uint32, rows int) []uint32 {
+		w := make([]uint32, rows)
+		for i := range w {
+			w[i] = hg.NoWork
+		}
+		for i, e := range order {
+			w[e] = uint32(i)
+		}
+		return w
 	}
-	now, err := core.PrepareOrder(orient(newH, dual), relabel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := p.orderFor(dual, relabel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro := o.ro
+	wasWork := workOf(was, orient(oldH, dual).NumEdges())
+	nowWork := workOf(now, orient(newH, dual).NumEdges())
+	ro := p.orderFor(dual).ro
 	var gone, enter []uint32
-	for w, e := range was.EdgeOrig() {
-		want := hg.NoWork
-		if nw := now.OrigToWork()[e]; nw >= 0 {
-			want = uint32(nw)
-		} else {
+	for w, e := range was {
+		want := nowWork[e]
+		if want == hg.NoWork {
 			gone = append(gone, uint32(w))
 		}
 		if got := ro.Map(uint32(w)); got != want {
-			t.Fatalf("%s: old working ID %d (row %d) maps to %d, PrepareOrder says %d", label, w, e, got, want)
+			t.Fatalf("%s: old working ID %d (row %d) maps to %d, EdgeOrder says %d", label, w, e, got, want)
 		}
 	}
 	nv := orient(p.newH, dual)
-	for w, e := range now.EdgeOrig() {
-		if int(e) >= len(was.OrigToWork()) || was.OrigToWork()[e] < 0 {
+	for w, e := range now {
+		if int(e) >= len(wasWork) || wasWork[e] == hg.NoWork {
 			enter = append(enter, uint32(w))
 		}
-		if got := nv.WorkID(e, relabel); got != w {
-			t.Fatalf("%s: WorkID(%d) on the pending version is %d, PrepareOrder says %d", label, e, got, w)
+		if got := nv.WorkID(e); got != w {
+			t.Fatalf("%s: WorkID(%d) on the pending version is %d, EdgeOrder says %d", label, e, got, w)
 		}
 	}
 	if !slices.Equal(ro.Gone, gone) || !slices.Equal(ro.Enter, enter) {
-		t.Fatalf("%s: carried Gone %v Enter %v, PrepareOrder says %v and %v", label, ro.Gone, ro.Enter, gone, enter)
+		t.Fatalf("%s: carried Gone %v Enter %v, EdgeOrder says %v and %v", label, ro.Gone, ro.Enter, gone, enter)
 	}
 }
 
@@ -84,14 +76,13 @@ func orderDelta(rng *rand.Rand, h *hg.Hypergraph, step int) *Delta {
 }
 
 // TestCarriedOrderMatchesPrepare runs chains of k = 1..8 deltas through
-// Compose and checks the working order the patcher carries for every
-// order-stable class at every step (checkCarriedOrder). The deltas
-// isolate vertices, insert over new vertex IDs, and keep many sizes
-// tied (hyperedges of two to six vertices under A/D); the longer chains
-// on the small base cross the pending-build bound, so later steps
-// compose onto a base the chain built. The large base spans several
-// 256-row blocks and chunks in both orientations and holds empty rows
-// of its own.
+// Compose and checks the working order the patcher carries for both
+// orientations at every step (checkCarriedOrder) against Stage 1's own
+// order on the eagerly applied chain. The deltas isolate vertices and
+// insert over new vertex IDs; the longer chains on the small base cross
+// the pending-build bound, so later steps compose onto a base the chain
+// built. The large base spans several 256-row blocks and chunks in both
+// orientations and holds empty rows of its own.
 func TestCarriedOrderMatchesPrepare(t *testing.T) {
 	small := gen.Zipf(gen.ZipfConfig{Seed: 21, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 3, MaxEdgeSize: 6})
 	edges := gen.Zipf(gen.ZipfConfig{Seed: 22, NumVertices: 600, NumEdges: 900, MeanEdgeSize: 3, MaxEdgeSize: 6}).EdgeSlices()
@@ -116,9 +107,9 @@ func TestCarriedOrderMatchesPrepare(t *testing.T) {
 					t.Fatal(err)
 				}
 				p := PatcherFor(v, nv, d)
-				for _, c := range orderKeys {
-					label := fmt.Sprintf("%s/k=%d/step=%d/dual=%v/relabel=%s", name, k, step, c.dual, c.relabel)
-					checkCarriedOrder(t, label, p, h, newH, c.dual, c.relabel)
+				for _, dual := range []bool{false, true} {
+					label := fmt.Sprintf("%s/k=%d/step=%d/dual=%v", name, k, step, dual)
+					checkCarriedOrder(t, label, p, h, newH, dual)
 				}
 				v, h = nv, newH
 			}
@@ -189,10 +180,12 @@ func decodeDelta(h *hg.Hypergraph, part []byte) *Delta {
 
 // FuzzPatchChainMatchesRecompute is the differential target for the
 // write path the service runs: a base and a chain of up to four deltas,
-// each composed onto the pending version before it (Compose) and
-// patched through PatcherFor with the carried working order, for every
-// orientation × relabel × s in 1..3. After every delta each patched
-// projection must equal core.RunBatch on the eagerly applied chain.
+// each composed onto the pending version before it (Compose), for every
+// orientation × relabel × s in 1..3. Under relabel N each key is patched
+// through PatcherFor with the carried working order, and after every
+// delta it must equal core.RunBatch on the eagerly applied chain. Under
+// A and D, Plan must never patch, a key it migrates must serve the
+// recompute's answer, and the chain goes on from the recompute.
 func FuzzPatchChainMatchesRecompute(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6, 0xFF, 0xC4, 0, 6, 0xFF, 0xC0, 1, 5})
 	f.Add([]byte{3, 0, 1, 0x80, 1, 2, 0x80, 0x80, 2, 0xFF, 0xC0, 0xFF, 0xC1, 3, 4, 0xFF, 0xC2, 0xFF, 0, 4})
@@ -208,7 +201,7 @@ func FuzzPatchChainMatchesRecompute(f *testing.F) {
 		}
 		cur := make(map[key]*core.PipelineResult)
 		for _, dual := range []bool{false, true} {
-			for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
+			for _, relabel := range relabels {
 				for s := 1; s <= 3; s++ {
 					cur[key{dual, relabel, s}] = pipelineAt(t, orient(base, dual), s, exactCfg(relabel))
 				}
@@ -226,12 +219,21 @@ func FuzzPatchChainMatchesRecompute(f *testing.F) {
 			p := PatcherFor(v, nv, d)
 			for k, old := range cur {
 				a := KeyAttrs{Dual: k.dual, S: k.s, Exact: true, Relabel: k.relabel, Squeeze: true}
+				label := fmt.Sprintf("step=%d/dual=%v/relabel=%s/s=%d", step, k.dual, k.relabel, k.s)
+				fresh := pipelineAt(t, orient(h, k.dual), k.s, exactCfg(k.relabel))
+				if k.relabel != hg.RelabelNone {
+					neverPatched(t, label, p, a)
+					if p.Migratable(a) {
+						sameServed(t, label+" (migrate)", old, fresh)
+					}
+					cur[k] = fresh
+					continue
+				}
 				patched, err := p.Patch(old, a)
 				if err != nil {
 					t.Fatalf("step %d: Patch: %v", step, err)
 				}
-				label := fmt.Sprintf("step=%d/dual=%v/relabel=%s/s=%d", step, k.dual, k.relabel, k.s)
-				sameResult(t, label, patched, pipelineAt(t, orient(h, k.dual), k.s, exactCfg(k.relabel)))
+				sameResult(t, label, patched, fresh)
 				cur[k] = patched
 			}
 			v = nv

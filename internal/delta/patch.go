@@ -22,10 +22,10 @@ import (
 // touches) — is computed lazily and shared across every key that needs
 // it. Nothing it computes is proportional to the dataset: per patched
 // projection it copies runs of its node arrays and passes over its
-// pending lists, and order-stable patches write no rows (patchRows).
-// The one exception is the clique orientation under a by-degree
-// relabel, which is not order-stable: it derives the new version's
-// whole working order (core.PrepareOrder) and rebuilds the projection.
+// pending lists, and writes no rows (patchRows). Only keys under
+// RelabelNone are patched: keys under a by-degree relabel migrate when
+// the delta provably leaves them unchanged and are dropped otherwise,
+// to be recomputed on their next read.
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
@@ -62,23 +62,16 @@ type Patcher struct {
 	cliquePairs map[uint64]uint32
 	cliqueOK    bool
 
-	// orders caches how the delta moves each order-stable
-	// (orientation, relabel)'s working order, and prepared the new
-	// hypergraph's full working order for the clique orientation under
-	// A/D — each shared by every key patched under it.
-	mu       sync.Mutex
-	orders   map[preparedKey]*carried
-	prepared map[preparedKey]*core.Prepared
+	// orders[orient] is how the delta moves that orientation's working
+	// order (0 line, 1 clique), derived on first use and shared by every
+	// key patched in it.
+	orderOnce [2]sync.Once
+	orders    [2]*carried
 
 	// OnMaterialize, when set before the first Patch, is called once
 	// each time the rows of a projection this patcher deferred are
 	// built.
 	OnMaterialize func()
-}
-
-type preparedKey struct {
-	dual    bool
-	relabel hg.RelabelOrder
 }
 
 // cliquePairBudget caps how many affected vertex pairs the clique
@@ -110,12 +103,10 @@ func NewPatcher(base, newH *hg.Hypergraph, d *Delta) *Patcher {
 // touches, through the versions' edits, and builds neither.
 func PatcherFor(base, newH *hg.Version, d *Delta) *Patcher {
 	p := &Patcher{
-		base:     base,
-		newH:     newH,
-		d:        d,
-		reason:   fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
-		orders:   make(map[preparedKey]*carried),
-		prepared: make(map[preparedKey]*core.Prepared),
+		base:   base,
+		newH:   newH,
+		d:      d,
+		reason: fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
 	}
 	// Line bound: a pair involving a deleted hyperedge x had weight
 	// |x ∩ f| ≤ |x|; a pair involving an inserted g has weight ≤ |g|.
@@ -200,18 +191,15 @@ type KeyAttrs = core.OutputKey
 // toplex status, perturbing the simplified hypergraph at any s.
 // Unsqueezed keys bake the working ID space size into the node space,
 // which every delta changes. A key with an unresolved auto knob names
-// no concrete output and is dropped too.
+// no concrete output and is dropped too. Of the rest, only keys under
+// RelabelNone with exact weights are patched (see patchable); every
+// other key that does not migrate is dropped and recomputed on its
+// next read.
 func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, projected bool) Action {
 	if p.Migratable(a) {
 		return ActionMigrate
 	}
-	if !keepable(a) {
-		return ActionDrop
-	}
-	if !a.Exact {
-		// Short-circuited weights can only be migrated, never patched:
-		// the patcher computes exact counts, which a later recompute of
-		// the same key would not reproduce.
+	if !patchable(a) {
 		return ActionDrop
 	}
 	if a.Dual && p.cliquePairCount() > cliquePairBudget {
@@ -247,6 +235,15 @@ func keepable(a KeyAttrs) bool {
 // relative order in the working ID space (see Plan).
 func orderStable(a KeyAttrs) bool {
 	return !a.Dual || a.Relabel == hg.RelabelNone
+}
+
+// patchable reports whether Patch serves a key: keepable, under
+// RelabelNone — the one order whose working order the patcher carries —
+// and with exact weights. Short-circuited weights can only be migrated,
+// never patched: the patcher computes exact counts, which a later
+// recompute of the same key would not reproduce.
+func patchable(a KeyAttrs) bool {
+	return keepable(a) && a.Relabel == hg.RelabelNone && a.Exact
 }
 
 // patchUnits estimates the patch work for one orientation in the same
@@ -362,50 +359,46 @@ func (p *Patcher) cliqueUpdates() (map[uint64]uint32, bool) {
 	return p.cliquePairs, p.cliqueOK
 }
 
-// carried is one order-stable (orientation, relabel)'s working order
-// carried across the delta, and how long deriving it took.
+// carried is one orientation's working order carried across the
+// delta, and how long deriving it took.
 type carried struct {
 	ro   *hg.Reorder
 	took time.Duration
 }
 
 // orderFor returns (deriving on first use) how the delta moves the
-// working order of an order-stable orientation and relabel: the rows
-// the delta empties and fills, ranked by hg.Version.WorkID in the old
-// and the new version. It reads the delta's rows only — no row-length
-// scan and nothing m-sized, unlike core.PrepareOrder.
-func (p *Patcher) orderFor(dual bool, relabel hg.RelabelOrder) (*carried, error) {
-	if relabel == hg.RelabelAuto {
-		return nil, fmt.Errorf("delta: patching requires a resolved relabel order, got auto")
+// working order of one orientation under RelabelNone: the rows the
+// delta empties and fills, ranked by hg.Version.WorkID in the old and
+// the new version. It reads the delta's rows only — no row-length scan
+// and nothing m-sized.
+func (p *Patcher) orderFor(dual bool) *carried {
+	i := 0
+	if dual {
+		i = 1
 	}
-	k := preparedKey{dual: dual, relabel: relabel}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if o, ok := p.orders[k]; ok {
-		return o, nil
-	}
-	t0 := time.Now()
-	o := &carried{ro: p.reorder(dual, relabel)}
-	o.took = time.Since(t0)
-	p.orders[k] = o
-	return o, nil
+	p.orderOnce[i].Do(func() {
+		t0 := time.Now()
+		ro := p.reorder(dual)
+		p.orders[i] = &carried{ro: ro, took: time.Since(t0)}
+	})
+	return p.orders[i]
 }
 
-// reorder derives the hg.Reorder of one order-stable orientation and
-// relabel. In the line orientation the deleted hyperedges leave the
-// working order and the inserted ones enter it; in the clique
-// orientation a touched vertex leaves when the delta takes its last
-// hyperedge and enters when it gets its first.
-func (p *Patcher) reorder(dual bool, relabel hg.RelabelOrder) *hg.Reorder {
+// reorder derives the hg.Reorder of one orientation. In the line
+// orientation the deleted hyperedges leave the working order and the
+// inserted ones enter it; in the clique orientation a touched vertex
+// leaves when the delta takes its last hyperedge and enters when it
+// gets its first.
+func (p *Patcher) reorder(dual bool) *hg.Reorder {
 	was, now := orient(p.base, dual), orient(p.newH, dual)
 	ro := &hg.Reorder{}
 	if !dual {
 		for _, e := range p.d.Deletes {
-			ro.Gone = append(ro.Gone, uint32(was.WorkID(e, relabel)))
+			ro.Gone = append(ro.Gone, uint32(was.WorkID(e)))
 		}
 		m := uint32(p.base.NumEdges())
 		for i := range p.d.Inserts {
-			ro.Enter = append(ro.Enter, uint32(now.WorkID(m+uint32(i), relabel)))
+			ro.Enter = append(ro.Enter, uint32(now.WorkID(m+uint32(i))))
 		}
 	} else {
 		var touched []uint32
@@ -420,33 +413,15 @@ func (p *Patcher) reorder(dual bool, relabel hg.RelabelOrder) *hg.Reorder {
 			before := int(u) < was.NumEdges() && was.EdgeSize(u) > 0
 			switch after := now.EdgeSize(u) > 0; {
 			case before && !after:
-				ro.Gone = append(ro.Gone, uint32(was.WorkID(u, relabel)))
+				ro.Gone = append(ro.Gone, uint32(was.WorkID(u)))
 			case !before && after:
-				ro.Enter = append(ro.Enter, uint32(now.WorkID(u, relabel)))
+				ro.Enter = append(ro.Enter, uint32(now.WorkID(u)))
 			}
 		}
 	}
 	slices.Sort(ro.Gone)
 	slices.Sort(ro.Enter)
 	return ro
-}
-
-// preparedFor returns (deriving on first use) the new hypergraph's
-// working-ID order for a key that is not order-stable: the clique
-// orientation under a by-degree relabel.
-func (p *Patcher) preparedFor(dual bool, relabel hg.RelabelOrder) (*core.Prepared, error) {
-	k := preparedKey{dual: dual, relabel: relabel}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pp, ok := p.prepared[k]; ok {
-		return pp, nil
-	}
-	pp, err := core.PrepareOrder(orient(p.newH, dual), relabel)
-	if err != nil {
-		return nil, err
-	}
-	p.prepared[k] = pp
-	return pp, nil
 }
 
 // orient is the hypergraph whose hyperedges an orientation's projection
@@ -461,45 +436,21 @@ func orient[H interface{ Dual() H }](h H, dual bool) H {
 
 // Patch rewrites one cached projection for the new version, byte-
 // identical — Graph and HyperedgeIDs — to a from-scratch recompute of
-// the post-delta hypergraph. The caller must have gotten ActionPatch
-// from Plan for this key. Order-stable keys get a deferred graph whose
-// rows are built on first read (patchRows); clique keys under a
-// by-degree relabel, whose surviving nodes reorder, are lifted to
-// original IDs, edited, re-sorted and assembled through the same
-// Stage-4 path as a full run.
+// the post-delta hypergraph, as a deferred graph whose rows are built
+// on first read (patchRows). The caller must have gotten ActionPatch
+// from Plan for this key; a key Plan never patches (see patchable) is
+// an error, and nothing is written for it.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
+	if !patchable(a) {
+		return nil, fmt.Errorf("delta: %s cannot be patched: only squeezed, toplex-free, exact keys under relabel N are", a)
+	}
 	t0 := time.Now()
 	plan := core.PlanInfo{
 		Strategy: "patch",
 		Reason:   p.reason,
 		Relabel:  a.Relabel.String(),
 	}
-	if orderStable(a) {
-		o, err := p.orderFor(a.Dual, a.Relabel)
-		if err != nil {
-			return nil, err
-		}
-		return p.patchRows(old, a, o, plan, t0)
-	}
-	pp, err := p.preparedFor(a.Dual, a.Relabel)
-	if err != nil {
-		return nil, err
-	}
-	work, err := p.patchCliquePairs(old, a.S)
-	if err != nil {
-		return nil, err
-	}
-	toWork := pp.OrigToWork()
-	for i, e := range work {
-		wu, wv := toWork[e.U], toWork[e.V]
-		if wu < 0 || wv < 0 {
-			return nil, fmt.Errorf("delta: patched pair (%d, %d) maps outside the working hypergraph", e.U, e.V)
-		}
-		work[i].U, work[i].V = uint32(min(wu, wv)), uint32(max(wu, wv))
-	}
-	core.SortEdges(work)
-	stats := core.Stats{Edges: int64(len(work))}
-	return pp.Assemble(a.S, work, time.Since(t0), stats, plan), nil
+	return p.patchRows(old, a, p.orderFor(a.Dual), plan, t0)
 }
 
 // deferFraction bounds the pending lists of a deferred projection: a
@@ -509,7 +460,7 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 // about as much as rewriting that share of the rows.
 const deferFraction = 8
 
-// patchRows patches an order-stable key without writing rows: the
+// patchRows patches a key without writing rows: the
 // result's graph is deferred (graph.Defer), one graph.Rewrite of a base
 // graph — the cached projection itself when it has rows, else the base
 // it defers to — composed across every delta since that base.
@@ -617,7 +568,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	type end struct{ work, id, deg, old, node uint32 }
 	named := make([]end, 0, 2*len(added))
 	for _, e := range added {
-		wu, wv := uint32(nv.WorkID(e.U, a.Relabel)), uint32(nv.WorkID(e.V, a.Relabel))
+		wu, wv := uint32(nv.WorkID(e.U)), uint32(nv.WorkID(e.V))
 		add = append(add, graph.Edge{U: wu, V: wv, W: e.W}, graph.Edge{U: wv, V: wu, W: e.W})
 		named = append(named, end{work: wu, id: e.U}, end{work: wv, id: e.V})
 	}
@@ -901,32 +852,6 @@ func mergeKept(a, b []graph.Edge, runs graph.Runs) []graph.Edge {
 		keep(e)
 	}
 	return out
-}
-
-// patchCliquePairs lifts the cached clique projection to original
-// vertex IDs without the affected pairs and appends every affected pair
-// whose recounted adj value is at or above s: the new edge list in
-// original IDs, unsorted.
-func (p *Patcher) patchCliquePairs(old *core.PipelineResult, s int) ([]core.Edge, error) {
-	updates, ok := p.cliqueUpdates()
-	if !ok {
-		return nil, fmt.Errorf("delta: clique pair enumeration over budget")
-	}
-	edges := old.Graph.Edges() // a fresh list, filtered and lifted in place
-	out := edges[:0]
-	for _, e := range edges {
-		u, v := old.HyperedgeIDs[e.U], old.HyperedgeIDs[e.V]
-		if _, affected := updates[pairKey(u, v)]; affected {
-			continue
-		}
-		out = append(out, core.Edge{U: u, V: v, W: e.W})
-	}
-	for k, w := range updates {
-		if int(w) >= s {
-			out = append(out, core.Edge{U: uint32(k >> 32), V: uint32(k), W: w})
-		}
-	}
-	return out, nil
 }
 
 // GlobalAffected is the AffectedS value meaning "assume every s is

@@ -65,10 +65,60 @@ func TestPlan(t *testing.T) {
 		{"short-circuit", p, at(line, func(a *KeyAttrs) { a.Exact = false }), 10 * even, proj, ActionDrop},
 		{"line key beside an over-budget clique delta", big, line, 1 << 40, unproj, ActionPatch},
 		{"clique over the pair budget", big, at(line, func(a *KeyAttrs) { a.Dual = true }), 1 << 40, proj, ActionDrop},
+		{"line under A below the frontier", p, at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"line under D below the frontier", p, at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }), 10 * even, proj, ActionDrop},
+		{"clique under A below the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"clique under D below the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
+		{"line under A above the frontier", p, at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelAscending }), even, unproj, ActionMigrate},
+		{"line under D above the frontier", p, at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelDescending }), even, unproj, ActionMigrate},
+		{"clique under A above the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"clique under D above the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
 	} {
 		if got := tc.p.Plan(tc.a, oldEdges, tc.wedgePairs, tc.projected); got != tc.want {
 			t.Errorf("%s: Plan(%v, %d, %d, projected=%v) = %v, want %v",
 				tc.name, tc.a, oldEdges, tc.wedgePairs, tc.projected, got, tc.want)
+		}
+	}
+}
+
+// TestPatchRejectsUnpatchableKeys: Patch answers an error, and derives
+// and returns nothing, for every key Plan never patches — relabel A, D
+// or unresolved, toplex on or unresolved, unsqueezed, short-circuited
+// weights — in either orientation.
+func TestPatchRejectsUnpatchableKeys(t *testing.T) {
+	base := paperExample()
+	d := &Delta{Inserts: [][]uint32{{4, 5}}, Deletes: []uint32{0}}
+	newH, err := Apply(base, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*KeyAttrs)
+	}{
+		{"relabel A", func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }},
+		{"relabel D", func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }},
+		{"unresolved relabel", func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }},
+		{"toplex", func(a *KeyAttrs) { a.Toplex = core.ToplexOn }},
+		{"unresolved toplex", func(a *KeyAttrs) { a.Toplex = core.ToplexAuto }},
+		{"unsqueezed", func(a *KeyAttrs) { a.Squeeze = false }},
+		{"short-circuit", func(a *KeyAttrs) { a.Exact = false }},
+	} {
+		for _, dual := range []bool{false, true} {
+			a := KeyAttrs{Dual: dual, S: 1, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
+			old := pipelineAt(t, orient(base, dual), a.S, exactCfg(a.Relabel))
+			tc.edit(&a)
+			p := NewPatcher(base, newH, d)
+			if got := p.Plan(a, 0, 0, true); got == ActionPatch {
+				t.Fatalf("%s/dual=%v: Plan patches the key", tc.name, dual)
+			}
+			got, err := p.Patch(old, a)
+			if err == nil || got != nil {
+				t.Errorf("%s/dual=%v: Patch = (%v, %v), want an error and no result", tc.name, dual, got, err)
+			}
+			if p.orders != [2]*carried{} {
+				t.Errorf("%s/dual=%v: Patch derived a working order for a key it rejects", tc.name, dual)
+			}
 		}
 	}
 }

@@ -1,24 +1,24 @@
 package hg
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 )
 
-// This file is Stage 1's working order read off a version without
-// building it or scanning its rows: WorkID ranks one hyperedge, and a
-// Reorder carries every working ID of one version to the next.
+// This file is Stage 1's working order under RelabelNone read off a
+// version without building it or scanning its rows: WorkID ranks one
+// hyperedge, and a Reorder carries every working ID of one version to
+// the next. (The by-degree orders are derived from scratch by EdgeOrder;
+// the incremental patcher patches only keys under RelabelNone.)
 //
 // A version's working order is that of its base with the rows rewritten
 // since the base moved: an emptied row leaves, an appended one enters.
 // WorkID therefore reads two things. Of the base, an index built once
 // per base and orientation, the first time any version composed on that
-// base asks (baseIndex). Of the edits, under RelabelNone the emptiness
-// changes they carry, counted per chunk when the chunk is made
-// (chunk.flips) and summed over the chunk table when the table is
-// copied (edits.flipBefore); under a by-degree order the keys of the
-// rewritten rows, kept in sorted runs as each edit is made (keyRuns).
+// base asks (baseIndex). Of the edits, the emptiness changes they
+// carry, counted per chunk when the chunk is made (chunk.flips) and
+// summed over the chunk table when the table is copied
+// (edits.flipBefore).
 
 // baseIndex is what the working orders of the versions composed on one
 // base read of it, per orientation: side[0] indexes the hyperedge rows
@@ -34,14 +34,6 @@ type rowIndex struct {
 	// emptyBefore[b] is the number of empty rows among the first
 	// b<<indexShift rows; nil when the base has none.
 	emptyBefore []int
-
-	sizeOnce sync.Once
-	// ascending is EdgeOrder(base, RelabelAscending): the non-empty rows
-	// by size, each size class in ID order. atMost[k] is the number of
-	// non-empty rows of size at most k, so class k is
-	// ascending[atMost[k-1]:atMost[k]].
-	ascending []uint32
-	atMost    []int
 }
 
 // indexShift sizes the blocks of rowIndex.emptyBefore: 256 rows.
@@ -92,33 +84,6 @@ func (x *rowIndex) empties(off []int64, r int) int {
 	return n
 }
 
-// before returns the number of non-empty rows of the base whose key
-// under a by-degree order (size, then ID) is below that of a row of
-// the given size and ID.
-func (x *rowIndex) before(h Rows, desc bool, size int, id uint32) int {
-	x.sizeOnce.Do(func() {
-		x.ascending = EdgeOrder(h, RelabelAscending)
-		top := 0
-		if len(x.ascending) > 0 {
-			top = h.EdgeSize(x.ascending[len(x.ascending)-1])
-		}
-		x.atMost = make([]int, top+1)
-		for _, e := range x.ascending {
-			x.atMost[h.EdgeSize(e)]++
-		}
-		for k := 1; k <= top; k++ {
-			x.atMost[k] += x.atMost[k-1]
-		}
-	})
-	atMost := func(k int) int { return x.atMost[min(k, len(x.atMost)-1)] }
-	lo, hi := atMost(size-1), atMost(size)
-	rank, _ := slices.BinarySearch(x.ascending[lo:hi], id)
-	if desc {
-		return len(x.ascending) - hi + rank
-	}
-	return lo + rank
-}
-
 // index returns the base index of v's hyperedge orientation.
 func (v *Version) index() *rowIndex {
 	if v.dual {
@@ -128,119 +93,14 @@ func (v *Version) index() *rowIndex {
 }
 
 // WorkID returns the working ID Stage 1 gives the non-empty hyperedge e
-// of v under order — its index in EdgeOrder(v, order) — without
-// building v or scanning its rows. Under RelabelNone it costs a block
-// of the base index and a chunk of v's edits; under a by-degree order,
-// binary searches of the base index and of v's rewritten keys. order
-// must be resolved.
-func (v *Version) WorkID(e uint32, order RelabelOrder) int {
-	if order == RelabelAscending || order == RelabelDescending {
-		return v.workByDegree(e, order == RelabelDescending)
-	}
+// of v under RelabelNone — its index in EdgeOrder(v, RelabelNone) —
+// without building v or scanning its rows: a block of the base index
+// and a chunk of v's edits.
+func (v *Version) WorkID(e uint32) int {
 	off := v.base.eOff
 	bm := v.base.numEdges
 	empty := v.index().empties(off, min(int(e), bm)) + max(0, int(e)-bm)
 	return int(e) - empty - v.edge.flipsBelow(e, off)
-}
-
-// workByDegree is WorkID under a by-degree order: the base's non-empty
-// rows with a lower key, plus how many more of the rewritten rows have a
-// lower key now than in the base.
-func (v *Version) workByDegree(e uint32, desc bool) int {
-	size := v.EdgeSize(e)
-	return v.index().before(v.base, desc, size, e) + v.edge.runs.below(desc, size, e)
-}
-
-// sizeKey is a row's key under a by-degree order.
-type sizeKey struct {
-	size int
-	id   uint32
-}
-
-// cmpKey orders keys by size, then ID.
-func cmpKey(a, b sizeKey) int {
-	if a.size != b.size {
-		return cmp.Compare(a.size, b.size)
-	}
-	return cmp.Compare(a.id, b.id)
-}
-
-// signedKey is one row rewrite's change to the by-degree keys: +1 for
-// the key the row has after it, −1 for the key it had before.
-type signedKey struct {
-	sizeKey
-	sign int32
-}
-
-// keyRun is a sorted list of signed keys; sum[i] adds the signs of
-// keys[:i]. A run is immutable once made.
-type keyRun struct {
-	keys []signedKey
-	sum  []int32
-}
-
-// keyRuns holds every rewrite an edits set made since its base as
-// signed keys, empty rows left out. Per row the signs telescope, so the
-// signed count of keys below a key is how many more rewritten rows order
-// below it now than in the base. The runs are merged like a binary
-// counter, each less than half the one before it: an edit of k rows
-// adds a run of its k changes, shares every earlier run with the version
-// it edits, and costs O(k log P) amortized for the P rewrites since the
-// base; a count costs a binary search per run, O(log² P).
-type keyRuns []*keyRun
-
-// cmpSigned orders signed keys by key.
-func cmpSigned(a, b signedKey) int { return cmpKey(a.sizeKey, b.sizeKey) }
-
-// push returns rs with a run of keys added, merging tail runs until each
-// is more than twice the next; rs itself is left as it was.
-func (rs keyRuns) push(keys []signedKey) keyRuns {
-	if len(keys) == 0 {
-		return rs
-	}
-	slices.SortFunc(keys, cmpSigned)
-	out := append(make(keyRuns, 0, len(rs)+1), rs...)
-	for len(out) > 0 && len(out[len(out)-1].keys) <= 2*len(keys) {
-		keys = mergeKeys(out[len(out)-1].keys, keys)
-		out = out[:len(out)-1]
-	}
-	r := &keyRun{keys: keys, sum: make([]int32, len(keys)+1)}
-	for i, k := range keys {
-		r.sum[i+1] = r.sum[i] + k.sign
-	}
-	return append(out, r)
-}
-
-// mergeKeys merges two sorted lists of signed keys into a fresh one.
-func mergeKeys(a, b []signedKey) []signedKey {
-	out := make([]signedKey, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if cmpSigned(a[0], b[0]) <= 0 {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
-
-// below returns the signed count of rs's keys that order below a row of
-// the given size and ID under a by-degree order (size descending when
-// desc, then ID).
-func (rs keyRuns) below(desc bool, size int, id uint32) int {
-	n := 0
-	for _, r := range rs {
-		at := func(k sizeKey) int32 {
-			i, _ := slices.BinarySearchFunc(r.keys, k, func(a signedKey, b sizeKey) int { return cmpKey(a.sizeKey, b) })
-			return r.sum[i]
-		}
-		if desc {
-			n += int(r.sum[len(r.keys)] - at(sizeKey{size + 1, 0}) + at(sizeKey{size, id}) - at(sizeKey{size, 0}))
-		} else {
-			n += int(at(sizeKey{size, id}))
-		}
-	}
-	return n
 }
 
 // noRow is above every row ID.
@@ -285,13 +145,12 @@ func (x *edits) flipsBelow(r uint32, off []int64) int {
 // drops, or a row Stage 1 drops.
 const NoWork = ^uint32(0)
 
-// Reorder is how a delta moves one orientation's working order when the
-// rows that stay non-empty keep their relative order (the hyperedges
-// under any relabel, whose sizes a delta never changes, and the
-// vertices unrelabeled): Gone lists the old working IDs whose rows
-// emptied, Enter the new working IDs of the rows that became non-empty,
-// both ascending. The k-th surviving row in old order is the k-th in
-// new order, and survivors fill the new working IDs Enter leaves free.
+// Reorder is how a delta moves one orientation's working order under
+// RelabelNone, where the rows that stay non-empty keep their relative
+// order: Gone lists the old working IDs whose rows emptied, Enter the
+// new working IDs of the rows that became non-empty, both ascending.
+// The k-th surviving row in old order is the k-th in new order, and
+// survivors fill the new working IDs Enter leaves free.
 type Reorder struct {
 	Gone, Enter []uint32
 }

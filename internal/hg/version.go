@@ -116,8 +116,6 @@ type edits struct {
 	// flipBefore[c] is the number of rows the chunks below c empty less
 	// the number they fill, against the base (see WorkID).
 	flipBefore []int
-	// runs holds the rewrites' by-degree keys (see WorkID).
-	runs keyRuns
 }
 
 // chunk holds the rewritten rows of one chunk: row ids[i] reads
@@ -404,8 +402,7 @@ const minChunkShift = 8
 // row of x carried over. numRows is the orientation's row count, which
 // sizes the chunks of a first edit; extra bounds the entries of the
 // rewritten rows' new contents; off is the base's offsets in this
-// orientation, against which the chunks count their emptied rows and
-// which give a row x did not rewrite its length before the edit (see
+// orientation, against which the chunks count their emptied rows (see
 // WorkID).
 //
 // The chunks an edit creates share one set of arrays, so the first edit
@@ -463,25 +460,6 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, off []int64, fill 
 		out.chunks[ci] = c
 		lo = hi
 	}
-	changes := make([]signedKey, 0, 2*len(rows))
-	for _, r := range rows {
-		was, ok := x.row(r)
-		before := len(was)
-		if !ok {
-			before = rowLen(off, r)
-		}
-		now, _ := out.row(r)
-		if before == len(now) {
-			continue
-		}
-		if before > 0 {
-			changes = append(changes, signedKey{sizeKey{before, r}, -1})
-		}
-		if len(now) > 0 {
-			changes = append(changes, signedKey{sizeKey{len(now), r}, +1})
-		}
-	}
-	out.runs = x.runs.push(changes)
 	out.flipBefore = make([]int, len(out.chunks)+1)
 	for ci, c := range out.chunks {
 		out.flipBefore[ci+1] = out.flipBefore[ci]

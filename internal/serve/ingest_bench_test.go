@@ -9,16 +9,13 @@ import (
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
 	"hyperline/internal/gen"
-	"hyperline/internal/hg"
 )
 
 // BenchmarkIngestCached times Service.Ingest alone, one delta per op,
-// with line s = 1..8 cached under each concrete relabel order, on the
-// Friendster analog the ingest-only benchmark workload streams into. The
-// deltas have that workload's shape: the oldest live insert deleted and
-// two hyperedges of 3–4 random vertices inserted. HTTP clients always
-// get relabel N; A and D are reached by library callers that pin
-// Core.Relabel.
+// with line s = 1..8 cached under relabel N, the only order ingest
+// patches, on the Friendster analog the ingest-only benchmark workload
+// streams into. The deltas have that workload's shape: the oldest live
+// insert deleted and two hyperedges of 3–4 random vertices inserted.
 //
 //	go test -run '^$' -bench IngestCached -benchmem ./internal/serve/
 func BenchmarkIngestCached(b *testing.B) {
@@ -27,43 +24,38 @@ func BenchmarkIngestCached(b *testing.B) {
 		MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3,
 		Background: 8000,
 	})
-	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
-		b.Run("relabel="+relabel.String(), func(b *testing.B) {
-			svc := New(Config{})
-			defer svc.Close()
-			svc.Add("g", h)
-			cfg := core.PipelineConfig{Core: core.Config{Relabel: relabel}}
-			for _, e := range mustQuery(b, svc, lineQ("g", cfg, 1, 2, 3, 4, 5, 6, 7, 8)).Entries {
-				if e.Err != nil {
-					b.Fatal(e.Err)
+	svc := New(Config{})
+	defer svc.Close()
+	svc.Add("g", h)
+	for _, e := range mustQuery(b, svc, lineQ("g", core.PipelineConfig{}, 1, 2, 3, 4, 5, 6, 7, 8)).Entries {
+		if e.Err != nil {
+			b.Fatal(e.Err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := uint32(h.NumEdges())
+	var live []uint32
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &delta.Delta{}
+		if len(live) > 0 {
+			d.Deletes, live = live[:1], live[1:]
+		}
+		for k := 0; k < 2; k++ {
+			vs := make([]uint32, 0, 4)
+			for len(vs) < 3+k%2 {
+				if v := uint32(rng.Intn(h.NumVertices())); !slices.Contains(vs, v) {
+					vs = append(vs, v)
 				}
 			}
-			rng := rand.New(rand.NewSource(5))
-			next := uint32(h.NumEdges())
-			var live []uint32
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := &delta.Delta{}
-				if len(live) > 0 {
-					d.Deletes, live = live[:1], live[1:]
-				}
-				for k := 0; k < 2; k++ {
-					vs := make([]uint32, 0, 4)
-					for len(vs) < 3+k%2 {
-						if v := uint32(rng.Intn(h.NumVertices())); !slices.Contains(vs, v) {
-							vs = append(vs, v)
-						}
-					}
-					d.Inserts = append(d.Inserts, vs)
-					live = append(live, next)
-					next++
-				}
-				if _, err := svc.Ingest(ctx, "g", d, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			d.Inserts = append(d.Inserts, vs)
+			live = append(live, next)
+			next++
+		}
+		if _, err := svc.Ingest(ctx, "g", d, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

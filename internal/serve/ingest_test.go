@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,11 +28,12 @@ type v2Response struct {
 	Dataset string `json:"dataset"`
 	Version uint64 `json:"version"`
 	Results []struct {
-		S      int    `json:"s"`
-		Cached bool   `json:"cached"`
-		Nodes  int    `json:"nodes"`
-		Edges  int    `json:"edges"`
-		Error  string `json:"error"`
+		S            int      `json:"s"`
+		Cached       bool     `json:"cached"`
+		Nodes        int      `json:"nodes"`
+		Edges        int      `json:"edges"`
+		HyperedgeIDs []uint32 `json:"hyperedge_ids"`
+		Error        string   `json:"error"`
 	} `json:"results"`
 }
 
@@ -112,6 +114,71 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 		if e.Nodes != fresh.Graph.NumNodes() || e.Edges != fresh.Graph.NumEdges() {
 			t.Errorf("s=%d: served %d nodes/%d edges, fresh compute has %d/%d",
 				e.S, e.Nodes, e.Edges, fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
+		}
+	}
+}
+
+// TestIngestPatchesOnlyRelabelN: over HTTP, keys cached under the
+// by-degree relabels — line projections under "2BA" and "2BD" and
+// clique projections under "2BD", at s = 1..3 — are never patched by a
+// delta: each is migrated or dropped. The delta inserts one pair, so the
+// line frontier is s = 2 and both line keys at s = 3 migrate. Every
+// re-query then answers as a fresh Service holding the post-delta
+// dataset does, migrated and recomputed keys alike. The dataset is
+// sweepDataset, not the paper example: on four hyperedges the cost
+// threshold drops every key below the frontier, so patching would not
+// be reached at all.
+func TestIngestPatchesOnlyRelabelN(t *testing.T) {
+	queries := []string{
+		`{"dataset": "g", "s": [1,2,3], "config": "2BA"}`,
+		`{"dataset": "g", "s": [1,2,3], "config": "2BD"}`,
+		`{"dataset": "g", "s": [1,2,3], "kind": "clique", "config": "2BD"}`,
+	}
+	ts, svc := newTestServer(t)
+	base := sweepDataset()
+	svc.Add("g", base)
+	cached := 0
+	for _, q := range queries {
+		for _, e := range queryV2(t, ts, q).Results {
+			if e.Error != "" {
+				t.Fatalf("%s: s=%d: %s", q, e.S, e.Error)
+			}
+			cached++
+		}
+	}
+
+	var ing ingestResponse
+	do(t, http.MethodPost, ts.URL+"/v2/ingest",
+		strings.NewReader(`{"dataset": "g", "inserts": [[0, 1]]}`),
+		http.StatusOK, &ing)
+	if ing.Patched != 0 {
+		t.Fatalf("patched = %d, want 0: keys under relabel A or D are migrated or dropped (%+v)", ing.Patched, ing.IngestResult)
+	}
+	if ing.AffectedSLine != 2 || ing.Migrated != 2 || ing.Dropped != cached-2 {
+		t.Fatalf("affected_s_line %d, migrated %d, dropped %d; want 2, 2 (line s=3 under A and D) and the other %d cached keys",
+			ing.AffectedSLine, ing.Migrated, ing.Dropped, cached-2)
+	}
+
+	newH, err := delta.Apply(base, &delta.Delta{Inserts: [][]uint32{{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Config{})
+	defer fresh.Close()
+	fresh.Add("g", newH)
+	freshTS := httptest.NewServer(NewHandler(fresh))
+	defer freshTS.Close()
+	for _, q := range queries {
+		got, want := queryV2(t, ts, q), queryV2(t, freshTS, q)
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("%s: %d entries, fresh service %d", q, len(got.Results), len(want.Results))
+		}
+		for i, g := range got.Results {
+			w := want.Results[i]
+			if g.S != w.S || g.Nodes != w.Nodes || g.Edges != w.Edges || !slices.Equal(g.HyperedgeIDs, w.HyperedgeIDs) || g.Error != w.Error {
+				t.Errorf("%s: s=%d: %d nodes, %d edges, %d hyperedge_ids; fresh service s=%d: %d, %d, %d",
+					q, g.S, g.Nodes, g.Edges, len(g.HyperedgeIDs), w.S, w.Nodes, w.Edges, len(w.HyperedgeIDs))
+			}
 		}
 	}
 }

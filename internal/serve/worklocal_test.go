@@ -20,15 +20,10 @@ import (
 // dataset's ingests allocate beyond the smaller one's may only be the
 // result slices each patched key must hold — HyperedgeIDs, the squeeze
 // map and the pending degrees, 12 bytes per node — never anything sized
-// by the dataset, like a working-order array of every hyperedge. It runs
-// with the keys under each concrete relabel order; under A and D the
-// base's by-degree index is built by the first delta, once per base.
+// by the dataset, like a working-order array of every hyperedge. The
+// keys are under relabel N, the only order ingest patches.
 func TestIngestWorkIsLocal(t *testing.T) {
-	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
-		t.Run("relabel="+relabel.String(), func(t *testing.T) {
-			ingestWorkIsLocal(t, core.PipelineConfig{Core: core.Config{Relabel: relabel}})
-		})
-	}
+	t.Run("relabel=N", func(t *testing.T) { ingestWorkIsLocal(t, core.PipelineConfig{}) })
 }
 
 func ingestWorkIsLocal(t *testing.T, cfg core.PipelineConfig) {
