@@ -2,9 +2,12 @@ package hyperline
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -246,5 +249,41 @@ func TestBuilderFacade(t *testing.T) {
 	res := projectAt(t, h, KindLine, 1, Options{})
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("edges = %d, want 1", res.Graph.NumEdges())
+	}
+}
+
+// TestExecuteRejectsDisagreeingOrientations: Map trusts a .bin file's
+// vertex orientation, its last 4·nnz bytes. With vertex 0's row of the
+// example rewritten from [0, 2] to [0, 1] every offset still holds, so
+// the file maps; Execute must then report the disagreement instead of
+// answering {0,1} W = 3 and {0,2} W = 2 (the right weights are 2 and 3).
+func TestExecuteRejectsDisagreeingOrientations(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "example.bin")
+	if err := Save(path, example()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row0 := data[len(data)-4*int(example().Incidences()):]
+	if got := binary.LittleEndian.Uint32(row0[4:]); got != 2 {
+		t.Fatalf("vertex 0's second entry reads %d, want 2: the vertex orientation is not the file's tail", got)
+	}
+	binary.LittleEndian.PutUint32(row0[4:], 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := Map(path)
+	if err != nil {
+		t.Fatalf("the rewritten file must still map: %v", err)
+	}
+	defer h.Close()
+	qr, err := Execute(context.Background(), Query{Hypergraph: h, S: []int{1}})
+	if err == nil {
+		t.Fatalf("Execute answered %v, want an error naming the disagreement", qr.Entries[0].Result.Graph)
+	}
+	if !strings.Contains(err.Error(), "orientations disagree") {
+		t.Fatalf("Execute failed with %q, want it to name the orientations' disagreement", err)
 	}
 }

@@ -43,73 +43,6 @@ func numWorkers(cfg Config) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// upperNeighbors returns the suffix of the sorted hyperedge list with
-// IDs strictly greater than ei: the "(i < j)" upper-triangle rule that
-// traverses each wedge (ei, vk, ej) exactly once. The binary search is
-// manual — this runs once per incidence pair, and sort.Search's
-// function-valued predicate does not inline.
-func upperNeighbors(edges []uint32, ei uint32) []uint32 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if edges[mid] <= ei {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return edges[lo:]
-}
-
-// upperCacheBudget caps the memory spent on per-worker suffix-position
-// caches (4·n bytes each); beyond it workers fall back to the binary
-// search of upperNeighbors.
-const upperCacheBudget = 64 << 20
-
-// upperCachesFit reports whether per-worker suffix-position caches over n
-// vertices fit upperCacheBudget.
-func upperCachesFit(workers, n int) bool {
-	return int64(workers)*int64(n)*4 <= upperCacheBudget
-}
-
-// newUpperCaches allocates one suffix-position cache per worker, or nil
-// when n vertices × workers exceeds the budget.
-func newUpperCaches(workers, n int) [][]uint32 {
-	if !upperCachesFit(workers, n) {
-		return nil
-	}
-	caches := make([][]uint32, workers)
-	for i := range caches {
-		caches[i] = make([]uint32, n)
-	}
-	return caches
-}
-
-// upperNeighborsCached is upperNeighbors with a per-worker resumable
-// cursor per vertex. Both workload distributions hand each worker a
-// strictly increasing ei sequence, so for a fixed vk the suffix start
-// only moves forward; resuming from the cached position costs amortized
-// O(1) per query (each worker advances a vertex's cursor at most
-// deg(vk) positions over the whole run) instead of a cache-missing
-// O(log deg) binary search per incidence pair.
-func upperNeighborsCached(edges []uint32, ei uint32, pos []uint32, vk uint32) []uint32 {
-	idx := int(pos[vk])
-	for idx < len(edges) && edges[idx] <= ei {
-		idx++
-	}
-	pos[vk] = uint32(idx)
-	return edges[idx:]
-}
-
-// upper dispatches between the cached and binary-search suffix lookups.
-func upper(h *hg.Hypergraph, vk, ei uint32, pos []uint32) []uint32 {
-	list := h.VertexEdges(vk)
-	if pos != nil {
-		return upperNeighborsCached(list, ei, pos, vk)
-	}
-	return upperNeighbors(list, ei)
-}
-
 // cacheLinePad keeps per-worker state that is written every outer
 // iteration off the 64-byte lines of its neighbours in a []T: without
 // it, worker i's last fields and worker i+1's first share a line, and
@@ -123,8 +56,7 @@ type cacheLinePad [64]byte
 // sit between pads (§III-F: workers never contend).
 type outerWorker struct {
 	_      cacheLinePad
-	pos    []uint32   // per-vertex resumable suffix cursors (may be nil)
-	runs   [][]uint32 // this iteration's non-empty upper(...) runs
+	runs   [][]uint32 // this iteration's non-empty upper-triangle runs
 	seg    []Edge     // this iteration's emission, V-sorted when handed to put
 	block  []Edge     // the output block being filled; block[len:] is free
 	wedges int64
@@ -133,15 +65,11 @@ type outerWorker struct {
 	_      cacheLinePad
 }
 
-// newOuterWorkers returns one outerWorker per worker, all polling stop,
-// with suffix-cursor caches over n vertices when those fit their budget.
-func newOuterWorkers(workers, n int, stop *stopFlag) []outerWorker {
+// newOuterWorkers returns one outerWorker per worker, all polling stop.
+func newOuterWorkers(workers int, stop *stopFlag) []outerWorker {
 	ws := make([]outerWorker, workers)
 	for i := range ws {
 		ws[i].stop = stop
-	}
-	for i, pos := range newUpperCaches(workers, n) {
-		ws[i].pos = pos
 	}
 	return ws
 }
@@ -149,11 +77,18 @@ func newOuterWorkers(workers, n int, stop *stopFlag) []outerWorker {
 // gather collects, for every vertex of ei, the run of incident
 // hyperedges ej > ei into st.runs and returns the iteration's exact
 // wedge count — known before a single counter is touched, which is what
-// lets the counting pass pick its regime up front.
-func (st *outerWorker) gather(h *hg.Hypergraph, ei uint32) int {
+// lets the counting pass pick its regime up front. pos is h's position
+// array (hg.Hypergraph.Positions), so each run — the "(i < j)"
+// upper-triangle rule that traverses each wedge (ei, vk, ej) exactly
+// once — is a slice taken by index, with no search.
+func (st *outerWorker) gather(h *hg.Hypergraph, pos []uint32, ei uint32) int {
+	eOff, eAdj, vOff, vAdj := h.CSR()
+	lo, hi := eOff[ei], eOff[ei+1]
+	verts, at := eAdj[lo:hi], pos[lo:hi]
+	at = at[:len(verts)]
 	runs, wedges := st.runs[:0], 0
-	for _, vk := range h.EdgeVertices(ei) {
-		if run := upper(h, vk, ei, st.pos); len(run) > 0 {
+	for k, vk := range verts {
+		if run := vAdj[vOff[vk]+int64(at[k])+1 : vOff[vk+1]]; len(run) > 0 {
 			runs = append(runs, run)
 			wedges += len(run)
 		}
@@ -180,7 +115,9 @@ func allPruned(h *hg.Hypergraph, s int, cfg Config) (Stats, bool) {
 // outerLoop is what Algorithms 1 and 2 have in common: distribute the
 // hyperedges over the workers, prune, gather each survivor's wedge runs,
 // hand them to iter, store the emitted segment, and concatenate the
-// segments by hyperedge. blockCap 0 means edgeBlockCap.
+// segments by hyperedge. blockCap 0 means edgeBlockCap. It fails,
+// before any iteration, when h's orientations disagree (see
+// hg.Hypergraph.Positions).
 //
 // Cancellation is polled here once per outer iteration and by iter once
 // per run (Algorithm 2 also per denseStopChunk endpoints); state
@@ -191,7 +128,11 @@ func outerLoop(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, blockCa
 	if blockCap == 0 {
 		blockCap = edgeBlockCap
 	}
-	workers := newOuterWorkers(numWorkers(cfg), h.NumVertices(), watchContext(ctx))
+	pos, err := h.Positions()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	workers := newOuterWorkers(numWorkers(cfg), watchContext(ctx))
 	segs := make([][]Edge, m) // segs[ei] is written by the one worker that owns ei
 
 	par.For(m, cfg.parOptions(), func(worker, i int) {
@@ -204,7 +145,7 @@ func outerLoop(ctx context.Context, h *hg.Hypergraph, s int, cfg Config, blockCa
 			st.pruned++
 			return
 		}
-		wedges := st.gather(h, ei)
+		wedges := st.gather(h, pos, ei)
 		st.wedges += int64(wedges)
 		st.seg = st.seg[:0]
 		if wedges > 0 && iter(worker, st, ei, wedges) {

@@ -66,11 +66,15 @@ func TestMaxOverlapDisjoint(t *testing.T) {
 func MaxOverlap(h *hg.Hypergraph, cfg Config) int {
 	m, w := h.NumEdges(), numWorkers(cfg)
 	counters := newPlainCounters(w, m)
-	workers := newOuterWorkers(w, h.NumVertices(), watchContext(nil)) // a flag that never trips
+	pos, err := h.Positions()
+	if err != nil {
+		panic(err) // every hypergraph these tests build has agreeing orientations
+	}
+	workers := newOuterWorkers(w, watchContext(nil)) // a flag that never trips
 	best := make([]uint32, w)
 	par.For(m, cfg.parOptions(), func(worker, i int) {
 		st := &workers[worker]
-		wedges := st.gather(h, uint32(i))
+		wedges := st.gather(h, pos, uint32(i))
 		st.seg = st.seg[:0]
 		hashmapIterDense(&counters[worker], st, uint32(i), int(best[worker])+1, stage3Tune{}.dense(wedges, m-i-1))
 		for _, e := range st.seg {

@@ -148,16 +148,16 @@ type prepared struct {
 //
 // Stage 1 is skipped — h itself is the working hypergraph — when the
 // working order is the identity (no empty hyperedge, and order N or
-// an input already sorted by the requested order) and the Stage-3
-// suffix caches fit for h's own vertex count. Its only remaining effect
-// would be compacting isolated vertices, and vertex IDs reach no output;
-// the cache condition keeps every Stage-3 decision what it would be on
-// the compacted hypergraph.
+// an input already sorted by the requested order). Its only remaining
+// effect would be compacting isolated vertices, and vertex IDs reach no
+// output. Skipping it also keeps h's Stage-3 position array
+// (hg.Hypergraph.Positions), which is built once per hypergraph: a
+// compacted copy would build its own on every query.
 func prepare(h *hg.Hypergraph, cfg PipelineConfig) prepared {
 	t0 := time.Now()
 	order := hg.EdgeOrder(h, cfg.Core.Relabel)
 	p := prepared{work: h, edgeOrig: order}
-	if !isIdentity(order, h.NumEdges()) || !upperCachesFit(numWorkers(cfg.Core), h.NumVertices()) {
+	if !isIdentity(order, h.NumEdges()) {
 		p.work = hg.PreprocessOrder(h, order).H
 	}
 	p.preTime = time.Since(t0)

@@ -26,11 +26,15 @@ func regimeGraph() *hg.Hypergraph {
 }
 
 // regimeSplit counts the iterations the rule sends each way.
-func regimeSplit(h *hg.Hypergraph) (dense, sparse int) {
+func regimeSplit(t *testing.T, h *hg.Hypergraph) (dense, sparse int) {
+	pos, err := h.Positions()
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := &outerWorker{}
 	m := h.NumEdges()
 	for ei := 0; ei < m; ei++ {
-		wedges := st.gather(h, uint32(ei))
+		wedges := st.gather(h, pos, uint32(ei))
 		switch {
 		case wedges == 0:
 		case (stage3Tune{}).dense(wedges, m-ei-1):
@@ -90,7 +94,7 @@ func stage3Runs(blockCap int) map[string]stage3Run {
 // oracle's bytes, at every worker count and under both distributions.
 func TestRegimeBoundary(t *testing.T) {
 	h := regimeGraph()
-	dense, sparse := regimeSplit(h)
+	dense, sparse := regimeSplit(t, h)
 	if dense < 10 || sparse < 10 {
 		t.Fatalf("input does not straddle the rule: %d dense, %d sparse iterations", dense, sparse)
 	}
@@ -220,7 +224,7 @@ func TestWorkerStatePadded(t *testing.T) {
 		name                    string
 		size, first, last, tail uintptr
 	}{
-		{"outerWorker", unsafe.Sizeof(outerWorker{}), unsafe.Offsetof(outerWorker{}.pos),
+		{"outerWorker", unsafe.Sizeof(outerWorker{}), unsafe.Offsetof(outerWorker{}.runs),
 			unsafe.Offsetof(outerWorker{}.stop), unsafe.Sizeof(outerWorker{}.stop)},
 		{"worker1", unsafe.Sizeof(worker1{}), unsafe.Offsetof(worker1{}.intersections),
 			unsafe.Offsetof(worker1{}.stamp), unsafe.Sizeof(worker1{}.stamp)},
@@ -417,8 +421,8 @@ func TestAllPrunedAllocatesNothing(t *testing.T) {
 		if stats.Pruned != int64(h.NumEdges()) || stats.Wedges != 0 || len(stats.WedgesPerWorker) != 4 {
 			t.Fatalf("%s: stats %+v, want all %d hyperedges pruned over 4 workers", name, stats, h.NumEdges())
 		}
-		// One allocation is Stats.WedgesPerWorker; the parent made
-		// 2·workers + 3 (counters and cursor caches per worker).
+		// One allocation is Stats.WedgesPerWorker; a run that reached
+		// the outer loop would also size counters per worker.
 		if allocs := testing.AllocsPerRun(10, func() { run(context.Background(), h, s, cfg) }); allocs > 2 {
 			t.Fatalf("%s: %v allocations for a query pruning answers outright", name, allocs)
 		}

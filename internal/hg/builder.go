@@ -120,14 +120,7 @@ func buildCSR(pairs []incidence, numEdges, numVertices int) *Hypergraph {
 // strictly sorted, IDs < numVertices), which it takes ownership of.
 func fromEdgeCSR(numVertices int, eOff []int64, eAdj []uint32) *Hypergraph {
 	vOff, vAdj := Transpose(eOff, eAdj, numVertices)
-	return &Hypergraph{
-		numVertices: numVertices,
-		numEdges:    len(eOff) - 1,
-		eOff:        eOff,
-		eAdj:        eAdj,
-		vOff:        vOff,
-		vAdj:        vAdj,
-	}
+	return newHypergraph(len(eOff)-1, numVertices, eOff, eAdj, vOff, vAdj)
 }
 
 // Transpose derives the other orientation of a CSR incidence structure

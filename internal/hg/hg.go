@@ -37,6 +37,76 @@ type Hypergraph struct {
 	// back owns out-of-heap storage backing the CSR arrays; nil for
 	// heap-backed hypergraphs.
 	back *backing
+	// pos holds the position arrays of both orientations of the
+	// storage, shared with every Dual view like back; side picks this
+	// view's edge orientation (0 as stored, 1 transposed).
+	pos  *positions
+	side uint8
+}
+
+// newHypergraph wraps four CSR arrays, which it takes ownership of.
+func newHypergraph(numEdges, numVertices int, eOff []int64, eAdj []uint32, vOff []int64, vAdj []uint32) *Hypergraph {
+	return &Hypergraph{
+		numVertices: numVertices,
+		numEdges:    numEdges,
+		eOff:        eOff,
+		eAdj:        eAdj,
+		vOff:        vOff,
+		vAdj:        vAdj,
+		pos:         new(positions),
+	}
+}
+
+// positions holds one position array per orientation of a CSR storage
+// (see Positions), each built on first use.
+type positions [2]struct {
+	once sync.Once
+	pos  []uint32
+	err  error
+}
+
+// Positions returns h's position array: for the incidence i of the
+// edge orientation that puts vertex v = eAdj[i] in hyperedge e's row,
+// pos[i] is where e sits in v's row, so v's hyperedges after e are
+// vAdj[vOff[v]+pos[i]+1 : vOff[v+1]]. A row holds distinct uint32 IDs,
+// so the array costs 4 B per incidence. It is built on first use, once
+// per CSR storage and orientation, and Dual views share it.
+//
+// The build checks every incidence of one orientation against the
+// other, so it is also where orientations that disagree are found —
+// possible only when a mapped file's vertex orientation was trusted
+// (hgio.MapBinary). The error names the first incidence that does not
+// match.
+func (h *Hypergraph) Positions() ([]uint32, error) {
+	p := &h.pos[h.side]
+	p.once.Do(func() { p.pos, p.err = buildPositions(h) })
+	return p.pos, p.err
+}
+
+// buildPositions walks the edge rows in ascending e, so e's position
+// in a vertex's row is the count of hyperedges already met in that row.
+// It checks each one against the vertex row as it goes: with every edge
+// row strictly ascending and every incidence found where the count says,
+// the vertex rows hold exactly the transposed edge rows.
+func buildPositions(h *Hypergraph) ([]uint32, error) {
+	pos := make([]uint32, len(h.eAdj))
+	seen := make([]uint32, h.numVertices)
+	for e := range h.numEdges {
+		lo, hi := h.eOff[e], h.eOff[e+1]
+		for i := lo; i < hi; i++ {
+			v := h.eAdj[i]
+			if int(v) >= h.numVertices || (i > lo && h.eAdj[i-1] >= v) {
+				return nil, fmt.Errorf("hg: hyperedge %d's row is not strictly ascending vertex IDs below %d", e, h.numVertices)
+			}
+			j := seen[v]
+			if at := h.vOff[v] + int64(j); at == h.vOff[v+1] || h.vAdj[at] != uint32(e) {
+				return nil, fmt.Errorf("hg: orientations disagree: hyperedge %d lists vertex %d, whose row does not list hyperedge %d there", e, v, e)
+			}
+			pos[i] = j
+			seen[v] = j + 1
+		}
+	}
+	return pos, nil
 }
 
 // backing owns the out-of-heap storage (typically an mmap) behind a
@@ -122,14 +192,7 @@ func FromCSR(numEdges, numVertices int, eOff []int64, eAdj []uint32, vOff []int6
 	if vOff[0] != 0 || vOff[numVertices] != int64(len(vAdj)) {
 		return nil, fmt.Errorf("hg: vertex offsets endpoints [%d,%d], want [0,%d]", vOff[0], vOff[numVertices], len(vAdj))
 	}
-	return &Hypergraph{
-		numVertices: numVertices,
-		numEdges:    numEdges,
-		eOff:        eOff,
-		eAdj:        eAdj,
-		vOff:        vOff,
-		vAdj:        vAdj,
-	}, nil
+	return newHypergraph(numEdges, numVertices, eOff, eAdj, vOff, vAdj), nil
 }
 
 // NumVertices returns n = |V|.
@@ -171,7 +234,8 @@ func (h *Hypergraph) VertexDegree(v uint32) int {
 // Dual returns the dual hypergraph H*: vertices of H* are the
 // hyperedges of H and vice versa (the transposed incidence matrix).
 // The view shares storage with h — including any out-of-heap backing,
-// which the view keeps alive — so Dual is O(1) and (H*)* = H.
+// which the view keeps alive, and the position arrays — so Dual is O(1)
+// and (H*)* = H.
 func (h *Hypergraph) Dual() *Hypergraph {
 	return &Hypergraph{
 		numVertices: h.numEdges,
@@ -181,6 +245,8 @@ func (h *Hypergraph) Dual() *Hypergraph {
 		vOff:        h.eOff,
 		vAdj:        h.eAdj,
 		back:        h.back,
+		pos:         h.pos,
+		side:        h.side ^ 1,
 	}
 }
 
@@ -227,16 +293,10 @@ func (h *Hypergraph) Validate() error {
 		return fmt.Errorf("hg: orientation mismatch: %d edge-side vs %d vertex-side incidences",
 			len(h.eAdj), len(h.vAdj))
 	}
-	// Cross-check: every (e, v) incidence must appear in the dual
-	// orientation.
-	for e := 0; e < h.numEdges; e++ {
-		for _, v := range h.EdgeVertices(uint32(e)) {
-			if !contains(h.VertexEdges(v), uint32(e)) {
-				return fmt.Errorf("hg: incidence (e=%d, v=%d) missing from vertex orientation", e, v)
-			}
-		}
-	}
-	return nil
+	// Cross-check: the position array's build finds every incidence of
+	// one orientation where the other puts it.
+	_, err := buildPositions(h)
+	return err
 }
 
 func validateCSR(off []int64, adj []uint32, rows, cols int, kind string) error {
@@ -261,19 +321,6 @@ func validateCSR(off []int64, adj []uint32, rows, cols int, kind string) error {
 		}
 	}
 	return nil
-}
-
-func contains(sorted []uint32, x uint32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == x
 }
 
 // IntersectSize returns the size of the intersection of two sorted

@@ -281,7 +281,7 @@ func (v *Version) build() *Hypergraph {
 	if built {
 		eOff, eAdj := editRows(p.base.eOff, p.base.eAdj, p.numEdges, p.nnz, &p.edge)
 		vOff, vAdj := editRows(p.base.vOff, p.base.vAdj, p.numVertices, p.nnz, &p.vert)
-		h = &Hypergraph{numVertices: p.numVertices, numEdges: p.numEdges, eOff: eOff, eAdj: eAdj, vOff: vOff, vAdj: vAdj}
+		h = newHypergraph(p.numEdges, p.numVertices, eOff, eAdj, vOff, vAdj)
 		f.h.Store(h)
 	}
 	f.mu.Unlock()

@@ -22,7 +22,10 @@ import (
 // adjacency sections — the bulk of the file — are trusted and never
 // touched at load. Map local files you control; route network bodies
 // through ReadBinary, which validates everything. Call Validate() on
-// the result for a full (page-touching) structural check.
+// the result for a full (page-touching) structural check. The first
+// Stage-3 pass checks the two adjacency sections against each other as
+// it builds the position array (hg.Hypergraph.Positions); every Stage-3
+// pass over a file whose orientations disagree fails with that error.
 //
 // The returned hypergraph owns the mapping: Close unmaps (safe only
 // once no view, including Dual views, is in use), and dropping the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -124,6 +125,41 @@ func TestHTTPServerSideLoad(t *testing.T) {
 	}
 	do(t, http.MethodPost, ts.URL+"/v1/datasets/disk/load",
 		strings.NewReader(`{"path": "/no/such/file.hgr"}`), http.StatusBadRequest, nil)
+}
+
+// TestQueryV2RejectsDisagreeingOrientations: a server-side load maps a
+// .bin file and trusts its vertex orientation, the file's last 4·nnz
+// bytes. With vertex 0's row of the paper example rewritten from [0, 2]
+// to [0, 1] every offset still holds, so the file loads; /v2/query must
+// then report the disagreement instead of answering {0,1} W = 3 and
+// {0,2} W = 2 (the right weights are 2 and 3).
+func TestQueryV2RejectsDisagreeingOrientations(t *testing.T) {
+	ts, svc := newTestServer(t)
+	path := filepath.Join(t.TempDir(), "paper.bin")
+	if err := hgio.SaveFile(path, paperExample()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row0 := data[len(data)-4*int(paperExample().Incidences()):]
+	if got := binary.LittleEndian.Uint32(row0[4:]); got != 2 {
+		t.Fatalf("vertex 0's second entry reads %d, want 2: the vertex orientation is not the file's tail", got)
+	}
+	binary.LittleEndian.PutUint32(row0[4:], 1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Load("bad", path); err != nil {
+		t.Fatalf("the rewritten file must still map: %v", err)
+	}
+	var out struct{ Error string }
+	do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(`{"dataset":"bad","s":[1],"edges":true}`),
+		http.StatusBadRequest, &out)
+	if !strings.Contains(out.Error, "orientations disagree") {
+		t.Fatalf("got error %q, want it to name the orientations' disagreement", out.Error)
+	}
 }
 
 // TestHTTPLoadBodyCapped: the {"path": ...} body of a server-side load

@@ -148,6 +148,9 @@ func saveBinaryAtomic(dir, path string, h *hg.Hypergraph) error {
 // interrupted save are swept, and a corrupt or truncated dataset file
 // only costs that one dataset (skipped with a log line — a -load flag or
 // re-upload re-registers it cold) rather than aborting the whole boot.
+// An entry whose file is not a local path (filepath.IsLocal: absolute,
+// empty, or climbing out through "..") is skipped the same way, so a
+// manifest never maps a file from outside dir.
 // Likewise a manifest that no longer parses degrades to a cold start.
 func (s *Service) RestoreState(dir string) ([]string, error) {
 	sweepStateTmp(dir)
@@ -169,6 +172,10 @@ func (s *Service) RestoreState(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, d := range m.Datasets {
+		if !filepath.IsLocal(d.File) {
+			log.Printf("serve: skipping dataset %q during restore: file %q is not a local path under %s", d.Name, d.File, dir)
+			continue
+		}
 		h, err := hgio.MapBinary(filepath.Join(dir, d.File))
 		if err != nil {
 			log.Printf("serve: skipping dataset %q during restore: %v", d.Name, err)

@@ -156,3 +156,34 @@ func TestRestoreCorruptManifestColdStarts(t *testing.T) {
 	svc.Add("fresh", paperExample())
 	mustQuery(t, svc, lineQ("fresh", core.PipelineConfig{}, 2)) // serves after a cold start
 }
+
+// TestRestoreSkipsNonLocalFiles: a manifest entry whose file is not a
+// local path under the state directory — "../outside.bin", a path that
+// climbs out through "datasets/..", an absolute path — is skipped, while
+// the entry beside it restores.
+func TestRestoreSkipsNonLocalFiles(t *testing.T) {
+	state, _ := restoreFixture(t)
+	outside := filepath.Join(filepath.Dir(state), "outside.bin")
+	m := stateManifest{FormatVersion: 1, NextVersion: 9, Datasets: []manifestDataset{
+		{Name: "parent", Version: 2, File: "../outside.bin"},
+		{Name: "climb", Version: 3, File: "datasets/../../outside.bin"},
+		{Name: "absolute", Version: 4, File: outside},
+		{Name: "in", Version: 5, File: "datasets/in.bin"},
+	}}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(state, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{})
+	defer svc.Close()
+	names, err := svc.RestoreState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(names, []string{"in"}) {
+		t.Fatalf("restored %v, want only [in]", names)
+	}
+}
