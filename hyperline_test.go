@@ -3,12 +3,15 @@ package hyperline
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"hyperline/internal/hg"
 )
 
 func example() *Hypergraph {
@@ -283,7 +286,7 @@ func TestExecuteRejectsDisagreeingOrientations(t *testing.T) {
 	if err == nil {
 		t.Fatalf("Execute answered %v, want an error naming the disagreement", qr.Entries[0].Result.Graph)
 	}
-	if !strings.Contains(err.Error(), "orientations disagree") {
-		t.Fatalf("Execute failed with %q, want it to name the orientations' disagreement", err)
+	if !strings.Contains(err.Error(), "orientations disagree") || !errors.Is(err, hg.ErrCorrupt) {
+		t.Fatalf("Execute failed with %q, want hg.ErrCorrupt naming the orientations' disagreement", err)
 	}
 }

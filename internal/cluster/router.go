@@ -629,7 +629,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if kind == "" {
 		kind = "line"
 	}
-	sweep, err := decodeS(base["s"])
+	sweep, err := core.DecodeSValues(base["s"])
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -703,7 +703,7 @@ type attemptResult struct {
 // runShard drives one shard to completion, trying its owners in
 // preference order. Retryable failures (transport errors, 429 sheds,
 // 404 from an owner that missed the upload) fail over to the next
-// owner. Any other answer (200/400/502, or the replica's own 504) is
+// owner. Any other answer (200/400/500/502, or the replica's own 504) is
 // final: a different replica computes the same answer, so retrying
 // buys nothing. An attempt cut short by the request's own context is
 // the router-side 504; it never reached a verdict, so it is not counted
@@ -980,26 +980,6 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 func errorEntry(sVal int, msg string) shardEntry {
 	raw, _ := json.Marshal(errorEntryJSON{S: sVal, Error: msg}) // ints and strings always marshal
 	return shardEntry{raw: raw}
-}
-
-// decodeS accepts the two /v2/query spellings of "s": a JSON integer
-// array or an s-list string such as "1,4:8".
-func decodeS(raw json.RawMessage) ([]int, error) {
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("cluster: \"s\" is required (an integer array or an s-list string such as \"1,4:8\")")
-	}
-	var spec string
-	if err := json.Unmarshal(raw, &spec); err == nil {
-		return core.ParseSValues(spec)
-	}
-	var vals []int
-	if err := json.Unmarshal(raw, &vals); err != nil {
-		return nil, fmt.Errorf("cluster: bad \"s\" %s", raw)
-	}
-	if err := core.ValidateSValues(vals); err != nil {
-		return nil, err
-	}
-	return vals, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

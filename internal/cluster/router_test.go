@@ -11,12 +11,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hyperline/internal/core"
 	"hyperline/internal/gen"
 	"hyperline/internal/hg"
 	"hyperline/internal/jsonsplice"
@@ -924,6 +926,64 @@ func TestRouterQueryDecodeErrors(t *testing.T) {
 	}
 	if m := routerMetrics(t, router.URL); m[`hyperrouter_queries_total`] != 1 {
 		t.Fatalf("rejected bodies must not count as fanned-out queries: %v", m[`hyperrouter_queries_total`])
+	}
+}
+
+// TestQuerySGrammarBothTiers: router and replica decode the "s" field
+// of a /v2/query body with one grammar (core.DecodeSValues), so they
+// accept and reject the same bodies, and an accepted body answers the
+// same s values on both.
+func TestQuerySGrammarBothTiers(t *testing.T) {
+	svc := serve.New(serve.Config{})
+	svc.Add("paper", paperHG())
+	rep := realReplica(t, svc)
+	_, router := newRouterServer(t, Config{Replicas: []string{rep.URL}, Replication: 1})
+
+	over := strings.Repeat("1,", core.MaxSValues) + "1"
+	for _, tc := range []struct {
+		name  string
+		field string // the "s" member, "" for none
+		want  []int  // nil: rejected with 400
+	}{
+		{"array", `"s":[2,1]`, []int{1, 2}},
+		{"s-list string", `"s":"1,3:4"`, []int{1, 3, 4}},
+		{"missing", ``, nil},
+		{"null", `"s":null`, nil},
+		{"empty array", `"s":[]`, nil},
+		{"non-integer", `"s":[1.5]`, nil},
+		{"zero", `"s":[0]`, nil},
+		{"empty range", `"s":"5:2"`, nil},
+		{"object", `"s":{}`, nil},
+		{"array over MaxSValues", `"s":[` + over + `]`, nil},
+		{"range over MaxSValues", fmt.Sprintf(`"s":"1:%d"`, core.MaxSValues+1), nil},
+	} {
+		body := `{"dataset":"paper"}`
+		if tc.field != "" {
+			body = `{"dataset":"paper",` + tc.field + `}`
+		}
+		for _, tier := range []struct{ name, url string }{{"replica", rep.URL}, {"router", router.URL}} {
+			status, _, data := postQuery(t, tier.url, body)
+			if tc.want == nil {
+				if status != http.StatusBadRequest {
+					t.Errorf("%s, %s: status %d, want 400: %s", tc.name, tier.name, status, data)
+				}
+				continue
+			}
+			if status != http.StatusOK {
+				t.Fatalf("%s, %s: status %d, want 200: %s", tc.name, tier.name, status, data)
+			}
+			var got []int
+			for _, raw := range queryResults(t, data) {
+				var e struct{ S int }
+				if err := json.Unmarshal(raw, &e); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, e.S)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s, %s: answered s = %v, want %v", tc.name, tier.name, got, tc.want)
+			}
+		}
 	}
 }
 

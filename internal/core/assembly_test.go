@@ -93,7 +93,7 @@ func TestAssemblyOutputContract(t *testing.T) {
 		if e.U >= e.V {
 			t.Fatalf("edge %d violates U < V: %+v", i, e)
 		}
-		if i > 0 && !edgeLess(edges[i-1], e) {
+		if i > 0 && !graph.EdgeLess(edges[i-1], e) {
 			t.Fatalf("edges %d/%d out of order: %+v, %+v", i-1, i, edges[i-1], e)
 		}
 	}

@@ -31,6 +31,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -233,6 +234,29 @@ func ParseSValues(spec string) ([]int, error) {
 		return nil, fmt.Errorf("core: no s values in %q", spec)
 	}
 	return out, nil
+}
+
+// DecodeSValues decodes the "s" field of a /v2/query body, in either of
+// its two forms: a JSON array of integers (checked by ValidateSValues)
+// or an s-list string such as "1,4:8" (parsed by ParseSValues). An
+// absent or null field is an error of its own. Replica and router both
+// decode with it, so they accept and reject the same bodies.
+func DecodeSValues(raw json.RawMessage) ([]int, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return nil, fmt.Errorf(`core: "s" is required (an integer array or an s-list string such as "1,4:8")`)
+	}
+	var list []int
+	if err := json.Unmarshal(raw, &list); err == nil {
+		if err := ValidateSValues(list); err != nil {
+			return nil, err
+		}
+		return list, nil
+	}
+	var spec string
+	if err := json.Unmarshal(raw, &spec); err == nil {
+		return ParseSValues(spec)
+	}
+	return nil, fmt.Errorf(`core: "s" must be an integer array or an s-list string such as "1,4:8", got %s`, raw)
 }
 
 // DistinctS returns the distinct s values of a query, clamped to ≥ 1

@@ -18,27 +18,13 @@ import (
 // into graph.BuildSorted (Stage 4).
 type Edge = graph.Edge
 
-// edgeLess is the canonical (U, V) order, shared with graph.Build's
-// sorted-check so the two layers can never disagree. U < V holds for
-// every emitted edge and each U is owned by exactly one worker, so
-// (U, V) is a unique key across all per-worker lists.
-func edgeLess(a, b Edge) bool { return graph.EdgeLess(a, b) }
-
-// edgeCmp adapts edgeLess for the slices package.
-func edgeCmp(a, b Edge) int {
-	if edgeLess(a, b) {
-		return -1
-	}
-	if edgeLess(b, a) {
-		return 1
-	}
-	return 0
-}
-
-// SortEdges orders edges by (U, V), which canonicalizes the
-// nondeterministic concatenation order of per-worker edge lists.
+// SortEdges orders edges by (U, V), graph.Build's canonical order,
+// which canonicalizes the nondeterministic concatenation order of
+// per-worker edge lists. U < V holds for every emitted edge and each U
+// is owned by exactly one worker, so (U, V) is a unique key across all
+// per-worker lists.
 func SortEdges(edges []Edge) {
-	slices.SortFunc(edges, edgeCmp)
+	slices.SortFunc(edges, graph.EdgeCmp)
 }
 
 // sortSegmentByV sorts one outer-iteration emission segment (constant

@@ -41,7 +41,7 @@ func smallDelta(rng *rand.Rand, base *hg.Hypergraph) *Delta {
 }
 
 // deferredBase is large enough that eight small deltas never pass the
-// materialization threshold at s = 1..3 in either orientation.
+// materialization threshold at s = 1..3.
 func deferredBase() *hg.Hypergraph {
 	return gen.Zipf(gen.ZipfConfig{
 		Seed: 9, NumVertices: 120, NumEdges: 400, MeanEdgeSize: 4, MaxEdgeSize: 8,
@@ -49,12 +49,12 @@ func deferredBase() *hg.Hypergraph {
 }
 
 // TestDeferredChainMatchesRecompute chains k = 1..8 deltas through the
-// deferred write path, for both orientations under relabel N: every
-// step must leave the rows unbuilt (no materialization during the
-// chain), and the one materialization the first row read makes must be
-// byte-identical to RunBatch on the post-chain hypergraph. A second read
-// builds nothing. Under A and D, Plan must patch no step of the same
-// chains.
+// deferred write path for line keys under relabel N: every step must
+// leave the rows unbuilt (no materialization during the chain), and the
+// one materialization the first row read makes must be byte-identical
+// to RunBatch on the post-chain hypergraph. A second read builds
+// nothing. For clique keys and under A and D, Plan must patch no step
+// of the same chains.
 func TestDeferredChainMatchesRecompute(t *testing.T) {
 	base := deferredBase()
 	for _, dual := range []bool{false, true} {
@@ -86,7 +86,7 @@ func deferredChain(t *testing.T, label string, base *hg.Hypergraph, a KeyAttrs, 
 		}
 		p := NewPatcher(h, newH, d)
 		h = newH
-		if a.Relabel != hg.RelabelNone {
+		if !patched(a.Dual, a.Relabel) {
 			neverPatched(t, fmt.Sprintf("%s: step %d", label, step), p, a)
 			continue
 		}
@@ -98,7 +98,7 @@ func deferredChain(t *testing.T, label string, base *hg.Hypergraph, a KeyAttrs, 
 			t.Fatalf("%s: step %d built its rows; want them deferred", label, step)
 		}
 	}
-	if a.Relabel != hg.RelabelNone {
+	if !patched(a.Dual, a.Relabel) {
 		return
 	}
 	if builds != 0 {
@@ -155,44 +155,4 @@ func TestDeferredThresholdBuilds(t *testing.T) {
 		h = newH
 	}
 	sameResult(t, "threshold chain", cur, pipelineAt(t, h, 1, cfg))
-}
-
-// TestDeferredPairChangedTwice pins the clique cases a random chain
-// rarely draws, each on a deferred graph: a base edge dropped by one
-// delta and changed again by the next (it must read as no edge, not as
-// its base row says), and a pair to a vertex new to the dataset added by
-// one delta and dropped by the next (it leaves the pending adds; it has
-// no base row to drop from). Vertices 8..23 carry a ballast of
-// weight-2 pairs that keeps every step below the threshold.
-func TestDeferredPairChangedTwice(t *testing.T) {
-	edges := [][]uint32{{0, 1}, {0, 1}, {0, 2}, {0, 2}, {1, 3}, {1, 3}}
-	for i := uint32(8); i < 24; i++ {
-		for j := i + 1; j < 24; j++ {
-			edges = append(edges, []uint32{i, j}, []uint32{i, j})
-		}
-	}
-	h := hg.FromEdgeSlices(edges, 24)
-	cfg := exactCfg(hg.RelabelNone)
-	a := KeyAttrs{Dual: true, S: 2, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
-	cur := pipelineAt(t, h.Dual(), 2, cfg)
-	for step, d := range []*Delta{
-		{Deletes: []uint32{0}},                        // adj(0,1) 2 → 1: a base edge dropped
-		{Deletes: []uint32{1}},                        // adj(0,1) 1 → 0: changed again, still no edge
-		{Inserts: [][]uint32{{0, 24}, {0, 24}}},       // adj(0,24) 0 → 2: 24 is new to the dataset
-		{Deletes: []uint32{uint32(len(edges))}},       // adj(0,24) 2 → 1: the added pair leaves
-		{Inserts: [][]uint32{{2, 3}, {2, 3}, {1, 3}}}, // adds beside the pending lists
-	} {
-		newH, err := Apply(h, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur, err = NewPatcher(h, newH, d).Patch(cur, a); err != nil {
-			t.Fatal(err)
-		}
-		if cur.Graph.Pending() == nil {
-			t.Fatalf("step %d built its rows; want them deferred", step)
-		}
-		h = newH
-	}
-	sameResult(t, "clique pairs changed twice", cur, pipelineAt(t, h.Dual(), 2, cfg))
 }

@@ -15,17 +15,32 @@ import (
 )
 
 // This file is the correctness contract of the incremental patcher: for
-// seeded generated hypergraphs × random delta batches × both
-// orientations × s = 1..5, patching a cached projection under relabel N
-// must be byte-identical — Graph CSR, HyperedgeIDs, S — to recomputing
-// the projection from scratch on the post-delta hypergraph. Under the
-// by-degree relabels A and D, Plan must never patch, and every key it
-// migrates must serve the recompute's answer unchanged. CI runs this
-// package under -race, so the lazily shared patcher state is exercised
-// for data races as well.
+// seeded generated hypergraphs × random delta batches × s = 1..5,
+// patching a cached line-orientation projection under relabel N must be
+// byte-identical — Graph CSR, HyperedgeIDs, S — to recomputing the
+// projection from scratch on the post-delta hypergraph. For clique keys
+// and under the by-degree relabels A and D, Plan must never patch, and
+// every key it migrates, in either orientation, must serve the
+// recompute's answer unchanged. CI runs this package under -race, so
+// the lazily shared patcher state is exercised for data races as well.
 
 // relabels are the concrete relabel orders a cache key can carry.
 var relabels = []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
+
+// orient is the hypergraph whose hyperedges an orientation's projection
+// nodes are: h for the line orientation, its dual for the clique one.
+func orient(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
+	if dual {
+		return h.Dual()
+	}
+	return h
+}
+
+// patched reports whether the tests patch a key of that orientation
+// and relabel: only line keys under relabel N are patched.
+func patched(dual bool, relabel hg.RelabelOrder) bool {
+	return !dual && relabel == hg.RelabelNone
+}
 
 // neverPatched fails the test when Plan would patch a, under the
 // terms most favourable to patching: no cached edges, no cost bound,
@@ -33,7 +48,7 @@ var relabels = []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.Relabel
 func neverPatched(t *testing.T, label string, p *Patcher, a KeyAttrs) {
 	t.Helper()
 	if got := p.Plan(a, 0, 0, true); got == ActionPatch {
-		t.Fatalf("%s: Plan patches a key under relabel %s", label, a.Relabel)
+		t.Fatalf("%s: Plan patches %s", label, a)
 	}
 }
 
@@ -152,8 +167,7 @@ type equivCase struct {
 	d    *Delta
 }
 
-// edgeCases are the named shapes the row rewrite must get right, in
-// either orientation.
+// edgeCases are the named shapes the row rewrite must get right.
 func edgeCases() []equivCase {
 	return []equivCase{
 		// Hyperedge 0's only neighbour is deleted, so its node dies.
@@ -173,10 +187,10 @@ func edgeCases() []equivCase {
 }
 
 // checkPatch asserts, for both orientations × every relabel order × s
-// in 1..maxS, that patching base's projection across d under relabel N
-// equals the recompute on the post-delta hypergraph, that Plan patches
-// no key under A or D, and that every key the patcher calls migratable
-// serves the same answer unchanged.
+// in 1..maxS, that patching base's line projection across d under
+// relabel N equals the recompute on the post-delta hypergraph, that
+// Plan patches no clique key and no key under A or D, and that every
+// key the patcher calls migratable serves the same answer unchanged.
 func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS int) {
 	t.Helper()
 	newH, err := Apply(base, d)
@@ -192,12 +206,12 @@ func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS 
 				old := pipelineAt(t, orient(base, dual), s, cfg)
 				fresh := pipelineAt(t, orient(newH, dual), s, cfg)
 				a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-				if relabel == hg.RelabelNone {
-					patched, err := p.Patch(old, a)
+				if patched(dual, relabel) {
+					res, err := p.Patch(old, a)
 					if err != nil {
 						t.Fatalf("%s: Patch: %v", label, err)
 					}
-					sameResult(t, label, patched, fresh)
+					sameResult(t, label, res, fresh)
 				} else {
 					neverPatched(t, label, p, a)
 				}
@@ -212,7 +226,8 @@ func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS 
 }
 
 // TestPatchEquivalence is the headline property: patch == recompute,
-// byte for byte, across bases × deltas × orientations × s × relabel.
+// byte for byte, across bases × deltas × s for line keys under relabel
+// N, and migrate ⇒ unchanged for every orientation and relabel.
 func TestPatchEquivalence(t *testing.T) {
 	cases := edgeCases()
 	for name, base := range testBases(t) {
@@ -229,9 +244,10 @@ func TestPatchEquivalence(t *testing.T) {
 // TestPatchEquivalenceChained patches through a chain of deltas — each
 // step reuses the previous step's patched result as its cached input —
 // and checks the end state still matches a from-scratch recompute, so
-// patching does not accumulate drift across versions. Under A and D the
-// chain runs as the service does: Plan never patches, a migrated key
-// carries its result, and any other key is recomputed.
+// patching does not accumulate drift across versions. For clique keys
+// and under A and D the chain runs as the service does: Plan never
+// patches, a migrated key carries its result, and any other key is
+// recomputed.
 func TestPatchEquivalenceChained(t *testing.T) {
 	base := gen.Zipf(gen.ZipfConfig{
 		Seed: 3, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 4, MaxEdgeSize: 8,
@@ -252,7 +268,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 					}
 					p := NewPatcher(h, newH, d)
 					a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-					if relabel == hg.RelabelNone {
+					if patched(dual, relabel) {
 						if cur, err = p.Patch(cur, a); err != nil {
 							t.Fatal(err)
 						}
@@ -265,7 +281,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 					h = newH
 				}
 				fresh := pipelineAt(t, orient(h, dual), s, cfg)
-				if relabel == hg.RelabelNone {
+				if patched(dual, relabel) {
 					sameResult(t, label, cur, fresh)
 				} else {
 					sameServed(t, label, cur, fresh)
@@ -473,11 +489,11 @@ func fuzzCase(data []byte) (*hg.Hypergraph, *Delta) {
 }
 
 // FuzzPatchMatchesRecompute is the differential target for the
-// incremental write path: on any decodable base and delta, patching
-// either orientation under relabel N at s in 1..4 equals the recompute
-// on the post-delta hypergraph, Plan patches no key under A or D, and
-// migration is only ever claimed for keys that serve the same answer
-// unchanged.
+// incremental write path: on any decodable base and delta, patching the
+// line orientation under relabel N at s in 1..4 equals the recompute on
+// the post-delta hypergraph, Plan patches no clique key and no key
+// under A or D, and migration is only ever claimed for keys that serve
+// the same answer unchanged.
 func FuzzPatchMatchesRecompute(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -13,15 +13,15 @@ import (
 )
 
 // checkCarriedOrder asserts that the Reorder the patcher of one delta
-// carries for an orientation maps every old working ID as Stage 1's
-// order (hg.EdgeOrder under RelabelNone) on the built versions does,
-// that its Gone and Enter lists are exactly the rows that left and
-// entered, and that WorkID on the pending new version ranks every
+// carries for the line orientation maps every old working ID as Stage
+// 1's order (hg.EdgeOrder under RelabelNone) on the built versions
+// does, that its Gone and Enter lists are exactly the rows that left
+// and entered, and that WorkID on the pending new version ranks every
 // non-empty row as Stage 1 does.
-func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hypergraph, dual bool) {
+func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hypergraph) {
 	t.Helper()
-	was := hg.EdgeOrder(orient(oldH, dual), hg.RelabelNone)
-	now := hg.EdgeOrder(orient(newH, dual), hg.RelabelNone)
+	was := hg.EdgeOrder(oldH, hg.RelabelNone)
+	now := hg.EdgeOrder(newH, hg.RelabelNone)
 	workOf := func(order []uint32, rows int) []uint32 {
 		w := make([]uint32, rows)
 		for i := range w {
@@ -32,9 +32,9 @@ func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hy
 		}
 		return w
 	}
-	wasWork := workOf(was, orient(oldH, dual).NumEdges())
-	nowWork := workOf(now, orient(newH, dual).NumEdges())
-	ro := p.orderFor(dual).ro
+	wasWork := workOf(was, oldH.NumEdges())
+	nowWork := workOf(now, newH.NumEdges())
+	ro := p.orderFor().ro
 	var gone, enter []uint32
 	for w, e := range was {
 		want := nowWork[e]
@@ -45,12 +45,11 @@ func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hy
 			t.Fatalf("%s: old working ID %d (row %d) maps to %d, EdgeOrder says %d", label, w, e, got, want)
 		}
 	}
-	nv := orient(p.newH, dual)
 	for w, e := range now {
 		if int(e) >= len(wasWork) || wasWork[e] == hg.NoWork {
 			enter = append(enter, uint32(w))
 		}
-		if got := nv.WorkID(e); got != w {
+		if got := p.newH.WorkID(e); got != w {
 			t.Fatalf("%s: WorkID(%d) on the pending version is %d, EdgeOrder says %d", label, e, got, w)
 		}
 	}
@@ -60,8 +59,7 @@ func checkCarriedOrder(t *testing.T, label string, p *Patcher, oldH, newH *hg.Hy
 }
 
 // orderDelta is randomDelta plus, every other step, the deletion of a
-// hyperedge holding a vertex of degree one, so that vertex leaves the
-// clique orientation's working order.
+// hyperedge holding a vertex of degree one, which isolates the vertex.
 func orderDelta(rng *rand.Rand, h *hg.Hypergraph, step int) *Delta {
 	d := randomDelta(rng, h)
 	if step%2 == 1 {
@@ -76,13 +74,13 @@ func orderDelta(rng *rand.Rand, h *hg.Hypergraph, step int) *Delta {
 }
 
 // TestCarriedOrderMatchesPrepare runs chains of k = 1..8 deltas through
-// Compose and checks the working order the patcher carries for both
-// orientations at every step (checkCarriedOrder) against Stage 1's own
-// order on the eagerly applied chain. The deltas isolate vertices and
-// insert over new vertex IDs; the longer chains on the small base cross
-// the pending-build bound, so later steps compose onto a base the chain
-// built. The large base spans several 256-row blocks and chunks in both
-// orientations and holds empty rows of its own.
+// Compose and checks the line orientation's working order the patcher
+// carries at every step (checkCarriedOrder) against Stage 1's own order
+// on the eagerly applied chain. The deltas isolate vertices and insert
+// over new vertex IDs; the longer chains on the small base cross the
+// pending-build bound, so later steps compose onto a base the chain
+// built. The large base spans several 256-row blocks and chunks and
+// holds empty rows of its own.
 func TestCarriedOrderMatchesPrepare(t *testing.T) {
 	small := gen.Zipf(gen.ZipfConfig{Seed: 21, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 3, MaxEdgeSize: 6})
 	edges := gen.Zipf(gen.ZipfConfig{Seed: 22, NumVertices: 600, NumEdges: 900, MeanEdgeSize: 3, MaxEdgeSize: 6}).EdgeSlices()
@@ -106,11 +104,8 @@ func TestCarriedOrderMatchesPrepare(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := PatcherFor(v, nv, d)
-				for _, dual := range []bool{false, true} {
-					label := fmt.Sprintf("%s/k=%d/step=%d/dual=%v", name, k, step, dual)
-					checkCarriedOrder(t, label, p, h, newH, dual)
-				}
+				label := fmt.Sprintf("%s/k=%d/step=%d", name, k, step)
+				checkCarriedOrder(t, label, PatcherFor(v, nv, d), h, newH)
 				v, h = nv, newH
 			}
 		}
@@ -181,11 +176,12 @@ func decodeDelta(h *hg.Hypergraph, part []byte) *Delta {
 // FuzzPatchChainMatchesRecompute is the differential target for the
 // write path the service runs: a base and a chain of up to four deltas,
 // each composed onto the pending version before it (Compose), for every
-// orientation × relabel × s in 1..3. Under relabel N each key is patched
-// through PatcherFor with the carried working order, and after every
-// delta it must equal core.RunBatch on the eagerly applied chain. Under
-// A and D, Plan must never patch, a key it migrates must serve the
-// recompute's answer, and the chain goes on from the recompute.
+// orientation × relabel × s in 1..3. A line key under relabel N is
+// patched through PatcherFor with the carried working order, and after
+// every delta it must equal core.RunBatch on the eagerly applied chain.
+// For clique keys and under A and D, Plan must never patch, a key it
+// migrates must serve the recompute's answer, and the chain goes on
+// from the recompute.
 func FuzzPatchChainMatchesRecompute(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6, 0xFF, 0xC4, 0, 6, 0xFF, 0xC0, 1, 5})
 	f.Add([]byte{3, 0, 1, 0x80, 1, 2, 0x80, 0x80, 2, 0xFF, 0xC0, 0xFF, 0xC1, 3, 4, 0xFF, 0xC2, 0xFF, 0, 4})
@@ -221,7 +217,7 @@ func FuzzPatchChainMatchesRecompute(f *testing.F) {
 				a := KeyAttrs{Dual: k.dual, S: k.s, Exact: true, Relabel: k.relabel, Squeeze: true}
 				label := fmt.Sprintf("step=%d/dual=%v/relabel=%s/s=%d", step, k.dual, k.relabel, k.s)
 				fresh := pipelineAt(t, orient(h, k.dual), k.s, exactCfg(k.relabel))
-				if k.relabel != hg.RelabelNone {
+				if !patched(k.dual, k.relabel) {
 					neverPatched(t, label, p, a)
 					if p.Migratable(a) {
 						sameServed(t, label+" (migrate)", old, fresh)
@@ -229,12 +225,12 @@ func FuzzPatchChainMatchesRecompute(f *testing.F) {
 					cur[k] = fresh
 					continue
 				}
-				patched, err := p.Patch(old, a)
+				res, err := p.Patch(old, a)
 				if err != nil {
 					t.Fatalf("step %d: Patch: %v", step, err)
 				}
-				sameResult(t, label, patched, fresh)
-				cur[k] = patched
+				sameResult(t, label, res, fresh)
+				cur[k] = res
 			}
 			v = nv
 		}

@@ -15,26 +15,24 @@ import (
 
 // Patcher incrementally maintains cached s-line projections across one
 // delta. It is built once per applied delta (base → newH) and consulted
-// once per cached projection key; the expensive per-orientation state —
-// the Algorithm-2 recount of inserted hyperedges, the affected
-// vertex-pair table of the clique orientation, and how the delta moves
-// the working-ID order (an hg.Reorder, read off the rows the delta
-// touches) — is computed lazily and shared across every key that needs
-// it. Nothing it computes is proportional to the dataset: per patched
-// projection it copies runs of its node arrays and passes over its
-// pending lists, and writes no rows (patchRows). Only keys under
-// RelabelNone are patched: keys under a by-degree relabel migrate when
-// the delta provably leaves them unchanged and are dropped otherwise,
-// to be recomputed on their next read.
+// once per cached projection key; the expensive state — the Algorithm-2
+// recount of inserted hyperedges and how the delta moves the working-ID
+// order (an hg.Reorder, read off the rows the delta touches) — is
+// computed lazily and shared across every key that needs it. Nothing it
+// computes is proportional to the dataset: per patched projection it
+// copies runs of its node arrays and passes over its pending adds, and
+// writes no rows (patchRows). Only line-orientation keys under
+// RelabelNone are patched: every other key migrates when the delta
+// provably leaves it unchanged and is dropped otherwise, to be
+// recomputed on its next read.
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
 // hyperedges never changes — only pairs involving a deleted ID
 // disappear and pairs involving an inserted ID appear, and the latter
-// live entirely inside the inserted edges' 2-hop frontier. In the
-// clique orientation adj(u, v) changes exactly for vertex pairs that
-// co-occur in some inserted or deleted hyperedge's vertex set. Every
-// other pair of either projection is bit-for-bit untouched.
+// live entirely inside the inserted edges' 2-hop frontier. A patch
+// therefore never removes an edge between surviving nodes: gone nodes
+// leave through the node map, and new pairs arrive as adds.
 type Patcher struct {
 	base *hg.Version
 	newH *hg.Version
@@ -43,8 +41,8 @@ type Patcher struct {
 	// reason labels every patched result's plan.
 	reason string
 
-	// affectedS[orient] bounds the largest s any pair of that
-	// orientation changes at: a projection at s above the bound is
+	// lineAffectedS and cliqueAffectedS bound the largest s any pair of
+	// that orientation changes at: a projection at s above the bound is
 	// identical before and after the delta. Both bounds are O(delta)
 	// to compute — no counting pass.
 	lineAffectedS   int
@@ -55,31 +53,16 @@ type Patcher struct {
 	lineOnce  sync.Once
 	linePairs []core.Edge
 
-	// Lazily computed clique-orientation updates: affected vertex pair →
-	// new adj count (0 = pair gone at every s). cliqueOK reports the
-	// enumeration stayed within budget.
-	cliqueOnce  sync.Once
-	cliquePairs map[uint64]uint32
-	cliqueOK    bool
-
-	// orders[orient] is how the delta moves that orientation's working
-	// order (0 line, 1 clique), derived on first use and shared by every
-	// key patched in it.
-	orderOnce [2]sync.Once
-	orders    [2]*carried
+	// order is how the delta moves the line orientation's working
+	// order, derived on first use and shared by every patched key.
+	orderOnce sync.Once
+	order     *carried
 
 	// OnMaterialize, when set before the first Patch, is called once
 	// each time the rows of a projection this patcher deferred are
 	// built.
 	OnMaterialize func()
 }
-
-// cliquePairBudget caps how many affected vertex pairs the clique
-// enumeration materializes: Σ |e|·(|e|−1)/2 over the delta's edges.
-// Past it the delta is treated as global for the clique orientation
-// (no migration, no patch) — a delta touching million-vertex hyperedges
-// is a re-upload in disguise.
-const cliquePairBudget = 1 << 22
 
 // Patch-vs-recompute thresholds: patch when its estimated work is below
 // this fraction of a full recompute (stats.WedgePairs). A dataset
@@ -178,8 +161,8 @@ type KeyAttrs = core.OutputKey
 // Plan decides what to do with one cached projection: oldEdges is the
 // cached graph's edge count, wedgePairs the new version's recompute
 // cost proxy (hg.Stats.WedgePairs of the orientation the key projects),
-// projected whether the dataset lineage has run enough Stage-3 passes in
-// that orientation to expect its entries to be read again.
+// projected whether the dataset lineage has run enough line-orientation
+// Stage-3 passes to expect its entries to be read again.
 //
 // Migration requires s above the frontier bound plus ID-order
 // stability: Stage 1's stable relabel sort keeps surviving hyperedges
@@ -191,10 +174,10 @@ type KeyAttrs = core.OutputKey
 // toplex status, perturbing the simplified hypergraph at any s.
 // Unsqueezed keys bake the working ID space size into the node space,
 // which every delta changes. A key with an unresolved auto knob names
-// no concrete output and is dropped too. Of the rest, only keys under
-// RelabelNone with exact weights are patched (see patchable); every
-// other key that does not migrate is dropped and recomputed on its
-// next read.
+// no concrete output and is dropped too. Of the rest, only line keys
+// under RelabelNone with exact weights are patched (see patchable);
+// every other key that does not migrate is dropped and recomputed on
+// its next read.
 func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, projected bool) Action {
 	if p.Migratable(a) {
 		return ActionMigrate
@@ -202,10 +185,7 @@ func (p *Patcher) Plan(a KeyAttrs, oldEdges int, wedgePairs int64, projected boo
 	if !patchable(a) {
 		return ActionDrop
 	}
-	if a.Dual && p.cliquePairCount() > cliquePairBudget {
-		return ActionDrop
-	}
-	units := p.patchUnits(a.Dual) + int64(oldEdges)
+	units := p.patchUnits() + int64(oldEdges)
 	frac := patchFractionUnprojected
 	if projected {
 		frac = patchFractionProjected
@@ -237,25 +217,19 @@ func orderStable(a KeyAttrs) bool {
 	return !a.Dual || a.Relabel == hg.RelabelNone
 }
 
-// patchable reports whether Patch serves a key: keepable, under
-// RelabelNone — the one order whose working order the patcher carries —
-// and with exact weights. Short-circuited weights can only be migrated,
-// never patched: the patcher computes exact counts, which a later
-// recompute of the same key would not reproduce.
+// patchable reports whether Patch serves a key: keepable, in the line
+// orientation — where no surviving pair changes — under RelabelNone —
+// the one order whose working order the patcher carries — and with
+// exact weights. Short-circuited weights can only be migrated, never
+// patched: the patcher computes exact counts, which a later recompute
+// of the same key would not reproduce.
 func patchable(a KeyAttrs) bool {
-	return keepable(a) && a.Relabel == hg.RelabelNone && a.Exact
+	return keepable(a) && !a.Dual && a.Relabel == hg.RelabelNone && a.Exact
 }
 
-// patchUnits estimates the patch work for one orientation in the same
-// rough currency as hg.Stats.WedgePairs (pair visits).
-func (p *Patcher) patchUnits(dual bool) int64 {
-	if dual {
-		avgDeg := 1.0
-		if n := p.newH.NumVertices(); n > 0 {
-			avgDeg = float64(p.newH.Incidences()) / float64(n)
-		}
-		return int64(float64(p.cliquePairCount()) * (2*avgDeg + 1))
-	}
+// patchUnits estimates the patch work in the same rough currency as
+// hg.Stats.WedgePairs (pair visits).
+func (p *Patcher) patchUnits() int64 {
 	var units int64
 	for _, e := range p.d.Deletes {
 		units += int64(p.base.EdgeSize(e))
@@ -268,28 +242,6 @@ func (p *Patcher) patchUnits(dual bool) int64 {
 		}
 	}
 	return units
-}
-
-// cliquePairCount is Σ |e|·(|e|−1)/2 over the delta's edges — the
-// affected vertex pairs the clique enumeration would visit, counted
-// with multiplicity and capped at twice the budget.
-func (p *Patcher) cliquePairCount() int64 {
-	var n int64
-	count := func(sz int64) bool {
-		n += sz * (sz - 1) / 2
-		return n <= 2*cliquePairBudget
-	}
-	for _, e := range p.d.Deletes {
-		if !count(int64(p.base.EdgeSize(e))) {
-			return n
-		}
-	}
-	for _, vs := range p.d.Inserts {
-		if !count(int64(len(vs))) {
-			return n
-		}
-	}
-	return n
 }
 
 // insertPairs lazily recounts the inserted hyperedges' 2-hop frontiers
@@ -313,53 +265,7 @@ func (p *Patcher) insertPairs() []core.Edge {
 	return p.linePairs
 }
 
-// pairKey packs a vertex pair (u < v) into one map key.
-func pairKey(u, v uint32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// cliqueUpdates lazily enumerates the clique orientation's affected
-// vertex pairs — pairs co-occurring inside some delta edge — and
-// recounts each one's new adj(u, v) exactly. Pairs whose count did not
-// change (an insert and a delete cancelling) are omitted. ok is false
-// when the enumeration exceeded its budget, in which case the delta is
-// global for this orientation.
-func (p *Patcher) cliqueUpdates() (map[uint64]uint32, bool) {
-	p.cliqueOnce.Do(func() {
-		if p.cliquePairCount() > cliquePairBudget {
-			return
-		}
-		net := make(map[uint64]int32)
-		accumulate := func(vs []uint32, sign int32) {
-			for i := 1; i < len(vs); i++ {
-				for j := 0; j < i; j++ {
-					net[pairKey(vs[j], vs[i])] += sign
-				}
-			}
-		}
-		for _, e := range p.d.Deletes {
-			accumulate(p.base.EdgeVertices(e), -1)
-		}
-		for _, vs := range p.d.Inserts {
-			accumulate(vs, +1)
-		}
-		p.cliquePairs = make(map[uint64]uint32, len(net))
-		for k, delta := range net {
-			if delta == 0 {
-				continue
-			}
-			u, v := uint32(k>>32), uint32(k)
-			p.cliquePairs[k] = uint32(p.newH.Adj(u, v))
-		}
-		p.cliqueOK = true
-	})
-	return p.cliquePairs, p.cliqueOK
-}
-
-// carried is one orientation's working order carried across the
+// carried is the line orientation's working order carried across the
 // delta, and how long deriving it took.
 type carried struct {
 	ro   *hg.Reorder
@@ -367,71 +273,26 @@ type carried struct {
 }
 
 // orderFor returns (deriving on first use) how the delta moves the
-// working order of one orientation under RelabelNone: the rows the
-// delta empties and fills, ranked by hg.Version.WorkID in the old and
-// the new version. It reads the delta's rows only — no row-length scan
-// and nothing m-sized.
-func (p *Patcher) orderFor(dual bool) *carried {
-	i := 0
-	if dual {
-		i = 1
-	}
-	p.orderOnce[i].Do(func() {
+// line orientation's working order under RelabelNone: the deleted
+// hyperedges leave it and the inserted ones enter it, ranked by
+// hg.Version.WorkID in the old and the new version. It reads the
+// delta's rows only — no row-length scan and nothing m-sized.
+func (p *Patcher) orderFor() *carried {
+	p.orderOnce.Do(func() {
 		t0 := time.Now()
-		ro := p.reorder(dual)
-		p.orders[i] = &carried{ro: ro, took: time.Since(t0)}
-	})
-	return p.orders[i]
-}
-
-// reorder derives the hg.Reorder of one orientation. In the line
-// orientation the deleted hyperedges leave the working order and the
-// inserted ones enter it; in the clique orientation a touched vertex
-// leaves when the delta takes its last hyperedge and enters when it
-// gets its first.
-func (p *Patcher) reorder(dual bool) *hg.Reorder {
-	was, now := orient(p.base, dual), orient(p.newH, dual)
-	ro := &hg.Reorder{}
-	if !dual {
+		ro := &hg.Reorder{}
 		for _, e := range p.d.Deletes {
-			ro.Gone = append(ro.Gone, uint32(was.WorkID(e)))
+			ro.Gone = append(ro.Gone, uint32(p.base.WorkID(e)))
 		}
 		m := uint32(p.base.NumEdges())
 		for i := range p.d.Inserts {
-			ro.Enter = append(ro.Enter, uint32(now.WorkID(m+uint32(i))))
+			ro.Enter = append(ro.Enter, uint32(p.newH.WorkID(m+uint32(i))))
 		}
-	} else {
-		var touched []uint32
-		for _, e := range p.d.Deletes {
-			touched = append(touched, p.base.EdgeVertices(e)...)
-		}
-		for _, vs := range p.d.Inserts {
-			touched = append(touched, vs...)
-		}
-		slices.Sort(touched)
-		for _, u := range slices.Compact(touched) {
-			before := int(u) < was.NumEdges() && was.EdgeSize(u) > 0
-			switch after := now.EdgeSize(u) > 0; {
-			case before && !after:
-				ro.Gone = append(ro.Gone, uint32(was.WorkID(u)))
-			case !before && after:
-				ro.Enter = append(ro.Enter, uint32(now.WorkID(u)))
-			}
-		}
-	}
-	slices.Sort(ro.Gone)
-	slices.Sort(ro.Enter)
-	return ro
-}
-
-// orient is the hypergraph whose hyperedges an orientation's projection
-// nodes are: h for the line orientation, its dual for the clique one.
-// h is a flat *hg.Hypergraph or a *hg.Version.
-func orient[H interface{ Dual() H }](h H, dual bool) H {
-	if dual {
-		return h.Dual()
-	}
-	return h
+		slices.Sort(ro.Gone)
+		slices.Sort(ro.Enter)
+		p.order = &carried{ro: ro, took: time.Since(t0)}
+	})
+	return p.order
 }
 
 // Patch rewrites one cached projection for the new version, byte-
@@ -442,7 +303,7 @@ func orient[H interface{ Dual() H }](h H, dual bool) H {
 // an error, and nothing is written for it.
 func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	if !patchable(a) {
-		return nil, fmt.Errorf("delta: %s cannot be patched: only squeezed, toplex-free, exact keys under relabel N are", a)
+		return nil, fmt.Errorf("delta: %s cannot be patched: only squeezed, toplex-free, exact line keys under relabel N are", a)
 	}
 	t0 := time.Now()
 	plan := core.PlanInfo{
@@ -450,14 +311,14 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 		Reason:   p.reason,
 		Relabel:  a.Relabel.String(),
 	}
-	return p.patchRows(old, a, p.orderFor(a.Dual), plan, t0)
+	return p.patchRows(old, a, p.orderFor(), plan, t0)
 }
 
-// deferFraction bounds the pending lists of a deferred projection: a
-// patch whose composed drop and add lists pass 1/deferFraction of the
-// base's adjacency entries builds its rows at once and becomes the base
-// of the next patch. Carrying the lists forward costs each later patch
-// about as much as rewriting that share of the rows.
+// deferFraction bounds the pending adds of a deferred projection: a
+// patch whose composed add list passes 1/deferFraction of the base's
+// adjacency entries builds its rows at once and becomes the base of the
+// next patch. Carrying the list forward costs each later patch about as
+// much as rewriting that share of the rows.
 const deferFraction = 8
 
 // patchRows patches a key without writing rows: the
@@ -470,19 +331,19 @@ const deferFraction = 8
 // O(delta) breakpoints: a node whose row left the working order (its
 // working ID is in the Reorder's Gone), a node that dies because every
 // edge it had was removed and none added, an endpoint of an added pair
-// that was no node (an inserted hyperedge, a vertex the delta gave its
-// first hyperedge, or a survivor isolated at s) slotting in by working
-// ID, and the working IDs where the Reorder shifts the squeeze map.
+// that was no node (an inserted hyperedge or a survivor isolated at s)
+// slotting in by working ID, and the working IDs where the Reorder
+// shifts the squeeze map.
 // Between breakpoints the new HyperedgeIDs, squeeze map and degrees are
 // copies of runs of the old ones (the squeeze map shifted by one
 // constant per run), and the node map is a graph.Runs. Only the rows of
 // gone nodes and the pairs the delta names are read, through the
-// pending lists (rowSource), so the work is copies of O(nodes) plus
+// pending adds (rowSource), so the work is copies of O(nodes) plus
 // O(delta) lookups, never O(edges).
 func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
 	g, ids, work := old.Graph, old.HyperedgeIDs, old.Graph.Orig()
 	n := uint32(len(ids))
-	ro, nv := o.ro, orient(p.newH, a.Dual)
+	ro := o.ro
 	cur := readThrough(g)
 	lowerBound := func(w uint32) uint32 {
 		x, _ := slices.BinarySearch(work, w)
@@ -501,49 +362,18 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 		return ok
 	}
 
-	// Pairs in original IDs (U < V): the cached edges the delta changed
-	// (clique orientation only: a line pair changes only through a
-	// deleted endpoint, which is gone) and the new pairs at or above s.
-	var changed, added []core.Edge
-	if a.Dual {
-		updates, ok := p.cliqueUpdates()
-		if !ok {
-			return nil, fmt.Errorf("delta: clique pair enumeration over budget")
-		}
-		changed, added = make([]core.Edge, 0, len(updates)), make([]core.Edge, 0, len(updates))
-		for k, w := range updates {
-			e := core.Edge{U: uint32(k >> 32), V: uint32(k), W: w}
-			changed = append(changed, e)
-			if int(w) >= a.S {
-				added = append(added, e)
-			}
-		}
-	} else {
-		added = make([]core.Edge, 0, len(p.insertPairs()))
-		for _, e := range p.insertPairs() {
-			if int(e.W) >= a.S {
-				added = append(added, e)
-			}
+	// added: the new pairs at or above s, in original IDs (U < V).
+	added := make([]core.Edge, 0, len(p.insertPairs()))
+	for _, e := range p.insertPairs() {
+		if int(e.W) >= a.S {
+			added = append(added, e)
 		}
 	}
 
-	// drop: the changed pairs that are edges between kept nodes, both
-	// directions, in old node IDs. Only unrelabeled clique keys get here
-	// with changed pairs, and their nodes ascend by vertex ID.
-	drop := make([]graph.Edge, 0, 2*len(changed))
-	for _, e := range changed {
-		x, okx := slices.BinarySearch(ids, e.U)
-		y, oky := slices.BinarySearch(ids, e.V)
-		if okx && oky && !isGone(uint32(x)) && !isGone(uint32(y)) && cur.hasEdge(uint32(x), uint32(y)) {
-			drop = append(drop, graph.Edge{U: uint32(x), V: uint32(y)}, graph.Edge{U: uint32(y), V: uint32(x)})
-		}
-	}
-	core.SortEdges(drop)
-
-	// lost: one entry per edge a kept old node loses, ascending. Every
-	// slice below is sized up front, so a patch allocates as often
-	// however many neighbours the delta reaches.
-	lostCap := len(drop)
+	// lost: one entry per edge a kept old node loses, to a gone node,
+	// ascending. Every slice below is sized up front, so a patch
+	// allocates as often however many neighbours the delta reaches.
+	lostCap := 0
 	for _, x := range gone {
 		lostCap += int(cur.Deg[x])
 	}
@@ -555,9 +385,6 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 			}
 		})
 	}
-	for _, e := range drop {
-		lost = append(lost, e.U)
-	}
 	slices.Sort(lost)
 
 	// add: the added pairs in new working IDs, both directions; ends:
@@ -568,7 +395,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	type end struct{ work, id, deg, old, node uint32 }
 	named := make([]end, 0, 2*len(added))
 	for _, e := range added {
-		wu, wv := uint32(nv.WorkID(e.U)), uint32(nv.WorkID(e.V))
+		wu, wv := uint32(p.newH.WorkID(e.U)), uint32(p.newH.WorkID(e.V))
 		add = append(add, graph.Edge{U: wu, V: wv, W: e.W}, graph.Edge{U: wv, V: wu, W: e.W})
 		named = append(named, end{work: wu, id: e.U}, end{work: wv, id: e.V})
 	}
@@ -704,12 +531,12 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	}
 
 	t1 := time.Now()
-	next := cur.compose(segs, drop, add, deg)
+	next := cur.compose(segs, add, deg)
 	ng, err := graph.Defer(next, orig, p.OnMaterialize)
 	if err != nil {
 		return nil, err
 	}
-	if len(next.Drop)+len(next.Add) > 2*next.Base.NumEdges()/deferFraction {
+	if len(next.Add) > 2*next.Base.NumEdges()/deferFraction {
 		ng = ng.Materialize()
 	}
 	return &core.PipelineResult{
@@ -728,9 +555,8 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 
 // rowSource reads a cached projection's rows whether or not they are
 // built, as the pending rewrite that produces them: a node's row is its
-// base row under the node map, minus the drops, plus the adds, and Deg
-// holds every node's degree. A graph with rows is its own base under
-// the identity map.
+// base row under the node map plus the adds, and Deg holds every node's
+// degree. A graph with rows is its own base under the identity map.
 type rowSource struct {
 	graph.Pending
 }
@@ -751,107 +577,50 @@ func readThrough(g *graph.Graph) *rowSource {
 	return r
 }
 
-// edgeCmp orders edges by (U, V), as graph.EdgeLess.
-func edgeCmp(a, b graph.Edge) int {
-	if c := cmp.Compare(a.U, b.U); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.V, b.V)
-}
-
-// has reports whether the sorted list es holds the pair (u, v).
-func has(es []graph.Edge, u, v uint32) bool {
-	_, ok := slices.BinarySearchFunc(es, graph.Edge{U: u, V: v}, edgeCmp)
-	return ok
-}
-
 // neighbors calls fn with every neighbour of node x.
 func (r *rowSource) neighbors(x uint32, fn func(y uint32)) {
 	if bx := r.Runs.Base(x); bx != graph.Gone {
 		ys, _ := r.Base.Neighbors(bx)
-		di, _ := slices.BinarySearchFunc(r.Drop, graph.Edge{U: bx}, edgeCmp)
 		for _, by := range ys {
-			for di < len(r.Drop) && r.Drop[di].U == bx && r.Drop[di].V < by {
-				di++
-			}
-			if di < len(r.Drop) && r.Drop[di].U == bx && r.Drop[di].V == by {
-				continue
-			}
 			if y := r.Runs.Node(by); y != graph.Gone {
 				fn(y)
 			}
 		}
 	}
-	ai, _ := slices.BinarySearchFunc(r.Add, graph.Edge{U: x}, edgeCmp)
+	ai, _ := slices.BinarySearchFunc(r.Add, graph.Edge{U: x}, graph.EdgeCmp)
 	for ; ai < len(r.Add) && r.Add[ai].U == x; ai++ {
 		fn(r.Add[ai].V)
 	}
 }
 
-// hasEdge reports whether {x, y} is an edge.
-func (r *rowSource) hasEdge(x, y uint32) bool {
-	if has(r.Add, x, y) {
-		return true
-	}
-	bx, by := r.Runs.Base(x), r.Runs.Base(y)
-	return bx != graph.Gone && by != graph.Gone && !has(r.Drop, bx, by) && r.Base.HasEdge(bx, by)
-}
-
 // compose folds one more rewrite of r's graph — segs (node → next node;
-// a node no run covers is gone), drop (directed pairs to remove, node
-// IDs) and add (directed pairs to insert, next node IDs), sorted as
-// graph.Rewrite takes them — into r's own, giving the one rewrite of
-// r's base that yields the next graph, whose degrees are deg. Pairs
-// touching a node that is gone from the next graph leave both lists.
-func (r *rowSource) compose(segs graph.Runs, drop, add []graph.Edge, deg []uint32) *graph.Pending {
-	next := &graph.Pending{Base: r.Base, Runs: r.Runs.Then(segs), Deg: deg}
-	// A dropped pair is one of r's adds, which it leaves, or an edge of
-	// the base, dropped in base IDs. Base edges join nodes with base rows,
-	// and base IDs ascend with node IDs, so the translation stays sorted.
-	baseDrop := make([]graph.Edge, 0, len(drop))
-	for _, e := range drop {
-		if !has(r.Add, e.U, e.V) {
-			baseDrop = append(baseDrop, graph.Edge{U: r.Runs.Base(e.U), V: r.Runs.Base(e.V)})
-		}
-	}
-	next.Drop = mergeKept(r.Drop, baseDrop, next.Runs)
+// a node no run covers is gone) and add (directed pairs to insert, next
+// node IDs, sorted as graph.Rewrite takes them) — into r's own, giving
+// the one rewrite of r's base that yields the next graph, whose degrees
+// are deg. r's adds touching a node that is gone from the next graph
+// leave the list.
+func (r *rowSource) compose(segs graph.Runs, add []graph.Edge, deg []uint32) *graph.Pending {
 	carried := make([]graph.Edge, 0, len(r.Add))
 	for _, e := range r.Add {
-		if u, v := segs.Node(e.U), segs.Node(e.V); u != graph.Gone && v != graph.Gone && !has(drop, e.U, e.V) {
+		if u, v := segs.Node(e.U), segs.Node(e.V); u != graph.Gone && v != graph.Gone {
 			carried = append(carried, graph.Edge{U: u, V: v, W: e.W})
 		}
 	}
-	next.Add = mergeKept(carried, add, nil)
-	return next
+	return &graph.Pending{Base: r.Base, Runs: r.Runs.Then(segs), Add: mergeSorted(carried, add), Deg: deg}
 }
 
-// mergeKept merges two sorted, disjoint pair lists into a fresh one,
-// keeping only pairs whose ends both map to a node under runs. The add
-// lists are in node IDs already, so compose merges them with runs nil,
-// which keeps every pair.
-func mergeKept(a, b []graph.Edge, runs graph.Runs) []graph.Edge {
+// mergeSorted merges two sorted, disjoint pair lists into a fresh one.
+func mergeSorted(a, b []graph.Edge) []graph.Edge {
 	out := make([]graph.Edge, 0, len(a)+len(b))
-	keep := func(e graph.Edge) {
-		if runs == nil || (runs.Node(e.U) != graph.Gone && runs.Node(e.V) != graph.Gone) {
-			out = append(out, e)
-		}
-	}
 	for len(a) > 0 && len(b) > 0 {
-		if edgeCmp(a[0], b[0]) < 0 {
-			keep(a[0])
-			a = a[1:]
+		if graph.EdgeCmp(a[0], b[0]) < 0 {
+			out, a = append(out, a[0]), a[1:]
 		} else {
-			keep(b[0])
-			b = b[1:]
+			out, b = append(out, b[0]), b[1:]
 		}
 	}
-	for _, e := range a {
-		keep(e)
-	}
-	for _, e := range b {
-		keep(e)
-	}
-	return out
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // GlobalAffected is the AffectedS value meaning "assume every s is

@@ -14,8 +14,8 @@ import (
 
 // sameReads asserts that a pending version reads exactly as the flat
 // hypergraph want: sizes, every row of both orientations, row lengths,
-// maxima, adjacency and overlap counts, the working-ID order under
-// every relabel, and the containment probe.
+// maxima, overlap counts, the working-ID order under every relabel,
+// and the containment probe.
 func sameReads(t *testing.T, label string, got *hg.Version, want *hg.Hypergraph) {
 	t.Helper()
 	if got.NumEdges() != want.NumEdges() || got.NumVertices() != want.NumVertices() || got.Incidences() != want.Incidences() {
@@ -35,11 +35,6 @@ func sameReads(t *testing.T, label string, got *hg.Version, want *hg.Hypergraph)
 	if got.MaxEdgeSize() != want.MaxEdgeSize() || got.MaxVertexDegree() != want.MaxVertexDegree() {
 		t.Fatalf("%s: maxima (%d, %d), want (%d, %d)", label,
 			got.MaxEdgeSize(), got.MaxVertexDegree(), want.MaxEdgeSize(), want.MaxVertexDegree())
-	}
-	for v := uint32(1); int(v) < want.NumVertices(); v += 7 {
-		if got.Adj(v-1, v) != want.Adj(v-1, v) {
-			t.Fatalf("%s: adj(%d, %d) = %d, want %d", label, v-1, v, got.Adj(v-1, v), want.Adj(v-1, v))
-		}
 	}
 	for e := uint32(0); int(e) < want.NumEdges(); e += 5 {
 		if !reflect.DeepEqual(core.OverlapCounts(got, e), core.OverlapCounts(want, e)) {

@@ -10,7 +10,8 @@ import (
 // TestPlan pins the patch-vs-drop decision: migrate above the frontier,
 // patch while the estimated work is at most the threshold fraction of a
 // recompute (the permissive one when the lineage is being projected), and
-// drop above it or for every key class patching cannot serve.
+// drop above it or for every key class patching cannot serve — clique
+// keys among them.
 func TestPlan(t *testing.T) {
 	base := paperExample()
 	d := &Delta{Inserts: [][]uint32{{4, 5}}}
@@ -20,61 +21,46 @@ func TestPlan(t *testing.T) {
 	}
 	p := NewPatcher(base, newH, d)
 
-	// A clique delta past the pair budget: deleting one 3000-vertex
-	// hyperedge affects ~4.5M vertex pairs.
-	wide := make([]uint32, 3000)
-	for i := range wide {
-		wide[i] = uint32(i)
-	}
-	bigBase := hg.FromEdgeSlices([][]uint32{wide, {0, 1}}, len(wide))
-	bigD := &Delta{Deletes: []uint32{0}}
-	bigH, err := Apply(bigBase, bigD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := NewPatcher(bigBase, bigH, bigD)
-
 	const oldEdges = 3
 	line := KeyAttrs{S: 1, Exact: true, Squeeze: true}
 	at := func(a KeyAttrs, edit func(*KeyAttrs)) KeyAttrs { edit(&a); return a }
 	// The wedge-pair counts at which the line patch costs exactly the
 	// unprojected and the projected fraction of a recompute.
-	units := float64(p.patchUnits(false) + oldEdges)
+	units := float64(p.patchUnits() + oldEdges)
 	even, evenProj := int64(units/patchFractionUnprojected), int64(units/patchFractionProjected)
 	const proj, unproj = true, false
 
 	for _, tc := range []struct {
 		name       string
-		p          *Patcher
 		a          KeyAttrs
 		wedgePairs int64
 		projected  bool
 		want       Action
 	}{
-		{"above the frontier", p, at(line, func(a *KeyAttrs) { a.S = p.AffectedS(false) + 1 }), even, unproj, ActionMigrate},
-		{"short-circuit above the frontier", p, at(line, func(a *KeyAttrs) { a.S, a.Exact = p.AffectedS(false)+1, false }), even, unproj, ActionMigrate},
-		{"patch at the fraction", p, line, even, unproj, ActionPatch},
-		{"patch below the fraction", p, line, 10 * even, unproj, ActionPatch},
-		{"drop above the fraction", p, line, even - 1, unproj, ActionDrop},
-		{"patch at the projected fraction", p, line, evenProj, proj, ActionPatch},
-		{"drop above the projected fraction", p, line, evenProj - 1, proj, ActionDrop},
-		{"toplex", p, at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexOn }), 10 * even, proj, ActionDrop},
-		{"unresolved toplex", p, at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexAuto }), 10 * even, proj, ActionDrop},
-		{"unresolved relabel", p, at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }), 10 * even, proj, ActionDrop},
-		{"unsqueezed", p, at(line, func(a *KeyAttrs) { a.Squeeze = false }), 10 * even, proj, ActionDrop},
-		{"short-circuit", p, at(line, func(a *KeyAttrs) { a.Exact = false }), 10 * even, proj, ActionDrop},
-		{"line key beside an over-budget clique delta", big, line, 1 << 40, unproj, ActionPatch},
-		{"clique over the pair budget", big, at(line, func(a *KeyAttrs) { a.Dual = true }), 1 << 40, proj, ActionDrop},
-		{"line under A below the frontier", p, at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }), 10 * even, proj, ActionDrop},
-		{"line under D below the frontier", p, at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }), 10 * even, proj, ActionDrop},
-		{"clique under A below the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
-		{"clique under D below the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
-		{"line under A above the frontier", p, at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelAscending }), even, unproj, ActionMigrate},
-		{"line under D above the frontier", p, at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelDescending }), even, unproj, ActionMigrate},
-		{"clique under A above the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
-		{"clique under D above the frontier", p, at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
+		{"above the frontier", at(line, func(a *KeyAttrs) { a.S = p.AffectedS(false) + 1 }), even, unproj, ActionMigrate},
+		{"short-circuit above the frontier", at(line, func(a *KeyAttrs) { a.S, a.Exact = p.AffectedS(false)+1, false }), even, unproj, ActionMigrate},
+		{"patch at the fraction", line, even, unproj, ActionPatch},
+		{"patch below the fraction", line, 10 * even, unproj, ActionPatch},
+		{"drop above the fraction", line, even - 1, unproj, ActionDrop},
+		{"patch at the projected fraction", line, evenProj, proj, ActionPatch},
+		{"drop above the projected fraction", line, evenProj - 1, proj, ActionDrop},
+		{"toplex", at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexOn }), 10 * even, proj, ActionDrop},
+		{"unresolved toplex", at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexAuto }), 10 * even, proj, ActionDrop},
+		{"unresolved relabel", at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }), 10 * even, proj, ActionDrop},
+		{"unsqueezed", at(line, func(a *KeyAttrs) { a.Squeeze = false }), 10 * even, proj, ActionDrop},
+		{"short-circuit", at(line, func(a *KeyAttrs) { a.Exact = false }), 10 * even, proj, ActionDrop},
+		{"clique under N below the frontier", at(line, func(a *KeyAttrs) { a.Dual = true }), 10 * even, proj, ActionDrop},
+		{"clique under N above the frontier", at(line, func(a *KeyAttrs) { a.Dual, a.S = true, p.AffectedS(true)+1 }), even, unproj, ActionMigrate},
+		{"line under A below the frontier", at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"line under D below the frontier", at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }), 10 * even, proj, ActionDrop},
+		{"clique under A below the frontier", at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"clique under D below the frontier", at(line, func(a *KeyAttrs) { a.Dual, a.Relabel = true, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
+		{"line under A above the frontier", at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelAscending }), even, unproj, ActionMigrate},
+		{"line under D above the frontier", at(line, func(a *KeyAttrs) { a.S, a.Relabel = p.AffectedS(false)+1, hg.RelabelDescending }), even, unproj, ActionMigrate},
+		{"clique under A above the frontier", at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelAscending }), 10 * even, proj, ActionDrop},
+		{"clique under D above the frontier", at(line, func(a *KeyAttrs) { a.Dual, a.S, a.Relabel = true, p.AffectedS(true)+1, hg.RelabelDescending }), 10 * even, proj, ActionDrop},
 	} {
-		if got := tc.p.Plan(tc.a, oldEdges, tc.wedgePairs, tc.projected); got != tc.want {
+		if got := p.Plan(tc.a, oldEdges, tc.wedgePairs, tc.projected); got != tc.want {
 			t.Errorf("%s: Plan(%v, %d, %d, projected=%v) = %v, want %v",
 				tc.name, tc.a, oldEdges, tc.wedgePairs, tc.projected, got, tc.want)
 		}
@@ -82,9 +68,9 @@ func TestPlan(t *testing.T) {
 }
 
 // TestPatchRejectsUnpatchableKeys: Patch answers an error, and derives
-// and returns nothing, for every key Plan never patches — relabel A, D
-// or unresolved, toplex on or unresolved, unsqueezed, short-circuited
-// weights — in either orientation.
+// and returns nothing, for every key Plan never patches — every clique
+// key, and relabel A, D or unresolved, toplex on or unresolved,
+// unsqueezed or short-circuited weights in either orientation.
 func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 	base := paperExample()
 	d := &Delta{Inserts: [][]uint32{{4, 5}}, Deletes: []uint32{0}}
@@ -96,6 +82,7 @@ func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 		name string
 		edit func(*KeyAttrs)
 	}{
+		{"clique under N", func(a *KeyAttrs) { a.Dual = true }},
 		{"relabel A", func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }},
 		{"relabel D", func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }},
 		{"unresolved relabel", func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }},
@@ -116,7 +103,7 @@ func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 			if err == nil || got != nil {
 				t.Errorf("%s/dual=%v: Patch = (%v, %v), want an error and no result", tc.name, dual, got, err)
 			}
-			if p.orders != [2]*carried{} {
+			if p.order != nil {
 				t.Errorf("%s/dual=%v: Patch derived a working order for a key it rejects", tc.name, dual)
 			}
 		}

@@ -4,18 +4,25 @@
 // ID space to a contiguous node ID space.
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+)
 
 // EdgeLess is the canonical (U, V) edge order used by Build's
 // sorted-check and fallback sort and by the s-overlap stage's worker
 // lists. W is deliberately not a tie-break: coalescing takes the
 // maximum weight of a duplicate group, so the result is identical
 // whether duplicates arrive sorted or not.
-func EdgeLess(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
+func EdgeLess(a, b Edge) bool { return EdgeCmp(a, b) < 0 }
+
+// EdgeCmp is EdgeLess as a three-way comparison, for the slices
+// package.
+func EdgeCmp(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
 	}
-	return a.V < b.V
+	return cmp.Compare(a.V, b.V)
 }
 
 // Edge is one weighted undirected edge (U < V) produced by the
@@ -28,7 +35,7 @@ type Edge struct {
 // Graph is an immutable weighted undirected graph in CSR form. A graph
 // made by Defer holds a pending Rewrite instead of rows: its node and
 // edge counts, degrees and squeeze mapping answer at once, and the first
-// row read (Neighbors, CSR, Edges, HasEdge, Weight) runs the rewrite
+// row read (Neighbors, CSR, Edges, Weight) runs the rewrite
 // (see deferred).
 type Graph struct {
 	numNodes int
@@ -126,21 +133,6 @@ func (g *Graph) Degree(u uint32) int {
 		return int(g.lazy.deg[u])
 	}
 	return int(g.off[u+1] - g.off[u])
-}
-
-// HasEdge reports whether {u, v} is an edge.
-func (g *Graph) HasEdge(u, v uint32) bool {
-	ids, _ := g.Neighbors(u)
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ids) && ids[lo] == v
 }
 
 // Weight returns the weight of edge {u, v}, or 0 if absent.

@@ -3,9 +3,17 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// HasEdge reports whether {u, v} is an edge.
+func (g *Graph) HasEdge(u, v uint32) bool {
+	ids, _ := g.Neighbors(u)
+	_, ok := slices.BinarySearch(ids, v)
+	return ok
+}
 
 func triangle() *Graph {
 	return Build(5, []Edge{{0, 2, 3}, {2, 4, 1}, {0, 4, 2}}, false)

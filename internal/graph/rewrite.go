@@ -17,33 +17,32 @@ const Gone = ^uint32(0)
 //     at it when remap[x] is Gone. The kept nodes must keep their order
 //     (remap strictly increasing over them), so remapped rows stay
 //     sorted;
-//   - drop lists directed pairs of g to remove (node IDs of g, both
-//     directions of each edge, sorted by (U, V));
 //   - add lists directed pairs to insert (new node IDs, both directions,
-//     sorted by (U, V)), none of them already an edge after the drops.
+//     sorted by (U, V)), none of them already an edge.
+//
+// No edge between two kept nodes is removed: a delta never changes the
+// overlap of two surviving hyperedges, so a line-orientation patch
+// needs no drop list.
 //
 // The result has numNodes nodes; new nodes that are no node of g get
 // only added edges, and every node must end up with at least one edge,
 // as under squeezing. orig is the result's squeeze mapping (nil for an
 // unsqueezed graph). g is not modified and shares no storage with the
 // result.
-func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []uint32) (*Graph, error) {
+func Rewrite(g *Graph, remap []uint32, numNodes int, add []Edge, orig []uint32) (*Graph, error) {
 	g = g.Materialize()
 	off := make([]int64, numNodes+1)
 	adj := make([]uint32, 0, len(g.adj)+len(add))
 	wgt := make([]uint32, 0, len(g.adj)+len(add))
 	x := 0 // next node of g
-	di, ai := 0, 0
+	ai := 0
 	for k := uint32(0); int(k) < numNodes; k++ {
 		for x < g.numNodes && remap[x] == Gone {
 			x++
 		}
 		if x < g.numNodes && remap[x] == k {
 			ids, ws := g.Neighbors(uint32(x))
-			for di < len(drop) && drop[di].U < uint32(x) {
-				di++
-			}
-			if (di == len(drop) || drop[di].U != uint32(x)) && (ai == len(add) || add[ai].U != k) {
+			if ai == len(add) || add[ai].U != k {
 				// The common row: remapped, minus gone neighbours. Every
 				// neighbour is written; only kept ones advance w.
 				start, w := len(adj), len(adj)
@@ -65,13 +64,6 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []ui
 				if ny == Gone {
 					continue
 				}
-				for di < len(drop) && EdgeLess(drop[di], Edge{U: uint32(x), V: y}) {
-					di++
-				}
-				if di < len(drop) && drop[di].U == uint32(x) && drop[di].V == y {
-					di++
-					continue
-				}
 				for ; ai < len(add) && add[ai].U == k && add[ai].V < ny; ai++ {
 					adj, wgt = append(adj, add[ai].V), append(wgt, add[ai].W)
 				}
@@ -88,7 +80,7 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []ui
 }
 
 // Pending is a Rewrite that has not run: Rewrite(Base, p.Remap(),
-// len(Deg), Drop, Add, orig) is the graph it stands for, under
+// len(Deg), Add, orig) is the graph it stands for, under
 // Rewrite's contract. Its node remap is held as Runs, so a pending
 // rewrite that keeps most nodes costs O(runs), not O(nodes), to carry.
 // Deg holds every node's degree in that graph, so a deferred graph
@@ -97,9 +89,9 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, drop, add []Edge, orig []ui
 type Pending struct {
 	Base *Graph
 	// Runs maps base nodes to nodes; a base node no run covers is Gone.
-	Runs      Runs
-	Drop, Add []Edge
-	Deg       []uint32
+	Runs Runs
+	Add  []Edge
+	Deg  []uint32
 }
 
 // Remap expands Runs into Rewrite's per-base-node remap.
@@ -237,7 +229,7 @@ func (d *deferred) build(g *Graph) (*Graph, bool) {
 		return b, false
 	}
 	p := d.pend.Load()
-	b, err := Rewrite(p.Base, p.Remap(), g.numNodes, p.Drop, p.Add, g.orig)
+	b, err := Rewrite(p.Base, p.Remap(), g.numNodes, p.Add, g.orig)
 	if err == nil && b.numEdges != g.numEdges {
 		err = fmt.Errorf("%d edges, want %d", b.numEdges, g.numEdges)
 	}

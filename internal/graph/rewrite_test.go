@@ -8,17 +8,16 @@ import (
 	"testing"
 )
 
-// deferCase is a path 0-1-2-3 rewritten to drop node 0, drop edge
-// {2, 3}, and add a new node 3 joined to nodes 0 and 2 (new IDs):
-// remap 0→Gone, 1→0, 2→1, 3→2.
+// deferCase is a path 0-1-2-3 rewritten to drop node 0 and add a new
+// node 3 joined to nodes 0 and 2 (new IDs): remap 0→Gone, 1→0, 2→1,
+// 3→2.
 func deferCase() (*Graph, *Pending, []uint32) {
 	g := Build(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, true)
 	p := &Pending{
 		Base: g,
 		Runs: []Run{{Base: 1, Node: 0, Len: 3}},
-		Drop: []Edge{{U: 2, V: 3}, {U: 3, V: 2}},
 		Add:  []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
-		Deg:  []uint32{2, 1, 1, 2},
+		Deg:  []uint32{2, 2, 2, 2},
 	}
 	return g, p, []uint32{10, 11, 12, 13}
 }
@@ -27,7 +26,7 @@ func deferCase() (*Graph, *Pending, []uint32) {
 // without building rows, and its rows, once read, are Rewrite's.
 func TestDeferEqualsRewrite(t *testing.T) {
 	g, p, orig := deferCase()
-	want, err := Rewrite(g, p.Remap(), len(p.Deg), p.Drop, p.Add, orig)
+	want, err := Rewrite(g, p.Remap(), len(p.Deg), p.Add, orig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,16 @@
 package hg
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 )
+
+// ErrCorrupt is wrapped by every error that reports a hypergraph whose
+// storage breaks its own invariants — orientations that disagree, an
+// edge row out of order — as opposed to a request the caller got wrong.
+var ErrCorrupt = errors.New("hg: corrupt hypergraph")
 
 // Hypergraph is an immutable hypergraph in CSR form. Construct one with
 // a Builder, FromEdgeSlices, or the hgio readers.
@@ -75,8 +81,8 @@ type positions [2]struct {
 // The build checks every incidence of one orientation against the
 // other, so it is also where orientations that disagree are found —
 // possible only when a mapped file's vertex orientation was trusted
-// (hgio.MapBinary). The error names the first incidence that does not
-// match.
+// (hgio.MapBinary). The error wraps ErrCorrupt and names the first
+// incidence that does not match.
 func (h *Hypergraph) Positions() ([]uint32, error) {
 	p := &h.pos[h.side]
 	p.once.Do(func() { p.pos, p.err = buildPositions(h) })
@@ -96,11 +102,11 @@ func buildPositions(h *Hypergraph) ([]uint32, error) {
 		for i := lo; i < hi; i++ {
 			v := h.eAdj[i]
 			if int(v) >= h.numVertices || (i > lo && h.eAdj[i-1] >= v) {
-				return nil, fmt.Errorf("hg: hyperedge %d's row is not strictly ascending vertex IDs below %d", e, h.numVertices)
+				return nil, fmt.Errorf("%w: hyperedge %d's row is not strictly ascending vertex IDs below %d", ErrCorrupt, e, h.numVertices)
 			}
 			j := seen[v]
 			if at := h.vOff[v] + int64(j); at == h.vOff[v+1] || h.vAdj[at] != uint32(e) {
-				return nil, fmt.Errorf("hg: orientations disagree: hyperedge %d lists vertex %d, whose row does not list hyperedge %d there", e, v, e)
+				return nil, fmt.Errorf("%w: orientations disagree: hyperedge %d lists vertex %d, whose row does not list hyperedge %d there", ErrCorrupt, e, v, e)
 			}
 			pos[i] = j
 			seen[v] = j + 1
@@ -254,12 +260,6 @@ func (h *Hypergraph) Dual() *Hypergraph {
 // hyperedges e and f, by merging the two sorted vertex lists.
 func (h *Hypergraph) Inc(e, f uint32) int {
 	return IntersectSize(h.EdgeVertices(e), h.EdgeVertices(f))
-}
-
-// Adj returns adj(u, v) = |{e ⊇ {u,v}}|, the number of hyperedges
-// containing both vertices.
-func (h *Hypergraph) Adj(u, v uint32) int {
-	return IntersectSize(h.VertexEdges(u), h.VertexEdges(v))
 }
 
 // MaxEdgeSize returns ∆e, the maximum hyperedge size (0 for an

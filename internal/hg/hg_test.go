@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// Adj returns adj(u, v) = |{e ⊇ {u,v}}|, the number of hyperedges
+// containing both vertices.
+func (h *Hypergraph) Adj(u, v uint32) int {
+	return IntersectSize(h.VertexEdges(u), h.VertexEdges(v))
+}
+
 // paperExample builds the hypergraph of Figure 1 of the paper:
 // V = {a..f} = {0..5}, E = {1:{a,b,c}, 2:{b,c,d}, 3:{a,b,c,d,e}, 4:{e,f}}
 // (edges renumbered 0..3 here).

@@ -199,12 +199,6 @@ func (v *Version) EdgeSize(e uint32) int { return len(v.EdgeVertices(e)) }
 // VertexDegree returns deg(u).
 func (v *Version) VertexDegree(u uint32) int { return len(v.VertexEdges(u)) }
 
-// Adj returns adj(u, w), the number of hyperedges containing both
-// vertices.
-func (v *Version) Adj(u, w uint32) int {
-	return IntersectSize(v.VertexEdges(u), v.VertexEdges(w))
-}
-
 func (v *Version) edgeSizes() sizeWalk { return newSizeWalk(v.base.eOff, &v.edge) }
 
 // MaxEdgeSize returns ∆e.

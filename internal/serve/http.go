@@ -98,7 +98,9 @@ func NewHandler(svc *Service) http.Handler {
 // admission control are 429 (writeError adds the Retry-After header),
 // cancelled or deadline-exceeded requests are 504 (the request context
 // expired before the pipeline finished), unknown datasets are 404,
-// everything else is a client error.
+// version conflicts 409, and a corrupt dataset (hg.ErrCorrupt) is 500:
+// the fault is the server's, not the request's. Everything else is a
+// client error.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrSaturated):
@@ -109,6 +111,8 @@ func errStatus(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrVersionConflict):
 		return http.StatusConflict
+	case errors.Is(err, hg.ErrCorrupt):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }
@@ -198,23 +202,6 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	stats, _ := svc.Stats(name)
 	writeJSON(w, http.StatusOK, stats)
-}
-
-// decodeSValues accepts the two /v2/query body forms for "s": a JSON
-// array of integers, or an s-list string ("1,4:8").
-func decodeSValues(raw json.RawMessage) ([]int, error) {
-	var list []int
-	if err := json.Unmarshal(raw, &list); err == nil {
-		if err := core.ValidateSValues(list); err != nil {
-			return nil, err
-		}
-		return list, nil
-	}
-	var spec string
-	if err := json.Unmarshal(raw, &spec); err == nil {
-		return core.ParseSValues(spec)
-	}
-	return nil, fmt.Errorf("serve: \"s\" must be an integer array or an s-list string such as \"1,4:8\"")
 }
 
 // planJSON surfaces the executed plan — the Stage-3 strategy, the

@@ -132,7 +132,7 @@ func TestHTTPServerSideLoad(t *testing.T) {
 // bytes. With vertex 0's row of the paper example rewritten from [0, 2]
 // to [0, 1] every offset still holds, so the file loads; /v2/query must
 // then report the disagreement instead of answering {0,1} W = 3 and
-// {0,2} W = 2 (the right weights are 2 and 3).
+// {0,2} W = 2 (the right weights are 2 and 3), as a server fault: 500.
 func TestQueryV2RejectsDisagreeingOrientations(t *testing.T) {
 	ts, svc := newTestServer(t)
 	path := filepath.Join(t.TempDir(), "paper.bin")
@@ -156,7 +156,7 @@ func TestQueryV2RejectsDisagreeingOrientations(t *testing.T) {
 	}
 	var out struct{ Error string }
 	do(t, http.MethodPost, ts.URL+"/v2/query", strings.NewReader(`{"dataset":"bad","s":[1],"edges":true}`),
-		http.StatusBadRequest, &out)
+		http.StatusInternalServerError, &out)
 	if !strings.Contains(out.Error, "orientations disagree") {
 		t.Fatalf("got error %q, want it to name the orientations' disagreement", out.Error)
 	}

@@ -133,11 +133,7 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: unknown kind %q (want \"line\" or \"clique\")", req.Kind))
 		return
 	}
-	if len(req.S) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: \"s\" is required (an integer array or an s-list string such as \"1,4:8\")"))
-		return
-	}
-	sweep, err := decodeSValues(req.S)
+	sweep, err := core.DecodeSValues(req.S)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -110,7 +110,7 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 		}
 		action := delta.ActionDrop
 		if patching {
-			projected := nd.passesOf(k.out.Dual).Load() >= projectedPasses
+			projected := nd.passes.Load() >= projectedPasses
 			action = p.Plan(k.out, old.res.Graph.NumEdges(), nd.statsFor(k.out.Dual).WedgePairs, projected)
 		}
 		switch action {
@@ -167,9 +167,9 @@ func (s *Service) Ingest(ctx context.Context, name string, d *delta.Delta, baseV
 	return res, nil
 }
 
-// projectedPasses is how many Stage-3 passes one orientation of a
-// dataset lineage must have run before ingest patches against the
-// permissive threshold (delta.Patcher.Plan's projected).
+// projectedPasses is how many line-orientation Stage-3 passes a dataset
+// lineage must have run before ingest patches against the permissive
+// threshold (delta.Patcher.Plan's projected).
 const projectedPasses = 3
 
 // ChangeEvent is one entry of a dataset's change feed: the version a

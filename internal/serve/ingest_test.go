@@ -120,19 +120,24 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 
 // TestIngestPatchesOnlyRelabelN: over HTTP, keys cached under the
 // by-degree relabels — line projections under "2BA" and "2BD" and
-// clique projections under "2BD", at s = 1..3 — are never patched by a
-// delta: each is migrated or dropped. The delta inserts one pair, so the
-// line frontier is s = 2 and both line keys at s = 3 migrate. Every
-// re-query then answers as a fresh Service holding the post-delta
-// dataset does, migrated and recomputed keys alike. The dataset is
-// sweepDataset, not the paper example: on four hyperedges the cost
-// threshold drops every key below the frontier, so patching would not
-// be reached at all.
+// clique projections under "2BD", at s = 1..3 — and clique projections
+// under "2BN" are never patched by a delta: each is migrated or dropped.
+// The delta inserts one pair, so the line frontier is s = 2 and both
+// line keys at s = 3 migrate. A clique key under N migrates above
+// affected_s_clique (s = 64 here) and is dropped at or below it
+// (s = 1..3), so its re-query answers from the cache exactly above the
+// bound. Every re-query then answers as a fresh Service holding the
+// post-delta dataset does, migrated and recomputed keys alike. The
+// dataset is sweepDataset, not the paper example: on four hyperedges
+// the cost threshold drops every key below the frontier, so patching
+// would not be reached at all.
 func TestIngestPatchesOnlyRelabelN(t *testing.T) {
+	const cliqueN = `{"dataset": "g", "s": [1,2,3,64], "kind": "clique", "config": "2BN"}`
 	queries := []string{
 		`{"dataset": "g", "s": [1,2,3], "config": "2BA"}`,
 		`{"dataset": "g", "s": [1,2,3], "config": "2BD"}`,
 		`{"dataset": "g", "s": [1,2,3], "kind": "clique", "config": "2BD"}`,
+		cliqueN,
 	}
 	ts, svc := newTestServer(t)
 	base := sweepDataset()
@@ -152,11 +157,20 @@ func TestIngestPatchesOnlyRelabelN(t *testing.T) {
 		strings.NewReader(`{"dataset": "g", "inserts": [[0, 1]]}`),
 		http.StatusOK, &ing)
 	if ing.Patched != 0 {
-		t.Fatalf("patched = %d, want 0: keys under relabel A or D are migrated or dropped (%+v)", ing.Patched, ing.IngestResult)
+		t.Fatalf("patched = %d, want 0: clique keys and keys under relabel A or D are migrated or dropped (%+v)", ing.Patched, ing.IngestResult)
 	}
-	if ing.AffectedSLine != 2 || ing.Migrated != 2 || ing.Dropped != cached-2 {
-		t.Fatalf("affected_s_line %d, migrated %d, dropped %d; want 2, 2 (line s=3 under A and D) and the other %d cached keys",
-			ing.AffectedSLine, ing.Migrated, ing.Dropped, cached-2)
+	if ing.AffectedSLine != 2 || ing.AffectedSClique < 3 || ing.AffectedSClique >= 64 {
+		t.Fatalf("affected_s_line %d, affected_s_clique %d; want 2 and a clique bound in [3, 64)", ing.AffectedSLine, ing.AffectedSClique)
+	}
+	if ing.Migrated != 3 || ing.Dropped != cached-3 {
+		t.Fatalf("migrated %d, dropped %d; want 3 (line s=3 under A and D, clique s=64 under N) and the other %d cached keys",
+			ing.Migrated, ing.Dropped, cached-3)
+	}
+	for _, e := range queryV2(t, ts, cliqueN).Results {
+		if e.Cached != (e.S > ing.AffectedSClique) {
+			t.Errorf("clique under N, s=%d: cached %v after the delta, want %v (affected_s_clique %d)",
+				e.S, e.Cached, e.S > ing.AffectedSClique, ing.AffectedSClique)
+		}
 	}
 
 	newH, err := delta.Apply(base, &delta.Delta{Inserts: [][]uint32{{0, 1}}})
@@ -238,7 +252,7 @@ func linePasses(t *testing.T, svc *Service, name string) int64 {
 	if !ok {
 		t.Fatalf("dataset %q version %d is not current", name, v)
 	}
-	return d.passesOf(false).Load()
+	return d.passes.Load()
 }
 
 // TestIngestPassCountSurvives: the Stage-3 pass count that switches the

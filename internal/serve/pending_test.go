@@ -154,16 +154,17 @@ func TestPendingVersionCloseReleasesRoot(t *testing.T) {
 	})
 }
 
-// TestCliqueIngestBuildsNothing: with clique projections cached, neither
-// a delta's ingest nor a cached clique query of the version it makes
-// builds the pending dataset — the dual statistics the ingest walk and
-// the query read are derived from the carried primal ones — and those
-// derived statistics equal hg.ComputeStats on the built dual.
+// TestCliqueIngestBuildsNothing: with clique projections cached, a
+// delta's ingest does not build the pending dataset — the dual
+// statistics the ingest walk reads are derived from the carried primal
+// ones — and those derived statistics equal hg.ComputeStats on the
+// built dual. Both hold before any re-query, which would recompute the
+// clique keys the delta dropped and so build the dataset.
 func TestCliqueIngestBuildsNothing(t *testing.T) {
 	svc := New(Config{})
 	want := sweepDataset()
 	svc.Add("g", want)
-	mustQuery(t, svc, cliqueQ("g", core.PipelineConfig{}, 1, 2))
+	mustQuery(t, svc, cliqueQ("g", core.PipelineConfig{}, 1, 2, 64))
 	for step, d := range pendingDeltas {
 		res, err := svc.Ingest(context.Background(), "g", d, 0)
 		if err != nil {
@@ -172,16 +173,11 @@ func TestCliqueIngestBuildsNothing(t *testing.T) {
 		if want, err = delta.Apply(want, d); err != nil {
 			t.Fatal(err)
 		}
-		if res.Dropped != 0 {
-			t.Fatalf("step %d: ingest dropped %d clique keys; want every key patched or migrated", step, res.Dropped)
-		}
-		for _, e := range mustQuery(t, svc, cliqueQ("g", core.PipelineConfig{}, 1, 2)).Entries {
-			if !e.Cached {
-				t.Fatalf("step %d: s=%d missed the cache", step, e.S)
-			}
+		if res.Patched != 0 || res.Migrated != 1 {
+			t.Fatalf("step %d: ingest patched %d and migrated %d clique keys; want 0 and 1 (s=64)", step, res.Patched, res.Migrated)
 		}
 		if n := svc.datasetBuilds.Load(); n != 0 {
-			t.Fatalf("step %d: ingest and cached clique queries built the dataset %d times, want 0", step, n)
+			t.Fatalf("step %d: ingest built the dataset %d times, want 0", step, n)
 		}
 		nd, ok := svc.reg.at("g", res.Version)
 		if !ok {

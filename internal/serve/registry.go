@@ -42,16 +42,17 @@ type DatasetInfo struct {
 // toplex knob reads is not carried: each version takes it, per
 // orientation, the first time something reads it (sampled).
 //
-// passes counts the Stage-3 passes the service has run on this dataset's
-// lineage, indexed line then clique: the ingest walk's patch-vs-drop
-// threshold reads it (see Service.Ingest). A delta's next version
-// shares the counter; a fresh Add or a restore starts a new one at 0.
+// passes counts the line-orientation Stage-3 passes the service has run
+// on this dataset's lineage: the ingest walk's patch-vs-drop threshold
+// reads it (see Service.Ingest), and only line keys are patched. A
+// delta's next version shares the counter; a fresh Add or a restore
+// starts a new one at 0.
 type dataset struct {
 	v       *hg.Version
 	version uint64
 	stats   hg.Stats // ToplexSample unset: see sampled
 
-	passes  *[2]atomic.Int64
+	passes  *atomic.Int64
 	samples [2]struct {
 		once sync.Once
 		frac float64
@@ -87,11 +88,6 @@ func (d *dataset) sampled(dual bool) hg.Stats {
 	return st
 }
 
-// passesOf returns the Stage-3 pass counter of one orientation.
-func (d *dataset) passesOf(dual bool) *atomic.Int64 {
-	return &d.passes[side(dual)]
-}
-
 // Registry is a thread-safe name → hypergraph table. Hypergraphs are
 // immutable once registered, so readers share them without copying.
 type Registry struct {
@@ -110,7 +106,7 @@ func NewRegistry() *Registry {
 // registered returns the dataset record of h, with its statistics.
 func (r *Registry) registered(name string, h *hg.Hypergraph, version uint64) *dataset {
 	stats := hg.ComputeStats(name, h)
-	return &dataset{v: hg.NewVersion(h, r.onBuild), version: version, stats: stats, passes: new([2]atomic.Int64)}
+	return &dataset{v: hg.NewVersion(h, r.onBuild), version: version, stats: stats, passes: new(atomic.Int64)}
 }
 
 // Add registers h under name, replacing any previous dataset with that

@@ -295,8 +295,8 @@ func (s *Service) projectBatchAt(ctx context.Context, h *hg.Version, version uin
 				return nil, err
 			}
 			s.projectionComputes.Add(int64(len(computed)))
-			if d, ok := s.reg.at(name, version); ok {
-				d.passesOf(dual).Add(1)
+			if d, ok := s.reg.at(name, version); ok && !dual {
+				d.passes.Add(1)
 			}
 			if res := computed[compute[0]]; res != nil {
 				s.metrics.observePass(res.Timings, wall)
