@@ -84,3 +84,49 @@ func TestRouterMetricsExpositionShape(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterSubrequestsReconcileWithReplicas: every replica-bound
+// request the router sends lands in one hyperrouter_subrequests_total
+// bucket, so after an upload, a query, an ingest, a change-feed poll
+// and a dataset list through the router, the router's sub-requests
+// equal the responses its two replicas counted.
+func TestRouterSubrequestsReconcileWithReplicas(t *testing.T) {
+	repA := realReplica(t, serve.New(serve.Config{}))
+	repB := realReplica(t, serve.New(serve.Config{}))
+	_, router := newRouterServer(t, Config{Replicas: []string{repA.URL, repB.URL}, Replication: 2})
+	putViaRouter(t, router.URL, "d", "0 1 2\n1 2 3\n0 1 2 3 4\n4 5\n", 2)
+	if status, _, data := postQuery(t, router.URL, `{"dataset":"d","s":[1,2]}`); status != http.StatusOK {
+		t.Fatalf("query: status %d: %s", status, data)
+	}
+	if status, out := postIngest(t, router.URL, `{"dataset":"d","inserts":[[4,5]]}`); status != http.StatusOK {
+		t.Fatalf("ingest: status %d: %v", status, out)
+	}
+	for _, path := range []string{"/v2/datasets/d/changes?since=1", "/v1/datasets"} {
+		resp, err := http.Get(router.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+	}
+
+	sum := func(m map[string]float64, family string) (n float64) {
+		for k, v := range m {
+			if strings.HasPrefix(k, family) {
+				n += v
+			}
+		}
+		return n
+	}
+	sub := sum(routerMetrics(t, router.URL), "hyperrouter_subrequests_total")
+	rep := 0.0
+	for _, u := range []string{repA.URL, repB.URL} {
+		rep += sum(routerMetrics(t, u), "hyperline_http_responses_total")
+	}
+	if sub != rep {
+		t.Fatalf("router sub-requests %g, replica responses %g", sub, rep)
+	}
+}

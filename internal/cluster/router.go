@@ -274,7 +274,10 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /v2/ingest", rt.handleIngest)
 	mux.HandleFunc("GET /v2/datasets/{name}/changes", rt.handleChanges)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	return rt.metrics.instrument(mux)
+	// Scrapes, health probes and /v1/replicas control traffic (replica
+	// heartbeats) are not counted, so hyperrouter_requests_total
+	// reconciles exactly with the requests a load generator sent.
+	return rt.metrics.responses.Wrap(mux, "/metrics", "/healthz", "/v1/replicas")
 }
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -318,9 +321,12 @@ func (rt *Router) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 			resp, err := rt.client.Do(req)
 			if err != nil {
 				rt.markFailure(u)
+				rt.metrics.countSubrequest(outcomeError)
 				return
 			}
 			defer resp.Body.Close()
+			rt.markSuccess(u)
+			rt.metrics.countSubrequest(outcomeOf(resp.StatusCode))
 			var list []struct {
 				Name string `json:"name"`
 			}

@@ -86,12 +86,12 @@ func NewHandler(svc *Service) http.Handler {
 		handleChanges(svc, w, r)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		handleMetrics(svc, w, r)
+		svc.metricsDoc().Serve(w)
 	})
-	// The response-code counter wraps every endpoint except /metrics
-	// itself, so hyperline_http_responses_total reconciles exactly with
-	// the traffic clients sent.
-	return svc.metrics.instrument(mux)
+	// Scrapes and health probes (routers poll replica health) are not
+	// counted, so hyperline_http_responses_total reconciles exactly with
+	// the traffic clients and routers sent.
+	return svc.metrics.responses.Wrap(mux, "/metrics", "/healthz")
 }
 
 // errStatus maps a service error to an HTTP status: requests shed by

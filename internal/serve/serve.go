@@ -91,7 +91,7 @@ type Service struct {
 	msfDedups atomic.Int64
 
 	adm     *admission
-	metrics *metrics
+	metrics metrics
 
 	// Streaming ingest state: the per-dataset change feed and the
 	// lifetime ingest counters the /metrics exposition reports.
@@ -112,12 +112,11 @@ type Service struct {
 // New returns an empty service.
 func New(cfg Config) *Service {
 	s := &Service{
-		reg:     NewRegistry(),
-		cache:   NewCache(cfg.CacheEntries),
-		mcache:  NewMeasureCache(cfg.MeasureCacheEntries),
-		adm:     newAdmission(cfg.ShedCostBudget, cfg.MaxInflight, cfg.MaxQueue, cfg.MaxInflightPerDataset),
-		metrics: newMetrics(),
-		feed:    newChangeFeed(),
+		reg:    NewRegistry(),
+		cache:  NewCache(cfg.CacheEntries),
+		mcache: NewMeasureCache(cfg.MeasureCacheEntries),
+		adm:    newAdmission(cfg.ShedCostBudget, cfg.MaxInflight, cfg.MaxQueue, cfg.MaxInflightPerDataset),
+		feed:   newChangeFeed(),
 	}
 	s.reg.onBuild = func() { s.datasetBuilds.Add(1) }
 	return s
