@@ -86,7 +86,7 @@ type PipelineConfig struct {
 // sweep may run side by side, so per-s Squeeze values of one batch do
 // not add up to the batch's wall time.
 type StageTimings struct {
-	Preprocess time.Duration // Stage 1: cleanup + relabel-by-degree (only the order scan when the order is the identity)
+	Preprocess time.Duration // Stage 1: cleanup + relabel-by-degree (a no-op under relabel N with squeezing; only the order scan when the order is the identity)
 	Toplex     time.Duration // Stage 2 (optional)
 	SOverlap   time.Duration // Stage 3: the s-line edge list (dominant)
 	Squeeze    time.Duration // Stage 4: ID squeezing + graph build of this s alone
@@ -136,29 +136,46 @@ func (r *PipelineResult) HyperedgeID(node uint32) uint32 {
 
 // prepared is the Stage 1-2 output shared by every s of a batch.
 type prepared struct {
-	work     *hg.Hypergraph
+	work *hg.Hypergraph
+	// edgeOrig[w] is the input ID of working hyperedge w; nil when the
+	// working IDs are the input IDs.
 	edgeOrig []uint32
 	preTime  time.Duration
 	topTime  time.Duration
+}
+
+// inputID returns the input ID of working hyperedge w.
+func (p *prepared) inputID(w uint32) uint32 {
+	if p.edgeOrig == nil {
+		return w
+	}
+	return p.edgeOrig[w]
 }
 
 // prepare runs Stage 1 (preprocess + relabel) and Stage 2 (optional
 // toplex simplification) once for a whole query. cfg must be resolved
 // (no auto knobs).
 //
-// Stage 1 is skipped — h itself is the working hypergraph — when the
-// working order is the identity (no empty hyperedge, and order N or
-// an input already sorted by the requested order). Its only remaining
-// effect would be compacting isolated vertices, and vertex IDs reach no
-// output. Skipping it also keeps h's Stage-3 position array
+// Under relabel N with squeezing on, Stage 1 does not run: h itself is
+// the working hypergraph and the working IDs are the input IDs. Stage 1
+// would keep the remaining rows in ID order, and Stage 4's squeezing
+// numbers only hyperedges that have an s-line edge, in working-ID
+// order, so compacting empty rows and isolated vertices changes no
+// output. Under relabel A or D, or with squeezing off, the order or the
+// node space sees the compaction, and Stage 1 runs unless its working
+// order is the identity (no empty row, and rows already in the
+// requested order), when it would only compact isolated vertices, whose
+// IDs reach no output. Keeping h also keeps its Stage-3 position array
 // (hg.Hypergraph.Positions), which is built once per hypergraph: a
 // compacted copy would build its own on every query.
 func prepare(h *hg.Hypergraph, cfg PipelineConfig) prepared {
 	t0 := time.Now()
-	order := hg.EdgeOrder(h, cfg.Core.Relabel)
-	p := prepared{work: h, edgeOrig: order}
-	if !isIdentity(order, h.NumEdges()) {
-		p.work = hg.PreprocessOrder(h, order).H
+	p := prepared{work: h}
+	if cfg.Core.Relabel != hg.RelabelNone || cfg.NoSqueeze {
+		p.edgeOrig = hg.EdgeOrder(h, cfg.Core.Relabel)
+		if !isIdentity(p.edgeOrig, h.NumEdges()) {
+			p.work = hg.PreprocessOrder(h, p.edgeOrig).H
+		}
 	}
 	p.preTime = time.Since(t0)
 
@@ -167,11 +184,10 @@ func prepare(h *hg.Hypergraph, cfg PipelineConfig) prepared {
 		simplified, keep := toplex.Simplify(p.work)
 		p.topTime = time.Since(t1)
 		p.work = simplified
-		remapped := make([]uint32, len(keep))
 		for newE, midE := range keep {
-			remapped[newE] = p.edgeOrig[midE]
+			keep[newE] = p.inputID(midE)
 		}
-		p.edgeOrig = remapped
+		p.edgeOrig = keep
 	}
 	return p
 }
@@ -286,7 +302,7 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 		}
 		r.HyperedgeIDs = make([]uint32, g.NumNodes())
 		for node := 0; node < g.NumNodes(); node++ {
-			r.HyperedgeIDs[node] = p.edgeOrig[g.OrigID(uint32(node))]
+			r.HyperedgeIDs[node] = p.inputID(g.OrigID(uint32(node)))
 		}
 		results[i] = r
 	})

@@ -15,7 +15,8 @@ type Stats struct {
 	// workload-balance data of Figure 10.
 	WedgesPerWorker []int64
 	// Pruned is the number of hyperedges skipped by degree-based
-	// pruning.
+	// pruning. Empty rows the working hypergraph keeps (under relabel N
+	// with squeezing, a tombstone) count too.
 	Pruned int64
 	// Edges is the number of s-line graph edges emitted.
 	Edges int64

@@ -146,6 +146,22 @@ func randomDelta(rng *rand.Rand, base *hg.Hypergraph) *Delta {
 	return d
 }
 
+// isolatingDelta is randomDelta plus, every other step, the deletion
+// of a hyperedge holding a vertex of degree one, which isolates the
+// vertex.
+func isolatingDelta(rng *rand.Rand, h *hg.Hypergraph, step int) *Delta {
+	d := randomDelta(rng, h)
+	if step%2 == 1 {
+		for u := uint32(0); int(u) < h.NumVertices(); u++ {
+			if h.VertexDegree(u) == 1 {
+				d.Deletes = append(d.Deletes, h.VertexEdges(u)[0])
+				break
+			}
+		}
+	}
+	return d
+}
+
 func testBases(t *testing.T) map[string]*hg.Hypergraph {
 	t.Helper()
 	return map[string]*hg.Hypergraph{
@@ -287,6 +303,97 @@ func TestPatchEquivalenceChained(t *testing.T) {
 					sameServed(t, label, cur, fresh)
 				}
 			}
+		}
+	}
+
+	// Chains composed onto pending versions, as the service runs them:
+	// k = 1..8 deltas that isolate vertices from a small base and from a
+	// 900-row base with an empty row of its own every 37th row, spanning
+	// several 256-row chunks. The line key under relabel N is patched
+	// through PatcherFor at s = 1..3 and checked after every step. The
+	// longer chains on the small base cross the pending-build bound, so
+	// later steps compose onto a base the chain built.
+	small := gen.Zipf(gen.ZipfConfig{Seed: 21, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 3, MaxEdgeSize: 6})
+	edges := gen.Zipf(gen.ZipfConfig{Seed: 22, NumVertices: 600, NumEdges: 900, MeanEdgeSize: 3, MaxEdgeSize: 6}).EdgeSlices()
+	for e := 0; e < len(edges); e += 37 {
+		edges[e] = nil
+	}
+	large := hg.FromEdgeSlices(edges, 600)
+	cfg := exactCfg(hg.RelabelNone)
+	crossed := false
+	for k := 1; k <= 8; k++ {
+		for name, base := range map[string]*hg.Hypergraph{"small": small, "large": large} {
+			rng := rand.New(rand.NewSource(int64(k)))
+			v, h := hg.NewVersion(base, nil), base
+			cur := make(map[int]*core.PipelineResult)
+			for s := 1; s <= 3; s++ {
+				cur[s] = pipelineAt(t, h, s, cfg)
+			}
+			for step := 0; step < k; step++ {
+				d := isolatingDelta(rng, h, step)
+				nv, err := Compose(v, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crossed = crossed || !nv.Pending()
+				newH, err := Apply(h, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := PatcherFor(v, nv, d)
+				for s := 1; s <= 3; s++ {
+					a := KeyAttrs{S: s, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
+					if cur[s], err = p.Patch(cur[s], a); err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, fmt.Sprintf("composed/%s/k=%d/step=%d/s=%d", name, k, step, s), cur[s], pipelineAt(t, newH, s, cfg))
+				}
+				v, h = nv, newH
+			}
+		}
+	}
+	if !crossed {
+		t.Fatal("no chain crossed the pending-build bound")
+	}
+}
+
+// TestPatchUpgradesCompactedSqueezeMap: a projection cached by a build
+// that compacted empty rows under relabel N — its squeeze map holds
+// compacted working IDs, its HyperedgeIDs input IDs — can come back
+// through the spill tier. Patched, it must equal a recompute, squeeze
+// map included: the patcher reads node positions from HyperedgeIDs,
+// never from the squeeze map.
+func TestPatchUpgradesCompactedSqueezeMap(t *testing.T) {
+	base, err := Apply(testBases(t)["zipf"], &Delta{Deletes: []uint32{0, 5, 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := hg.Preprocess(base, hg.RelabelNone)
+	cfg := exactCfg(hg.RelabelNone)
+	for s := 1; s <= 3; s++ {
+		out, err := core.RunBatch(context.Background(), pre.H, []int{s}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := out[s]
+		for node, w := range old.HyperedgeIDs {
+			old.HyperedgeIDs[node] = pre.EdgeOrig[w]
+		}
+		if _, _, _, orig := old.Graph.CSR(); reflect.DeepEqual(orig, old.HyperedgeIDs) {
+			t.Fatalf("s=%d: the cached squeeze map is not compacted", s)
+		}
+		for seed := int64(0); seed < 3; seed++ {
+			d := randomDelta(rand.New(rand.NewSource(seed)), base)
+			newH, err := Apply(base, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := KeyAttrs{S: s, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
+			res, err := NewPatcher(base, newH, d).Patch(old, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, fmt.Sprintf("upgrade/s=%d/seed=%d", s, seed), res, pipelineAt(t, newH, s, cfg))
 		}
 	}
 }

@@ -16,12 +16,10 @@ import (
 // Patcher incrementally maintains cached s-line projections across one
 // delta. It is built once per applied delta (base → newH) and consulted
 // once per cached projection key; the expensive state — the Algorithm-2
-// recount of inserted hyperedges and how the delta moves the working-ID
-// order (an hg.Reorder, read off the rows the delta touches) — is
-// computed lazily and shared across every key that needs it. Nothing it
-// computes is proportional to the dataset: per patched projection it
-// copies runs of its node arrays and passes over its pending adds, and
-// writes no rows (patchRows). Only line-orientation keys under
+// recount of inserted hyperedges — is computed lazily and shared across
+// every key that needs it. Nothing it computes is proportional to the
+// dataset: per patched projection it copies runs of its node arrays and
+// passes over its pending adds, and writes no rows (patchRows). Only line-orientation keys under
 // RelabelNone are patched: every other key migrates when the delta
 // provably leaves it unchanged and is dropped otherwise, to be
 // recomputed on its next read.
@@ -52,11 +50,6 @@ type Patcher struct {
 	// hyperedges: original-ID space, U < V, exact overlap weights.
 	lineOnce  sync.Once
 	linePairs []core.Edge
-
-	// order is how the delta moves the line orientation's working
-	// order, derived on first use and shared by every patched key.
-	orderOnce sync.Once
-	order     *carried
 
 	// OnMaterialize, when set before the first Patch, is called once
 	// each time the rows of a projection this patcher deferred are
@@ -219,7 +212,7 @@ func orderStable(a KeyAttrs) bool {
 
 // patchable reports whether Patch serves a key: keepable, in the line
 // orientation — where no surviving pair changes — under RelabelNone —
-// the one order whose working order the patcher carries — and with
+// where the working IDs are the input IDs (see patchRows) — and with
 // exact weights. Short-circuited weights can only be migrated, never
 // patched: the patcher computes exact counts, which a later recompute
 // of the same key would not reproduce.
@@ -265,36 +258,6 @@ func (p *Patcher) insertPairs() []core.Edge {
 	return p.linePairs
 }
 
-// carried is the line orientation's working order carried across the
-// delta, and how long deriving it took.
-type carried struct {
-	ro   *hg.Reorder
-	took time.Duration
-}
-
-// orderFor returns (deriving on first use) how the delta moves the
-// line orientation's working order under RelabelNone: the deleted
-// hyperedges leave it and the inserted ones enter it, ranked by
-// hg.Version.WorkID in the old and the new version. It reads the
-// delta's rows only — no row-length scan and nothing m-sized.
-func (p *Patcher) orderFor() *carried {
-	p.orderOnce.Do(func() {
-		t0 := time.Now()
-		ro := &hg.Reorder{}
-		for _, e := range p.d.Deletes {
-			ro.Gone = append(ro.Gone, uint32(p.base.WorkID(e)))
-		}
-		m := uint32(p.base.NumEdges())
-		for i := range p.d.Inserts {
-			ro.Enter = append(ro.Enter, uint32(p.newH.WorkID(m+uint32(i))))
-		}
-		slices.Sort(ro.Gone)
-		slices.Sort(ro.Enter)
-		p.order = &carried{ro: ro, took: time.Since(t0)}
-	})
-	return p.order
-}
-
 // Patch rewrites one cached projection for the new version, byte-
 // identical — Graph and HyperedgeIDs — to a from-scratch recompute of
 // the post-delta hypergraph, as a deferred graph whose rows are built
@@ -305,13 +268,7 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 	if !patchable(a) {
 		return nil, fmt.Errorf("delta: %s cannot be patched: only squeezed, toplex-free, exact line keys under relabel N are", a)
 	}
-	t0 := time.Now()
-	plan := core.PlanInfo{
-		Strategy: "patch",
-		Reason:   p.reason,
-		Relabel:  a.Relabel.String(),
-	}
-	return p.patchRows(old, a, p.orderFor(), plan, t0)
+	return p.patchRows(old, a)
 }
 
 // deferFraction bounds the pending adds of a deferred projection: a
@@ -326,34 +283,35 @@ const deferFraction = 8
 // graph — the cached projection itself when it has rows, else the base
 // it defers to — composed across every delta since that base.
 //
-// Surviving nodes keep their relative order in the new working ID space,
-// so the old → new node map is monotone, and it changes only at
-// O(delta) breakpoints: a node whose row left the working order (its
-// working ID is in the Reorder's Gone), a node that dies because every
-// edge it had was removed and none added, an endpoint of an added pair
-// that was no node (an inserted hyperedge or a survivor isolated at s)
-// slotting in by working ID, and the working IDs where the Reorder
-// shifts the squeeze map.
-// Between breakpoints the new HyperedgeIDs, squeeze map and degrees are
-// copies of runs of the old ones (the squeeze map shifted by one
-// constant per run), and the node map is a graph.Runs. Only the rows of
-// gone nodes and the pairs the delta names are read, through the
+// Under relabel N with squeezing the working IDs are the input IDs, so
+// the nodes of a projection ascend by HyperedgeIDs, which is also its
+// squeeze map. The patch reads node positions from HyperedgeIDs only,
+// never from the cached squeeze map (a projection cached by a build
+// that compacted empty rows holds working IDs there). The old → new
+// node map is monotone, and it changes only at O(delta) breakpoints: a
+// node whose hyperedge the delta deletes, a node that dies because
+// every edge it had was removed and none added, and an endpoint of an
+// added pair that was no node (an inserted hyperedge, above every old
+// ID, or a survivor isolated at s) slotting in by ID.
+// Between breakpoints the new HyperedgeIDs and degrees are copies of
+// runs of the old ones, and the node map is a graph.Runs. Only the rows
+// of gone nodes and the pairs the delta names are read, through the
 // pending adds (rowSource), so the work is copies of O(nodes) plus
 // O(delta) lookups, never O(edges).
-func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, plan core.PlanInfo, t0 time.Time) (*core.PipelineResult, error) {
-	g, ids, work := old.Graph, old.HyperedgeIDs, old.Graph.Orig()
+func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
+	t0 := time.Now()
+	ids := old.HyperedgeIDs
 	n := uint32(len(ids))
-	ro := o.ro
-	cur := readThrough(g)
-	lowerBound := func(w uint32) uint32 {
-		x, _ := slices.BinarySearch(work, w)
+	cur := readThrough(old.Graph)
+	lowerBound := func(e uint32) uint32 {
+		x, _ := slices.BinarySearch(ids, e)
 		return uint32(x)
 	}
 
-	// gone: the old nodes whose rows left the working order, ascending.
-	gone := make([]uint32, 0, len(ro.Gone))
-	for _, w := range ro.Gone {
-		if x, ok := slices.BinarySearch(work, w); ok {
+	// gone: the old nodes whose hyperedges the delta deletes, ascending.
+	gone := make([]uint32, 0, len(p.d.Deletes))
+	for _, e := range p.d.Deletes {
+		if x, ok := slices.BinarySearch(ids, e); ok {
 			gone = append(gone, uint32(x))
 		}
 	}
@@ -387,31 +345,27 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	}
 	slices.Sort(lost)
 
-	// add: the added pairs in new working IDs, both directions; ends:
-	// their distinct sources, each with its hyperedge ID, its added
-	// degree, its old node (Gone if it was none) and, once numbered, its
-	// new node.
+	// add: the added pairs, both directions; ends: their distinct
+	// sources, each with its hyperedge ID, its added degree, its old
+	// node (Gone if it was none) and, once numbered, its new node.
 	add := make([]graph.Edge, 0, 2*len(added))
-	type end struct{ work, id, deg, old, node uint32 }
+	type end struct{ id, deg, old, node uint32 }
 	named := make([]end, 0, 2*len(added))
 	for _, e := range added {
-		wu, wv := uint32(p.newH.WorkID(e.U)), uint32(p.newH.WorkID(e.V))
-		add = append(add, graph.Edge{U: wu, V: wv, W: e.W}, graph.Edge{U: wv, V: wu, W: e.W})
-		named = append(named, end{work: wu, id: e.U}, end{work: wv, id: e.V})
+		add = append(add, graph.Edge{U: e.U, V: e.V, W: e.W}, graph.Edge{U: e.V, V: e.U, W: e.W})
+		named = append(named, end{id: e.U}, end{id: e.V})
 	}
 	core.SortEdges(add)
-	byWork := func(a, b end) int { return cmp.Compare(a.work, b.work) }
-	slices.SortFunc(named, byWork)
-	ends := slices.CompactFunc(named, func(a, b end) bool { return a.work == b.work })
+	byID := func(a, b end) int { return cmp.Compare(a.id, b.id) }
+	slices.SortFunc(named, byID)
+	ends := slices.CompactFunc(named, func(a, b end) bool { return a.id == b.id })
 	for i, ai := 0, 0; i < len(ends); i++ {
-		for ; ai < len(add) && add[ai].U == ends[i].work; ai++ {
+		for ; ai < len(add) && add[ai].U == ends[i].id; ai++ {
 			ends[i].deg++
 		}
 		ends[i].old = graph.Gone
-		if w, entered := ro.Back(ends[i].work); !entered {
-			if x, ok := slices.BinarySearch(work, w); ok {
-				ends[i].old = uint32(x)
-			}
+		if x, ok := slices.BinarySearch(ids, ends[i].id); ok {
+			ends[i].old = uint32(x)
 		}
 	}
 
@@ -444,20 +398,19 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	}
 	slices.Sort(removed)
 
-	// ins: the ends that were no node, ascending by working ID, each
-	// slotting in before the old node at its position.
+	// ins: the ends that were no node, ascending by ID, each slotting
+	// in before the old node at its position.
 	type slot struct{ end, pos uint32 }
 	ins := make([]slot, 0, len(ends))
 	for i, e := range ends {
 		if e.old == graph.Gone {
-			w, _ := ro.Back(e.work)
-			ins = append(ins, slot{end: uint32(i), pos: lowerBound(w)})
+			ins = append(ins, slot{end: uint32(i), pos: lowerBound(e.id)})
 		}
 	}
 
-	// Breakpoints in the old node space: the node map and the squeeze
-	// map's shift are constant between them.
-	bps := make([]uint32, 0, 2+2*len(removed)+len(ins)+len(ro.Gone)+len(ro.Enter))
+	// Breakpoints in the old node space: the node map is constant
+	// between them.
+	bps := make([]uint32, 0, 2+2*len(removed)+len(ins))
 	bps = append(bps, 0, n)
 	for _, x := range removed {
 		bps = append(bps, x, x+1)
@@ -465,28 +418,19 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 	for _, s := range ins {
 		bps = append(bps, s.pos)
 	}
-	for _, w := range ro.Gone {
-		bps = append(bps, lowerBound(w))
-	}
-	for _, w := range ro.Enter {
-		old, _ := ro.Back(w)
-		bps = append(bps, lowerBound(old))
-	}
 	slices.Sort(bps)
 	bps = slices.Compact(bps)
 
-	// Number the new nodes in working-ID order: runs of kept old nodes,
-	// copied, with the inserted ends between them. orig is the new
-	// squeeze map, hids the new HyperedgeIDs, deg the new degrees, segs
-	// the old → new node map.
+	// Number the new nodes in ID order: runs of kept old nodes, copied,
+	// with the inserted ends between them. hids is the new HyperedgeIDs
+	// and squeeze map, deg the new degrees, segs the old → new node map.
 	size := int(n) - len(removed) + len(ins)
-	orig := make([]uint32, 0, size)
 	hids := make([]uint32, 0, size)
 	deg := make([]uint32, 0, size)
 	segs := make(graph.Runs, 0, len(bps))
 	insert := func(e *end) {
-		e.node = uint32(len(orig))
-		orig, hids, deg = append(orig, e.work), append(hids, e.id), append(deg, e.deg)
+		e.node = uint32(len(hids))
+		hids, deg = append(hids, e.id), append(deg, e.deg)
 	}
 	ii, ri := 0, 0
 	for k := 0; k+1 < len(bps); k++ {
@@ -498,12 +442,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 			ri++
 			continue
 		}
-		node := uint32(len(orig))
-		shift := ro.Map(work[lo]) - work[lo]
-		orig = append(orig, work[lo:hi]...)
-		for i := node; i < uint32(len(orig)); i++ {
-			orig[i] += shift
-		}
+		node := uint32(len(hids))
 		hids = append(hids, ids[lo:hi]...)
 		deg = append(deg, cur.Deg[lo:hi]...)
 		segs = append(segs, graph.Run{Base: lo, Node: node, Len: hi - lo})
@@ -521,9 +460,9 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 			ends[i].node = segs.Node(ends[i].old)
 		}
 	}
-	// The working → node map is monotone, so add stays sorted.
-	nodeOf := func(w uint32) uint32 {
-		i, _ := slices.BinarySearchFunc(ends, end{work: w}, byWork)
+	// The ID → node map is monotone, so add stays sorted.
+	nodeOf := func(e uint32) uint32 {
+		i, _ := slices.BinarySearchFunc(ends, end{id: e}, byID)
 		return ends[i].node
 	}
 	for i := range add {
@@ -532,7 +471,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 
 	t1 := time.Now()
 	next := cur.compose(segs, add, deg)
-	ng, err := graph.Defer(next, orig, p.OnMaterialize)
+	ng, err := graph.Defer(next, hids, p.OnMaterialize)
 	if err != nil {
 		return nil, err
 	}
@@ -545,11 +484,10 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs, o *carried, pl
 		HyperedgeIDs: hids,
 		Stats:        core.Stats{Edges: int64(ng.NumEdges())},
 		Timings: core.StageTimings{
-			Preprocess: o.took,
-			SOverlap:   t1.Sub(t0),
-			Squeeze:    time.Since(t1),
+			SOverlap: t1.Sub(t0),
+			Squeeze:  time.Since(t1),
 		},
-		Plan: plan,
+		Plan: core.PlanInfo{Strategy: "patch", Reason: p.reason, Relabel: a.Relabel.String()},
 	}, nil
 }
 

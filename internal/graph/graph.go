@@ -103,13 +103,10 @@ func (g *Graph) NumEdges() int { return g.numEdges }
 // Squeezed reports whether ID squeezing was applied.
 func (g *Graph) Squeezed() bool { return g.orig != nil }
 
-// Orig returns the squeeze mapping, nil when the graph was not
-// squeezed. It reads no rows. The slice aliases internal storage and
-// must not be modified.
-func (g *Graph) Orig() []uint32 { return g.orig }
-
 // OrigID maps a node back to its pre-squeeze ID (identity when the
-// graph was not squeezed).
+// graph was not squeezed). For an s-line graph that is the working
+// hyperedge ID, which under relabel N with squeezing is the input's
+// hyperedge ID, empty input rows or not.
 func (g *Graph) OrigID(node uint32) uint32 {
 	if g.orig == nil {
 		return node

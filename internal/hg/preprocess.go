@@ -56,8 +56,9 @@ func (r RelabelOrder) String() string {
 // rows of h in ID order, stably sorted by size for the by-degree
 // orders, so EdgeOrder(h, order)[w] is the input ID of working
 // hyperedge w. It reads only row lengths — a counting sort, O(m + ∆e) —
-// which is all the incremental patcher needs of Stage 1, and a pending
-// Version answers it without a build.
+// and a pending Version answers it without a build. Under relabel N
+// with squeezing the pipeline does not call it: the working IDs there
+// are the input IDs.
 func EdgeOrder(h Rows, order RelabelOrder) []uint32 {
 	m := h.NumEdges()
 	edges := make([]uint32, 0, m)

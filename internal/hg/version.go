@@ -9,7 +9,7 @@ import (
 
 // Rows is read access to one version of a hypergraph, whether its CSR
 // is built (*Hypergraph) or pending (*Version). Code that reads a few
-// rows of a version — the incremental patcher, the working-ID order,
+// rows of a version — the incremental patcher, Stage 1's order scan,
 // the containment probe — takes Rows, so it never forces a build.
 type Rows interface {
 	NumVertices() int
@@ -99,9 +99,6 @@ type Version struct {
 	// this view is the dual of the hypergraph flat builds.
 	flat *flat
 	dual bool
-	// idx indexes the base for the working order (see WorkID), shared
-	// by every version composed on the base and by their dual views.
-	idx *baseIndex
 }
 
 // edits is a sparse set of rewritten rows of one orientation, split by
@@ -113,9 +110,6 @@ type edits struct {
 	shift  uint
 	chunks []*chunk // nil where no row of the chunk was rewritten
 	size   int64    // entries across every chunk
-	// flipBefore[c] is the number of rows the chunks below c empty less
-	// the number they fill, against the base (see WorkID).
-	flipBefore []int
 }
 
 // chunk holds the rewritten rows of one chunk: row ids[i] reads
@@ -124,9 +118,6 @@ type chunk struct {
 	ids []uint32 // ascending
 	off []int64
 	adj []uint32
-	// flips is the number of the chunk's rows that are empty less the
-	// number that were empty in the base.
-	flips int
 }
 
 // row returns rewritten row r, reporting whether r was rewritten.
@@ -156,7 +147,7 @@ type flat struct {
 func NewVersion(h *Hypergraph, onBuild func()) *Version {
 	f := &flat{onBuild: onBuild}
 	f.h.Store(h)
-	return &Version{base: h, numEdges: h.numEdges, numVertices: h.numVertices, nnz: h.Incidences(), flat: f, idx: new(baseIndex)}
+	return &Version{base: h, numEdges: h.numEdges, numVertices: h.numVertices, nnz: h.Incidences(), flat: f}
 }
 
 // NumVertices returns n = |V|.
@@ -225,7 +216,6 @@ func (v *Version) Dual() *Version {
 		nnz:         v.nnz,
 		flat:        v.flat,
 		dual:        !v.dual,
-		idx:         v.idx,
 	}
 }
 
@@ -297,7 +287,7 @@ func (v *Version) build() *Hypergraph {
 func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 	from := v
 	if !v.Pending() {
-		from = &Version{base: v.Flat(), numEdges: v.numEdges, numVertices: v.numVertices, nnz: v.nnz, idx: new(baseIndex)}
+		from = &Version{base: v.Flat(), numEdges: v.numEdges, numVertices: v.numVertices, nnz: v.nnz}
 	}
 	m := from.numEdges
 	next := &Version{
@@ -306,7 +296,6 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 		numVertices: from.numVertices,
 		nnz:         from.nnz,
 		flat:        &flat{onBuild: v.flat.onBuild},
-		idx:         from.idx,
 	}
 	var removed, added int64
 	for _, e := range dels {
@@ -325,7 +314,7 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 	for i := range ins {
 		rows = append(rows, uint32(m+i))
 	}
-	next.edge = from.edge.with(rows, next.numEdges, added, from.base.eOff, func(e uint32, dst []uint32) []uint32 {
+	next.edge = from.edge.with(rows, next.numEdges, added, func(e uint32, dst []uint32) []uint32 {
 		if int(e) >= m {
 			dst = append(dst, ins[int(e)-m]...)
 		}
@@ -368,7 +357,7 @@ func (v *Version) Edit(dels []uint32, ins [][]uint32) *Version {
 		grown += int64(from.VertexDegree(u))
 	}
 	gi, pi := 0, 0
-	next.vert = from.vert.with(touched, next.numVertices, grown+added, from.base.vOff, func(u uint32, dst []uint32) []uint32 {
+	next.vert = from.vert.with(touched, next.numVertices, grown+added, func(u uint32, dst []uint32) []uint32 {
 		// The row without the deleted edges (a sorted subset of it), then
 		// the inserted edges — the largest IDs, so the row stays sorted.
 		for _, e := range from.VertexEdges(u) {
@@ -395,16 +384,14 @@ const minChunkShift = 8
 // appends row r's new contents to dst and returns it — and every other
 // row of x carried over. numRows is the orientation's row count, which
 // sizes the chunks of a first edit; extra bounds the entries of the
-// rewritten rows' new contents; off is the base's offsets in this
-// orientation, against which the chunks count their emptied rows (see
-// WorkID).
+// rewritten rows' new contents.
 //
 // The chunks an edit creates share one set of arrays, so the first edit
 // of a flat base (all Apply makes) allocates the same few arrays however
 // many chunks it touches. A chunk that replaces an earlier one gets
 // arrays of its own: cut from a shared set, it would keep the whole set
 // alive for as long as any chunk cut from it lives.
-func (x *edits) with(rows []uint32, numRows int, extra int64, off []int64, fill func(r uint32, dst []uint32) []uint32) edits {
+func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32, dst []uint32) []uint32) edits {
 	out := edits{shift: x.shift, size: x.size}
 	if x.chunks == nil {
 		out.shift = uint(max(minChunkShift, bits.Len(uint(numRows)>>10)))
@@ -450,16 +437,8 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, off []int64, fill 
 			out.size -= int64(len(old.adj))
 		}
 		out.size += int64(len(c.adj))
-		c.flips = c.flipsBelow(off, noRow)
 		out.chunks[ci] = c
 		lo = hi
-	}
-	out.flipBefore = make([]int, len(out.chunks)+1)
-	for ci, c := range out.chunks {
-		out.flipBefore[ci+1] = out.flipBefore[ci]
-		if c != nil {
-			out.flipBefore[ci+1] += c.flips
-		}
 	}
 	return out
 }

@@ -5,18 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
 // sameRows asserts that v reads as h row for row in both orientations,
-// through the Dual view too, walks the same row lengths, and ranks
-// every non-empty row of either orientation as EdgeOrder does on h
-// under RelabelNone.
+// through the Dual view too, and walks the same row lengths.
 func sameRows(t *testing.T, label string, v *Version, h *Hypergraph) {
 	t.Helper()
-	sameWork(t, label, v, h)
-	sameWork(t, label+" (dual)", v.Dual(), h.Dual())
 	if v.NumEdges() != h.NumEdges() || v.NumVertices() != h.NumVertices() || v.Incidences() != h.Incidences() {
 		t.Fatalf("%s: sizes (%d, %d, %d), want (%d, %d, %d)", label,
 			v.NumEdges(), v.NumVertices(), v.Incidences(), h.NumEdges(), h.NumVertices(), h.Incidences())
@@ -39,51 +34,6 @@ func sameRows(t *testing.T, label string, v *Version, h *Hypergraph) {
 			t.Fatalf("%s: dual size walk at vertex %d is %d, want %d", label, u, got, h.VertexDegree(u))
 		}
 	}
-}
-
-// sameWork asserts that WorkID on v agrees with EdgeOrder on h under
-// RelabelNone.
-func sameWork(t *testing.T, label string, v *Version, h *Hypergraph) {
-	t.Helper()
-	for w, e := range EdgeOrder(h, RelabelNone) {
-		if got := v.WorkID(e); got != w {
-			t.Fatalf("%s: WorkID(%d) is %d, EdgeOrder says %d", label, e, got, w)
-		}
-	}
-}
-
-// TestWorkIDConcurrentReaders: readers of one pending version and its
-// dual view that rank rows at once build the shared base index once
-// between them and all agree with EdgeOrder. Run under -race.
-func TestWorkIDConcurrentReaders(t *testing.T) {
-	edges := make([][]uint32, 600)
-	for e := range edges {
-		if e%7 != 3 {
-			edges[e] = []uint32{uint32(e % 50), uint32(50 + e%(1+e%9))}
-		}
-	}
-	base := FromEdgeSlices(edges, 60)
-	v := NewVersion(base, nil).Edit([]uint32{0, 300}, [][]uint32{{1, 2, 3}, {59}})
-	edges[0], edges[300] = nil, nil
-	want := FromEdgeSlices(append(edges, []uint32{1, 2, 3}, []uint32{59}), 60)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			view, h := v, want
-			if i%2 == 1 {
-				view, h = v.Dual(), want.Dual()
-			}
-			for w, e := range EdgeOrder(h, RelabelNone) {
-				if got := view.WorkID(e); got != w {
-					t.Errorf("reader %d: WorkID(%d) is %d, EdgeOrder says %d", i, e, got, w)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // sameBuild asserts that v builds exactly h's CSR.
