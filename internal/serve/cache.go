@@ -55,8 +55,25 @@ type measureKey struct {
 	params  string // measure.Params.CanonicalString
 }
 
+// String is the projection key's text, then "/measure=", the measure's
+// name with its revision if it has one, "?" and the canonical
+// parameters. It is the spill address (TestKeyEncoding pins it).
 func (k measureKey) String() string {
-	return fmt.Sprintf("%s/measure=%s?%s", k.proj, k.measure, k.params)
+	name := k.measure
+	if rev := measureRevisions[name]; rev != "" {
+		name += "+" + rev
+	}
+	return fmt.Sprintf("%s/measure=%s?%s", k.proj, name, k.params)
+}
+
+// measureRevisions names the solver revision of a measure whose values
+// changed under the same name, so that entries an earlier build spilled
+// or snapshotted under the old text miss and are recomputed. A measure
+// without an entry keeps the key text earlier builds wrote.
+var measureRevisions = map[string]string{
+	// λ₂ by Lanczos to a stated residual replaced the power iteration,
+	// whose values it does not reproduce bit for bit.
+	"connectivity": "lanczos",
 }
 
 // cacheKey is what an lru is keyed by: a comparable value whose text

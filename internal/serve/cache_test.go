@@ -124,6 +124,10 @@ func TestKeyEncoding(t *testing.T) {
 			"g@3/clique/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=components?"},
 		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 1)}, "distances", map[string]string{"source": "3"},
 			"paper@1/line/s=1/class=exact,relabel=N,toplex=false,squeeze=true/measure=distances?source=3"},
+		// λ₂ by Lanczos carries its solver revision; the power
+		// iteration's values spilled as "/measure=connectivity?" miss.
+		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(false, 4)}, "connectivity", nil,
+			"g@3/line/s=4/class=exact,relabel=N,toplex=false,squeeze=true/measure=connectivity+lanczos?"},
 	} {
 		m, err := measure.Get(tc.name)
 		if err != nil {

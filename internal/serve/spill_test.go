@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,9 @@ import (
 
 	"hyperline/internal/core"
 	"hyperline/internal/hgio"
+	"hyperline/internal/measure"
+	"hyperline/internal/par"
+	"hyperline/internal/spectral"
 )
 
 func TestSpillStoreRoundTripAndBudget(t *testing.T) {
@@ -298,6 +303,73 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	}
 	if err := svc2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMeasureRevisionMissesEarlierSpill spills one connectivity and one
+// pagerank entry under the key text builds before the Lanczos λ₂ solver
+// wrote, then starts a service on that spill directory. The connectivity
+// entry, a power-iteration value, must miss and be recomputed; the
+// pagerank entry, whose key text did not change, must be served from disk.
+func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
+	dir := t.TempDir()
+	h := randomHypergraph(17, 200, 150, 5)
+	const sVal = 2
+	svc := New(Config{})
+	svc.Add("w", h)
+	proj := projKey{"w", svc.Datasets()[0].Version, core.PipelineConfig{}.OutputKey(false, sVal)}
+	res := mustQuery(t, svc, lineQ("w", core.PipelineConfig{}, sVal)).Entries[0].Res
+
+	earlier, err := newSpillStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := map[string]*MeasureEntry{}
+	for _, name := range []string{"connectivity", "pagerank"} {
+		m, err := measure.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := measure.Canonicalize(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, err := m.Compute(context.Background(), res, p, par.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if val.Scalar != nil {
+			// A value no solver returns, so serving it is told apart.
+			old := *val.Scalar + 0.5
+			val = &measure.Value{Scalar: &old}
+		}
+		e := NewMeasureEntry(res, val)
+		data, err := encodeMeasureEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		earlier.Put(fmt.Sprintf("%s/measure=%s?%s", proj, name, p.CanonicalString()), data)
+		spilled[name] = e
+	}
+	if err := svc.EnableSpill(dir, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	q := lineQ("w", core.PipelineConfig{}, sVal)
+	q.Measure = "pagerank"
+	pr := mustQuery(t, svc, q).Entries[0].Measure
+	if !pr.Cached || !reflect.DeepEqual(pr.Value, spilled["pagerank"].Value) {
+		t.Fatalf("pagerank spilled under its unchanged key text was not served from disk (cached=%v)", pr.Cached)
+	}
+	q.Measure = "connectivity"
+	conn := mustQuery(t, svc, q).Entries[0].Measure
+	want := spectral.NormalizedAlgebraicConnectivity(res.Graph, spectral.Options{})
+	if conn.Cached || math.Float64bits(*conn.Value.Scalar) != math.Float64bits(want) {
+		t.Fatalf("connectivity = %v (cached=%v), want a recompute %v, not the earlier build's %v",
+			*conn.Value.Scalar, conn.Cached, want, *spilled["connectivity"].Value.Scalar)
+	}
+	if got := svc.MeasureCacheStats().Computes; got != 1 {
+		t.Fatalf("%d measure computes, want 1 (connectivity only)", got)
 	}
 }
 

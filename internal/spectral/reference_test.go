@@ -2,7 +2,6 @@ package spectral
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,69 +36,6 @@ func referenceLargestComponent(g *graph.Graph) *graph.Graph {
 		return graph.Build(0, nil, false)
 	}
 	return graph.Build(g.NumNodes(), edges, true)
-}
-
-// referenceLambda2 is the power iteration normalizedLambda2Connected
-// replaced: the mat-vec multiplies invSqrtDeg[v]·x[v] per edge. The
-// float64 conversion keeps the product from fusing into the sum, which
-// is what storing it in z does.
-func referenceLambda2(g *graph.Graph, opt Options) (float64, int) {
-	opt = opt.defaults()
-	n := g.NumNodes()
-	if n < 2 {
-		return 0, 0
-	}
-	phi := make([]float64, n)
-	var norm float64
-	for u := 0; u < n; u++ {
-		d := float64(g.Degree(uint32(u)))
-		phi[u] = math.Sqrt(d)
-		norm += d
-	}
-	norm = math.Sqrt(norm)
-	for u := range phi {
-		phi[u] /= norm
-	}
-	x := make([]float64, n)
-	for u := range x {
-		x[u] = math.Sin(float64(u+1)) + 0.5
-	}
-	deflate(x, phi)
-	normalize(x)
-	y := make([]float64, n)
-	invSqrtDeg := make([]float64, n)
-	for u := 0; u < n; u++ {
-		invSqrtDeg[u] = 1 / math.Sqrt(float64(g.Degree(uint32(u))))
-	}
-	var mu float64
-	iters := 0
-	for iters < opt.MaxIter {
-		iters++
-		for u := 0; u < n; u++ {
-			sum := 0.0
-			ids, _ := g.Neighbors(uint32(u))
-			for _, v := range ids {
-				sum += float64(invSqrtDeg[v] * x[v])
-			}
-			y[u] = x[u] + invSqrtDeg[u]*sum
-		}
-		deflate(y, phi)
-		newMu := dot(x, y)
-		if normalize(y) == 0 {
-			return 2, iters
-		}
-		x, y = y, x
-		if iters > 1 && math.Abs(newMu-mu) < opt.Tol {
-			mu = newMu
-			break
-		}
-		mu = newMu
-	}
-	lambda2 := 2 - mu
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	return lambda2, iters
 }
 
 func referenceGraphs() map[string]*graph.Graph {
@@ -146,20 +82,6 @@ func TestLargestComponentMatchesReference(t *testing.T) {
 		wOff, wAdj, wWgt, wOrig := want.CSR()
 		if !slices.Equal(gOff, wOff) || !slices.Equal(gAdj, wAdj) || !slices.Equal(gWgt, wWgt) || !slices.Equal(gOrig, wOrig) {
 			t.Fatalf("%s: CSR\n%v %v %v %v, reference\n%v %v %v %v", name, gOff, gAdj, gWgt, gOrig, wOff, wAdj, wWgt, wOrig)
-		}
-	}
-}
-
-func TestLambda2BitIdenticalToReference(t *testing.T) {
-	for name, g := range referenceGraphs() {
-		sub := LargestComponent(g)
-		got, iters := normalizedLambda2Connected(sub, Options{})
-		want, wantIters := referenceLambda2(sub, Options{})
-		if iters != wantIters {
-			t.Fatalf("%s: %d iterations, reference %d", name, iters, wantIters)
-		}
-		if math.IsNaN(got) || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: λ₂ = %x (%v), reference %x (%v)", name, math.Float64bits(got), got, math.Float64bits(want), want)
 		}
 	}
 }

@@ -20,10 +20,12 @@ import (
 
 // Options configures the eigensolver.
 type Options struct {
-	// Tol is the convergence tolerance on the Rayleigh-quotient
-	// residual (default 1e-10).
+	// Tol bounds the Ritz residual ‖Bx − θx‖ at which the solver stops
+	// (default 1e-10), so the returned λ₂ lies within Tol of an
+	// eigenvalue of L̂.
 	Tol float64
-	// MaxIter bounds the power-iteration count (default 10000).
+	// MaxIter bounds the Lanczos steps, restarts included (default
+	// 10000).
 	MaxIter int
 }
 
@@ -37,6 +39,11 @@ func (o Options) defaults() Options {
 	return o
 }
 
+// basisBytes caps the Lanczos basis at ⌊basisBytes / 8n⌋ vectors of n
+// float64s: past it the solver restarts, so a large graph never holds
+// steps·n floats.
+const basisBytes = 64 << 20
+
 // NormalizedAlgebraicConnectivity returns λ₂ of the normalized
 // Laplacian L̂ = I − D^{-1/2} A D^{-1/2} of the subgraph induced by the
 // largest connected component of g (isolated nodes and smaller
@@ -46,23 +53,31 @@ func (o Options) defaults() Options {
 // component has fewer than 2 nodes.
 //
 // Implementation: eigenvalues of L̂ lie in [0, 2] and B = 2I − L̂ has
-// the same eigenvectors with eigenvalues 2 − λ, so λ₂(L̂) is found by
-// power iteration on B after deflating B's known top eigenvector
-// D^{1/2}·1 (eigenvalue 2, since the component is connected). The
-// iteration is serial and takes no execution options, so the result is
-// one value per graph; see normalizedLambda2Connected for why it equals,
-// bit for bit, a mat-vec that multiplies per edge.
+// the same eigenvectors with eigenvalues 2 − λ. B's top eigenvector is
+// D^{1/2}·1 (eigenvalue 2, since the component is connected), so λ₂(L̂)
+// is 2 − θ for the largest eigenvalue θ of B deflated against it. θ is
+// found by Lanczos with full reorthogonalisation, stopped when the top
+// Ritz pair's residual ‖Bx − θx‖ is at most opt.Tol. The solver is
+// serial, starts from a fixed vector and takes no execution options, so
+// the result is one value per graph.
 func NormalizedAlgebraicConnectivity(g *graph.Graph, opt Options) float64 {
 	lambda2, _ := NormalizedAlgebraicConnectivityIters(g, opt)
 	return lambda2
 }
 
 // NormalizedAlgebraicConnectivityIters is
-// NormalizedAlgebraicConnectivity that also reports how many power
-// iterations ran, so a benchmark can tell a faster iteration from fewer
-// of them.
+// NormalizedAlgebraicConnectivity that also reports how many Lanczos
+// steps ran, restarts included, so a benchmark can tell a faster step
+// from fewer of them.
 func NormalizedAlgebraicConnectivityIters(g *graph.Graph, opt Options) (float64, int) {
-	return normalizedLambda2Connected(LargestComponent(g), opt)
+	sub := LargestComponent(g)
+	return normalizedLambda2Connected(sub, opt, basisCap(sub.NumNodes()))
+}
+
+// basisCap is how many Lanczos vectors of n float64s fit in basisBytes,
+// and at least two.
+func basisCap(n int) int {
+	return max(2, basisBytes/(8*max(1, n)))
 }
 
 // LargestComponent returns the subgraph induced by the largest
@@ -104,12 +119,13 @@ func LargestComponent(g *graph.Graph) *graph.Graph {
 }
 
 // normalizedLambda2Connected computes λ₂(L̂) of a connected graph and
-// the number of power iterations it took. The loop is serial — an
-// s-sweep runs its s values side by side instead (par.EachS) — and
-// each iteration scales x once per node, z = D^{-1/2}x, so the mat-vec's
-// inner loop is a plain gather over the CSR row: the same products summed
-// in the same order as multiplying per edge.
-func normalizedLambda2Connected(g *graph.Graph, opt Options) (float64, int) {
+// the number of Lanczos steps it took, holding at most maxBasis basis
+// vectors. Each step multiplies by B once — z = D^{-1/2}x per node, then
+// a plain gather over each CSR row — and orthogonalises the result
+// against the whole basis, not just the last two vectors, so no ghost
+// copies of converged Ritz values appear. A full basis without
+// convergence restarts the recurrence from the current top Ritz vector.
+func normalizedLambda2Connected(g *graph.Graph, opt Options, maxBasis int) (float64, int) {
 	opt = opt.defaults()
 	n := g.NumNodes()
 	if n < 2 {
@@ -130,22 +146,9 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) (float64, int) {
 	for u := range phi {
 		phi[u] /= norm
 	}
-
-	// Deterministic start vector, deflated against φ.
-	x := make([]float64, n)
-	for u := range x {
-		x[u] = math.Sin(float64(u+1)) + 0.5
-	}
-	deflate(x, phi)
-	normalize(x)
-
-	y := make([]float64, n)
 	z := make([]float64, n)
-	var mu float64
-	iters := 0
-	for iters < opt.MaxIter {
-		iters++
-		// y = Bx = x + D^{-1/2} A D^{-1/2} x.
+	// applyB sets y = Bx = x + D^{-1/2} A D^{-1/2} x.
+	applyB := func(x, y []float64) {
 		for v, xv := range x {
 			z[v] = invSqrtDeg[v] * xv
 		}
@@ -156,51 +159,194 @@ func normalizedLambda2Connected(g *graph.Graph, opt Options) (float64, int) {
 			}
 			y[u] = x[u] + invSqrtDeg[u]*sum
 		}
-		deflate(y, phi)
-		// Rayleigh quotient μ = xᵀBx (x is unit).
-		newMu := dot(x, y)
-		ynorm := normalize(y)
-		if ynorm == 0 {
-			// x lies in the kernel of the deflated operator:
-			// λ₂(L̂) = 2 exactly (e.g. a single edge).
-			return 2, iters
+	}
+
+	// Deterministic start vector, deflated against φ.
+	x := make([]float64, n)
+	for u := range x {
+		x[u] = math.Sin(float64(u+1)) + 0.5
+	}
+	deflate(x, phi)
+	normalize(x)
+
+	// q[:k] is the orthonormal basis; alpha and beta are the diagonal and
+	// off-diagonal of T = QᵀBQ. Vectors past k are kept for reuse after a
+	// restart.
+	q := [][]float64{x}
+	k := 1
+	var alpha, beta, s []float64
+	var theta float64
+	w := make([]float64, n)
+	for steps := 1; ; steps++ {
+		qj := q[k-1]
+		applyB(qj, w)
+		a := dot(qj, w)
+		axpy(-a, qj, w)
+		if k > 1 {
+			axpy(-beta[k-2], q[k-2], w)
 		}
-		x, y = y, x
-		if iters > 1 && math.Abs(newMu-mu) < opt.Tol {
-			mu = newMu
+		// Full reorthogonalisation, against φ too: the steps divide by β,
+		// so rounding along φ, B's top eigenvector, would otherwise grow.
+		for _, qi := range q[:k] {
+			axpy(-dot(qi, w), qi, w)
+		}
+		deflate(w, phi)
+		b := math.Sqrt(dot(w, w))
+		alpha = append(alpha, a)
+		theta, s = topRitz(alpha, beta, theta)
+		// The top Ritz pair's residual is |b·s_k|. b = 0 means the basis
+		// spans an invariant subspace (a single edge, K_n), and k = n−1
+		// that it spans all of φ's complement: θ is exact either way.
+		if math.Abs(b*s[k-1]) <= opt.Tol || k == n-1 || steps == opt.MaxIter {
+			return min(max(2-theta, 0), 2), steps
+		}
+		if k == maxBasis {
+			// Restart from the top Ritz vector Qs, built in w.
+			clear(w)
+			for i, si := range s {
+				axpy(si, q[i], w)
+			}
+			normalize(w)
+			copy(q[0], w)
+			k = 1
+			alpha, beta = alpha[:0], beta[:0]
+			continue
+		}
+		beta = append(beta, b)
+		if k == len(q) {
+			q = append(q, make([]float64, n))
+		}
+		for i, wi := range w {
+			q[k][i] = wi / b
+		}
+		k++
+	}
+}
+
+// topRitz returns the largest eigenvalue θ of the symmetric tridiagonal
+// T with diagonal alpha and positive off-diagonal beta, and a unit
+// eigenvector s for it. lo must be the largest eigenvalue of T without
+// its last row and column; it is ignored when T is 1×1.
+//
+// θ is the one root above lo of the last pivot D(x) of xI − T, which
+// rises from −∞ just above lo to +∞ and is concave there: a Newton step
+// from above, damped by the pole at lo, never passes lo, and plain
+// Newton from below climbs monotonically to the root. s is one step of
+// inverse iteration, a back substitution through the partially pivoted
+// LU of T − θI, which stays accurate even where θ and lo agree to every
+// bit and the pivots of xI − T do not.
+func topRitz(alpha, beta []float64, lo float64) (float64, []float64) {
+	k := len(alpha)
+	if k == 1 {
+		return alpha[0], []float64{1}
+	}
+	x := max(lo, alpha[k-1]) + beta[k-2] // θ is at most this (Weyl)
+	for range 64 {
+		f, df, ok := lastPivot(alpha, beta, x)
+		if !ok || f == 0 {
 			break
 		}
-		mu = newMu
+		step := f / df
+		if f > 0 {
+			step = f / (df + f/(x-lo))
+		}
+		x -= step
+		if math.Abs(step) <= 1e-15 {
+			break
+		}
 	}
-	lambda2 := 2 - mu
-	if lambda2 < 0 {
-		lambda2 = 0
+
+	// With T − θI = PLU, solve U s = 1: the start vector is P L·1.
+	u := make([]float64, 4*k)
+	u0, u1, u2, s := u[:k], u[k:2*k], u[2*k:3*k], u[3*k:]
+	diag, sup := alpha[0]-x, beta[0]
+	for i := 0; i < k-1; i++ {
+		sub, next, nextSup := beta[i], alpha[i+1]-x, 0.0
+		if i+2 < k {
+			nextSup = beta[i+1]
+		}
+		if math.Abs(diag) >= sub {
+			u0[i], u1[i] = diag, sup
+			diag, sup = next-sub/diag*sup, nextSup
+		} else {
+			// Row i+1 pivots.
+			u0[i], u1[i], u2[i] = sub, next, nextSup
+			m := diag / sub
+			diag, sup = sup-m*next, -m*nextSup
+		}
 	}
-	return lambda2, iters
+	if diag == 0 {
+		diag = 0x1p-52 // T − θI is singular to the last bit
+	}
+	u0[k-1] = diag
+	norm := 0.0
+	for i := k - 1; i >= 0; i-- {
+		v := 1.0
+		if i+1 < k {
+			v -= u1[i] * s[i+1]
+		}
+		if i+2 < k {
+			v -= u2[i] * s[i+2]
+		}
+		s[i] = v / u0[i]
+		norm += s[i] * s[i]
+	}
+	norm = math.Sqrt(norm)
+	for i := range s {
+		s[i] /= norm
+	}
+	return x, s
 }
 
-func deflate(x, phi []float64) {
-	p := dot(x, phi)
-	for i := range x {
-		x[i] -= p * phi[i]
+// lastPivot returns the last pivot of xI − T, D₁ = x − α₁,
+// Dᵢ = x − αᵢ − βᵢ₋₁²/Dᵢ₋₁, and its derivative in x. ok is false when an
+// earlier pivot is not positive: x is then not above the spectrum of T
+// without its last row, not even by one rounding.
+func lastPivot(alpha, beta []float64, x float64) (f, df float64, ok bool) {
+	f, df = x-alpha[0], 1
+	for i := 1; i < len(alpha); i++ {
+		if f <= 0 {
+			return 0, 0, false
+		}
+		t := beta[i-1] * beta[i-1] / f
+		df = 1 + t*df/f
+		f = x - alpha[i] - t
 	}
+	return f, df, true
 }
 
+// deflate removes x's component along the unit vector phi.
+func deflate(x, phi []float64) { axpy(-dot(x, phi), phi, x) }
+
+// dot sums in four interleaved partial sums, so the additions do not
+// wait on one another.
 func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
+	var s0, s1, s2, s3 float64
+	b = b[:len(a)]
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		s0 += a[i] * b[i]
+		s1 += a[i+1] * b[i+1]
+		s2 += a[i+2] * b[i+2]
+		s3 += a[i+3] * b[i+3]
 	}
-	return s
+	for ; i < len(a); i++ {
+		s0 += a[i] * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
-func normalize(x []float64) float64 {
-	n := math.Sqrt(dot(x, x))
-	if n == 0 {
-		return 0
+// axpy sets y += a·x.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		y[i] += a * xi
 	}
+}
+
+func normalize(x []float64) {
+	n := math.Sqrt(dot(x, x))
 	for i := range x {
 		x[i] /= n
 	}
-	return n
 }

@@ -160,10 +160,10 @@ func TestNormalizedConnectivityMatchesJacobi(t *testing.T) {
 			}
 		}
 		g := graph.Build(n, edges, false)
-		got := NormalizedAlgebraicConnectivity(g, Options{Tol: 1e-13})
+		got := NormalizedAlgebraicConnectivity(g, Options{})
 		eig := jacobiEigenvalues(denseNormalizedLaplacian(g))
 		want := eig[1]
-		return math.Abs(got-want) < 1e-4
+		return math.Abs(got-want) <= 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
