@@ -128,10 +128,10 @@ func BenchmarkTable2PageRank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, iters = algo.PageRankIters(res.Graph, algo.PageRankOptions{})
 	}
-	// A kernel change must not win by converging differently.
+	// CG steps: a kernel change must not win by converging differently.
 	b.ReportMetric(float64(iters), "iterations/op")
 	// Time per adjacency entry gathered: the kernel's own rate, apart
-	// from how many iterations it takes.
+	// from how many CG steps it takes.
 	_, adj, _, _ := res.Graph.CSR()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(iters*len(adj)), "ns/adj")
 }

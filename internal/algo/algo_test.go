@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -59,6 +60,69 @@ func TestConnectedComponentsBasic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(members[2], []uint32{5}) {
 		t.Fatalf("members[2] = %v", members[2])
+	}
+}
+
+// bothDirectionsCC is the union-find ConnectedComponents replaced, kept
+// as its reference: every CSR entry united, so each edge twice.
+func bothDirectionsCC(g *graph.Graph) *Components {
+	n := g.NumNodes()
+	parent := make([]uint32, n)
+	for u := range parent {
+		parent[u] = uint32(u)
+	}
+	find := func(x uint32) uint32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for u := 0; u < n; u++ {
+		ids, _ := g.Neighbors(uint32(u))
+		for _, v := range ids {
+			ru, rv := find(uint32(u)), find(v)
+			if ru < rv {
+				parent[rv] = ru
+			} else if rv < ru {
+				parent[ru] = rv
+			}
+		}
+	}
+	labels := make([]uint32, n)
+	count := 0
+	for u := range labels {
+		labels[u] = find(uint32(u))
+		if labels[u] == uint32(u) {
+			count++
+		}
+	}
+	return &Components{Label: labels, Count: count}
+}
+
+// TestConnectedComponentsMatchesBothDirections pins the one-union-per-
+// edge labeling to the both-directions union-find on random graphs,
+// graphs with isolated nodes and the measure-bundle input.
+func TestConnectedComponentsMatchesBothDirections(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"empty":    graph.Build(0, nil, false),
+		"edgeless": graph.Build(7, nil, false),
+		"isolated": graph.Build(12, []graph.Edge{{U: 1, V: 4, W: 1}, {U: 4, V: 9, W: 1}, {U: 6, V: 11, W: 1}}, false),
+		"star":     starGraph(20),
+	}
+	r := rand.New(rand.NewSource(47))
+	for k := 0; k < 40; k++ {
+		n := 1 + r.Intn(150)
+		graphs[fmt.Sprintf("random-%d", k)] = randomGraph(r, n, r.Intn(2*n))
+	}
+	for i, g := range loadBundle(t) {
+		graphs[fmt.Sprintf("bundle s=%d", 4+i)] = g
+	}
+	for name, g := range graphs {
+		got, want := ConnectedComponents(g), bothDirectionsCC(g)
+		if got.Count != want.Count || !slices.Equal(got.Label, want.Label) {
+			t.Fatalf("%s: %d components %v, both directions %d %v", name, got.Count, got.Label, want.Count, want.Label)
+		}
 	}
 }
 
@@ -364,31 +428,56 @@ func TestPageRankMatchesDenseReference(t *testing.T) {
 	}
 }
 
+// densePageRank solves the PageRank system (I − d·P)·x = (1−d)/n·1 by
+// Gaussian elimination with partial pivoting, where P is the
+// column-stochastic random walk on g with every degree-0 node's column
+// uniform.
 func densePageRank(g *graph.Graph, d float64) []float64 {
 	n := g.NumNodes()
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 / float64(n)
+	// a is the augmented matrix [I − d·P | (1−d)/n·1].
+	a := make([][]float64, n)
+	for u := range a {
+		a[u] = make([]float64, n+1)
+		a[u][u] = 1
+		a[u][n] = (1 - d) / float64(n)
 	}
-	for iter := 0; iter < 5000; iter++ {
-		var dangling float64
-		for u := 0; u < n; u++ {
-			if g.Degree(uint32(u)) == 0 {
-				dangling += rank[u]
+	for v := 0; v < n; v++ {
+		deg := g.Degree(uint32(v))
+		if deg == 0 {
+			for u := range a {
+				a[u][v] -= d / float64(n)
+			}
+			continue
+		}
+		ids, _ := g.Neighbors(uint32(v))
+		for _, u := range ids {
+			a[u][v] -= d / float64(deg)
+		}
+	}
+	for c := 0; c < n; c++ {
+		p := c
+		for u := c + 1; u < n; u++ {
+			if math.Abs(a[u][c]) > math.Abs(a[p][c]) {
+				p = u
 			}
 		}
-		for u := 0; u < n; u++ {
-			sum := 0.0
-			ids, _ := g.Neighbors(uint32(u))
-			for _, v := range ids {
-				sum += rank[v] / float64(g.Degree(v))
+		a[c], a[p] = a[p], a[c]
+		for u := c + 1; u < n; u++ {
+			f := a[u][c] / a[c][c]
+			for k := c; k <= n; k++ {
+				a[u][k] -= f * a[c][k]
 			}
-			next[u] = (1-d)/float64(n) + d*(sum+dangling/float64(n))
 		}
-		rank, next = next, rank
 	}
-	return rank
+	x := make([]float64, n)
+	for u := n - 1; u >= 0; u-- {
+		s := a[u][n]
+		for k := u + 1; k < n; k++ {
+			s -= a[u][k] * x[k]
+		}
+		x[u] = s / a[u][u]
+	}
+	return x
 }
 
 func TestPageRankEmpty(t *testing.T) {

@@ -54,8 +54,14 @@ func (c *Components) Members() [][]uint32 {
 // (path-halving + union by smaller root). This is the reference
 // implementation; LabelPropagationCC is the parallel variant the paper
 // benchmarks.
+//
+// Each undirected edge is united once, from its smaller end: a row's
+// entries v ≤ u were united from v's row. A root is always the
+// smallest node of its set, whatever the union order, so the labels
+// are those of a union over both directions.
 func ConnectedComponents(g *graph.Graph) *Components {
 	n := g.NumNodes()
+	off, adj, _, _ := g.CSR()
 	parent := make([]uint32, n)
 	for u := range parent {
 		parent[u] = uint32(u)
@@ -69,8 +75,10 @@ func ConnectedComponents(g *graph.Graph) *Components {
 		return x
 	}
 	for u := 0; u < n; u++ {
-		ids, _ := g.Neighbors(uint32(u))
-		for _, v := range ids {
+		for _, v := range adj[off[u]:off[u+1]] {
+			if v <= uint32(u) {
+				continue
+			}
 			ru, rv := find(uint32(u)), find(v)
 			if ru == rv {
 				continue

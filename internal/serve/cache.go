@@ -74,6 +74,9 @@ var measureRevisions = map[string]string{
 	// λ₂ by Lanczos to a stated residual replaced the power iteration,
 	// whose values it does not reproduce bit for bit.
 	"connectivity": "lanczos",
+	// PageRank by conjugate gradients to a stated error replaced the
+	// power iteration likewise.
+	"pagerank": "cg",
 }
 
 // cacheKey is what an lru is keyed by: a comparable value whose text

@@ -118,8 +118,9 @@ func TestKeyEncoding(t *testing.T) {
 		params map[string]string
 		want   string
 	}{
+		// PageRank by CG carries its solver revision likewise.
 		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(false, 2)}, "pagerank", map[string]string{"damping": "0.850"},
-			"g@3/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=pagerank?damping=0.85"},
+			"g@3/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=pagerank+cg?damping=0.85"},
 		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(true, 2)}, "components", nil,
 			"g@3/clique/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=components?"},
 		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 1)}, "distances", map[string]string{"source": "3"},

@@ -7,10 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"hyperline/internal/algo"
 	"hyperline/internal/core"
 	"hyperline/internal/hgio"
 	"hyperline/internal/measure"
@@ -306,11 +308,12 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 	}
 }
 
-// TestMeasureRevisionMissesEarlierSpill spills one connectivity and one
-// pagerank entry under the key text builds before the Lanczos λ₂ solver
-// wrote, then starts a service on that spill directory. The connectivity
-// entry, a power-iteration value, must miss and be recomputed; the
-// pagerank entry, whose key text did not change, must be served from disk.
+// TestMeasureRevisionMissesEarlierSpill spills one connectivity, one
+// pagerank and one components entry under the key text builds before
+// the Lanczos λ₂ and CG PageRank solvers wrote, then starts a service
+// on that spill directory. The connectivity and pagerank entries,
+// power-iteration values, must miss and be recomputed; the components
+// entry, whose key text did not change, must be served from disk.
 func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 	dir := t.TempDir()
 	h := randomHypergraph(17, 200, 150, 5)
@@ -325,7 +328,7 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	spilled := map[string]*MeasureEntry{}
-	for _, name := range []string{"connectivity", "pagerank"} {
+	for _, name := range []string{"connectivity", "pagerank", "components"} {
 		m, err := measure.Get(name)
 		if err != nil {
 			t.Fatal(err)
@@ -338,10 +341,15 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if val.Scalar != nil {
-			// A value no solver returns, so serving it is told apart.
+		// Values no solver returns, so serving them is told apart.
+		switch {
+		case val.Scalar != nil:
 			old := *val.Scalar + 0.5
 			val = &measure.Value{Scalar: &old}
+		case val.Scores != nil:
+			old := slices.Clone(val.Scores)
+			old[0] += 0.5
+			val = &measure.Value{Scores: old}
 		}
 		e := NewMeasureEntry(res, val)
 		data, err := encodeMeasureEntry(e)
@@ -356,10 +364,10 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 	}
 
 	q := lineQ("w", core.PipelineConfig{}, sVal)
-	q.Measure = "pagerank"
-	pr := mustQuery(t, svc, q).Entries[0].Measure
-	if !pr.Cached || !reflect.DeepEqual(pr.Value, spilled["pagerank"].Value) {
-		t.Fatalf("pagerank spilled under its unchanged key text was not served from disk (cached=%v)", pr.Cached)
+	q.Measure = "components"
+	cc := mustQuery(t, svc, q).Entries[0].Measure
+	if !cc.Cached || !reflect.DeepEqual(cc.Value, spilled["components"].Value) {
+		t.Fatalf("components spilled under its unchanged key text was not served from disk (cached=%v)", cc.Cached)
 	}
 	q.Measure = "connectivity"
 	conn := mustQuery(t, svc, q).Entries[0].Measure
@@ -368,8 +376,15 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 		t.Fatalf("connectivity = %v (cached=%v), want a recompute %v, not the earlier build's %v",
 			*conn.Value.Scalar, conn.Cached, want, *spilled["connectivity"].Value.Scalar)
 	}
-	if got := svc.MeasureCacheStats().Computes; got != 1 {
-		t.Fatalf("%d measure computes, want 1 (connectivity only)", got)
+	q.Measure = "pagerank"
+	pr := mustQuery(t, svc, q).Entries[0].Measure
+	wantPR := algo.PageRank(res.Graph, algo.PageRankOptions{})
+	if pr.Cached || !reflect.DeepEqual(pr.Value.Scores, wantPR) {
+		t.Fatalf("pagerank (cached=%v) is not a recompute: rank[0] = %v, want %v, the earlier build's %v",
+			pr.Cached, pr.Value.Scores[0], wantPR[0], spilled["pagerank"].Value.Scores[0])
+	}
+	if got := svc.MeasureCacheStats().Computes; got != 2 {
+		t.Fatalf("%d measure computes, want 2 (connectivity and pagerank)", got)
 	}
 }
 

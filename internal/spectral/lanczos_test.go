@@ -22,10 +22,11 @@ func jacobiLambda2(g *graph.Graph) float64 {
 	return jacobiEigenvalues(denseNormalizedLaplacian(sub))[1]
 }
 
-// bundleComponent is the largest component of one s-line graph of the
-// measure-bundle benchmark's input, with its λ₂ by dense Jacobi.
+// bundleComponent is the largest component g of one s-line graph proj
+// of the measure-bundle benchmark's input, with its λ₂ by dense Jacobi.
 type bundleComponent struct {
 	s      int
+	proj   *graph.Graph
 	g      *graph.Graph
 	lambda float64
 }
@@ -52,7 +53,7 @@ var bundleComponents = sync.OnceValues(func() ([]bundleComponent, error) {
 	comps := make([]bundleComponent, len(sValues))
 	for i, s := range sValues {
 		sub := LargestComponent(out[s].Graph)
-		comps[i] = bundleComponent{s, sub, jacobiLambda2(sub)}
+		comps[i] = bundleComponent{s, out[s].Graph, sub, jacobiLambda2(sub)}
 	}
 	return comps, nil
 })

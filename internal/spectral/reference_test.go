@@ -8,6 +8,7 @@ import (
 
 	"hyperline/internal/algo"
 	"hyperline/internal/graph"
+	"hyperline/internal/par"
 )
 
 // referenceLargestComponent is the construction LargestComponent
@@ -36,6 +37,39 @@ func referenceLargestComponent(g *graph.Graph) *graph.Graph {
 		return graph.Build(0, nil, false)
 	}
 	return graph.Build(g.NumNodes(), edges, true)
+}
+
+// sortedLargestComponent is the construction LargestComponent
+// replaced: the component's edges filtered out of g's CSR rows and
+// rebuilt through graph.BuildSorted over all of g's nodes, squeezed.
+func sortedLargestComponent(g *graph.Graph) *graph.Graph {
+	cc := algo.ConnectedComponents(g)
+	sizes := make([]int32, g.NumNodes())
+	for _, l := range cc.Label {
+		sizes[l]++
+	}
+	best := 0
+	for l, n := range sizes {
+		if n > sizes[best] {
+			best = l
+		}
+	}
+	if len(sizes) == 0 || sizes[best] < 2 {
+		return graph.Build(0, nil, false)
+	}
+	off, adj, wgt, _ := g.CSR()
+	edges := make([]graph.Edge, 0, g.NumEdges())
+	for u, l := range cc.Label {
+		if l != uint32(best) {
+			continue
+		}
+		for k := off[u]; k < off[u+1]; k++ {
+			if v := adj[k]; uint32(u) < v {
+				edges = append(edges, graph.Edge{U: uint32(u), V: v, W: wgt[k]})
+			}
+		}
+	}
+	return graph.BuildSorted(g.NumNodes(), edges, true, par.Options{Workers: 1})
 }
 
 func referenceGraphs() map[string]*graph.Graph {
@@ -73,15 +107,38 @@ func referenceGraphs() map[string]*graph.Graph {
 
 func TestLargestComponentMatchesReference(t *testing.T) {
 	for name, g := range referenceGraphs() {
-		got, want := LargestComponent(g), referenceLargestComponent(g)
-		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("%s: %d nodes %d edges, reference %d nodes %d edges",
-				name, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+		checkSameGraph(t, name, LargestComponent(g), referenceLargestComponent(g))
+	}
+}
+
+// TestLargestComponentMatchesSortedBuild pins the component-local build
+// to the BuildSorted one it replaced, array for array, on the reference
+// graphs and on the measure-bundle input's five projections.
+func TestLargestComponentMatchesSortedBuild(t *testing.T) {
+	graphs := referenceGraphs()
+	for _, c := range loadBundle(t) {
+		graphs[fmt.Sprintf("bundle s=%d", c.s)] = c.proj
+	}
+	for name, g := range graphs {
+		got, want := LargestComponent(g), sortedLargestComponent(g)
+		checkSameGraph(t, name, got, want)
+		if !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("%s: Edges() differ", name)
 		}
-		gOff, gAdj, gWgt, gOrig := got.CSR()
-		wOff, wAdj, wWgt, wOrig := want.CSR()
-		if !slices.Equal(gOff, wOff) || !slices.Equal(gAdj, wAdj) || !slices.Equal(gWgt, wWgt) || !slices.Equal(gOrig, wOrig) {
-			t.Fatalf("%s: CSR\n%v %v %v %v, reference\n%v %v %v %v", name, gOff, gAdj, gWgt, gOrig, wOff, wAdj, wWgt, wOrig)
-		}
+	}
+}
+
+// checkSameGraph fails unless got and want have the same node and edge
+// counts and the same CSR arrays.
+func checkSameGraph(t *testing.T, name string, got, want *graph.Graph) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: %d nodes %d edges, reference %d nodes %d edges",
+			name, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	gOff, gAdj, gWgt, gOrig := got.CSR()
+	wOff, wAdj, wWgt, wOrig := want.CSR()
+	if !slices.Equal(gOff, wOff) || !slices.Equal(gAdj, wAdj) || !slices.Equal(gWgt, wWgt) || !slices.Equal(gOrig, wOrig) {
+		t.Fatalf("%s: CSR\n%v %v %v %v, reference\n%v %v %v %v", name, gOff, gAdj, gWgt, gOrig, wOff, wAdj, wWgt, wOrig)
 	}
 }

@@ -15,7 +15,6 @@ import (
 
 	"hyperline/internal/algo"
 	"hyperline/internal/graph"
-	"hyperline/internal/par"
 )
 
 // Options configures the eigensolver.
@@ -101,21 +100,36 @@ func LargestComponent(g *graph.Graph) *graph.Graph {
 	if len(sizes) == 0 || sizes[best] < 2 {
 		return graph.Build(0, nil, false)
 	}
-	// The component's CSR rows in node order list its edges (U, V)-sorted
-	// and unique, which is BuildSorted's contract.
+	// Local IDs follow node order, so each row of the component,
+	// renumbered, is still sorted: its CSR is the component's rows copied
+	// in node order, with orig naming g's nodes as a squeezing build
+	// would. sizes is spent; it becomes the local-ID map.
 	off, adj, wgt, _ := g.CSR()
-	edges := make([]graph.Edge, 0, g.NumEdges())
+	local := sizes
+	size, half := int(sizes[best]), int64(0)
+	orig := make([]uint32, 0, size)
 	for u, l := range cc.Label {
-		if l != uint32(best) {
-			continue
-		}
-		for k := off[u]; k < off[u+1]; k++ {
-			if v := adj[k]; uint32(u) < v {
-				edges = append(edges, graph.Edge{U: uint32(u), V: v, W: wgt[k]})
-			}
+		if l == uint32(best) {
+			local[u] = int32(len(orig))
+			orig = append(orig, uint32(u))
+			half += off[u+1] - off[u]
 		}
 	}
-	return graph.BuildSorted(g.NumNodes(), edges, true, par.Options{Workers: 1})
+	subOff := make([]int64, 1, size+1)
+	subAdj := make([]uint32, 0, half)
+	subWgt := make([]uint32, 0, half)
+	for _, u := range orig {
+		for _, v := range adj[off[u]:off[u+1]] {
+			subAdj = append(subAdj, uint32(local[v]))
+		}
+		subWgt = append(subWgt, wgt[off[u]:off[u+1]]...)
+		subOff = append(subOff, int64(len(subAdj)))
+	}
+	sub, err := graph.FromCSR(size, int(half/2), subOff, subAdj, subWgt, orig)
+	if err != nil {
+		panic(err) // a component's rows always frame a CSR
+	}
+	return sub
 }
 
 // normalizedLambda2Connected computes λ₂(L̂) of a connected graph and
