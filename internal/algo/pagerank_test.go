@@ -63,6 +63,12 @@ func loadBundle(tb testing.TB) []*graph.Graph {
 // 1e-14 in L1. The map contracts by d in L1, so the result lies within
 // 1e-14·d/(1−d) of the exact vector.
 func powerPageRank(tb testing.TB, g *graph.Graph, d float64) []float64 {
+	return powerPageRankTo(tb, g, d, 1e-14)
+}
+
+// powerPageRankTo is powerPageRank run until successive iterates differ
+// by less than eps, within eps·d/(1−d) of the exact vector.
+func powerPageRankTo(tb testing.TB, g *graph.Graph, d, eps float64) []float64 {
 	n := g.NumNodes()
 	rank := make([]float64, n)
 	next := make([]float64, n)
@@ -87,11 +93,11 @@ func powerPageRank(tb testing.TB, g *graph.Graph, d float64) []float64 {
 			delta += math.Abs(next[u] - rank[u])
 		}
 		rank, next = next, rank
-		if delta < 1e-14 {
+		if delta < eps {
 			return rank
 		}
 	}
-	tb.Fatalf("power iteration at d=%v did not reach 1e-14", d)
+	tb.Fatalf("power iteration at d=%v did not reach %v", d, eps)
 	return nil
 }
 
@@ -206,9 +212,144 @@ func FuzzPageRankMatchesDense(f *testing.F) {
 	})
 }
 
+// TestPageRankDefaultMaxIterMeetsTol: at a damping near 1 the default
+// step bound still lets CG meet Tol. A 2 000-node path with chords is
+// one large non-regular component whose CG needs 375 steps at
+// d = 0.999, where a fixed bound of 200 stopped at an L1 error of
+// 4.3e-7 without a signal. The reference stops at 1e-13 between
+// iterates: within 1e-10 of the exact vector at d = 0.999.
+func TestPageRankDefaultMaxIterMeetsTol(t *testing.T) {
+	const n = 2000
+	var edges []graph.Edge
+	for u := 0; u+1 < n; u++ {
+		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(u + 1), W: 1})
+		if u%7 == 0 && u+12 < n {
+			edges = append(edges, graph.Edge{U: uint32(u), V: uint32(u + 12), W: 1})
+		}
+	}
+	g := graph.Build(n, edges, false)
+	for _, d := range []float64{0.998, 0.999} {
+		got, steps := PageRankIters(g, PageRankOptions{Damping: d})
+		l1 := checkPageRank(t, fmt.Sprintf("chorded path d=%v", d), got, powerPageRankTo(t, g, d, 1e-13))
+		t.Logf("d=%v: %d steps, L1 error %.2g", d, steps, l1)
+	}
+	// An explicit MaxIter keeps its meaning: it caps the steps.
+	if _, steps := PageRankIters(g, PageRankOptions{Damping: 0.999, MaxIter: 200}); steps != 200 {
+		t.Fatalf("MaxIter 200 at d=0.999: %d steps", steps)
+	}
+}
+
+// TestPageRankStepCapAtExtremeDamping: the default step cap never
+// exceeds twice a component's node count, however close to 1 the
+// damping. At d = 1 − 1e-15 the CG convergence bound alone allows about
+// 10⁹ steps on a 3 000-node path; the cap holds it to 6 000.
+func TestPageRankStepCapAtExtremeDamping(t *testing.T) {
+	const n = 3000
+	g := pathGraph(n)
+	rank, steps := PageRankIters(g, PageRankOptions{Damping: 1 - 1e-15})
+	if steps > 2*n {
+		t.Fatalf("%d steps on a %d-node path, want at most %d", steps, n, 2*n)
+	}
+	for u, x := range rank {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("rank[%d] = %v", u, x)
+		}
+	}
+	t.Logf("%d steps", steps)
+}
+
+// TestPageRankComponentsBitIdentical: on a graph of many components of
+// every size and shape — regular and not, isolated nodes between them,
+// node IDs shuffled so that components interleave — and on one whose
+// largest component holds most of the nodes, the ranks lie within 1e-9
+// of the fixed point, and ranks and reported steps are bit-identical
+// for any way the components and the gather are spread over workers.
+func TestPageRankComponentsBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	var edges []graph.Edge
+	n := 0
+	add := func(g *graph.Graph) {
+		for _, e := range g.Edges() {
+			edges = append(edges, graph.Edge{U: e.U + uint32(n), V: e.V + uint32(n), W: 1})
+		}
+		n += g.NumNodes()
+	}
+	for k := 0; k < 60; k++ {
+		switch k % 5 {
+		case 0:
+			add(pathGraph(2 + r.Intn(40)))
+		case 1:
+			add(starGraph(3 + r.Intn(20)))
+		case 2:
+			add(circulant(5+r.Intn(30), 1+r.Intn(2)))
+		case 3:
+			m := 3 + r.Intn(90)
+			add(randomGraph(r, m, 3*m))
+		default:
+			n += 1 + r.Intn(3) // isolated
+		}
+	}
+	perm := r.Perm(n)
+	for i := range edges {
+		edges[i].U, edges[i].V = uint32(perm[edges[i].U]), uint32(perm[edges[i].V])
+	}
+	many := graph.Build(n, edges, false)
+	if comps := ConnectedComponents(many).Count; comps < 60 {
+		t.Fatalf("%d components, want many", comps)
+	}
+	// One component of most of the nodes, large enough for its gather
+	// to be split over the workers, beside a few small ones and
+	// isolated nodes.
+	edges = append(randomGraph(r, 3000, minSplitGather/2+2000).Edges(), graph.Edge{U: 3003, V: 3004, W: 1}, graph.Edge{U: 3005, V: 3006, W: 1}, graph.Edge{U: 3006, V: 3007, W: 1})
+	dominant := graph.Build(3010, edges, false)
+	if nodes, bounds := splitComponents(dominant); 2*(bounds[1]-bounds[0]) <= len(nodes) || 2*dominant.NumEdges() < minSplitGather {
+		t.Fatalf("first component has %d of %d nodes and %d edges, want most nodes and %d entries", bounds[1]-bounds[0], len(nodes), dominant.NumEdges(), minSplitGather)
+	}
+	for name, g := range map[string]*graph.Graph{"many": many, "dominant": dominant} {
+		for _, d := range []float64{0.85, 0.99} {
+			first, firstSteps := PageRankIters(g, PageRankOptions{Damping: d, Par: par.Options{Workers: 1}})
+			checkPageRank(t, fmt.Sprintf("%s d=%v", name, d), first, powerPageRankTo(t, g, d, 1e-14))
+			for _, workers := range []int{1, 2, 3, 8} {
+				for _, grain := range []int{0, 1, 7} {
+					for _, strat := range []par.Strategy{par.Blocked, par.Cyclic} {
+						got, steps := PageRankIters(g, PageRankOptions{Damping: d, Par: par.Options{Workers: workers, Grain: grain, Strategy: strat}})
+						if steps != firstSteps {
+							t.Fatalf("%s d=%v w=%d g=%d %s: %d steps, one worker %d", name, d, workers, grain, strat, steps, firstSteps)
+						}
+						for u := range first {
+							if math.Float64bits(got[u]) != math.Float64bits(first[u]) {
+								t.Fatalf("%s d=%v w=%d g=%d %s: rank[%d] = %x, one worker %x", name, d, workers, grain, strat, u, math.Float64bits(got[u]), math.Float64bits(first[u]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSplitComponents: the node list is component-major in the order
+// of each component's smallest node, ascending degree within a
+// component (node order on a tie), and leaves isolated nodes out.
+func TestSplitComponents(t *testing.T) {
+	// Components {0,3,5} (a path 3-0-5), {1,6} and {4,7,8} (a star on
+	// 8); node 2 is isolated.
+	g := graph.Build(9, []graph.Edge{
+		{U: 0, V: 3, W: 1}, {U: 0, V: 5, W: 1}, {U: 1, V: 6, W: 1}, {U: 4, V: 8, W: 1}, {U: 7, V: 8, W: 1},
+	}, false)
+	nodes, bounds := splitComponents(g)
+	if want := []uint32{3, 5, 0, 1, 6, 4, 7, 8}; !reflect.DeepEqual(nodes, want) {
+		t.Fatalf("order %v, want %v", nodes, want)
+	}
+	if want := []int{0, 3, 5, 8}; !reflect.DeepEqual(bounds, want) {
+		t.Fatalf("bounds %v, want %v", bounds, want)
+	}
+}
+
 // BenchmarkPageRankBundleInput times the solver alone on the
 // measure-bundle input's five projections, one serial solve each per
-// op, and reports the CG steps they took.
+// op, and reports the CG steps of each projection's largest component,
+// summed (steps/op).
 func BenchmarkPageRankBundleInput(b *testing.B) {
 	gs := loadBundle(b)
 	b.ResetTimer()

@@ -1,8 +1,12 @@
 // Package jsonsplice writes the /v2/query response document of both
 // serving tiers: an envelope object whose last field, "results", is an
-// array of entries, some of which were JSON-encoded before the request
-// reached the writer — by a replica for the router, and for a cached
-// entry by the first request that served it.
+// array of entries that reach the writer already JSON-encoded — by a
+// replica for the router; on a replica once per cache entry for a
+// cached one (by the first request that served it) and per request for
+// the rest, side by side on the request's workers. An entry may instead
+// be a value for encoding/json, which a replica uses only for an entry
+// that does not encode (a score JSON cannot carry), so that the write
+// fails.
 //
 // The bytes are exactly those json.NewEncoder(w).Encode writes for the
 // envelope with the entries as its last field, but pre-encoded entries

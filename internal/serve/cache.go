@@ -75,8 +75,10 @@ var measureRevisions = map[string]string{
 	// whose values it does not reproduce bit for bit.
 	"connectivity": "lanczos",
 	// PageRank by conjugate gradients to a stated error replaced the
-	// power iteration likewise.
-	"pagerank": "cg",
+	// power iteration likewise ("cg"), then one CG per connected
+	// component replaced the one global CG, whose ranks it matches to
+	// the error bound, not bit for bit.
+	"pagerank": "cgcc",
 }
 
 // cacheKey is what an lru is keyed by: a comparable value whose text

@@ -118,9 +118,10 @@ func TestKeyEncoding(t *testing.T) {
 		params map[string]string
 		want   string
 	}{
-		// PageRank by CG carries its solver revision likewise.
+		// PageRank by CG per component carries its solver revision
+		// likewise; the global CG's ranks, spilled as "pagerank+cg", miss.
 		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(false, 2)}, "pagerank", map[string]string{"damping": "0.850"},
-			"g@3/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=pagerank+cg?damping=0.85"},
+			"g@3/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=pagerank+cgcc?damping=0.85"},
 		{projKey{"g", 3, core.PipelineConfig{}.OutputKey(true, 2)}, "components", nil,
 			"g@3/clique/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=components?"},
 		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 1)}, "distances", map[string]string{"source": "3"},

@@ -11,6 +11,7 @@ import (
 	"hyperline/internal/core"
 	"hyperline/internal/jsonsplice"
 	"hyperline/internal/measure"
+	"hyperline/internal/par"
 )
 
 // msDuration converts a client's timeout_ms to a Duration. It saturates
@@ -112,7 +113,8 @@ const maxQueryBytes = 1 << 20
 //
 // The body is byte-for-byte what encoding/json writes for the response
 // document; an entry this query found in a cache is encoded once per
-// cache entry and spliced in, everything else is encoded per request.
+// cache entry and spliced in, everything else is encoded per request
+// on the request's workers.
 func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 	var req queryRequestJSON
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes)).Decode(&req); err != nil {
@@ -193,12 +195,15 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Kind:      kindString(dual),
 		Measure:   req.Measure,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}, qr, req.Edges)
+	}, qr, req.Edges, par.Options{Workers: cfg.Core.Workers})
 }
 
 // writeQueryV2 writes the /v2/query answer for qr under head (version
-// and plan filled from qr); edges adds the projections' edge lists.
-func writeQueryV2(w http.ResponseWriter, head queryHeadJSON, qr *QueryResult, edges bool) {
+// and plan filled from qr); edges adds the projections' edge lists. The
+// entries that are not memoised yet are encoded side by side on opt's
+// workers (par.EachS, weighted by node count): a measure sweep's
+// per-node score vectors cost about as much to encode as to compute.
+func writeQueryV2(w http.ResponseWriter, head queryHeadJSON, qr *QueryResult, edges bool, opt par.Options) {
 	head.Version = qr.Version
 	if qr.Plan.Strategy != "" {
 		plan := toPlan(qr.Plan)
@@ -214,22 +219,51 @@ func writeQueryV2(w http.ResponseWriter, head queryHeadJSON, qr *QueryResult, ed
 		status = http.StatusBadGateway
 	}
 	entries := make([]jsonsplice.Entry, len(qr.Entries))
+	var todo []int
 	for i, e := range qr.Entries {
 		if e.Err == nil {
 			status = http.StatusOK
 		}
-		// A fragment has no edge list, so a projection asked for with
-		// edges is encoded afresh, as is an entry that does not encode
-		// (the encoder then reports it).
-		if e.frag != nil && !(edges && e.Res != nil) {
-			entries[i].Raw = e.frag.get(func() []byte { b, _ := json.Marshal(entryJSON(e, false)); return b })
+		if fromFragment(e, edges) {
+			if b := e.frag.p.Load(); b != nil {
+				entries[i].Raw = *b
+				continue
+			}
 		}
-		if entries[i].Raw == nil {
-			entries[i].Value = entryJSON(e, edges)
+		todo = append(todo, i)
+	}
+	if len(todo) > 0 {
+		weight := func(k int) int {
+			switch e := qr.Entries[todo[k]]; {
+			case e.Measure != nil:
+				return e.Measure.Nodes
+			case e.Res != nil:
+				return e.Res.Graph.NumNodes()
+			}
+			return 1
 		}
+		par.EachS(len(todo), opt, weight, func(k int, _ par.Options) {
+			i := todo[k]
+			e := qr.Entries[i]
+			if fromFragment(e, edges) {
+				entries[i].Raw = e.frag.get(func() []byte { b, _ := json.Marshal(entryJSON(e, false)); return b })
+			} else if b, err := json.Marshal(entryJSON(e, edges)); err == nil {
+				entries[i].Raw = b
+			}
+			if entries[i].Raw == nil {
+				// A score JSON cannot carry (NaN, ±Inf): the encoder
+				// reports it, and Write answers with no body.
+				entries[i].Value = entryJSON(e, edges)
+			}
+		})
 	}
 	jsonsplice.Write(w, status, head, entries)
 }
+
+// fromFragment reports whether e is answered from its cache entry's
+// fragment. A fragment has no edge list, so a projection asked for with
+// edges is encoded afresh.
+func fromFragment(e QueryEntry, edges bool) bool { return e.frag != nil && !(edges && e.Res != nil) }
 
 // entryJSON renders one Query entry in its wire form; edges adds the
 // projection's edge list.

@@ -8,13 +8,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
+	"hyperline/internal/experiments"
 	"hyperline/internal/jsonsplice"
+	"hyperline/internal/measure"
+	"hyperline/internal/par"
 )
 
 // queryResponseJSON is the whole /v2/query response document: what the
@@ -94,10 +98,16 @@ func referenceResponse(head queryHeadJSON, qr *QueryResult, edges bool) *httptes
 // identical. It returns the handler's answer.
 func checkBody(t *testing.T, svc *Service, q QueryRequest, edges bool) *httptest.ResponseRecorder {
 	t.Helper()
+	return checkBodyAt(t, svc, q, edges, par.Options{})
+}
+
+// checkBodyAt is checkBody with the entries encoded on opt's workers.
+func checkBodyAt(t *testing.T, svc *Service, q QueryRequest, edges bool, opt par.Options) *httptest.ResponseRecorder {
+	t.Helper()
 	qr := mustQuery(t, svc, q)
 	head := queryHeadJSON{Dataset: q.Dataset, Kind: kindString(q.Dual), Measure: q.Measure, ElapsedMS: 0.125}
 	got := httptest.NewRecorder()
-	writeQueryV2(got, head, qr, edges)
+	writeQueryV2(got, head, qr, edges, opt)
 	want := referenceResponse(head, qr, edges)
 	if got.Code != want.Code {
 		t.Fatalf("%+v: status %d, reference %d", q, got.Code, want.Code)
@@ -409,3 +419,67 @@ func TestQueryEntryPrefixes(t *testing.T) {
 		t.Fatalf("%d answered and %d failed entries: the table must cover both", answered, failed)
 	}
 }
+
+// TestQueryBodyByteIdenticalEveryMeasure: every built-in measure over a
+// small graph's s-sweep, missed and then hit, answers the bytes of the
+// reference encoding whether its entries are encoded on one worker or
+// on GOMAXPROCS, with edge lists and without. The required "source"
+// names a hyperedge that some s drop, so per-s errors are covered too.
+func TestQueryBodyByteIdenticalEveryMeasure(t *testing.T) {
+	svc := New(Config{})
+	svc.Add("g", sweepDataset())
+	for _, info := range measure.Infos() {
+		if info.Name == gate.Name() {
+			continue // registered by sweep_test.go; blocks until cancelled
+		}
+		params := map[string]string{}
+		for _, p := range info.Params {
+			if p.Required {
+				params[p.Name] = "7"
+			}
+		}
+		q := QueryRequest{Dataset: "g", S: []int{1, 2, 3, 4, 6}, Measure: info.Name, Params: params}
+		for pass := 0; pass < 2; pass++ {
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				for _, edges := range []bool{false, true} {
+					checkBodyAt(t, svc, q, edges, par.Options{Workers: workers})
+				}
+			}
+		}
+	}
+	if svc.MeasureCacheStats().Hits == 0 {
+		t.Fatal("the sweep served no measure-cache hit")
+	}
+}
+
+// BenchmarkWriteQueryV2Bundle writes the answer to the measure-bundle
+// workload's pagerank request — five entries of per-node scores on the
+// Friendster analog's s = 4..8 projections, not memoised — on one
+// worker and on GOMAXPROCS, in MB/s of body.
+func BenchmarkWriteQueryV2Bundle(b *testing.B) {
+	svc := New(Config{})
+	svc.Add("f", experiments.FriendsterAnalog(1))
+	qr, err := svc.Query(context.Background(), QueryRequest{Dataset: "f", S: []int{4, 5, 6, 7, 8}, Measure: "pagerank"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	head := queryHeadJSON{Dataset: "f", Kind: "line", Measure: "pagerank", ElapsedMS: 0.125}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			rec := httptest.NewRecorder()
+			writeQueryV2(rec, head, qr, false, par.Options{Workers: workers})
+			b.SetBytes(int64(rec.Body.Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				writeQueryV2(discardResponse{}, head, qr, false, par.Options{Workers: workers})
+			}
+		})
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps nothing.
+type discardResponse struct{}
+
+func (discardResponse) Header() http.Header         { return http.Header{} }
+func (discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (discardResponse) WriteHeader(int)             {}

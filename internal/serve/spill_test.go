@@ -310,10 +310,12 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 
 // TestMeasureRevisionMissesEarlierSpill spills one connectivity, one
 // pagerank and one components entry under the key text builds before
-// the Lanczos λ₂ and CG PageRank solvers wrote, then starts a service
-// on that spill directory. The connectivity and pagerank entries,
-// power-iteration values, must miss and be recomputed; the components
-// entry, whose key text did not change, must be served from disk.
+// the Lanczos λ₂ and CG PageRank solvers wrote, and the pagerank entry
+// also under the text of the global CG ("pagerank+cg"), then starts a
+// service on that spill directory. The connectivity and pagerank
+// entries, earlier solvers' values, must miss and be recomputed; the
+// components entry, whose key text did not change, must be served from
+// disk.
 func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 	dir := t.TempDir()
 	h := randomHypergraph(17, 200, 150, 5)
@@ -357,6 +359,9 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 			t.Fatal(err)
 		}
 		earlier.Put(fmt.Sprintf("%s/measure=%s?%s", proj, name, p.CanonicalString()), data)
+		if name == "pagerank" {
+			earlier.Put(fmt.Sprintf("%s/measure=pagerank+cg?%s", proj, p.CanonicalString()), data)
+		}
 		spilled[name] = e
 	}
 	if err := svc.EnableSpill(dir, 0); err != nil {
