@@ -67,15 +67,15 @@
 //	curl 'localhost:8080/v1/measures'
 //	curl 'localhost:8080/v1/cache'
 //
-// Requests may leave the preprocessing knobs to the planner: a config
-// notation with '*' in the relabel position (e.g. "2C*", "AB*") and/or
-// "toplex": "auto" resolve against the dataset's cached statistics
-// before any cache key is derived, so planner-chosen and pinned
-// requests share cache entries whenever they resolve to the same
-// configuration. The response's "plan" reports the resolved knobs and
-// the reason ("knob_reason"). Planning and admission pricing read the
-// dataset's statistics only, so the same query on the same dataset
-// version is planned and priced the same whatever ran before it.
+// The service answers one output class — exact weights, relabel N,
+// toplex off, squeezed ID space — so a /v2/query body names no
+// preprocessing knob: "config", "toplex", "nosqueeze" and "exact" are
+// refused with 400 naming the field (the Table III variables stay on
+// cmd/slinegraph and cmd/experiments). The planner picks the Stage-3
+// strategy, which changes no output byte, and the response's "plan"
+// reports it. Planning and admission pricing read the dataset's
+// statistics only, so the same query on the same dataset version is
+// planned and priced the same whatever ran before it.
 package main
 
 import (

@@ -20,12 +20,8 @@
 // as one batched query: the planner decides whether a single ensemble
 // counting pass or per-s passes serve the sweep. -config takes the
 // extended Table III notation (e.g. 2BA, 1CN, 3CA, ABN) or the word
-// "auto" (default: planner-chosen); a relabel position of
-// '*' (e.g. "2C*", "AB*") lets the planner resolve relabel-by-degree
-// from the dataset's statistics. -toplex likewise takes true, false,
-// or auto (planner-resolved from a sampled containment probe). When
-// the planner chose any knob, the resolved values and the reason are
-// reported on the diagnostics stream as a "knobs:" line.
+// "auto" (default: planner-chosen strategy, relabel N). -toplex turns
+// on Stage-2 simplification.
 //
 // -measure evaluates one registered Stage-5 measure across the sweep
 // and prints a paper-style tab-separated table (scalar measures: one
@@ -68,36 +64,12 @@ func (p paramFlags) Set(v string) error {
 	return nil
 }
 
-// toplexFlag is the tri-state -toplex value: true, false, or auto.
-// IsBoolFlag keeps the historical bare form (-toplex ≡ -toplex=true)
-// working.
-type toplexFlag struct{ mode core.ToplexMode }
-
-func (t *toplexFlag) String() string { return t.mode.String() }
-
-func (t *toplexFlag) Set(v string) error {
-	switch v {
-	case "true":
-		t.mode = core.ToplexOn
-	case "false":
-		t.mode = core.ToplexOff
-	case "auto":
-		t.mode = core.ToplexAuto
-	default:
-		return fmt.Errorf("want true, false, or auto, got %q", v)
-	}
-	return nil
-}
-
-func (t *toplexFlag) IsBoolFlag() bool { return true }
-
 func main() {
 	in := flag.String("in", "", "input hypergraph (.pairs or adjacency lines)")
 	sSpec := flag.String("s", "2", "minimum overlap s: value, list, or lo:hi range (e.g. 8 or 1,4:6)")
 	notation := flag.String("config", "auto", "algorithm/partition/relabel notation (Table III, extended), or auto")
 	dual := flag.Bool("dual", false, "compute the s-clique graph (dual hypergraph)")
-	var toplex toplexFlag
-	flag.Var(&toplex, "toplex", "Stage-2 toplex simplification: true, false, or auto (planner-resolved)")
+	toplex := flag.Bool("toplex", false, "Stage-2 toplex simplification")
 	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
 	metrics := flag.String("metrics", "cc", "comma-separated: cc, bc, pagerank, connectivity")
 	measureName := flag.String("measure", "", "emit an s-sweep table of this registered measure (\"help\" lists them)")
@@ -110,9 +82,9 @@ func main() {
 	if flag.NArg() > 0 {
 		// A stray positional argument means everything after it was
 		// silently dropped by the flag parser — the classic trap is
-		// "-toplex auto", which must be spelled "-toplex=auto"
-		// (boolean-style flags only bind values with '=').
-		fmt.Fprintf(os.Stderr, "slinegraph: unexpected argument %q (boolean-style flags like -toplex take values only as -toplex=auto)\n", flag.Arg(0))
+		// "-toplex false", which must be spelled "-toplex=false"
+		// (boolean flags only bind values with '=').
+		fmt.Fprintf(os.Stderr, "slinegraph: unexpected argument %q (boolean flags like -toplex take values only as -toplex=false)\n", flag.Arg(0))
 		os.Exit(2)
 	}
 
@@ -181,12 +153,11 @@ func main() {
 	fmt.Fprintf(diag, "%v\n", hyperline.ComputeStats(*in, h))
 
 	opt := hyperline.Options{
-		Algorithm:  cfg.Algorithm,
-		Partition:  cfg.Partition,
-		Relabel:    cfg.Relabel,
-		Workers:    *workers,
-		Toplex:     toplex.mode == core.ToplexOn,
-		ToplexAuto: toplex.mode == core.ToplexAuto,
+		Algorithm: cfg.Algorithm,
+		Partition: cfg.Partition,
+		Relabel:   cfg.Relabel,
+		Workers:   *workers,
+		Toplex:    *toplex,
 	}
 	distinct := core.DistinctS(sweep)
 	qr, err := hyperline.Execute(ctx, hyperline.Query{Hypergraph: h, S: sweep, Options: opt})
@@ -240,10 +211,6 @@ func main() {
 		res := results[sVal]
 		fmt.Fprintf(diag, "s=%d line graph: %d nodes, %d edges\n", sVal, res.Graph.NumNodes(), res.Graph.NumEdges())
 		fmt.Fprintf(diag, "plan: %s (%s)\n", res.Plan.Strategy, res.Plan.Reason)
-		if res.Plan.KnobReason != "" {
-			fmt.Fprintf(diag, "knobs: relabel=%s toplex=%t (%s)\n",
-				res.Plan.Relabel, res.Plan.Toplex, res.Plan.KnobReason)
-		}
 		fmt.Fprintf(diag, "stages: preprocess=%v toplex=%v s-overlap=%v squeeze=%v total=%v\n",
 			res.Timings.Preprocess, res.Timings.Toplex, res.Timings.SOverlap,
 			res.Timings.Squeeze, res.Timings.Total())

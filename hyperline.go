@@ -128,15 +128,13 @@ const (
 	RelabelNone       = hg.RelabelNone
 	RelabelAscending  = hg.RelabelAscending
 	RelabelDescending = hg.RelabelDescending
-	// RelabelAuto lets the planner resolve the order from the
-	// hypergraph's degree statistics. The resolved order is recorded
-	// in the result's Plan.
-	RelabelAuto = hg.RelabelAuto
 )
 
 // Options configures an s-line graph computation. The zero value runs
 // the planner-chosen strategy (AlgoAuto) with blocked distribution, no
-// relabeling, ID squeezing on, and GOMAXPROCS workers.
+// relabeling, ID squeezing on, and GOMAXPROCS workers. The sessionless
+// Execute takes every field; a Session's dataset queries answer the zero
+// value's output class and take Workers only.
 type Options struct {
 	// Algorithm pins an s-overlap strategy (AlgoHashmap,
 	// AlgoSetIntersection, AlgoEnsemble) or lets the cost-based planner
@@ -156,20 +154,12 @@ type Options struct {
 	ExactWeights bool
 	// Toplex enables Stage-2 simplification to maximal hyperedges.
 	Toplex bool
-	// ToplexAuto lets the planner decide Stage-2 from the dataset's
-	// sampled containment estimate; it overrides Toplex. The resolved
-	// choice is recorded in the result's Plan.
-	ToplexAuto bool
 	// NoSqueeze keeps the raw hyperedge ID space as node IDs instead
 	// of compacting it (Stage 4).
 	NoSqueeze bool
 }
 
 func (o Options) pipeline() core.PipelineConfig {
-	toplex := core.ToplexFromBool(o.Toplex)
-	if o.ToplexAuto {
-		toplex = core.ToplexAuto
-	}
 	return core.PipelineConfig{
 		Core: core.Config{
 			Algorithm:           o.Algorithm,
@@ -179,7 +169,7 @@ func (o Options) pipeline() core.PipelineConfig {
 			Grain:               o.Grain,
 			DisableShortCircuit: o.ExactWeights,
 		},
-		Toplex:    toplex,
+		Toplex:    core.ToplexFromBool(o.Toplex),
 		NoSqueeze: o.NoSqueeze,
 	}
 }

@@ -1,8 +1,10 @@
 package algo
 
 import (
+	"context"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"hyperline/internal/graph"
 	"hyperline/internal/par"
@@ -98,10 +100,27 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 // stop on their own, and most stop sooner: on the measure-bundle input
 // 87–90 % of them take one step.
 func PageRankIters(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
+	rank, steps, _ := PageRankContext(context.Background(), g, opt)
+	return rank, steps
+}
+
+// cancelEvery is how many CG steps a component takes between checks of
+// the context.
+const cancelEvery = 64
+
+// PageRankContext is PageRankIters that stops on cancellation: ctx is
+// checked as each component starts and every cancelEvery of its steps,
+// so a cancelled solve returns ctx.Err() (and no ranks) within
+// cancelEvery steps of any running component. The ranks of a solve that
+// completes are PageRankIters'. A nil ctx never cancels.
+func PageRankContext(ctx context.Context, g *graph.Graph, opt PageRankOptions) ([]float64, int, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	opt = opt.defaults()
 	n := g.NumNodes()
 	if n == 0 {
-		return nil, 0
+		return nil, 0, nil
 	}
 	d := opt.Damping
 	off, adj, _, _ := g.CSR()
@@ -124,6 +143,7 @@ func PageRankIters(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
 	}
 	bound := cgSteps(d, opt.Tol, float64(n)*c/(1-d))
 	steps := make([]int, comps)
+	var cancelled atomic.Bool
 	solve := func(j int, gather par.Options) {
 		cn := nodesOf(j)
 		maxIter := opt.MaxIter
@@ -134,7 +154,11 @@ func PageRankIters(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
 			}
 			maxIter = min(bound(float64(vol)/float64(len(cn))), 2*len(cn))
 		}
-		steps[j] = w.solve(cn, (1-d)*opt.Tol*float64(len(cn))/float64(n), maxIter, gather)
+		var err error
+		steps[j], err = w.solve(ctx, cn, (1-d)*opt.Tol*float64(len(cn))/float64(n), maxIter, gather)
+		if err != nil {
+			cancelled.Store(true)
+		}
 	}
 
 	largest := 0
@@ -166,16 +190,20 @@ func PageRankIters(g *graph.Graph, opt PageRankOptions) ([]float64, int) {
 		}
 	})
 
+	iters := 0
+	if comps > 0 {
+		iters = steps[largest]
+	}
+	if cancelled.Load() {
+		return nil, iters, ctx.Err()
+	}
 	rank := w.z
 	for u := range rank {
 		if off[u+1] == off[u] {
 			rank[u] = c
 		}
 	}
-	if comps == 0 {
-		return rank, 0
-	}
-	return rank, steps[largest]
+	return rank, iters, nil
 }
 
 // minSplitGather is the fewest adjacency entries for which a dominant
@@ -275,10 +303,11 @@ type cgWork struct {
 
 // solve runs CG on the component of the given nodes, in degreeOrder,
 // until ‖D^{1/2}·r‖₁ ≤ stop or maxIter steps, leaves its ranks in z and
-// returns the steps taken. The gather runs over gather's workers in
-// groups of four rows; every sum over the component runs in node-list
-// order on one goroutine.
-func (w *cgWork) solve(nodes []uint32, stop float64, maxIter int, gather par.Options) int {
+// returns the steps taken. It checks ctx before its first step and every
+// cancelEvery steps, and returns ctx.Err() there once it is set. The
+// gather runs over gather's workers in groups of four rows; every sum
+// over the component runs in node-list order on one goroutine.
+func (w *cgWork) solve(ctx context.Context, nodes []uint32, stop float64, maxIter int, gather par.Options) (int, error) {
 	off, adj := w.off, w.adj
 	d, c := w.d, w.c
 	sqrtDeg, invSqrtDeg := w.sqrtDeg, w.invSqrtDeg
@@ -296,6 +325,11 @@ func (w *cgWork) solve(nodes []uint32, stop float64, maxIter int, gather par.Opt
 	groups := (len(nodes) + 3) / 4
 	steps := 0
 	for resid > stop && steps < maxIter {
+		if steps%cancelEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return steps, err
+			}
+		}
 		steps++
 		// q = M·p, from contrib = D^{-1/2}·p.
 		if gather.EffectiveWorkers() > 1 {
@@ -329,7 +363,7 @@ func (w *cgWork) solve(nodes []uint32, stop float64, maxIter int, gather par.Opt
 	for _, u := range nodes {
 		z[u] *= sqrtDeg[u]
 	}
-	return steps
+	return steps, nil
 }
 
 // degreeOrder returns the nodes sorted by ascending degree, in node

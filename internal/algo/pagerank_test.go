@@ -464,3 +464,62 @@ func TestDegreeOrder(t *testing.T) {
 		t.Fatalf("degreeOrder = %v, want %v", got, want)
 	}
 }
+
+// countdownCtx is a context whose Err answers nil to its first live
+// calls and context.Canceled from then on, so a test can cancel a solve
+// at a chosen check without a clock.
+type countdownCtx struct {
+	context.Context
+	live, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls++; c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPageRankContextCancels: PageRankContext checks its context as each
+// component starts and every cancelEvery CG steps, so once Err turns
+// non-nil the solve returns context.Canceled, and no ranks, within
+// cancelEvery steps. The long path runs thousands of steps uncancelled
+// at d = 1 − 1e-15; the triangles are 200 one-step components, where
+// only the check at each component's start can see the cancellation.
+func TestPageRankContextCancels(t *testing.T) {
+	const n = 3000
+	path := pathGraph(n)
+	opt := PageRankOptions{Damping: 1 - 1e-15, Par: par.Options{Workers: 1}}
+	_, full, err := PageRankContext(context.Background(), path, opt)
+	if err != nil || full < 20*cancelEvery {
+		t.Fatalf("uncancelled path: %d steps, %v; want at least %d steps", full, err, 20*cancelEvery)
+	}
+	for _, live := range []int{0, 1, 2, 7} {
+		ctx := &countdownCtx{Context: context.Background(), live: live}
+		rank, steps, err := PageRankContext(ctx, path, opt)
+		if err != context.Canceled || rank != nil {
+			t.Fatalf("live=%d: err %v, %d ranks; want context.Canceled and none", live, err, len(rank))
+		}
+		// Check k+1 runs before step k·cancelEvery; the first check to
+		// fail is number live+1.
+		if turned := max(live-1, 0) * cancelEvery; steps < turned || steps > turned+cancelEvery {
+			t.Fatalf("live=%d: stopped after %d steps, want within %d steps of %d", live, steps, cancelEvery, turned)
+		}
+	}
+
+	var edges []graph.Edge
+	for k := uint32(0); k < 200; k++ {
+		u := 3 * k
+		edges = append(edges, graph.Edge{U: u, V: u + 1, W: 1}, graph.Edge{U: u + 1, V: u + 2, W: 1}, graph.Edge{U: u, V: u + 2, W: 1})
+	}
+	triangles := graph.Build(600, edges, false)
+	ctx := &countdownCtx{Context: context.Background(), live: 150}
+	if rank, _, err := PageRankContext(ctx, triangles, PageRankOptions{Par: par.Options{Workers: 1}}); err != context.Canceled || rank != nil {
+		t.Fatalf("triangles: err %v, %d ranks; want context.Canceled and none", err, len(rank))
+	}
+	want := PageRank(triangles, PageRankOptions{})
+	got, _, err := PageRankContext(&countdownCtx{Context: context.Background(), live: 200}, triangles, PageRankOptions{Par: par.Options{Workers: 1}})
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("triangles with every check live: err %v, ranks equal %v", err, reflect.DeepEqual(got, want))
+	}
+}

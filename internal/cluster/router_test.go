@@ -985,6 +985,20 @@ func TestQuerySGrammarBothTiers(t *testing.T) {
 			}
 		}
 	}
+
+	// The Table III knobs are refused by name on both tiers: the router
+	// forwards the member as it came, and the replica answers 400.
+	for _, tc := range []struct{ name, member string }{
+		{"config", `"config":"2BN"`}, {"toplex", `"toplex":false`}, {"nosqueeze", `"nosqueeze":true`}, {"exact", `"exact":true`},
+	} {
+		body := `{"dataset":"paper","s":[1],` + tc.member + `}`
+		for _, tier := range []struct{ name, url string }{{"replica", rep.URL}, {"router", router.URL}} {
+			status, _, data := postQuery(t, tier.url, body)
+			if status != http.StatusBadRequest || !strings.Contains(string(data), `\"`+tc.name+`\" is not accepted`) {
+				t.Errorf("%s, %s: status %d, want 400 naming the field: %s", tc.name, tier.name, status, data)
+			}
+		}
+	}
 }
 
 // routerMetrics scrapes and parses the router's /metrics.

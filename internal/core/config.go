@@ -116,9 +116,8 @@ func (c Config) parOptions() par.Options {
 
 // ParseNotation parses a Table III shorthand such as "1CN" or "2BA",
 // extended with "3" (ensemble) and "A" (planner/auto) in the algorithm
-// position, and "*" (planner-resolved) in the relabel position (e.g.
-// "2C*" or "AB*"). The bare word "auto" is accepted as a shorthand with
-// default partition and relabeling.
+// position (e.g. "3CA" or "ABN"). The bare word "auto" is accepted as a
+// shorthand with default partition and relabeling.
 func ParseNotation(s string) (Config, error) {
 	var c Config
 	if s == "auto" {
@@ -154,10 +153,6 @@ func ParseNotation(s string) (Config, error) {
 		c.Relabel = hg.RelabelDescending
 	case 'N':
 		c.Relabel = hg.RelabelNone
-	case '*':
-		// Planner-resolved order: ResolveConfig replaces it with a
-		// concrete order from the dataset's statistics before Stage 1.
-		c.Relabel = hg.RelabelAuto
 	default:
 		return c, fmt.Errorf("core: unknown relabel order %q", s[2])
 	}

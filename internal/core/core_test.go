@@ -240,7 +240,7 @@ func TestNotationRoundTrip(t *testing.T) {
 
 // TestExtendedNotations covers the engine's additions to the Table III
 // alphabet: Algorithm 3 ("3"), the planner ("A"), and the bare-word
-// shorthand.
+// shorthand. The relabel position takes only the paper's A, D and N.
 func TestExtendedNotations(t *testing.T) {
 	for _, n := range []string{"3BA", "3CN", "ABN", "ACA"} {
 		cfg, err := ParseNotation(n)
@@ -262,6 +262,9 @@ func TestExtendedNotations(t *testing.T) {
 	}
 	if Algorithm(9).String() != "?" {
 		t.Fatal("unknown algorithm should stringify to ?")
+	}
+	if cfg, err := ParseNotation("2C*"); err == nil {
+		t.Fatalf("ParseNotation(2C*) = %+v, want an error", cfg)
 	}
 }
 

@@ -19,13 +19,8 @@ import (
 // with exact overlap weights, so they all share Exact. The single
 // exception is Algorithm 1 with short-circuiting (its default), whose
 // weights are ≥ s bounds rather than exact counts. Execution-only knobs
-// (Workers, Grain, Partition, DisablePruning) and execution hints
-// (Stats, Costs, KnobReason) are absent: output is byte-identical for
-// any of their values.
-//
-// Relabel and Toplex keep hg.RelabelAuto and ToplexAuto as values of
-// their own, so an unresolved configuration never shares a key with a
-// concrete one.
+// (Workers, Grain, Partition, DisablePruning) and the Stats hint are
+// absent: output is byte-identical for any of their values.
 type OutputKey struct {
 	Dual    bool // the clique orientation (the dual's s-line graph)
 	S       int
@@ -36,10 +31,7 @@ type OutputKey struct {
 }
 
 // OutputKey returns the key of the projection c computes at s in the
-// given orientation. Resolve the planner's auto knobs (ResolveConfig)
-// first: the serving layer does so at every entry point, which is what
-// lets a planner-chosen configuration share a cache entry with the
-// pinned configuration it resolves to.
+// given orientation.
 func (c PipelineConfig) OutputKey(dual bool, s int) OutputKey {
 	return OutputKey{
 		Dual:    dual,

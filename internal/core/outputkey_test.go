@@ -15,7 +15,7 @@ func TestOutputKeyIgnoresExecutionKnobs(t *testing.T) {
 		{Core: Config{Grain: 3}},
 		{Core: Config{Partition: par.Cyclic}},
 		{Core: Config{DisablePruning: true}},
-		{Stats: &hg.Stats{}, KnobReason: "pinned"},
+		{Stats: &hg.Stats{}},
 	}
 	for i, v := range variants {
 		if got, want := v.OutputKey(false, 2), base.OutputKey(false, 2); got != want {
@@ -50,8 +50,7 @@ func TestOutputKeyCanonicalizesOutputClass(t *testing.T) {
 }
 
 // TestOutputKeySeparatesOutputRelevantFields: configurations that differ
-// in an output-relevant field — including an unresolved auto knob
-// against every concrete choice — never share a key, as structs or as
+// in an output-relevant field never share a key, as structs or as
 // strings, in either orientation.
 func TestOutputKeySeparatesOutputRelevantFields(t *testing.T) {
 	configs := []PipelineConfig{
@@ -59,9 +58,7 @@ func TestOutputKeySeparatesOutputRelevantFields(t *testing.T) {
 		{Core: Config{Algorithm: AlgoSetIntersection}},
 		{Core: Config{Relabel: hg.RelabelAscending}},
 		{Core: Config{Relabel: hg.RelabelDescending}},
-		{Core: Config{Relabel: hg.RelabelAuto}},
 		{Toplex: ToplexOn},
-		{Toplex: ToplexAuto},
 		{NoSqueeze: true},
 	}
 	seen := map[OutputKey]string{}

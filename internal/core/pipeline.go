@@ -10,9 +10,9 @@ import (
 	"hyperline/internal/toplex"
 )
 
-// ToplexMode selects Stage-2 toplex simplification: off, on, or
-// planner-resolved. The zero value is ToplexOff, so existing callers
-// keep the historical default.
+// ToplexMode selects Stage-2 toplex simplification: off or on. The
+// zero value is ToplexOff, so existing callers keep the historical
+// default.
 type ToplexMode uint8
 
 const (
@@ -21,16 +21,9 @@ const (
 	// ToplexOn simplifies the hypergraph to its toplexes before
 	// computing s-overlaps.
 	ToplexOn
-	// ToplexAuto defers the choice to the planner, which resolves it
-	// from the sampled containment estimate (hg.Stats.ToplexSample)
-	// before any pipeline stage runs. Like hg.RelabelAuto it is an
-	// explicit opt-in and never reaches prepare(): ResolveConfig
-	// replaces it with ToplexOff or ToplexOn first.
-	ToplexAuto
 )
 
-// Enabled reports whether Stage 2 runs under this mode. ToplexAuto is
-// unresolved and reports false; resolve it first.
+// Enabled reports whether Stage 2 runs under this mode.
 func (m ToplexMode) Enabled() bool { return m == ToplexOn }
 
 // String names the mode the way flags and JSON spell it.
@@ -40,8 +33,6 @@ func (m ToplexMode) String() string {
 		return "false"
 	case ToplexOn:
 		return "true"
-	case ToplexAuto:
-		return "auto"
 	default:
 		return "?"
 	}
@@ -60,10 +51,9 @@ func ToplexFromBool(on bool) ToplexMode {
 type PipelineConfig struct {
 	// Core selects the s-overlap strategy (or the planner, AlgoAuto)
 	// and execution knobs; Core.Relabel drives Stage 1's
-	// relabel-by-degree (hg.RelabelAuto lets the planner choose).
+	// relabel-by-degree.
 	Core Config
-	// Toplex selects Stage 2: off, on, or planner-resolved
-	// (ToplexAuto).
+	// Toplex selects Stage 2: off or on.
 	Toplex ToplexMode
 	// NoSqueeze disables Stage 4's ID squeezing, keeping the (often
 	// hypersparse) hyperedge ID space as graph node IDs.
@@ -74,11 +64,6 @@ type PipelineConfig struct {
 	// When nil, the planner computes them on demand. Stats are an
 	// execution hint and never part of the cache key (OutputKey).
 	Stats *hg.Stats
-	// KnobReason records why ResolveConfig chose the preprocessing
-	// knobs ("" when the caller pinned them). It is set by
-	// ResolveConfig and surfaced through PlanInfo; not part of the
-	// cache key.
-	KnobReason string
 }
 
 // StageTimings records wall-clock time per pipeline stage — the rows of
@@ -98,19 +83,15 @@ func (t StageTimings) Total() time.Duration {
 }
 
 // PlanInfo records which strategy the planner executed for a pipeline
-// run, which preprocessing knobs it ran under, and why — the serving
+// run, why, and which preprocessing knobs it ran under — the serving
 // layer surfaces it for observability.
 type PlanInfo struct {
 	Strategy string
 	Reason   string
-	// Relabel is the resolved Stage-1 order the run executed
-	// ("N", "A", or "D" — never "*": auto resolves before Stage 1).
+	// Relabel is the Stage-1 order the run executed ("N", "A", or "D").
 	Relabel string
 	// Toplex reports whether Stage-2 simplification ran.
 	Toplex bool
-	// KnobReason explains the planner's Relabel/Toplex choice; empty
-	// when the caller pinned both knobs.
-	KnobReason string
 }
 
 // PipelineResult is the output of a pipeline run: the s-line graph with
@@ -153,8 +134,7 @@ func (p *prepared) inputID(w uint32) uint32 {
 }
 
 // prepare runs Stage 1 (preprocess + relabel) and Stage 2 (optional
-// toplex simplification) once for a whole query. cfg must be resolved
-// (no auto knobs).
+// toplex simplification) once for a whole query.
 //
 // Under relabel N with squeezing on, Stage 1 does not run: h itself is
 // the working hypergraph and the working IDs are the input IDs. Stage 1
@@ -206,7 +186,7 @@ func isIdentity(order []uint32, m int) bool {
 }
 
 // planningStats returns the statistics the strategy planner consults
-// for a resolved configuration, reusing caller-supplied stats when they
+// for a configuration, reusing caller-supplied stats when they
 // still describe the hypergraph Stage 3 will actually see: toplex
 // simplification changes the degree structure, so after Stage 2 the
 // stats are recomputed on the simplified hypergraph. Returns zero stats
@@ -224,8 +204,7 @@ func planningStats(p prepared, sValues []int, cfg PipelineConfig) hg.Stats {
 }
 
 // RunBatch executes Stages 1-4 for every distinct s in sValues (clamped
-// to ≥ 1) as one planned query: the planner first resolves any auto
-// preprocessing knobs (ResolveConfig), preprocessing and toplex
+// to ≥ 1) as one planned query: preprocessing and toplex
 // simplification run once, the planner resolves the s-overlap strategy
 // from the hypergraph's statistics and the batch shape (PlanQuery), and
 // Stage 4 builds one graph per s, the builds of a sweep sharing the
@@ -253,7 +232,6 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg = ResolveConfig(h, cfg)
 	p := prepare(h, cfg)
 	// Checkpoint between Stages 1-2 and Stage 3.
 	if err := ctx.Err(); err != nil {
@@ -271,7 +249,6 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	plan := dec.Info()
 	plan.Relabel = cfg.Core.Relabel.String()
 	plan.Toplex = cfg.Toplex.Enabled()
-	plan.KnobReason = cfg.KnobReason
 
 	// Stage 4: one graph per s, scheduled like a Stage-5 sweep — the
 	// builds share the worker budget by edge count, a single s (or a

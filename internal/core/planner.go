@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"hyperline/internal/hg"
 )
@@ -21,28 +20,6 @@ const (
 	ensembleCounterBudget = 2 << 30
 )
 
-// Knob-resolution constants (§III-F, Table III). The thresholds are
-// conservative: below autoKnobMinEdges every configuration finishes in
-// microseconds and the knobs only churn cache keys, so auto resolves to
-// the neutral defaults (RelabelNone, ToplexOff) there.
-const (
-	// autoKnobMinEdges is the smallest hyperedge count for which the
-	// planner considers non-default preprocessing knobs.
-	autoKnobMinEdges = 2048
-	// relabelSkewFactor is the max/avg degree ratio (on either side of
-	// the incidence) past which the planner considers the distribution
-	// skewed enough for ascending relabel-by-degree to pay: the paper's
-	// Table III shows relabeling only matters on heavy-tailed inputs,
-	// where it moves the large hyperedges to the end of the
-	// upper-triangle traversal.
-	relabelSkewFactor = 8
-	// toplexSampleThreshold is the sampled containment fraction
-	// (hg.Stats.ToplexSample) past which Stage-2 simplification is
-	// predicted to pay for itself: at ≥ 25% removable hyperedges the
-	// quadratic Stage-3 saving dominates the linear Stage-2 cost.
-	toplexSampleThreshold = 0.25
-)
-
 // Decision is the planner's resolved execution plan for one query: the
 // strategy to run, the configuration to run it with (Algorithm pinned
 // to the strategy's tag), and the reason, for observability.
@@ -55,93 +32,6 @@ type Decision struct {
 // Info condenses the decision into the pipeline-result form.
 func (d Decision) Info() PlanInfo {
 	return PlanInfo{Strategy: d.Strategy.Name(), Reason: d.Reason}
-}
-
-// ResolveConfig resolves the planner-driven preprocessing knobs of a
-// pipeline configuration: a Relabel of hg.RelabelAuto and a Toplex of
-// ToplexAuto are replaced by concrete choices derived from the input
-// hypergraph's statistics (cfg.Stats when supplied, computed from h —
-// and cached back into cfg.Stats — otherwise). The decision is recorded
-// in cfg.KnobReason.
-//
-// Resolution is a pure function of the stats and idempotent: a
-// configuration without auto knobs is returned unchanged.
-// The serving layer calls this before deriving cache keys, so a
-// planner-chosen configuration shares cache entries with the pinned
-// configuration it resolves to; RunBatch calls it again (a no-op for
-// already-resolved configs) so direct library callers get the same
-// semantics. h may be nil when cfg.Stats is non-nil.
-func ResolveConfig(h *hg.Hypergraph, cfg PipelineConfig) PipelineConfig {
-	relAuto := cfg.Core.Relabel == hg.RelabelAuto
-	topAuto := cfg.Toplex == ToplexAuto
-	if !relAuto && !topAuto {
-		return cfg
-	}
-	if cfg.Stats == nil {
-		st := hg.ComputeStats("", h)
-		if topAuto {
-			// ComputeStats skips the containment probe (it is not free
-			// on latency-bounded paths); only the toplex knob needs it.
-			st.ToplexSample = hg.SampleContainment(h)
-		}
-		cfg.Stats = &st
-	}
-	st := *cfg.Stats
-	var reasons []string
-	if topAuto {
-		mode, why := resolveToplex(st)
-		cfg.Toplex = mode
-		reasons = append(reasons, why)
-	}
-	if relAuto {
-		order, why := resolveRelabel(st)
-		cfg.Core.Relabel = order
-		reasons = append(reasons, why)
-	}
-	cfg.KnobReason = strings.Join(reasons, "; ")
-	return cfg
-}
-
-// resolveToplex resolves ToplexAuto from the sampled containment
-// estimate: simplification pays when a substantial fraction of
-// hyperedges are contained in others (each removed hyperedge deletes
-// all its wedges from Stage 3).
-func resolveToplex(st hg.Stats) (ToplexMode, string) {
-	if st.NumEdges >= autoKnobMinEdges && st.ToplexSample >= toplexSampleThreshold {
-		return ToplexOn, fmt.Sprintf("toplex=on: ~%.0f%% of sampled hyperedges are contained in another (>= %.0f%%)",
-			st.ToplexSample*100, toplexSampleThreshold*100)
-	}
-	return ToplexOff, fmt.Sprintf("toplex=off: ~%.0f%% sampled containment below %.0f%% (|E|=%d)",
-		st.ToplexSample*100, toplexSampleThreshold*100, st.NumEdges)
-}
-
-// resolveRelabel resolves hg.RelabelAuto: ascending relabel-by-degree
-// for skewed degree distributions (the regime where Table III shows it
-// pays), the input order everywhere else.
-func resolveRelabel(st hg.Stats) (hg.RelabelOrder, string) {
-	if st.NumEdges >= autoKnobMinEdges && degreeSkewed(st) {
-		return hg.RelabelAscending, fmt.Sprintf(
-			"relabel=A: skewed degrees (max/avg hyperedge size %.1fx, vertex degree %.1fx)",
-			skewRatio(st.MaxEdgeSize, st.AvgEdgeSize), skewRatio(st.MaxVertexDegree, st.AvgVertexDegree))
-	}
-	return hg.RelabelNone, fmt.Sprintf("relabel=N: no significant degree skew (|E|=%d)", st.NumEdges)
-}
-
-// degreeSkewed reports whether either side of the incidence has a
-// heavy-tailed degree distribution.
-func degreeSkewed(st hg.Stats) bool {
-	return skewRatio(st.MaxEdgeSize, st.AvgEdgeSize) >= relabelSkewFactor ||
-		skewRatio(st.MaxVertexDegree, st.AvgVertexDegree) >= relabelSkewFactor
-}
-
-// skewRatio is max/avg with the average floored at 1 (degenerate
-// averages below one incidence per element would otherwise report
-// arbitrary skew on near-empty hypergraphs).
-func skewRatio(max int, avg float64) float64 {
-	if avg < 1 {
-		avg = 1
-	}
-	return float64(max) / avg
 }
 
 // PlanQuery resolves the strategy for one query from the hypergraph's

@@ -190,9 +190,7 @@ func Apply(base *hg.Hypergraph, d *Delta) (*hg.Hypergraph, error) {
 // touched vertices' degree changes and EdgePairs by the deleted and
 // inserted hyperedges, and each maximum is rescanned only when the
 // delta shrinks an element that held it. The result equals
-// hg.ComputeStats on next's built CSR. ToplexSample is cleared: the
-// containment probe is next's own, taken the first time something
-// reads it.
+// hg.ComputeStats on next's built CSR.
 func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 	oldMaxV, oldMaxE := st.MaxVertexDegree, st.MaxEdgeSize
 	st.NumVertices, st.NumEdges, st.Incidences = next.NumVertices(), next.NumEdges(), next.Incidences()
@@ -236,6 +234,5 @@ func CarryStats(st hg.Stats, old, next *hg.Version, d *Delta) hg.Stats {
 	if rescanV {
 		st.MaxVertexDegree = next.MaxVertexDegree()
 	}
-	st.ToplexSample = 0
 	return st
 }

@@ -166,8 +166,7 @@ type KeyAttrs = core.OutputKey
 // kept: one inserted superset or deleted container flips other edges'
 // toplex status, perturbing the simplified hypergraph at any s.
 // Unsqueezed keys bake the working ID space size into the node space,
-// which every delta changes. A key with an unresolved auto knob names
-// no concrete output and is dropped too. Of the rest, only line keys
+// which every delta changes. Of the rest, only line keys
 // under RelabelNone with exact weights are patched (see patchable);
 // every other key that does not migrate is dropped and recomputed on
 // its next read.
@@ -199,9 +198,9 @@ func (p *Patcher) Migratable(a KeyAttrs) bool {
 }
 
 // keepable reports whether a key can survive a delta at all (see Plan):
-// squeezed, toplex off, and relabel resolved to a concrete order.
+// squeezed and toplex off.
 func keepable(a KeyAttrs) bool {
-	return a.Squeeze && a.Toplex == core.ToplexOff && a.Relabel != hg.RelabelAuto
+	return a.Squeeze && a.Toplex == core.ToplexOff
 }
 
 // orderStable reports whether hyperedges surviving a delta keep their

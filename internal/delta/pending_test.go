@@ -46,9 +46,6 @@ func sameReads(t *testing.T, label string, got *hg.Version, want *hg.Hypergraph)
 			t.Fatalf("%s: working order %s differs", label, order)
 		}
 	}
-	if g, w := hg.SampleContainment(got), hg.SampleContainment(want); g != w {
-		t.Fatalf("%s: containment sample %v, want %v", label, g, w)
-	}
 }
 
 // sameCSR asserts byte identity of two hypergraphs' CSR arrays.
@@ -175,16 +172,10 @@ func TestPendingVersionThreshold(t *testing.T) {
 // TestCarriedStatsMatchCompute carries the registry's statistics along
 // delta chains — random ones, and ones that delete the hyperedge that
 // held ∆e and lower the degree of the vertex that held ∆v — and
-// requires at every step the struct ComputeStats plus
-// SampleContainment give on the built version. CarryStats leaves the
-// sample to the first reader, so the sample compared is the one taken
-// lazily through the pending version.
+// requires at every step the struct ComputeStats gives on the built
+// version.
 func TestCarriedStatsMatchCompute(t *testing.T) {
-	compute := func(h *hg.Hypergraph) hg.Stats {
-		st := hg.ComputeStats("g", h)
-		st.ToplexSample = hg.SampleContainment(h)
-		return st
-	}
+	compute := func(h *hg.Hypergraph) hg.Stats { return hg.ComputeStats("g", h) }
 	check := func(label string, base *hg.Hypergraph, next func(step int, h *hg.Hypergraph) *Delta, steps int) {
 		t.Helper()
 		v, h, st := hg.NewVersion(base, nil), base, compute(base)
@@ -195,7 +186,6 @@ func TestCarriedStatsMatchCompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			st = CarryStats(st, v, nv, d)
-			st.ToplexSample = hg.SampleContainment(nv)
 			if h, err = Apply(h, d); err != nil {
 				t.Fatal(err)
 			}
@@ -224,42 +214,4 @@ func TestCarriedStatsMatchCompute(t *testing.T) {
 		{Deletes: []uint32{10}, Inserts: [][]uint32{{3}}}, // ∆e 8 → 1
 	}
 	check("lowering maxima", shrink, func(step int, _ *hg.Hypergraph) *Delta { return lowering[step] }, len(lowering))
-}
-
-// TestTombstonesNotSampledAsContained: Stage 1 drops empty rows before
-// simplification, so a deleted hyperedge's tombstone is not a contained
-// hyperedge. After half of 4 000 pairwise-disjoint triples are deleted,
-// the containment sample — fresh or carried — must still read 0, and
-// the planner must keep toplex off.
-func TestTombstonesNotSampledAsContained(t *testing.T) {
-	edges := make([][]uint32, 4000)
-	for e := range edges {
-		v := uint32(3 * e)
-		edges[e] = []uint32{v, v + 1, v + 2}
-	}
-	base := hg.FromEdgeSlices(edges, 3*len(edges))
-	d := &Delta{Deletes: []uint32{1}}
-	for e := uint32(0); int(e) < len(edges); e += 2 {
-		d.Deletes = append(d.Deletes, e)
-	}
-	v := hg.NewVersion(base, nil)
-	st := hg.ComputeStats("triples", base)
-	st.ToplexSample = hg.SampleContainment(base)
-	next, err := Compose(v, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = CarryStats(st, v, next, d)
-	st.ToplexSample = hg.SampleContainment(next) // taken lazily, as the registry does
-	h := next.Flat()
-	if got := hg.SampleContainment(h); got != 0 {
-		t.Fatalf("containment sample after deleting %d disjoint triples = %v, want 0", len(d.Deletes), got)
-	}
-	if st.ToplexSample != 0 {
-		t.Fatalf("carried containment sample = %v, want 0", st.ToplexSample)
-	}
-	cfg := core.ResolveConfig(h, core.PipelineConfig{Toplex: core.ToplexAuto})
-	if cfg.Toplex != core.ToplexOff {
-		t.Fatalf("toplex=auto resolved %v (%s), want off", cfg.Toplex, cfg.KnobReason)
-	}
 }

@@ -45,8 +45,6 @@ func TestPlan(t *testing.T) {
 		{"patch at the projected fraction", line, evenProj, proj, ActionPatch},
 		{"drop above the projected fraction", line, evenProj - 1, proj, ActionDrop},
 		{"toplex", at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexOn }), 10 * even, proj, ActionDrop},
-		{"unresolved toplex", at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexAuto }), 10 * even, proj, ActionDrop},
-		{"unresolved relabel", at(line, func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }), 10 * even, proj, ActionDrop},
 		{"unsqueezed", at(line, func(a *KeyAttrs) { a.Squeeze = false }), 10 * even, proj, ActionDrop},
 		{"short-circuit", at(line, func(a *KeyAttrs) { a.Exact = false }), 10 * even, proj, ActionDrop},
 		{"clique under N below the frontier", at(line, func(a *KeyAttrs) { a.Dual = true }), 10 * even, proj, ActionDrop},
@@ -69,8 +67,8 @@ func TestPlan(t *testing.T) {
 
 // TestPatchRejectsUnpatchableKeys: Patch answers an error, and derives
 // and returns nothing, for every key Plan never patches — every clique
-// key, and relabel A, D or unresolved, toplex on or unresolved,
-// unsqueezed or short-circuited weights in either orientation.
+// key, and relabel A or D, toplex on, unsqueezed or short-circuited
+// weights in either orientation.
 func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 	base := paperExample()
 	d := &Delta{Inserts: [][]uint32{{4, 5}}, Deletes: []uint32{0}}
@@ -85,9 +83,7 @@ func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 		{"clique under N", func(a *KeyAttrs) { a.Dual = true }},
 		{"relabel A", func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }},
 		{"relabel D", func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }},
-		{"unresolved relabel", func(a *KeyAttrs) { a.Relabel = hg.RelabelAuto }},
 		{"toplex", func(a *KeyAttrs) { a.Toplex = core.ToplexOn }},
-		{"unresolved toplex", func(a *KeyAttrs) { a.Toplex = core.ToplexAuto }},
 		{"unsqueezed", func(a *KeyAttrs) { a.Squeeze = false }},
 		{"short-circuit", func(a *KeyAttrs) { a.Exact = false }},
 	} {

@@ -26,17 +26,9 @@ const (
 	// RelabelDescending orders hyperedges by non-increasing size
 	// ("D" in Table III).
 	RelabelDescending
-	// RelabelAuto defers the choice among the three concrete orders to
-	// the planner, which resolves it from the hypergraph's degree
-	// statistics before any pipeline stage runs. It is an explicit
-	// opt-in — the zero value stays RelabelNone — and never reaches
-	// Preprocess: knob resolution replaces it with a concrete order
-	// first. Written "*" in the extended Table III notation (e.g. "2C*").
-	RelabelAuto
 )
 
-// String returns the one-letter notation used in the paper's Table III,
-// extended with "*" for the planner-resolved order.
+// String returns the one-letter notation used in the paper's Table III.
 func (r RelabelOrder) String() string {
 	switch r {
 	case RelabelNone:
@@ -45,8 +37,6 @@ func (r RelabelOrder) String() string {
 		return "A"
 	case RelabelDescending:
 		return "D"
-	case RelabelAuto:
-		return "*"
 	default:
 		return "?"
 	}

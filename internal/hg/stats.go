@@ -23,16 +23,6 @@ type Stats struct {
 	// EdgePairs is Σ_e |e|·(|e|−1)/2, the vertex pairs the hyperedges
 	// hold: the dual hypergraph's WedgePairs (see Dual).
 	EdgePairs int64
-	// ToplexSample estimates, from a deterministic sampled containment
-	// probe (SampleContainment), the fraction of non-empty hyperedges
-	// that are not toplexes — i.e. the fraction Stage-2 simplification
-	// would remove. It drives the planner's toplex knob; the exact ratio
-	// costs a full Toplexes pass. ComputeStats and Dual leave it zero
-	// (the probe, though capped, is not free and sits on latency-bounded
-	// paths); populate it with SampleContainment where the toplex knob
-	// is actually resolved, as the serving registry does the first time
-	// a version's sample is read.
-	ToplexSample float64
 }
 
 // ComputeStats derives Table IV-style statistics for h.
@@ -64,8 +54,7 @@ func ComputeStats(name string, h *Hypergraph) Stats {
 
 // Dual returns the statistics of the dual hypergraph, which swaps the
 // two sides: ComputeStats(name, h.Dual()) from s = ComputeStats(…, h),
-// without a pass over h. ToplexSample is left zero: the dual's sample
-// is a probe of its own.
+// without a pass over h.
 func (s Stats) Dual(name string) Stats {
 	return Stats{
 		Name:            name,
@@ -79,87 +68,6 @@ func (s Stats) Dual(name string) Stats {
 		WedgePairs:      s.EdgePairs,
 		EdgePairs:       s.WedgePairs,
 	}
-}
-
-// Containment-probe bounds. The probe is a planner input, not an exact
-// Stage-2 answer, so both the number of sampled hyperedges and the
-// per-sample candidate scan are capped: the whole probe costs
-// O(containmentSamples · containmentScanCap · ∆e) in the worst case,
-// independent of |E|.
-const (
-	// containmentSamples is how many hyperedges the probe inspects,
-	// spread over the ID space with a fixed stride.
-	containmentSamples = 64
-	// containmentScanCap bounds how many candidate containers are
-	// tested per sampled hyperedge before the probe gives up on it
-	// (counting it as a toplex, the conservative direction: an
-	// underestimate can only make the planner skip simplification).
-	containmentScanCap = 128
-)
-
-// SampleContainment estimates the fraction of hyperedges that are not
-// toplexes by testing a deterministic stride-spread sample of
-// non-empty hyperedges for containment in another hyperedge: the
-// sample of each stride window is its first non-empty hyperedge. Empty
-// rows (a deleted hyperedge's tombstone) are never sampled, because
-// Stage 1 drops them before simplification sees them. A sampled
-// hyperedge e counts as contained when some hyperedge f ⊇ e exists
-// with f ≠ e; among identical vertex sets only the lowest ID counts as
-// the toplex, matching Stage 2's duplicate rule. Candidates are scanned
-// through e's lowest-degree member vertex (every container of e must
-// contain it), capped at containmentScanCap candidates per sample. h
-// may be a pending Version: the probe reads a few rows through it.
-func SampleContainment(h Rows) float64 {
-	m := h.NumEdges()
-	stride := max(m/containmentSamples, 1)
-	sampled, contained := 0, 0
-	for lo := 0; lo < m; lo += stride {
-		for e := lo; e < min(lo+stride, m); e++ {
-			if h.EdgeSize(uint32(e)) == 0 {
-				continue
-			}
-			sampled++
-			if sampledEdgeContained(h, uint32(e)) {
-				contained++
-			}
-			break
-		}
-	}
-	if sampled == 0 {
-		return 0
-	}
-	return float64(contained) / float64(sampled)
-}
-
-// sampledEdgeContained reports whether the non-empty hyperedge e is
-// strictly contained in (or a higher-ID duplicate of) another
-// hyperedge, giving up after containmentScanCap candidates.
-func sampledEdgeContained(h Rows, e uint32) bool {
-	verts := h.EdgeVertices(e)
-	probe := verts[0]
-	for _, v := range verts[1:] {
-		if h.VertexDegree(v) < h.VertexDegree(probe) {
-			probe = v
-		}
-	}
-	scanned := 0
-	size := len(verts)
-	for _, f := range h.VertexEdges(probe) {
-		if f == e {
-			continue
-		}
-		fs := h.EdgeSize(f)
-		if fs < size || (fs == size && f > e) {
-			continue // too small, or the duplicate rule keeps e
-		}
-		if scanned++; scanned > containmentScanCap {
-			return false
-		}
-		if IntersectSize(verts, h.EdgeVertices(f)) == size {
-			return true
-		}
-	}
-	return false
 }
 
 // String formats the stats as one row in the style of Table IV.

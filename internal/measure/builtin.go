@@ -19,7 +19,7 @@ type builtin struct {
 	doc     string
 	params  []ParamSpec
 	cost    Cost
-	compute func(res *core.PipelineResult, p Params, opt par.Options) (*Value, error)
+	compute func(ctx context.Context, res *core.PipelineResult, p Params, opt par.Options) (*Value, error)
 }
 
 func (b *builtin) Name() string        { return b.name }
@@ -29,16 +29,18 @@ func (b *builtin) Cost() Cost          { return b.cost }
 
 // Compute checks the context on entry — a request that was cancelled
 // while its projection was being fetched never starts evaluating — and
-// then runs the closure to completion. The built-in algorithms are not
-// internally cancellable; the expensive all-pairs ones are bounded by
-// the projection size the caller already chose to materialize.
+// then runs the closure. Only pagerank polls ctx inside (its step count
+// grows without bound as the damping nears 1); the other built-ins run
+// to completion, the expensive all-pairs ones bounded by the projection
+// size the caller already chose to materialize.
 func (b *builtin) Compute(ctx context.Context, res *core.PipelineResult, p Params, opt par.Options) (*Value, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	return b.compute(res, p, opt)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return b.compute(ctx, res, p, opt)
 }
 
 // canonUint32 validates a non-negative integer parameter < 2³² and
@@ -106,7 +108,7 @@ func init() {
 		name: "components",
 		doc:  "s-connected components: count and membership (union-find reference)",
 		cost: CostLinear,
-		compute: func(res *core.PipelineResult, _ Params, _ par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, _ par.Options) (*Value, error) {
 			return componentsValue(res, algo.ConnectedComponents(res.Graph)), nil
 		},
 	})
@@ -114,7 +116,7 @@ func init() {
 		name: "components-lp",
 		doc:  "s-connected components via parallel label propagation (Table V's LPCC)",
 		cost: CostLinear,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return componentsValue(res, algo.LabelPropagationCC(res.Graph, opt)), nil
 		},
 	})
@@ -123,7 +125,7 @@ func init() {
 		doc:    "s-distances (shortest s-walk hop counts) from one hyperedge; -1 = unreachable",
 		params: []ParamSpec{sourceParam},
 		cost:   CostLinear,
-		compute: func(res *core.PipelineResult, p Params, _ par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, p Params, _ par.Options) (*Value, error) {
 			src, err := sourceNode(res, p)
 			if err != nil {
 				return nil, err
@@ -136,7 +138,7 @@ func init() {
 		doc:    "overlap-weighted s-distances from one hyperedge (edge cost 1/W); -1 = unreachable",
 		params: []ParamSpec{sourceParam},
 		cost:   CostLinear,
-		compute: func(res *core.PipelineResult, p Params, _ par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, p Params, _ par.Options) (*Value, error) {
 			src, err := sourceNode(res, p)
 			if err != nil {
 				return nil, err
@@ -154,7 +156,7 @@ func init() {
 		name: "eccentricity",
 		doc:  "s-eccentricity of every hyperedge (maximum finite s-distance)",
 		cost: CostAllPairs,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Ints: algo.Eccentricities(res.Graph, opt)}, nil
 		},
 	})
@@ -162,7 +164,7 @@ func init() {
 		name: "diameter",
 		doc:  "s-diameter: the longest shortest s-walk between s-connected hyperedges",
 		cost: CostAllPairs,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			var max int32
 			for _, e := range algo.Eccentricities(res.Graph, opt) {
 				if e > max {
@@ -176,7 +178,7 @@ func init() {
 		name: "closeness",
 		doc:  "s-closeness centrality (Wasserman-Faust corrected for disconnected graphs)",
 		cost: CostAllPairs,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Scores: algo.ClosenessCentrality(res.Graph, opt)}, nil
 		},
 	})
@@ -184,7 +186,7 @@ func init() {
 		name: "harmonic",
 		doc:  "s-harmonic centrality, normalized by n-1",
 		cost: CostAllPairs,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Scores: algo.HarmonicCentrality(res.Graph, opt)}, nil
 		},
 	})
@@ -192,7 +194,7 @@ func init() {
 		name: "betweenness",
 		doc:  "s-betweenness centrality (Brandes), normalized to [0, 1]",
 		cost: CostAllPairs,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Scores: algo.Normalize(algo.Betweenness(res.Graph, opt))}, nil
 		},
 	})
@@ -206,19 +208,23 @@ func init() {
 			Canon:   canonDamping,
 		}},
 		cost: CostIterative,
-		compute: func(res *core.PipelineResult, p Params, opt par.Options) (*Value, error) {
+		compute: func(ctx context.Context, res *core.PipelineResult, p Params, opt par.Options) (*Value, error) {
 			d, err := strconv.ParseFloat(p["damping"], 64)
 			if err != nil {
 				return nil, fmt.Errorf("measure: bad damping %q", p["damping"])
 			}
-			return &Value{Scores: algo.PageRank(res.Graph, algo.PageRankOptions{Damping: d, Par: opt})}, nil
+			rank, _, err := algo.PageRankContext(ctx, res.Graph, algo.PageRankOptions{Damping: d, Par: opt})
+			if err != nil {
+				return nil, err
+			}
+			return &Value{Scores: rank}, nil
 		},
 	})
 	Register(&builtin{
 		name: "clustering",
 		doc:  "local clustering coefficient of every hyperedge (transitivity of s-incidence)",
 		cost: CostLinear,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Scores: algo.ClusteringCoefficients(res.Graph, opt)}, nil
 		},
 	})
@@ -226,7 +232,7 @@ func init() {
 		name: "clustering-global",
 		doc:  "global clustering coefficient (transitivity) of the projection",
 		cost: CostLinear,
-		compute: func(res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, opt par.Options) (*Value, error) {
 			return &Value{Scalar: scalar(algo.GlobalClusteringCoefficient(res.Graph, opt))}, nil
 		},
 	})
@@ -234,7 +240,7 @@ func init() {
 		name: "connectivity",
 		doc:  "normalized algebraic connectivity λ₂ of the largest component (Fig. 6)",
 		cost: CostIterative,
-		compute: func(res *core.PipelineResult, _ Params, _ par.Options) (*Value, error) {
+		compute: func(_ context.Context, res *core.PipelineResult, _ Params, _ par.Options) (*Value, error) {
 			return &Value{Scalar: scalar(spectral.NormalizedAlgebraicConnectivity(res.Graph, spectral.Options{}))}, nil
 		},
 	})

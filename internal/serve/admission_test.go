@@ -416,7 +416,7 @@ func TestEstimateCostFloorsAtOne(t *testing.T) {
 }
 
 // TestEstimateCostIgnoresHistory: admission prices a query from the
-// resolved configuration and the dataset's statistics alone, so the
+// served configuration and the dataset's statistics alone, so the
 // same query on the same dataset version costs the same before any
 // Stage-3 pass and after several. The passes run at s above every
 // hyperedge size, so each takes next to no time: a price learned from
@@ -425,12 +425,12 @@ func TestEstimateCostIgnoresHistory(t *testing.T) {
 	svc := New(Config{})
 	h := randomHypergraph(7, 2000, 50, 4)
 	svc.Add("h", h)
-	hv, v, err := svc.reg.Get("h")
+	_, v, err := svc.reg.Get("h")
 	if err != nil {
 		t.Fatal(err)
 	}
 	price := func() int64 {
-		cfg := svc.resolveAt(hv, v, "h", false, core.PipelineConfig{})
+		cfg := svc.configAt(v, "h", false, 0)
 		if cfg.Stats == nil || cfg.Stats.WedgePairs < 10*wedgePairsPerCostUnit {
 			t.Fatalf("dataset stats %+v: want WedgePairs >= %d", cfg.Stats, 10*wedgePairsPerCostUnit)
 		}

@@ -68,10 +68,11 @@ func TestBatchDualOrientation(t *testing.T) {
 }
 
 // TestOutputEquivalentConfigsShareEntries is the output-key
-// canonicalization acceptance test at the service level: requests
-// pinning any exact-weight strategy — Algorithm 2, the ensemble, or
-// Algorithm 1 in exact mode — share one cache entry with the planner
-// default.
+// canonicalization acceptance test at the service level: the entry a
+// query caches is the one the key of every exact-weight strategy —
+// Algorithm 2, the ensemble, the planner, or Algorithm 1 in exact mode —
+// names, and short-circuited Algorithm 1, a different output class,
+// names another.
 func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
@@ -82,22 +83,13 @@ func TestOutputEquivalentConfigsShareEntries(t *testing.T) {
 		{Core: core.Config{Algorithm: core.AlgoSetIntersection, DisableShortCircuit: true}},
 	}
 	for _, cfg := range equivalent {
-		e := mustQuery(t, svc, lineQ("h", cfg, 2)).Entries[0]
-		if !e.Cached || e.Res != base {
-			t.Fatalf("algorithm %s: output-equivalent request must share the cache entry (hit=%v)",
-				cfg.Core.Algorithm, e.Cached)
+		if e, ok := svc.cache.Get(projKey{"h", 1, cfg.OutputKey(false, 2)}); !ok || e.res != base {
+			t.Fatalf("algorithm %s: the output-equivalent key must name the served entry (hit=%v)", cfg.Core.Algorithm, ok)
 		}
 	}
-	// Short-circuited Algorithm 1 is a different output class and must
-	// not be served the exact-class entry.
-	sc := mustQuery(t, svc, lineQ("h", core.PipelineConfig{
-		Core: core.Config{Algorithm: core.AlgoSetIntersection},
-	}, 2)).Entries[0]
-	if sc.Cached || sc.Res == base {
-		t.Fatal("short-circuit Algorithm 1 must compute its own entry")
-	}
-	if st := svc.CacheStats(); st.Entries != 2 {
-		t.Fatalf("want exactly 2 cache entries (exact + shortcircuit), got %d", st.Entries)
+	sc := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSetIntersection}}
+	if _, ok := svc.cache.Get(projKey{"h", 1, sc.OutputKey(false, 2)}); ok {
+		t.Fatal("short-circuit Algorithm 1 must not name the exact-class entry")
 	}
 }
 

@@ -102,8 +102,6 @@ func TestKeyEncoding(t *testing.T) {
 			"g@2/clique/s=1/class=exact,relabel=N,toplex=false,squeeze=false"},
 		{projKey{"g", 2, cfg(core.AlgoSetIntersection, hg.RelabelNone, core.ToplexOff, false).OutputKey(false, 4)},
 			"g@2/line/s=4/class=shortcircuit,relabel=N,toplex=false,squeeze=true"},
-		{projKey{"g", 2, cfg(core.AlgoAuto, hg.RelabelAuto, core.ToplexAuto, false).OutputKey(false, 4)},
-			"g@2/line/s=4/class=exact,relabel=*,toplex=auto,squeeze=true"},
 		{projKey{"g@1/x", 2, core.PipelineConfig{}.OutputKey(false, 1)},
 			"g@1/x@2/line/s=1/class=exact,relabel=N,toplex=false,squeeze=true"},
 	} {

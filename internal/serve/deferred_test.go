@@ -15,9 +15,9 @@ import (
 	"hyperline/internal/hg"
 )
 
-// deferredQuery is the exact-weight s = 2 line query whose cached
-// projection the ingest below patches.
-const deferredQuery = `{"dataset":"g","s":[2],"exact":true`
+// deferredQuery is the s = 2 line query whose cached projection the
+// ingest below patches.
+const deferredQuery = `{"dataset":"g","s":[2]`
 
 // patchedService serves sweepDataset over HTTP with its s = 2 line
 // projection cached, then ingests one small insert that the walk
@@ -49,9 +49,7 @@ func patchedService(t *testing.T) (*httptest.Server, *Service, *hg.Hypergraph) {
 
 // exactAt2 recomputes the query's projection on h.
 func exactAt2(t *testing.T, h *hg.Hypergraph) *core.PipelineResult {
-	var cfg core.PipelineConfig
-	cfg.Core.DisableShortCircuit = true
-	return direct(t, h, 2, cfg)
+	return direct(t, h, 2, core.PipelineConfig{})
 }
 
 // TestDeferredCountsOnlyQuery: a /v2/query without edges on a patched

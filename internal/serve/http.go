@@ -204,28 +204,24 @@ func handleLoad(svc *Service, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, stats)
 }
 
-// planJSON surfaces the executed plan — the Stage-3 strategy, the
-// resolved preprocessing knobs, and their reasons — for observability.
+// planJSON surfaces the executed plan — the Stage-3 strategy and its
+// reason, and the preprocessing knobs it ran under — for observability.
 type planJSON struct {
 	Strategy string `json:"strategy"`
 	Reason   string `json:"reason,omitempty"`
-	// Relabel is the resolved Stage-1 order ("N", "A", or "D").
+	// Relabel is the Stage-1 order ("N", "A", or "D").
 	Relabel string `json:"relabel,omitempty"`
 	// Toplex reports whether Stage-2 simplification ran.
 	Toplex bool `json:"toplex"`
-	// KnobReason explains the planner's knob choices; empty when the
-	// caller pinned them.
-	KnobReason string `json:"knob_reason,omitempty"`
 }
 
 // toPlan maps a pipeline plan into its JSON form.
 func toPlan(p core.PlanInfo) planJSON {
 	return planJSON{
-		Strategy:   p.Strategy,
-		Reason:     p.Reason,
-		Relabel:    p.Relabel,
-		Toplex:     p.Toplex,
-		KnobReason: p.KnobReason,
+		Strategy: p.Strategy,
+		Reason:   p.Reason,
+		Relabel:  p.Relabel,
+		Toplex:   p.Toplex,
 	}
 }
 

@@ -257,8 +257,8 @@ func TestHTTPQueryClique(t *testing.T) {
 	ts, _ := newTestServer(t)
 	uploadPaper(t, ts)
 	var got queryResponseJSON
-	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1],"nosqueeze":true}`, http.StatusOK, &got)
-	want := direct(t, paperExample().Dual(), 1, core.PipelineConfig{NoSqueeze: true})
+	postQuery(t, ts, `{"dataset":"paper","kind":"clique","s":[1]}`, http.StatusOK, &got)
+	want := direct(t, paperExample().Dual(), 1, core.PipelineConfig{})
 	if e := got.Results[0]; got.Kind != "clique" || e.Edges != want.Graph.NumEdges() || e.Nodes != want.Graph.NumNodes() {
 		t.Fatalf("clique graph %+v differs from direct dual run (%d nodes %d edges)",
 			e, want.Graph.NumNodes(), want.Graph.NumEdges())
@@ -289,16 +289,6 @@ func TestHTTPBackgroundQueryThenHit(t *testing.T) {
 	postQuery(t, ts, `{"dataset":"paper","s":[3]}`, http.StatusOK, &got)
 	if !got.Results[0].Cached {
 		t.Fatal("query after the warming sweep must be served from cache")
-	}
-
-	// A nosqueeze sweep seeds the nosqueeze keys, not the default ones.
-	postQuery(t, ts, `{"dataset":"paper","s":[2],"nosqueeze":true,"priority":"background"}`, http.StatusOK, &warm)
-	if computedOf(warm) != 1 {
-		t.Fatalf("nosqueeze sweep: %+v", warm.Results)
-	}
-	postQuery(t, ts, `{"dataset":"paper","s":[2],"nosqueeze":true}`, http.StatusOK, &got)
-	if !got.Results[0].Cached {
-		t.Fatal("nosqueeze query after the nosqueeze sweep must hit the cache")
 	}
 
 	// Duplicate s values are deduped, not misreported as hits.

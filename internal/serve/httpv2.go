@@ -35,38 +35,34 @@ type queryRequestJSON struct {
 	S         json.RawMessage   `json:"s"`
 	Measure   string            `json:"measure,omitempty"`
 	Params    map[string]string `json:"params,omitempty"`
-	Config    string            `json:"config,omitempty"`
 	Workers   int               `json:"workers,omitempty"`
-	Toplex    toplexJSON        `json:"toplex,omitempty"`
-	NoSqueeze bool              `json:"nosqueeze,omitempty"`
-	Exact     bool              `json:"exact,omitempty"`
 	Edges     bool              `json:"edges,omitempty"`
 	TimeoutMS int               `json:"timeout_ms,omitempty"`
 	// Priority is "interactive" (default) or "background": background
 	// queries are shed instead of queued when admission control is
 	// saturated, so bulk cache-seeding traffic yields to users.
 	Priority string `json:"priority,omitempty"`
+
+	// The paper's Table III knobs, which the service does not take: it
+	// answers exact weights under relabel N, toplex off, squeezed. Any
+	// of them present, whatever its value, is a 400 naming it.
+	Config    json.RawMessage `json:"config"`
+	Toplex    json.RawMessage `json:"toplex"`
+	NoSqueeze json.RawMessage `json:"nosqueeze"`
+	Exact     json.RawMessage `json:"exact"`
 }
 
-// toplexJSON accepts the two JSON spellings of the toplex knob: a
-// boolean, or the string "auto" for the planner-resolved mode. The
-// zero value (field omitted) is ToplexOff.
-type toplexJSON struct {
-	mode core.ToplexMode
-}
-
-func (t *toplexJSON) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case "true":
-		t.mode = core.ToplexOn
-	case "false", "null":
-		t.mode = core.ToplexOff
-	case `"auto"`:
-		t.mode = core.ToplexAuto
-	default:
-		return fmt.Errorf("serve: bad toplex %s (want true, false, or \"auto\")", b)
+// retiredField names the first Table III knob req carries, or "".
+func (req *queryRequestJSON) retiredField() string {
+	for _, f := range []struct {
+		name string
+		raw  json.RawMessage
+	}{{"config", req.Config}, {"toplex", req.Toplex}, {"nosqueeze", req.NoSqueeze}, {"exact", req.Exact}} {
+		if f.raw != nil {
+			return f.name
+		}
 	}
-	return nil
+	return ""
 }
 
 // queryEntryJSON is one per-s result of a v2 query. Exactly one of
@@ -125,6 +121,10 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: \"dataset\" is required"))
 		return
 	}
+	if f := req.retiredField(); f != "" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: %q is not accepted: /v2/query answers exact weights under relabel N, toplex off, squeezed", f))
+		return
+	}
 	var dual bool
 	switch req.Kind {
 	case "", "line":
@@ -140,23 +140,11 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var cfg core.PipelineConfig
-	if req.Config != "" {
-		c, err := core.ParseNotation(req.Config)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		cfg.Core = c
-	}
-	cfg.Toplex = req.Toplex.mode
-	cfg.NoSqueeze = req.NoSqueeze
-	cfg.Core.DisableShortCircuit = req.Exact
 	if req.Workers < 0 {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad workers %d", req.Workers))
 		return
 	}
-	cfg.Core.Workers = clampWorkers(req.Workers)
+	workers := clampWorkers(req.Workers)
 	var pri Priority
 	switch req.Priority {
 	case "", "interactive":
@@ -180,7 +168,7 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Dataset:  req.Dataset,
 		Dual:     dual,
 		S:        sweep,
-		Cfg:      cfg,
+		Workers:  workers,
 		Measure:  req.Measure,
 		Params:   req.Params,
 		Priority: pri,
@@ -195,7 +183,7 @@ func handleQueryV2(svc *Service, w http.ResponseWriter, r *http.Request) {
 		Kind:      kindString(dual),
 		Measure:   req.Measure,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	}, qr, req.Edges, par.Options{Workers: cfg.Core.Workers})
+	}, qr, req.Edges, par.Options{Workers: workers})
 }
 
 // writeQueryV2 writes the /v2/query answer for qr under head (version

@@ -209,6 +209,18 @@ func TestQueryBodyByteIdentical(t *testing.T) {
 	}
 }
 
+// TestQueryBodyEdgesOnAMiss: edge lists of entries the query itself
+// computes are written byte for byte as encoding/json writes them; the
+// edge rows of TestQueryBodyByteIdentical read cached entries.
+func TestQueryBodyEdgesOnAMiss(t *testing.T) {
+	svc := New(Config{})
+	svc.Add("g", sweepDataset())
+	body := checkBody(t, svc, lineQ("g", core.PipelineConfig{}, 2, 3), true).Body.Bytes()
+	if !bytes.Contains(body, []byte(`"cached":false`)) || !bytes.Contains(body, []byte(`"edge_list":[[`)) {
+		t.Fatalf("want computed entries with edge lists: %s", body)
+	}
+}
+
 // TestFragmentLifecycle: a fragment lives and dies with its cache
 // entry. A migrated entry keeps its fragment under the new version's
 // envelope, a patched entry starts a new one, and eviction, removal and

@@ -33,6 +33,9 @@ func FuzzQueryV2Body(f *testing.F) {
 		`[1,2]`,
 		``,
 		`{"dataset":"paper","s":[1]} trailing`,
+		`{"dataset":"paper","s":[1],"toplex":false}`,
+		`{"dataset":"paper","s":[1],"nosqueeze":null}`,
+		`{"dataset":"paper","s":[1],"exact":true,"workers":1}`,
 	} {
 		f.Add([]byte(body))
 	}

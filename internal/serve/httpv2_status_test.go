@@ -167,10 +167,14 @@ func TestV2QueryRequestErrorsKeep4xx(t *testing.T) {
 		{"empty body", ``, http.StatusBadRequest, ""},
 		// Well-formed and answerable but for its size: whitespace padding.
 		{"body over maxQueryBytes", `{"dataset":"paper","s":[2]` + strings.Repeat(" ", maxQueryBytes) + `}`, http.StatusBadRequest, ""},
-		// SpGEMM is not a pipeline strategy: its notations answer with
-		// the parser's own message.
-		{"retired spgemm config word", `{"dataset":"paper","s":[1],"config":"spgemm"}`, http.StatusBadRequest, `must have 3 characters (or be "auto")`},
-		{"retired S config letter", `{"dataset":"paper","s":[1],"config":"SBN"}`, http.StatusBadRequest, `unknown algorithm 'S'`},
+		// The service answers one output class: the Table III knobs are
+		// refused by name, whatever their value.
+		{"retired spgemm config word", `{"dataset":"paper","s":[1],"config":"spgemm"}`, http.StatusBadRequest, `"config" is not accepted`},
+		{"retired S config letter", `{"dataset":"paper","s":[1],"config":"SBN"}`, http.StatusBadRequest, `"config" is not accepted`},
+		{"retired config", `{"dataset":"paper","s":[1],"config":"2BN"}`, http.StatusBadRequest, `"config" is not accepted`},
+		{"retired toplex", `{"dataset":"paper","s":[1],"toplex":false}`, http.StatusBadRequest, `"toplex" is not accepted`},
+		{"retired nosqueeze", `{"dataset":"paper","s":[1],"nosqueeze":true}`, http.StatusBadRequest, `"nosqueeze" is not accepted`},
+		{"retired exact", `{"dataset":"paper","s":[1],"exact":true}`, http.StatusBadRequest, `"exact" is not accepted`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp struct {

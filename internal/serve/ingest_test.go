@@ -13,6 +13,7 @@ import (
 
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
+	"hyperline/internal/hg"
 )
 
 // queryV2 posts one /v2/query and decodes the response.
@@ -51,7 +52,7 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	uploadPaper(t, ts)
 
 	// Warm the exact-class line projections at s=1..5.
-	warm := queryV2(t, ts, `{"dataset": "paper", "s": [1,2,3,4,5], "exact": true}`)
+	warm := queryV2(t, ts, `{"dataset": "paper", "s": [1,2,3,4,5]}`)
 	if warm.Version != 1 {
 		t.Fatalf("fresh dataset at version %d, want 1", warm.Version)
 	}
@@ -86,7 +87,7 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 
 	// The unaffected s values answer cached:true at the new version
 	// with the compute counter untouched.
-	after := queryV2(t, ts, `{"dataset": "paper", "s": [3,4,5], "exact": true}`)
+	after := queryV2(t, ts, `{"dataset": "paper", "s": [3,4,5]}`)
 	if after.Version != 2 {
 		t.Fatalf("post-ingest query pinned to version %d, want 2", after.Version)
 	}
@@ -106,11 +107,9 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := queryV2(t, ts, `{"dataset": "paper", "s": [1,2,3,4,5], "exact": true}`)
-	var cfg core.PipelineConfig
-	cfg.Core.DisableShortCircuit = true
+	full := queryV2(t, ts, `{"dataset": "paper", "s": [1,2,3,4,5]}`)
 	for _, e := range full.Results {
-		fresh := direct(t, newH, e.S, cfg)
+		fresh := direct(t, newH, e.S, core.PipelineConfig{})
 		if e.Nodes != fresh.Graph.NumNodes() || e.Edges != fresh.Graph.NumEdges() {
 			t.Errorf("s=%d: served %d nodes/%d edges, fresh compute has %d/%d",
 				e.S, e.Nodes, e.Edges, fresh.Graph.NumNodes(), fresh.Graph.NumEdges())
@@ -118,46 +117,61 @@ func TestIngestSelectiveInvalidation(t *testing.T) {
 	}
 }
 
-// TestIngestPatchesOnlyRelabelN: over HTTP, keys cached under the
-// by-degree relabels — line projections under "2BA" and "2BD" and
-// clique projections under "2BD", at s = 1..3 — and clique projections
-// under "2BN" are never patched by a delta: each is migrated or dropped.
-// The delta inserts one pair, so the line frontier is s = 2 and both
-// line keys at s = 3 migrate. A clique key under N migrates above
-// affected_s_clique (s = 64 here) and is dropped at or below it
-// (s = 1..3), so its re-query answers from the cache exactly above the
-// bound. Every re-query then answers as a fresh Service holding the
-// post-delta dataset does, migrated and recomputed keys alike. The
-// dataset is sweepDataset, not the paper example: on four hyperedges
-// the cost threshold drops every key below the frontier, so patching
-// would not be reached at all.
+// TestIngestPatchesOnlyRelabelN: keys under the by-degree relabels —
+// line projections under A and D and clique projections under D, at
+// s = 1..3 — and clique projections under N are never patched by a
+// delta: each is migrated or dropped. The service answers relabel N
+// only, so the A and D entries are put in its cache directly, the way
+// an earlier build's spill would hold them; the clique ones under N
+// come from a query. The delta inserts one pair, so the line frontier
+// is s = 2 and both line keys at s = 3 migrate. A clique key under N
+// migrates above affected_s_clique (s = 64 here) and is dropped at or
+// below it (s = 1..3), so its re-query answers from the cache exactly
+// above the bound. Every entry left in the cache then equals a
+// recompute on the post-delta dataset. The dataset is sweepDataset,
+// not the paper example: on four hyperedges the cost threshold drops
+// every key below the frontier, so patching would not be reached at
+// all.
 func TestIngestPatchesOnlyRelabelN(t *testing.T) {
-	const cliqueN = `{"dataset": "g", "s": [1,2,3,64], "kind": "clique", "config": "2BN"}`
-	queries := []string{
-		`{"dataset": "g", "s": [1,2,3], "config": "2BA"}`,
-		`{"dataset": "g", "s": [1,2,3], "config": "2BD"}`,
-		`{"dataset": "g", "s": [1,2,3], "kind": "clique", "config": "2BD"}`,
-		cliqueN,
-	}
-	ts, svc := newTestServer(t)
+	svc := New(Config{})
+	defer svc.Close()
 	base := sweepDataset()
 	svc.Add("g", base)
-	cached := 0
-	for _, q := range queries {
-		for _, e := range queryV2(t, ts, q).Results {
-			if e.Error != "" {
-				t.Fatalf("%s: s=%d: %s", q, e.S, e.Error)
-			}
+	cliqueN := cliqueQ("g", core.PipelineConfig{}, 1, 2, 3, 64)
+	seeded := []struct {
+		dual bool
+		cfg  core.PipelineConfig
+	}{
+		{false, core.PipelineConfig{Core: core.Config{Relabel: hg.RelabelAscending}}},
+		{false, core.PipelineConfig{Core: core.Config{Relabel: hg.RelabelDescending}}},
+		{true, core.PipelineConfig{Core: core.Config{Relabel: hg.RelabelDescending}}},
+	}
+	sweep := []int{1, 2, 3}
+	orientTo := func(h *hg.Hypergraph, dual bool) *hg.Hypergraph {
+		if dual {
+			return h.Dual()
+		}
+		return h
+	}
+	cached := len(mustQuery(t, svc, cliqueN).Entries)
+	for _, k := range seeded {
+		out, err := core.RunBatch(context.Background(), orientTo(base, k.dual), sweep, k.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sVal, res := range out {
+			svc.cache.Put(projKey{"g", 1, k.cfg.OutputKey(k.dual, sVal)}, &projEntry{res: res})
 			cached++
 		}
 	}
 
-	var ing ingestResponse
-	do(t, http.MethodPost, ts.URL+"/v2/ingest",
-		strings.NewReader(`{"dataset": "g", "inserts": [[0, 1]]}`),
-		http.StatusOK, &ing)
+	d := &delta.Delta{Inserts: [][]uint32{{0, 1}}}
+	ing, err := svc.Ingest(context.Background(), "g", d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ing.Patched != 0 {
-		t.Fatalf("patched = %d, want 0: clique keys and keys under relabel A or D are migrated or dropped (%+v)", ing.Patched, ing.IngestResult)
+		t.Fatalf("patched = %d, want 0: clique keys and keys under relabel A or D are migrated or dropped (%+v)", ing.Patched, ing)
 	}
 	if ing.AffectedSLine != 2 || ing.AffectedSClique < 3 || ing.AffectedSClique >= 64 {
 		t.Fatalf("affected_s_line %d, affected_s_clique %d; want 2 and a clique bound in [3, 64)", ing.AffectedSLine, ing.AffectedSClique)
@@ -166,32 +180,30 @@ func TestIngestPatchesOnlyRelabelN(t *testing.T) {
 		t.Fatalf("migrated %d, dropped %d; want 3 (line s=3 under A and D, clique s=64 under N) and the other %d cached keys",
 			ing.Migrated, ing.Dropped, cached-3)
 	}
-	for _, e := range queryV2(t, ts, cliqueN).Results {
+	for _, e := range mustQuery(t, svc, cliqueN).Entries {
 		if e.Cached != (e.S > ing.AffectedSClique) {
 			t.Errorf("clique under N, s=%d: cached %v after the delta, want %v (affected_s_clique %d)",
 				e.S, e.Cached, e.S > ing.AffectedSClique, ing.AffectedSClique)
 		}
 	}
 
-	newH, err := delta.Apply(base, &delta.Delta{Inserts: [][]uint32{{0, 1}}})
+	newH, err := delta.Apply(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := New(Config{})
-	defer fresh.Close()
-	fresh.Add("g", newH)
-	freshTS := httptest.NewServer(NewHandler(fresh))
-	defer freshTS.Close()
-	for _, q := range queries {
-		got, want := queryV2(t, ts, q), queryV2(t, freshTS, q)
-		if len(got.Results) != len(want.Results) {
-			t.Fatalf("%s: %d entries, fresh service %d", q, len(got.Results), len(want.Results))
-		}
-		for i, g := range got.Results {
-			w := want.Results[i]
-			if g.S != w.S || g.Nodes != w.Nodes || g.Edges != w.Edges || !slices.Equal(g.HyperedgeIDs, w.HyperedgeIDs) || g.Error != w.Error {
-				t.Errorf("%s: s=%d: %d nodes, %d edges, %d hyperedge_ids; fresh service s=%d: %d, %d, %d",
-					q, g.S, g.Nodes, g.Edges, len(g.HyperedgeIDs), w.S, w.Nodes, w.Edges, len(w.HyperedgeIDs))
+	seeded = append(seeded, struct {
+		dual bool
+		cfg  core.PipelineConfig
+	}{true, core.PipelineConfig{}})
+	for _, k := range seeded {
+		for _, sVal := range []int{1, 2, 3, 64} {
+			e, ok := svc.cache.Get(projKey{"g", ing.Version, k.cfg.OutputKey(k.dual, sVal)})
+			if !ok {
+				continue
+			}
+			want := direct(t, orientTo(newH, k.dual), sVal, k.cfg)
+			if !slices.Equal(e.res.Graph.Edges(), want.Graph.Edges()) || !slices.Equal(e.res.HyperedgeIDs, want.HyperedgeIDs) {
+				t.Errorf("%s: the entry left in the cache differs from a recompute", k.cfg.OutputKey(k.dual, sVal))
 			}
 		}
 	}
@@ -265,7 +277,7 @@ func TestIngestPassCountSurvives(t *testing.T) {
 	uploadPaper(t, ts)
 
 	for s := 1; s <= 3; s++ {
-		queryV2(t, ts, fmt.Sprintf(`{"dataset": "paper", "s": [%d], "exact": true}`, s))
+		queryV2(t, ts, fmt.Sprintf(`{"dataset": "paper", "s": [%d]}`, s))
 	}
 	if n := linePasses(t, svc, "paper"); n != projectedPasses {
 		t.Fatalf("three single-s computes counted %d passes, want %d", n, projectedPasses)
@@ -443,7 +455,7 @@ func TestIngestMeasureMigration(t *testing.T) {
 
 	// Warm components at s=1 (inside the coming frontier) and s=3
 	// (outside it).
-	queryV2(t, ts, `{"dataset": "paper", "s": [1, 3], "measure": "components", "exact": true}`)
+	queryV2(t, ts, `{"dataset": "paper", "s": [1, 3], "measure": "components"}`)
 	mComputes := svc.measureComputes.Load()
 	if mComputes == 0 {
 		t.Fatal("measure warmup did not compute")
@@ -457,7 +469,7 @@ func TestIngestMeasureMigration(t *testing.T) {
 		t.Fatalf("measures migrated/dropped = %d/%d, want 1/1", ing.MeasuresMigrated, ing.MeasuresDropped)
 	}
 
-	out := queryV2(t, ts, `{"dataset": "paper", "s": [3], "measure": "components", "exact": true}`)
+	out := queryV2(t, ts, `{"dataset": "paper", "s": [3], "measure": "components"}`)
 	if len(out.Results) != 1 || !out.Results[0].Cached {
 		t.Fatalf("migrated measure not served from cache: %+v", out.Results)
 	}
@@ -465,7 +477,7 @@ func TestIngestMeasureMigration(t *testing.T) {
 		t.Fatalf("measure computes went %d -> %d on a migrated key", mComputes, got)
 	}
 
-	out = queryV2(t, ts, `{"dataset": "paper", "s": [1], "measure": "components", "exact": true}`)
+	out = queryV2(t, ts, `{"dataset": "paper", "s": [1], "measure": "components"}`)
 	if len(out.Results) != 1 || out.Results[0].Cached {
 		t.Fatal("frontier-intersecting measure was served stale from cache")
 	}

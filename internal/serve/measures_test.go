@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"hyperline/internal/core"
 	"hyperline/internal/gen"
 	"hyperline/internal/hg"
 )
@@ -42,7 +41,7 @@ func TestMeasureServedFromCache(t *testing.T) {
 	}
 	// Execution knobs (workers) share the entry: the output key
 	// excludes them and measures are worker-deterministic.
-	q.Cfg = core.PipelineConfig{Core: core.Config{Workers: 3}}
+	q.Workers = 3
 	third := mustQuery(t, svc, q).Entries[0].Measure
 	if !third.Cached || third.MeasureEntry != first.MeasureEntry {
 		t.Fatal("workers-only config change must hit the same measure entry")

@@ -49,9 +49,7 @@ func TestPendingVersionBuildsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats := hg.ComputeStats("g", want)
-	wantStats.ToplexSample = hg.SampleContainment(want)
-	if st != wantStats {
+	if wantStats := hg.ComputeStats("g", want); st != wantStats {
 		t.Fatalf("carried stats %+v, want %+v", st, wantStats)
 	}
 

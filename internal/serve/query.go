@@ -10,8 +10,11 @@ import (
 
 // QueryRequest is the serve-level form of the unified query: one
 // dataset, one orientation, an s-list, an optional Stage-5 measure, and
-// the pipeline configuration. It is the single request shape behind
-// POST /v2/query and Session.Execute.
+// a worker budget. It is the single request shape behind POST /v2/query
+// and Session.Execute. The service answers one output class — exact
+// weights, relabel N, toplex off, squeezed — so a request names no
+// preprocessing knob, and its cache keys depend only on dataset,
+// version, orientation and s.
 type QueryRequest struct {
 	// Dataset names a registered dataset.
 	Dataset string
@@ -21,9 +24,10 @@ type QueryRequest struct {
 	// core.ValidateSValues; duplicates collapse, results are ordered by
 	// ascending distinct s).
 	S []int
-	// Cfg is the pipeline configuration; its output-relevant options
-	// (core.OutputKey) are part of the cache keys.
-	Cfg core.PipelineConfig
+	// Workers bounds the query's parallelism (0 = GOMAXPROCS). It
+	// changes no output byte, so requests differing only in it share
+	// cache entries.
+	Workers int
 	// Measure optionally names a registered Stage-5 measure to
 	// evaluate on every projection of the sweep.
 	Measure string
@@ -78,9 +82,9 @@ type QueryResult struct {
 }
 
 // Query executes one unified request, and is the one place validation,
-// knob resolution, cache probes, singleflight, admission and metrics
-// are applied: validation first (a typo fails in microseconds, before
-// any pipeline work), then one batched planner-driven pass for the
+// cache probes, singleflight, admission and metrics are applied:
+// validation first (a typo fails in microseconds, before any pipeline
+// work), then one batched planner-driven pass for the
 // uncached projections, then — when a measure is named — one cached,
 // deduplicated measure evaluation per s. Cancellation is cooperative
 // end to end: a cancelled ctx aborts the pipeline within a bounded
@@ -116,13 +120,8 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Resolve planner-driven auto knobs once, before any key is derived:
-	// both caches are probed under the configuration's output key, so it
-	// must name the concrete knobs the pipeline would run, or a
-	// planner-chosen query would miss the entries its pinned twin
-	// cached.
 	distinct := core.DistinctS(q.S)
-	q.Cfg = s.resolveAt(h, version, q.Dataset, q.Dual, q.Cfg)
+	cfg := s.configAt(version, q.Dataset, q.Dual, q.Workers)
 
 	out := &QueryResult{Entries: make([]QueryEntry, len(distinct)), Version: version}
 	index := make(map[int]int, len(distinct))
@@ -132,7 +131,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	}
 
 	if m == nil {
-		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, distinct, q.Cfg, q.Priority)
+		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, distinct, cfg, q.Priority)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +147,7 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 	// projection the misses need as one batch, then evaluate.
 	params := p.CanonicalString() // once per query, not per s
 	mkey := func(sVal int) measureKey {
-		return measureKey{projKey{q.Dataset, version, q.Cfg.OutputKey(q.Dual, sVal)}, m.Name(), params}
+		return measureKey{projKey{q.Dataset, version, cfg.OutputKey(q.Dual, sVal)}, m.Name(), params}
 	}
 	missing := make([]int, 0, len(distinct))
 	for _, sVal := range distinct {
@@ -162,13 +161,13 @@ func (s *Service) Query(ctx context.Context, q QueryRequest) (*QueryResult, erro
 		}
 	}
 	if len(missing) > 0 {
-		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, missing, q.Cfg, q.Priority)
+		projs, err := s.projectBatchAt(ctx, h, version, q.Dataset, q.Dual, missing, cfg, q.Priority)
 		if err != nil {
 			return nil, err
 		}
 		// One evaluation per missing s, scheduled across the sweep;
 		// each writes only its own entry.
-		budget := par.Options{Workers: q.Cfg.Core.Workers, Grain: q.Cfg.Core.Grain, Strategy: q.Cfg.Core.Partition}
+		budget := par.Options{Workers: q.Workers}
 		weight := func(k int) int { return measure.Weight(projs[missing[k]].res) }
 		par.EachS(len(missing), budget, weight, func(k int, inner par.Options) {
 			sVal := missing[k]

@@ -8,14 +8,16 @@ import (
 	"hyperline/internal/hg"
 )
 
-// lineQ builds the s-line QueryRequest for sValues on a dataset.
+// lineQ builds the s-line QueryRequest for sValues on a dataset. Of cfg
+// only Core.Workers reaches the request: the service answers one output
+// class, so no other field names anything it can serve.
 func lineQ(dataset string, cfg core.PipelineConfig, sValues ...int) QueryRequest {
-	return QueryRequest{Dataset: dataset, S: sValues, Cfg: cfg}
+	return QueryRequest{Dataset: dataset, S: sValues, Workers: cfg.Core.Workers}
 }
 
 // cliqueQ is lineQ for the dual (s-clique) orientation.
 func cliqueQ(dataset string, cfg core.PipelineConfig, sValues ...int) QueryRequest {
-	return QueryRequest{Dataset: dataset, Dual: true, S: sValues, Cfg: cfg}
+	return QueryRequest{Dataset: dataset, Dual: true, S: sValues, Workers: cfg.Core.Workers}
 }
 
 // mustQuery runs q through Service.Query, failing the test on a

@@ -50,42 +50,17 @@ type DatasetInfo struct {
 type dataset struct {
 	v       *hg.Version
 	version uint64
-	stats   hg.Stats // ToplexSample unset: see sampled
-
+	stats   hg.Stats
 	passes  *atomic.Int64
-	samples [2]struct {
-		once sync.Once
-		frac float64
-	}
-}
-
-// side indexes per-orientation state: 0 for the line orientation, 1 for
-// the clique one.
-func side(dual bool) int {
-	if dual {
-		return 1
-	}
-	return 0
 }
 
 // statsFor returns the statistics of the orientation a query actually
-// projects, without the containment sample.
+// projects.
 func (d *dataset) statsFor(dual bool) hg.Stats {
 	if !dual {
 		return d.stats
 	}
 	return d.stats.Dual(d.stats.Name + "/dual")
-}
-
-// sampled returns statsFor(dual) with its ToplexSample, probing the
-// version through its edits (hg.SampleContainment) the first time it
-// is read and keeping the answer for the life of the version.
-func (d *dataset) sampled(dual bool) hg.Stats {
-	st := d.statsFor(dual)
-	s := &d.samples[side(dual)]
-	s.once.Do(func() { s.frac = hg.SampleContainment(orient(d.v, dual)) })
-	st.ToplexSample = s.frac
-	return st
 }
 
 // Registry is a thread-safe name → hypergraph table. Hypergraphs are
@@ -129,8 +104,7 @@ func (r *Registry) Add(name string, h *hg.Hypergraph) uint64 {
 // Unlike Add, the old version's pass counter is carried forward: a
 // delta perturbs a bounded neighborhood of the hypergraph, so the
 // lineage that has been projected before is still being read — whereas
-// a full replacement is a new lineage and starts at 0. The containment
-// samples do reset: each version takes its own.
+// a full replacement is a new lineage and starts at 0.
 func (r *Registry) ApplyDelta(name string, oldVersion uint64, next *hg.Version, stats hg.Stats) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -265,14 +239,13 @@ func (r *Registry) at(name string, version uint64) (*dataset, bool) {
 	return d, true
 }
 
-// Stats returns the statistics of the named dataset's current version,
-// containment sample included.
+// Stats returns the statistics of the named dataset's current version.
 func (r *Registry) Stats(name string) (hg.Stats, error) {
 	d, err := r.current(name)
 	if err != nil {
 		return hg.Stats{}, err
 	}
-	return d.sampled(false), nil
+	return d.stats, nil
 }
 
 // Len returns the number of registered datasets.
@@ -286,15 +259,10 @@ func (r *Registry) Len() int {
 func (r *Registry) List() []DatasetInfo {
 	r.mu.RLock()
 	out := make([]DatasetInfo, 0, len(r.byName))
-	ds := make([]*dataset, 0, len(r.byName))
 	for name, d := range r.byName {
-		out = append(out, DatasetInfo{Name: name, Version: d.version})
-		ds = append(ds, d)
+		out = append(out, DatasetInfo{Name: name, Version: d.version, Stats: d.stats})
 	}
 	r.mu.RUnlock()
-	for i, d := range ds {
-		out[i].Stats = d.sampled(false) // may probe: outside the lock
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

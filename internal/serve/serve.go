@@ -171,8 +171,7 @@ func (s *Service) Remove(name string) bool { return s.reg.Remove(name) }
 func (s *Service) Datasets() []DatasetInfo { return s.reg.List() }
 
 // Stats returns Table IV-style statistics for the named dataset's
-// current version (carried across deltas; the containment sample taken
-// on first read).
+// current version (carried across deltas).
 func (s *Service) Stats(name string) (hg.Stats, error) {
 	return s.reg.Stats(name)
 }
@@ -187,26 +186,19 @@ func (s *Service) Hypergraph(name string) (*hg.Hypergraph, error) {
 	return v.Flat(), nil
 }
 
-// resolveAt resolves cfg's planner-driven auto knobs (hg.RelabelAuto,
-// core.ToplexAuto) against a pinned dataset snapshot and attaches the
-// version's cached statistics, so every cache key derived afterwards
-// names the concrete configuration the pipeline will actually run — a
-// planner-chosen configuration shares cache entries with the pinned
-// configuration it resolves to. When the snapshot is no longer the
-// registry's current version (a concurrent replacement), the stats are
-// recomputed from the snapshot's built rows.
-func (s *Service) resolveAt(h *hg.Version, version uint64, name string, dual bool, cfg core.PipelineConfig) core.PipelineConfig {
-	var work *hg.Hypergraph
+// configAt is the pipeline configuration of the one output class the
+// service answers, run on workers, with the pinned version's statistics
+// of the projected orientation attached for the planner and admission
+// pricing. When the snapshot is no longer the registry's current version
+// (a concurrent replacement), Stats stays nil and the planner computes
+// them from the snapshot's rows.
+func (s *Service) configAt(version uint64, name string, dual bool, workers int) core.PipelineConfig {
+	cfg := core.PipelineConfig{Core: core.Config{Workers: workers}}
 	if d, ok := s.reg.at(name, version); ok {
 		st := d.statsFor(dual)
-		if cfg.Toplex == core.ToplexAuto {
-			st = d.sampled(dual)
-		}
 		cfg.Stats = &st
-	} else {
-		work = orient(h, dual).Flat()
 	}
-	return core.ResolveConfig(work, cfg)
+	return cfg
 }
 
 // orient is the version whose hyperedges an orientation's projection
@@ -230,15 +222,14 @@ type projection struct {
 
 // projectBatchAt serves the projections of distinct (validated,
 // deduplicated, ascending s values) against the dataset snapshot Query
-// pinned (hypergraph + version) under the configuration Query resolved:
-// every cache key it derives refers to that version and those concrete
-// knobs, so one response never mixes versions even if the dataset is
-// concurrently replaced. Only a pass that computes builds a pending
+// pinned (hypergraph + version) under the configuration configAt built:
+// every cache key it derives refers to that version, so one response
+// never mixes versions even if the dataset is concurrently replaced.
+// Only a pass that computes builds a pending
 // version's CSR (once, for every flight that needs it).
 func (s *Service) projectBatchAt(ctx context.Context, h *hg.Version, version uint64, name string, dual bool, distinct []int, cfg core.PipelineConfig, pri Priority) (map[int]projection, error) {
-	// The version makes replaced datasets miss; the output key folds in
-	// every output-relevant option, so requests differing only in
-	// execution knobs share an entry.
+	// The version makes replaced datasets miss; the output key names the
+	// one class, so requests differing only in workers share an entry.
 	key := func(sVal int) projKey { return projKey{name, version, cfg.OutputKey(dual, sVal)} }
 	out := make(map[int]projection, len(distinct))
 	missing := make([]int, 0, len(distinct))

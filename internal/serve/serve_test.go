@@ -12,7 +12,6 @@ import (
 	"hyperline/internal/core"
 	"hyperline/internal/hg"
 	"hyperline/internal/hgio"
-	"hyperline/internal/par"
 )
 
 func paperExample() *hg.Hypergraph {
@@ -92,13 +91,10 @@ func TestExecutionKnobsShareCacheEntry(t *testing.T) {
 	svc := New(Config{})
 	svc.Add("h", paperExample())
 	e1 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{}, 2)).Entries[0]
-	// Same request with different worker count / distribution / grain:
-	// same entry.
-	e2 := mustQuery(t, svc, lineQ("h", core.PipelineConfig{
-		Core: core.Config{Workers: 3, Partition: par.Cyclic, Grain: 2},
-	}, 2)).Entries[0]
+	// Same request with a different worker count: same entry.
+	e2 := mustQuery(t, svc, QueryRequest{Dataset: "h", S: []int{2}, Workers: 3}).Entries[0]
 	if !e2.Cached || e1.Res != e2.Res {
-		t.Fatal("requests differing only in execution knobs must share a cache entry")
+		t.Fatal("requests differing only in workers must share a cache entry")
 	}
 }
 
@@ -227,27 +223,6 @@ func TestBackgroundSweepSeedsCacheIdenticalToDirect(t *testing.T) {
 	}
 	if got := svc.projectionComputes.Load(); got != int64(len(sweep)) {
 		t.Fatalf("projection computes = %d, want %d", got, len(sweep))
-	}
-}
-
-// TestSweepAlgorithm1RoutedPerS: a short-circuit Algorithm 1 sweep (a
-// distinct output class) flows through the same batch path as
-// everything else — the planner, not the serving layer, decides it must
-// run per s.
-func TestSweepAlgorithm1RoutedPerS(t *testing.T) {
-	h := paperExample()
-	svc := New(Config{})
-	svc.Add("h", h)
-	cfg := core.PipelineConfig{Core: core.Config{Algorithm: core.AlgoSetIntersection}}
-	mustQuery(t, svc, lineQ("h", cfg, 1, 2))
-	for _, sVal := range []int{1, 2} {
-		e := mustQuery(t, svc, lineQ("h", cfg, sVal)).Entries[0]
-		if !e.Cached {
-			t.Fatalf("s=%d: want a hit after the sweep", sVal)
-		}
-		if !reflect.DeepEqual(e.Res.Graph.Edges(), direct(t, h, sVal, cfg).Graph.Edges()) {
-			t.Fatalf("s=%d: Algorithm 1 sweep differs from direct run", sVal)
-		}
 	}
 }
 

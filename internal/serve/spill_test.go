@@ -315,7 +315,9 @@ func TestSaveRestoreWarmStart(t *testing.T) {
 // service on that spill directory. The connectivity and pagerank
 // entries, earlier solvers' values, must miss and be recomputed; the
 // components entry, whose key text did not change, must be served from
-// disk.
+// disk. So must an s = 3 projection spilled under the literal text that
+// builds taking the Table III knobs on /v2/query wrote for the class
+// the service still answers: its entries stay valid.
 func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 	dir := t.TempDir()
 	h := randomHypergraph(17, 200, 150, 5)
@@ -358,16 +360,30 @@ func TestMeasureRevisionMissesEarlierSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		earlier.Put(fmt.Sprintf("%s/measure=%s?%s", proj, name, p.CanonicalString()), data)
+		key := fmt.Sprintf("%s/measure=%s?%s", proj, name, p.CanonicalString())
+		if name == "components" {
+			key = "w@1/line/s=2/class=exact,relabel=N,toplex=false,squeeze=true/measure=components?"
+		}
+		earlier.Put(key, data)
 		if name == "pagerank" {
 			earlier.Put(fmt.Sprintf("%s/measure=pagerank+cg?%s", proj, p.CanonicalString()), data)
 		}
 		spilled[name] = e
 	}
+	s3 := direct(t, h, 3, core.PipelineConfig{})
+	data, err := encodeProjection(&projEntry{res: s3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlier.Put("w@1/line/s=3/class=exact,relabel=N,toplex=false,squeeze=true", data)
 	if err := svc.EnableSpill(dir, 0); err != nil {
 		t.Fatal(err)
 	}
 
+	e3 := mustQuery(t, svc, lineQ("w", core.PipelineConfig{}, 3)).Entries[0]
+	if !e3.Cached || svc.CacheStats().DiskHits != 1 || !reflect.DeepEqual(e3.Res.Graph.Edges(), s3.Graph.Edges()) {
+		t.Fatalf("s=3 projection spilled under the earlier key text was not served from disk (cached=%v, %+v)", e3.Cached, svc.CacheStats())
+	}
 	q := lineQ("w", core.PipelineConfig{}, sVal)
 	q.Measure = "components"
 	cc := mustQuery(t, svc, q).Entries[0].Measure

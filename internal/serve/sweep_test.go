@@ -83,8 +83,8 @@ func TestMeasureSweepPerSErrorBesideNeighbours(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		qr, err := svc.Query(context.Background(), QueryRequest{
 			Dataset: "h", S: []int{1, 2, 3}, Measure: "distances",
-			Params: map[string]string{"source": "0"},
-			Cfg:    core.PipelineConfig{Core: core.Config{Workers: workers}},
+			Params:  map[string]string{"source": "0"},
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestMeasureSweepCancelStartsNoFurtherS(t *testing.T) {
 		go func() {
 			_, err := svc.Query(ctx, QueryRequest{
 				Dataset: "g", S: []int{1, 2, 3, 4, 5}, Measure: gate.Name(),
-				Cfg: core.PipelineConfig{Core: core.Config{Workers: workers}},
+				Workers: workers,
 			})
 			errc <- err
 		}()

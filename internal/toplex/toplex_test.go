@@ -156,15 +156,3 @@ func TestIsSubset(t *testing.T) {
 func IsSimple(h *hg.Hypergraph) bool {
 	return len(Toplexes(h)) == h.NumEdges()
 }
-
-// ContainedRatio returns the exact fraction of hyperedges that are not
-// toplexes — the fraction Simplify removes. It is the ground truth the
-// planner's sampled estimate (hg.Stats.ToplexSample) approximates, at
-// the cost of a full Toplexes pass.
-func ContainedRatio(h *hg.Hypergraph) float64 {
-	m := h.NumEdges()
-	if m == 0 {
-		return 0
-	}
-	return float64(m-len(Toplexes(h))) / float64(m)
-}

@@ -3,6 +3,7 @@ package hyperline
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"time"
 
 	"hyperline/internal/core"
@@ -53,7 +54,8 @@ type Query struct {
 	// Params are the measure's parameters, validated against its
 	// schema before any pipeline work runs.
 	Params map[string]string
-	// Options are the execution options.
+	// Options are the execution options. A Session's Dataset query
+	// takes Workers only (see Session.Execute).
 	Options Options
 	// Deadline optionally bounds the whole query: past it the pipeline
 	// aborts cooperatively and Execute returns
@@ -218,6 +220,10 @@ func Execute(ctx context.Context, q Query) (*QueryResult, error) {
 // requests deduplicated; a query carrying an ad-hoc Hypergraph runs
 // uncached, exactly like the top-level Execute.
 //
+// A Dataset query answers one output class — exact weights, relabel N,
+// toplex off, squeezed — and takes Workers as its only option: any
+// other non-zero Options field is an error that names it.
+//
 // Cancellation follows the Execute contract, with one serving-layer
 // refinement: if concurrent identical requests share one computation,
 // a cancelled caller detaches immediately (receiving ctx.Err()) while
@@ -238,13 +244,19 @@ func (s *Session) Execute(ctx context.Context, q Query) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	opt := reflect.ValueOf(q.Options)
+	for i := 0; i < opt.NumField(); i++ {
+		if name := opt.Type().Field(i).Name; name != "Workers" && !opt.Field(i).IsZero() {
+			return nil, fmt.Errorf("hyperline: Options.%s is not accepted on a Session dataset query, which answers exact weights under relabel N, toplex off, squeezed", name)
+		}
+	}
 	ctx, cancel := q.deadlineContext(ctx)
 	defer cancel()
 	qr, err := s.svc.Query(ctx, serve.QueryRequest{
 		Dataset:  q.Dataset,
 		Dual:     dual,
 		S:        q.S,
-		Cfg:      q.Options.pipeline(),
+		Workers:  q.Options.Workers,
 		Measure:  q.Measure,
 		Params:   q.Params,
 		Priority: q.Priority,

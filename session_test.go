@@ -125,7 +125,7 @@ func TestSessionCliqueAndBatch(t *testing.T) {
 	sess := hyperline.NewSession(hyperline.SessionOptions{})
 	sess.Add("paper", sessionExample())
 
-	opt := hyperline.Options{NoSqueeze: true}
+	opt := hyperline.Options{Workers: 2}
 	cliques, err := sess.Execute(context.Background(), hyperline.Query{
 		Dataset: "paper", Kind: hyperline.KindClique, S: []int{1, 2}, Options: opt,
 	})
@@ -143,6 +143,35 @@ func TestSessionCliqueAndBatch(t *testing.T) {
 
 	if _, err := sess.Execute(context.Background(), paperQuery()); err == nil {
 		t.Fatal("empty s-list must error")
+	}
+}
+
+// TestSessionExecuteTakesWorkersOnly: a Session's dataset query answers
+// one output class, so every Options field but Workers is an error that
+// names the field, and nothing runs; the sessionless Execute still
+// takes them all.
+func TestSessionExecuteTakesWorkersOnly(t *testing.T) {
+	sess := hyperline.NewSession(hyperline.SessionOptions{})
+	sess.Add("paper", sessionExample())
+	for field, opt := range map[string]hyperline.Options{
+		"Algorithm":    {Algorithm: hyperline.AlgoHashmap},
+		"Partition":    {Partition: hyperline.Cyclic},
+		"Relabel":      {Relabel: hyperline.RelabelAscending},
+		"Grain":        {Grain: 4, Workers: 2},
+		"ExactWeights": {ExactWeights: true},
+		"Toplex":       {Toplex: true},
+		"NoSqueeze":    {NoSqueeze: true},
+	} {
+		_, err := sess.Execute(context.Background(), hyperline.Query{Dataset: "paper", S: []int{1}, Options: opt})
+		if err == nil || !strings.Contains(err.Error(), "Options."+field+" ") {
+			t.Errorf("Options.%s on a dataset query: err %v, want one naming it", field, err)
+		}
+		if _, err := hyperline.Execute(context.Background(), hyperline.Query{Hypergraph: sessionExample(), S: []int{1}, Options: opt}); err != nil {
+			t.Errorf("Options.%s on the sessionless Execute: %v", field, err)
+		}
+	}
+	if n := sess.CacheStats().Misses; n != 0 {
+		t.Fatalf("rejected queries probed the cache %d times", n)
 	}
 }
 
