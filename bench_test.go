@@ -373,7 +373,7 @@ func BenchmarkAblationToplexOn(b *testing.B) {
 	h := nestedHypergraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runAt(b, h, 2, core.PipelineConfig{Toplex: core.ToplexOn})
+		runAt(b, h, 2, core.PipelineConfig{Toplex: true})
 	}
 }
 

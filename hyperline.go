@@ -169,7 +169,7 @@ func (o Options) pipeline() core.PipelineConfig {
 			Grain:               o.Grain,
 			DisableShortCircuit: o.ExactWeights,
 		},
-		Toplex:    core.ToplexFromBool(o.Toplex),
+		Toplex:    o.Toplex,
 		NoSqueeze: o.NoSqueeze,
 	}
 }
@@ -178,9 +178,11 @@ func (o Options) par() par.Options {
 	return par.Options{Workers: o.Workers, Grain: o.Grain, Strategy: o.Partition}
 }
 
-// SConnectedComponents computes the s-connected components of an
-// s-line graph result (union-find reference implementation). Component
-// labels index graph nodes; map through res.HyperedgeID for input IDs.
+// SConnectedComponents returns the s-connected components of an s-line
+// graph result: the projection's own breadth-first labelling, built once
+// per graph and shared by every component-wise measure, so Label must
+// not be modified. Component labels index graph nodes; map through
+// res.HyperedgeID for input IDs.
 func SConnectedComponents(res *Result) *Components {
 	return algo.ConnectedComponents(res.Graph)
 }

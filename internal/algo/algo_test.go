@@ -63,8 +63,8 @@ func TestConnectedComponentsBasic(t *testing.T) {
 	}
 }
 
-// bothDirectionsCC is the union-find ConnectedComponents replaced, kept
-// as its reference: every CSR entry united, so each edge twice.
+// bothDirectionsCC is a union-find, the oracle of the graph's held
+// breadth-first labelling: every CSR entry united, so each edge twice.
 func bothDirectionsCC(g *graph.Graph) *Components {
 	n := g.NumNodes()
 	parent := make([]uint32, n)
@@ -100,8 +100,8 @@ func bothDirectionsCC(g *graph.Graph) *Components {
 	return &Components{Label: labels, Count: count}
 }
 
-// TestConnectedComponentsMatchesBothDirections pins the one-union-per-
-// edge labeling to the both-directions union-find on random graphs,
+// TestConnectedComponentsMatchesBothDirections pins the breadth-first
+// labeling to the both-directions union-find on random graphs,
 // graphs with isolated nodes and the measure-bundle input.
 func TestConnectedComponentsMatchesBothDirections(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -122,6 +122,33 @@ func TestConnectedComponentsMatchesBothDirections(t *testing.T) {
 		got, want := ConnectedComponents(g), bothDirectionsCC(g)
 		if got.Count != want.Count || !slices.Equal(got.Label, want.Label) {
 			t.Fatalf("%s: %d components %v, both directions %d %v", name, got.Count, got.Label, want.Count, want.Label)
+		}
+	}
+}
+
+// TestHeldComponentsMatchUnionFind: the graph's held labelling has the
+// union-find's labels and count, and its node list is the union-find's
+// members, component-major, on random graphs (isolated nodes among
+// them), the empty and edgeless graphs and single-component ones.
+func TestHeldComponentsMatchUnionFind(t *testing.T) {
+	graphs := []*graph.Graph{graph.Build(0, nil, false), graph.Build(5, nil, false), pathGraph(30), starGraph(17)}
+	r := rand.New(rand.NewSource(51))
+	for k := 0; k < 60; k++ {
+		n := 1 + r.Intn(200)
+		graphs = append(graphs, randomGraph(r, n, r.Intn(2*n)))
+	}
+	for i, g := range graphs {
+		got, want := g.Components(), bothDirectionsCC(g)
+		var nodes []uint32
+		bounds := []uint32{0}
+		for _, ms := range membersByMap(want) {
+			nodes = append(nodes, ms...)
+			bounds = append(bounds, uint32(len(nodes)))
+		}
+		if got.Count() != want.Count || !slices.Equal(got.Label, want.Label) ||
+			!slices.Equal(got.Nodes, nodes) || !slices.Equal(got.Bounds, bounds) {
+			t.Fatalf("graph %d: held %d components %+v; union-find %d, nodes %v, bounds %v",
+				i, got.Count(), got, want.Count, nodes, bounds)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // computed on the materialized s-line graph. Because an s-line graph is
 // an ordinary graph, any standard graph algorithm applies; this package
 // provides the ones used in the paper's applications and evaluation —
-// s-connected components (both union-find and the label-propagation
+// s-connected components (both breadth-first and the label-propagation
 // variant benchmarked in Table V), s-betweenness centrality (Brandes),
 // s-distance (BFS), and PageRank (for Table II).
 package algo
@@ -19,86 +19,35 @@ import (
 type Components struct {
 	Label []uint32
 	Count int
+	// held is the graph's own labelling when Label aliases it.
+	held *graph.Components
 }
 
 // Members returns the component membership lists, sorted by ascending
-// representative and, within a component, ascending node ID. The lists
-// are cut from one backing array by a counting sort on the labels; each
-// is capped at its own length, so an append to one never overwrites the
-// next.
+// representative and, within a component, ascending node ID; each is
+// capped at its own length, so an append to one never overwrites the
+// next. A labelling from ConnectedComponents is cut from the graph's
+// node list; any other is grouped by graph.FromLabels.
 func (c *Components) Members() [][]uint32 {
-	n := len(c.Label)
-	// start[l] is where label l's members begin in nodes.
-	start := make([]int, n+1)
-	for _, l := range c.Label {
-		start[l+1]++
+	held := c.held
+	if held == nil {
+		held = graph.FromLabels(c.Label)
 	}
-	for l := 1; l <= n; l++ {
-		start[l] += start[l-1]
-	}
-	nodes := make([]uint32, n)
-	out := make([][]uint32, 0, c.Count)
-	for l := 0; l < n; l++ {
-		if lo, hi := start[l], start[l+1]; lo < hi {
-			out = append(out, nodes[lo:hi:hi])
-		}
-	}
-	for u, l := range c.Label {
-		nodes[start[l]] = uint32(u)
-		start[l]++
+	out := make([][]uint32, held.Count())
+	for j := range out {
+		out[j] = held.Members(j)
 	}
 	return out
 }
 
-// ConnectedComponents labels components with a sequential union-find
-// (path-halving + union by smaller root). This is the reference
-// implementation; LabelPropagationCC is the parallel variant the paper
-// benchmarks.
-//
-// Each undirected edge is united once, from its smaller end: a row's
-// entries v ≤ u were united from v's row. A root is always the
-// smallest node of its set, whatever the union order, so the labels
-// are those of a union over both directions.
+// ConnectedComponents returns the graph's own labelling
+// (graph.Graph.Components): a breadth-first search from each unreached
+// node in node order, run once per graph. Label aliases it and must not
+// be modified. This is the reference implementation;
+// LabelPropagationCC is the parallel variant the paper benchmarks.
 func ConnectedComponents(g *graph.Graph) *Components {
-	n := g.NumNodes()
-	off, adj, _, _ := g.CSR()
-	parent := make([]uint32, n)
-	for u := range parent {
-		parent[u] = uint32(u)
-	}
-	var find func(uint32) uint32
-	find = func(x uint32) uint32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range adj[off[u]:off[u+1]] {
-			if v <= uint32(u) {
-				continue
-			}
-			ru, rv := find(uint32(u)), find(v)
-			if ru == rv {
-				continue
-			}
-			if ru < rv {
-				parent[rv] = ru
-			} else {
-				parent[ru] = rv
-			}
-		}
-	}
-	labels := make([]uint32, n)
-	count := 0
-	for u := 0; u < n; u++ {
-		labels[u] = find(uint32(u))
-		if labels[u] == uint32(u) {
-			count++
-		}
-	}
-	return &Components{Label: labels, Count: count}
+	cc := g.Components()
+	return &Components{Label: cc.Label, Count: cc.Count(), held: cc}
 }
 
 // LabelPropagationCC labels components with synchronous parallel

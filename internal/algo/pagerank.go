@@ -65,9 +65,10 @@ func (o PageRankOptions) defaults() PageRankOptions {
 // and most are small or regular (a regular component converges in one
 // step). Each component also stops after MaxIter steps.
 //
-// The non-isolated nodes are listed component-major and by ascending
-// degree within a component (a breadth-first labelling, then a stable
-// counting sort of degreeOrder by label); vectors stay indexed by node
+// The non-isolated nodes are listed component-major, as the graph's
+// held labelling lists them (graph.Graph.Components, built once per
+// graph and shared with the other component-wise measures), and by
+// ascending degree within a component; vectors stay indexed by node
 // and the graph's CSR is read in place. Each step multiplies by M once:
 // contrib[v] = p[v]/√deg(v) per node, then a gather of Σ contrib[v]
 // over each row of the component's list, four rows at a time: the
@@ -234,60 +235,29 @@ func cgSteps(d, tol, scale float64) func(avgDeg float64) int {
 }
 
 // splitComponents lists g's non-isolated nodes component-major —
-// components in the order of their smallest node — and by ascending
-// degree within a component. A breadth-first search from each
-// unreached node, in node order, labels the components; a stable
-// counting sort of degreeOrder by label then lists them.
+// components in the order of their smallest node, as the graph's
+// labelling lists them — and by ascending degree within a component: a
+// stable counting sort of degreeOrder by component.
 // Component j is nodes[bounds[j]:bounds[j+1]].
 func splitComponents(g *graph.Graph) (nodes []uint32, bounds []int) {
-	n := g.NumNodes()
-	off, adj, _, _ := g.CSR()
-	// degreeOrder lists the isolated nodes first; they are left out.
-	order := degreeOrder(off)
-	k := 0
-	for k < n && off[order[k]+1] == off[order[k]] {
-		k++
-	}
-	order = order[k:]
-	// label[u] is u's component + 1; 0 is not reached yet. The queue
-	// holds every node reached so far, so it is appended to only, and
-	// the search ends once it holds every non-isolated node.
-	label := make([]uint32, n)
-	queue := make([]uint32, 0, len(order))
-	comps := uint32(0)
-	for s := 0; s < n && len(queue) < len(order); s++ {
-		if label[s] != 0 || off[s+1] == off[s] {
-			continue
-		}
-		comps++
-		label[s] = comps
-		queue = append(queue, uint32(s))
-		for head := len(queue) - 1; head < len(queue) && len(queue) < len(order); head++ {
-			u := queue[head]
-			for _, v := range adj[off[u]:off[u+1]] {
-				if label[v] == 0 {
-					label[v] = comps
-					queue = append(queue, v)
-				}
-			}
+	cc := g.Components()
+	off, _, _, _ := g.CSR()
+	// at[l] is where the next node of the component labelled l goes.
+	at := make([]uint32, len(off)-1)
+	bounds = make([]int, 1, cc.Count()+1)
+	for j := range cc.Count() {
+		if c := cc.Members(j); len(c) > 1 {
+			at[c[0]] = uint32(bounds[len(bounds)-1])
+			bounds = append(bounds, int(at[c[0]])+len(c))
 		}
 	}
-	bounds = make([]int, comps+1)
-	for _, u := range order {
-		bounds[label[u]]++
+	nodes = make([]uint32, bounds[len(bounds)-1])
+	for _, u := range degreeOrder(off) {
+		if off[u+1] > off[u] {
+			nodes[at[cc.Label[u]]] = u
+			at[cc.Label[u]]++
+		}
 	}
-	for l := 1; l <= int(comps); l++ {
-		bounds[l] += bounds[l-1]
-	}
-	// bounds[l−1] is where component l's next node goes; once all are
-	// placed, shifting by one gives the components' bounds.
-	nodes = queue
-	for _, u := range order {
-		nodes[bounds[label[u]-1]] = u
-		bounds[label[u]-1]++
-	}
-	copy(bounds[1:], bounds[:comps])
-	bounds[0] = 0
 	return nodes, bounds
 }
 

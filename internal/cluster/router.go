@@ -739,6 +739,10 @@ func (rt *Router) runShard(ctx context.Context, prefs []string, sVals []int, bas
 		}
 		oc.status = res.status
 		oc.errMsg = fmt.Sprintf("replica %s answered %d", u, res.status)
+		if res.status == http.StatusNotFound {
+			// The replica's message names what it does not hold.
+			oc.errMsg = rt.parseShardResponse(res, sVals).errMsg
+		}
 		if res.status == http.StatusTooManyRequests {
 			oc.shed = true
 			oc.retryAfter = max(oc.retryAfter, res.retryAfter)
@@ -934,6 +938,20 @@ func (rt *Router) writeMerged(w http.ResponseWriter, start time.Time, dataset, k
 		for _, sVal := range oc.s {
 			entries[sVal] = errorEntry(sVal, msg)
 		}
+	}
+	// Every shard refused the request with one 4xx: the fault is the
+	// request's, so the answer is a replica's, one top-level error (the
+	// lowest s's shard's message). A 429 is a shed, not a verdict on the
+	// request; it keeps the merged body beside its Retry-After.
+	if len(outcomes) > 0 && sameStatus && allSameStatus/100 == 4 && allSameStatus != http.StatusTooManyRequests {
+		first := outcomes[0]
+		for _, oc := range outcomes[1:] {
+			if oc.s[0] < first.s[0] {
+				first = oc
+			}
+		}
+		writeJSON(w, allSameStatus, map[string]string{"error": first.errMsg})
+		return
 	}
 
 	results := make([]jsonsplice.Entry, 0, len(distinct))

@@ -987,17 +987,37 @@ func TestQuerySGrammarBothTiers(t *testing.T) {
 	}
 
 	// The Table III knobs are refused by name on both tiers: the router
-	// forwards the member as it came, and the replica answers 400.
+	// forwards the member as it came, the replica answers 400, and the
+	// router passes that on as the same top-level error document.
 	for _, tc := range []struct{ name, member string }{
 		{"config", `"config":"2BN"`}, {"toplex", `"toplex":false`}, {"nosqueeze", `"nosqueeze":true`}, {"exact", `"exact":true`},
 	} {
-		body := `{"dataset":"paper","s":[1],` + tc.member + `}`
+		body := `{"dataset":"paper","s":[1,2],` + tc.member + `}`
 		for _, tier := range []struct{ name, url string }{{"replica", rep.URL}, {"router", router.URL}} {
 			status, _, data := postQuery(t, tier.url, body)
-			if status != http.StatusBadRequest || !strings.Contains(string(data), `\"`+tc.name+`\" is not accepted`) {
-				t.Errorf("%s, %s: status %d, want 400 naming the field: %s", tc.name, tier.name, status, data)
+			var e struct {
+				Error   string            `json:"error"`
+				Results []json.RawMessage `json:"results"`
+			}
+			if status != http.StatusBadRequest || json.Unmarshal(data, &e) != nil || e.Results != nil ||
+				!strings.Contains(e.Error, `"`+tc.name+`" is not accepted`) {
+				t.Errorf("%s, %s: status %d, want 400 with a top-level error naming the field: %s", tc.name, tier.name, status, data)
 			}
 		}
+	}
+}
+
+// TestRouterUnknownDatasetIsReplicas404: a dataset no owner holds is
+// answered through the router as by a replica, 404 with the replica's
+// top-level error, although each shard fails over to every owner first.
+func TestRouterUnknownDatasetIsReplicas404(t *testing.T) {
+	a, b := realReplica(t, serve.New(serve.Config{})), realReplica(t, serve.New(serve.Config{}))
+	_, router := newRouterServer(t, Config{Replicas: []string{a.URL, b.URL}, Replication: 2})
+	body := `{"dataset":"nope","s":[1,2,3]}`
+	_, _, want := postQuery(t, a.URL, body)
+	status, _, got := postQuery(t, router.URL, body)
+	if status != http.StatusNotFound || !bytes.Equal(got, want) || !strings.Contains(string(got), `"nope`) {
+		t.Fatalf("router: status %d body %s; want 404 and the replica's body %s", status, got, want)
 	}
 }
 

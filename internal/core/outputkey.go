@@ -26,7 +26,7 @@ type OutputKey struct {
 	S       int
 	Exact   bool // every strategy but short-circuiting Algorithm 1
 	Relabel hg.RelabelOrder
-	Toplex  ToplexMode
+	Toplex  bool
 	Squeeze bool
 }
 
@@ -53,6 +53,6 @@ func (k OutputKey) String() string {
 	if !k.Exact {
 		class = "shortcircuit"
 	}
-	return fmt.Sprintf("%s/s=%d/class=%s,relabel=%s,toplex=%s,squeeze=%t",
+	return fmt.Sprintf("%s/s=%d/class=%s,relabel=%s,toplex=%t,squeeze=%t",
 		orient, k.S, class, k.Relabel, k.Toplex, k.Squeeze)
 }

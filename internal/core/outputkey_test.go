@@ -58,7 +58,7 @@ func TestOutputKeySeparatesOutputRelevantFields(t *testing.T) {
 		{Core: Config{Algorithm: AlgoSetIntersection}},
 		{Core: Config{Relabel: hg.RelabelAscending}},
 		{Core: Config{Relabel: hg.RelabelDescending}},
-		{Toplex: ToplexOn},
+		{Toplex: true},
 		{NoSqueeze: true},
 	}
 	seen := map[OutputKey]string{}

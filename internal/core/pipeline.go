@@ -10,42 +10,6 @@ import (
 	"hyperline/internal/toplex"
 )
 
-// ToplexMode selects Stage-2 toplex simplification: off or on. The
-// zero value is ToplexOff, so existing callers keep the historical
-// default.
-type ToplexMode uint8
-
-const (
-	// ToplexOff skips Stage 2 (the default).
-	ToplexOff ToplexMode = iota
-	// ToplexOn simplifies the hypergraph to its toplexes before
-	// computing s-overlaps.
-	ToplexOn
-)
-
-// Enabled reports whether Stage 2 runs under this mode.
-func (m ToplexMode) Enabled() bool { return m == ToplexOn }
-
-// String names the mode the way flags and JSON spell it.
-func (m ToplexMode) String() string {
-	switch m {
-	case ToplexOff:
-		return "false"
-	case ToplexOn:
-		return "true"
-	default:
-		return "?"
-	}
-}
-
-// ToplexFromBool maps the boolean option surface onto the mode.
-func ToplexFromBool(on bool) ToplexMode {
-	if on {
-		return ToplexOn
-	}
-	return ToplexOff
-}
-
 // PipelineConfig configures an end-to-end run of the paper's five-stage
 // s-line graph framework (§IV).
 type PipelineConfig struct {
@@ -53,8 +17,9 @@ type PipelineConfig struct {
 	// and execution knobs; Core.Relabel drives Stage 1's
 	// relabel-by-degree.
 	Core Config
-	// Toplex selects Stage 2: off or on.
-	Toplex ToplexMode
+	// Toplex runs Stage 2, toplex simplification, before computing
+	// s-overlaps; off by default.
+	Toplex bool
 	// NoSqueeze disables Stage 4's ID squeezing, keeping the (often
 	// hypersparse) hyperedge ID space as graph node IDs.
 	NoSqueeze bool
@@ -159,7 +124,7 @@ func prepare(h *hg.Hypergraph, cfg PipelineConfig) prepared {
 	}
 	p.preTime = time.Since(t0)
 
-	if cfg.Toplex.Enabled() {
+	if cfg.Toplex {
 		t1 := time.Now()
 		simplified, keep := toplex.Simplify(p.work)
 		p.topTime = time.Since(t1)
@@ -197,7 +162,7 @@ func planningStats(p prepared, sValues []int, cfg PipelineConfig) hg.Stats {
 	if !need {
 		return hg.Stats{}
 	}
-	if !cfg.Toplex.Enabled() && cfg.Stats != nil {
+	if !cfg.Toplex && cfg.Stats != nil {
 		return *cfg.Stats
 	}
 	return hg.ComputeStats("", p.work)
@@ -248,7 +213,7 @@ func RunBatch(ctx context.Context, h *hg.Hypergraph, sValues []int, cfg Pipeline
 	overlapTime := time.Since(t2)
 	plan := dec.Info()
 	plan.Relabel = cfg.Core.Relabel.String()
-	plan.Toplex = cfg.Toplex.Enabled()
+	plan.Toplex = cfg.Toplex
 
 	// Stage 4: one graph per s, scheduled like a Stage-5 sweep — the
 	// builds share the worker budget by edge count, a single s (or a

@@ -102,7 +102,7 @@ func TestPipelineToplexStage(t *testing.T) {
 	// {a,b,c,d,e}; only toplexes {3, 4} survive simplification, so the
 	// 1-line graph of the simplified hypergraph has one edge (3-4).
 	h := paperExample()
-	res := pipelineAt(t, h, 1, PipelineConfig{Toplex: ToplexOn})
+	res := pipelineAt(t, h, 1, PipelineConfig{Toplex: true})
 	if res.Graph.NumEdges() != 1 {
 		t.Fatalf("toplex 1-line graph edges = %d, want 1", res.Graph.NumEdges())
 	}

@@ -38,7 +38,7 @@ func TestKnobEquivalenceMatrix(t *testing.T) {
 	algos := []Algorithm{AlgoAuto, AlgoHashmap, AlgoEnsemble}
 	relabels := []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending}
 
-	for _, mode := range []ToplexMode{ToplexOff, ToplexOn} {
+	for _, mode := range []bool{false, true} {
 		var want map[int]string
 		for _, algo := range algos {
 			for _, order := range relabels {

@@ -35,7 +35,7 @@ func preprocessFirst(t testing.TB, h *hg.Hypergraph, sValues []int, cfg Pipeline
 func stage1Configs() []PipelineConfig {
 	var cfgs []PipelineConfig
 	for _, relabel := range []hg.RelabelOrder{hg.RelabelNone, hg.RelabelAscending, hg.RelabelDescending} {
-		for _, top := range []ToplexMode{ToplexOff, ToplexOn} {
+		for _, top := range []bool{false, true} {
 			for _, noSqueeze := range []bool{false, true} {
 				cfgs = append(cfgs, PipelineConfig{
 					Core:      Config{Relabel: relabel, Workers: 2},
@@ -72,7 +72,7 @@ func checkStage1Agrees(t *testing.T, name string, h *hg.Hypergraph, s int) {
 				}
 				gOff, gAdj, gWgt, gOrig := g.Graph.CSR()
 				wOff, wAdj, wWgt, wOrig := w.Graph.CSR()
-				if cfg.Core.Relabel == hg.RelabelNone && !cfg.NoSqueeze && !cfg.Toplex.Enabled() {
+				if cfg.Core.Relabel == hg.RelabelNone && !cfg.NoSqueeze && !cfg.Toplex {
 					// Under N with squeezing the working IDs are h's own.
 					edgeOrig := hg.Preprocess(h, hg.RelabelNone).EdgeOrig
 					mapped := make([]uint32, len(wOrig))
@@ -137,7 +137,7 @@ func TestStage1FastPath(t *testing.T) {
 				hasEmpty = hasEmpty || h.EdgeSize(uint32(e)) == 0
 			}
 			for _, cfg := range stage1Configs() {
-				if cfg.Toplex.Enabled() {
+				if cfg.Toplex {
 					continue // Stage 2 replaces the working hypergraph
 				}
 				p := prepare(h, cfg)

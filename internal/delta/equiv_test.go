@@ -532,7 +532,7 @@ func TestMigratableRespectsOrderStability(t *testing.T) {
 		t.Error("s=1 is inside every frontier; must not migrate")
 	}
 	toplexed := attrs(false, hg.RelabelNone)
-	toplexed.Toplex = core.ToplexOn
+	toplexed.Toplex = true
 	if p.Migratable(toplexed) {
 		t.Error("toplex keys must never migrate")
 	}

@@ -200,7 +200,7 @@ func (p *Patcher) Migratable(a KeyAttrs) bool {
 // keepable reports whether a key can survive a delta at all (see Plan):
 // squeezed and toplex off.
 func keepable(a KeyAttrs) bool {
-	return a.Squeeze && a.Toplex == core.ToplexOff
+	return a.Squeeze && !a.Toplex
 }
 
 // orderStable reports whether hyperedges surviving a delta keep their

@@ -3,7 +3,6 @@ package delta
 import (
 	"testing"
 
-	"hyperline/internal/core"
 	"hyperline/internal/hg"
 )
 
@@ -44,7 +43,7 @@ func TestPlan(t *testing.T) {
 		{"drop above the fraction", line, even - 1, unproj, ActionDrop},
 		{"patch at the projected fraction", line, evenProj, proj, ActionPatch},
 		{"drop above the projected fraction", line, evenProj - 1, proj, ActionDrop},
-		{"toplex", at(line, func(a *KeyAttrs) { a.Toplex = core.ToplexOn }), 10 * even, proj, ActionDrop},
+		{"toplex", at(line, func(a *KeyAttrs) { a.Toplex = true }), 10 * even, proj, ActionDrop},
 		{"unsqueezed", at(line, func(a *KeyAttrs) { a.Squeeze = false }), 10 * even, proj, ActionDrop},
 		{"short-circuit", at(line, func(a *KeyAttrs) { a.Exact = false }), 10 * even, proj, ActionDrop},
 		{"clique under N below the frontier", at(line, func(a *KeyAttrs) { a.Dual = true }), 10 * even, proj, ActionDrop},
@@ -83,7 +82,7 @@ func TestPatchRejectsUnpatchableKeys(t *testing.T) {
 		{"clique under N", func(a *KeyAttrs) { a.Dual = true }},
 		{"relabel A", func(a *KeyAttrs) { a.Relabel = hg.RelabelAscending }},
 		{"relabel D", func(a *KeyAttrs) { a.Relabel = hg.RelabelDescending }},
-		{"toplex", func(a *KeyAttrs) { a.Toplex = core.ToplexOn }},
+		{"toplex", func(a *KeyAttrs) { a.Toplex = true }},
 		{"unsqueezed", func(a *KeyAttrs) { a.Squeeze = false }},
 		{"short-circuit", func(a *KeyAttrs) { a.Exact = false }},
 	} {

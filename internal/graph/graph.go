@@ -7,6 +7,7 @@ package graph
 import (
 	"cmp"
 	"sort"
+	"sync"
 )
 
 // EdgeLess is the canonical (U, V) edge order used by Build's
@@ -48,6 +49,9 @@ type Graph struct {
 	orig []uint32
 	// lazy is set on a graph made by Defer, whose off/adj/wgt stay nil.
 	lazy *deferred
+	// cc is the labelling Components builds once, under ccOnce.
+	ccOnce sync.Once
+	cc     *Components
 }
 
 // Build materializes a graph from an s-line edge list over a node ID

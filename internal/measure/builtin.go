@@ -106,7 +106,7 @@ func componentsValue(res *core.PipelineResult, cc *algo.Components) *Value {
 func init() {
 	Register(&builtin{
 		name: "components",
-		doc:  "s-connected components: count and membership (union-find reference)",
+		doc:  "s-connected components: count and membership (breadth-first reference)",
 		cost: CostLinear,
 		compute: func(_ context.Context, res *core.PipelineResult, _ Params, _ par.Options) (*Value, error) {
 			return componentsValue(res, algo.ConnectedComponents(res.Graph)), nil

@@ -85,7 +85,7 @@ func TestCacheConcurrent(t *testing.T) {
 // query path builds them: from a configuration, a dataset and a
 // version.
 func TestKeyEncoding(t *testing.T) {
-	cfg := func(algo core.Algorithm, relabel hg.RelabelOrder, toplex core.ToplexMode, noSqueeze bool) core.PipelineConfig {
+	cfg := func(algo core.Algorithm, relabel hg.RelabelOrder, toplex, noSqueeze bool) core.PipelineConfig {
 		return core.PipelineConfig{Core: core.Config{Algorithm: algo, Relabel: relabel}, Toplex: toplex, NoSqueeze: noSqueeze}
 	}
 	for _, tc := range []struct {
@@ -94,13 +94,13 @@ func TestKeyEncoding(t *testing.T) {
 	}{
 		{projKey{"paper", 1, core.PipelineConfig{}.OutputKey(false, 3)},
 			"paper@1/line/s=3/class=exact,relabel=N,toplex=false,squeeze=true"},
-		{projKey{"g", 7, cfg(core.AlgoHashmap, hg.RelabelAscending, core.ToplexOff, false).OutputKey(true, 2)},
+		{projKey{"g", 7, cfg(core.AlgoHashmap, hg.RelabelAscending, false, false).OutputKey(true, 2)},
 			"g@7/clique/s=2/class=exact,relabel=A,toplex=false,squeeze=true"},
-		{projKey{"g", 7, cfg(core.AlgoEnsemble, hg.RelabelDescending, core.ToplexOn, false).OutputKey(false, 5)},
+		{projKey{"g", 7, cfg(core.AlgoEnsemble, hg.RelabelDescending, true, false).OutputKey(false, 5)},
 			"g@7/line/s=5/class=exact,relabel=D,toplex=true,squeeze=true"},
-		{projKey{"g", 2, cfg(core.AlgoAuto, hg.RelabelNone, core.ToplexOff, true).OutputKey(true, 1)},
+		{projKey{"g", 2, cfg(core.AlgoAuto, hg.RelabelNone, false, true).OutputKey(true, 1)},
 			"g@2/clique/s=1/class=exact,relabel=N,toplex=false,squeeze=false"},
-		{projKey{"g", 2, cfg(core.AlgoSetIntersection, hg.RelabelNone, core.ToplexOff, false).OutputKey(false, 4)},
+		{projKey{"g", 2, cfg(core.AlgoSetIntersection, hg.RelabelNone, false, false).OutputKey(false, 4)},
 			"g@2/line/s=4/class=shortcircuit,relabel=N,toplex=false,squeeze=true"},
 		{projKey{"g@1/x", 2, core.PipelineConfig{}.OutputKey(false, 1)},
 			"g@1/x@2/line/s=1/class=exact,relabel=N,toplex=false,squeeze=true"},

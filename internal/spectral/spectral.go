@@ -13,7 +13,6 @@ package spectral
 import (
 	"math"
 
-	"hyperline/internal/algo"
 	"hyperline/internal/graph"
 )
 
@@ -80,52 +79,46 @@ func basisCap(n int) int {
 }
 
 // LargestComponent returns the subgraph induced by the largest
-// connected component of g (ties broken by smallest representative).
-// Node IDs are squeezed; the result is connected by construction, and
-// empty when no component has an edge.
+// connected component of g (ties broken by smallest representative),
+// read from g's held labelling (graph.Graph.Components). Node IDs are
+// squeezed; the result is connected by construction, and empty when no
+// component has an edge.
 func LargestComponent(g *graph.Graph) *graph.Graph {
-	cc := algo.ConnectedComponents(g)
-	// A label is its component's smallest node, so sizes index by label
-	// and the first largest one wins the tie.
-	sizes := make([]int32, g.NumNodes())
-	for _, l := range cc.Label {
-		sizes[l]++
-	}
+	cc := g.Components()
+	// Components are listed by smallest node, so the first largest one
+	// wins the tie.
 	best := 0
-	for l, n := range sizes {
-		if n > sizes[best] {
-			best = l
+	for j := 1; j < cc.Count(); j++ {
+		if len(cc.Members(j)) > len(cc.Members(best)) {
+			best = j
 		}
 	}
-	if len(sizes) == 0 || sizes[best] < 2 {
+	if cc.Count() == 0 || len(cc.Members(best)) < 2 {
 		return graph.Build(0, nil, false)
 	}
 	// Local IDs follow node order, so each row of the component,
 	// renumbered, is still sorted: its CSR is the component's rows copied
 	// in node order, with orig naming g's nodes as a squeezing build
-	// would. sizes is spent; it becomes the local-ID map.
+	// would.
 	off, adj, wgt, _ := g.CSR()
-	local := sizes
-	size, half := int(sizes[best]), int64(0)
-	orig := make([]uint32, 0, size)
-	for u, l := range cc.Label {
-		if l == uint32(best) {
-			local[u] = int32(len(orig))
-			orig = append(orig, uint32(u))
-			half += off[u+1] - off[u]
-		}
+	orig := cc.Members(best)
+	local := make([]uint32, g.NumNodes())
+	half := int64(0)
+	for i, u := range orig {
+		local[u] = uint32(i)
+		half += off[u+1] - off[u]
 	}
-	subOff := make([]int64, 1, size+1)
+	subOff := make([]int64, 1, len(orig)+1)
 	subAdj := make([]uint32, 0, half)
 	subWgt := make([]uint32, 0, half)
 	for _, u := range orig {
 		for _, v := range adj[off[u]:off[u+1]] {
-			subAdj = append(subAdj, uint32(local[v]))
+			subAdj = append(subAdj, local[v])
 		}
 		subWgt = append(subWgt, wgt[off[u]:off[u+1]]...)
 		subOff = append(subOff, int64(len(subAdj)))
 	}
-	sub, err := graph.FromCSR(size, int(half/2), subOff, subAdj, subWgt, orig)
+	sub, err := graph.FromCSR(len(orig), int(half/2), subOff, subAdj, subWgt, orig)
 	if err != nil {
 		panic(err) // a component's rows always frame a CSR
 	}
