@@ -67,17 +67,28 @@ type PipelineResult struct {
 	Graph *graph.Graph
 	// HyperedgeIDs maps each graph node to the hyperedge ID in the
 	// *input* hypergraph (undoing squeezing, toplex selection, and
-	// relabeling).
+	// relabeling). A patched result leaves it nil: read IDs.
 	HyperedgeIDs []uint32
 	Stats        Stats
 	Timings      StageTimings
 	Plan         PlanInfo
 }
 
+// IDs returns HyperedgeIDs. A patched result holds none of its own:
+// under relabel N with squeezing its input IDs are its graph's squeeze
+// map, which a deferred graph reads through its pending rewrite and
+// expands on the first call, once for every reader (graph.OrigIDs).
+func (r *PipelineResult) IDs() []uint32 {
+	if r.HyperedgeIDs == nil && r.Graph != nil {
+		return r.Graph.OrigIDs()
+	}
+	return r.HyperedgeIDs
+}
+
 // HyperedgeID returns the input-hypergraph hyperedge represented by a
 // graph node.
 func (r *PipelineResult) HyperedgeID(node uint32) uint32 {
-	return r.HyperedgeIDs[node]
+	return r.IDs()[node]
 }
 
 // prepared is the Stage 1-2 output shared by every s of a batch.

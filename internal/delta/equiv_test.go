@@ -86,7 +86,7 @@ func sameResult(t *testing.T, label string, got, want *core.PipelineResult) {
 		t.Fatalf("%s: patched CSR differs from recompute (nodes %d vs %d, edges %d vs %d)",
 			label, got.Graph.NumNodes(), want.Graph.NumNodes(), got.Graph.NumEdges(), want.Graph.NumEdges())
 	}
-	if !reflect.DeepEqual(got.HyperedgeIDs, want.HyperedgeIDs) {
+	if !reflect.DeepEqual(got.IDs(), want.IDs()) {
 		t.Fatalf("%s: patched HyperedgeIDs differ from recompute", label)
 	}
 }
@@ -106,7 +106,7 @@ func sameServed(t *testing.T, label string, got, want *core.PipelineResult) {
 	if !reflect.DeepEqual(gOff, wOff) || !reflect.DeepEqual(gAdj, wAdj) || !reflect.DeepEqual(gWgt, wWgt) {
 		t.Fatalf("%s: migrated CSR differs from recompute", label)
 	}
-	if !reflect.DeepEqual(got.HyperedgeIDs, want.HyperedgeIDs) {
+	if !reflect.DeepEqual(got.IDs(), want.IDs()) {
 		t.Fatalf("%s: migrated HyperedgeIDs differ from recompute", label)
 	}
 }
@@ -403,7 +403,9 @@ func TestPatchUpgradesCompactedSqueezeMap(t *testing.T) {
 // allocations on two bases whose edge counts differ 100×, so neither
 // grows, rebuilds or re-sorts anything in proportion to the dataset,
 // and a Patch allocates the same bytes on two projections with the
-// same nodes and 10× the edges, so it writes no rows.
+// same nodes and 10× the edges, so it writes no rows, and on two
+// projections with the same delta frontier and 10× the nodes, so it
+// holds no array of the projection's nodes.
 func TestPatchWorkIsLocal(t *testing.T) {
 	allocs := func(numEdges int) (apply, patch float64) {
 		base := gen.Zipf(gen.ZipfConfig{
@@ -445,8 +447,8 @@ func TestPatchWorkIsLocal(t *testing.T) {
 
 	// Bytes, at equal node count: a patch writes no rows, so a projection
 	// with 10× the edges costs it nothing more.
-	sparseEdges, sparseBytes := patchBytes(t, 2)
-	denseEdges, denseBytes := patchBytes(t, 12)
+	sparseEdges, sparseBytes := patchBytes(t, 2, 1320)
+	denseEdges, denseBytes := patchBytes(t, 12, 1320)
 	if denseEdges < 10*sparseEdges {
 		t.Fatalf("dense projection has %d edges, sparse %d: not 10×", denseEdges, sparseEdges)
 	}
@@ -454,16 +456,22 @@ func TestPatchWorkIsLocal(t *testing.T) {
 		t.Errorf("Patch: %d bytes allocated on %d edges, %d bytes on %d (same node count)",
 			sparseBytes, sparseEdges, denseBytes, denseEdges)
 	}
+
+	// Bytes, at 10× the nodes and the same frontier: a patch holds no
+	// array of its nodes, neither of its IDs nor of its degrees.
+	if _, wideBytes := patchBytes(t, 2, 10*1320); wideBytes != sparseBytes {
+		t.Errorf("Patch: %d bytes allocated on %d nodes, %d bytes on %d (same delta frontier)",
+			sparseBytes, 1320+3, wideBytes, 10*1320+3)
+	}
 }
 
-// patchBytes builds a base whose s = 1 line projection has 1 323 nodes —
-// 1 320 two-vertex hyperedges in groups of group sharing a hub vertex,
-// so each group is a clique, plus a three-hyperedge path — and returns
+// patchBytes builds a base whose s = 1 line projection has ballast + 3
+// nodes — ballast two-vertex hyperedges in groups of group sharing a hub
+// vertex, so each group is a clique, plus a three-hyperedge path — and returns
 // the projection's edge count and the bytes one line Patch allocates
 // for a delta on the path alone (the fewest over five rounds of 20).
-func patchBytes(t *testing.T, group int) (edges int, bytes uint64) {
+func patchBytes(t *testing.T, group, ballast int) (edges int, bytes uint64) {
 	t.Helper()
-	const ballast = 1320
 	hubs := ballast / group
 	var hes [][]uint32
 	for i := 0; i < ballast; i++ {
@@ -489,17 +497,23 @@ func patchBytes(t *testing.T, group int) (edges int, bytes uint64) {
 		}
 	}
 	patch() // derives the shared per-delta state
-	bytes = math.MaxUint64
+	return old.Graph.NumEdges(), fewestBytes(patch)
+}
+
+// fewestBytes returns the bytes one call of f allocates: the fewest over
+// five rounds of 20 calls.
+func fewestBytes(f func()) uint64 {
+	bytes := uint64(math.MaxUint64)
 	for round := 0; round < 5; round++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < 20; i++ {
-			patch()
+			f()
 		}
 		runtime.ReadMemStats(&after)
 		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/20)
 	}
-	return old.Graph.NumEdges(), bytes
+	return bytes
 }
 
 // TestMigratableRespectsOrderStability pins the migration rules: clique

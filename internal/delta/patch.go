@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -18,11 +19,12 @@ import (
 // once per cached projection key; the expensive state — the Algorithm-2
 // recount of inserted hyperedges — is computed lazily and shared across
 // every key that needs it. Nothing it computes is proportional to the
-// dataset: per patched projection it copies runs of its node arrays and
-// passes over its pending adds, and writes no rows (patchRows). Only line-orientation keys under
-// RelabelNone are patched: every other key migrates when the delta
-// provably leaves it unchanged and is dropped otherwise, to be
-// recomputed on its next read.
+// dataset or to a projection: per patched projection it does O(delta)
+// lookups and merges the pending adds and fixes it carries, and writes
+// neither rows nor an array of the nodes (patchRows). Only
+// line-orientation keys under RelabelNone are patched: every other key
+// migrates when the delta provably leaves it unchanged and is dropped
+// otherwise, to be recomputed on its next read.
 //
 // The locality argument: a delta inserts and deletes whole hyperedges,
 // so in the line orientation the overlap |e ∩ f| of two surviving
@@ -258,7 +260,7 @@ func (p *Patcher) insertPairs() []core.Edge {
 }
 
 // Patch rewrites one cached projection for the new version, byte-
-// identical — Graph and HyperedgeIDs — to a from-scratch recompute of
+// identical — Graph and IDs — to a full recompute of
 // the post-delta hypergraph, as a deferred graph whose rows are built
 // on first read (patchRows). The caller must have gotten ActionPatch
 // from Plan for this key; a key Plan never patches (see patchable) is
@@ -283,8 +285,8 @@ const deferFraction = 8
 // it defers to — composed across every delta since that base.
 //
 // Under relabel N with squeezing the working IDs are the input IDs, so
-// the nodes of a projection ascend by HyperedgeIDs, which is also its
-// squeeze map. The patch reads node positions from HyperedgeIDs only,
+// the nodes of a projection ascend by their input IDs, which are also
+// its squeeze map. The patch reads node positions from those IDs only,
 // never from the cached squeeze map (a projection cached by a build
 // that compacted empty rows holds working IDs there). The old → new
 // node map is monotone, and it changes only at O(delta) breakpoints: a
@@ -292,26 +294,32 @@ const deferFraction = 8
 // every edge it had was removed and none added, and an endpoint of an
 // added pair that was no node (an inserted hyperedge, above every old
 // ID, or a survivor isolated at s) slotting in by ID.
-// Between breakpoints the new HyperedgeIDs and degrees are copies of
-// runs of the old ones, and the node map is a graph.Runs. Only the rows
-// of gone nodes and the pairs the delta names are read, through the
-// pending adds (rowSource), so the work is copies of O(nodes) plus
-// O(delta) lookups, never O(edges).
+// Between breakpoints a node keeps its base node's ID and degree, and
+// the node map is a graph.Runs; the nodes that do not — the inserted
+// ones and the kept ones whose degree changed — are the rewrite's
+// graph.Fix entries. So the result holds no array of its nodes: its
+// IDs (core.PipelineResult.IDs) and degrees read through the rewrite
+// until its first row read or ID expansion. Only the rows of gone
+// nodes and the pairs the delta names are read, through the pending
+// adds (rowSource), so the work is O(delta) lookups and a merge of the
+// carried adds and fixes, never O(nodes) or O(edges).
 func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
 	t0 := time.Now()
-	ids := old.HyperedgeIDs
-	n := uint32(len(ids))
-	cur := readThrough(old.Graph)
-	lowerBound := func(e uint32) uint32 {
-		x, _ := slices.BinarySearch(ids, e)
-		return uint32(x)
+	cur := readThrough(old)
+	n := uint32(cur.Nodes)
+	idOf := func(x uint32) uint32 { id, _ := cur.Node(x); return id }
+	// find returns the first node whose ID is at least e, reporting
+	// whether its ID is e.
+	find := func(e uint32) (uint32, bool) {
+		x := uint32(sort.Search(int(n), func(x int) bool { return idOf(uint32(x)) >= e }))
+		return x, x < n && idOf(x) == e
 	}
 
 	// gone: the old nodes whose hyperedges the delta deletes, ascending.
 	gone := make([]uint32, 0, len(p.d.Deletes))
 	for _, e := range p.d.Deletes {
-		if x, ok := slices.BinarySearch(ids, e); ok {
-			gone = append(gone, uint32(x))
+		if x, ok := find(e); ok {
+			gone = append(gone, x)
 		}
 	}
 	isGone := func(x uint32) bool {
@@ -330,11 +338,12 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	// lost: one entry per edge a kept old node loses, to a gone node,
 	// ascending. Every slice below is sized up front, so a patch
 	// allocates as often however many neighbours the delta reaches.
-	lostCap := 0
+	goneDeg := 0
 	for _, x := range gone {
-		lostCap += int(cur.Deg[x])
+		_, deg := cur.Node(x)
+		goneDeg += int(deg)
 	}
-	lost := make([]uint32, 0, lostCap)
+	lost := make([]uint32, 0, goneDeg)
 	for _, x := range gone {
 		cur.neighbors(x, func(y uint32) {
 			if !isGone(y) {
@@ -363,8 +372,8 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 			ends[i].deg++
 		}
 		ends[i].old = graph.Gone
-		if x, ok := slices.BinarySearch(ids, ends[i].id); ok {
-			ends[i].old = uint32(x)
+		if x, ok := find(ends[i].id); ok {
+			ends[i].old = x
 		}
 	}
 
@@ -391,7 +400,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	}
 	removed := append(make([]uint32, 0, len(gone)+len(hits)), gone...)
 	for _, h := range hits {
-		if cur.Deg[h.node]-h.lost+h.gain == 0 {
+		if _, deg := cur.Node(h.node); deg-h.lost+h.gain == 0 {
 			removed = append(removed, h.node)
 		}
 	}
@@ -403,7 +412,8 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	ins := make([]slot, 0, len(ends))
 	for i, e := range ends {
 		if e.old == graph.Gone {
-			ins = append(ins, slot{end: uint32(i), pos: lowerBound(e.id)})
+			pos, _ := find(e.id)
+			ins = append(ins, slot{end: uint32(i), pos: pos})
 		}
 	}
 
@@ -420,16 +430,17 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	slices.Sort(bps)
 	bps = slices.Compact(bps)
 
-	// Number the new nodes in ID order: runs of kept old nodes, copied,
-	// with the inserted ends between them. hids is the new HyperedgeIDs
-	// and squeeze map, deg the new degrees, segs the old → new node map.
-	size := int(n) - len(removed) + len(ins)
-	hids := make([]uint32, 0, size)
-	deg := make([]uint32, 0, size)
+	// Number the new nodes in ID order: runs of kept old nodes, with the
+	// inserted ends between them. segs is the old → new node map, fix
+	// this delta's fixes: the inserted ends, then the kept nodes whose
+	// degree changed.
 	segs := make(graph.Runs, 0, len(bps))
+	fix := make([]graph.Fix, 0, len(ins)+len(hits))
+	size := uint32(0)
 	insert := func(e *end) {
-		e.node = uint32(len(hids))
-		hids, deg = append(hids, e.id), append(deg, e.deg)
+		e.node = size
+		fix = append(fix, graph.Fix{Node: size, ID: e.id, Deg: e.deg})
+		size++
 	}
 	ii, ri := 0, 0
 	for k := 0; k+1 < len(bps); k++ {
@@ -441,19 +452,19 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 			ri++
 			continue
 		}
-		node := uint32(len(hids))
-		hids = append(hids, ids[lo:hi]...)
-		deg = append(deg, cur.Deg[lo:hi]...)
-		segs = append(segs, graph.Run{Base: lo, Node: node, Len: hi - lo})
+		segs = append(segs, graph.Run{Base: lo, Node: size, Len: hi - lo})
+		size += hi - lo
 	}
 	for ; ii < len(ins); ii++ {
 		insert(&ends[ins[ii].end])
 	}
 	for _, h := range hits {
-		if y := segs.Node(h.node); y != graph.Gone {
-			deg[y] = cur.Deg[h.node] - h.lost + h.gain
+		if y := segs.Node(h.node); y != graph.Gone && h.lost != h.gain {
+			hid, deg := cur.Node(h.node)
+			fix = append(fix, graph.Fix{Node: y, ID: hid, Deg: deg - h.lost + h.gain})
 		}
 	}
+	slices.SortFunc(fix, fixCmp)
 	for i := range ends {
 		if ends[i].old != graph.Gone {
 			ends[i].node = segs.Node(ends[i].old)
@@ -467,21 +478,23 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	for i := range add {
 		add[i].U, add[i].V = nodeOf(add[i].U), nodeOf(add[i].V)
 	}
+	// An edge leaves with a gone node at either end: len(lost) of them
+	// at one, and the rest of goneDeg counts the others twice.
+	edges := old.Graph.NumEdges() - (goneDeg+len(lost))/2 + len(added)
 
 	t1 := time.Now()
-	next := cur.compose(segs, add, deg)
-	ng, err := graph.Defer(next, hids, p.OnMaterialize)
+	next := cur.compose(segs, add, fix, int(size), edges)
+	ng, err := graph.Defer(next, nil, p.OnMaterialize)
 	if err != nil {
 		return nil, err
 	}
-	if len(next.Add) > 2*next.Base.NumEdges()/deferFraction {
+	if bound := 2 * next.Base.NumEdges() / deferFraction; len(next.Add) > bound || len(next.Fix) > bound {
 		ng = ng.Materialize()
 	}
 	return &core.PipelineResult{
-		S:            a.S,
-		Graph:        ng,
-		HyperedgeIDs: hids,
-		Stats:        core.Stats{Edges: int64(ng.NumEdges())},
+		S:     a.S,
+		Graph: ng,
+		Stats: core.Stats{Edges: int64(ng.NumEdges())},
 		Timings: core.StageTimings{
 			SOverlap: t1.Sub(t0),
 			Squeeze:  time.Since(t1),
@@ -490,26 +503,24 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	}, nil
 }
 
-// rowSource reads a cached projection's rows whether or not they are
-// built, as the pending rewrite that produces them: a node's row is its
-// base row under the node map plus the adds, and Deg holds every node's
-// degree. A graph with rows is its own base under the identity map.
+// rowSource reads a cached projection whether or not its rows are
+// built, as the pending rewrite that produces it: a node's row is its
+// base row under the node map plus the adds, and its ID and degree are
+// its base node's unless the rewrite fixes them. A graph with rows is
+// its own base under the identity map, with no fixes.
 type rowSource struct {
 	graph.Pending
 }
 
-// readThrough returns g's rows as a rowSource.
-func readThrough(g *graph.Graph) *rowSource {
-	if pend := g.Pending(); pend != nil {
+// readThrough returns old's rows, IDs and degrees as a rowSource.
+func readThrough(old *core.PipelineResult) *rowSource {
+	if pend := old.Graph.Pending(); pend != nil && pend.Deg == nil {
 		return &rowSource{*pend}
 	}
-	b := g.Materialize()
-	r := &rowSource{graph.Pending{Base: b, Deg: make([]uint32, b.NumNodes())}}
-	if len(r.Deg) > 0 {
-		r.Runs = graph.Runs{{Len: uint32(len(r.Deg))}}
-	}
-	for x := range r.Deg {
-		r.Deg[x] = uint32(b.Degree(uint32(x)))
+	b := old.Graph.Materialize()
+	r := &rowSource{graph.Pending{Base: b, Nodes: b.NumNodes(), Edges: b.NumEdges(), IDs: old.IDs()}}
+	if r.Nodes > 0 {
+		r.Runs = graph.Runs{{Len: uint32(r.Nodes)}}
 	}
 	return r
 }
@@ -531,28 +542,51 @@ func (r *rowSource) neighbors(x uint32, fn func(y uint32)) {
 }
 
 // compose folds one more rewrite of r's graph — segs (node → next node;
-// a node no run covers is gone) and add (directed pairs to insert, next
-// node IDs, sorted as graph.Rewrite takes them) — into r's own, giving
-// the one rewrite of r's base that yields the next graph, whose degrees
-// are deg. r's adds touching a node that is gone from the next graph
-// leave the list.
-func (r *rowSource) compose(segs graph.Runs, add []graph.Edge, deg []uint32) *graph.Pending {
+// a node no run covers is gone), add (directed pairs to insert, next
+// node IDs, sorted as graph.Rewrite takes them) and fix (the next
+// graph's nodes whose ID or degree changed, by node) — into r's own,
+// giving the one rewrite of r's base that yields the next graph, of
+// nodes nodes and edges edges. r's adds and fixes at a node that is
+// gone from the next graph leave their lists; a fix of this rewrite
+// replaces r's at the same node.
+func (r *rowSource) compose(segs graph.Runs, add []graph.Edge, fix []graph.Fix, nodes, edges int) *graph.Pending {
 	carried := make([]graph.Edge, 0, len(r.Add))
 	for _, e := range r.Add {
 		if u, v := segs.Node(e.U), segs.Node(e.V); u != graph.Gone && v != graph.Gone {
 			carried = append(carried, graph.Edge{U: u, V: v, W: e.W})
 		}
 	}
-	return &graph.Pending{Base: r.Base, Runs: r.Runs.Then(segs), Add: mergeSorted(carried, add), Deg: deg}
+	kept := make([]graph.Fix, 0, len(r.Fix))
+	for _, f := range r.Fix {
+		if y := segs.Node(f.Node); y != graph.Gone {
+			kept = append(kept, graph.Fix{Node: y, ID: f.ID, Deg: f.Deg})
+		}
+	}
+	return &graph.Pending{
+		Base:  r.Base,
+		Runs:  r.Runs.Then(segs),
+		Add:   mergeSorted(carried, add, graph.EdgeCmp),
+		Fix:   mergeSorted(kept, fix, fixCmp),
+		Nodes: nodes,
+		Edges: edges,
+		IDs:   r.IDs,
+	}
 }
 
-// mergeSorted merges two sorted, disjoint pair lists into a fresh one.
-func mergeSorted(a, b []graph.Edge) []graph.Edge {
-	out := make([]graph.Edge, 0, len(a)+len(b))
+// fixCmp orders fixes by node.
+func fixCmp(a, b graph.Fix) int { return cmp.Compare(a.Node, b.Node) }
+
+// mergeSorted merges two lists sorted by compare into a fresh one; of
+// two equal elements only b's is kept.
+func mergeSorted[T any](a, b []T, compare func(T, T) int) []T {
+	out := make([]T, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
-		if graph.EdgeCmp(a[0], b[0]) < 0 {
+		switch c := compare(a[0], b[0]); {
+		case c < 0:
 			out, a = append(out, a[0]), a[1:]
-		} else {
+		case c == 0:
+			a = a[1:]
+		default:
 			out, b = append(out, b[0]), b[1:]
 		}
 	}

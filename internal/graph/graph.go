@@ -105,17 +105,31 @@ func (g *Graph) NumNodes() int { return g.numNodes }
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Squeezed reports whether ID squeezing was applied.
-func (g *Graph) Squeezed() bool { return g.orig != nil }
+func (g *Graph) Squeezed() bool { return g.orig != nil || g.lazy != nil && g.lazy.view }
 
 // OrigID maps a node back to its pre-squeeze ID (identity when the
 // graph was not squeezed). For an s-line graph that is the working
 // hyperedge ID, which under relabel N with squeezing is the input's
 // hyperedge ID, empty input rows or not.
 func (g *Graph) OrigID(node uint32) uint32 {
-	if g.orig == nil {
-		return node
+	if p := g.Pending(); p != nil && g.lazy.view {
+		id, _ := p.Node(node)
+		return id
 	}
-	return g.orig[node]
+	if orig := g.OrigIDs(); orig != nil {
+		return orig[node]
+	}
+	return node
+}
+
+// OrigIDs returns OrigID of every node (nil when the graph was not
+// squeezed); the caller must not modify it. A deferred graph whose
+// rewrite carries it expands it once, on first use, for every caller.
+func (g *Graph) OrigIDs() []uint32 {
+	if g.orig == nil && g.lazy != nil && g.lazy.view {
+		return g.lazy.squeezeMap()
+	}
+	return g.orig
 }
 
 // Neighbors returns the sorted neighbor IDs of u and, in parallel
@@ -131,7 +145,7 @@ func (g *Graph) Neighbors(u uint32) ([]uint32, []uint32) {
 // Degree returns the number of neighbors of u. It reads no rows.
 func (g *Graph) Degree(u uint32) int {
 	if g.lazy != nil {
-		return int(g.lazy.deg[u])
+		return g.lazy.degree(u)
 	}
 	return int(g.off[u+1] - g.off[u])
 }

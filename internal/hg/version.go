@@ -389,8 +389,9 @@ const minChunkShift = 8
 // The chunks an edit creates share one set of arrays, so the first edit
 // of a flat base (all Apply makes) allocates the same few arrays however
 // many chunks it touches. A chunk that replaces an earlier one gets
-// arrays of its own: cut from a shared set, it would keep the whole set
-// alive for as long as any chunk cut from it lives.
+// arrays of its own, sized exactly (cap == len): cut from a shared set,
+// it would keep the whole set alive for as long as any chunk cut from it
+// lives.
 func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32, dst []uint32) []uint32) edits {
 	out := edits{shift: x.shift, size: x.size}
 	if x.chunks == nil {
@@ -418,7 +419,7 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32
 		off: make([]int64, 0, freshRows+fresh),
 		adj: make([]uint32, 0, extra),
 	}
-	var own chunk
+	var buf chunk
 	for lo := 0; lo < len(rows); {
 		ci := rows[lo] >> out.shift
 		hi := lo + 1
@@ -431,9 +432,7 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32
 			c, made = &made[0], made[1:]
 			*c = shared.add(&chunk{off: []int64{0}}, rows[lo:hi], fill)
 		} else {
-			own = chunk{ids: own.ids[:0], off: own.off[:0], adj: own.adj[:0]}
-			b := own.add(old, rows[lo:hi], fill)
-			c = &chunk{ids: slices.Clone(b.ids), off: slices.Clone(b.off), adj: slices.Clone(b.adj)}
+			c = old.rewrite(rows[lo:hi], fill, &buf)
 			out.size -= int64(len(old.adj))
 		}
 		out.size += int64(len(c.adj))
@@ -441,6 +440,28 @@ func (x *edits) with(rows []uint32, numRows int, extra int64, fill func(r uint32
 		lo = hi
 	}
 	return out
+}
+
+// rewrite returns c with rows (ascending, all in c's chunk) rewritten by
+// fill, in arrays of its own sized exactly. Only the rewritten rows are
+// filled into buf first, to learn their sizes; every carried row is
+// copied once.
+func (c *chunk) rewrite(rows []uint32, fill func(r uint32, dst []uint32) []uint32, buf *chunk) *chunk {
+	*buf = chunk{ids: buf.ids[:0], off: buf.off[:0], adj: buf.adj[:0]}
+	f := buf.add(&chunk{off: []int64{0}}, rows, fill)
+	n, size := len(c.ids)+len(rows), len(c.adj)+len(f.adj)
+	for _, r := range rows {
+		if j, ok := slices.BinarySearch(c.ids, r); ok {
+			n, size = n-1, size-int(c.off[j+1]-c.off[j])
+		}
+	}
+	out := chunk{ids: make([]uint32, 0, n), off: make([]int64, 0, n+1), adj: make([]uint32, 0, size)}
+	k := 0
+	out = out.add(c, rows, func(_ uint32, dst []uint32) []uint32 {
+		k++
+		return append(dst, f.adj[f.off[k-1]:f.off[k]]...)
+	})
+	return &out
 }
 
 // add appends to b's arrays the chunk old with rows (ascending, all in

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // sameRows asserts that v reads as h row for row in both orientations,
@@ -119,4 +120,42 @@ func TestPendingVersionEditAcrossChunks(t *testing.T) {
 	next = dv.Edit([]uint32{0}, [][]uint32{{1, 2}})
 	sameRows(t, "dual edit", next, want)
 	sameBuild(t, "dual edit", next, want)
+}
+
+// TestRewrittenChunkOwnsExactArrays: a chunk an edit rewrites again gets
+// arrays of its own, sized exactly (cap == len) and sharing no storage
+// with the chunk it replaces, in both orientations, while the version
+// still reads as a rebuild.
+func TestRewrittenChunkOwnsExactArrays(t *testing.T) {
+	edges := [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}}
+	v1 := NewVersion(FromEdgeSlices(edges, 5), nil).Edit([]uint32{1}, [][]uint32{{1, 3}})
+	v2 := v1.Edit([]uint32{3}, [][]uint32{{0, 2, 4}})
+	edges[1], edges[3] = nil, nil
+	sameRows(t, "two edits", v2, FromEdgeSlices(append(edges, []uint32{1, 3}, []uint32{0, 2, 4}), 5))
+	for name, x := range map[string][2]*chunk{
+		"edge":   {v1.edge.chunks[0], v2.edge.chunks[0]},
+		"vertex": {v1.vert.chunks[0], v2.vert.chunks[0]},
+	} {
+		prev, c := x[0], x[1]
+		if prev == c {
+			t.Fatalf("%s: the second edit kept the first edit's chunk", name)
+		}
+		if cap(c.ids) != len(c.ids) || cap(c.off) != len(c.off) || cap(c.adj) != len(c.adj) {
+			t.Fatalf("%s: rewritten chunk arrays have len/cap ids %d/%d, off %d/%d, adj %d/%d", name,
+				len(c.ids), cap(c.ids), len(c.off), cap(c.off), len(c.adj), cap(c.adj))
+		}
+		if shares(c.ids, prev.ids) || shares(c.off, prev.off) || shares(c.adj, prev.adj) {
+			t.Fatalf("%s: rewritten chunk shares storage with the chunk it replaces", name)
+		}
+	}
+}
+
+// shares reports whether the backing arrays of a and b overlap.
+func shares[T any](a, b []T) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[:1][0])
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
 }

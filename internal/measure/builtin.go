@@ -80,7 +80,7 @@ func sourceNode(res *core.PipelineResult, p Params) (uint32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("measure: bad source %q", p["source"])
 	}
-	for u, id := range res.HyperedgeIDs {
+	for u, id := range res.IDs() {
 		if id == uint32(src) {
 			return uint32(u), nil
 		}

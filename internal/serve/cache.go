@@ -371,7 +371,7 @@ func NewMeasureEntry(res *core.PipelineResult, val *measure.Value) *MeasureEntry
 		Edges: res.Graph.NumEdges(),
 	}
 	if val.Scores != nil || val.Ints != nil {
-		e.HyperedgeIDs = res.HyperedgeIDs
+		e.HyperedgeIDs = res.IDs()
 	}
 	return e
 }

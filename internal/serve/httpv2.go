@@ -271,7 +271,7 @@ func entryJSON(e QueryEntry, edges bool) queryEntryJSON {
 	case e.Res != nil:
 		out.Nodes = e.Res.Graph.NumNodes()
 		out.Edges = e.Res.Graph.NumEdges()
-		out.HyperedgeIDs = e.Res.HyperedgeIDs
+		out.HyperedgeIDs = e.Res.IDs()
 	}
 	if e.Res != nil {
 		t := toTimings(e.Res.Timings)

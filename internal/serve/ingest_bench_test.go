@@ -9,6 +9,7 @@ import (
 	"hyperline/internal/core"
 	"hyperline/internal/delta"
 	"hyperline/internal/gen"
+	"hyperline/internal/par"
 )
 
 // BenchmarkIngestCached times Service.Ingest alone, one delta per op,
@@ -19,6 +20,40 @@ import (
 //
 //	go test -run '^$' -bench IngestCached -benchmem ./internal/serve/
 func BenchmarkIngestCached(b *testing.B) {
+	benchIngest(b, nil)
+}
+
+// BenchmarkIngestThenRead is BenchmarkIngestCached plus, after each
+// delta, one read of every key it patched: a cache hit whose /v2/query
+// body — node and edge counts and hyperedge IDs, no edge list — is
+// written as ingest-mixed's range reads ask for it. It prices what a
+// patch leaves to its first reader: expanding the IDs it holds as a
+// view.
+//
+//	go test -run '^$' -bench IngestThenRead -benchmem ./internal/serve/
+func BenchmarkIngestThenRead(b *testing.B) {
+	var sVals []int
+	benchIngest(b, func(svc *Service, res *IngestResult) {
+		sVals = sVals[:0]
+		for s := 1; s <= 8; s++ {
+			if e, ok := svc.cache.Get(projKey{"g", res.Version, core.PipelineConfig{}.OutputKey(false, s)}); ok && e.res.Plan.Strategy == "patch" {
+				sVals = append(sVals, s)
+			}
+		}
+		if len(sVals) == 0 {
+			return
+		}
+		qr, err := svc.Query(context.Background(), lineQ("g", core.PipelineConfig{}, sVals...))
+		if err != nil {
+			b.Fatal(err)
+		}
+		writeQueryV2(discardResponse{}, queryHeadJSON{Dataset: "g", Kind: "line"}, qr, false, par.Options{})
+	})
+}
+
+// benchIngest runs BenchmarkIngestCached's delta stream, calling read,
+// when non-nil, after each ingest.
+func benchIngest(b *testing.B, read func(*Service, *IngestResult)) {
 	h := gen.Community(gen.CommunityConfig{
 		Seed: 1003, NumVertices: 60000, NumCommunities: 3000,
 		MeanCommunitySize: 6, MaxCommunitySize: 120, EdgesPerCommunity: 3,
@@ -54,8 +89,12 @@ func BenchmarkIngestCached(b *testing.B) {
 			live = append(live, next)
 			next++
 		}
-		if _, err := svc.Ingest(ctx, "g", d, 0); err != nil {
+		res, err := svc.Ingest(ctx, "g", d, 0)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if read != nil {
+			read(svc, res)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type projectionMeta struct {
 func encodeProjection(e *projEntry) ([]byte, error) {
 	meta, err := json.Marshal(projectionMeta{
 		S:            e.res.S,
-		HyperedgeIDs: e.res.HyperedgeIDs,
+		HyperedgeIDs: e.res.IDs(),
 		Stats:        e.res.Stats,
 		Timings:      e.res.Timings,
 		Plan:         e.res.Plan,

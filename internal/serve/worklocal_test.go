@@ -18,10 +18,11 @@ import (
 // pairwise-disjoint hyperedges over fresh vertices, which no delta
 // touches and no projection holds. Per delta, the bytes the larger
 // dataset's ingests allocate beyond the smaller one's may only be the
-// result slices each patched key must hold — HyperedgeIDs, the squeeze
-// map and the pending degrees, 12 bytes per node — never anything sized
-// by the dataset, like a working-order array of every hyperedge. The
-// keys are under relabel N, the only order ingest patches.
+// per-node arrays a patched key holds once its rows are built past the
+// pending bound — its squeeze map and row offsets, 12 bytes per node —
+// never anything sized by the dataset, like a working-order array of
+// every hyperedge. The keys are under relabel N, the only order ingest
+// patches.
 func TestIngestWorkIsLocal(t *testing.T) {
 	t.Run("relabel=N", func(t *testing.T) { ingestWorkIsLocal(t, core.PipelineConfig{}) })
 }
