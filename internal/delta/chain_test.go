@@ -71,12 +71,13 @@ func decodeDelta(h *hg.Hypergraph, part []byte) *Delta {
 // FuzzPatchChainMatchesRecompute is the differential target for the
 // write path the service runs: a base and a chain of up to four deltas,
 // each composed onto the pending version before it (Compose), for every
-// orientation × relabel × s in 1..3. A line key under relabel N is
-// patched through PatcherFor, and after every delta it must equal
-// core.RunBatch on the eagerly applied chain.
-// For clique keys and under A and D, Plan must never patch, a key it
-// migrates must serve the recompute's answer, and the chain goes on
-// from the recompute.
+// orientation × relabel × s in 1..3. Every key is carried through
+// PatcherFor as the service carries it (carry: migrate, patch or
+// recompute, as Plan says), and after every delta it must equal
+// core.RunBatch on the eagerly applied chain: byte for byte for a line
+// key under relabel N, whether patched or migrated, and in its served
+// fields for any other. For clique keys and under A and D, Plan must
+// never patch.
 func FuzzPatchChainMatchesRecompute(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 2, 0x80, 1, 2, 3, 0x80, 0, 1, 2, 3, 4, 0x80, 4, 5, 0xFF, 0xC1, 2, 3, 6, 0xFF, 0xC4, 0, 6, 0xFF, 0xC0, 1, 5})
 	f.Add([]byte{3, 0, 1, 0x80, 1, 2, 0x80, 0x80, 2, 0xFF, 0xC0, 0xFF, 0xC1, 3, 4, 0xFF, 0xC2, 0xFF, 0, 4})
@@ -111,21 +112,7 @@ func FuzzPatchChainMatchesRecompute(f *testing.F) {
 			for k, old := range cur {
 				a := KeyAttrs{Dual: k.dual, S: k.s, Exact: true, Relabel: k.relabel, Squeeze: true}
 				label := fmt.Sprintf("step=%d/dual=%v/relabel=%s/s=%d", step, k.dual, k.relabel, k.s)
-				fresh := pipelineAt(t, orient(h, k.dual), k.s, exactCfg(k.relabel))
-				if !patched(k.dual, k.relabel) {
-					neverPatched(t, label, p, a)
-					if p.Migratable(a) {
-						sameServed(t, label+" (migrate)", old, fresh)
-					}
-					cur[k] = fresh
-					continue
-				}
-				res, err := p.Patch(old, a)
-				if err != nil {
-					t.Fatalf("step %d: Patch: %v", step, err)
-				}
-				sameResult(t, label, res, fresh)
-				cur[k] = res
+				cur[k] = carry(t, label, p, a, old, pipelineAt(t, orient(h, k.dual), k.s, exactCfg(k.relabel)))
 			}
 			v = nv
 		}

@@ -206,7 +206,9 @@ func edgeCases() []equivCase {
 // in 1..maxS, that patching base's line projection across d under
 // relabel N equals the recompute on the post-delta hypergraph, that
 // Plan patches no clique key and no key under A or D, and that every
-// key the patcher calls migratable serves the same answer unchanged.
+// key the patcher calls migratable serves the same answer unchanged;
+// and that the line frontier is tight: the projection at
+// s = AffectedS(false), when that is at least 1, changes.
 func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS int) {
 	t.Helper()
 	newH, err := Apply(base, d)
@@ -239,6 +241,51 @@ func checkPatch(t *testing.T, label string, base *hg.Hypergraph, d *Delta, maxS 
 			}
 		}
 	}
+	// Migration tightness: the line frontier is the smallest bound, so
+	// the key at it is not unchanged.
+	if f := p.AffectedS(false); f > 0 {
+		cfg := exactCfg(hg.RelabelNone)
+		if served(pipelineAt(t, base, f, cfg)) == served(pipelineAt(t, newH, f, cfg)) {
+			t.Fatalf("%s: the line projection at the frontier s=%d is unchanged: the bound is not tight", label, f)
+		}
+	}
+}
+
+// served renders the externally served fields of a result — its edges
+// with their weights and the node→hyperedge mapping — for comparison.
+func served(r *core.PipelineResult) string {
+	return fmt.Sprint(r.Graph.Edges(), r.IDs())
+}
+
+// carry takes one cached projection across a delta as the service does:
+// Plan, on the terms most favourable to patching, migrates it, patches
+// it, or drops it for fresh, the recompute on the post-delta
+// hypergraph. It fails the test when Plan patches a key the tests never
+// patch or drops one they do, and checks the carried result against
+// fresh: byte for byte for a line key under relabel N, its served
+// fields for any other.
+func carry(t *testing.T, label string, p *Patcher, a KeyAttrs, old, fresh *core.PipelineResult) *core.PipelineResult {
+	t.Helper()
+	res := fresh
+	switch action := p.Plan(a, 0, 0, true); {
+	case action == ActionMigrate:
+		res = old
+	case action == ActionPatch && patched(a.Dual, a.Relabel):
+		var err error
+		if res, err = p.Patch(old, a); err != nil {
+			t.Fatalf("%s: Patch: %v", label, err)
+		}
+	case action == ActionPatch:
+		t.Fatalf("%s: Plan patches %s", label, a)
+	case patched(a.Dual, a.Relabel):
+		t.Fatalf("%s: Plan drops %s on the terms most favourable to patching", label, a)
+	}
+	if patched(a.Dual, a.Relabel) {
+		sameResult(t, label, res, fresh)
+	} else {
+		sameServed(t, label, res, fresh)
+	}
+	return res
 }
 
 // TestPatchEquivalence is the headline property: patch == recompute,
@@ -257,13 +304,93 @@ func TestPatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestPatchEquivalenceChained patches through a chain of deltas — each
-// step reuses the previous step's patched result as its cached input —
-// and checks the end state still matches a from-scratch recompute, so
-// patching does not accumulate drift across versions. For clique keys
-// and under A and D the chain runs as the service does: Plan never
-// patches, a migrated key carries its result, and any other key is
-// recomputed.
+// TestLineFrontierExact pins the line frontier to the heaviest pair a
+// delta adds or removes, not to the size of its largest hyperedge, on
+// named shapes where the two differ. Each base goes on with a hyperedge
+// {10, 11} and 100 more pairs, none of which overlaps anything; a first
+// delta deletes {10, 11}, so that every shape is also composed onto a
+// pending version through PatcherFor (the pairs keep it below the
+// pending-build bound), where the frontier must be the same and the
+// line key under relabel N at s = 1..4 migrates exactly above it and is
+// carried to the recompute.
+func TestLineFrontierExact(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edges [][]uint32
+		d     *Delta
+		want  int
+	}{
+		// The 4-vertex insert meets each hyperedge in one vertex.
+		{"insert-overlaps-by-one", [][]uint32{{0, 1, 2}, {2, 3, 4}, {4, 5, 6}},
+			&Delta{Inserts: [][]uint32{{0, 3, 6, 9}}}, 1},
+		// Hyperedge 2 shares no vertex with any other: every key migrates.
+		{"delete-without-pairs", [][]uint32{{0, 1, 2}, {1, 2, 3}, {7, 8}},
+			&Delta{Deletes: []uint32{2}}, 0},
+		// The inserts share three vertices; every survivor pair weighs 1.
+		{"insert-insert-heaviest", [][]uint32{{0, 1}, {1, 2}, {2, 3}},
+			&Delta{Inserts: [][]uint32{{4, 5, 6}, {0, 4, 5, 6}}}, 3},
+		// Hyperedges 0 and 1 share three vertices and are deleted together.
+		{"delete-delete-heaviest", [][]uint32{{0, 1, 2, 3}, {0, 1, 2, 4}, {3, 5}, {4, 6}},
+			&Delta{Deletes: []uint32{0, 1}}, 3},
+	} {
+		edges := append(c.edges, []uint32{10, 11})
+		for v := uint32(12); v < 212; v += 2 {
+			edges = append(edges, []uint32{v, v + 1})
+		}
+		base := hg.FromEdgeSlices(edges, 212)
+		newH, err := Apply(base, c.d)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := NewPatcher(base, newH, c.d).AffectedS(false); got != c.want {
+			t.Fatalf("%s: line frontier %d, want %d", c.name, got, c.want)
+		}
+		checkPatch(t, c.name, base, c.d, 4)
+
+		d0 := &Delta{Deletes: []uint32{uint32(len(c.edges))}}
+		v1, err := Compose(hg.NewVersion(base, nil), d0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := Compose(v1, c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v1.Pending() || !v2.Pending() {
+			t.Fatalf("%s: the composed versions were built", c.name)
+		}
+		h1, err := Apply(base, d0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := Apply(h1, c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := PatcherFor(v1, v2, c.d)
+		if got := p.AffectedS(false); got != c.want {
+			t.Fatalf("%s: composed line frontier %d, want %d", c.name, got, c.want)
+		}
+		cfg := exactCfg(hg.RelabelNone)
+		for s := 1; s <= 4; s++ {
+			a := KeyAttrs{S: s, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
+			label := fmt.Sprintf("%s/composed/s=%d", c.name, s)
+			if p.Migratable(a) != (s > c.want) {
+				t.Fatalf("%s: migratable %v, want %v", label, p.Migratable(a), s > c.want)
+			}
+			carry(t, label, p, a, pipelineAt(t, h1, s, cfg), pipelineAt(t, h2, s, cfg))
+		}
+	}
+}
+
+// TestPatchEquivalenceChained carries a cached projection through a
+// chain of deltas as the service does (carry: migrate, patch or
+// recompute, as Plan says) — each step reuses the previous step's
+// result as its cached input — and checks it against a from-scratch
+// recompute after every step, so neither patching nor migrating
+// accumulates drift across versions, and a patched key that later
+// migrates, or a migrated one later patched, still matches. For clique
+// keys and under A and D, Plan never patches.
 func TestPatchEquivalenceChained(t *testing.T) {
 	base := gen.Zipf(gen.ZipfConfig{
 		Seed: 3, NumVertices: 40, NumEdges: 50, MeanEdgeSize: 4, MaxEdgeSize: 8,
@@ -284,23 +411,8 @@ func TestPatchEquivalenceChained(t *testing.T) {
 					}
 					p := NewPatcher(h, newH, d)
 					a := KeyAttrs{Dual: dual, S: s, Exact: true, Relabel: relabel, Squeeze: true}
-					if patched(dual, relabel) {
-						if cur, err = p.Patch(cur, a); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						neverPatched(t, label, p, a)
-						if !p.Migratable(a) {
-							cur = pipelineAt(t, orient(newH, dual), s, cfg)
-						}
-					}
+					cur = carry(t, fmt.Sprintf("%s/step=%d", label, step), p, a, cur, pipelineAt(t, orient(newH, dual), s, cfg))
 					h = newH
-				}
-				fresh := pipelineAt(t, orient(h, dual), s, cfg)
-				if patched(dual, relabel) {
-					sameResult(t, label, cur, fresh)
-				} else {
-					sameServed(t, label, cur, fresh)
 				}
 			}
 		}
@@ -309,7 +421,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 	// Chains composed onto pending versions, as the service runs them:
 	// k = 1..8 deltas that isolate vertices from a small base and from a
 	// 900-row base with an empty row of its own every 37th row, spanning
-	// several 256-row chunks. The line key under relabel N is patched
+	// several 256-row chunks. The line key under relabel N is carried
 	// through PatcherFor at s = 1..3 and checked after every step. The
 	// longer chains on the small base cross the pending-build bound, so
 	// later steps compose onto a base the chain built.
@@ -343,10 +455,7 @@ func TestPatchEquivalenceChained(t *testing.T) {
 				p := PatcherFor(v, nv, d)
 				for s := 1; s <= 3; s++ {
 					a := KeyAttrs{S: s, Exact: true, Relabel: hg.RelabelNone, Squeeze: true}
-					if cur[s], err = p.Patch(cur[s], a); err != nil {
-						t.Fatal(err)
-					}
-					sameResult(t, fmt.Sprintf("composed/%s/k=%d/step=%d/s=%d", name, k, step, s), cur[s], pipelineAt(t, newH, s, cfg))
+					cur[s] = carry(t, fmt.Sprintf("composed/%s/k=%d/step=%d/s=%d", name, k, step, s), p, a, cur[s], pipelineAt(t, newH, s, cfg))
 				}
 				v, h = nv, newH
 			}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"hyperline/internal/core"
@@ -17,9 +16,10 @@ import (
 // Patcher incrementally maintains cached s-line projections across one
 // delta. It is built once per applied delta (base → newH) and consulted
 // once per cached projection key; the expensive state — the Algorithm-2
-// recount of inserted hyperedges — is computed lazily and shared across
-// every key that needs it. Nothing it computes is proportional to the
-// dataset or to a projection: per patched projection it does O(delta)
+// recount of inserted hyperedges, which the line frontier needs too —
+// is computed once and shared across every key. Nothing it computes is
+// proportional to the dataset or to a projection: the frontier counts
+// the delta's 2-hop frontier, and per patched projection it does O(delta)
 // lookups and merges the pending adds and fixes it carries, and writes
 // neither rows nor an array of the nodes (patchRows). Only
 // line-orientation keys under RelabelNone are patched: every other key
@@ -43,14 +43,15 @@ type Patcher struct {
 
 	// lineAffectedS and cliqueAffectedS bound the largest s any pair of
 	// that orientation changes at: a projection at s above the bound is
-	// identical before and after the delta. Both bounds are O(delta)
-	// to compute — no counting pass.
+	// identical before and after the delta. lineAffectedS is exact, the
+	// weight of the heaviest pair the delta adds or removes, counted over
+	// the delta's 2-hop frontier; cliqueAffectedS is the largest degree
+	// of a vertex the delta touches, read in O(delta) with no count.
 	lineAffectedS   int
 	cliqueAffectedS int
 
-	// Lazily computed line-orientation pairs involving inserted
-	// hyperedges: original-ID space, U < V, exact overlap weights.
-	lineOnce  sync.Once
+	// linePairs is every line-orientation pair involving an inserted
+	// hyperedge: original-ID space, U < V, exact overlap weights.
 	linePairs []core.Edge
 
 	// OnMaterialize, when set before the first Patch, is called once
@@ -78,25 +79,26 @@ func NewPatcher(base, newH *hg.Hypergraph, d *Delta) *Patcher {
 
 // PatcherFor is NewPatcher on versions that need not be built: newH
 // must be Compose(base, d). The patcher reads only the rows the delta
-// touches, through the versions' edits, and builds neither.
+// touches and their 2-hop frontier, through the versions' edits, and
+// builds neither.
 func PatcherFor(base, newH *hg.Version, d *Delta) *Patcher {
 	p := &Patcher{
-		base:   base,
-		newH:   newH,
-		d:      d,
-		reason: fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
+		base:      base,
+		newH:      newH,
+		d:         d,
+		reason:    fmt.Sprintf("incremental patch: %d inserts, %d deletes", len(d.Inserts), len(d.Deletes)),
+		linePairs: insertPairs(base, newH, d),
 	}
-	// Line bound: a pair involving a deleted hyperedge x had weight
-	// |x ∩ f| ≤ |x|; a pair involving an inserted g has weight ≤ |g|.
+	// Line bound: two surviving hyperedges keep their overlap, so the
+	// pairs that change are a deleted hyperedge's in the base — with
+	// survivors and with other deleted ones — and the inserted ones'.
 	for _, e := range d.Deletes {
-		if sz := base.EdgeSize(e); sz > p.lineAffectedS {
-			p.lineAffectedS = sz
+		for _, oc := range core.OverlapCounts(base, e) {
+			p.lineAffectedS = max(p.lineAffectedS, int(oc.Count))
 		}
 	}
-	for _, vs := range d.Inserts {
-		if len(vs) > p.lineAffectedS {
-			p.lineAffectedS = len(vs)
-		}
+	for _, e := range p.linePairs {
+		p.lineAffectedS = max(p.lineAffectedS, int(e.W))
 	}
 	// Clique bound: an affected pair {u, v} lies inside some delta
 	// edge, and both its old and new adj counts are bounded by the
@@ -127,7 +129,9 @@ func PatcherFor(base, newH *hg.Version, d *Delta) *Patcher {
 }
 
 // AffectedS returns the orientation's frontier bound: projections at
-// s > AffectedS are identical before and after the delta.
+// s > AffectedS are identical before and after the delta. For the line
+// orientation it is the smallest such bound: the projection at
+// s = AffectedS(false) ≥ 1 changes.
 func (p *Patcher) AffectedS(dual bool) int {
 	if dual {
 		return p.cliqueAffectedS
@@ -238,25 +242,24 @@ func (p *Patcher) patchUnits() int64 {
 	return units
 }
 
-// insertPairs lazily recounts the inserted hyperedges' 2-hop frontiers
-// with the Algorithm-2 kernel, yielding every line-orientation pair
-// involving an inserted hyperedge (original IDs, U < V, exact
+// insertPairs recounts the inserted hyperedges' 2-hop frontiers in
+// newH with the Algorithm-2 kernel, yielding every line-orientation
+// pair involving an inserted hyperedge (original IDs, U < V, exact
 // weights). Inserted IDs are the highest in the space, so keeping only
 // neighbors below the counted edge covers survivor–insert pairs once
 // and insert–insert pairs once (from the higher ID's count).
-func (p *Patcher) insertPairs() []core.Edge {
-	p.lineOnce.Do(func() {
-		m := uint32(p.base.NumEdges())
-		for i := range p.d.Inserts {
-			g := m + uint32(i)
-			for _, oc := range core.OverlapCounts(p.newH, g) {
-				if oc.Edge < g {
-					p.linePairs = append(p.linePairs, core.Edge{U: oc.Edge, V: g, W: oc.Count})
-				}
+func insertPairs(base, newH *hg.Version, d *Delta) []core.Edge {
+	var pairs []core.Edge
+	m := uint32(base.NumEdges())
+	for i := range d.Inserts {
+		g := m + uint32(i)
+		for _, oc := range core.OverlapCounts(newH, g) {
+			if oc.Edge < g {
+				pairs = append(pairs, core.Edge{U: oc.Edge, V: g, W: oc.Count})
 			}
 		}
-	})
-	return p.linePairs
+	}
+	return pairs
 }
 
 // Patch rewrites one cached projection for the new version, byte-
@@ -269,7 +272,7 @@ func (p *Patcher) Patch(old *core.PipelineResult, a KeyAttrs) (*core.PipelineRes
 	if !patchable(a) {
 		return nil, fmt.Errorf("delta: %s cannot be patched: only squeezed, toplex-free, exact line keys under relabel N are", a)
 	}
-	return p.patchRows(old, a)
+	return p.patchRows(old, a), nil
 }
 
 // deferFraction bounds the pending adds of a deferred projection: a
@@ -303,7 +306,7 @@ const deferFraction = 8
 // nodes and the pairs the delta names are read, through the pending
 // adds (rowSource), so the work is O(delta) lookups and a merge of the
 // carried adds and fixes, never O(nodes) or O(edges).
-func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.PipelineResult, error) {
+func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) *core.PipelineResult {
 	t0 := time.Now()
 	cur := readThrough(old)
 	n := uint32(cur.Nodes)
@@ -328,8 +331,8 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 	}
 
 	// added: the new pairs at or above s, in original IDs (U < V).
-	added := make([]core.Edge, 0, len(p.insertPairs()))
-	for _, e := range p.insertPairs() {
+	added := make([]core.Edge, 0, len(p.linePairs))
+	for _, e := range p.linePairs {
 		if int(e.W) >= a.S {
 			added = append(added, e)
 		}
@@ -484,10 +487,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 
 	t1 := time.Now()
 	next := cur.compose(segs, add, fix, int(size), edges)
-	ng, err := graph.Defer(next, nil, p.OnMaterialize)
-	if err != nil {
-		return nil, err
-	}
+	ng := graph.Defer(next, p.OnMaterialize)
 	if bound := 2 * next.Base.NumEdges() / deferFraction; len(next.Add) > bound || len(next.Fix) > bound {
 		ng = ng.Materialize()
 	}
@@ -500,7 +500,7 @@ func (p *Patcher) patchRows(old *core.PipelineResult, a KeyAttrs) (*core.Pipelin
 			Squeeze:  time.Since(t1),
 		},
 		Plan: core.PlanInfo{Strategy: "patch", Reason: p.reason, Relabel: a.Relabel.String()},
-	}, nil
+	}
 }
 
 // rowSource reads a cached projection whether or not its rows are
@@ -514,7 +514,7 @@ type rowSource struct {
 
 // readThrough returns old's rows, IDs and degrees as a rowSource.
 func readThrough(old *core.PipelineResult) *rowSource {
-	if pend := old.Graph.Pending(); pend != nil && pend.Deg == nil {
+	if pend := old.Graph.Pending(); pend != nil {
 		return &rowSource{*pend}
 	}
 	b := old.Graph.Materialize()

@@ -32,11 +32,8 @@ func TestComponentsBasic(t *testing.T) {
 // one labelling, and readers of a deferred graph, racing the readers
 // that build its rows, share the built graph's. Run under -race.
 func TestComponentsBuiltOnce(t *testing.T) {
-	g, p, orig := deferCase()
-	d, err := Defer(p, orig, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, p, _ := deferCase()
+	d := Defer(p, nil)
 	got := make([]*Components, 16)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -86,10 +83,10 @@ func TestComponentsPatchedLabelsAfresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deferred, err := Defer(&Pending{Base: base, Runs: Runs{{Base: 0, Node: 0, Len: 4}}, Add: add, Deg: []uint32{1, 2, 2, 1}}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deferred := Defer(&Pending{
+		Base: base, Runs: Runs{{Base: 0, Node: 0, Len: 4}}, Add: add,
+		Fix: []Fix{{Node: 1, ID: 1, Deg: 2}, {Node: 2, ID: 2, Deg: 2}}, Nodes: 4, Edges: 3, IDs: identity,
+	}, nil)
 	want := &Components{Label: []uint32{0, 0, 0, 0}, Nodes: identity, Bounds: []uint32{0, 4}}
 	for name, g := range map[string]*Graph{"Rewrite": eager, "Defer": deferred} {
 		if cc := g.Components(); cc == before || !reflect.DeepEqual(cc, want) {

@@ -105,14 +105,14 @@ func (g *Graph) NumNodes() int { return g.numNodes }
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Squeezed reports whether ID squeezing was applied.
-func (g *Graph) Squeezed() bool { return g.orig != nil || g.lazy != nil && g.lazy.view }
+func (g *Graph) Squeezed() bool { return g.orig != nil || g.lazy != nil }
 
 // OrigID maps a node back to its pre-squeeze ID (identity when the
 // graph was not squeezed). For an s-line graph that is the working
 // hyperedge ID, which under relabel N with squeezing is the input's
 // hyperedge ID, empty input rows or not.
 func (g *Graph) OrigID(node uint32) uint32 {
-	if p := g.Pending(); p != nil && g.lazy.view {
+	if p := g.Pending(); p != nil {
 		id, _ := p.Node(node)
 		return id
 	}
@@ -123,10 +123,10 @@ func (g *Graph) OrigID(node uint32) uint32 {
 }
 
 // OrigIDs returns OrigID of every node (nil when the graph was not
-// squeezed); the caller must not modify it. A deferred graph whose
-// rewrite carries it expands it once, on first use, for every caller.
+// squeezed); the caller must not modify it. A deferred graph expands
+// the one its rewrite carries once, on first use, for every caller.
 func (g *Graph) OrigIDs() []uint32 {
-	if g.orig == nil && g.lazy != nil && g.lazy.view {
+	if g.lazy != nil {
 		return g.lazy.squeezeMap()
 	}
 	return g.orig

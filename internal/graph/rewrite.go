@@ -79,24 +79,21 @@ func Rewrite(g *Graph, remap []uint32, numNodes int, add []Edge, orig []uint32) 
 	return FromCSR(numNodes, len(adj)/2, off, adj, wgt, orig)
 }
 
-// Pending is a Rewrite that has not run: Rewrite(Base, p.Remap(), n,
-// Add, orig) is the graph of n nodes it stands for, under Rewrite's
-// contract. Its node remap is held as Runs, so a pending rewrite that
-// keeps most nodes costs O(runs), not O(nodes), to carry, and a
-// deferred graph answers Degree without rows. A Pending is immutable
-// once handed to Defer.
+// Pending is a Rewrite that has not run: Rewrite(Base, p.Remap(),
+// Nodes, Add, orig) is the graph it stands for, under Rewrite's
+// contract, where orig is the squeeze map read through Fix and IDs.
+// Its node remap is held as Runs and it lists only what changed, so a
+// pending rewrite that keeps most nodes costs O(runs + fixes), not
+// O(nodes), to carry, and a deferred graph answers Degree and OrigID
+// without rows. A Pending is immutable once handed to Defer.
 type Pending struct {
 	Base *Graph
 	// Runs maps base nodes to nodes; a base node no run covers is Gone.
 	Runs Runs
 	Add  []Edge
-	// Deg, when set, holds every node's degree, and n is len(Deg). A
-	// rewrite carried across deltas leaves it nil and holds only what
-	// changed: Fix lists, ascending by node, every node no run covers
-	// and every covered node whose degree is not its base node's, and
-	// Nodes and Edges count the graph. Such a rewrite carries its
-	// squeeze map too: a covered node's ID is IDs[its base node].
-	Deg   []uint32
+	// Fix lists, ascending by node, every node no run covers and every
+	// covered node whose degree is not its base node's; Nodes and Edges
+	// count the graph. A covered node's ID is IDs[its base node].
 	Fix   []Fix
 	Nodes int
 	Edges int
@@ -106,9 +103,8 @@ type Pending struct {
 // Fix is one node's squeeze-map ID and degree in a pending rewrite.
 type Fix struct{ Node, ID, Deg uint32 }
 
-// Node returns node y's squeeze-map ID and degree in the graph a
-// rewrite without Deg stands for, reading no rows: O(log) in Fix and
-// Runs.
+// Node returns node y's squeeze-map ID and degree in the graph the
+// rewrite stands for, reading no rows: O(log) in Fix and Runs.
 func (p *Pending) Node(y uint32) (id, deg uint32) {
 	if i := sort.Search(len(p.Fix), func(i int) bool { return p.Fix[i].Node >= y }); i < len(p.Fix) && p.Fix[i].Node == y {
 		return p.Fix[i].ID, p.Fix[i].Deg
@@ -187,39 +183,21 @@ type deferred struct {
 	pend  atomic.Pointer[Pending]
 	built atomic.Pointer[Graph]
 
-	// view reports a squeeze map read through the rewrite (Pending.Node),
-	// expanded once into orig by the first reader or the build.
-	view     bool
+	// orig is the squeeze map read through the rewrite (Pending.Node),
+	// expanded once by the first reader or the build.
 	origOnce sync.Once
 	orig     []uint32
 }
 
 // Defer returns the graph p stands for without building its rows: node
-// and edge counts, Degree, OrigID and Squeezed answer from p and orig,
-// and the first row read runs the rewrite once for every reader
-// (onBuild, when non-nil, is then called once). orig is the result's
-// squeeze mapping, as for Rewrite; a p without Deg reads its own when
-// orig is nil. The build checks its edge count against the one served
-// before it.
-func Defer(p *Pending, orig []uint32, onBuild func()) (*Graph, error) {
-	n, m := p.Nodes, p.Edges
-	if p.Deg != nil {
-		n = len(p.Deg)
-		sum := 0
-		for _, d := range p.Deg {
-			sum += int(d)
-		}
-		if sum%2 != 0 {
-			return nil, fmt.Errorf("graph: degrees sum to %d, an odd number", sum)
-		}
-		m = sum / 2
-	}
-	if orig != nil && len(orig) != n {
-		return nil, fmt.Errorf("graph: orig length %d, want %d", len(orig), n)
-	}
-	d := &deferred{onBuild: onBuild, view: p.Deg == nil && orig == nil}
+// and edge counts, Degree, OrigID and Squeezed answer from p, and the
+// first row read runs the rewrite once for every reader (onBuild, when
+// non-nil, is then called once). The build checks its edge count
+// against the one served before it.
+func Defer(p *Pending, onBuild func()) *Graph {
+	d := &deferred{onBuild: onBuild}
 	d.pend.Store(p)
-	return &Graph{numNodes: n, numEdges: m, orig: orig, lazy: d}, nil
+	return &Graph{numNodes: p.Nodes, numEdges: p.Edges, lazy: d}
 }
 
 // degree returns node u's degree, from the rewrite until it is built.
@@ -227,16 +205,14 @@ func (d *deferred) degree(u uint32) int {
 	p := d.pend.Load()
 	if p == nil {
 		return d.built.Load().Degree(u)
-	} else if p.Deg != nil {
-		return int(p.Deg[u])
 	}
 	_, deg := p.Node(u)
 	return int(deg)
 }
 
-// squeezeMap returns the squeeze map a view reads through its rewrite,
-// expanded on the first call. The build calls it before it drops the
-// rewrite, so the expansion always has one to read.
+// squeezeMap returns the squeeze map read through the rewrite, expanded
+// on the first call. The build calls it before it drops the rewrite, so
+// the expansion always has one to read.
 func (d *deferred) squeezeMap() []uint32 {
 	d.origOnce.Do(func() {
 		p := d.pend.Load()
@@ -291,11 +267,8 @@ func (d *deferred) build(g *Graph) (*Graph, bool) {
 	if b := d.built.Load(); b != nil {
 		return b, false
 	}
-	p, orig := d.pend.Load(), g.orig
-	if d.view {
-		orig = d.squeezeMap()
-	}
-	b, err := Rewrite(p.Base, p.Remap(), g.numNodes, p.Add, orig)
+	p := d.pend.Load()
+	b, err := Rewrite(p.Base, p.Remap(), g.numNodes, p.Add, d.squeezeMap())
 	if err == nil && b.numEdges != g.numEdges {
 		err = fmt.Errorf("%d edges, want %d", b.numEdges, g.numEdges)
 	}

@@ -10,14 +10,18 @@ import (
 
 // deferCase is a path 0-1-2-3 rewritten to drop node 0 and add a new
 // node 3 joined to nodes 0 and 2 (new IDs): remap 0→Gone, 1→0, 2→1,
-// 3→2.
-func deferCase() (*Graph, *Pending, []uint32) {
-	g := Build(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, true)
-	p := &Pending{
-		Base: g,
-		Runs: []Run{{Base: 1, Node: 0, Len: 3}},
-		Add:  []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
-		Deg:  []uint32{2, 2, 2, 2},
+// 3→2. The fixes are the new node 3 and node 2, whose degree grows
+// from its base node's 1; the result's squeeze map is orig.
+func deferCase() (g *Graph, p *Pending, orig []uint32) {
+	g = Build(4, []Edge{{0, 1, 1}, {1, 2, 2}, {2, 3, 3}}, true)
+	p = &Pending{
+		Base:  g,
+		Runs:  []Run{{Base: 1, Node: 0, Len: 3}},
+		Add:   []Edge{{0, 3, 7}, {2, 3, 8}, {3, 0, 7}, {3, 2, 8}},
+		Fix:   []Fix{{Node: 2, ID: 12, Deg: 2}, {Node: 3, ID: 13, Deg: 2}},
+		Nodes: 4,
+		Edges: 4,
+		IDs:   []uint32{9, 10, 11, 12},
 	}
 	return g, p, []uint32{10, 11, 12, 13}
 }
@@ -26,21 +30,18 @@ func deferCase() (*Graph, *Pending, []uint32) {
 // without building rows, and its rows, once read, are Rewrite's.
 func TestDeferEqualsRewrite(t *testing.T) {
 	g, p, orig := deferCase()
-	want, err := Rewrite(g, p.Remap(), len(p.Deg), p.Add, orig)
+	want, err := Rewrite(g, p.Remap(), p.Nodes, p.Add, orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	builds := 0
-	d, err := Defer(p, orig, func() { builds++ })
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Defer(p, func() { builds++ })
 	if d.NumNodes() != want.NumNodes() || d.NumEdges() != want.NumEdges() || d.OrigID(3) != 13 {
 		t.Fatalf("deferred counts %d nodes, %d edges; Rewrite %d, %d", d.NumNodes(), d.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
 	for x := uint32(0); x < 4; x++ {
-		if d.Degree(x) != want.Degree(x) {
-			t.Fatalf("node %d: deferred degree %d, Rewrite %d", x, d.Degree(x), want.Degree(x))
+		if d.Degree(x) != want.Degree(x) || d.OrigID(x) != want.OrigID(x) {
+			t.Fatalf("node %d: deferred degree %d, ID %d; Rewrite %d, %d", x, d.Degree(x), d.OrigID(x), want.Degree(x), want.OrigID(x))
 		}
 	}
 	if builds != 0 || d.Pending() != p {
@@ -55,20 +56,14 @@ func TestDeferEqualsRewrite(t *testing.T) {
 	if d.Materialize() != d.Materialize() || d.Materialize().Pending() != nil {
 		t.Fatal("Materialize must return one built graph")
 	}
-	if _, err := Defer(&Pending{Base: g, Deg: []uint32{1}}, nil, nil); err == nil {
-		t.Fatal("Defer accepted degrees with an odd sum")
-	}
 }
 
 // TestDeferBuildsOnce: concurrent first row reads of one deferred graph
 // run the rewrite once and share its rows. Run under -race.
 func TestDeferBuildsOnce(t *testing.T) {
-	_, p, orig := deferCase()
+	_, p, _ := deferCase()
 	var builds atomic.Int64
-	d, err := Defer(p, orig, func() { builds.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := Defer(p, func() { builds.Add(1) })
 	adj := make([][]uint32, 8)
 	var wg sync.WaitGroup
 	for i := range adj {

@@ -39,6 +39,10 @@ type IngestResult struct {
 	Deletes    int    `json:"deletes"`
 	// AffectedSLine / AffectedSClique bound the frontier per
 	// orientation: projections at s above the bound are unchanged.
+	// AffectedSLine is the smallest such bound, the weight of the
+	// heaviest pair the delta adds or removes (0 when it changes no
+	// pair); AffectedSClique is the largest degree of a vertex the
+	// delta touches.
 	AffectedSLine   int `json:"affected_s_line"`
 	AffectedSClique int `json:"affected_s_clique"`
 	// Projection-cache outcomes.

@@ -482,3 +482,64 @@ func TestIngestMeasureMigration(t *testing.T) {
 		t.Fatal("frontier-intersecting measure was served stale from cache")
 	}
 }
+
+// TestIngestExactLineFrontier: the line frontier is the heaviest pair a
+// delta changes, not its largest hyperedge. An inserted 4-vertex
+// hyperedge that meets every hyperedge in at most one vertex changes
+// only the s = 1 line projection, so affected_s_line reads 1, every
+// cached key at s = 2..4 is re-keyed as the same entry with its
+// fragment, and a components read at s = 2 and a sweep over s = 2..4
+// afterwards compute no measure and no projection and build no rows.
+func TestIngestExactLineFrontier(t *testing.T) {
+	ts, svc := newTestServer(t)
+	svc.Add("g", hg.FromEdgeSlices([][]uint32{{0, 1, 2, 3, 4}, {0, 1, 2, 3, 5}, {0, 1, 2, 6}, {1, 2, 3, 7}}, 8))
+	const sweep, components = `{"dataset": "g", "s": [1, 2, 3, 4]}`, `{"dataset": "g", "s": [2], "measure": "components"}`
+	queryV2(t, ts, sweep)
+	queryV2(t, ts, sweep) // a hit memoises each entry's fragment
+	queryV2(t, ts, components)
+	old, frags := map[int]*projEntry{}, map[int]*[]byte{}
+	for s := 2; s <= 4; s++ {
+		old[s] = cachedProj(svc, 1, s)
+		if old[s] == nil || old[s].res.Graph.NumEdges() == 0 || old[s].frag.p.Load() == nil {
+			t.Fatalf("s=%d: no cached projection with edges and a fragment before the delta", s)
+		}
+		frags[s] = old[s].frag.p.Load()
+	}
+
+	var ing ingestResponse
+	do(t, http.MethodPost, ts.URL+"/v2/ingest",
+		strings.NewReader(`{"dataset": "g", "inserts": [[4, 5, 6, 7]]}`), http.StatusOK, &ing)
+	if ing.AffectedSLine != 1 {
+		t.Fatalf("affected_s_line = %d, want 1: the insert meets each hyperedge in one vertex", ing.AffectedSLine)
+	}
+	if ing.Migrated != 3 || ing.MeasuresMigrated != 1 {
+		t.Fatalf("migrated %d projections and %d measures, want 3 (s=2..4) and 1: %+v", ing.Migrated, ing.MeasuresMigrated, ing)
+	}
+	for s := 2; s <= 4; s++ {
+		if now := cachedProj(svc, ing.Version, s); now != old[s] || now.frag.p.Load() != frags[s] {
+			t.Fatalf("s=%d: not re-keyed as the same entry with its fragment", s)
+		}
+	}
+
+	measures, projections := svc.MeasureCacheStats().Computes, svc.projectionComputes.Load()
+	_, before := scrapeMetrics(t, ts.URL)
+	if out := queryV2(t, ts, components); len(out.Results) != 1 || !out.Results[0].Cached {
+		t.Fatalf("components at s=2 after the delta: %+v, want one cached entry", out.Results)
+	}
+	for _, e := range queryV2(t, ts, `{"dataset": "g", "s": [2, 3, 4]}`).Results {
+		if !e.Cached {
+			t.Errorf("s=%d: not served from the cache after the delta", e.S)
+		}
+	}
+	_, after := scrapeMetrics(t, ts.URL)
+	if got := svc.MeasureCacheStats().Computes; got != measures {
+		t.Fatalf("measure computes went %d -> %d", measures, got)
+	}
+	if got := svc.projectionComputes.Load(); got != projections {
+		t.Fatalf("projection computes went %d -> %d", projections, got)
+	}
+	const built = "hyperline_projection_materializations_total"
+	if after[built] != before[built] {
+		t.Fatalf("%s went %g -> %g", built, before[built], after[built])
+	}
+}
